@@ -116,14 +116,10 @@ class DecompositionCertificate:
     descriptions: tuple[NormDescription, ...] = field(default=())
 
     def __post_init__(self):
-        arity = domain_arity(self.domain)
+        arity = self.domain.arity
         for i, tower in enumerate(self.cells):
             if tower.arity != arity:
                 raise ValueError(f"cell {i} has arity {tower.arity}, domain has {arity}")
-
-
-def domain_arity(domain: Domain) -> int:
-    return domain.arity
 
 
 # -- convenience constructors ----------------------------------------------------
@@ -303,7 +299,7 @@ class PartitionReport:
 def _domain_points(domain: Domain, m: int, ctx: PrimeContext) -> Iterator[tuple[int, ...]]:
     """Residue vectors mod p^m whose canonical lift lies in the domain."""
     pm = ctx.p**m
-    for res in itertools.product(range(pm), repeat=domain_arity(domain)):
+    for res in itertools.product(range(pm), repeat=domain.arity):
         if isinstance(domain, BoxDomain):
             yield res
         else:

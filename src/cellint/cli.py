@@ -21,7 +21,6 @@ from .cells import (
     BoxDomain,
     check_norm_description,
     check_partition,
-    domain_arity,
     load_certificate,
     load_terms,
 )
@@ -160,7 +159,7 @@ def _cmd_integrate(run: RunConfig) -> int:
     if expr is not None:
         level = int(run.get("oracle-level", 6))
         domain = None if isinstance(cert.domain, BoxDomain) else cert.domain
-        oracle = riemann_integrate(parse_expr(str(expr)), domain_arity(cert.domain),
+        oracle = riemann_integrate(parse_expr(str(expr)), cert.domain.arity,
                                    level, ctx, domain=domain, budget=run.budget)
         payload.update({
             "oracle_value": oracle.real_value(),
@@ -327,12 +326,10 @@ def _cmd_decay(run: RunConfig) -> int:
     for direction in directions:
         fit = decay_fit(fs, direction, (m_min, m_max), ctx, budget=run.budget)
         fits.append((direction, fit))
-        for m in range(m_min, m_max + 1):
-            y = [u * Fraction(1, p**m) for u in direction]
-            res = exp_sum(fs, y, ctx, budget=run.budget)
-            mod = abs(res.value)
+        for m, value in fit.values:
+            mod = abs(value)
             logp = math.log(mod) / math.log(p) if mod > 0 else float("-inf")
-            row = f"{m},{res.value.real!r},{res.value.imag!r},{mod!r},{logp!r}"
+            row = f"{m},{value.real!r},{value.imag!r},{mod!r},{logp!r}"
             if multi:
                 row = f"\"{','.join(str(u) for u in direction)}\"," + row
             rows.append(row)

@@ -12,13 +12,14 @@ import cmath
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import AllVanishedError, BudgetExceededError
 from .oracle import (
     DEFAULT_BUDGET,
+    _infer_arity,
     _modular_terms,
     count_solutions,
     eval_poly_mod,
@@ -53,6 +54,7 @@ class DecayFit:
     samples: list[tuple[int, float]]  # (m, |E|)
     max_bound_violation: float
     vanished: list[int]
+    values: list[tuple[int, complex]] = field(default_factory=list)  # (m, E) for every m
 
 
 def additive_character(x, ctx: PrimeContext) -> CharacterValue:
@@ -97,10 +99,14 @@ class _ComplexAccumulator:
         return _pairwise_sum(self.partials)
 
 
-def _infer_arity(fs: Sequence[Polynomial], n: int | None) -> int:
-    if n is not None:
-        return n
-    return max((f.max_variable() for f in fs), default=1) or 1
+def _required_level(ys: Sequence[Fraction], ctx: PrimeContext) -> int:
+    """m = max(0, -v(y_i)): the level at which psi(<y, f(x)>) is constant on classes."""
+    required = 0
+    for yi in ys:
+        v = valuation(yi, ctx)
+        if v is not INF and v < 0:
+            required = max(required, -int(v))
+    return required
 
 
 def exp_sum(fs: Sequence[Polynomial], y: Sequence, ctx: PrimeContext,
@@ -117,11 +123,7 @@ def exp_sum(fs: Sequence[Polynomial], y: Sequence, ctx: PrimeContext,
     if len(ys) != len(fs):
         raise ValueError("y must have one component per polynomial")
     arity = _infer_arity(fs, n)
-    required = 0
-    for yi in ys:
-        v = valuation(yi, ctx)
-        if v is not INF and v < 0:
-            required = max(required, -int(v))
+    required = _required_level(ys, ctx)
     m = required if level is None else level
     if m < required:
         raise ValueError(f"level {m} below the required {required}")
@@ -189,11 +191,7 @@ def fourier_check(fs: Sequence[Polynomial], y: Sequence, ctx: PrimeContext,
     ys = tuple(Fraction(v) for v in y)
     arity = _infer_arity(fs, n)
     r = len(fs)
-    required = 0
-    for yi in ys:
-        v = valuation(yi, ctx)
-        if v is not INF and v < 0:
-            required = max(required, -int(v))
+    required = _required_level(ys, ctx)
     lhs = exp_sum(fs, ys, ctx, n=arity, budget=budget).value
     if required == 0:
         return lhs, complex(1.0, 0.0), abs(lhs - 1.0)
@@ -234,9 +232,11 @@ def decay_fit(fs: Sequence[Polynomial], direction: Sequence, m_range: tuple[int,
     p = ctx.p
     samples: list[tuple[int, float]] = []
     vanished: list[int] = []
+    values: list[tuple[int, complex]] = []
     for m in range(m1, m2 + 1):
         y = [u * Fraction(1, p**m) for u in us]
         res = exp_sum(fs, y, ctx, n=n, budget=budget)
+        values.append((m, res.value))
         mod = abs(res.value)
         if mod < VANISH_THRESHOLD:
             vanished.append(m)
@@ -257,7 +257,8 @@ def decay_fit(fs: Sequence[Polynomial], direction: Sequence, m_range: tuple[int,
     violation = max(
         (v - c_hat * min(p ** (m * alpha), 1.0) for m, v in samples), default=0.0)
     return DecayFit(p=p, alpha_hat=alpha, c_hat=c_hat, samples=samples,
-                    max_bound_violation=max(0.0, violation), vanished=vanished)
+                    max_bound_violation=max(0.0, violation), vanished=vanished,
+                    values=values)
 
 
 def bound_check(fit: DecayFit, slack: float = 1e-9) -> bool:

@@ -13,6 +13,10 @@ Grammar (whitespace-insensitive, rationals as "a/b" or integers):
 ASTs are immutable; construction canonicalizes (flattens nested sums
 and products, merges rational scalars) so that format/parse round-trips
 are structural identities.
+
+compile_expr is the one evaluator: exact at rational points (behind
+evaluate_fractional and evaluate), or at integer lifts of residue classes
+mod p^level with an ambiguity flag (behind the oracles).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .errors import (
     ExprSyntaxError,
@@ -29,8 +33,8 @@ from .errors import (
     ValOfZeroError,
     ZeroDenominatorError,
 )
-from .padic_core import PrimeContext, power_norm, residue, valuation
-from .polynomials import Polynomial, format_poly
+from .padic_core import INF, PrimeContext, int_valuation, power_norm, residue, valuation
+from .polynomials import Polynomial, eval_int_terms, format_poly
 from .rootval import RootScaledValue
 
 # -- AST ---------------------------------------------------------------------
@@ -419,90 +423,170 @@ def format_expr(e: QExpExpr) -> str:
 
 # -- evaluation ----------------------------------------------------------------
 
+ExactValue = Union[Fraction, RootScaledValue]
 
-def _norm_value(v, p: int) -> Fraction:
-    return power_norm(p, -int(v))
+
+class _Carrier:
+    """Integer-cleared polynomial carrier, valued at integer lifts or at rational points."""
+
+    def __init__(self, poly: Polynomial, ctx: PrimeContext):
+        self.terms, denom = poly.cleared()
+        self.vden = int(int_valuation(denom, ctx.p)) if denom else 0
+        self.p = ctx.p
+        self.ctx = ctx
+        self.arity = poly.arity
+
+    def valuation_at(self, point: Sequence[int]):
+        num = eval_int_terms(self.terms, point)
+        if num == 0:
+            return INF
+        return int_valuation(num, self.p) - self.vden
+
+    def exact_valuation_at(self, point: Sequence):
+        """Valuation at a point with rational coordinates."""
+        if len(point) < self.arity:
+            raise ValueError(f"point has {len(point)} coordinates, need {self.arity}")
+        num = eval_int_terms(self.terms, point)
+        if num == 0:
+            return INF
+        return valuation(num, self.ctx) - self.vden
+
+
+def compile_expr(e: QExpExpr, ctx: PrimeContext,
+                 level: int | None = None) -> Callable[[Sequence], tuple[ExactValue, bool]]:
+    """Compile an expression into an evaluator returning (exact value, ambiguous).
+
+    With a level, points are integer lifts of residue classes and ambiguous
+    means a carrier was 0 mod p^level.  Conventions at exactly-vanishing
+    carriers: val contributes the level-truncated valuation, norm powers
+    contribute 0.  With level None the evaluation is exact at rational
+    points, never ambiguous, and a vanishing val carrier or negative norm
+    power raises ValOfZeroError.
+    """
+    p = ctx.p
+    exact = level is None
+
+    if isinstance(e, RationalConst):
+        value = e.value
+        return lambda pt: (value, False)
+    if isinstance(e, (Norm, Val, FracNormPower)):
+        carrier = _Carrier(e.carrier, ctx)
+        valuation_at = carrier.exact_valuation_at if exact else carrier.valuation_at
+        top = INF if exact else level
+        if isinstance(e, Norm):
+            def run(pt):
+                v = valuation_at(pt)
+                if v is INF:
+                    return Fraction(0), not exact
+                return power_norm(p, -int(v)), v >= top
+            return run
+        if isinstance(e, Val):
+            def run(pt):
+                v = valuation_at(pt)
+                if v is INF:
+                    if exact:
+                        raise ValOfZeroError(f"val carrier {e.carrier} vanishes at {tuple(pt)}")
+                    return Fraction(level), True  # truncated valuation
+                return Fraction(int(v)), v >= top
+            return run
+        a, n = e.a, e.n
+
+        def run(pt):
+            v = valuation_at(pt)
+            if v is INF:
+                if a > 0:
+                    return Fraction(0), not exact
+                if a == 0:  # 0^0 = 1 convention
+                    return Fraction(1), not exact
+                if exact:
+                    raise ValOfZeroError(f"norm carrier {e.carrier} vanishes at "
+                                         f"{tuple(pt)} with negative power")
+                return Fraction(0), True  # divergent convention, flagged
+            exp = Fraction(a * int(v), n)
+            amb = v >= top
+            if exp.denominator == 1:
+                return power_norm(p, -int(exp)), amb
+            return RootScaledValue.monomial(p, exp), amb
+        return run
+    if isinstance(e, Sum):
+        subs = [compile_expr(it, ctx, level) for it in e.items]
+
+        def run(pt):
+            total: ExactValue = Fraction(0)
+            amb = False
+            for sub in subs:
+                v, a_ = sub(pt)
+                total = _vadd(total, v, p)
+                amb = amb or a_
+            return total, amb
+        return run
+    if isinstance(e, Product):
+        subs = [compile_expr(it, ctx, level) for it in e.items]
+
+        def run(pt):
+            total: ExactValue = Fraction(1)
+            amb = False
+            for sub in subs:
+                v, a_ = sub(pt)
+                total = _vmul(total, v, p)
+                amb = amb or a_
+            return total, amb
+        return run
+    if isinstance(e, ScalarMultiple):
+        sub = compile_expr(e.item, ctx, level)
+        scalar = e.scalar
+
+        def run(pt):
+            v, amb = sub(pt)
+            if isinstance(v, RootScaledValue):
+                return v.scale(scalar), amb
+            return scalar * v, amb
+        return run
+    if isinstance(e, IntegerPower):
+        sub = compile_expr(e.base, ctx, level)
+        k = e.exponent
+
+        def run(pt):
+            v, amb = sub(pt)
+            if isinstance(v, RootScaledValue):
+                out: ExactValue = RootScaledValue.from_rational(1, p)
+                for _ in range(k):
+                    out = out * v
+                return out, amb
+            return v**k, amb
+        return run
+    raise TypeError(f"not a DSL node: {e!r}")
+
+
+def _as_root(a: ExactValue, p: int) -> RootScaledValue:
+    return a if isinstance(a, RootScaledValue) else RootScaledValue.from_rational(a, p)
+
+
+def _vadd(a: ExactValue, b: ExactValue, p: int) -> ExactValue:
+    if isinstance(a, RootScaledValue) or isinstance(b, RootScaledValue):
+        return _as_root(a, p) + _as_root(b, p)
+    return a + b
+
+
+def _vmul(a: ExactValue, b: ExactValue, p: int) -> ExactValue:
+    if isinstance(a, RootScaledValue) or isinstance(b, RootScaledValue):
+        return _as_root(a, p) * _as_root(b, p)
+    return a * b
 
 
 def evaluate_fractional(e: QExpExpr, point: Sequence, ctx: PrimeContext) -> RootScaledValue:
-    """Exact value in Q[p^(1/N), p^(-1/N)]; general evaluation path."""
-    p = ctx.p
-    if isinstance(e, RationalConst):
-        return RootScaledValue.from_rational(e.value, p)
-    if isinstance(e, Norm):
-        fv = e.carrier.eval(point)
-        if fv == 0:
-            return RootScaledValue.zero(p)
-        return RootScaledValue.from_rational(_norm_value(valuation(fv, ctx), p), p)
-    if isinstance(e, Val):
-        fv = e.carrier.eval(point)
-        if fv == 0:
-            raise ValOfZeroError(f"val carrier {e.carrier} vanishes at {tuple(point)}")
-        return RootScaledValue.from_rational(valuation(fv, ctx), p)
-    if isinstance(e, FracNormPower):
-        fv = e.carrier.eval(point)
-        if fv == 0:
-            if e.a > 0:
-                return RootScaledValue.zero(p)
-            if e.a == 0:  # 0^0 = 1 convention
-                return RootScaledValue.from_rational(1, p)
-            raise ValOfZeroError(
-                f"norm carrier {e.carrier} vanishes at {tuple(point)} with negative power")
-        v = int(valuation(fv, ctx))
-        return RootScaledValue.monomial(p, Fraction(e.a * v, e.n))
-    if isinstance(e, Sum):
-        total = RootScaledValue.zero(p)
-        for it in e.items:
-            total = total + evaluate_fractional(it, point, ctx)
-        return total
-    if isinstance(e, Product):
-        total = RootScaledValue.from_rational(1, p)
-        for it in e.items:
-            total = total * evaluate_fractional(it, point, ctx)
-        return total
-    if isinstance(e, ScalarMultiple):
-        return evaluate_fractional(e.item, point, ctx).scale(e.scalar)
-    if isinstance(e, IntegerPower):
-        base = evaluate_fractional(e.base, point, ctx)
-        total = RootScaledValue.from_rational(1, p)
-        for _ in range(e.exponent):
-            total = total * base
-        return total
-    raise TypeError(f"not a DSL node: {e!r}")
+    """Exact value in Q[p^(1/N), p^(-1/N)] at a rational point.
+
+    Raises ValOfZeroError where a val carrier, or a norm carrier under a
+    negative power, vanishes.
+    """
+    value, _ = compile_expr(e, ctx)(point)
+    return _as_root(value, ctx.p)
 
 
 def evaluate(e: QExpExpr, point: Sequence, ctx: PrimeContext) -> Fraction:
     """Exact rational value; raises ValueError if fractional powers make it irrational."""
     return evaluate_fractional(e, point, ctx).as_exact_rational()
-
-
-def expr_arity(e: QExpExpr) -> int:
-    """Number of leading variables referenced by the expression."""
-    if isinstance(e, (Norm, Val, FracNormPower)):
-        return e.carrier.max_variable()
-    if isinstance(e, (Sum, Product)):
-        return max((expr_arity(it) for it in e.items), default=0)
-    if isinstance(e, ScalarMultiple):
-        return expr_arity(e.item)
-    if isinstance(e, IntegerPower):
-        return expr_arity(e.base)
-    return 0
-
-
-def expr_carriers(e: QExpExpr) -> list[Polynomial]:
-    """All Norm/Val/FracNormPower carriers, in traversal order."""
-    if isinstance(e, (Norm, Val, FracNormPower)):
-        return [e.carrier]
-    if isinstance(e, (Sum, Product)):
-        out: list[Polynomial] = []
-        for it in e.items:
-            out.extend(expr_carriers(it))
-        return out
-    if isinstance(e, ScalarMultiple):
-        return expr_carriers(e.item)
-    if isinstance(e, IntegerPower):
-        return expr_carriers(e.base)
-    return []
 
 
 # -- Schwartz-Bruhat data ------------------------------------------------------

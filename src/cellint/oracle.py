@@ -2,10 +2,11 @@
 estimation, and exact solution counting modulo p^m.
 
 Residue classes are always lifted to their least nonnegative integer
-representatives, so every result is reproducible bit for bit.  Points where
-a norm/val carrier is 0 mod p^m are counted as ambiguous: the lift decides
-the contribution, the caller drives the level high enough that the count
-vanishes (or tolerates it).
+representatives, so every result is reproducible bit for bit.  Integrands
+are evaluated by formula_dsl.compile_expr at the enumeration level: points
+where a norm/val carrier is 0 mod p^m are counted as ambiguous, the lift
+decides the contribution, and the caller drives the level high enough that
+the count vanishes (or tolerates it).
 """
 
 from __future__ import annotations
@@ -15,21 +16,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 from .cells import CellTower, membership
 from .errors import BudgetExceededError, NonIntegralCoefficientsError
-from .formula_dsl import (
-    FracNormPower,
-    IntegerPower,
-    Norm,
-    Product,
-    QExpExpr,
-    RationalConst,
-    ScalarMultiple,
-    Sum,
-    Val,
-)
+from .formula_dsl import ExactValue, QExpExpr, _vadd, compile_expr
 from .padic_core import (
     INF,
     PrimeContext,
@@ -40,13 +31,11 @@ from .padic_core import (
     residue,
     valuation,
 )
-from .polynomials import Polynomial, eval_int_terms
+from .polynomials import Polynomial
 from .qexp_sum import level_krange
 from .rootval import RootScaledValue
 
 DEFAULT_BUDGET = 10**8
-
-ExactValue = Union[Fraction, RootScaledValue]
 
 
 @dataclass
@@ -59,170 +48,6 @@ class OracleResult:
         if isinstance(self.value, RootScaledValue):
             return self.value.real_value()
         return float(self.value)
-
-
-# -- compiled point evaluation ---------------------------------------------------
-
-
-class _Carrier:
-    """Integer-cleared polynomial carrier with fast valuation at integer lifts."""
-
-    def __init__(self, poly: Polynomial, ctx: PrimeContext):
-        self.terms, denom = poly.cleared()
-        self.vden = int(int_valuation(denom, ctx.p)) if denom else 0
-        self.p = ctx.p
-
-    def valuation_at(self, point: Sequence[int]):
-        num = eval_int_terms(self.terms, point)
-        if num == 0:
-            return INF
-        return int_valuation(num, self.p) - self.vden
-
-
-def compile_expr(e: QExpExpr, ctx: PrimeContext,
-                 level: int) -> Callable[[Sequence[int]], tuple[ExactValue, bool]]:
-    """Compile an expression into a fast evaluator over integer lifts.
-
-    The evaluator returns (exact value, ambiguous) where ambiguous means a
-    carrier was 0 mod p^level.  Conventions at exactly-vanishing carriers:
-    val contributes the level-truncated valuation, norm powers contribute 0.
-    """
-    p = ctx.p
-
-    if isinstance(e, RationalConst):
-        value = e.value
-        return lambda pt: (value, False)
-    if isinstance(e, (Norm, Val, FracNormPower)):
-        carrier = _Carrier(e.carrier, ctx)
-        if isinstance(e, Norm):
-            def run(pt):
-                v = carrier.valuation_at(pt)
-                if v is INF:
-                    return Fraction(0), True
-                return power_norm(p, -int(v)), v >= level
-            return run
-        if isinstance(e, Val):
-            def run(pt):
-                v = carrier.valuation_at(pt)
-                if v is INF:
-                    return Fraction(level), True  # truncated valuation
-                return Fraction(int(v)), v >= level
-            return run
-        a, n = e.a, e.n
-
-        def run(pt):
-            v = carrier.valuation_at(pt)
-            if v is INF:
-                if a > 0:
-                    return Fraction(0), True
-                if a == 0:
-                    return Fraction(1), True
-                return Fraction(0), True  # divergent convention, flagged
-            exp = Fraction(a * int(v), n)
-            amb = v >= level
-            if exp.denominator == 1:
-                return power_norm(p, -int(exp)), amb
-            return RootScaledValue.monomial(p, exp), amb
-        return run
-    if isinstance(e, Sum):
-        subs = [compile_expr(it, ctx, level) for it in e.items]
-
-        def run(pt):
-            total: ExactValue = Fraction(0)
-            amb = False
-            for sub in subs:
-                v, a_ = sub(pt)
-                total = _vadd(total, v, p)
-                amb = amb or a_
-            return total, amb
-        return run
-    if isinstance(e, Product):
-        subs = [compile_expr(it, ctx, level) for it in e.items]
-
-        def run(pt):
-            total: ExactValue = Fraction(1)
-            amb = False
-            for sub in subs:
-                v, a_ = sub(pt)
-                total = _vmul(total, v, p)
-                amb = amb or a_
-            return total, amb
-        return run
-    if isinstance(e, ScalarMultiple):
-        sub = compile_expr(e.item, ctx, level)
-        scalar = e.scalar
-
-        def run(pt):
-            v, amb = sub(pt)
-            if isinstance(v, RootScaledValue):
-                return v.scale(scalar), amb
-            return scalar * v, amb
-        return run
-    if isinstance(e, IntegerPower):
-        sub = compile_expr(e.base, ctx, level)
-        k = e.exponent
-
-        def run(pt):
-            v, amb = sub(pt)
-            if isinstance(v, RootScaledValue):
-                out: ExactValue = RootScaledValue.from_rational(1, p)
-                for _ in range(k):
-                    out = out * v
-                return out, amb
-            return v**k, amb
-        return run
-    raise TypeError(f"not a DSL node: {e!r}")
-
-
-def _vadd(a: ExactValue, b: ExactValue, p: int) -> ExactValue:
-    if isinstance(a, RootScaledValue) or isinstance(b, RootScaledValue):
-        if not isinstance(a, RootScaledValue):
-            a = RootScaledValue.from_rational(a, p)
-        if not isinstance(b, RootScaledValue):
-            b = RootScaledValue.from_rational(b, p)
-        return a + b
-    return a + b
-
-
-def _vmul(a: ExactValue, b: ExactValue, p: int) -> ExactValue:
-    if isinstance(a, RootScaledValue) or isinstance(b, RootScaledValue):
-        if not isinstance(a, RootScaledValue):
-            a = RootScaledValue.from_rational(a, p)
-        if not isinstance(b, RootScaledValue):
-            b = RootScaledValue.from_rational(b, p)
-        return a * b
-    return a * b
-
-
-class _ChunkedSum:
-    """Deterministic chunked accumulation of exact values."""
-
-    def __init__(self, p: int, chunk: int = 4096):
-        self.p = p
-        self.chunk = chunk
-        self.pending: list[ExactValue] = []
-        self.partials: list[ExactValue] = []
-
-    def add(self, v: ExactValue):
-        self.pending.append(v)
-        if len(self.pending) >= self.chunk:
-            self._flush()
-
-    def _flush(self):
-        if not self.pending:
-            return
-        total: ExactValue = Fraction(0)
-        for v in self.pending:
-            total = _vadd(total, v, self.p)
-        self.partials.append(total)
-        self.pending = []
-
-    def total(self) -> ExactValue:
-        self._flush()
-        total: ExactValue = Fraction(0)
-        for v in self.partials:
-            total = _vadd(total, v, self.p)
-        return total
 
 
 # -- fast membership for explicit one-level cells -----------------------------------
@@ -303,7 +128,7 @@ def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
     p = ctx.p
     _check_budget(p, level, arity, budget)
     run = compile_expr(e, ctx, level)
-    acc = _ChunkedSum(p)
+    total: ExactValue = Fraction(0)
     ambiguous = 0
     pm = p**level
     fast = None
@@ -326,9 +151,8 @@ def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
             value, amb_v = run(pt)
             if amb_v:
                 ambiguous += 1
-        acc.add(value)
+        total = _vadd(total, value, p)
     weight = Fraction(1, p ** (arity * level))
-    total = acc.total()
     if isinstance(total, RootScaledValue):
         value: ExactValue = total.scale(weight)
         if value.is_rational():
@@ -385,6 +209,12 @@ def eval_poly_mod(terms, point: Sequence[int], modulus: int) -> int:
     return total
 
 
+def _infer_arity(fs: Sequence[Polynomial], n: int | None) -> int:
+    if n is not None:
+        return n
+    return max((f.max_variable() for f in fs), default=1) or 1
+
+
 def count_solutions(fs: Sequence[Polynomial], z: Sequence[int], m: int,
                     ctx: PrimeContext, n: int | None = None,
                     budget: int = DEFAULT_BUDGET) -> int:
@@ -392,8 +222,7 @@ def count_solutions(fs: Sequence[Polynomial], z: Sequence[int], m: int,
     if m < 1:
         raise ValueError("level m must be >= 1")
     p = ctx.p
-    if n is None:
-        n = max((f.max_variable() for f in fs), default=1) or 1
+    n = _infer_arity(fs, n)
     _check_budget(p, m, n, budget)
     pm = p**m
     target = tuple(int(zi) % pm for zi in z)
@@ -413,8 +242,7 @@ def solution_histogram(fs: Sequence[Polynomial], m: int, ctx: PrimeContext,
                        budget: int = DEFAULT_BUDGET) -> dict[tuple[int, ...], int]:
     """All counts N_m(z) at once: the histogram of f(x) mod p^m over x."""
     p = ctx.p
-    if n is None:
-        n = max((f.max_variable() for f in fs), default=1) or 1
+    n = _infer_arity(fs, n)
     _check_budget(p, m, n, budget)
     pm = p**m
     systems = [_modular_terms(f, pm, p) for f in fs]

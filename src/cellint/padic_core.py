@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Union
 
 from .errors import NotPIntegralError, ZeroCosetError, ZeroInputError
 
@@ -227,18 +227,3 @@ def coset_representatives(n: int, ctx: PrimeContext) -> list[Fraction]:
         if all((u * pow(r, -1, pm)) % pm not in powers for r in unit_reps):
             unit_reps.append(u)
     return [Fraction(u * p**j) for j in range(n) for u in unit_reps]
-
-
-def ultrametric_holds(x: PadicScalar, y: PadicScalar, ctx: PrimeContext) -> bool:
-    """|x+y| <= max(|x|,|y|), with equality when the norms differ."""
-    nx, ny, nxy = norm(x, ctx), norm(y, ctx), norm(as_rational(x) + as_rational(y), ctx)
-    if nxy > max(nx, ny):
-        return False
-    if nx != ny and nxy != max(nx, ny):
-        return False
-    return True
-
-
-def lift_vector(res: Sequence[int], ctx: PrimeContext) -> tuple[Fraction, ...]:
-    """Least nonnegative integer lifts of a residue vector."""
-    return tuple(Fraction(r) for r in res)

@@ -74,35 +74,13 @@ def power_sum(y, l: int, lo: int | None, hi: int | None) -> Fraction:
     closed form, shifted for the range start.  Raises DivergentError when
     an unbounded direction does not converge.
     """
-    y = Fraction(y)
     if l < 0:
         raise ValueError("l must be nonnegative")
     if l > MAX_VAL_EXPONENT:
         raise ExponentTooLargeError(f"valuation exponent {l} > {MAX_VAL_EXPONENT}")
     if lo is None and hi is None:
         raise DivergentError("sum over all of Z diverges")
-    if lo is None:
-        # mirror j -> -j; converges only for |y| > 1
-        if y == 0 or abs(y) <= 1:
-            raise DivergentError(f"sum to -infinity diverges for y = {y}")
-        sign = -1 if l % 2 else 1
-        return sign * power_sum(1 / y, l, -hi, None)
-    if hi is not None:
-        if lo > hi:
-            return Fraction(0)
-        if y == 0 and lo < 0:
-            raise DivergentError("negative powers of y = 0")
-        return sum(Fraction(j) ** l * y**j for j in range(lo, hi + 1))
-    if abs(y) >= 1:
-        raise DivergentError(f"sum to +infinity diverges for y = {y}")
-    if y == 0 and lo < 0:
-        raise DivergentError("negative powers of y = 0")
-    full = _poly_at(eulerian_polynomial(l), y) / (1 - y) ** (l + 1)
-    if lo > 0:
-        return full - power_sum(y, l, 0, lo - 1)
-    if lo < 0:
-        return full + power_sum(y, l, lo, -1)
-    return full
+    return progression_power_sum(y, l, KRange(1, 0, lo, hi))
 
 
 # -- valuation ranges ----------------------------------------------------------
@@ -212,36 +190,42 @@ def decide_integrability(term: TermOnCell, krange: KRange) -> bool:
     return True
 
 
-def shell_power_sum(a: int, n: int, l: int, krange: KRange,
-                    ctx: PrimeContext) -> RootScaledValue:
-    """sum of k^l * p^(-k(n+a)/n) over k in krange; the caller guarantees
-    convergence (n + a > 0 toward +inf, n + a < 0 toward -inf)."""
-    return _shell_power_sum(ctx.p, a, n, l, krange)
+def _progression_series(l: int, krange: KRange, q: Fraction) -> tuple[int, Fraction]:
+    """(k0, s) with s = sum of k^l q^((k - k0)/modulus) over k in a nonempty krange.
+
+    Walks up from the first member, or down from the last when the range is
+    unbounded below (each step then multiplies by 1/q).  A finite range is
+    summed directly; an infinite one is the shifted Eulerian closed form
+    sum_t C(l,t) k0^(l-t) step^t A_t(r)/(1-r)^(t+1), r the ratio per step;
+    it diverges (DivergentError) unless |r| < 1.
+    """
+    if krange.lo is None and krange.hi is not None:
+        k0, step, ratio = krange.last(), -krange.modulus, 1 / q
+    else:
+        k0, step, ratio = krange.first(), krange.modulus, q
+    if krange.lo is not None and krange.hi is not None:
+        return k0, sum(Fraction(k) ** l * ratio**j for j, k in enumerate(krange.members()))
+    if abs(ratio) >= 1:
+        raise DivergentError(f"sum to +infinity diverges for y = {ratio}")
+    s = Fraction(0)
+    for t in range(l + 1):
+        tail = _poly_at(eulerian_polynomial(t), ratio) / (1 - ratio) ** (t + 1)
+        s += comb(l, t) * Fraction(k0) ** (l - t) * Fraction(step) ** t * tail
+    return k0, s
 
 
 def _shell_power_sum(p: int, a: int, n: int, l: int, krange: KRange) -> RootScaledValue:
-    w = n + a
-    zero = RootScaledValue.zero(p)
+    """sum of k^l * p^(-k(n+a)/n) over k in krange; the caller guarantees
+    convergence (n + a > 0 toward +inf, n + a < 0 toward -inf).
+
+    Every k in the range is congruent mod n, so k(n+a)/n has one fractional
+    part and the sum is a single monomial with a rational coefficient.
+    """
     if krange.is_empty():
-        return zero
-    if krange.lo is not None and krange.hi is not None:
-        total = zero
-        for k in krange.members():
-            total = total + RootScaledValue.monomial(p, Fraction(k * w, n), Fraction(k)**l)
-        return total
-    if krange.hi is None:
-        k0 = krange.first()
-        y = power_norm(p, -w)  # |y| < 1 since w > 0
-        s = Fraction(0)
-        for t in range(l + 1):
-            s += comb(l, t) * Fraction(k0) ** (l - t) * Fraction(n) ** t * power_sum(y, t, 0, None)
-        return RootScaledValue.monomial(p, Fraction(k0 * w, n), s)
-    k1 = krange.last()
-    y = power_norm(p, w)  # w < 0, so |y| < 1
-    s = Fraction(0)
-    for t in range(l + 1):
-        s += comb(l, t) * Fraction(k1) ** (l - t) * Fraction(-n) ** t * power_sum(y, t, 0, None)
-    return RootScaledValue.monomial(p, Fraction(k1 * w, n), s)
+        return RootScaledValue.zero(p)
+    w = n + a
+    k0, s = _progression_series(l, krange, power_norm(p, -w))
+    return RootScaledValue.monomial(p, Fraction(k0 * w, n), s)
 
 
 def shell_sum(term: TermOnCell, krange: KRange,
@@ -375,30 +359,18 @@ def progression_power_sum(y, l: int, krange: KRange) -> Fraction:
     y = Fraction(y)
     if krange.is_empty():
         return Fraction(0)
-    n, r = krange.modulus, krange.residue
-    if krange.lo is not None and krange.hi is not None:
-        return sum(Fraction(k)**l * y**k for k in krange.members())
-    if krange.hi is None:
-        if y == 0:
-            if krange.first() < 0:
-                raise DivergentError("negative powers of y = 0")
-            return Fraction(1 if l == 0 else 0) if krange.contains(0) else Fraction(0)
-        if abs(y) >= 1:
-            raise DivergentError(f"lattice sum to +infinity diverges for y = {y}")
-        k0 = krange.first()
-        total = Fraction(0)
-        for t in range(l + 1):
-            total += comb(l, t) * Fraction(k0)**(l - t) * Fraction(n)**t * \
-                power_sum(y**n, t, 0, None)
-        return total * y**k0
-    if y == 0 or abs(y) <= 1:
-        raise DivergentError(f"lattice sum to -infinity diverges for y = {y}")
-    k1 = krange.last()
-    total = Fraction(0)
-    for t in range(l + 1):
-        total += comb(l, t) * Fraction(k1)**(l - t) * Fraction(-n)**t * \
-            power_sum(Fraction(1) / y**n, t, 0, None)
-    return total * y**k1
+    if krange.lo is None and krange.hi is not None:
+        if y == 0 or abs(y) <= 1:
+            raise DivergentError(f"sum to -infinity diverges for y = {y}")
+    else:
+        # a range with no bound at all reaches first() and raises ValueError
+        # unless |y| >= 1 (known defect: it should diverge in-band)
+        if y == 0 and krange.first() < 0:
+            raise DivergentError("negative powers of y = 0")
+        if krange.hi is None and abs(y) >= 1:
+            raise DivergentError(f"sum to +infinity diverges for y = {y}")
+    k0, s = _progression_series(l, krange, y**krange.modulus)
+    return y**k0 * s
 
 
 def mixed_sum(terms: Sequence[LatticeTermSpec],

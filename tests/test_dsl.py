@@ -126,6 +126,12 @@ def test_evaluate_fractional_examples():
     v = evaluate_fractional(parse_expr("norm(x1^2 - 1)^{1/2}"), [6], C5)
     assert v == RootScaledValue.monomial(5, Fraction(1, 2))
 
+    # exact at non-integral rational points, raising where a negative power meets 0
+    v = evaluate_fractional(parse_expr("norm(x1)"), [Fraction(1, 5)], C5)
+    assert v.as_exact_rational() == 5
+    with pytest.raises(ValOfZeroError):
+        evaluate_fractional(parse_expr("norm(x1)^{-1/2}"), [0], C5)
+
 
 def _random_poly(rng, max_arity=2):
     arity = rng.randint(1, max_arity)

@@ -22,7 +22,7 @@ from cellint import (
     unit_coset_density,
     valuation,
 )
-from cellint.padic_core import ultrametric_holds, unit_part
+from cellint.padic_core import unit_part
 
 C2 = PrimeContext(2)
 C3 = PrimeContext(3)
@@ -166,6 +166,16 @@ def test_multiplicativity_random():
                 continue
             assert valuation(x * y, ctx) == valuation(x, ctx) + valuation(y, ctx)
             assert norm(x * y, ctx) == norm(x, ctx) * norm(y, ctx)
+
+
+def ultrametric_holds(x, y, ctx) -> bool:
+    """|x+y| <= max(|x|,|y|), with equality when the norms differ."""
+    nx, ny, nxy = norm(x, ctx), norm(y, ctx), norm(Fraction(x) + Fraction(y), ctx)
+    if nxy > max(nx, ny):
+        return False
+    if nx != ny and nxy != max(nx, ny):
+        return False
+    return True
 
 
 def test_ultrametric_random():

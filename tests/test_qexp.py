@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellint import (
     BoxDomain,
@@ -29,7 +31,8 @@ from cellint import (
     zp_nonzero_cell,
 )
 from cellint.cells import CellTower
-from cellint.qexp_sum import _shell_power_sum
+from cellint.padic_core import power_norm
+from cellint.qexp_sum import _shell_power_sum, progression_power_sum
 
 C5 = PrimeContext(5)
 ONE5 = RootScaledValue.from_rational(1, 5)
@@ -105,6 +108,67 @@ def test_power_sum_exponent_cap():
     with pytest.raises(ExponentTooLargeError):
         power_sum(Fraction(1, 2), 17, 0, None)
     assert power_sum(Fraction(1, 2), 16, 0, None) > 0
+
+
+# -- the shifted series behind every closed form, against direct summation --------
+
+_series = settings(derandomize=True, max_examples=150, deadline=None)
+_nonzero = st.fractions(-4, 4, max_denominator=9).filter(lambda y: y != 0)
+_small = st.fractions(-1, 1, max_denominator=30).filter(lambda y: y != 0 and abs(y) < 1)
+
+
+def _direct(y, l, modulus, residue, lo, hi):
+    return sum((Fraction(k) ** l * y**k for k in range(lo, hi + 1)
+                if k % modulus == residue % modulus), Fraction(0))
+
+
+@_series
+@given(y=_nonzero, l=st.integers(0, 4), modulus=st.integers(1, 4),
+       residue=st.integers(0, 6), lo=st.integers(-8, 8), length=st.integers(-2, 14))
+def test_finite_series_match_direct_summation(y, l, modulus, residue, lo, length):
+    hi = lo + length
+    assert progression_power_sum(y, l, KRange(modulus, residue, lo, hi)) == \
+        _direct(y, l, modulus, residue, lo, hi)
+    assert power_sum(y, l, lo, hi) == _direct(y, l, 1, 0, lo, hi)
+
+
+@_series
+@given(y=_small, l=st.integers(0, 4), modulus=st.integers(1, 4),
+       residue=st.integers(0, 6), lo=st.integers(-8, 8), skip=st.integers(0, 10))
+def test_infinite_series_split_at_a_cut(y, l, modulus, residue, lo, skip):
+    cut = lo + skip
+    up = KRange(modulus, residue, lo, None)
+    assert progression_power_sum(y, l, up) == \
+        progression_power_sum(y, l, up.below(cut + 1)) + \
+        progression_power_sum(y, l, up.at_least(cut + 1))
+    assert power_sum(y, l, lo, None) == power_sum(y, l, lo, cut) + power_sum(y, l, cut + 1, None)
+    # mirrored: (-inf, hi] = (-inf, hi - skip - 1] + [hi - skip, hi], converging for |1/y| > 1
+    z, hi = 1 / y, lo
+    down = KRange(modulus, residue, None, hi)
+    assert progression_power_sum(z, l, down) == \
+        progression_power_sum(z, l, down.below(hi - skip)) + \
+        progression_power_sum(z, l, down.at_least(hi - skip))
+    assert power_sum(z, l, None, hi) == \
+        power_sum(z, l, None, hi - skip - 1) + power_sum(z, l, hi - skip, hi)
+
+
+@_series
+@given(p=st.sampled_from([2, 3, 5, 7]), n=st.integers(1, 4), c=st.integers(-3, 3),
+       l=st.integers(0, 4), residue=st.integers(0, 6), lo=st.integers(-6, 6),
+       length=st.integers(-1, 10))
+def test_shell_series_match_lattice_series_for_integral_exponents(p, n, c, l, residue,
+                                                                  lo, length):
+    # with n | n + a the shell term p^(-k(n+a)/n) is y^k for y = p^(-c), c = (n+a)/n
+    a = n * c - n
+    y = power_norm(p, -c)
+    ranges = [KRange(n, residue, lo, lo + length)]
+    if c > 0:
+        ranges.append(KRange(n, residue, lo, None))
+    if c < 0:
+        ranges.append(KRange(n, residue, None, lo))
+    for kr in ranges:
+        assert _shell_power_sum(p, a, n, l, kr) == \
+            RootScaledValue.from_rational(progression_power_sum(y, l, kr), p)
 
 
 # -- KRange ----------------------------------------------------------------------
