@@ -39,6 +39,7 @@ from .errors import (
     DivergentError,
     ExponentTooLargeError,
     ExprSyntaxError,
+    InvalidArgumentError,
     NonIntegralCoefficientsError,
     NotPIntegralError,
     UnknownVariableError,
@@ -77,7 +78,6 @@ from .formula_dsl import (
     parse_poly,
 )
 from .oracle import (
-    DEFAULT_BUDGET,
     OracleResult,
     count_solutions,
     monte_carlo_integrate,
@@ -86,6 +86,7 @@ from .oracle import (
     stabilization_check,
 )
 from .padic_core import (
+    DEFAULT_BUDGET,
     INF,
     PrimeContext,
     coset_membership,

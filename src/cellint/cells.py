@@ -23,8 +23,10 @@ from .errors import (
 )
 from .formula_dsl import parse_poly
 from .padic_core import (
+    DEFAULT_BUDGET,
     INF,
     PrimeContext,
+    check_budget,
     coset_membership,
     hensel_level,
     valuation,
@@ -308,17 +310,19 @@ def _domain_points(domain: Domain, m: int, ctx: PrimeContext) -> Iterator[tuple[
                 yield res
 
 
-def check_partition(cert: DecompositionCertificate, m: int,
-                    ctx: PrimeContext) -> PartitionReport:
+def check_partition(cert: DecompositionCertificate, m: int, ctx: PrimeContext,
+                    budget: int = DEFAULT_BUDGET) -> PartitionReport:
     """Verify that the cells cover every tested domain point exactly once.
 
     Points are the canonical lifts of all residue classes mod p^m lying in
     the domain; evaluations whose result is not constant on the whole
     residue class are counted as ambiguous (reported, never silently
-    passed) but still decided at the lift.
+    passed) but still decided at the lift.  Raises BudgetExceededError
+    before enumerating when p^(m*arity) exceeds the budget.
     """
     if ctx.p != cert.prime:
         raise ValueError("context prime differs from certificate prime")
+    check_budget(ctx.p, m, cert.domain.arity, budget)
     violations: list[tuple[tuple[int, ...], list[int]]] = []
     ambiguous_points = 0
     total = 0
@@ -355,15 +359,18 @@ class NormCheckReport:
 
 def check_norm_description(functions: Sequence[Polynomial],
                            cert: DecompositionCertificate, m: int,
-                           ctx: PrimeContext) -> NormCheckReport:
+                           ctx: PrimeContext,
+                           budget: int = DEFAULT_BUDGET) -> NormCheckReport:
     """Verify |f| = |delta| * |(t-c)^a lam^(-a)|^(1/n) pointwise on each cell.
 
     Norms are compared exactly as elements of p^((1/n)Z) union {0} via their
     exponents.  Every certificate description entry is tested on all lifted
-    cell points mod p^m.
+    cell points mod p^m.  Raises BudgetExceededError before enumerating
+    when p^(m*arity) exceeds the budget.
     """
     if ctx.p != cert.prime:
         raise ValueError("context prime differs from certificate prime")
+    check_budget(ctx.p, m, cert.domain.arity, budget)
     mismatches: list[tuple[tuple[int, ...], object, object]] = []
     ambiguous = 0
     checked = 0

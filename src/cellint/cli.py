@@ -4,8 +4,8 @@ Subcommands: parse, integrate, cells-check, oracle, expsum, kloosterman,
 singular, decay.  Global flags: --prime, --budget, --seed, --out, --config.
 Configs are flat key=value files; command-line flags win over config values.
 
-Exit codes: 0 success, 2 parse error, 3 certificate verification failure,
-4 budget exceeded.
+Exit codes: 0 success, 1 any other cellint error (one "error: ..." line on
+stderr), 2 parse error, 3 certificate verification failure, 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .expsums import (
     singular_series,
 )
 from .formula_dsl import format_expr, parse_expr, parse_poly
-from .oracle import DEFAULT_BUDGET, riemann_integrate, stabilization_check
-from .padic_core import PrimeContext
+from .oracle import riemann_integrate, stabilization_check
+from .padic_core import DEFAULT_BUDGET, PrimeContext
 from .qexp_sum import integrate_explicit_tower
 from .rootval import RootScaledValue
 
@@ -141,7 +141,7 @@ def _cmd_integrate(run: RunConfig) -> int:
     cert = load_certificate(run.require("certificate"))
     terms = load_terms(run.require("terms"))
     ctx = PrimeContext(cert.prime)
-    report = check_partition(cert, int(run.get("check-level", 3)), ctx)
+    report = check_partition(cert, int(run.get("check-level", 3)), ctx, budget=run.budget)
     if not report.ok:
         print(json.dumps({"certificate": report.summary(),
                           "violations": [[list(pt), cells] for pt, cells
@@ -176,7 +176,7 @@ def _cmd_cells_check(run: RunConfig) -> int:
     cert = load_certificate(run.require("certificate"))
     ctx = PrimeContext(cert.prime)
     level = int(run.get("level", 4))
-    report = check_partition(cert, level, ctx)
+    report = check_partition(cert, level, ctx, budget=run.budget)
     payload = {
         "partition_ok": report.ok,
         "points_tested": report.points_tested,
@@ -186,7 +186,8 @@ def _cmd_cells_check(run: RunConfig) -> int:
     ok = report.ok
     functions = run.get("functions")
     if functions is not None and cert.descriptions:
-        norm_report = check_norm_description(_poly_list(functions), cert, level, ctx)
+        norm_report = check_norm_description(_poly_list(functions), cert, level, ctx,
+                                             budget=run.budget)
         payload.update({
             "norms_ok": norm_report.ok,
             "norm_points_checked": norm_report.points_checked,

@@ -53,6 +53,10 @@ class CertificateMismatchError(CellintError):
     """Integrand terms refer to cells absent from (or unfit for) the certificate."""
 
 
+class InvalidArgumentError(CellintError, ValueError):
+    """An arity or level argument does not fit the request (e.g. too few variables)."""
+
+
 class BudgetExceededError(CellintError):
     """Residue enumeration would exceed the configured evaluation budget."""
 

@@ -16,16 +16,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import AllVanishedError, BudgetExceededError
+from .errors import AllVanishedError
 from .oracle import (
-    DEFAULT_BUDGET,
     _infer_arity,
     _modular_terms,
     count_solutions,
     eval_poly_mod,
     solution_histogram,
 )
-from .padic_core import INF, PrimeContext, residue, valuation
+from .padic_core import DEFAULT_BUDGET, INF, PrimeContext, check_budget, residue, valuation
 from .polynomials import Polynomial
 
 VANISH_THRESHOLD = 1e-13
@@ -129,9 +128,7 @@ def exp_sum(fs: Sequence[Polynomial], y: Sequence, ctx: PrimeContext,
         raise ValueError(f"level {m} below the required {required}")
     if m == 0:
         return ExpSumResult(ys, 0, complex(1.0, 0.0), arity, len(fs), p)
-    if p ** (m * arity) > budget:
-        raise BudgetExceededError(
-            f"{p}^{m * arity} evaluation points exceed the budget of {budget}")
+    check_budget(p, m, arity, budget)
     pm = p**m
     coeffs = [residue(yi * pm, m, ctx) for yi in ys]
     systems = [_modular_terms(f, pm, p) for f in fs]

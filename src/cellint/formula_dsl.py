@@ -423,6 +423,21 @@ def format_expr(e: QExpExpr) -> str:
 
 # -- evaluation ----------------------------------------------------------------
 
+
+def expr_carriers(e: QExpExpr) -> list[Polynomial]:
+    """The distinct norm/val carrier polynomials of an expression, first seen first."""
+    if isinstance(e, (Norm, Val, FracNormPower)):
+        return [e.carrier]
+    if isinstance(e, (Sum, Product)):
+        subs = e.items
+    elif isinstance(e, ScalarMultiple):
+        subs = (e.item,)
+    elif isinstance(e, IntegerPower):
+        subs = (e.base,)
+    else:
+        return []
+    return list(dict.fromkeys(c for it in subs for c in expr_carriers(it)))
+
 ExactValue = Union[Fraction, RootScaledValue]
 
 

@@ -7,6 +7,17 @@ are evaluated by formula_dsl.compile_expr at the enumeration level: points
 where a norm/val carrier is 0 mod p^m are counted as ambiguous, the lift
 decides the contribution, and the caller drives the level high enough that
 the count vanishes (or tolerates it).
+
+riemann_integrate never evaluates the integrand lift by lift.  Its value
+at a lift depends only on the lift's key, the tuple of exact valuations of
+the distinct norm/val carriers there, so the kernel counts lifts per key
+and evaluates once per key, at the first lift found with it (the witness).
+Over the box the classes are refined one p-adic digit at a time: for an
+integer polynomial f(x + p^j y) = f(x) mod p^j, so once no carrier is
+0 mod p^j on a class r mod p^j, its key is fixed and all its
+p^(n(level-j)) lifts are counted at once; only classes near the zero
+locus of the carriers are split down to single lifts.  The budget still
+counts all p^(level*n) classes the sum decides.
 """
 
 from __future__ import annotations
@@ -19,23 +30,23 @@ from math import sqrt
 from typing import Sequence
 
 from .cells import CellTower, membership
-from .errors import BudgetExceededError, NonIntegralCoefficientsError
-from .formula_dsl import ExactValue, QExpExpr, _vadd, compile_expr
+from .errors import InvalidArgumentError, NonIntegralCoefficientsError
+from .formula_dsl import ExactValue, QExpExpr, _Carrier, _vadd, compile_expr, expr_carriers
 from .padic_core import (
+    DEFAULT_BUDGET,
     INF,
     PrimeContext,
     _unit_nth_power_residues,
+    check_budget,
     hensel_level,
     int_valuation,
     power_norm,
     residue,
     valuation,
 )
-from .polynomials import Polynomial
+from .polynomials import Polynomial, eval_int_terms
 from .qexp_sum import level_krange
 from .rootval import RootScaledValue
-
-DEFAULT_BUDGET = 10**8
 
 
 @dataclass
@@ -107,10 +118,59 @@ def _fast_domain_filter(domain: CellTower, ctx: PrimeContext, level: int):
 # -- operations --------------------------------------------------------------------
 
 
-def _check_budget(p: int, level: int, arity: int, budget: int):
-    if p ** (level * arity) > budget:
-        raise BudgetExceededError(
-            f"{p}^{level * arity} residue points exceed the budget of {budget}")
+def _check_arity(carriers: Sequence[Polynomial], arity: int):
+    need = max((c.max_variable() for c in carriers), default=0)
+    if arity < need:
+        raise InvalidArgumentError(f"arity is {arity}, but the expression needs at least {need}")
+
+
+def _box_counts(carriers: Sequence[_Carrier], p: int, level: int,
+                arity: int) -> tuple[dict, dict]:
+    """Lifts of Z_p^arity mod p^level per carrier-valuation key: (counts, witnesses).
+
+    Depth-first over the classes r mod p^j; a class is counted whole once
+    every carrier is nonzero mod p^j on it, and split into its p^arity
+    children r + p^j*d otherwise, down to single lifts at j = level.
+    Keys carry a False membership-ambiguity flag, as in _domain_counts.
+    """
+    counts: dict = {}
+    witness: dict = {}
+    digits = list(itertools.product(range(p), repeat=arity))
+    stack = [((0,) * arity, 0)]
+    while stack:
+        r, j = stack.pop()
+        pj = p**j
+        nums = [eval_int_terms(c.terms, r) for c in carriers]
+        if j < level and not all(num % pj for num in nums):
+            stack.extend((tuple(x + pj * d for x, d in zip(r, ds)), j + 1) for ds in digits)
+            continue
+        key = (tuple(INF if num == 0 else int_valuation(num, p) - c.vden
+                     for num, c in zip(nums, carriers)), False)
+        witness.setdefault(key, r)
+        counts[key] = counts.get(key, 0) + p ** (arity * (level - j))
+    return counts, witness
+
+
+def _domain_counts(carriers: Sequence[_Carrier], domain: CellTower, arity: int,
+                   level: int, ctx: PrimeContext) -> tuple[dict, dict, int]:
+    """Member lifts per (carrier key, membership-ambiguous) key: (counts,
+    witnesses, lifts whose membership the level cannot decide, members or not)."""
+    counts: dict = {}
+    witness: dict = {}
+    fast = _fast_domain_filter(domain, ctx, level) if arity == 1 else None
+    ambiguous = 0
+    for pt in itertools.product(range(ctx.p**level), repeat=arity):
+        if fast is not None:
+            member, amb = fast(pt[0])
+        else:
+            member, amb = membership(domain, pt, ctx, level)
+        if amb:
+            ambiguous += 1
+        if member:
+            key = (tuple(c.valuation_at(pt) for c in carriers), amb)
+            witness.setdefault(key, pt)
+            counts[key] = counts.get(key, 0) + 1
+    return counts, witness, ambiguous
 
 
 def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
@@ -122,36 +182,37 @@ def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
     least nonnegative integer lift; an optional explicit cell restricts the
     domain (classes are included iff their lift is a member, and classes the
     level cannot decide are counted ambiguous).
+
+    The lifts are counted per key, the tuple of exact valuations of the
+    expression's distinct carriers, and the integrand is evaluated once per
+    key at a witness lift; the value and the ambiguity flag depend only on
+    the key, so the exact sum is the same as lift by lift.  Over the box,
+    classes are refined one p-adic digit at a time and counted whole as
+    soon as no carrier vanishes on them mod p^j; over a domain every lift
+    is tested for membership.  The budget bounds the p^(arity*level)
+    classes decided, however few are visited.  Raises InvalidArgumentError
+    for level < 1 or an arity below the expression's highest variable.
     """
     if level < 1:
-        raise ValueError("level must be >= 1")
+        raise InvalidArgumentError("level must be >= 1")
+    polys = expr_carriers(e)
+    _check_arity(polys, arity)
     p = ctx.p
-    _check_budget(p, level, arity, budget)
+    check_budget(p, level, arity, budget)
     run = compile_expr(e, ctx, level)
+    carriers = [_Carrier(f, ctx) for f in polys]
+    if domain is None:
+        counts, witness = _box_counts(carriers, p, level, arity)
+        ambiguous = 0
+    else:
+        counts, witness, ambiguous = _domain_counts(carriers, domain, arity, level, ctx)
     total: ExactValue = Fraction(0)
-    ambiguous = 0
-    pm = p**level
-    fast = None
-    if domain is not None and arity == 1:
-        fast = _fast_domain_filter(domain, ctx, level)
-    for pt in itertools.product(range(pm), repeat=arity):
-        if domain is not None:
-            if fast is not None:
-                member, amb = fast(pt[0])
-            else:
-                member, amb = membership(domain, pt, ctx, level)
-            if amb:
-                ambiguous += 1
-            if not member:
-                continue
-            value, amb_v = run(pt)
-            if amb_v and not amb:
-                ambiguous += 1
-        else:
-            value, amb_v = run(pt)
-            if amb_v:
-                ambiguous += 1
-        total = _vadd(total, value, p)
+    for key, count in counts.items():
+        value, amb_v = run(witness[key])
+        if amb_v and not key[1]:
+            ambiguous += count
+        weighted = value.scale(count) if isinstance(value, RootScaledValue) else value * count
+        total = _vadd(total, weighted, p)
     weight = Fraction(1, p ** (arity * level))
     if isinstance(total, RootScaledValue):
         value: ExactValue = total.scale(weight)
@@ -170,6 +231,7 @@ def monte_carlo_integrate(e: QExpExpr, arity: int, samples: int, seed: int,
     Points are uniform independent residues at the configured level, lifted;
     results are deterministic for a fixed seed.
     """
+    _check_arity(expr_carriers(e), arity)
     if samples < 2:
         raise ValueError("need at least 2 samples")
     level = ctx.default_level if level is None else level
@@ -223,7 +285,7 @@ def count_solutions(fs: Sequence[Polynomial], z: Sequence[int], m: int,
         raise ValueError("level m must be >= 1")
     p = ctx.p
     n = _infer_arity(fs, n)
-    _check_budget(p, m, n, budget)
+    check_budget(p, m, n, budget)
     pm = p**m
     target = tuple(int(zi) % pm for zi in z)
     if len(target) != len(fs):
@@ -243,7 +305,7 @@ def solution_histogram(fs: Sequence[Polynomial], m: int, ctx: PrimeContext,
     """All counts N_m(z) at once: the histogram of f(x) mod p^m over x."""
     p = ctx.p
     n = _infer_arity(fs, n)
-    _check_budget(p, m, n, budget)
+    check_budget(p, m, n, budget)
     pm = p**m
     systems = [_modular_terms(f, pm, p) for f in fs]
     hist: dict[tuple[int, ...], int] = {}

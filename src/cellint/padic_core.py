@@ -2,7 +2,9 @@
 
 Every p-adic quantity is carried by an exact rational (dense in Q_p);
 valuations, norms, residues and n-th-power coset data are all computed
-exactly, never approximated.
+exactly, never approximated.  check_budget is the one guard on how many
+residue classes mod p^m any enumeration (oracles, certificate checks,
+exponential sums) may decide.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .errors import NotPIntegralError, ZeroCosetError, ZeroInputError
+from .errors import BudgetExceededError, NotPIntegralError, ZeroCosetError, ZeroInputError
 
 PadicScalar = Union[Fraction, int]
 Valuation = Union[int, float]  # finite int, or math.inf for v(0)
@@ -67,6 +69,17 @@ class PrimeContext:
             raise ValueError(f"p = {self.p} is not prime")
         if self.default_level < 1:
             raise ValueError("default_level must be >= 1")
+
+
+DEFAULT_BUDGET = 10**8
+
+
+def check_budget(p: int, level: int, arity: int, budget: int):
+    """Refuse to enumerate the p^(level*arity) residue classes of Z_p^arity
+    mod p^level when they exceed the budget."""
+    if p ** (level * arity) > budget:
+        raise BudgetExceededError(
+            f"{p}^{level * arity} residue points exceed the budget of {budget}")
 
 
 def as_rational(x: PadicScalar) -> Fraction:

@@ -9,6 +9,7 @@ import pytest
 from cellint import (
     Bound,
     BoundVanishedError,
+    BudgetExceededError,
     BoxDomain,
     CellLevel,
     CellTower,
@@ -186,6 +187,8 @@ def test_partition_zp_point_plus_rest():
     assert report.ambiguous_points == 1
     # measure additivity across the verified partition of Z_p
     assert sum(tower_measure(c, C5) for c in cert.cells) == 1
+    with pytest.raises(BudgetExceededError):  # 5^12 points, refused before enumerating
+        check_partition(cert, 12, C5, budget=1000)
 
 
 def test_partition_double_cover_detected():
@@ -239,6 +242,8 @@ def test_norm_description_t2_minus_1():
     report = check_norm_description([parse_poly("x1^2 - 1")], cert, 4, C5)
     assert report.ok
     assert report.points_checked > 0
+    with pytest.raises(BudgetExceededError):
+        check_norm_description([parse_poly("x1^2 - 1")], cert, 12, C5, budget=1000)
 
 
 def test_norm_description_mutated_exponent_fails():

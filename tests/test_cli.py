@@ -179,6 +179,24 @@ def test_budget_exit_code_4(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_cells_check_budget_exit_code_4(tmp_path, capsys):
+    cert = write_json(tmp_path / "cert.json", ZP_CERT)
+    rc = main(["cells-check", "--certificate", cert, "--level", "12", "--budget", "1000"])
+    assert rc == 4  # refused before enumerating 5^12 points
+    assert capsys.readouterr().err.startswith("budget exceeded: 5^12 residue points")
+
+
+def test_oracle_argument_errors_exit_1(capsys):
+    for argv in (["oracle", "--expr", "norm(x2)", "--arity", "1", "--level", "2",
+                  "--prime", "5"],
+                 ["oracle", "--expr", "norm(x1)", "--level", "0"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("prime=7\nf=x1^2\ny=1/7\n", encoding="utf-8")

@@ -1,22 +1,32 @@
 """Residue-sum oracle, Monte-Carlo estimation, and solution counting."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellint import (
     BudgetExceededError,
+    InvalidArgumentError,
     NonIntegralCoefficientsError,
     PrimeContext,
     count_solutions,
     monte_carlo_integrate,
     parse_expr,
     parse_poly,
+    point_cell,
     riemann_integrate,
     solution_histogram,
     stabilization_check,
     unit_ball_coset_cell,
 )
+from cellint.cells import Bound, CellLevel, CellTower, CosetSpec, membership
+from cellint.formula_dsl import _vadd, compile_expr
+from cellint.oracle import _fast_domain_filter
+from cellint.polynomials import Polynomial
+from cellint.rootval import RootScaledValue
 
 C5 = PrimeContext(5)
 C7 = PrimeContext(7)
@@ -146,3 +156,162 @@ def test_stabilization_divergent():
     diffs = [values[i + 1] - values[i] for i in range(len(values) - 1)]
     assert all(d == 1 - Fraction(1, 5) for d in diffs)
     assert stabilization_check(values, list(range(4, 9)), C5) is False
+
+
+def test_riemann_arity_and_level_errors():
+    for e, arity in (("norm(x2)", 1), ("norm(x1)", 0), ("val(x1*x3) + 1", 2)):
+        with pytest.raises(InvalidArgumentError, match=f"arity is {arity}"):
+            riemann_integrate(parse_expr(e), arity, 2, C5)
+        with pytest.raises(InvalidArgumentError):
+            monte_carlo_integrate(parse_expr(e), arity, 10, 0, C5)
+    with pytest.raises(ValueError, match="level must be >= 1"):  # still a ValueError
+        riemann_integrate(parse_expr("norm(x1)"), 1, 0, C5)
+
+
+# -- the key-counting kernel against the per-point loop ------------------------------
+
+
+def brute_force_riemann(e, arity, level, ctx, domain=None):
+    """The per-point Riemann sum: every lift evaluated and added one by one."""
+    p = ctx.p
+    run = compile_expr(e, ctx, level)
+    total = Fraction(0)
+    ambiguous = 0
+    fast = None
+    if domain is not None and arity == 1:
+        fast = _fast_domain_filter(domain, ctx, level)
+    for pt in itertools.product(range(p**level), repeat=arity):
+        if domain is not None:
+            if fast is not None:
+                member, amb = fast(pt[0])
+            else:
+                member, amb = membership(domain, pt, ctx, level)
+            if amb:
+                ambiguous += 1
+            if not member:
+                continue
+            value, amb_v = run(pt)
+            if amb_v and not amb:
+                ambiguous += 1
+        else:
+            value, amb_v = run(pt)
+            if amb_v:
+                ambiguous += 1
+        total = _vadd(total, value, p)
+    weight = Fraction(1, p ** (arity * level))
+    if isinstance(total, RootScaledValue):
+        value = total.scale(weight)
+        if value.is_rational():
+            value = value.as_exact_rational()
+    else:
+        value = total * weight
+    return value, ambiguous
+
+
+def test_riemann_refinement_edge_cases():
+    cases = [
+        ("1/3", 0, 3, 5, "1/3", 0),  # carrier-free box of arity 0: one class
+        ("2*norm(5) + val(10)", 0, 3, 5, "7/5", 0),
+        ("norm(x1 - x1)", 1, 3, 5, "0", 125),  # the zero carrier
+        ("val(125*x1)", 1, 3, 5, "403/125", 125),  # 0 mod p^m everywhere: nothing pruned
+        ("norm(125*x1)^{1/2} + val(x1)", 1, 3, 5, "159/625 + 504/3125*5^(-1/2)", 125),
+        ("norm(x1)", 1, 1, 7, "6/7", 1),
+        ("val(x1*x2)", 2, 1, 3, "5/9", 5),
+    ]
+    for text, arity, level, p, value, ambiguous in cases:
+        r = riemann_integrate(parse_expr(text), arity, level, PrimeContext(p))
+        assert (str(r.value), r.ambiguous_count) == (value, ambiguous), text
+
+
+_SIZES = [(p, n, m) for p in (2, 3, 5, 7) for n in (1, 2) for m in range(1, 12)
+          if p ** (m * n) <= 2401]
+_SINGULAR = {1: ("(x1 - 1)^2*x1", "x1^3 - x1^2", "(x1 - 2)^3"),
+             2: ("x1^2 - 2*x2^3", "x1^3 - x2^2", "x1^2*x2 - 3*x2^4")}
+_POWERS = ((1, 2), (1, 3), (2, 3), (3, 2), (-1, 2), (-1, 3))
+_SCALARS = ("2", "3", "1/2", "3/2", "5/4")
+
+
+@st.composite
+def _carrier(draw, p: int, n: int) -> str:
+    kind = draw(st.sampled_from(("integer", "denominator", "singular")))
+    if kind == "singular":
+        return f"({draw(st.sampled_from(_SINGULAR[n]))})"
+    monomials = draw(st.lists(
+        st.tuples(st.integers(-9, 9).filter(bool),
+                  st.tuples(*[st.integers(0, 3)] * n)), min_size=1, max_size=3))
+    poly = Polynomial.constant(0)
+    for coeff, exps in monomials:
+        term = Polynomial.constant(coeff)
+        for i, k in enumerate(exps):
+            term = term * Polynomial.variable(i) ** k
+        poly = poly + term
+    if kind == "denominator":
+        poly = poly.scale(Fraction(draw(st.integers(1, 4)), p ** draw(st.integers(1, 2))))
+    return f"({poly})"
+
+
+@st.composite
+def _integrand(draw, p: int, n: int) -> str:
+    f, g = draw(_carrier(p, n)), draw(_carrier(p, n))
+    a, k = draw(st.sampled_from(_POWERS))
+    s = draw(st.sampled_from(_SCALARS))
+    return draw(st.sampled_from((
+        f"norm{f}",
+        f"val{f}",
+        f"norm{f}^{{{a}/{k}}}",
+        f"{s}*norm{f} + val{g}",
+        f"norm{f}*val{g}",
+        f"{s}*norm{f}^{{{a}/{k}}} + norm{g}",
+        f"val{f}^2 + {s}",
+    )))
+
+
+def _one_level(center: Polynomial, lam, n: int, upper=None, lower=None) -> CellLevel:
+    return CellLevel(center=center, lower=lower, upper=upper, coset=CosetSpec(Fraction(lam), n))
+
+
+@st.composite
+def _tower(draw, p: int, n: int) -> CellTower:
+    """A one-level tower over Z_p (n = 1) or a two-level tower over Z_p^2 (n = 2)."""
+    first = draw(st.sampled_from((
+        unit_ball_coset_cell(1, 1).levels[0], unit_ball_coset_cell(2, 2).levels[0],
+        unit_ball_coset_cell(p, 2).levels[0], unit_ball_coset_cell(3, 3).levels[0],
+        point_cell(1).levels[0],
+        _one_level(Polynomial.constant(1), 1, 1, upper=Bound(Polynomial.constant(1))),
+        _one_level(Polynomial.constant(2), 1, 2, lower=Bound(Polynomial.constant(p**2)),
+                   upper=Bound(Polynomial.constant(1), strict=False)))))
+    if n == 1:
+        return CellTower((first,))
+    center = parse_poly(draw(st.sampled_from(("0", "x1", "x1^2 + 1", "2*x1 + 3"))))
+    upper = draw(st.sampled_from((None, Bound(Polynomial.constant(1), strict=False),
+                                  Bound(Polynomial.constant(1)))))
+    lam = draw(st.sampled_from((1, 2, p)))
+    return CellTower((first, _one_level(center, lam, draw(st.integers(1, 2)), upper=upper)))
+
+
+@st.composite
+def _problem(draw, with_domain: bool):
+    p, n, m = draw(st.sampled_from(_SIZES))
+    domain = draw(_tower(p, n)) if with_domain else None
+    return parse_expr(draw(_integrand(p, n))), n, m, PrimeContext(p), domain
+
+
+def _check_against_brute_force(e, n, m, ctx, domain):
+    r = riemann_integrate(e, n, m, ctx, domain=domain)
+    value, ambiguous = brute_force_riemann(e, n, m, ctx, domain=domain)
+    assert (str(r.value), r.ambiguous_count) == (str(value), ambiguous)
+
+
+_kernel = settings(derandomize=True, max_examples=120, deadline=None)
+
+
+@_kernel
+@given(problem=_problem(with_domain=False))
+def test_riemann_box_matches_brute_force(problem):
+    _check_against_brute_force(*problem)
+
+
+@_kernel
+@given(problem=_problem(with_domain=True))
+def test_riemann_domain_matches_brute_force(problem):
+    _check_against_brute_force(*problem)
