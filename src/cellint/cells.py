@@ -5,33 +5,44 @@ A cell level constrains one coordinate t against the earlier ones via
 lam*P_n; towers nest levels.  Certificates (a finite list of cells claimed
 to partition a domain, plus norm descriptions |f| = |delta| *
 |(t-c)^a lam^(-a)|^(1/n)) are verified exactly on lifted residue points.
+
+compile_membership plans a tower once, in integer arithmetic.  The checks
+walk the digit-tree kernel refine_classes, which settles a class r mod p^j
+(all its p^(n(m-j)) lifts at once) when every plan is unambiguous on it and
+no described f or delta is 0 mod p^j.  The budget counts all p^(m*n) classes.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .errors import (
     BoundVanishedError,
     CertificateMismatchError,
     DivergentError,
+    InvalidArgumentError,
     ZeroCosetError,
 )
-from .formula_dsl import parse_poly
+from .formula_dsl import _Carrier, parse_poly
 from .padic_core import (
     DEFAULT_BUDGET,
     INF,
     PrimeContext,
+    _unit_nth_power_residues,
     check_budget,
     coset_membership,
     hensel_level,
+    int_valuation,
+    residue,
+    unit_part,
     valuation,
 )
-from .polynomials import Polynomial, format_poly
+from .polynomials import Polynomial, eval_int_terms, format_poly
 from .qexp_sum import CellTermSpec, KRange, TermOnCell, krange_from_bounds, level_krange, shell_sum
 from .rootval import RootScaledValue
 
@@ -188,52 +199,104 @@ def contains(tower: CellTower, point: Sequence, ctx: PrimeContext) -> bool:
                for i, level in enumerate(tower.levels))
 
 
-def _poly_precision_loss(poly: Polynomial, ctx: PrimeContext) -> int:
-    """Levels of precision lost by denominators with p in them."""
-    loss = 0
-    for _, c in poly.terms:
-        v = valuation(c, ctx)
-        if v is not INF and v < 0:
-            loss = max(loss, -int(v))
-    return loss
+def _plan_level(index: int, level: CellLevel, ctx: PrimeContext):
+    """(point, level) -> (holds, ambiguous) for one cell level, in integers: with
+    t - c(x) = N(x)/D cleared of denominators, v(t - c) = v(N) - v(D) and
+    unit((t - c)/lam) = unit(N) * unit(D*lam)^(-1) mod p^M."""
+    p, lam, n = ctx.p, level.coset.lam, level.coset.n
+    diff, den = (Polynomial.variable(index) - level.center).cleared()
+    vden = int(int_valuation(den, p))
+    bounds = []
+    for lower, bound in ((True, level.lower), (False, level.upper)):
+        if bound is not None:
+            terms, bden = bound.expr.cleared()
+            const = valuation(bound.expr.constant_value(), ctx) \
+                if bound.expr.is_constant() else None
+            bounds.append((lower, bound.strict, terms, int(int_valuation(bden, p)), const))
+    hensel = 1 if lam == 0 else hensel_level(n, p)
+    if lam != 0:
+        vlam, modulus = int(valuation(lam, ctx)), p**hensel
+        inverse = pow(residue(unit_part(den * lam, ctx), hensel, ctx), -1, modulus)
+        powers = _unit_nth_power_residues(p, n, hensel)
+
+    def test(point: Sequence[int], at: int) -> tuple[bool, bool]:
+        num = eval_int_terms(diff, point)
+        vnum = INF if num == 0 else int_valuation(num, p)
+        ambiguous = vnum + hensel > at
+        values = []
+        for _, _, terms, vb_den, const in bounds:
+            if const is None:
+                b = eval_int_terms(terms, point)
+                ambiguous = ambiguous or b % p**at == 0
+                const = INF if b == 0 else int_valuation(b, p) - vb_den
+            values.append(const)
+        if lam == 0:
+            return num == 0, ambiguous
+        k = vnum - vden
+        for (lower, strict, _, _, _), v in zip(bounds, values):
+            if v is INF:  # the bound vanished: a malformed cell at this point
+                return False, True
+            if not ((k < v if strict else k <= v) if lower else (k > v if strict else k >= v)):
+                return False, ambiguous
+        if num == 0 or (k - vlam) % n:
+            return False, ambiguous
+        return (num // p**vnum) * inverse % modulus in powers, ambiguous
+
+    return test
+
+
+def compile_membership(tower: CellTower,
+                       ctx: PrimeContext) -> Callable[[Sequence[int], int], tuple[bool, bool]]:
+    """Plan a tower once: (integer point, level) -> (member, ambiguous).
+
+    Membership is exact at the point, and ambiguous when the class mod
+    p^level does not fix it: at some level v(t - c) + M > level - (precision
+    lost to p in the centre's denominators), M the coset's Hensel level (1
+    for a point), or a non-constant bound is 0 mod p^level once cleared, or
+    a bound vanishes.  Levels after the first that fails are not tested.
+    """
+    levels = [_plan_level(i, level, ctx) for i, level in enumerate(tower.levels)]
+
+    def member_of(point: Sequence[int], level: int) -> tuple[bool, bool]:
+        ambiguous = False
+        for test in levels:
+            holds, amb = test(point, level)
+            ambiguous = ambiguous or amb
+            if not holds:
+                return False, ambiguous
+        return True, ambiguous
+
+    return member_of
+
+
+def refine_classes(p: int, level: int, arity: int, classify: Callable,
+                   member_of: Callable | None = None) -> Iterator[tuple]:
+    """Settle the classes r mod p^j of Z_p^arity, depth first, one p-adic digit at a time.
+
+    A class that member_of (a membership plan) finds ambiguous is split, one
+    outside it is settled with the key (None, ambiguous); classify(r, j,
+    ambiguous) keys all p^(arity*(level-j)) lifts of the others, or returns
+    None to split r into r + p^j*d (never at j = level).  Yields (key, r, j).
+    """
+    digits = list(itertools.product(range(p), repeat=arity))
+    stack = [((0,) * arity, 0)]
+    while stack:
+        r, j = stack.pop()
+        member, amb = (True, False) if member_of is None else member_of(r, j)
+        key = None if amb and j < level else classify(r, j, amb) if member else (None, amb)
+        if key is None:
+            pj = p**j
+            stack.extend((tuple(x + pj * d for x, d in zip(r, ds)), j + 1) for ds in digits)
+        else:
+            yield key, r, j
 
 
 def membership(tower: CellTower, point: Sequence, ctx: PrimeContext,
                level_m: int) -> tuple[bool, bool]:
-    """(member, ambiguous) for the lifted representative of a residue class.
-
-    Membership is decided exactly at the lift.  The evaluation is flagged
-    ambiguous when the residue class mod p^level_m does not determine the
-    result: some test involved v(t - c) with v(t-c) + M(n) > level_m (M the
-    Hensel level of the coset), or a non-constant bound/center whose value
-    sits too close to 0 mod p^level_m.
-    """
-    pt = [Fraction(x) for x in point]
-    member = True
-    ambiguous = False
-    for i, level in enumerate(tower.levels):
-        prefix = pt[:i]
-        c = level.center.eval(prefix)
-        diff = pt[i] - c
-        k = valuation(diff, ctx)
-        margin = level_m - _poly_precision_loss(level.center, ctx)
-        m_hensel = 1 if level.coset.lam == 0 else hensel_level(level.coset.n, ctx.p)
-        if k is INF or k + m_hensel > margin:
-            ambiguous = True
-        for bound in (level.lower, level.upper):
-            if bound is not None and not bound.expr.is_constant():
-                vb = valuation(bound.expr.eval(prefix), ctx)
-                if vb is INF or vb >= level_m - _poly_precision_loss(bound.expr, ctx):
-                    ambiguous = True
-        try:
-            holds = _level_holds(level, prefix, pt[i], ctx)
-        except BoundVanishedError:
-            ambiguous = True
-            holds = False
-        if not holds:
-            member = False
-            break
-    return member, ambiguous
+    """(member, ambiguous) of the integer lift of a class mod p^level_m, planned once."""
+    if any(Fraction(x).denominator != 1 for x in point):
+        raise InvalidArgumentError("membership is decided at integer lifts")
+    return compile_membership(tower, ctx)(tuple(int(x) for x in point), level_m)
 
 
 # -- fiber geometry ---------------------------------------------------------------
@@ -298,18 +361,6 @@ class PartitionReport:
                 f"{self.ambiguous_points} ambiguous")
 
 
-def _domain_points(domain: Domain, m: int, ctx: PrimeContext) -> Iterator[tuple[int, ...]]:
-    """Residue vectors mod p^m whose canonical lift lies in the domain."""
-    pm = ctx.p**m
-    for res in itertools.product(range(pm), repeat=domain.arity):
-        if isinstance(domain, BoxDomain):
-            yield res
-        else:
-            member, _ = membership(domain, [Fraction(r) for r in res], ctx, m)
-            if member:
-                yield res
-
-
 def check_partition(cert: DecompositionCertificate, m: int, ctx: PrimeContext,
                     budget: int = DEFAULT_BUDGET) -> PartitionReport:
     """Verify that the cells cover every tested domain point exactly once.
@@ -317,29 +368,43 @@ def check_partition(cert: DecompositionCertificate, m: int, ctx: PrimeContext,
     Points are the canonical lifts of all residue classes mod p^m lying in
     the domain; evaluations whose result is not constant on the whole
     residue class are counted as ambiguous (reported, never silently
-    passed) but still decided at the lift.  Raises BudgetExceededError
-    before enumerating when p^(m*arity) exceeds the budget.
+    passed) but still decided at the lift.  Violations are listed in product
+    order.  Raises BudgetExceededError before enumerating when p^(m*arity)
+    exceeds the budget.
     """
     if ctx.p != cert.prime:
         raise ValueError("context prime differs from certificate prime")
-    check_budget(ctx.p, m, cert.domain.arity, budget)
+    p, arity = ctx.p, cert.domain.arity
+    check_budget(p, m, arity, budget)
+    domain = None if isinstance(cert.domain, BoxDomain) else compile_membership(cert.domain, ctx)
+    cells = [compile_membership(tower, ctx) for tower in cert.cells]
+
+    def classify(r, j, _):
+        owners = []
+        point_ambiguous = False
+        for idx, cell in enumerate(cells):
+            member, amb = cell(r, j)
+            if amb:
+                if j < m:
+                    return None
+                point_ambiguous = True
+            if member:
+                owners.append(idx)
+        return tuple(owners), point_ambiguous
+
     violations: list[tuple[tuple[int, ...], list[int]]] = []
     ambiguous_points = 0
     total = 0
-    for res in _domain_points(cert.domain, m, ctx):
-        total += 1
-        point = [Fraction(r) for r in res]
-        owners: list[int] = []
-        point_ambiguous = False
-        for idx, tower in enumerate(cert.cells):
-            member, amb = membership(tower, point, ctx, m)
-            point_ambiguous = point_ambiguous or amb
-            if member:
-                owners.append(idx)
-        if point_ambiguous:
-            ambiguous_points += 1
+    for (owners, amb), r, j in refine_classes(p, m, arity, classify, domain):
+        if owners is None:
+            continue
+        size = p ** (arity * (m - j))
+        total += size
+        ambiguous_points += size if amb else 0
         if len(owners) != 1:
-            violations.append((res, owners))
+            lifts = itertools.product(*(range(x, p**m, p**j) for x in r))  # product order
+            violations.extend((pt, list(owners)) for pt in lifts)
+    violations.sort()
     return PartitionReport(ok=not violations, violations=violations,
                            ambiguous_points=ambiguous_points, points_tested=total)
 
@@ -365,16 +430,16 @@ def check_norm_description(functions: Sequence[Polynomial],
 
     Norms are compared exactly as elements of p^((1/n)Z) union {0} via their
     exponents.  Every certificate description entry is tested on all lifted
-    cell points mod p^m.  Raises BudgetExceededError before enumerating
-    when p^(m*arity) exceeds the budget.
+    cell points mod p^m (mismatches in product order per entry).  Raises
+    BudgetExceededError before enumerating when p^(m*arity) exceeds budget.
     """
     if ctx.p != cert.prime:
         raise ValueError("context prime differs from certificate prime")
-    check_budget(ctx.p, m, cert.domain.arity, budget)
+    p = ctx.p
+    check_budget(p, m, cert.domain.arity, budget)
     mismatches: list[tuple[tuple[int, ...], object, object]] = []
     ambiguous = 0
     checked = 0
-    pm = ctx.p**m
     for desc in cert.descriptions:
         if not 0 <= desc.cell < len(cert.cells):
             raise CertificateMismatchError(f"description references missing cell {desc.cell}")
@@ -384,42 +449,42 @@ def check_norm_description(functions: Sequence[Polynomial],
         tower = cert.cells[desc.cell]
         level_idx = desc.level % len(tower.levels)
         level = tower.levels[level_idx]
-        f = functions[desc.function]
-        for res in itertools.product(range(pm), repeat=tower.arity):
-            point = [Fraction(r) for r in res]
-            member, amb = membership(tower, point, ctx, m)
-            if not member:
+        f, delta = _Carrier(functions[desc.function], ctx), _Carrier(desc.delta, ctx)
+        diff = _Carrier(Polynomial.variable(level_idx) - level.center, ctx)
+        vlam = None if level.coset.lam == 0 else int(valuation(level.coset.lam, ctx))
+        malformed = delta.arity > level_idx or f.arity > tower.arity or (
+            vlam is None and desc.a != 0)
+
+        def classify(r, j, amb):
+            if malformed:  # raise at the first member point, as evaluating there does
+                desc.delta.eval(r[:level_idx]), functions[desc.function].eval(r)
+                raise CertificateMismatchError("lambda = 0 level requires a = 0")
+            fnum, dnum = eval_int_terms(f.terms, r), eval_int_terms(delta.terms, r)
+            if j < m and not (fnum % p**j and dnum % p**j):
+                return None
+            lhs = INF if fnum == 0 else Fraction(int_valuation(fnum, p) - f.vden)
+            vd = INF if dnum == 0 else int_valuation(dnum, p) - delta.vden
+            if vlam is None:
+                return (lhs, vd), amb
+            k = diff.valuation_at(r)
+            if k is INF or vd is INF:
+                return (lhs, INF), amb
+            return (lhs, Fraction(vd) + Fraction(desc.a * (k - vlam), level.coset.n)), amb
+
+        start = len(mismatches)
+        for (sides, amb), r, j in refine_classes(p, m, tower.arity, classify,
+                                                 compile_membership(tower, ctx)):
+            if sides is None:
                 continue
-            checked += 1
-            if amb:
-                ambiguous += 1
-            prefix = point[:level_idx]
-            diff = point[level_idx] - level.center.eval(prefix)
-            dval = desc.delta.eval(prefix)
-            lhs = valuation(f.eval(point), ctx)  # INF encodes |f| = 0
-            vd = valuation(dval, ctx)
-            if level.coset.lam == 0:
-                if desc.a != 0:
-                    raise CertificateMismatchError("lambda = 0 level requires a = 0")
-                rhs = vd
-            else:
-                k = valuation(diff, ctx)
-                vlam = int(valuation(level.coset.lam, ctx))
-                if k is INF or vd is INF:
-                    rhs = INF
-                else:
-                    rhs = Fraction(vd) + Fraction(desc.a * (int(k) - vlam), level.coset.n)
-            lhs_cmp = lhs if lhs is INF else Fraction(lhs)
-            if not _exponents_equal(lhs_cmp, rhs):
-                mismatches.append((res, lhs_cmp, rhs))
+            size = p ** (tower.arity * (m - j))
+            checked += size
+            ambiguous += size if amb else 0
+            if sides[0] != sides[1]:  # exponents in Q, or INF for |0|
+                lifts = itertools.product(*(range(x, p**m, p**j) for x in r))
+                mismatches.extend((pt, *sides) for pt in lifts)
+        mismatches[start:] = sorted(mismatches[start:])
     return NormCheckReport(ok=not mismatches, mismatches=mismatches,
                            ambiguous_points=ambiguous, points_checked=checked)
-
-
-def _exponents_equal(a, b) -> bool:
-    if a is INF or b is INF:
-        return a is b
-    return a == b
 
 
 # -- certificate file format ---------------------------------------------------
@@ -444,20 +509,33 @@ def _tower_from_dict(d: dict) -> CellTower:
     return CellTower(tuple(_level_from_dict(lv) for lv in d["levels"]))
 
 
+@contextmanager
+def _reading(what: str):
+    """Turn what reading a JSON value of the wrong shape raises into InvalidArgumentError."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, AttributeError, ValueError, ZeroDivisionError,
+            OverflowError) as ex:
+        detail = f"missing key {ex}" if isinstance(ex, KeyError) else f"{type(ex).__name__}: {ex}"
+        raise InvalidArgumentError(f"malformed {what}: {detail}") from ex
+
+
 def certificate_from_dict(data: dict) -> DecompositionCertificate:
-    dom = data["domain"]
-    if dom.get("kind", "box") == "box":
-        domain: Domain = BoxDomain(int(dom["arity"]))
-    else:
-        domain = _tower_from_dict(dom)
-    cells = tuple(_tower_from_dict(c) for c in data["cells"])
-    descriptions = tuple(
-        NormDescription(cell=int(d["cell"]), function=int(d.get("function", 0)),
-                        delta=parse_poly(str(d.get("delta", "1"))), a=int(d["a"]),
-                        level=int(d.get("level", -1)))
-        for d in data.get("descriptions", ()))
-    return DecompositionCertificate(prime=int(data["prime"]), domain=domain,
-                                    cells=cells, descriptions=descriptions)
+    """A certificate from its JSON form; InvalidArgumentError if malformed."""
+    with _reading("certificate"):
+        dom = data["domain"]
+        if dom.get("kind", "box") == "box":
+            domain: Domain = BoxDomain(int(dom["arity"]))
+        else:
+            domain = _tower_from_dict(dom)
+        cells = tuple(_tower_from_dict(c) for c in data["cells"])
+        descriptions = tuple(
+            NormDescription(cell=int(d["cell"]), function=int(d.get("function", 0)),
+                            delta=parse_poly(str(d.get("delta", "1"))), a=int(d["a"]),
+                            level=int(d.get("level", -1)))
+            for d in data.get("descriptions", ()))
+        return DecompositionCertificate(prime=int(data["prime"]), domain=domain,
+                                        cells=cells, descriptions=descriptions)
 
 
 def _bound_to_dict(b: Bound | None):
@@ -495,9 +573,19 @@ def certificate_to_dict(cert: DecompositionCertificate) -> dict:
     }
 
 
+def _load_json(path, what: str, from_dict):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as ex:
+        raise InvalidArgumentError(f"cannot read {what} file {path}: {ex.strerror}") from ex
+    except ValueError as ex:
+        raise InvalidArgumentError(f"{what} file {path} is not valid JSON: {ex}") from ex
+    return from_dict(data)
+
+
 def load_certificate(path) -> DecompositionCertificate:
-    with open(path, "r", encoding="utf-8") as fh:
-        return certificate_from_dict(json.load(fh))
+    return _load_json(path, "certificate", certificate_from_dict)
 
 
 def save_certificate(cert: DecompositionCertificate, path):
@@ -507,16 +595,17 @@ def save_certificate(cert: DecompositionCertificate, path):
 
 
 def terms_from_dict(data: dict) -> list[CellTermSpec]:
-    """Cell-adapted integrand terms, as written in a terms JSON file."""
-    out = []
-    for t in data["terms"]:
-        levels = tuple((int(lv["a"]), int(lv["l"])) for lv in t["levels"])
-        out.append(CellTermSpec(cell=int(t["cell"]),
-                                coeff=Fraction(str(t.get("coeff", "1"))),
-                                levels=levels))
-    return out
+    """Cell-adapted integrand terms, as written in a terms JSON file;
+    InvalidArgumentError if malformed."""
+    with _reading("terms"):
+        out = []
+        for t in data["terms"]:
+            levels = tuple((int(lv["a"]), int(lv["l"])) for lv in t["levels"])
+            out.append(CellTermSpec(cell=int(t["cell"]),
+                                    coeff=Fraction(str(t.get("coeff", "1"))),
+                                    levels=levels))
+        return out
 
 
 def load_terms(path) -> list[CellTermSpec]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return terms_from_dict(json.load(fh))
+    return _load_json(path, "terms", terms_from_dict)

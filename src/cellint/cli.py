@@ -24,7 +24,7 @@ from .cells import (
     load_certificate,
     load_terms,
 )
-from .errors import BudgetExceededError, CellintError, ExprSyntaxError
+from .errors import BudgetExceededError, CellintError, ExprSyntaxError, InvalidArgumentError
 from .expsums import (
     bound_check,
     decay_fit,
@@ -206,6 +206,8 @@ def _cmd_oracle(run: RunConfig) -> int:
     arity = int(run.get("arity", 1))
     levels = run.get("level", ctx.default_level)
     level_list = _int_list(levels) if isinstance(levels, str) else [int(levels)]
+    if not level_list:
+        raise InvalidArgumentError("--level needs at least one level")
     rows = ["level,value,ambiguous"]
     values = []
     result = None

@@ -10,14 +10,13 @@ the count vanishes (or tolerates it).
 
 riemann_integrate never evaluates the integrand lift by lift.  Its value
 at a lift depends only on the lift's key, the tuple of exact valuations of
-the distinct norm/val carriers there, so the kernel counts lifts per key
-and evaluates once per key, at the first lift found with it (the witness).
-Over the box the classes are refined one p-adic digit at a time: for an
-integer polynomial f(x + p^j y) = f(x) mod p^j, so once no carrier is
-0 mod p^j on a class r mod p^j, its key is fixed and all its
-p^(n(level-j)) lifts are counted at once; only classes near the zero
-locus of the carriers are split down to single lifts.  The budget still
-counts all p^(level*n) classes the sum decides.
+the distinct norm/val carriers there, so it counts lifts per key and
+evaluates once per key, at the first lift found with it (the witness).
+For an integer polynomial f(x + p^j y) = f(x) mod p^j, so the classes are
+refined one p-adic digit at a time (cells.refine_classes, shared with the
+certificate checks): a class r mod p^j is settled, its p^(n(level-j)) lifts
+counted at once, when the domain's compiled membership is unambiguous on it
+and no carrier is 0 mod p^j there.  The budget counts all p^(level*n) classes.
 """
 
 from __future__ import annotations
@@ -29,23 +28,18 @@ from fractions import Fraction
 from math import sqrt
 from typing import Sequence
 
-from .cells import CellTower, membership
+from .cells import CellTower, compile_membership, refine_classes
 from .errors import InvalidArgumentError, NonIntegralCoefficientsError
 from .formula_dsl import ExactValue, QExpExpr, _Carrier, _vadd, compile_expr, expr_carriers
 from .padic_core import (
     DEFAULT_BUDGET,
     INF,
     PrimeContext,
-    _unit_nth_power_residues,
     check_budget,
-    hensel_level,
     int_valuation,
     power_norm,
-    residue,
-    valuation,
 )
 from .polynomials import Polynomial, eval_int_terms
-from .qexp_sum import level_krange
 from .rootval import RootScaledValue
 
 
@@ -61,60 +55,6 @@ class OracleResult:
         return float(self.value)
 
 
-# -- fast membership for explicit one-level cells -----------------------------------
-
-
-def _fast_domain_filter(domain: CellTower, ctx: PrimeContext, level: int):
-    """Precompiled (member, ambiguous) test for integer lifts, or None.
-
-    Only for one-level towers with constant integer center and constant
-    bounds; semantically identical to cells.membership (tested), just
-    avoiding per-point polynomial and Fraction work.
-    """
-    if len(domain.levels) != 1:
-        return None
-    lv = domain.levels[0]
-    if not lv.center.is_constant():
-        return None
-    center = lv.center.constant_value()
-    if center.denominator != 1:
-        return None
-    c = int(center)
-    coset = lv.coset
-    p = ctx.p
-    if coset.lam == 0:
-        def run_point(r: int):
-            diff = r - c
-            v = int_valuation(diff, p)
-            amb = v is INF or v >= level
-            return diff == 0, amb
-        return run_point
-    try:
-        krange = level_krange(lv, ctx)
-    except Exception:
-        return None
-    m_hensel = hensel_level(coset.n, p)
-    pm = p**m_hensel
-    powers = _unit_nth_power_residues(p, coset.n, m_hensel)
-    mu_inv = pow(residue(coset.lam * power_norm(p, -int(valuation(coset.lam, ctx))),
-                         m_hensel, ctx), -1, pm)
-    margin = level - m_hensel
-
-    def run(r: int):
-        diff = r - c
-        v = int_valuation(diff, p)
-        if v is INF:
-            return False, True
-        v = int(v)
-        amb = v > margin
-        if not krange.contains(v):
-            return False, amb
-        unit = diff // p**v if diff > 0 else -((-diff) // p**v)
-        return (unit * mu_inv) % pm in powers, amb
-
-    return run
-
-
 # -- operations --------------------------------------------------------------------
 
 
@@ -122,55 +62,6 @@ def _check_arity(carriers: Sequence[Polynomial], arity: int):
     need = max((c.max_variable() for c in carriers), default=0)
     if arity < need:
         raise InvalidArgumentError(f"arity is {arity}, but the expression needs at least {need}")
-
-
-def _box_counts(carriers: Sequence[_Carrier], p: int, level: int,
-                arity: int) -> tuple[dict, dict]:
-    """Lifts of Z_p^arity mod p^level per carrier-valuation key: (counts, witnesses).
-
-    Depth-first over the classes r mod p^j; a class is counted whole once
-    every carrier is nonzero mod p^j on it, and split into its p^arity
-    children r + p^j*d otherwise, down to single lifts at j = level.
-    Keys carry a False membership-ambiguity flag, as in _domain_counts.
-    """
-    counts: dict = {}
-    witness: dict = {}
-    digits = list(itertools.product(range(p), repeat=arity))
-    stack = [((0,) * arity, 0)]
-    while stack:
-        r, j = stack.pop()
-        pj = p**j
-        nums = [eval_int_terms(c.terms, r) for c in carriers]
-        if j < level and not all(num % pj for num in nums):
-            stack.extend((tuple(x + pj * d for x, d in zip(r, ds)), j + 1) for ds in digits)
-            continue
-        key = (tuple(INF if num == 0 else int_valuation(num, p) - c.vden
-                     for num, c in zip(nums, carriers)), False)
-        witness.setdefault(key, r)
-        counts[key] = counts.get(key, 0) + p ** (arity * (level - j))
-    return counts, witness
-
-
-def _domain_counts(carriers: Sequence[_Carrier], domain: CellTower, arity: int,
-                   level: int, ctx: PrimeContext) -> tuple[dict, dict, int]:
-    """Member lifts per (carrier key, membership-ambiguous) key: (counts,
-    witnesses, lifts whose membership the level cannot decide, members or not)."""
-    counts: dict = {}
-    witness: dict = {}
-    fast = _fast_domain_filter(domain, ctx, level) if arity == 1 else None
-    ambiguous = 0
-    for pt in itertools.product(range(ctx.p**level), repeat=arity):
-        if fast is not None:
-            member, amb = fast(pt[0])
-        else:
-            member, amb = membership(domain, pt, ctx, level)
-        if amb:
-            ambiguous += 1
-        if member:
-            key = (tuple(c.valuation_at(pt) for c in carriers), amb)
-            witness.setdefault(key, pt)
-            counts[key] = counts.get(key, 0) + 1
-    return counts, witness, ambiguous
 
 
 def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
@@ -186,28 +77,45 @@ def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
     The lifts are counted per key, the tuple of exact valuations of the
     expression's distinct carriers, and the integrand is evaluated once per
     key at a witness lift; the value and the ambiguity flag depend only on
-    the key, so the exact sum is the same as lift by lift.  Over the box,
-    classes are refined one p-adic digit at a time and counted whole as
-    soon as no carrier vanishes on them mod p^j; over a domain every lift
-    is tested for membership.  The budget bounds the p^(arity*level)
-    classes decided, however few are visited.  Raises InvalidArgumentError
-    for level < 1 or an arity below the expression's highest variable.
+    the key, so the exact sum is the same as lift by lift.  Classes are
+    refined one p-adic digit at a time and counted whole as soon as their
+    domain membership is unambiguous and no carrier vanishes on a member
+    class mod p^j.  The budget bounds the p^(arity*level) classes decided,
+    however few are visited.  Raises InvalidArgumentError for level < 1 or
+    an arity below the expression's or the domain's.
     """
     if level < 1:
         raise InvalidArgumentError("level must be >= 1")
     polys = expr_carriers(e)
     _check_arity(polys, arity)
     p = ctx.p
+    if domain is not None and domain.arity > arity:
+        raise InvalidArgumentError(f"arity is {arity}, but the domain has arity {domain.arity}")
     check_budget(p, level, arity, budget)
     run = compile_expr(e, ctx, level)
     carriers = [_Carrier(f, ctx) for f in polys]
-    if domain is None:
-        counts, witness = _box_counts(carriers, p, level, arity)
-        ambiguous = 0
-    else:
-        counts, witness, ambiguous = _domain_counts(carriers, domain, arity, level, ctx)
+
+    def classify(r, j, amb):
+        nums = [eval_int_terms(c.terms, r) for c in carriers]
+        if j < level:
+            pj = p**j
+            for num in nums:
+                if not num % pj:
+                    return None
+        return tuple([INF if num == 0 else int_valuation(num, p) - c.vden
+                      for num, c in zip(nums, carriers)]), amb
+
+    counts: dict = {}
+    witness: dict = {}
+    member_of = None if domain is None else compile_membership(domain, ctx)
+    for key, r, j in refine_classes(p, level, arity, classify, member_of):
+        witness.setdefault(key, r)
+        counts[key] = counts.get(key, 0) + p ** (arity * (level - j))
+    ambiguous = sum(count for key, count in counts.items() if key[1])
     total: ExactValue = Fraction(0)
     for key, count in counts.items():
+        if key[0] is None:
+            continue
         value, amb_v = run(witness[key])
         if amb_v and not key[1]:
             ambiguous += count

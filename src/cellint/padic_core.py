@@ -15,7 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .errors import BudgetExceededError, NotPIntegralError, ZeroCosetError, ZeroInputError
+from .errors import (BudgetExceededError, InvalidArgumentError, NotPIntegralError,
+                     ZeroCosetError, ZeroInputError)
 
 PadicScalar = Union[Fraction, int]
 Valuation = Union[int, float]  # finite int, or math.inf for v(0)
@@ -35,7 +36,7 @@ def is_prime(n: int) -> bool:
         if n % q == 0:
             return n == q
     if n >= _MR_LIMIT:
-        raise ValueError(f"primality check only deterministic below {_MR_LIMIT}")
+        raise InvalidArgumentError(f"primality check only deterministic below {_MR_LIMIT}")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -66,9 +67,9 @@ class PrimeContext:
 
     def __post_init__(self):
         if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
+            raise InvalidArgumentError(f"p = {self.p} is not prime")
         if self.default_level < 1:
-            raise ValueError("default_level must be >= 1")
+            raise InvalidArgumentError("default_level must be >= 1")
 
 
 DEFAULT_BUDGET = 10**8

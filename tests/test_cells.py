@@ -1,16 +1,23 @@
 """Cell membership, fiber geometry, and certificate verification."""
 
+import itertools
 import json
+import os
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cellint import (
+    INF,
     Bound,
     BoundVanishedError,
     BudgetExceededError,
     BoxDomain,
+    CellintError,
     CellLevel,
     CellTower,
     CosetSpec,
@@ -24,16 +31,23 @@ from cellint import (
     certificate_from_dict,
     certificate_to_dict,
     contains,
+    coset_membership,
+    coset_representatives,
     fiber_measure,
     fiber_valuation_range,
     hensel_level,
+    load_certificate,
+    load_terms,
     parse_poly,
     point_cell,
+    terms_from_dict,
     tower_measure,
     unit_ball_coset_cell,
     valuation,
     zp_nonzero_cell,
 )
+from cellint.cells import compile_membership, membership
+from cellint.errors import CertificateMismatchError
 from cellint.polynomials import Polynomial
 
 C2 = PrimeContext(2)
@@ -185,6 +199,9 @@ def test_partition_zp_point_plus_rest():
     assert report.ok
     # the 0 class cannot be decided at any finite level: reported, not hidden
     assert report.ambiguous_points == 1
+    # all 5^8 classes decided, though only those near 0 are split to single lifts
+    report = check_partition(cert, 8, C5)
+    assert (report.ok, report.points_tested, report.ambiguous_points) == (True, 390625, 1)
     # measure additivity across the verified partition of Z_p
     assert sum(tower_measure(c, C5) for c in cert.cells) == 1
     with pytest.raises(BudgetExceededError):  # 5^12 points, refused before enumerating
@@ -306,3 +323,362 @@ def test_certificate_json_round_trip():
 def test_certificate_arity_check():
     with pytest.raises(ValueError):
         DecompositionCertificate(5, BoxDomain(2), (zp_nonzero_cell(),))
+
+
+# -- the compiled membership and the digit-tree checks against per-lift loops -------
+
+
+def _precision_loss(poly: Polynomial, ctx) -> int:
+    loss = 0
+    for _, c in poly.terms:
+        v = valuation(c, ctx)
+        if v is not INF and v < 0:
+            loss = max(loss, -int(v))
+    return loss
+
+
+def _bound_value(bound: Bound, prefix) -> Fraction:
+    value = bound.expr.eval(prefix)
+    if value == 0:
+        raise BoundVanishedError("bound vanishes")
+    return value
+
+
+def _level_holds(level: CellLevel, prefix, t, ctx) -> bool:
+    diff = Fraction(t) - level.center.eval(prefix)
+    if level.coset.lam == 0:
+        return diff == 0
+    k = valuation(diff, ctx)
+    if level.lower is not None:
+        va = valuation(_bound_value(level.lower, prefix), ctx)
+        if not (k < va if level.lower.strict else k <= va):
+            return False
+    if level.upper is not None:
+        vb = valuation(_bound_value(level.upper, prefix), ctx)
+        if not (k > vb if level.upper.strict else k >= vb):
+            return False
+    return coset_membership(diff, level.coset.lam, level.coset.n, ctx)
+
+
+def fraction_membership(tower: CellTower, point, ctx, level_m: int) -> tuple[bool, bool]:
+    """The Fraction membership test: exact at the lift, with the ambiguity margins."""
+    pt = [Fraction(x) for x in point]
+    member = True
+    ambiguous = False
+    for i, level in enumerate(tower.levels):
+        prefix = pt[:i]
+        k = valuation(pt[i] - level.center.eval(prefix), ctx)
+        margin = level_m - _precision_loss(level.center, ctx)
+        m_hensel = 1 if level.coset.lam == 0 else hensel_level(level.coset.n, ctx.p)
+        if k is INF or k + m_hensel > margin:
+            ambiguous = True
+        for b in (level.lower, level.upper):
+            if b is not None and not b.expr.is_constant():
+                vb = valuation(b.expr.eval(prefix), ctx)
+                if vb is INF or vb >= level_m - _precision_loss(b.expr, ctx):
+                    ambiguous = True
+        try:
+            holds = _level_holds(level, prefix, pt[i], ctx)
+        except BoundVanishedError:
+            ambiguous = True
+            holds = False
+        if not holds:
+            member = False
+            break
+    return member, ambiguous
+
+
+def per_lift_partition(cert, m, ctx):
+    """The per-lift check_partition loop: (violations, ambiguous, points)."""
+    violations = []
+    ambiguous_points = total = 0
+    for res in itertools.product(range(ctx.p**m), repeat=cert.domain.arity):
+        if not isinstance(cert.domain, BoxDomain) \
+                and not fraction_membership(cert.domain, res, ctx, m)[0]:
+            continue
+        total += 1
+        owners = []
+        point_ambiguous = False
+        for idx, tower in enumerate(cert.cells):
+            member, amb = fraction_membership(tower, res, ctx, m)
+            point_ambiguous = point_ambiguous or amb
+            if member:
+                owners.append(idx)
+        ambiguous_points += point_ambiguous
+        if len(owners) != 1:
+            violations.append((res, owners))
+    return violations, ambiguous_points, total
+
+
+def per_lift_norm_description(functions, cert, m, ctx):
+    """The per-lift check_norm_description loop: (mismatches, ambiguous, points)."""
+    mismatches = []
+    ambiguous = checked = 0
+    for desc in cert.descriptions:
+        if not 0 <= desc.cell < len(cert.cells):
+            raise CertificateMismatchError(f"description references missing cell {desc.cell}")
+        if not 0 <= desc.function < len(functions):
+            raise CertificateMismatchError(
+                f"description references missing function {desc.function}")
+        tower = cert.cells[desc.cell]
+        level_idx = desc.level % len(tower.levels)
+        level = tower.levels[level_idx]
+        for res in itertools.product(range(ctx.p**m), repeat=tower.arity):
+            member, amb = fraction_membership(tower, res, ctx, m)
+            if not member:
+                continue
+            checked += 1
+            ambiguous += amb
+            point = [Fraction(r) for r in res]
+            prefix = point[:level_idx]
+            diff = point[level_idx] - level.center.eval(prefix)
+            dval = desc.delta.eval(prefix)
+            lhs = valuation(functions[desc.function].eval(point), ctx)
+            vd = valuation(dval, ctx)
+            if level.coset.lam == 0:
+                if desc.a != 0:
+                    raise CertificateMismatchError("lambda = 0 level requires a = 0")
+                rhs = vd
+            else:
+                k = valuation(diff, ctx)
+                vlam = int(valuation(level.coset.lam, ctx))
+                if k is INF or vd is INF:
+                    rhs = INF
+                else:
+                    rhs = Fraction(vd) + Fraction(desc.a * (int(k) - vlam), level.coset.n)
+            lhs = lhs if lhs is INF else Fraction(lhs)
+            if lhs != rhs or (lhs is INF) != (rhs is INF):
+                mismatches.append((res, lhs, rhs))
+    return mismatches, ambiguous, checked
+
+
+def test_compiled_membership_matches_oracle_on_one_level_towers():
+    for ctx in (PrimeContext(2), PrimeContext(5)):
+        p = ctx.p
+        towers = [zp_nonzero_cell(), unit_ball_coset_cell(1, 2),
+                  unit_ball_coset_cell(p, 2), unit_ball_coset_cell(3, 3),
+                  point_cell(1)]
+        for level in (2, 4):
+            for tower in towers:
+                member_of = compile_membership(tower, ctx)
+                for r in range(p**level):
+                    assert member_of((r,), level) == fraction_membership(tower, (r,), ctx, level)
+
+
+_SIZES = [(p, n, m) for p in (2, 3, 5, 7) for n in (1, 2) for m in range(1, 12)
+          if p ** (m * n) <= 2401]
+# the two deepest levels of each (p, n): classes settle below the top only when m >= 2
+_DEEP_SIZES = [(p, n, m) for p, n, m in _SIZES if p ** ((m + 2) * n) > 2401 and m >= 2]
+
+
+@st.composite
+def _poly(draw, p: int, nvars: int, constant_ok: bool = True) -> Polynomial:
+    """A polynomial in x1..x{nvars}, possibly with p in a denominator."""
+    poly = Polynomial.constant(0)
+    for _ in range(draw(st.integers(1, 3))):
+        term = Polynomial.constant(Fraction(draw(st.sampled_from((1, -1, 2, 3, p, -p, p * p))),
+                                            draw(st.sampled_from((1, 1, 2, p, p * p)))))
+        for i in range(nvars):
+            term = term * Polynomial.variable(i) ** draw(st.integers(0, 2))
+        poly = poly + term
+    return poly
+
+
+@st.composite
+def _bound(draw, p: int, index: int) -> Bound | None:
+    kind = draw(st.sampled_from(("none", "constant", "zero", "poly", "root") if index else
+                                ("none", "constant", "zero")))
+    if kind == "none":
+        return None
+    if kind == "zero":  # vanishes everywhere: a malformed cell
+        expr = Polynomial.constant(0)
+    elif kind == "constant":
+        expr = Polynomial.constant(draw(st.sampled_from((1, p, p * p, Fraction(1, p), 3))))
+    elif kind == "root":  # 0 mod p^j on classes of units, where x1 alone is unambiguous
+        expr = Polynomial.variable(0) - Polynomial.constant(draw(st.integers(1, p)))
+    else:  # non-constant: may vanish at some prefixes
+        expr = draw(_poly(p, index))
+    return Bound(expr, draw(st.booleans()))
+
+
+@st.composite
+def _cell_level(draw, p: int, index: int) -> CellLevel:
+    center = draw(_poly(p, index)) if index else Polynomial.constant(
+        Fraction(draw(st.integers(0, p * p)), draw(st.sampled_from((1, 2, p)))))
+    if draw(st.integers(0, 5)) == 0:  # a point level
+        return CellLevel(center, None, None, CosetSpec(Fraction(0), 1))
+    lam = Fraction(draw(st.sampled_from((1, 2, 3, p, p * p, 2 * p))),
+                   draw(st.sampled_from((1, 1, p))))
+    n = draw(st.sampled_from((1, 2, 3, 4, p, 2 * p)))  # p | n for some orders
+    return CellLevel(center, draw(_bound(p, index)), draw(_bound(p, index)),
+                     CosetSpec(lam, n))
+
+
+@st.composite
+def _random_tower(draw, p: int, arity: int) -> CellTower:
+    """Random levels; the first is often Z_p minus a point, so later levels get tested."""
+    first = zp_nonzero_cell().levels[0] if draw(st.booleans()) else draw(_cell_level(p, 0))
+    return CellTower((first,) + tuple(draw(_cell_level(p, i)) for i in range(1, arity)))
+
+
+@st.composite
+def _certificate(draw, sizes):
+    """A certificate that is a true coset partition, one with a cell dropped or
+    duplicated, or random cells; with norm descriptions and functions."""
+    p, arity, m = draw(st.sampled_from(sizes))
+    ctx = PrimeContext(p)
+    kind = draw(st.sampled_from(("partition", "broken", "random")))
+    if kind == "random":
+        domain = BoxDomain(arity) if draw(st.booleans()) else draw(_random_tower(p, arity))
+        cells = tuple(draw(_random_tower(p, arity)) for _ in range(draw(st.integers(1, 4))))
+    else:
+        n = draw(st.sampled_from((1, 2, 3) if arity == 1 else (1, 2)))
+        levels = [unit_ball_coset_cell(lam, n).levels[0] for lam in coset_representatives(n, ctx)]
+        cells = [CellTower((level,)) for level in levels + [point_cell(0).levels[0]]]
+        if arity == 2:  # over each first-level cell: Z_p minus a moving centre, and the centre
+            center = parse_poly(draw(st.sampled_from(("x1", "x1^2 + 1", "2*x1 + 3"))))
+            second = (CellLevel(center, None, bound(1, strict=False), CosetSpec(Fraction(1), 1)),
+                      CellLevel(center, None, None, CosetSpec(Fraction(0), 1)))
+            cells = [CellTower(cell.levels + (level,)) for cell in cells for level in second]
+        if kind == "broken":
+            idx = draw(st.integers(0, len(cells) - 1))
+            cells.insert(idx, cells[idx]) if draw(st.booleans()) else cells.pop(idx)
+        domain, cells = BoxDomain(arity), tuple(cells)
+    descriptions = []
+    for _ in range(draw(st.integers(1, 3))):
+        level = draw(st.sampled_from((-1, 0)))
+        # delta lives on the level's prefix; one in eight reaches past it (an error)
+        nvars = level % arity + (draw(st.integers(0, 7)) == 0)
+        delta = draw(st.one_of(_poly(p, nvars), st.just(
+            Polynomial.variable(0) - Polynomial.constant(1) if nvars else Polynomial.constant(p))))
+        descriptions.append(NormDescription(
+            cell=draw(st.integers(0, len(cells) - 1)), function=draw(st.integers(0, 1)),
+            delta=delta, a=draw(st.sampled_from((0, 0, 1, 2, -1, 4))), level=level))
+    functions = [draw(_poly(p, arity)), Polynomial.variable(arity - 1) ** draw(st.integers(1, 3))]
+    return DecompositionCertificate(p, domain, cells, tuple(descriptions)), functions, m, ctx
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (CellintError, ValueError) as ex:
+        return type(ex).__name__, str(ex)
+
+
+_differential = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+@_differential
+@given(data=st.data())
+def test_compiled_membership_matches_fraction_oracle(data):
+    p, arity, m = data.draw(st.sampled_from(_SIZES))
+    ctx = PrimeContext(p)
+    tower = data.draw(_random_tower(p, arity))
+    member_of = compile_membership(tower, ctx)
+    level = data.draw(st.integers(0, m + 1))
+    for pt in itertools.product(range(p**m), repeat=arity):
+        assert member_of(pt, level) == fraction_membership(tower, pt, ctx, level), pt
+    assert membership(tower, pt, ctx, m) == fraction_membership(tower, pt, ctx, m)
+
+
+@_differential
+@given(problem=_certificate(_SIZES))
+def test_check_partition_matches_per_lift_loop(problem):
+    cert, _, m, ctx = problem
+    report = check_partition(cert, m, ctx)
+    violations, ambiguous, points = per_lift_partition(cert, m, ctx)
+    assert (report.violations, report.ambiguous_points, report.points_tested) \
+        == (violations, ambiguous, points)
+    assert report.ok == (not violations)
+
+
+def _delta_root_problem():
+    """delta = x1 - 1 is 0 mod 3^j on member classes x1 = 1 mod 3^j that are
+    otherwise settled: they must be split, as f = x2 - x1 + 1/3 never vanishes."""
+    ctx = PrimeContext(3)
+    first = (zp_nonzero_cell().levels[0], point_cell(0).levels[0])
+    center = parse_poly("x1")
+    second = (CellLevel(center, None, bound(1, strict=False), CosetSpec(Fraction(1), 1)),
+              CellLevel(center, None, None, CosetSpec(Fraction(0), 1)))
+    cells = tuple(CellTower((a, b)) for a in first for b in second)
+    desc = NormDescription(cell=0, function=0, delta=parse_poly("x1 - 1"), a=1)
+    cert = DecompositionCertificate(3, BoxDomain(2), cells, (desc,))
+    return cert, [parse_poly("x2 - x1 + 1/3")], 3, ctx
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(problem=_certificate(_DEEP_SIZES))
+@example(problem=_delta_root_problem())
+def test_check_norm_description_matches_per_lift_loop(problem):
+    cert, functions, m, ctx = problem
+    report = _outcome(check_norm_description, functions, cert, m, ctx)
+    expected = _outcome(per_lift_norm_description, functions, cert, m, ctx)
+    if isinstance(expected, tuple) and isinstance(expected[0], str):
+        assert report == expected
+        return
+    mismatches, ambiguous, points = expected
+    assert (report.ambiguous_points, report.points_checked) == (ambiguous, points)
+    assert [(pt, str(lhs), str(rhs)) for pt, lhs, rhs in report.mismatches] \
+        == [(pt, str(lhs), str(rhs)) for pt, lhs, rhs in mismatches]
+    assert report.mismatches == mismatches
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10) | st.floats(allow_nan=False)
+    | st.text(max_size=4) | st.sampled_from(("1/0", "x1", "0", "-1", "tower", "box")),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    children = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated(draw, valid: dict):
+    """A valid JSON document with one to three entries replaced or deleted."""
+    data = json.loads(json.dumps(valid))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(data))))
+        if not path:
+            return draw(_JSON)
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_JSON)
+    return data
+
+
+_VALID_TERMS = {"terms": [{"cell": 0, "coeff": "1/2", "levels": [{"a": 1, "l": 0}]}]}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(cert=_mutated(json.loads(CERT_JSON)), terms=_mutated(_VALID_TERMS),
+       text=st.text(max_size=40))
+def test_malformed_inputs_raise_cellint_errors(cert, terms, text):
+    for fn, data in ((certificate_from_dict, cert), (terms_from_dict, terms)):
+        try:
+            fn(data)
+        except CellintError:
+            pass
+    with tempfile.TemporaryDirectory() as tmp:
+        for doc in (json.dumps(cert), json.dumps(terms), text):
+            path = os.path.join(tmp, "input.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(doc)
+            for load in (load_certificate, load_terms):
+                try:
+                    load(path)
+                except CellintError:
+                    pass
+        for load in (load_certificate, load_terms):
+            with pytest.raises(CellintError, match="cannot read"):
+                load(os.path.join(tmp, "missing.json"))

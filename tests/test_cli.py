@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from cellint.cli import main
 
 COSET_CERT = {
@@ -186,15 +188,59 @@ def test_cells_check_budget_exit_code_4(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("budget exceeded: 5^12 residue points")
 
 
+def assert_one_error_line(capsys, *fragments):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert all(fragment in lines[0] for fragment in fragments), lines
+
+
 def test_oracle_argument_errors_exit_1(capsys):
     for argv in (["oracle", "--expr", "norm(x2)", "--arity", "1", "--level", "2",
                   "--prime", "5"],
                  ["oracle", "--expr", "norm(x1)", "--level", "0"]):
         assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert_one_error_line(capsys)
+
+
+def test_oracle_empty_level_list_exit_1(capsys):
+    assert main(["oracle", "--expr", "norm(x1)", "--level", ","]) == 1
+    assert_one_error_line(capsys, "--level")
+
+
+def test_non_prime_exit_1(capsys):
+    assert main(["oracle", "--expr", "norm(x1)", "--level", "2", "--prime", "6"]) == 1
+    assert_one_error_line(capsys, "p = 6 is not prime")
+
+
+@pytest.mark.parametrize("case, fragment", [
+    ("missing certificate", "cert.json"),
+    ("missing terms", "terms.json"),
+    ("certificate not JSON", "cert.json"),
+    ("certificate without domain", "'domain'"),
+    ("certificate without cells", "'cells'"),
+    ("terms without terms", "'terms'"),
+])
+def test_unreadable_input_files_exit_1(tmp_path, capsys, case, fragment):
+    cert, terms = tmp_path / "cert.json", tmp_path / "terms.json"
+    cert_payload = {"missing certificate": None, "certificate not JSON": "{'prime': 5",
+                    "certificate without domain": {k: v for k, v in ZP_CERT.items()
+                                                   if k != "domain"},
+                    "certificate without cells": {k: v for k, v in ZP_CERT.items()
+                                                  if k != "cells"}}.get(case, ZP_CERT)
+    terms_payload = {"missing terms": None, "terms without terms": {}}.get(case, NORM_TERMS)
+    if isinstance(cert_payload, str):
+        cert.write_text(cert_payload, encoding="utf-8")
+    elif cert_payload is not None:
+        write_json(cert, cert_payload)
+    if terms_payload is not None:
+        write_json(terms, terms_payload)
+    assert main(["integrate", "--certificate", str(cert), "--terms", str(terms)]) == 1
+    assert_one_error_line(capsys, fragment)
+    if "terms" not in case:
+        assert main(["cells-check", "--certificate", str(cert)]) == 1
+        assert_one_error_line(capsys, fragment)
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -22,9 +22,8 @@ from cellint import (
     stabilization_check,
     unit_ball_coset_cell,
 )
-from cellint.cells import Bound, CellLevel, CellTower, CosetSpec, membership
+from cellint.cells import Bound, CellLevel, CellTower, CosetSpec, compile_membership
 from cellint.formula_dsl import _vadd, compile_expr
-from cellint.oracle import _fast_domain_filter
 from cellint.polynomials import Polynomial
 from cellint.rootval import RootScaledValue
 
@@ -121,24 +120,6 @@ def test_histogram_matches_counts():
     assert (2,) not in hist
 
 
-def test_fast_domain_filter_matches_membership():
-    from cellint import point_cell, zp_nonzero_cell
-    from cellint.cells import membership
-    from cellint.oracle import _fast_domain_filter
-
-    for ctx in (PrimeContext(2), PrimeContext(5)):
-        p = ctx.p
-        towers = [zp_nonzero_cell(), unit_ball_coset_cell(1, 2),
-                  unit_ball_coset_cell(p, 2), unit_ball_coset_cell(3, 3),
-                  point_cell(1)]
-        for level in (2, 4):
-            for tower in towers:
-                fast = _fast_domain_filter(tower, ctx, level)
-                assert fast is not None
-                for r in range(p**level):
-                    assert fast(r) == membership(tower, (r,), ctx, level)
-
-
 def test_stabilization_constant():
     assert stabilization_check([Fraction(1)] * 4, [3, 4, 5, 6], C5) is True
 
@@ -172,20 +153,19 @@ def test_riemann_arity_and_level_errors():
 
 
 def brute_force_riemann(e, arity, level, ctx, domain=None):
-    """The per-point Riemann sum: every lift evaluated and added one by one."""
+    """The per-point Riemann sum: every lift evaluated and added one by one.
+
+    Membership is the compiled plan, tested against the Fraction oracle in
+    test_cells.py.
+    """
     p = ctx.p
     run = compile_expr(e, ctx, level)
     total = Fraction(0)
     ambiguous = 0
-    fast = None
-    if domain is not None and arity == 1:
-        fast = _fast_domain_filter(domain, ctx, level)
+    member_of = None if domain is None else compile_membership(domain, ctx)
     for pt in itertools.product(range(p**level), repeat=arity):
         if domain is not None:
-            if fast is not None:
-                member, amb = fast(pt[0])
-            else:
-                member, amb = membership(domain, pt, ctx, level)
+            member, amb = member_of(pt, level)
             if amb:
                 ambiguous += 1
             if not member:
