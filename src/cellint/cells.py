@@ -33,7 +33,7 @@ from .padic_core import (
     DEFAULT_BUDGET,
     INF,
     PrimeContext,
-    _unit_nth_power_residues,
+    _power_test,
     check_budget,
     coset_membership,
     hensel_level,
@@ -202,7 +202,8 @@ def contains(tower: CellTower, point: Sequence, ctx: PrimeContext) -> bool:
 def _plan_level(index: int, level: CellLevel, ctx: PrimeContext):
     """(point, level) -> (holds, ambiguous) for one cell level, in integers: with
     t - c(x) = N(x)/D cleared of denominators, v(t - c) = v(N) - v(D) and
-    unit((t - c)/lam) = unit(N) * unit(D*lam)^(-1) mod p^M."""
+    unit((t - c)/lam) = unit(N) * unit(D*lam)^(-1) mod p^M, whose n-th-power
+    coset is padic_core._power_test's closed form."""
     p, lam, n = ctx.p, level.coset.lam, level.coset.n
     diff, den = (Polynomial.variable(index) - level.center).cleared()
     vden = int(int_valuation(den, p))
@@ -215,9 +216,10 @@ def _plan_level(index: int, level: CellLevel, ctx: PrimeContext):
             bounds.append((lower, bound.strict, terms, int(int_valuation(bden, p)), const))
     hensel = 1 if lam == 0 else hensel_level(n, p)
     if lam != 0:
-        vlam, modulus = int(valuation(lam, ctx)), p**hensel
-        inverse = pow(residue(unit_part(den * lam, ctx), hensel, ctx), -1, modulus)
-        powers = _unit_nth_power_residues(p, n, hensel)
+        vlam = int(valuation(lam, ctx))
+        inverse = pow(residue(unit_part(den * lam, ctx), hensel, ctx), -1, p**hensel)
+        exponent, power_level, _ = _power_test(n, p)
+        power_modulus = p**power_level
 
     def test(point: Sequence[int], at: int) -> tuple[bool, bool]:
         num = eval_int_terms(diff, point)
@@ -240,7 +242,7 @@ def _plan_level(index: int, level: CellLevel, ctx: PrimeContext):
                 return False, ambiguous
         if num == 0 or (k - vlam) % n:
             return False, ambiguous
-        return (num // p**vnum) * inverse % modulus in powers, ambiguous
+        return pow(num // p**vnum * inverse, exponent, power_modulus) == 1, ambiguous
 
     return test
 

@@ -52,7 +52,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.budget <= 0:
-            raise ValueError("budget must be positive")
+            raise InvalidArgumentError(f"budget must be positive, got {self.budget}")
 
     def get(self, key: str, default=None):
         value = self.payload.get(key, default)
@@ -71,20 +71,25 @@ class RunConfig:
 
 def load_config(path: str) -> dict:
     """Flat key=value config; values are JSON where possible, raw strings otherwise."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as ex:
+        reason = getattr(ex, "strerror", ex)
+        raise InvalidArgumentError(f"cannot read config file {path}: {reason}") from ex
     out: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line without '=': {line!r}")
-            key, _, value = line.partition("=")
-            value = value.strip()
-            try:
-                out[key.strip()] = json.loads(value)
-            except json.JSONDecodeError:
-                out[key.strip()] = value
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InvalidArgumentError(f"config file {path}: line without '=': {line!r}")
+        key, _, value = line.partition("=")
+        value = value.strip()
+        try:
+            out[key.strip()] = json.loads(value)
+        except json.JSONDecodeError:
+            out[key.strip()] = value
     return out
 
 
@@ -106,12 +111,12 @@ def _poly_list(spec: str):
     return [parse_poly(part) for part in str(spec).split(";") if part.strip()]
 
 
-def _rational_list(spec) -> list[Fraction]:
-    return [Fraction(part.strip()) for part in str(spec).split(",") if part.strip()]
-
-
-def _int_list(spec) -> list[int]:
-    return [int(part) for part in str(spec).split(",") if part.strip()]
+def _number_list(spec, kind) -> list:
+    """Comma-separated ints or Fractions (kind); a bad entry is an InvalidArgumentError."""
+    try:
+        return [kind(part.strip()) for part in str(spec).split(",") if part.strip()]
+    except (ValueError, ZeroDivisionError) as ex:
+        raise InvalidArgumentError(f"bad number list {spec!r}: {ex}") from None
 
 
 def _emit(payload: dict, run: RunConfig, csv_rows: list[str] | None = None):
@@ -205,7 +210,7 @@ def _cmd_oracle(run: RunConfig) -> int:
     expr = parse_expr(str(run.require("expr")))
     arity = int(run.get("arity", 1))
     levels = run.get("level", ctx.default_level)
-    level_list = _int_list(levels) if isinstance(levels, str) else [int(levels)]
+    level_list = _number_list(levels, int)
     if not level_list:
         raise InvalidArgumentError("--level needs at least one level")
     rows = ["level,value,ambiguous"]
@@ -232,7 +237,7 @@ def _cmd_oracle(run: RunConfig) -> int:
 def _cmd_expsum(run: RunConfig) -> int:
     ctx = run.context
     fs = _poly_list(run.require("f"))
-    grid = [_rational_list(part) for part in str(run.require("y")).split(";")
+    grid = [_number_list(part, Fraction) for part in str(run.require("y")).split(";")
             if part.strip()]
     warning = dominance_warning(fs, ctx, seed=run.seed)
     rows = ["y,re,im,abs"]
@@ -260,8 +265,8 @@ def _cmd_expsum(run: RunConfig) -> int:
 def _cmd_kloosterman(run: RunConfig) -> int:
     ctx = run.context
     fs = _poly_list(run.require("f"))
-    a = _int_list(run.require("a"))
-    m = _int_list(run.require("m"))
+    a = _number_list(run.require("a"), int)
+    m = _number_list(run.require("m"), int)
     value = normalized_kloosterman(fs, a, m, ctx, budget=run.budget)
     payload = {"re": value.real, "im": value.imag, "abs": abs(value),
                "a": a, "m": m}
@@ -275,7 +280,7 @@ def _cmd_kloosterman(run: RunConfig) -> int:
 def _cmd_singular(run: RunConfig) -> int:
     ctx = run.context
     fs = _poly_list(run.require("f"))
-    zs = [_rational_list(part) for part in str(run.require("z")).split(";")
+    zs = [_number_list(part, Fraction) for part in str(run.require("z")).split(";")
           if part.strip()]
     m_min = int(run.get("m-min", 1))
     m_max = int(run.get("m-max", 3))
@@ -318,7 +323,7 @@ def _cmd_decay(run: RunConfig) -> int:
     m_min = int(run.get("m-min", 1))
     m_max = int(run.get("m-max", 4))
     dir_spec = run.get("direction")
-    directions = [_rational_list(part) for part in str(dir_spec).split(";")
+    directions = [_number_list(part, Fraction) for part in str(dir_spec).split(";")
                   if part.strip()] if dir_spec is not None \
         else [[Fraction(1)] * len(fs)]
     warning = dominance_warning(fs, ctx, seed=run.seed)

@@ -28,6 +28,7 @@ from .padic_core import DEFAULT_BUDGET, INF, PrimeContext, check_budget, residue
 from .polynomials import Polynomial
 
 VANISH_THRESHOLD = 1e-13
+_CHUNK = 4096  # terms per partial sum of _ComplexAccumulator
 
 CharacterValue = complex
 
@@ -80,14 +81,13 @@ def _pairwise_sum(values: list[complex]) -> complex:
 class _ComplexAccumulator:
     """Deterministic chunked pairwise summation."""
 
-    def __init__(self, chunk: int = 4096):
-        self.chunk = chunk
+    def __init__(self):
         self.pending: list[complex] = []
         self.partials: list[complex] = []
 
     def add(self, v: complex):
         self.pending.append(v)
-        if len(self.pending) >= self.chunk:
+        if len(self.pending) >= _CHUNK:
             self.partials.append(_pairwise_sum(self.pending))
             self.pending = []
 

@@ -618,9 +618,6 @@ class SchwartzBruhatSpec:
     arity: int
     pieces: tuple[tuple[tuple[int, ...], int, Fraction], ...]  # (residues, level, weight)
 
-    def common_level(self) -> int:
-        return max((lvl for _, lvl, _ in self.pieces), default=1)
-
     def refine_to(self, level: int, ctx: PrimeContext) -> "SchwartzBruhatSpec":
         """Split every piece into residue classes at the given finer level."""
         p = ctx.p

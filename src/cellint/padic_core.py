@@ -2,9 +2,11 @@
 
 Every p-adic quantity is carried by an exact rational (dense in Q_p);
 valuations, norms, residues and n-th-power coset data are all computed
-exactly, never approximated.  check_budget is the one guard on how many
-residue classes mod p^m any enumeration (oracles, certificate checks,
-exponential sums) may decide.
+exactly, never approximated.  n-th-power cosets come in closed form from
+Z_p^x = mu_(p-1) x (1+pZ_p), decided mod p^(v_p(n)+1) (mod 2^(v_2(n)+2) at
+p = 2) without enumerating unit residues.  check_budget is the one guard on
+how many residue classes mod p^m any enumeration (oracles, certificate
+checks, exponential sums) may decide.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
 from .errors import (BudgetExceededError, InvalidArgumentError, NotPIntegralError,
@@ -144,28 +145,35 @@ def residue(x: PadicScalar, m: int, ctx: PrimeContext) -> int:
 
 
 def hensel_level(n: int, p: int) -> int:
-    """Residue precision M at which n-th-power membership of units is decided.
+    """Ambiguity margin M of the cell plans' n-th-power coset tests.
 
-    M = 2*v_p(n) + 1 for odd p and 2*v_2(n) + 3 for p = 2; sufficiency is
-    exercised by the stability tests rather than assumed.
+    M = 2*v_p(n) + 1 for odd p and 2*v_2(n) + 3 for p = 2; membership itself
+    is decided mod p^(v_p(n)+1), or mod 2^(v_2(n)+2) at p = 2 (_power_test).
     """
     e = int(int_valuation(n, p)) if n % p == 0 else 0
     return 2 * e + 3 if p == 2 else 2 * e + 1
 
 
-@lru_cache(maxsize=None)
-def _unit_nth_power_residues(p: int, n: int, level: int) -> frozenset:
-    """Residues mod p^level of n-th powers of units."""
-    pm = p**level
-    return frozenset(pow(u, n, pm) for u in range(1, pm) if u % p)
+def _power_test(n: int, p: int) -> tuple[int, int, int]:
+    """(k, level, index): a unit u is an n-th power iff u^k = 1 mod p^level,
+    u^k mod p^level names its coset, and the n-th powers have that index.
+
+    With e = v_p(n), g = gcd(n, p-1), Z_p^x = mu_(p-1) x (1 + pZ_p) gives
+    the n-th powers mu_(p-1)^g x (1 + p^(e+1)Z_p) for odd p (index g*p^e),
+    all of Z_2^x for odd n and 1 + 2^(e+2)Z_2 for even n (index 2^(e+1)).
+    """
+    e = int(int_valuation(n, p)) if n % p == 0 else 0
+    if p == 2:
+        return (1, e + 2, 2 ** (e + 1)) if e else (1, 1, 1)
+    g = math.gcd(n, p - 1)
+    return (p - 1) // g, e + 1, g * p**e
 
 
-def is_nth_power(x: PadicScalar, n: int, ctx: PrimeContext, level: int | None = None) -> bool:
+def is_nth_power(x: PadicScalar, n: int, ctx: PrimeContext) -> bool:
     """Decide x in P_n (the n-th powers of Q_p^x) for nonzero rational x.
 
-    False unless n | v(x); the unit part is then tested against the n-th
-    power unit residues mod p^M with M from hensel_level (or the given
-    override, used by the stability tests).
+    False unless n | v(x); the unit part is then tested in closed form
+    mod p^(v_p(n)+1), or mod 2^(v_2(n)+2) at p = 2 (_power_test).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -175,9 +183,8 @@ def is_nth_power(x: PadicScalar, n: int, ctx: PrimeContext, level: int | None = 
     v = int(valuation(x, ctx))
     if v % n != 0:
         return False
-    m = hensel_level(n, ctx.p) if level is None else level
-    u = residue(unit_part(x, ctx), m, ctx)
-    return u in _unit_nth_power_residues(ctx.p, n, m)
+    k, level, _ = _power_test(n, ctx.p)
+    return pow(residue(unit_part(x, ctx), level, ctx), k, ctx.p**level) == 1
 
 
 def coset_membership(x: PadicScalar, lam: PadicScalar, n: int, ctx: PrimeContext) -> bool:
@@ -190,54 +197,42 @@ def coset_membership(x: PadicScalar, lam: PadicScalar, n: int, ctx: PrimeContext
     return is_nth_power(x / lam, n, ctx)
 
 
-def unit_coset_density(lam: PadicScalar, n: int, ctx: PrimeContext,
-                       level: int | None = None) -> Fraction:
+def unit_coset_density(lam: PadicScalar, n: int, ctx: PrimeContext) -> Fraction:
     """The rational epsilon with Measure{v(u)=k, u in lam*P_n} = eps * p^(-k).
 
-    Computed by exact residue counting at level M: the density of unit
-    residues u mod p^M with u / unit(lam) an n-th power mod p^M.  The count
-    is independent of k (shells scale) and of the coset representative.
+    Every unit coset of P_n has the same measure, so eps = (1 - 1/p) / index
+    with the index of the n-th powers in Z_p^x from _power_test, whatever
+    lam is (k and the coset representative only shift and scale the shell).
     """
-    lam = as_rational(lam)
-    if lam == 0:
+    if as_rational(lam) == 0:
         raise ZeroCosetError("coset scalar lambda must be nonzero")
-    p = ctx.p
-    m = hensel_level(n, p) if level is None else level
-    pm = p**m
-    powers = _unit_nth_power_residues(p, n, m)
-    mu_inv = pow(residue(unit_part(lam, ctx), m, ctx), -1, pm)
-    count = sum(1 for u in range(1, pm) if u % p and (u * mu_inv) % pm in powers)
-    return Fraction(count, pm)
+    return Fraction(ctx.p - 1, ctx.p * _power_test(n, ctx.p)[2])
 
 
-def shell_coset_measure(lam: PadicScalar, n: int, k: int, ctx: PrimeContext,
-                        level: int | None = None) -> Fraction:
+def shell_coset_measure(lam: PadicScalar, n: int, k: int, ctx: PrimeContext) -> Fraction:
     """Haar measure of {u in Q_p : v(u) = k, u in lam*P_n}.
 
     Zero when k is incompatible with v(lam) mod n, else eps * p^(-k).
     """
-    lam = as_rational(lam)
-    if lam == 0:
-        raise ZeroCosetError("coset scalar lambda must be nonzero")
+    eps = unit_coset_density(lam, n, ctx)
     if (k - int(valuation(lam, ctx))) % n != 0:
         return Fraction(0)
-    return unit_coset_density(lam, n, ctx, level=level) * power_norm(ctx.p, -k)
+    return eps * power_norm(ctx.p, -k)
 
 
 def coset_representatives(n: int, ctx: PrimeContext) -> list[Fraction]:
     """Representatives of the cosets of P_n in Q_p^x.
 
-    Returns p^j * u for j = 0..n-1 and u running over unit-class
-    representatives found by exact residue enumeration.
+    Returns p^j * u for j = 0..n-1 and u the least positive unit of each
+    unit coset, named by u^k mod p^level (_power_test).
     """
     p = ctx.p
-    m = hensel_level(n, p)
-    pm = p**m
-    powers = _unit_nth_power_residues(p, n, m)
-    unit_reps: list[int] = []
-    for u in range(1, pm):
-        if u % p == 0:
-            continue
-        if all((u * pow(r, -1, pm)) % pm not in powers for r in unit_reps):
-            unit_reps.append(u)
-    return [Fraction(u * p**j) for j in range(n) for u in unit_reps]
+    k, level, index = _power_test(n, p)
+    pm = p**level
+    firsts: dict[int, int] = {}
+    u = 0
+    while len(firsts) < index:
+        u += 1
+        if u % p:
+            firsts.setdefault(pow(u, k, pm), u)
+    return [Fraction(u * p**j) for j in range(n) for u in firsts.values()]

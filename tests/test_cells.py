@@ -208,6 +208,18 @@ def test_partition_zp_point_plus_rest():
         check_partition(cert, 12, C5, budget=1000)
 
 
+def test_partition_coset_order_7_to_the_6():
+    # the units in lam * P_(7^6) are lam times the roots of unity times 1 + 7^7 Z_7:
+    # among the lifts 0..342 of Z_7 mod 7^3 each coset cell holds only lam itself
+    c7 = PrimeContext(7)
+    cells = (point_cell(0),) + tuple(unit_ball_coset_cell(lam, 7**6) for lam in (1, 8, 50))
+    cert = DecompositionCertificate(7, BoxDomain(1), cells)
+    report = check_partition(cert, 3, c7)
+    assert (report.points_tested, report.ambiguous_points) == (343, 343)
+    assert report.violations == [((t,), []) for t in range(343) if t not in (0, 1, 8, 50)]
+    assert report.violations == per_lift_partition(cert, 3, c7)[0]
+
+
 def test_partition_double_cover_detected():
     cert = DecompositionCertificate(
         5, BoxDomain(1), (point_cell(0), zp_nonzero_cell(), zp_nonzero_cell()))

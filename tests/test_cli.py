@@ -209,6 +209,38 @@ def test_oracle_empty_level_list_exit_1(capsys):
     assert_one_error_line(capsys, "--level")
 
 
+def test_nonpositive_budget_exit_1(capsys):
+    assert main(["oracle", "--expr", "norm(x1)", "--level", "2", "--budget", "0"]) == 1
+    assert_one_error_line(capsys, "budget must be positive")
+
+
+def test_unreadable_config_exit_1(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["expsum", "--config", str(missing)]) == 1
+    assert_one_error_line(capsys, "missing.cfg")
+    config = tmp_path / "run.cfg"
+    config.write_text("prime=7\nf x1^2\n", encoding="utf-8")
+    assert main(["expsum", "--config", str(config)]) == 1
+    assert_one_error_line(capsys, "run.cfg", "'f x1^2'")
+    config.write_bytes(b"prime=7\xff\n")
+    assert main(["expsum", "--config", str(config)]) == 1
+    assert_one_error_line(capsys, "run.cfg", "utf-8")
+
+
+@pytest.mark.parametrize("argv, entry", [
+    (["oracle", "--expr", "norm(x1)", "--level", "2,a"], "'a'"),
+    (["kloosterman", "--f", "x1", "--a", "x", "--m", "1"], "'x'"),
+    (["kloosterman", "--f", "x1", "--a", "1", "--m", "1.5"], "'1.5'"),
+    (["expsum", "--f", "x1^2", "--y", "a"], "'a'"),
+    (["expsum", "--f", "x1^2", "--y", "1/0"], "'1/0'"),
+    (["singular", "--f", "x1^2", "--z", "1;b"], "'b'"),
+    (["decay", "--f", "x1^2", "--direction", "1,c"], "'c'"),
+])
+def test_non_numeric_list_entry_exit_1(capsys, argv, entry):
+    assert main(argv) == 1
+    assert_one_error_line(capsys, entry)
+
+
 def test_non_prime_exit_1(capsys):
     assert main(["oracle", "--expr", "norm(x1)", "--level", "2", "--prime", "6"]) == 1
     assert_one_error_line(capsys, "p = 6 is not prime")

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellint import (
     INF,
@@ -22,7 +25,9 @@ from cellint import (
     unit_coset_density,
     valuation,
 )
+from cellint.cells import CellLevel, CellTower, CosetSpec, compile_membership
 from cellint.padic_core import unit_part
+from cellint.polynomials import Polynomial
 
 C2 = PrimeContext(2)
 C3 = PrimeContext(3)
@@ -37,9 +42,43 @@ def brute_is_nth_power(x, n, ctx, extra=0):
     if int(v) % n != 0:
         return False
     m = hensel_level(n, ctx.p) + extra
-    pm = ctx.p**m
     target = residue(unit_part(x, ctx), m, ctx)
-    return any(pow(y, n, pm) == target for y in range(1, pm) if y % ctx.p)
+    return target in unit_power_residues(ctx.p, n, m)
+
+
+# -- the enumeration the closed form replaced, kept as the test oracle --------------
+
+
+@lru_cache(maxsize=None)
+def unit_power_residues(p, n, m):
+    """Residues mod p^m of the n-th powers of units, by enumeration."""
+    pm = p**m
+    return frozenset(pow(y, n, pm) for y in range(1, pm) if y % p)
+
+
+def enumerated_density(lam, n, ctx, extra=0):
+    """Share of the residues mod p^(M+extra) that are units in lam * P_n."""
+    p = ctx.p
+    m = hensel_level(n, p) + extra
+    pm = p**m
+    powers = unit_power_residues(p, n, m)
+    mu_inv = pow(residue(unit_part(lam, ctx), m, ctx), -1, pm)
+    return Fraction(sum(1 for u in range(1, pm) if u % p and u * mu_inv % pm in powers), pm)
+
+
+@lru_cache(maxsize=None)
+def enumerated_representatives(n, p, extra=0):
+    """Greedy walk over the units mod p^(M+extra): keep u unless u/r is an n-th
+    power for a kept r; then p^j * u for j = 0..n-1."""
+    m = hensel_level(n, p) + extra
+    pm = p**m
+    powers = unit_power_residues(p, n, m)
+    units, inverses = [], []
+    for u in range(1, pm):
+        if u % p and all(u * r_inv % pm not in powers for r_inv in inverses):
+            units.append(u)
+            inverses.append(pow(u, -1, pm))
+    return [Fraction(u * p**j) for j in range(n) for u in units]
 
 
 def test_primality_gate():
@@ -94,11 +133,11 @@ def test_nth_power_matches_brute_force(ctx, n):
 @pytest.mark.parametrize("ctx", [C2, C3, C5])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_nth_power_stable_under_level_increase(ctx, n):
-    m = hensel_level(n, ctx.p)
+    # the enumeration agrees with the closed form at M, M+1 and M+2
     for x in (Fraction(v) for v in (-6, -2, -1, 2, 3, 4, 7, 9, 17, 25)):
         base = is_nth_power(x, n, ctx)
-        assert is_nth_power(x, n, ctx, level=m + 1) == base
-        assert is_nth_power(x, n, ctx, level=m + 2) == base
+        for extra in (0, 1, 2):
+            assert brute_is_nth_power(x, n, ctx, extra) == base, (x, extra)
 
 
 def test_coset_membership_examples():
@@ -120,14 +159,11 @@ def test_shell_coset_measure_examples():
 @pytest.mark.parametrize("ctx", [C2, C3, C5])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_epsilon_stability(ctx, n):
-    # Hensel saturation: recomputing the density at M+1 and M+2 is identical.
-    m = hensel_level(n, ctx.p)
+    # Hensel saturation: the counted density at M, M+1 and M+2 is the closed form.
     for lam in (Fraction(1), Fraction(2), Fraction(ctx.p), Fraction(1, ctx.p), Fraction(3)):
-        if lam == 0:
-            continue
-        base = unit_coset_density(lam, n, ctx, level=m)
-        assert unit_coset_density(lam, n, ctx, level=m + 1) == base
-        assert unit_coset_density(lam, n, ctx, level=m + 2) == base
+        base = unit_coset_density(lam, n, ctx)
+        for extra in (0, 1, 2):
+            assert enumerated_density(lam, n, ctx, extra) == base, (lam, extra)
 
 
 @pytest.mark.parametrize("ctx", [C2, C3, C5])
@@ -154,6 +190,74 @@ def test_partition_of_unity(ctx, n):
 
 def test_coset_representatives_q5():
     assert coset_representatives(2, C5) == [1, 2, 5, 10]
+
+
+def test_large_coset_orders():
+    # p^M would be 2^23 and 7^13 residues; the closed form needs none
+    assert unit_coset_density(1, 2**10, C2) == Fraction(1, 4096)
+    assert unit_coset_density(3, 7**6, C7) == Fraction(6, 823543)
+    assert shell_coset_measure(7, 7**6, 1, C7) == Fraction(6, 7**8)
+    assert shell_coset_measure(7, 7**6, 0, C7) == 0
+    assert is_nth_power(Fraction(1 + 2**12), 2**10, C2)
+    assert not is_nth_power(Fraction(1 + 2**11), 2**10, C2)
+    teichmuller = pow(3, 7**7, 7**8)  # the (p-1)-th root of unity = 3 mod 7
+    assert is_nth_power(teichmuller, 7**6, C7) and not is_nth_power(3, 7**6, C7)
+
+
+# -- differential tests: the closed form against the enumeration -----------------
+
+
+_LIMIT = 20_000  # largest p^(M+2) enumerated
+
+
+@st.composite
+def _order(draw):
+    """(ctx, n) with p^(M+2) small enough to enumerate."""
+    ctx = draw(st.sampled_from((C2, C3, C5, C7)))
+    n = draw(st.integers(1, 60).filter(
+        lambda n: ctx.p ** (hensel_level(n, ctx.p) + 2) <= _LIMIT))
+    return ctx, n
+
+
+_units = st.integers(-10**6, 10**6).filter(bool)
+_differential = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+@_differential
+@given(order=_order(), num=_units, den=st.integers(1, 10**4), extra=st.integers(0, 2))
+def test_nth_power_matches_enumeration(order, num, den, extra):
+    ctx, n = order
+    x = Fraction(num, den)
+    assert is_nth_power(x, n, ctx) == brute_is_nth_power(x, n, ctx, extra)
+
+
+@_differential
+@given(order=_order(), num=_units, den=st.integers(1, 10**4), extra=st.integers(0, 2))
+def test_coset_density_matches_enumeration(order, num, den, extra):
+    ctx, n = order
+    lam = Fraction(num, den)
+    assert unit_coset_density(lam, n, ctx) == enumerated_density(lam, n, ctx, extra)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(order=_order(), extra=st.integers(0, 2))
+def test_coset_representatives_match_enumeration(order, extra):
+    ctx, n = order
+    assert coset_representatives(n, ctx) == enumerated_representatives(n, ctx.p, extra)
+
+
+@_differential
+@given(order=_order(), lam=_units, center=st.integers(-50, 50), den=st.integers(1, 12),
+       t=st.integers(0, 10**6), extra=st.integers(0, 2))
+def test_compiled_coset_test_matches_enumeration(order, lam, center, den, t, extra):
+    # one level {t - c in lam * P_n}, no bounds: the plan's member flag is its coset test
+    ctx, n = order
+    c = Fraction(center, den)
+    tower = CellTower((CellLevel(Polynomial.constant(c), None, None,
+                                 CosetSpec(Fraction(lam), n)),))
+    diff = t - c
+    expected = diff != 0 and brute_is_nth_power(diff / lam, n, ctx, extra)
+    assert compile_membership(tower, ctx)((t,), 3)[0] == expected
 
 
 def test_multiplicativity_random():
