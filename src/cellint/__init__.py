@@ -68,7 +68,6 @@ from .formula_dsl import (
     QExpExpr,
     RationalConst,
     ScalarMultiple,
-    SchwartzBruhatSpec,
     Sum,
     Val,
     evaluate,

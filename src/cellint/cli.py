@@ -58,6 +58,9 @@ class RunConfig:
         value = self.payload.get(key, default)
         return default if value is None else value
 
+    def integer(self, key: str, default: int) -> int:
+        return _integer(key, self.get(key, default))
+
     def require(self, key: str):
         value = self.payload.get(key)
         if value is None:
@@ -100,9 +103,9 @@ def make_run_config(args) -> RunConfig:
             continue
         payload[key.replace("_", "-")] = value
     return RunConfig(
-        prime=int(payload.pop("prime", 5)),
-        budget=int(payload.pop("budget", DEFAULT_BUDGET)),
-        seed=int(payload.pop("seed", 0)),
+        prime=_integer("prime", payload.pop("prime", 5)),
+        budget=_integer("budget", payload.pop("budget", DEFAULT_BUDGET)),
+        seed=_integer("seed", payload.pop("seed", 0)),
         out=payload.pop("out", None),
         payload=payload)
 
@@ -111,12 +114,27 @@ def _poly_list(spec: str):
     return [parse_poly(part) for part in str(spec).split(";") if part.strip()]
 
 
+def _convert(kind, text: str, what: str):
+    """kind(text); a bad value is an InvalidArgumentError naming what it was."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError) as ex:
+        raise InvalidArgumentError(f"bad {what}: {ex}") from None
+
+
 def _number_list(spec, kind) -> list:
     """Comma-separated ints or Fractions (kind); a bad entry is an InvalidArgumentError."""
-    try:
-        return [kind(part.strip()) for part in str(spec).split(",") if part.strip()]
-    except (ValueError, ZeroDivisionError) as ex:
-        raise InvalidArgumentError(f"bad number list {spec!r}: {ex}") from None
+    return [_convert(kind, part.strip(), f"number list {spec!r}")
+            for part in str(spec).split(",") if part.strip()]
+
+
+def _integer(key: str, value) -> int:
+    """A scalar setting from a flag or the config file, checked to be an integer."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)  # a JSON config value such as 1e9
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    return _convert(int, str(value), f"integer setting {key}={value!r}")
 
 
 def _emit(payload: dict, run: RunConfig, csv_rows: list[str] | None = None):
@@ -146,7 +164,7 @@ def _cmd_integrate(run: RunConfig) -> int:
     cert = load_certificate(run.require("certificate"))
     terms = load_terms(run.require("terms"))
     ctx = PrimeContext(cert.prime)
-    report = check_partition(cert, int(run.get("check-level", 3)), ctx, budget=run.budget)
+    report = check_partition(cert, run.integer("check-level", 3), ctx, budget=run.budget)
     if not report.ok:
         print(json.dumps({"certificate": report.summary(),
                           "violations": [[list(pt), cells] for pt, cells
@@ -162,7 +180,7 @@ def _cmd_integrate(run: RunConfig) -> int:
     }
     expr = run.get("expr")
     if expr is not None:
-        level = int(run.get("oracle-level", 6))
+        level = run.integer("oracle-level", 6)
         domain = None if isinstance(cert.domain, BoxDomain) else cert.domain
         oracle = riemann_integrate(parse_expr(str(expr)), cert.domain.arity,
                                    level, ctx, domain=domain, budget=run.budget)
@@ -180,7 +198,7 @@ def _cmd_integrate(run: RunConfig) -> int:
 def _cmd_cells_check(run: RunConfig) -> int:
     cert = load_certificate(run.require("certificate"))
     ctx = PrimeContext(cert.prime)
-    level = int(run.get("level", 4))
+    level = run.integer("level", 4)
     report = check_partition(cert, level, ctx, budget=run.budget)
     payload = {
         "partition_ok": report.ok,
@@ -208,7 +226,7 @@ def _cmd_cells_check(run: RunConfig) -> int:
 def _cmd_oracle(run: RunConfig) -> int:
     ctx = run.context
     expr = parse_expr(str(run.require("expr")))
-    arity = int(run.get("arity", 1))
+    arity = run.integer("arity", 1)
     levels = run.get("level", ctx.default_level)
     level_list = _number_list(levels, int)
     if not level_list:
@@ -282,8 +300,10 @@ def _cmd_singular(run: RunConfig) -> int:
     fs = _poly_list(run.require("f"))
     zs = [_number_list(part, Fraction) for part in str(run.require("z")).split(";")
           if part.strip()]
-    m_min = int(run.get("m-min", 1))
-    m_max = int(run.get("m-max", 3))
+    m_min = run.integer("m-min", 1)
+    m_max = run.integer("m-max", 3)
+    if m_max < m_min:
+        raise InvalidArgumentError(f"need m-max >= m-min, got {m_min} > {m_max}")
     rows = ["z,m,F"]
     summary = []
     for z in zs:
@@ -320,12 +340,14 @@ def _fit_payload(fit, p: int) -> dict:
 def _cmd_decay(run: RunConfig) -> int:
     ctx = run.context
     fs = _poly_list(run.require("f"))
-    m_min = int(run.get("m-min", 1))
-    m_max = int(run.get("m-max", 4))
+    m_min = run.integer("m-min", 1)
+    m_max = run.integer("m-max", 4)
     dir_spec = run.get("direction")
     directions = [_number_list(part, Fraction) for part in str(dir_spec).split(";")
                   if part.strip()] if dir_spec is not None \
         else [[Fraction(1)] * len(fs)]
+    if not directions:
+        raise InvalidArgumentError("--direction needs at least one direction")
     warning = dominance_warning(fs, ctx, seed=run.seed)
     p = ctx.p
     multi = len(directions) > 1

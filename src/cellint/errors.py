@@ -66,4 +66,4 @@ class NonIntegralCoefficientsError(CellintError):
 
 
 class AllVanishedError(CellintError):
-    """Every exponential-sum sample was below threshold; no decay fit possible."""
+    """Every exponential-sum sample vanished exactly; no decay fit possible."""

@@ -1,34 +1,39 @@
 """Exponential sums, local singular series, the Fourier identity, and
 decay-rate fitting.
 
-Sums are finite and exact up to complex-double roundoff: once the level
-exceeds -v(y) the integrand is constant on residue classes, so the residue
-sum IS the integral.  Accumulation uses deterministic pairwise reduction.
+E(y) is held exactly.  Once the level m reaches -v(y) the integrand is
+constant on residue classes, so the residue sum IS the integral:
+E(y) = p^(-nm) sum_j c_j zeta^j with zeta = exp(2 pi i / p^m) and the phase
+counts c_j = #{x mod p^m : <y p^m, f(x)> = j mod p^m}, read off
+oracle._values_mod, the enumeration behind oracle.solution_histogram.
+Vanishing is decided on the counts, not on a float: sum_j c_j zeta^j = 0
+iff c is constant on every coset j + p^(m-1) Z/p^m, because the cyclotomic
+polynomial Phi_(p^m) is the minimal polynomial of zeta.  The complex value
+adds the p^(nm) characters in enumeration order, pairwise within each chunk
+of the enumeration and then over the chunk sums, so it is fixed bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .errors import AllVanishedError
+from .errors import AllVanishedError, InvalidArgumentError
 from .oracle import (
     _infer_arity,
-    _modular_terms,
+    _modular_view,
+    _values_mod,
     count_solutions,
-    eval_poly_mod,
     solution_histogram,
 )
 from .padic_core import DEFAULT_BUDGET, INF, PrimeContext, check_budget, residue, valuation
 from .polynomials import Polynomial
-
-VANISH_THRESHOLD = 1e-13
-_CHUNK = 4096  # terms per partial sum of _ComplexAccumulator
 
 CharacterValue = complex
 
@@ -41,9 +46,19 @@ class ExpSumResult:
     n: int
     r: int
     p: int
+    phases: dict[int, int] = field(default_factory=dict)  # j -> c_j > 0, the exact value
 
     def modulus(self) -> float:
         return abs(self.value)
+
+    def vanishes(self) -> bool:
+        """E(y) = 0 exactly: the phase counts are constant on every coset
+        j + p^(m-1) Z/p^m."""
+        if not self.level:
+            return False
+        pm = self.p**self.level
+        step = pm // self.p
+        return all(self.phases.get((j + step) % pm, 0) == c for j, c in self.phases.items())
 
 
 @dataclass
@@ -78,24 +93,9 @@ def _pairwise_sum(values: list[complex]) -> complex:
     return values[0]
 
 
-class _ComplexAccumulator:
-    """Deterministic chunked pairwise summation."""
-
-    def __init__(self):
-        self.pending: list[complex] = []
-        self.partials: list[complex] = []
-
-    def add(self, v: complex):
-        self.pending.append(v)
-        if len(self.pending) >= _CHUNK:
-            self.partials.append(_pairwise_sum(self.pending))
-            self.pending = []
-
-    def total(self) -> complex:
-        if self.pending:
-            self.partials.append(_pairwise_sum(self.pending))
-            self.pending = []
-        return _pairwise_sum(self.partials)
+def _phase_coefficients(ys: Sequence[Fraction], m: int, ctx: PrimeContext) -> list[int]:
+    """y_i p^m mod p^m: the phase of f(x) = z is sum_i coeff_i z_i mod p^m."""
+    return [residue(yi * ctx.p**m, m, ctx) for yi in ys]
 
 
 def _required_level(ys: Sequence[Fraction], ctx: PrimeContext) -> int:
@@ -114,33 +114,36 @@ def exp_sum(fs: Sequence[Polynomial], y: Sequence, ctx: PrimeContext,
     """E(y) = p^(-nm) sum over x mod p^m of psi(<y, f(x)>), m = max(0, -v(y_i)).
 
     Exact as an integral over Z_p^n once m is large enough (over-refining via
-    the level override cannot change the value); evaluated in complex doubles
-    with deterministic summation order.
+    the level override cannot change the value).  The result keeps the phase
+    counts c_j, the exact value, next to its complex value, evaluated in
+    complex doubles with deterministic summation order.
     """
     p = ctx.p
     ys = tuple(Fraction(v) for v in y)
     if len(ys) != len(fs):
-        raise ValueError("y must have one component per polynomial")
+        raise InvalidArgumentError("y must have one component per polynomial")
     arity = _infer_arity(fs, n)
     required = _required_level(ys, ctx)
     m = required if level is None else level
     if m < required:
-        raise ValueError(f"level {m} below the required {required}")
+        raise InvalidArgumentError(f"level {m} below the required {required}")
     if m == 0:
-        return ExpSumResult(ys, 0, complex(1.0, 0.0), arity, len(fs), p)
+        return ExpSumResult(ys, 0, complex(1.0, 0.0), arity, len(fs), p, {0: 1})
     check_budget(p, m, arity, budget)
     pm = p**m
-    coeffs = [residue(yi * pm, m, ctx) for yi in ys]
-    systems = [_modular_terms(f, pm, p) for f in fs]
+    views = [_modular_view(f, pm, p) for f in fs]
+    coeffs = _phase_coefficients(ys, m, ctx)
+    # <y p^m, f(x)> mod p^m as one integer view: the terms of each f_i times c_i * inverse_i
+    phase = ([(e, c * inverse * a) for (terms, inverse), c in zip(views, coeffs)
+              for e, a in terms], 1)
     table = [cmath.exp(2j * math.pi * j / pm) for j in range(pm)]
-    acc = _ComplexAccumulator()
-    for pt in itertools.product(range(pm), repeat=arity):
-        phase = 0
-        for c, terms in zip(coeffs, systems):
-            phase = (phase + c * eval_poly_mod(terms, pt, pm)) % pm
-        acc.add(table[phase])
-    value = acc.total() / pm**arity
-    return ExpSumResult(ys, m, value, arity, len(fs), p)
+    phases: Counter = Counter()
+    partials = []
+    for (column,) in _values_mod([phase], m, arity, p):
+        phases.update(column)
+        partials.append(_pairwise_sum([table[j] for j in column]))
+    value = _pairwise_sum(partials) / pm**arity
+    return ExpSumResult(ys, m, value, arity, len(fs), p, dict(phases))
 
 
 def normalized_kloosterman(fs: Sequence[Polynomial], a: Sequence[int],
@@ -149,13 +152,13 @@ def normalized_kloosterman(fs: Sequence[Polynomial], a: Sequence[int],
                            budget: int = DEFAULT_BUDGET) -> complex:
     """E(a, m): the exponential sum at y_i = a_i * p^(-m_i), a_i prime to p."""
     if len(a) != len(fs) or len(m) != len(fs):
-        raise ValueError("a and m must have one entry per polynomial")
+        raise InvalidArgumentError("a and m must have one entry per polynomial")
     for ai in a:
         if math.gcd(int(ai), ctx.p) != 1:
-            raise ValueError(f"a = {ai} is not prime to p = {ctx.p}")
+            raise InvalidArgumentError(f"a = {ai} is not prime to p = {ctx.p}")
     for mi in m:
         if mi < 1:
-            raise ValueError("levels m_i must be positive")
+            raise InvalidArgumentError("levels m_i must be positive")
     y = [Fraction(int(ai), ctx.p ** int(mi)) for ai, mi in zip(a, m)]
     return exp_sum(fs, y, ctx, n=n, budget=budget).value
 
@@ -181,29 +184,24 @@ def fourier_check(fs: Sequence[Polynomial], y: Sequence, ctx: PrimeContext,
                   budget: int = DEFAULT_BUDGET) -> tuple[complex, complex, float]:
     """Both sides of E(y) = sum_z F_m(z) p^(-rm) psi(<y,z>), finitely.
 
-    The two sides regroup the same finite sum over fibers, so the reported
-    difference is pure floating-point roundoff.
+    The left side sums point by point, the right side fibre by fibre: the
+    two regroup the same finite sum, so the reported difference is pure
+    floating-point roundoff.
     """
-    p = ctx.p
     ys = tuple(Fraction(v) for v in y)
     arity = _infer_arity(fs, n)
-    r = len(fs)
     required = _required_level(ys, ctx)
     lhs = exp_sum(fs, ys, ctx, n=arity, budget=budget).value
     if required == 0:
         return lhs, complex(1.0, 0.0), abs(lhs - 1.0)
-    m = required
-    pm = p**m
-    hist = solution_histogram(fs, m, ctx, n=arity, budget=budget)
-    coeffs = [residue(yi * pm, m, ctx) for yi in ys]
-    table = [cmath.exp(2j * math.pi * j / pm) for j in range(pm)]
-    acc = _ComplexAccumulator()
+    pm = ctx.p**required
+    coeffs = _phase_coefficients(ys, required, ctx)
+    hist = solution_histogram(fs, required, ctx, n=arity, budget=budget)
+    terms = []
     for z, count in sorted(hist.items()):
-        phase = 0
-        for c, zi in zip(coeffs, z):
-            phase = (phase + c * zi) % pm
-        acc.add(count * table[phase])
-    rhs = acc.total() / pm**arity
+        phase = sum(map(mul, coeffs, z)) % pm
+        terms.append(count * cmath.exp(2j * math.pi * phase / pm))
+    rhs = _pairwise_sum(terms) / pm**arity
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -214,18 +212,19 @@ def decay_fit(fs: Sequence[Polynomial], direction: Sequence, m_range: tuple[int,
 
     alpha_hat is the least-squares slope of log_p|E| against m (|y| = p^m);
     c_hat is the max of |E| |y|^(-alpha_hat) so the fitted bound holds on
-    every sample.  Samples below 1e-13 are excluded and reported as exact
-    vanishing; if all vanish the fit is undefined (AllVanishedError).
+    every sample.  Samples where E vanishes exactly (ExpSumResult.vanishes)
+    are excluded and reported; if all vanish the fit is undefined
+    (AllVanishedError).
     """
     m1, m2 = m_range
     if not 1 <= m1 < m2:
-        raise ValueError("need m2 > m1 >= 1")
+        raise InvalidArgumentError("need m2 > m1 >= 1")
     us = tuple(Fraction(u) for u in direction)
     if len(us) != len(fs):
-        raise ValueError("direction must have one component per polynomial")
+        raise InvalidArgumentError("direction must have one component per polynomial")
     for u in us:
         if valuation(u, ctx) != 0:
-            raise ValueError(f"direction component {u} is not a unit")
+            raise InvalidArgumentError(f"direction component {u} is not a unit")
     p = ctx.p
     samples: list[tuple[int, float]] = []
     vanished: list[int] = []
@@ -234,11 +233,10 @@ def decay_fit(fs: Sequence[Polynomial], direction: Sequence, m_range: tuple[int,
         y = [u * Fraction(1, p**m) for u in us]
         res = exp_sum(fs, y, ctx, n=n, budget=budget)
         values.append((m, res.value))
-        mod = abs(res.value)
-        if mod < VANISH_THRESHOLD:
+        if res.vanishes():
             vanished.append(m)
         else:
-            samples.append((m, mod))
+            samples.append((m, abs(res.value)))
     if not samples:
         raise AllVanishedError("every sample vanished; the sum has exact decay")
     if len(samples) == 1:

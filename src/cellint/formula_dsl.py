@@ -21,19 +21,17 @@ mod p^level with an ambiguity flag (behind the oracles).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
 from .errors import (
     ExprSyntaxError,
-    NotPIntegralError,
     UnknownVariableError,
     ValOfZeroError,
     ZeroDenominatorError,
 )
-from .padic_core import INF, PrimeContext, int_valuation, power_norm, residue, valuation
+from .padic_core import INF, PrimeContext, int_valuation, power_norm, valuation
 from .polynomials import Polynomial, eval_int_terms, format_poly
 from .rootval import RootScaledValue
 
@@ -602,61 +600,3 @@ def evaluate_fractional(e: QExpExpr, point: Sequence, ctx: PrimeContext) -> Root
 def evaluate(e: QExpExpr, point: Sequence, ctx: PrimeContext) -> Fraction:
     """Exact rational value; raises ValueError if fractional powers make it irrational."""
     return evaluate_fractional(e, point, ctx).as_exact_rational()
-
-
-# -- Schwartz-Bruhat data ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SchwartzBruhatSpec:
-    """Locally constant function with compact support in Z_p^arity.
-
-    A weighted list of residue classes, possibly at different levels;
-    classes must be pairwise disjoint after refinement to a common level.
-    """
-
-    arity: int
-    pieces: tuple[tuple[tuple[int, ...], int, Fraction], ...]  # (residues, level, weight)
-
-    def refine_to(self, level: int, ctx: PrimeContext) -> "SchwartzBruhatSpec":
-        """Split every piece into residue classes at the given finer level."""
-        p = ctx.p
-        out: list[tuple[tuple[int, ...], int, Fraction]] = []
-        for res, lvl, w in self.pieces:
-            if lvl > level:
-                raise ValueError("cannot refine to a coarser level")
-            step = p**lvl
-            count = p ** (level - lvl)
-            ranges = [range(count)] * self.arity
-            for bump in itertools.product(*ranges):
-                fine = tuple(r + b * step for r, b in zip(res, bump))
-                out.append((fine, level, w))
-        spec = SchwartzBruhatSpec(self.arity, tuple(out))
-        spec.check_disjoint(ctx)
-        return spec
-
-    def check_disjoint(self, ctx: PrimeContext):
-        seen = set()
-        for res, lvl, _ in self.pieces:
-            if lvl != self.pieces[0][1]:
-                raise ValueError("check_disjoint requires a common level")
-            if res in seen:
-                raise ValueError(f"residue class {res} listed twice")
-            seen.add(res)
-
-    def total_measure(self, ctx: PrimeContext) -> Fraction:
-        """Sum of weight * Haar measure of each class."""
-        total = Fraction(0)
-        for _, lvl, w in self.pieces:
-            total += w * Fraction(1, ctx.p ** (lvl * self.arity))
-        return total
-
-    def evaluate(self, point: Sequence, ctx: PrimeContext) -> Fraction:
-        total = Fraction(0)
-        for res, lvl, w in self.pieces:
-            try:
-                if all(residue(x, lvl, ctx) == r for x, r in zip(point, res)):
-                    total += w
-            except NotPIntegralError:
-                continue  # point outside Z_p^arity, not in the support
-        return total

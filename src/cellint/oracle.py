@@ -17,16 +17,24 @@ refined one p-adic digit at a time (cells.refine_classes, shared with the
 certificate checks): a class r mod p^j is settled, its p^(n(level-j)) lifts
 counted at once, when the domain's compiled membership is unambiguous on it
 and no carrier is 0 mod p^j there.  The budget counts all p^(level*n) classes.
+
+_values_mod is the one enumeration of (Z/p^m)^n under a polynomial map.  It
+reads each f through the same integer view (Polynomial.cleared and
+eval_int_terms), with the cleared denominator inverted mod p^m once per
+polynomial, and hands out the values a chunk of points at a time.
+solution_histogram counts them, count_solutions looks one count up there,
+and exp_sum counts the phases of <y, f(x)> along the same enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .cells import CellTower, compile_membership, refine_classes
 from .errors import InvalidArgumentError, NonIntegralCoefficientsError
@@ -41,6 +49,8 @@ from .padic_core import (
 )
 from .polynomials import Polynomial, eval_int_terms
 from .rootval import RootScaledValue
+
+_CHUNK = 4096  # points per step of _values_mod
 
 
 @dataclass
@@ -156,55 +166,39 @@ def monte_carlo_integrate(e: QExpExpr, arity: int, samples: int, seed: int,
     return mean, sqrt(var / samples)
 
 
-def _modular_terms(poly: Polynomial, modulus: int, p: int):
-    """Coefficients reduced mod modulus; p-integrality enforced."""
-    out = []
-    for exps, coeff in poly.terms:
-        if coeff.denominator % p == 0:
-            raise NonIntegralCoefficientsError(
-                f"coefficient {coeff} is not p-integral at p = {p}")
-        c = coeff.numerator * pow(coeff.denominator, -1, modulus) % modulus
-        out.append((exps, c))
-    return out
-
-
-def eval_poly_mod(terms, point: Sequence[int], modulus: int) -> int:
-    total = 0
-    for exps, c in terms:
-        term = c
-        for x, k in zip(point, exps):
-            if k:
-                term = term * pow(x, k, modulus) % modulus
-        total = (total + term) % modulus
-    return total
-
-
 def _infer_arity(fs: Sequence[Polynomial], n: int | None) -> int:
-    if n is not None:
-        return n
-    return max((f.max_variable() for f in fs), default=1) or 1
+    """n, checked against the highest variable of fs, or that variable (at least 1)."""
+    if n is None:
+        return max((f.max_variable() for f in fs), default=1) or 1
+    _check_arity(fs, n)
+    return n
 
 
-def count_solutions(fs: Sequence[Polynomial], z: Sequence[int], m: int,
-                    ctx: PrimeContext, n: int | None = None,
-                    budget: int = DEFAULT_BUDGET) -> int:
-    """#{x in (Z/p^m)^n : f(x) = z mod p^m componentwise}."""
-    if m < 1:
-        raise ValueError("level m must be >= 1")
-    p = ctx.p
-    n = _infer_arity(fs, n)
-    check_budget(p, m, n, budget)
+def _modular_view(f: Polynomial, modulus: int, p: int) -> tuple:
+    """(terms, inverse) with f = terms * inverse mod modulus: the cleared integer
+    view of f and the inverse of its denominator; p-integrality enforced."""
+    terms, denom = f.cleared()
+    if denom % p == 0:
+        coeff = next(c for _, c in f.terms if c.denominator % p == 0)
+        raise NonIntegralCoefficientsError(
+            f"coefficient {coeff} is not p-integral at p = {p}")
+    return terms, pow(denom, -1, modulus)
+
+
+def eval_poly_mod(view: tuple, points: Sequence[Sequence[int]], modulus: int) -> list[int]:
+    """f(x) mod modulus at each integer point x, from f's _modular_view."""
+    terms, inverse = view
+    return [eval_int_terms(terms, x) * inverse % modulus for x in points]
+
+
+def _values_mod(views: Sequence[tuple], m: int, n: int, p: int) -> Iterator[list[list[int]]]:
+    """The points of (Z/p^m)^n in itertools.product order, _CHUNK at a time, as
+    one column of f(x) mod p^m per _modular_view: the one enumeration of
+    (Z/p^m)^n under a polynomial map.  Callers check the budget first."""
     pm = p**m
-    target = tuple(int(zi) % pm for zi in z)
-    if len(target) != len(fs):
-        raise ValueError("z must have one residue per polynomial")
-    systems = [_modular_terms(f, pm, p) for f in fs]
-    count = 0
-    for pt in itertools.product(range(pm), repeat=n):
-        if all(eval_poly_mod(terms, pt, pm) == zi
-               for terms, zi in zip(systems, target)):
-            count += 1
-    return count
+    points = itertools.product(range(pm), repeat=n)
+    while chunk := list(itertools.islice(points, _CHUNK)):
+        yield [eval_poly_mod(view, chunk, pm) for view in views]
 
 
 def solution_histogram(fs: Sequence[Polynomial], m: int, ctx: PrimeContext,
@@ -214,13 +208,26 @@ def solution_histogram(fs: Sequence[Polynomial], m: int, ctx: PrimeContext,
     p = ctx.p
     n = _infer_arity(fs, n)
     check_budget(p, m, n, budget)
-    pm = p**m
-    systems = [_modular_terms(f, pm, p) for f in fs]
-    hist: dict[tuple[int, ...], int] = {}
-    for pt in itertools.product(range(pm), repeat=n):
-        key = tuple(eval_poly_mod(terms, pt, pm) for terms in systems)
-        hist[key] = hist.get(key, 0) + 1
-    return hist
+    if not fs:
+        return {(): p ** (m * n)}
+    views = [_modular_view(f, p**m, p) for f in fs]
+    hist: Counter = Counter()
+    for columns in _values_mod(views, m, n, p):
+        hist.update(zip(*columns))
+    return dict(hist)
+
+
+def count_solutions(fs: Sequence[Polynomial], z: Sequence[int], m: int,
+                    ctx: PrimeContext, n: int | None = None,
+                    budget: int = DEFAULT_BUDGET) -> int:
+    """#{x in (Z/p^m)^n : f(x) = z mod p^m componentwise}."""
+    if m < 1:
+        raise InvalidArgumentError("level m must be >= 1")
+    if len(z) != len(fs):
+        raise InvalidArgumentError("z must have one residue per polynomial")
+    pm = ctx.p**m
+    target = tuple(int(zi) % pm for zi in z)
+    return solution_histogram(fs, m, ctx, n=n, budget=budget).get(target, 0)
 
 
 def stabilization_check(values: Sequence, levels: Sequence[int],

@@ -136,7 +136,7 @@ def residue(x: PadicScalar, m: int, ctx: PrimeContext) -> int:
     inverted mod p^m.
     """
     if m < 1:
-        raise ValueError("level m must be >= 1")
+        raise InvalidArgumentError("level m must be >= 1")
     x = as_rational(x)
     pm = ctx.p**m
     if x.denominator % ctx.p == 0:

@@ -241,6 +241,42 @@ def test_non_numeric_list_entry_exit_1(capsys, argv, entry):
     assert_one_error_line(capsys, entry)
 
 
+@pytest.mark.parametrize("command, line, fragment", [
+    (["expsum", "--f", "x1^2", "--y", "1/5"], "budget=abc", "budget='abc'"),
+    (["decay", "--f", "x1^2"], "m-max=x", "m-max='x'"),
+    (["singular", "--f", "x1^2", "--z", "1"], "m-min=2.5", "m-min=2.5"),
+    (["oracle", "--expr", "norm(x1)", "--level", "2"], "arity=true", "arity=True"),
+])
+def test_non_integer_config_setting_exit_1(tmp_path, capsys, command, line, fragment):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n", encoding="utf-8")
+    assert main(command + ["--config", str(config)]) == 1
+    assert_one_error_line(capsys, "integer setting", fragment)
+
+
+def test_integral_float_config_setting_accepted(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("budget=1e9\nprime=7.0\n", encoding="utf-8")
+    assert main(["expsum", "--f", "x1^2", "--y", "1/7", "--config", str(config)]) == 0
+    assert abs(json.loads(capsys.readouterr().out)["abs"] - 7**-0.5) < 1e-9
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["singular", "--f", "x1^2", "--z", "1", "--m-min", "0"], "level m must be >= 1"),
+    (["singular", "--f", "x1^2", "--z", "1", "--m-min", "3", "--m-max", "2"], "m-max >= m-min"),
+    (["decay", "--f", "x1^2", "--m-min", "0"], "m2 > m1 >= 1"),
+    (["decay", "--f", "x1^2", "--m-min", "3", "--m-max", "2"], "m2 > m1 >= 1"),
+    (["expsum", "--f", "x1^2", "--y", "1/5,1"], "one component per polynomial"),
+    (["kloosterman", "--f", "x1", "--a", "5", "--m", "1"], "not prime to p = 5"),
+    (["kloosterman", "--f", "x1", "--a", "1", "--m", "0"], "must be positive"),
+    (["decay", "--f", "x1^2", "--direction", "5"], "is not a unit"),
+    (["decay", "--f", "x1^2", "--direction", ";"], "at least one direction"),
+])
+def test_exponential_sum_argument_errors_exit_1(capsys, argv, fragment):
+    assert main(argv + ["--prime", "5"]) == 1
+    assert_one_error_line(capsys, fragment)
+
+
 def test_non_prime_exit_1(capsys):
     assert main(["oracle", "--expr", "norm(x1)", "--level", "2", "--prime", "6"]) == 1
     assert_one_error_line(capsys, "p = 6 is not prime")

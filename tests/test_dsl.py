@@ -15,7 +15,6 @@ from cellint import (
     RationalConst,
     RootScaledValue,
     ScalarMultiple,
-    SchwartzBruhatSpec,
     UnknownVariableError,
     Val,
     ValOfZeroError,
@@ -209,26 +208,3 @@ def test_poly_parse_round_trip():
     for text in ["x1^2 + 1", "2*x1*x2 - 1/2", "-x1 + x2^3", "0", "5", "x3"]:
         p = parse_poly(text)
         assert parse_poly(str(p)) == p
-
-
-def test_schwartz_bruhat_refinement_preserves_measure():
-    rng = random.Random(31)
-    for _ in range(50):
-        arity = rng.randint(1, 2)
-        level = rng.randint(1, 2)
-        pm = 5**level
-        residues = rng.sample(range(pm), k=min(pm, rng.randint(1, 4)))
-        pieces = tuple(
-            (tuple(rng.randrange(pm) for _ in range(arity - 1)) + (r,), level,
-             Fraction(rng.randint(1, 5), rng.randint(1, 3)))
-            for r in residues)
-        spec = SchwartzBruhatSpec(arity, pieces)
-        refined = spec.refine_to(level + 2, C5)
-        assert refined.total_measure(C5) == spec.total_measure(C5)
-
-
-def test_schwartz_bruhat_evaluate():
-    spec = SchwartzBruhatSpec(1, (((2,), 1, Fraction(3)),))
-    assert spec.evaluate([Fraction(7)], C5) == 3   # 7 = 2 mod 5
-    assert spec.evaluate([Fraction(3)], C5) == 0
-    assert spec.evaluate([Fraction(1, 5)], C5) == 0  # outside Z_p

@@ -1,14 +1,18 @@
 """Characters, exponential sums, singular series, Fourier identity, decay fits."""
 
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cellint import (
     AllVanishedError,
+    InvalidArgumentError,
     PrimeContext,
     additive_character,
     bound_check,
@@ -20,7 +24,9 @@ from cellint import (
     parse_poly,
     singular_series,
 )
-from cellint.expsums import DecayFit
+from cellint.expsums import DecayFit, ExpSumResult
+from cellint.padic_core import residue
+from cellint.polynomials import Polynomial
 
 C3 = PrimeContext(3)
 C5 = PrimeContext(5)
@@ -99,6 +105,20 @@ def test_exp_sum_normalization_bound():
 def test_exp_sum_zero_direction():
     res = exp_sum([X2], [Fraction(0)], C5)
     assert res.value == 1  # E(0) = 1 exactly
+
+
+def test_exp_sum_rejects_dropped_variables():
+    # x2 at n = 1 used to be dropped silently, giving psi(1/5)
+    with pytest.raises(InvalidArgumentError, match="arity is 1"):
+        exp_sum([parse_poly("x2^2")], [Fraction(1, 5)], C5, n=1)
+
+
+def test_exp_sum_keeps_exact_phase_counts():
+    res = exp_sum([X2], [Fraction(1, 5)], C5)
+    assert res.phases == {0: 1, 1: 2, 4: 2}
+    assert exp_sum([X2], [Fraction(0)], C5).phases == {0: 1}
+    assert not res.vanishes()
+    assert exp_sum([X], [Fraction(2, 25)], C5).vanishes()
 
 
 def test_kloosterman_mixed_levels_brute_force():
@@ -181,3 +201,118 @@ def test_dominance_warning():
     assert dominance_warning([parse_poly("x1 + x2")], C5, n=2) is None
     # f = (x1, x1): rank-1 Jacobian with r = 2 cannot be dominant
     assert dominance_warning([X, X], C5, n=2) is not None
+
+
+# -- phase counts against the per-point complex sum -----------------------------------
+
+
+_SIZES = [(p, n, m) for p in (2, 3, 5, 7) for n in (1, 2) for m in range(1, 12)
+          if p ** (m * n) <= 2401]
+
+
+def _pairwise_sum(values):
+    if not values:
+        return complex(0.0)
+    while len(values) > 1:
+        values = [values[i] + values[i + 1] if i + 1 < len(values) else values[i]
+                  for i in range(0, len(values), 2)]
+    return values[0]
+
+
+def _exact_values_mod(fs, m, ctx, n):
+    """f(x) mod p^m for every x in (Z/p^m)^n, in product order, by exact evaluation."""
+    for pt in itertools.product(range(ctx.p**m), repeat=n):
+        yield tuple(residue(f.eval(pt), m, ctx) for f in fs)
+
+
+def brute_force_exp_sum(fs, ys, m, ctx, n):
+    """The per-point sum: a p^m-entry cmath table, added pairwise in product order."""
+    pm = ctx.p**m
+    coeffs = [residue(yi * pm, m, ctx) for yi in ys]
+    table = [cmath.exp(2j * math.pi * j / pm) for j in range(pm)]
+    terms = [table[sum(c * v for c, v in zip(coeffs, z)) % pm]
+             for z in _exact_values_mod(fs, m, ctx, n)]
+    return _pairwise_sum(terms) / pm**n
+
+
+def cyclotomic_remainder(counts, p, m):
+    """sum_j counts[j] x^j mod Phi_(p^m)(x) = sum_(k<p) x^(k p^(m-1)), exactly."""
+    a = list(counts)
+    step = p ** (m - 1)
+    degree = step * (p - 1)
+    for i in range(len(a) - 1, degree - 1, -1):
+        c, a[i] = a[i], 0
+        for k in range(p - 1):
+            a[i - degree + k * step] -= c
+    return a[:degree]
+
+
+@st.composite
+def _p_integral_poly(draw, p, n):
+    """At most four terms in x1..xn, degrees up to 3, denominators prime to p."""
+    dens = [d for d in range(1, 10) if d % p]
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * n),
+        st.builds(Fraction, st.integers(-9, 9), st.sampled_from(dens)),
+        min_size=1, max_size=4))
+    return Polynomial.make(n, terms)
+
+
+@st.composite
+def _sum_problem(draw):
+    """(fs, y, ctx, n, m): r in 1-2 polynomials, y_i = a_i / p^(m_i), p^(m*n) <= 2401."""
+    p, n, m = draw(st.sampled_from(_SIZES))
+    r = draw(st.integers(1, 2))
+    fs = [draw(_p_integral_poly(p, n)) for _ in range(r)]
+    ys = [Fraction(draw(st.integers(-30, 30)), p ** draw(st.integers(0, m))) for _ in fs]
+    return fs, ys, PrimeContext(p), n, m
+
+
+_differential = settings(derandomize=True, max_examples=80, deadline=None)
+
+
+@_differential
+@given(problem=_sum_problem())
+@example(problem=([X], [Fraction(1, 8)], PrimeContext(2), 1, 3))
+@example(problem=([parse_poly("x1 + 3*x2^2")], [Fraction(2, 49)], C7, 2, 2))
+def test_exp_sum_matches_per_point_sum(problem):
+    fs, ys, ctx, n, _ = problem
+    res = exp_sum(fs, ys, ctx, n=n)
+    if res.level == 0:
+        assert res.value == 1 and not res.vanishes()
+        return
+    brute = brute_force_exp_sum(fs, ys, res.level, ctx, n)
+    assert abs(res.value - brute) <= 1e-12
+    counts = [res.phases.get(j, 0) for j in range(ctx.p**res.level)]
+    assert sum(counts) == ctx.p ** (res.level * n)
+    assert res.vanishes() == (not any(cyclotomic_remainder(counts, ctx.p, res.level)))
+    assert res.vanishes() == (abs(brute) < 1e-13)  # the float threshold it replaces
+    lhs, rhs, diff = fourier_check(fs, ys, ctx, n=n)
+    assert lhs == res.value and abs(rhs - brute) <= 1e-12 and diff <= 1e-12
+
+
+@_differential
+@given(problem=_sum_problem(), z=st.lists(st.integers(-50, 50), min_size=2, max_size=2))
+def test_singular_series_matches_per_point_count(problem, z):
+    fs, _, ctx, n, m = problem
+    z = z[:len(fs)]
+    count = sum(1 for v in _exact_values_mod(fs, m, ctx, n)
+                if v == tuple(residue(zi, m, ctx) for zi in z))
+    assert singular_series(fs, z, m, ctx, n=n) == \
+        Fraction(count) / Fraction(ctx.p) ** (m * (n - len(fs)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(size=st.sampled_from([(p, m) for p in (2, 3, 5, 7) for m in (1, 2, 3)
+                             if p**m <= 125]),
+       data=st.data())
+def test_vanishing_matches_cyclotomic_remainder(size, data):
+    p, m = size
+    pm, step = p**m, p ** (m - 1)
+    if data.draw(st.booleans()):  # constant on the cosets j + p^(m-1) Z/p^m: vanishes
+        base = data.draw(st.lists(st.integers(0, 3), min_size=step, max_size=step))
+        counts = [base[j % step] for j in range(pm)]
+    else:
+        counts = data.draw(st.lists(st.integers(0, 3), min_size=pm, max_size=pm))
+    res = ExpSumResult((), m, complex(0), 1, 0, p, {j: c for j, c in enumerate(counts) if c})
+    assert res.vanishes() == (not any(cyclotomic_remainder(counts, p, m)))

@@ -113,6 +113,23 @@ def test_count_solutions_rejects_non_integral():
         count_solutions([parse_poly("1/5*x1")], [0], 1, C5)
 
 
+def test_count_solutions_non_integral_message():
+    with pytest.raises(NonIntegralCoefficientsError,
+                       match=r"^coefficient 2/5 is not p-integral at p = 5$"):
+        count_solutions([parse_poly("x1^2 + 2/5*x1 + 1/3")], [0], 1, C5)
+    with pytest.raises(NonIntegralCoefficientsError,
+                       match=r"^coefficient 1/7 is not p-integral at p = 7$"):
+        solution_histogram([parse_poly("x1"), parse_poly("1/7*x2 + 1/2")], 1, C7, n=2)
+
+
+def test_count_solutions_rejects_dropped_variables():
+    # x2 at n = 1 used to be dropped silently, counting all of Z/5
+    with pytest.raises(InvalidArgumentError, match="arity is 1"):
+        count_solutions([parse_poly("x2")], [1], 1, C5, n=1)
+    with pytest.raises(InvalidArgumentError, match="arity is 1"):
+        solution_histogram([parse_poly("x1*x2")], 1, C5, n=1)
+
+
 def test_histogram_matches_counts():
     hist = solution_histogram([parse_poly("x1^2")], 2, C5)
     assert hist[(1,)] == 2
@@ -295,3 +312,78 @@ def test_riemann_box_matches_brute_force(problem):
 @given(problem=_problem(with_domain=True))
 def test_riemann_domain_matches_brute_force(problem):
     _check_against_brute_force(*problem)
+
+
+# -- the one modular enumeration against the per-point product loops ---------------
+
+
+def _modular_terms(poly, modulus, p):
+    """Coefficients reduced mod modulus; p-integrality enforced."""
+    out = []
+    for exps, coeff in poly.terms:
+        if coeff.denominator % p == 0:
+            raise NonIntegralCoefficientsError(
+                f"coefficient {coeff} is not p-integral at p = {p}")
+        out.append((exps, coeff.numerator * pow(coeff.denominator, -1, modulus) % modulus))
+    return out
+
+
+def _eval_poly_mod(terms, point, modulus):
+    total = 0
+    for exps, c in terms:
+        term = c
+        for x, k in zip(point, exps):
+            if k:
+                term = term * pow(x, k, modulus) % modulus
+        total = (total + term) % modulus
+    return total
+
+
+def brute_force_histogram(fs, m, p, n):
+    pm = p**m
+    systems = [_modular_terms(f, pm, p) for f in fs]
+    hist = {}
+    for pt in itertools.product(range(pm), repeat=n):
+        key = tuple(_eval_poly_mod(terms, pt, pm) for terms in systems)
+        hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
+def brute_force_count(fs, z, m, p, n):
+    pm = p**m
+    systems = [_modular_terms(f, pm, p) for f in fs]
+    target = tuple(int(zi) % pm for zi in z)
+    return sum(1 for pt in itertools.product(range(pm), repeat=n)
+               if all(_eval_poly_mod(terms, pt, pm) == zi
+                      for terms, zi in zip(systems, target)))
+
+
+@st.composite
+def p_integral_poly(draw, p: int, n: int) -> Polynomial:
+    """At most four terms in x1..xn, degrees up to 3, denominators prime to p."""
+    dens = [d for d in range(1, 10) if d % p]
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * n),
+        st.builds(Fraction, st.integers(-9, 9), st.sampled_from(dens)),
+        min_size=1, max_size=4))
+    return Polynomial.make(n, terms)
+
+
+@st.composite
+def modular_problem(draw):
+    """(fs, m, ctx, n): r in 1-2 polynomials over (Z/p^m)^n, p^(m*n) <= 2401."""
+    p, n, m = draw(st.sampled_from(_SIZES))
+    r = draw(st.integers(1, 2))
+    return [draw(p_integral_poly(p, n)) for _ in range(r)], m, PrimeContext(p), n
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(problem=modular_problem(), z=st.lists(st.integers(-50, 50), min_size=2, max_size=2))
+def test_solution_counts_match_product_loops(problem, z):
+    fs, m, ctx, n = problem
+    hist = solution_histogram(fs, m, ctx, n=n)
+    expected = brute_force_histogram(fs, m, ctx.p, n)
+    assert list(hist.items()) == list(expected.items())
+    for target in list(expected)[:3] + [tuple(z[:len(fs)])]:
+        assert count_solutions(fs, target, m, ctx, n=n) == \
+            brute_force_count(fs, target, m, ctx.p, n)
