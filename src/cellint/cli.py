@@ -137,15 +137,26 @@ def _integer(key: str, value) -> int:
     return _convert(int, str(value), f"integer setting {key}={value!r}")
 
 
+def _grid(spec, flag: str, what: str) -> list[list[Fraction]]:
+    """The ';'-separated points of a grid flag; an empty grid is an InvalidArgumentError."""
+    grid = [_number_list(part, Fraction) for part in str(spec).split(";") if part.strip()]
+    if not grid:
+        raise InvalidArgumentError(f"{flag} needs at least one {what}")
+    return grid
+
+
 def _emit(payload: dict, run: RunConfig, csv_rows: list[str] | None = None):
+    """Write the --out files, then print the JSON; an unwritable file is an
+    InvalidArgumentError naming it, and nothing is printed."""
     text = json.dumps(payload, indent=2, sort_keys=True)
+    files = [(".json", text)] + ([] if csv_rows is None else [(".csv", "\n".join(csv_rows))])
+    for suffix, body in files if run.out else ():
+        try:
+            with open(f"{run.out}{suffix}", "w", encoding="utf-8", newline="") as fh:
+                fh.write(body + "\n")
+        except OSError as ex:
+            raise InvalidArgumentError(f"cannot write {run.out}{suffix}: {ex.strerror}") from None
     print(text)
-    if run.out:
-        with open(f"{run.out}.json", "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        if csv_rows is not None:
-            with open(f"{run.out}.csv", "w", encoding="utf-8", newline="") as fh:
-                fh.write("\n".join(csv_rows) + "\n")
 
 
 # -- subcommand implementations ---------------------------------------------------
@@ -255,8 +266,7 @@ def _cmd_oracle(run: RunConfig) -> int:
 def _cmd_expsum(run: RunConfig) -> int:
     ctx = run.context
     fs = _poly_list(run.require("f"))
-    grid = [_number_list(part, Fraction) for part in str(run.require("y")).split(";")
-            if part.strip()]
+    grid = _grid(run.require("y"), "--y", "point")
     warning = dominance_warning(fs, ctx, seed=run.seed)
     rows = ["y,re,im,abs"]
     entries = []
@@ -298,8 +308,7 @@ def _cmd_kloosterman(run: RunConfig) -> int:
 def _cmd_singular(run: RunConfig) -> int:
     ctx = run.context
     fs = _poly_list(run.require("f"))
-    zs = [_number_list(part, Fraction) for part in str(run.require("z")).split(";")
-          if part.strip()]
+    zs = _grid(run.require("z"), "--z", "value")
     m_min = run.integer("m-min", 1)
     m_max = run.integer("m-max", 3)
     if m_max < m_min:
@@ -343,11 +352,8 @@ def _cmd_decay(run: RunConfig) -> int:
     m_min = run.integer("m-min", 1)
     m_max = run.integer("m-max", 4)
     dir_spec = run.get("direction")
-    directions = [_number_list(part, Fraction) for part in str(dir_spec).split(";")
-                  if part.strip()] if dir_spec is not None \
-        else [[Fraction(1)] * len(fs)]
-    if not directions:
-        raise InvalidArgumentError("--direction needs at least one direction")
+    directions = [[Fraction(1)] * len(fs)] if dir_spec is None \
+        else _grid(dir_spec, "--direction", "direction")
     warning = dominance_warning(fs, ctx, seed=run.seed)
     p = ctx.p
     multi = len(directions) > 1

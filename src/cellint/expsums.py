@@ -5,12 +5,13 @@ E(y) is held exactly.  Once the level m reaches -v(y) the integrand is
 constant on residue classes, so the residue sum IS the integral:
 E(y) = p^(-nm) sum_j c_j zeta^j with zeta = exp(2 pi i / p^m) and the phase
 counts c_j = #{x mod p^m : <y p^m, f(x)> = j mod p^m}, read off
-oracle._values_mod, the enumeration behind oracle.solution_histogram.
+oracle._values_mod, the column-at-a-time enumeration (Horner in the last
+variable) behind oracle.solution_histogram.
 Vanishing is decided on the counts, not on a float: sum_j c_j zeta^j = 0
 iff c is constant on every coset j + p^(m-1) Z/p^m, because the cyclotomic
 polynomial Phi_(p^m) is the minimal polynomial of zeta.  The complex value
 adds the p^(nm) characters in enumeration order, pairwise within each chunk
-of the enumeration and then over the chunk sums, so it is fixed bit for bit.
+of oracle._CHUNK points and then over the chunk sums, so it is fixed bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Sequence
 
 from .errors import AllVanishedError, InvalidArgumentError
@@ -87,9 +88,8 @@ def additive_character(x, ctx: PrimeContext) -> CharacterValue:
 def _pairwise_sum(values: list[complex]) -> complex:
     if not values:
         return complex(0.0)
-    while len(values) > 1:
-        values = [values[i] + values[i + 1] if i + 1 < len(values) else values[i]
-                  for i in range(0, len(values), 2)]
+    while len(values) > 1:  # neighbours pairwise, an odd last value carried up
+        values = list(map(add, values[0::2], values[1::2])) + values[len(values) & ~1:]
     return values[0]
 
 
@@ -141,7 +141,7 @@ def exp_sum(fs: Sequence[Polynomial], y: Sequence, ctx: PrimeContext,
     partials = []
     for (column,) in _values_mod([phase], m, arity, p):
         phases.update(column)
-        partials.append(_pairwise_sum([table[j] for j in column]))
+        partials.append(_pairwise_sum(list(map(table.__getitem__, column))))
     value = _pairwise_sum(partials) / pm**arity
     return ExpSumResult(ys, m, value, arity, len(fs), p, dict(phases))
 

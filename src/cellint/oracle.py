@@ -19,11 +19,14 @@ counted at once, when the domain's compiled membership is unambiguous on it
 and no carrier is 0 mod p^j there.  The budget counts all p^(level*n) classes.
 
 _values_mod is the one enumeration of (Z/p^m)^n under a polynomial map.  It
-reads each f through the same integer view (Polynomial.cleared and
-eval_int_terms), with the cleared denominator inverted mod p^m once per
-polynomial, and hands out the values a chunk of points at a time.
-solution_histogram counts them, count_solutions looks one count up there,
-and exp_sum counts the phases of <y, f(x)> along the same enumeration.
+reads each f through the same integer view (Polynomial.cleared), with the
+cleared denominator inverted mod p^m once per polynomial, and walks the
+points a column at a time: eval_poly_mod folds each prefix x_1..x_(n-1) into
+one coefficient per power of the last variable and evaluates the column of
+p^m values of x_n by Horner.  The values come out in itertools.product
+order, a chunk of _CHUNK points at a time.  solution_histogram counts them,
+count_solutions looks one count up there, and exp_sum counts the phases of
+<y, f(x)> along the same enumeration.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import prod, sqrt
 from typing import Iterator, Sequence
 
 from .cells import CellTower, compile_membership, refine_classes
@@ -185,20 +188,38 @@ def _modular_view(f: Polynomial, modulus: int, p: int) -> tuple:
     return terms, pow(denom, -1, modulus)
 
 
-def eval_poly_mod(view: tuple, points: Sequence[Sequence[int]], modulus: int) -> list[int]:
-    """f(x) mod modulus at each integer point x, from f's _modular_view."""
+def eval_poly_mod(view: tuple, prefix: tuple, block: range, modulus: int) -> list[int]:
+    """f(prefix, t) mod modulus for each t in block, from f's _modular_view: the
+    prefix x_1..x_(n-1) is folded into one integer coefficient per power of the
+    last variable x_n, and the column is evaluated by Horner in t."""
     terms, inverse = view
-    return [eval_int_terms(terms, x) * inverse % modulus for x in points]
+    last = len(prefix)  # the index of x_n
+    coeffs = [0] * (1 + max((e[last] for e, _ in terms if last < len(e)), default=0))
+    for e, c in terms:
+        coeffs[-1 - (e[last] if last < len(e) else 0)] += c * prod(map(pow, prefix, e))
+    lead, *rest = [c * inverse % modulus for c in coeffs]
+    column = [lead] * len(block)
+    for c in rest:
+        column = [v * t + c for v, t in zip(column, block)]
+    return [v % modulus for v in column] if rest else column
 
 
 def _values_mod(views: Sequence[tuple], m: int, n: int, p: int) -> Iterator[list[list[int]]]:
     """The points of (Z/p^m)^n in itertools.product order, _CHUNK at a time, as
     one column of f(x) mod p^m per _modular_view: the one enumeration of
-    (Z/p^m)^n under a polynomial map.  Callers check the budget first."""
-    pm = p**m
-    points = itertools.product(range(pm), repeat=n)
-    while chunk := list(itertools.islice(points, _CHUNK)):
-        yield [eval_poly_mod(view, chunk, pm) for view in views]
+    (Z/p^m)^n under a polynomial map.  Each prefix x_1..x_(n-1) heads a column
+    of p^m values of x_n, evaluated in blocks of at most _CHUNK, so O(_CHUNK)
+    values per view are held.  Callers check the budget first."""
+    pm, heads = p**m, max(n - 1, 0)
+    column = range(pm if n else 1)  # n = 0: the one empty point
+
+    def blocks(view):
+        for prefix in itertools.product(range(pm), repeat=heads):
+            for i in range(0, len(column), _CHUNK):
+                yield eval_poly_mod(view, prefix, column[i:i + _CHUNK], pm)
+    streams = [itertools.chain.from_iterable(blocks(view)) for view in views]
+    for _ in range(0, pm**heads * len(column), _CHUNK):
+        yield [list(itertools.islice(values, _CHUNK)) for values in streams]
 
 
 def solution_histogram(fs: Sequence[Polynomial], m: int, ctx: PrimeContext,

@@ -271,10 +271,22 @@ def test_integral_float_config_setting_accepted(tmp_path, capsys):
     (["kloosterman", "--f", "x1", "--a", "1", "--m", "0"], "must be positive"),
     (["decay", "--f", "x1^2", "--direction", "5"], "is not a unit"),
     (["decay", "--f", "x1^2", "--direction", ";"], "at least one direction"),
+    (["expsum", "--f", "x1^2", "--y", ";"], "--y needs at least one point"),
+    (["singular", "--f", "x1^2", "--z", ";"], "--z needs at least one value"),
 ])
 def test_exponential_sum_argument_errors_exit_1(capsys, argv, fragment):
     assert main(argv + ["--prime", "5"]) == 1
     assert_one_error_line(capsys, fragment)
+
+
+def test_unwritable_out_file_exit_1(tmp_path, capsys):
+    args = ["decay", "--f", "x1^2", "--prime", "5", "--m-max", "2", "--out"]
+    assert main(args + [str(tmp_path / "missing" / "x.csv")]) == 1
+    assert_one_error_line(capsys, "missing/x.csv.json", "No such file or directory")
+    (tmp_path / "run.csv").mkdir()  # the .json is written, the .csv cannot be
+    assert main(args + [str(tmp_path / "run")]) == 1
+    assert_one_error_line(capsys, "run.csv")
+    assert json.loads((tmp_path / "run.json").read_text())["samples"]
 
 
 def test_non_prime_exit_1(capsys):

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from cellint import (
 )
 from cellint.expsums import DecayFit, ExpSumResult
 from cellint.padic_core import residue
-from cellint.polynomials import Polynomial
+from cellint.polynomials import Polynomial, eval_int_terms
 
 C3 = PrimeContext(3)
 C5 = PrimeContext(5)
@@ -300,6 +301,62 @@ def test_singular_series_matches_per_point_count(problem, z):
                 if v == tuple(residue(zi, m, ctx) for zi in z))
     assert singular_series(fs, z, m, ctx, n=n) == \
         Fraction(count) / Fraction(ctx.p) ** (m * (n - len(fs)))
+
+
+# -- bit identity with the per-point loop, past one chunk -----------------------------
+
+
+_CHUNKED_SIZES = [(p, n, m) for p in (2, 3, 5, 7) for n in (1, 2, 3) for m in range(1, 15)
+                  if 512 < p ** (m * n) <= 20000]
+
+
+def per_point_exp_sum(fs, ys, m, ctx, n):
+    """E(y) and its phase counts point by point: f(x) from the cleared integer
+    view at each point of (Z/p^m)^n in product order, the characters added
+    pairwise within each chunk of 4096 points and then over the chunk sums."""
+    pm = ctx.p**m
+    views = []
+    for f in fs:
+        terms, denom = f.cleared()
+        views.append((terms, pow(denom, -1, pm)))
+    coeffs = [residue(yi * pm, m, ctx) for yi in ys]
+    table = [cmath.exp(2j * math.pi * j / pm) for j in range(pm)]
+    phases, partials = Counter(), []
+    points = itertools.product(range(pm), repeat=n)
+    while chunk := list(itertools.islice(points, 4096)):
+        column = [sum(c * inverse * eval_int_terms(terms, x)
+                      for c, (terms, inverse) in zip(coeffs, views)) % pm for x in chunk]
+        phases.update(column)
+        partials.append(_pairwise_sum([table[j] for j in column]))
+    return _pairwise_sum(partials) / pm**n, dict(phases)
+
+
+@st.composite
+def _chunked_problem(draw):
+    """(fs, y, ctx, n, m) with 512 < p^(m*n) <= 20000; each f_i in x1..xk, 1 <= k <= n."""
+    p, n, m = draw(st.sampled_from(_CHUNKED_SIZES))
+    fs = [draw(_p_integral_poly(p, draw(st.integers(1, n))))
+          for _ in range(draw(st.integers(1, 2)))]
+    ys = [Fraction(draw(st.integers(-30, 30)), p ** draw(st.integers(0, m))) for _ in fs]
+    return fs, ys, PrimeContext(p), n, m
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(problem=_chunked_problem())
+@example(problem=([parse_poly("x1^3 + 2*x1")], [Fraction(1, 3**8)], C3, 1, 8))
+@example(problem=([parse_poly("x1^2 + x1*x2^3 - 2")], [Fraction(1, 81)], C3, 2, 4))
+@example(problem=([parse_poly("x1*x2 + 1/3*x2^2")], [Fraction(2, 125)], C5, 2, 3))
+@example(problem=([parse_poly("x1*x2*x3 + x3^3")], [Fraction(1, 32)], PrimeContext(2), 3, 5))
+@example(problem=([parse_poly("3/2")], [Fraction(1, 25)], C5, 0, 2))
+@example(problem=([parse_poly("x1^2 + x2"), parse_poly("x1^3")],
+                  [Fraction(1, 3), Fraction(2, 27)], C3, 2, 4))
+@example(problem=([parse_poly("x1^2 + 1")], [Fraction(1, 9)], C3, 3, 3))
+def test_exp_sum_is_the_per_point_loop_bit_for_bit(problem):
+    fs, ys, ctx, n, m = problem
+    res = exp_sum(fs, ys, ctx, n=n, level=m)
+    value, phases = per_point_exp_sum(fs, ys, m, ctx, n)
+    assert res.value == value
+    assert res.phases == phases
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

@@ -1,10 +1,11 @@
 """Residue-sum oracle, Monte-Carlo estimation, and solution counting."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cellint import (
@@ -24,6 +25,7 @@ from cellint import (
 )
 from cellint.cells import Bound, CellLevel, CellTower, CosetSpec, compile_membership
 from cellint.formula_dsl import _vadd, compile_expr
+from cellint.oracle import _CHUNK, _modular_view, _values_mod
 from cellint.polynomials import Polynomial
 from cellint.rootval import RootScaledValue
 
@@ -387,3 +389,46 @@ def test_solution_counts_match_product_loops(problem, z):
     for target in list(expected)[:3] + [tuple(z[:len(fs)])]:
         assert count_solutions(fs, target, m, ctx, n=n) == \
             brute_force_count(fs, target, m, ctx.p, n)
+
+
+_CHUNKED_SIZES = [(p, n, m) for p in (2, 3, 5, 7) for n in (1, 2, 3) for m in range(1, 15)
+                  if 512 < p ** (m * n) <= 20000]
+
+
+@st.composite
+def chunked_problem(draw):
+    """(fs, m, ctx, n) with 512 < p^(m*n) <= 20000; each f_i in x1..xk, 1 <= k <= n."""
+    p, n, m = draw(st.sampled_from(_CHUNKED_SIZES))
+    fs = [draw(p_integral_poly(p, draw(st.integers(1, n))))
+          for _ in range(draw(st.integers(1, 2)))]
+    return fs, m, PrimeContext(p), n
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(problem=chunked_problem())
+@example(problem=([parse_poly("x1^3 + 2*x1")], 8, PrimeContext(3), 1))
+@example(problem=([parse_poly("x1^2 + x1*x2^3 - 2")], 4, PrimeContext(3), 2))
+@example(problem=([parse_poly("x1*x2 + 1/3*x2^2")], 3, C5, 2))
+@example(problem=([parse_poly("x1*x2*x3 + x3^3")], 5, PrimeContext(2), 3))
+@example(problem=([parse_poly("3/2")], 2, C5, 0))
+@example(problem=([parse_poly("x1^2 + x2"), parse_poly("x1^3")], 4, PrimeContext(3), 2))
+@example(problem=([parse_poly("x1^2 + 1")], 3, PrimeContext(3), 3))
+def test_histogram_is_the_per_point_loop_past_one_chunk(problem):
+    fs, m, ctx, n = problem
+    hist = solution_histogram(fs, m, ctx, n=n)
+    assert list(hist.items()) == list(brute_force_histogram(fs, m, ctx.p, n).items())
+
+
+def test_values_mod_chunks_hold_bounded_memory():
+    pm = 3**10
+    view = _modular_view(parse_poly("x1^3 + 2*x1"), pm, 3)
+    sizes = []
+    tracemalloc.start()
+    try:
+        for (column,) in _values_mod([view], 10, 1, 3):
+            sizes.append(len(column))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sizes[:-1] == [_CHUNK] * (len(sizes) - 1) and sum(sizes) == pm
+    assert peak < 2**20  # one whole column of 3^10 values takes about 2.4 MB
