@@ -6,6 +6,8 @@ lam*P_n; towers nest levels.  Certificates (a finite list of cells claimed
 to partition a domain, plus norm descriptions |f| = |delta| *
 |(t-c)^a lam^(-a)|^(1/n)) are verified exactly on lifted residue points.
 
+contains reads a level through qexp_sum.fiber_valuation_range (re-exported
+here) and coset_membership; fiber_measure is qexp_sum.level_integral at a = l = 0.
 compile_membership plans a tower once, in integer arithmetic.  The checks
 walk the digit-tree kernel refine_classes, which settles a class r mod p^j
 (all its p^(n(m-j)) lifts at once) when every plan is unambiguous on it and
@@ -21,13 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence, Union
 
-from .errors import (
-    BoundVanishedError,
-    CertificateMismatchError,
-    DivergentError,
-    InvalidArgumentError,
-    ZeroCosetError,
-)
+from .errors import CertificateMismatchError, DivergentError, InvalidArgumentError
 from .formula_dsl import _Carrier, parse_poly
 from .padic_core import (
     DEFAULT_BUDGET,
@@ -43,8 +39,7 @@ from .padic_core import (
     valuation,
 )
 from .polynomials import Polynomial, eval_int_terms, format_poly
-from .qexp_sum import CellTermSpec, KRange, TermOnCell, krange_from_bounds, level_krange, shell_sum
-from .rootval import RootScaledValue
+from .qexp_sum import CellTermSpec, fiber_valuation_range, level_integral
 
 # -- data types ----------------------------------------------------------------
 
@@ -90,8 +85,8 @@ class CellTower:
 
     def __post_init__(self):
         for i, level in enumerate(self.levels):
-            used = max([level.center.max_variable()]
-                       + [b.expr.max_variable() for b in (level.lower, level.upper) if b])
+            used = max([level.center.arity]
+                       + [b.expr.arity for b in (level.lower, level.upper) if b])
             if used > i:
                 raise ValueError(f"level {i} references variable x{used} of a later level")
 
@@ -164,34 +159,19 @@ def point_cell(center=0) -> CellTower:
 # -- membership ------------------------------------------------------------------
 
 
-def _bound_value(bound: Bound, prefix: Sequence[Fraction]) -> Fraction:
-    value = bound.expr.eval(prefix)
-    if value == 0:
-        raise BoundVanishedError(
-            f"bound {format_poly(bound.expr)} vanishes at {tuple(prefix)}")
-    return value
-
-
 def _level_holds(level: CellLevel, prefix: Sequence[Fraction], t: Fraction,
                  ctx: PrimeContext) -> bool:
-    c = level.center.eval(prefix)
-    diff = Fraction(t) - c
+    diff = Fraction(t) - level.center.eval(prefix)
     if level.coset.lam == 0:
         return diff == 0
-    k = valuation(diff, ctx)
-    if level.lower is not None:
-        va = valuation(_bound_value(level.lower, prefix), ctx)
-        if not (k < va if level.lower.strict else k <= va):
-            return False
-    if level.upper is not None:
-        vb = valuation(_bound_value(level.upper, prefix), ctx)
-        if not (k > vb if level.upper.strict else k >= vb):
-            return False
-    return coset_membership(diff, level.coset.lam, level.coset.n, ctx)
+    krange = fiber_valuation_range(level, prefix, ctx)
+    return diff != 0 and krange.contains(int(valuation(diff, ctx))) \
+        and coset_membership(diff, level.coset.lam, level.coset.n, ctx)
 
 
 def contains(tower: CellTower, point: Sequence, ctx: PrimeContext) -> bool:
-    """Exact membership of a rational point (every test is decidable)."""
+    """Exact membership of a rational point, tested level by level up to the
+    first that fails; BoundVanishedError if a bound of a tested level is 0."""
     if len(point) != tower.arity:
         raise ValueError(f"point arity {len(point)} != tower arity {tower.arity}")
     pt = [Fraction(x) for x in point]
@@ -205,32 +185,31 @@ def _plan_level(index: int, level: CellLevel, ctx: PrimeContext):
     unit((t - c)/lam) = unit(N) * unit(D*lam)^(-1) mod p^M, whose n-th-power
     coset is padic_core._power_test's closed form."""
     p, lam, n = ctx.p, level.coset.lam, level.coset.n
-    diff, den = (Polynomial.variable(index) - level.center).cleared()
-    vden = int(int_valuation(den, p))
+    diff = _Carrier(Polynomial.variable(index) - level.center, ctx)
+    terms, vden = diff.terms, diff.vden
     bounds = []
     for lower, bound in ((True, level.lower), (False, level.upper)):
         if bound is not None:
-            terms, bden = bound.expr.cleared()
-            const = valuation(bound.expr.constant_value(), ctx) \
-                if bound.expr.is_constant() else None
-            bounds.append((lower, bound.strict, terms, int(int_valuation(bden, p)), const))
+            view = _Carrier(bound.expr, ctx)
+            const = view.valuation_at(()) if bound.expr.is_constant() else None
+            bounds.append((lower, bound.strict, view.terms, view.vden, const))
     hensel = 1 if lam == 0 else hensel_level(n, p)
     if lam != 0:
         vlam = int(valuation(lam, ctx))
-        inverse = pow(residue(unit_part(den * lam, ctx), hensel, ctx), -1, p**hensel)
+        inverse = pow(residue(unit_part(diff.denom * lam, ctx), hensel, ctx), -1, p**hensel)
         exponent, power_level, _ = _power_test(n, p)
         power_modulus = p**power_level
 
     def test(point: Sequence[int], at: int) -> tuple[bool, bool]:
-        num = eval_int_terms(diff, point)
+        num = eval_int_terms(terms, point)
         vnum = INF if num == 0 else int_valuation(num, p)
         ambiguous = vnum + hensel > at
         values = []
-        for _, _, terms, vb_den, const in bounds:
+        for _, _, bterms, bvden, const in bounds:
             if const is None:
-                b = eval_int_terms(terms, point)
+                b = eval_int_terms(bterms, point)
                 ambiguous = ambiguous or b % p**at == 0
-                const = INF if b == 0 else int_valuation(b, p) - vb_den
+                const = INF if b == 0 else int_valuation(b, p) - bvden
             values.append(const)
         if lam == 0:
             return num == 0, ambiguous
@@ -304,38 +283,11 @@ def membership(tower: CellTower, point: Sequence, ctx: PrimeContext,
 # -- fiber geometry ---------------------------------------------------------------
 
 
-def fiber_valuation_range(level: CellLevel, base_point: Sequence,
-                          ctx: PrimeContext) -> KRange:
-    """The exact set {v(t - c(x)) : t in the fiber} as a progression in an interval."""
-    if level.coset.lam == 0:
-        raise ZeroCosetError("point fibers carry no valuation range")
-    prefix = [Fraction(x) for x in base_point]
-    vlam = int(valuation(level.coset.lam, ctx))
-
-    def vb(bound: Bound | None):
-        if bound is None:
-            return None, True
-        return int(valuation(_bound_value(bound, prefix), ctx)), bound.strict
-
-    v_alpha, alpha_strict = vb(level.lower)
-    v_beta, beta_strict = vb(level.upper)
-    return krange_from_bounds(v_alpha, alpha_strict, v_beta, beta_strict,
-                              vlam, level.coset.n)
-
-
 def fiber_measure(level: CellLevel, ctx: PrimeContext) -> Fraction:
     """Haar measure of a constant-data fiber, summed in closed form."""
-    if level.coset.lam == 0:
-        return Fraction(0)
-    krange = level_krange(level, ctx)
-    if krange.is_empty():
-        return Fraction(0)
-    if krange.lo is None:
+    value, ok = level_integral(level, 0, 0, ctx)
+    if not ok:
         raise DivergentError("fiber has infinite measure (norm unbounded above)")
-    one = RootScaledValue.from_rational(1, ctx.p)
-    term = TermOnCell(one, 0, level.coset.n, 0, Fraction(level.coset.lam))
-    value, ok = shell_sum(term, krange, ctx)
-    assert ok  # a = 0 with k bounded below always converges
     return value.as_exact_rational()
 
 
@@ -371,9 +323,11 @@ def check_partition(cert: DecompositionCertificate, m: int, ctx: PrimeContext,
     the domain; evaluations whose result is not constant on the whole
     residue class are counted as ambiguous (reported, never silently
     passed) but still decided at the lift.  Violations are listed in product
-    order.  Raises BudgetExceededError before enumerating when p^(m*arity)
-    exceeds the budget.
+    order.  Raises InvalidArgumentError for m < 1, and BudgetExceededError
+    before enumerating when p^(m*arity) exceeds the budget.
     """
+    if m < 1:
+        raise InvalidArgumentError("level m must be >= 1")
     if ctx.p != cert.prime:
         raise ValueError("context prime differs from certificate prime")
     p, arity = ctx.p, cert.domain.arity
@@ -433,8 +387,11 @@ def check_norm_description(functions: Sequence[Polynomial],
     Norms are compared exactly as elements of p^((1/n)Z) union {0} via their
     exponents.  Every certificate description entry is tested on all lifted
     cell points mod p^m (mismatches in product order per entry).  Raises
-    BudgetExceededError before enumerating when p^(m*arity) exceeds budget.
+    InvalidArgumentError for m < 1, and BudgetExceededError before
+    enumerating when p^(m*arity) exceeds budget.
     """
+    if m < 1:
+        raise InvalidArgumentError("level m must be >= 1")
     if ctx.p != cert.prime:
         raise ValueError("context prime differs from certificate prime")
     p = ctx.p

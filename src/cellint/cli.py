@@ -110,8 +110,12 @@ def make_run_config(args) -> RunConfig:
         payload=payload)
 
 
-def _poly_list(spec: str):
-    return [parse_poly(part) for part in str(spec).split(";") if part.strip()]
+def _poly_list(spec, flag: str) -> list:
+    """The ';'-separated polynomials of a flag; an empty list is an InvalidArgumentError."""
+    polys = [parse_poly(part) for part in str(spec).split(";") if part.strip()]
+    if not polys:
+        raise InvalidArgumentError(f"{flag} needs at least one polynomial")
+    return polys
 
 
 def _convert(kind, text: str, what: str):
@@ -220,8 +224,8 @@ def _cmd_cells_check(run: RunConfig) -> int:
     ok = report.ok
     functions = run.get("functions")
     if functions is not None and cert.descriptions:
-        norm_report = check_norm_description(_poly_list(functions), cert, level, ctx,
-                                             budget=run.budget)
+        norm_report = check_norm_description(_poly_list(functions, "--functions"), cert,
+                                             level, ctx, budget=run.budget)
         payload.update({
             "norms_ok": norm_report.ok,
             "norm_points_checked": norm_report.points_checked,
@@ -265,7 +269,7 @@ def _cmd_oracle(run: RunConfig) -> int:
 
 def _cmd_expsum(run: RunConfig) -> int:
     ctx = run.context
-    fs = _poly_list(run.require("f"))
+    fs = _poly_list(run.require("f"), "--f")
     grid = _grid(run.require("y"), "--y", "point")
     warning = dominance_warning(fs, ctx, seed=run.seed)
     rows = ["y,re,im,abs"]
@@ -292,7 +296,7 @@ def _cmd_expsum(run: RunConfig) -> int:
 
 def _cmd_kloosterman(run: RunConfig) -> int:
     ctx = run.context
-    fs = _poly_list(run.require("f"))
+    fs = _poly_list(run.require("f"), "--f")
     a = _number_list(run.require("a"), int)
     m = _number_list(run.require("m"), int)
     value = normalized_kloosterman(fs, a, m, ctx, budget=run.budget)
@@ -307,7 +311,7 @@ def _cmd_kloosterman(run: RunConfig) -> int:
 
 def _cmd_singular(run: RunConfig) -> int:
     ctx = run.context
-    fs = _poly_list(run.require("f"))
+    fs = _poly_list(run.require("f"), "--f")
     zs = _grid(run.require("z"), "--z", "value")
     m_min = run.integer("m-min", 1)
     m_max = run.integer("m-max", 3)
@@ -348,7 +352,7 @@ def _fit_payload(fit, p: int) -> dict:
 
 def _cmd_decay(run: RunConfig) -> int:
     ctx = run.context
-    fs = _poly_list(run.require("f"))
+    fs = _poly_list(run.require("f"), "--f")
     m_min = run.integer("m-min", 1)
     m_max = run.integer("m-max", 4)
     dir_spec = run.get("direction")

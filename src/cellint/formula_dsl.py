@@ -31,7 +31,7 @@ from .errors import (
     ValOfZeroError,
     ZeroDenominatorError,
 )
-from .padic_core import INF, PrimeContext, int_valuation, power_norm, valuation
+from .padic_core import INF, PrimeContext, int_valuation, power_norm
 from .polynomials import Polynomial, eval_int_terms, format_poly
 from .rootval import RootScaledValue
 
@@ -440,29 +440,23 @@ ExactValue = Union[Fraction, RootScaledValue]
 
 
 class _Carrier:
-    """Integer-cleared polynomial carrier, valued at integer lifts or at rational points."""
+    """Integer-cleared polynomial carrier poly = terms/denom, with vden = v(denom)."""
 
     def __init__(self, poly: Polynomial, ctx: PrimeContext):
-        self.terms, denom = poly.cleared()
-        self.vden = int(int_valuation(denom, ctx.p)) if denom else 0
+        self.terms, self.denom = poly.cleared()
+        self.vden = int(int_valuation(self.denom, ctx.p))
         self.p = ctx.p
-        self.ctx = ctx
         self.arity = poly.arity
 
-    def valuation_at(self, point: Sequence[int]):
-        num = eval_int_terms(self.terms, point)
-        if num == 0:
-            return INF
-        return int_valuation(num, self.p) - self.vden
-
-    def exact_valuation_at(self, point: Sequence):
-        """Valuation at a point with rational coordinates."""
+    def valuation_at(self, point: Sequence):
+        """v(poly(point)) at an integer or rational point; INF where it vanishes."""
         if len(point) < self.arity:
             raise ValueError(f"point has {len(point)} coordinates, need {self.arity}")
         num = eval_int_terms(self.terms, point)
         if num == 0:
             return INF
-        return valuation(num, self.ctx) - self.vden
+        return int_valuation(num.numerator, self.p) - int_valuation(num.denominator, self.p) \
+            - self.vden
 
 
 def compile_expr(e: QExpExpr, ctx: PrimeContext,
@@ -483,8 +477,7 @@ def compile_expr(e: QExpExpr, ctx: PrimeContext,
         value = e.value
         return lambda pt: (value, False)
     if isinstance(e, (Norm, Val, FracNormPower)):
-        carrier = _Carrier(e.carrier, ctx)
-        valuation_at = carrier.exact_valuation_at if exact else carrier.valuation_at
+        valuation_at = _Carrier(e.carrier, ctx).valuation_at
         top = INF if exact else level
         if isinstance(e, Norm):
             def run(pt):

@@ -72,7 +72,7 @@ class OracleResult:
 
 
 def _check_arity(carriers: Sequence[Polynomial], arity: int):
-    need = max((c.max_variable() for c in carriers), default=0)
+    need = max((c.arity for c in carriers), default=0)
     if arity < need:
         raise InvalidArgumentError(f"arity is {arity}, but the expression needs at least {need}")
 
@@ -172,7 +172,7 @@ def monte_carlo_integrate(e: QExpExpr, arity: int, samples: int, seed: int,
 def _infer_arity(fs: Sequence[Polynomial], n: int | None) -> int:
     """n, checked against the highest variable of fs, or that variable (at least 1)."""
     if n is None:
-        return max((f.max_variable() for f in fs), default=1) or 1
+        return max((f.arity for f in fs), default=1) or 1
     _check_arity(fs, n)
     return n
 

@@ -113,27 +113,11 @@ class Polynomial:
             raise ValueError("polynomial is not constant")
         return self.terms[0][1] if self.terms else Fraction(0)
 
-    def max_variable(self) -> int:
-        """Number of leading variables actually referenced."""
-        best = 0
-        for e, _ in self.terms:
-            for i, v in enumerate(e):
-                if v:
-                    best = max(best, i + 1)
-        return best
-
     def eval(self, point: Sequence) -> Fraction:
         if len(point) < self.arity:
             raise ValueError(f"point has {len(point)} coordinates, need {self.arity}")
-        pt = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for e, c in self.terms:
-            term = c
-            for x, k in zip(pt, e):
-                if k:
-                    term *= x**k
-            total += term
-        return total
+        # Fraction coefficients sum to a Fraction; only the zero polynomial gives the int 0
+        return eval_int_terms(self.terms, [Fraction(x) for x in point]) or Fraction(0)
 
     def cleared(self) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
         """Integer-coefficient view: (terms, denom) with self = terms/denom."""
@@ -146,7 +130,8 @@ class Polynomial:
 
 
 def eval_int_terms(terms: Iterable[tuple[tuple[int, ...], int]], point: Sequence[int]) -> int:
-    """Evaluate an integer-coefficient term list at an integer point."""
+    """Evaluate a term list at a point: an int for integer coefficients and
+    coordinates, a Fraction when either is rational."""
     total = 0
     for e, c in terms:
         term = c

@@ -2,7 +2,9 @@
 
 Everything here is exact: geometric-type series sum(j^l y^j) are evaluated
 via memoized Eulerian polynomials, shell sums land in Q[p^(1/N), p^(-1/N)],
-and divergence is reported in-band as (value 0, integrable False).
+and divergence is reported in-band as (value 0, integrable False).  A cell
+fiber enters only through fiber_valuation_range, the KRange of v(t - c) its
+bounds allow; cells.contains and level_integral (one explicit fiber) read it.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from .errors import (
     ZeroCosetError,
 )
 from .padic_core import PrimeContext, power_norm, unit_coset_density, valuation
+from .polynomials import format_poly
 from .rootval import RootScaledValue
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .cells import DecompositionCertificate
+    from .cells import Bound, CellLevel, DecompositionCertificate
 
 MAX_VAL_EXPONENT = 16
 
@@ -156,6 +159,34 @@ def krange_from_bounds(v_alpha: int | None, alpha_strict: bool,
     return KRange(n, v_lambda % n, lo, hi)
 
 
+def _bound_value(bound: "Bound", prefix: Sequence[Fraction]) -> Fraction:
+    value = bound.expr.eval(prefix)
+    if value == 0:
+        raise BoundVanishedError(
+            f"bound {format_poly(bound.expr)} vanishes at {tuple(prefix)}")
+    return value
+
+
+def fiber_valuation_range(level: "CellLevel", base_point: Sequence,
+                          ctx: PrimeContext) -> KRange:
+    """The exact set {v(t - c(x)) : t in the fiber} as a progression in an interval;
+    ValueError when base_point is shorter than a bound needs."""
+    if level.coset.lam == 0:
+        raise ZeroCosetError("point fibers carry no valuation range")
+    prefix = [Fraction(x) for x in base_point]
+    vlam = int(valuation(level.coset.lam, ctx))
+
+    def vb(bound: "Bound | None"):
+        if bound is None:
+            return None, True
+        return int(valuation(_bound_value(bound, prefix), ctx)), bound.strict
+
+    v_alpha, alpha_strict = vb(level.lower)
+    v_beta, beta_strict = vb(level.upper)
+    return krange_from_bounds(v_alpha, alpha_strict, v_beta, beta_strict,
+                              vlam, level.coset.n)
+
+
 # -- shell sums ----------------------------------------------------------------
 
 
@@ -270,30 +301,24 @@ class CellTermSpec:
     levels: tuple[tuple[int, int], ...]
 
 
-def _constant_value(poly, what: str) -> Fraction:
-    if not poly.is_constant():
-        raise CertificateMismatchError(f"{what} must be constant for explicit towers")
-    return poly.constant_value()
-
-
-def level_krange(level, ctx: PrimeContext) -> KRange:
-    """Valuation range of an explicit (constant-data) cell level."""
-    coset = level.coset
-    if coset.lam == 0:
-        raise ZeroCosetError("point levels have no valuation range")
-    vlam = int(valuation(coset.lam, ctx))
-
-    def bound_val(bound, name):
+def level_integral(level: "CellLevel", a: int, l: int,
+                   ctx: PrimeContext) -> tuple[RootScaledValue, bool]:
+    """Exact integral of |(t-c)^a lam^(-a)|^(1/n) v(t-c)^l over one explicit
+    (constant-data) fiber: shell_sum over its valuation range, 0 for a point
+    level (graph fibers carry Haar measure 0), (0, False) when divergent.
+    Raises CertificateMismatchError for a bound that is not constant."""
+    if level.coset.lam == 0:
+        return RootScaledValue.zero(ctx.p), True
+    term = TermOnCell(RootScaledValue.from_rational(1, ctx.p),
+                      a, level.coset.n, l, level.coset.lam)
+    for name, bound in (("alpha", level.lower), ("beta", level.upper)):
         if bound is None:
-            return None, True
-        value = _constant_value(bound.expr, name)
-        if value == 0:
-            raise BoundVanishedError(f"{name} bound vanishes")
-        return int(valuation(value, ctx)), bound.strict
-
-    v_alpha, alpha_strict = bound_val(level.lower, "alpha")
-    v_beta, beta_strict = bound_val(level.upper, "beta")
-    return krange_from_bounds(v_alpha, alpha_strict, v_beta, beta_strict, vlam, coset.n)
+            continue
+        if not bound.expr.is_constant():
+            raise CertificateMismatchError(f"{name} must be constant for explicit towers")
+        if bound.expr.is_zero():
+            break  # fiber_valuation_range reports the vanished bound
+    return shell_sum(term, fiber_valuation_range(level, (), ctx), ctx)
 
 
 def integrate_explicit_tower(terms: Sequence[CellTermSpec],
@@ -322,13 +347,7 @@ def integrate_explicit_tower(terms: Sequence[CellTermSpec],
             continue
         cellval = RootScaledValue.from_rational(spec.coeff, p)
         for level, (a, l) in reversed(list(zip(tower.levels, spec.levels))):
-            if level.coset.lam == 0:
-                cellval = zero  # graph fibers carry Haar measure 0
-                continue
-            term = TermOnCell(RootScaledValue.from_rational(1, p),
-                              a, level.coset.n, l, Fraction(level.coset.lam))
-            krange = level_krange(level, ctx)
-            value, ok = shell_sum(term, krange, ctx)
+            value, ok = level_integral(level, a, l, ctx)
             if not ok:
                 return zero, False
             cellval = cellval * value

@@ -6,6 +6,7 @@ import os
 import random
 import tempfile
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,9 +21,11 @@ from cellint import (
     CellintError,
     CellLevel,
     CellTower,
+    CellTermSpec,
     CosetSpec,
     DecompositionCertificate,
     DivergentError,
+    InvalidArgumentError,
     KRange,
     NormDescription,
     PrimeContext,
@@ -36,6 +39,7 @@ from cellint import (
     fiber_measure,
     fiber_valuation_range,
     hensel_level,
+    integrate_explicit_tower,
     load_certificate,
     load_terms,
     parse_poly,
@@ -43,11 +47,13 @@ from cellint import (
     terms_from_dict,
     tower_measure,
     unit_ball_coset_cell,
+    unit_coset_density,
     valuation,
     zp_nonzero_cell,
 )
 from cellint.cells import compile_membership, membership
 from cellint.errors import CertificateMismatchError
+from cellint.formula_dsl import _Carrier
 from cellint.polynomials import Polynomial
 
 C2 = PrimeContext(2)
@@ -94,6 +100,16 @@ def test_contains_bound_vanished():
     tower = CellTower((CellLevel(center=Polynomial.constant(0), lower=None,
                                  upper=bound(1, strict=False),
                                  coset=CosetSpec(Fraction(1), 1)), lvl))
+    with pytest.raises(BoundVanishedError):
+        contains(tower, [5, 1], C5)
+
+
+def test_contains_raises_on_a_vanished_bound_after_a_failed_comparison():
+    # at (5, 1) level 1 fails its lower bound (k = 0 is not < v(1)), and its
+    # upper bound x1 - 5 vanishes: the level's range is taken first, so it raises
+    tower = CellTower((zp_nonzero_cell().levels[0],
+                       CellLevel(Polynomial.constant(0), bound(1), Bound(parse_poly("x1 - 5")),
+                                 CosetSpec(Fraction(1), 1))))
     with pytest.raises(BoundVanishedError):
         contains(tower, [5, 1], C5)
 
@@ -176,12 +192,44 @@ def test_fiber_measures():
         fiber_measure(one_level().levels[0], C5)  # no upper bound: infinite measure
 
 
+def test_explicit_levels_need_constant_bounds():
+    level = CellLevel(Polynomial.constant(0), None, Bound(parse_poly("x1")),
+                      CosetSpec(Fraction(1), 1))
+    tower = CellTower((zp_nonzero_cell().levels[0], level))
+    cert = DecompositionCertificate(5, BoxDomain(2), (tower,))
+    spec = CellTermSpec(0, Fraction(1), ((0, 0), (0, 0)))
+    with pytest.raises(CertificateMismatchError, match="beta must be constant"):
+        integrate_explicit_tower([spec], cert, C5)
+    for measure, arg in ((fiber_measure, level), (tower_measure, tower)):
+        with pytest.raises(CertificateMismatchError, match="beta must be constant"):
+            measure(arg, C5)
+    with pytest.raises(ValueError):  # the base point is too short for the bound
+        fiber_valuation_range(level, [], C5)
+    assert fiber_valuation_range(level, [5], C5) == KRange(1, 0, 2, None)
+    # bounds are checked in order, alpha first: a vanished alpha is reported as such
+    zero_alpha = CellLevel(Polynomial.constant(0), bound(0), Bound(parse_poly("x1")),
+                           CosetSpec(Fraction(1), 1))
+    with pytest.raises(BoundVanishedError):
+        fiber_measure(zero_alpha, C5)
+    with pytest.raises(CertificateMismatchError, match="alpha must be constant"):
+        fiber_measure(CellLevel(Polynomial.constant(0), Bound(parse_poly("x1")), bound(0),
+                                CosetSpec(Fraction(1), 1)), C5)
+
+
 # -- partition certificates -------------------------------------------------------
 
 
 def coset_ball_cert(prime=5) -> DecompositionCertificate:
     cells = tuple(unit_ball_coset_cell(lam, 2) for lam in (1, 2, 5, 10))
     return DecompositionCertificate(prime, zp_nonzero_cell(), cells)
+
+
+def test_checks_refuse_levels_below_one():
+    for m in (0, -1):  # no point would be tested, and a broken certificate would pass
+        with pytest.raises(InvalidArgumentError, match="level m must be >= 1"):
+            check_partition(coset_ball_cert(), m, C5)
+        with pytest.raises(InvalidArgumentError, match="level m must be >= 1"):
+            check_norm_description([parse_poly("x1")], coset_ball_cert(), m, C5)
 
 
 def test_partition_coset_cert():
@@ -370,6 +418,11 @@ def _level_holds(level: CellLevel, prefix, t, ctx) -> bool:
         if not (k > vb if level.upper.strict else k >= vb):
             return False
     return coset_membership(diff, level.coset.lam, level.coset.n, ctx)
+
+
+def fraction_contains(tower: CellTower, point, ctx) -> bool:
+    pt = [Fraction(x) for x in point]
+    return all(_level_holds(level, pt[:i], pt[i], ctx) for i, level in enumerate(tower.levels))
 
 
 def fraction_membership(tower: CellTower, point, ctx, level_m: int) -> tuple[bool, bool]:
@@ -591,6 +644,114 @@ def test_compiled_membership_matches_fraction_oracle(data):
     for pt in itertools.product(range(p**m), repeat=arity):
         assert member_of(pt, level) == fraction_membership(tower, pt, ctx, level), pt
     assert membership(tower, pt, ctx, m) == fraction_membership(tower, pt, ctx, m)
+
+
+@_differential
+@given(data=st.data())
+def test_contains_matches_fraction_oracle(data):
+    """contains takes each tested level's valuation range before comparing, so
+    where the oracle stops at a failed comparison it may raise BoundVanishedError."""
+    p, arity, _ = data.draw(st.sampled_from(_SIZES))
+    ctx = PrimeContext(p)
+    tower = data.draw(_random_tower(p, arity))
+    coordinate = st.builds(Fraction, st.integers(-p**3, p**3), st.sampled_from((1, 1, 2, p)))
+    for point in data.draw(st.lists(st.lists(coordinate, min_size=arity, max_size=arity),
+                                    min_size=1, max_size=20)):
+        got, want = _outcome(contains, tower, point, ctx), _outcome(fraction_contains,
+                                                                    tower, point, ctx)
+        if isinstance(got, tuple) and got[0] == "BoundVanishedError" and want is False:
+            continue
+        assert (got if isinstance(got, bool) else got[0]) == \
+            (want if isinstance(want, bool) else want[0]), (point, got, want)
+
+
+@st.composite
+def _explicit_level(draw, p: int) -> CellLevel:
+    """A constant-data level: a point, or a unit or non-unit coset of order n
+    between optional constant bounds, each strict or not."""
+    center = Polynomial.constant(draw(st.integers(-p, p)))
+    lam = Fraction(draw(st.sampled_from((0, 1, 2, 3, p, p * p, 2 * p))),
+                   draw(st.sampled_from((1, 1, p))))
+    if lam == 0:
+        return CellLevel(center, None, None, CosetSpec(lam, 1))
+    sides = [None if draw(st.integers(0, 2)) == 0 else
+             bound(draw(st.sampled_from((1, 3, p, p * p, Fraction(1, p), Fraction(2, p * p)))),
+                   draw(st.booleans())) for _ in range(2)]
+    return CellLevel(center, *sides, CosetSpec(lam, draw(st.sampled_from((1, 2, 3, 4, p, 2 * p)))))
+
+
+def geometric_measure(level: CellLevel, ctx) -> Fraction | None:
+    """The fiber's measure as eps * sum of p^(-k) over its shells v(t - c) = k,
+    k = v(lam) mod n between the bounds; None when that sum diverges."""
+    if level.coset.lam == 0:
+        return Fraction(0)
+    p, n = ctx.p, level.coset.n
+    hi = lo = None
+    if level.lower is not None:  # |alpha| < |t - c|: k < v(alpha), or <= if not strict
+        hi = int(valuation(level.lower.expr.constant_value(), ctx)) - level.lower.strict
+    if level.upper is not None:  # |t - c| < |beta|: k > v(beta), or >= if not strict
+        lo = int(valuation(level.upper.expr.constant_value(), ctx)) + level.upper.strict
+    if lo is None:  # no lower bound on k: never empty, and |t - c| is unbounded
+        return None
+    first = lo + (int(valuation(level.coset.lam, ctx)) - lo) % n
+    q = Fraction(1, p)
+    if hi is None:
+        shells = q**first / (1 - q**n)
+    else:
+        shells = sum((q**k for k in range(first, hi + 1, n)), Fraction(0))
+    return unit_coset_density(level.coset.lam, n, ctx) * shells
+
+
+@_differential
+@given(data=st.data())
+def test_fiber_measure_is_the_explicit_tower_integral(data):
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    ctx = PrimeContext(p)
+    levels = data.draw(st.lists(_explicit_level(p), min_size=1, max_size=3))
+
+    def closed_form(tower):
+        cert = DecompositionCertificate(p, BoxDomain(tower.arity), (tower,))
+        spec = CellTermSpec(0, Fraction(1), ((0, 0),) * tower.arity)
+        return integrate_explicit_tower([spec], cert, ctx)
+
+    expected = [geometric_measure(level, ctx) for level in levels]
+    for level, want in zip(levels, expected):
+        value, integrable = closed_form(CellTower((level,)))
+        assert integrable == (want is not None)
+        if integrable:
+            assert fiber_measure(level, ctx) == value.as_exact_rational() == want
+        else:
+            with pytest.raises(DivergentError):
+                fiber_measure(level, ctx)
+    tower = CellTower(tuple(levels))
+    value, integrable = closed_form(tower)
+    assert integrable == (None not in expected)
+    if integrable:
+        assert tower_measure(tower, ctx) == value.as_exact_rational() == prod(expected)
+    else:
+        with pytest.raises(DivergentError):
+            tower_measure(tower, ctx)
+
+
+@_differential
+@given(data=st.data())
+def test_carrier_valuation_is_the_rational_valuation(data):
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    ctx = PrimeContext(p)
+    arity = data.draw(st.integers(0, 3))
+    poly = data.draw(_poly(p, arity))
+    integers = st.integers(-p**3, p**3)
+    point = data.draw(st.lists(integers | st.builds(Fraction, integers, st.sampled_from(
+        (1, 2, p, p * p, 3 * p))), min_size=arity, max_size=arity))
+    if data.draw(st.booleans()):  # make it vanish at the point
+        poly = poly - Polynomial.constant(poly.eval(point))
+    carrier = _Carrier(poly, ctx)
+    assert carrier.valuation_at(point) == valuation(poly.eval(point), ctx)
+    lift = [x.numerator if isinstance(x, Fraction) else x for x in point]
+    assert carrier.valuation_at(lift) == valuation(poly.eval(lift), ctx)
+    if poly.arity:
+        with pytest.raises(ValueError):
+            carrier.valuation_at(point[:poly.arity - 1])
 
 
 @_differential

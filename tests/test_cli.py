@@ -273,9 +273,32 @@ def test_integral_float_config_setting_accepted(tmp_path, capsys):
     (["decay", "--f", "x1^2", "--direction", ";"], "at least one direction"),
     (["expsum", "--f", "x1^2", "--y", ";"], "--y needs at least one point"),
     (["singular", "--f", "x1^2", "--z", ";"], "--z needs at least one value"),
+    (["decay", "--f", ""], "--f needs at least one polynomial"),
+    (["kloosterman", "--f", "", "--a", "", "--m", ""], "--f needs at least one polynomial"),
+    (["expsum", "--f", ";", "--y", "1/5"], "--f needs at least one polynomial"),
+    (["singular", "--f", " ", "--z", "1"], "--f needs at least one polynomial"),
 ])
 def test_exponential_sum_argument_errors_exit_1(capsys, argv, fragment):
     assert main(argv + ["--prime", "5"]) == 1
+    assert_one_error_line(capsys, fragment)
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["cells-check", "--level", "0"], "level m must be >= 1"),
+    (["cells-check", "--level", "-1"], "level m must be >= 1"),
+    (["integrate", "--terms", "{terms}", "--check-level", "0"], "level m must be >= 1"),
+    (["cells-check", "--level", "2", "--functions", ";"], "--functions needs at least one"),
+])
+def test_certificate_argument_errors_exit_1(tmp_path, capsys, argv, fragment):
+    """A check at level <= 0 tests no point, so it must not report a broken
+    certificate (two of COSET_CERT's four cosets dropped) as a partition."""
+    broken = dict(COSET_CERT, cells=COSET_CERT["cells"][:2],
+                  descriptions=[{"cell": 0, "a": 0}])
+    cert = write_json(tmp_path / "cert.json", broken)
+    terms = write_json(tmp_path / "terms.json", {"terms": [
+        {"cell": 0, "coeff": "1", "levels": [{"a": 0, "l": 0}]}]})
+    argv = [arg.format(terms=terms) for arg in argv]
+    assert main(argv + ["--certificate", cert]) == 1
     assert_one_error_line(capsys, fragment)
 
 

@@ -1,0 +1,30 @@
+"""The package stays stdlib-only: numpy and friends may be installed, but
+nothing under src/cellint may import them."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "cellint").glob("*.py"))
+
+
+def _absolute_imports(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+def test_package_imports_only_the_standard_library(source):
+    tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
+    outside = {name for name in _absolute_imports(tree)
+               if name.split(".")[0] not in sys.stdlib_module_names}
+    assert not outside, f"{source.name} imports {sorted(outside)}"
+
+
+def test_sources_are_found():
+    assert len(SOURCES) > 5
