@@ -2,10 +2,15 @@
 
 Subcommands: parse, integrate, cells-check, oracle, expsum, kloosterman,
 singular, decay.  Global flags: --prime, --budget, --seed, --out, --config.
-Configs are flat key=value files; command-line flags win over config values.
+Every flag is declared once, in the COMMANDS table, and reaches its command as
+text, converted where the command reads it.  Configs are flat key=value files;
+command-line flags win over config values.
 
 Exit codes: 0 success, 1 any other cellint error (one "error: ..." line on
-stderr), 2 parse error, 3 certificate verification failure, 4 budget exceeded.
+stderr), such as a non-integer --arity on the command line or arity=x in the
+config file, 2 expression parse error or argparse usage error (an unknown
+subcommand or flag, a flag without its value), 3 certificate verification
+failure, 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .cells import (
 from .errors import BudgetExceededError, CellintError, ExprSyntaxError, InvalidArgumentError
 from .expsums import (
     bound_check,
+    bound_violations,
     decay_fit,
     dominance_warning,
     exp_sum,
@@ -335,15 +341,12 @@ def _cmd_singular(run: RunConfig) -> int:
     return 0
 
 
-def _fit_payload(fit, p: int) -> dict:
-    violations = sum(
-        1 for m, v in fit.samples
-        if v > fit.c_hat * min(p ** (m * fit.alpha_hat), 1.0) * (1 + 1e-9))
+def _fit_payload(fit) -> dict:
     return {
         "alpha_hat": fit.alpha_hat,
         "c_hat": fit.c_hat,
         "bound_ok": bound_check(fit),
-        "violations": violations,
+        "violations": len(bound_violations(fit)),
         "max_bound_violation": fit.max_bound_violation,
         "samples": fit.samples,
         "vanished": fit.vanished,
@@ -376,13 +379,13 @@ def _cmd_decay(run: RunConfig) -> int:
     if multi:
         # the bound must hold along every ray: report the weakest decay
         worst_dir, worst = max(fits, key=lambda df: df[1].alpha_hat)
-        payload = _fit_payload(worst, p)
+        payload = _fit_payload(worst)
         payload["worst_direction"] = [str(u) for u in worst_dir]
         payload["per_direction"] = [
-            {"direction": [str(u) for u in d], **_fit_payload(f, p)}
+            {"direction": [str(u) for u in d], **_fit_payload(f)}
             for d, f in fits]
     else:
-        payload = _fit_payload(fits[0][1], p)
+        payload = _fit_payload(fits[0][1])
     if warning:
         payload["warning"] = warning
     _emit(payload, run, rows)
@@ -392,83 +395,43 @@ def _cmd_decay(run: RunConfig) -> int:
 # -- driver ------------------------------------------------------------------------
 
 
+# name: (handler, help, arguments); an argument without "--" is an optional positional
+COMMANDS = {
+    "parse": (_cmd_parse, "echo canonical form", ("expr",)),
+    "integrate": (_cmd_integrate, "closed-form tower integral vs residue oracle",
+                  ("--certificate", "--terms", "--expr", "--oracle-level", "--check-level")),
+    "cells-check": (_cmd_cells_check, "verify a decomposition certificate",
+                    ("--certificate", "--level", "--functions")),
+    "oracle": (_cmd_oracle, "brute-force Riemann sum", ("--expr", "--arity", "--level")),
+    "expsum": (_cmd_expsum, "exponential sum E(y)", ("--f", "--y")),
+    "kloosterman": (_cmd_kloosterman, "normalized Kloosterman sum E(a, m)",
+                    ("--f", "--a", "--m")),
+    "singular": (_cmd_singular, "local singular series", ("--f", "--z", "--m-min", "--m-max")),
+    "decay": (_cmd_decay, "decay-rate fit of |E|",
+              ("--f", "--direction", "--m-min", "--m-max")),
+}
+COMMON_FLAGS = ("--prime", "--budget", "--seed", "--out", "--config")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cellint",
         description="exact p-adic cell integration and exponential-sum workbench")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prime", type=int, default=None)
-    common.add_argument("--budget", type=int, default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--out", default=None)
-    common.add_argument("--config", default=None)
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("parse", parents=[common], help="echo canonical form")
-    sp.add_argument("expr", nargs="?", default=None)
-
-    sp = sub.add_parser("integrate", parents=[common],
-                        help="closed-form tower integral vs residue oracle")
-    sp.add_argument("--certificate")
-    sp.add_argument("--terms")
-    sp.add_argument("--expr")
-    sp.add_argument("--oracle-level", type=int, dest="oracle_level")
-    sp.add_argument("--check-level", type=int, dest="check_level")
-
-    sp = sub.add_parser("cells-check", parents=[common],
-                        help="verify a decomposition certificate")
-    sp.add_argument("--certificate")
-    sp.add_argument("--level", type=int)
-    sp.add_argument("--functions")
-
-    sp = sub.add_parser("oracle", parents=[common], help="brute-force Riemann sum")
-    sp.add_argument("--expr")
-    sp.add_argument("--arity", type=int)
-    sp.add_argument("--level")
-
-    sp = sub.add_parser("expsum", parents=[common], help="exponential sum E(y)")
-    sp.add_argument("--f")
-    sp.add_argument("--y")
-
-    sp = sub.add_parser("kloosterman", parents=[common],
-                        help="normalized Kloosterman sum E(a, m)")
-    sp.add_argument("--f")
-    sp.add_argument("--a")
-    sp.add_argument("--m")
-
-    sp = sub.add_parser("singular", parents=[common], help="local singular series")
-    sp.add_argument("--f")
-    sp.add_argument("--z")
-    sp.add_argument("--m-min", type=int, dest="m_min")
-    sp.add_argument("--m-max", type=int, dest="m_max")
-
-    sp = sub.add_parser("decay", parents=[common], help="decay-rate fit of |E|")
-    sp.add_argument("--f")
-    sp.add_argument("--direction")
-    sp.add_argument("--m-min", type=int, dest="m_min")
-    sp.add_argument("--m-max", type=int, dest="m_max")
+    for name, (_, text, arguments) in COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        for arg in COMMON_FLAGS + arguments:
+            sp.add_argument(arg, nargs=None if arg.startswith("--") else "?")
     return parser
 
 
-_COMMANDS = {
-    "parse": _cmd_parse,
-    "integrate": _cmd_integrate,
-    "cells-check": _cmd_cells_check,
-    "oracle": _cmd_oracle,
-    "expsum": _cmd_expsum,
-    "kloosterman": _cmd_kloosterman,
-    "singular": _cmd_singular,
-    "decay": _cmd_decay,
-}
+_PARSER = build_parser()  # parse_args leaves it unchanged, so every call shares it
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        run = make_run_config(args)
-        return _COMMANDS[args.command](run)
+        return COMMANDS[args.command][0](make_run_config(args))
     except ExprSyntaxError as ex:
         print(f"parse error: {ex}", file=sys.stderr)
         return 2

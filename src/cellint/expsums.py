@@ -256,13 +256,17 @@ def decay_fit(fs: Sequence[Polynomial], direction: Sequence, m_range: tuple[int,
                     values=values)
 
 
+def bound_violations(fit: DecayFit, slack: float = 1e-9) -> list[tuple[int, float]]:
+    """The samples (m, |E|) above c_hat * min{|y|^alpha_hat, 1} (with slack)."""
+    return [(m, v) for m, v in fit.samples
+            if v > fit.c_hat * min(fit.p ** (m * fit.alpha_hat), 1.0) * (1 + slack)]
+
+
 def bound_check(fit: DecayFit, slack: float = 1e-9) -> bool:
     """Every sample satisfies |E| <= c_hat * min{|y|^alpha_hat, 1} (with slack)."""
     if not fit.samples:
         raise ValueError("fit has no non-vanished samples")
-    return all(
-        v <= fit.c_hat * min(fit.p ** (m * fit.alpha_hat), 1.0) * (1 + slack)
-        for m, v in fit.samples)
+    return not bound_violations(fit, slack)
 
 
 def dominance_warning(fs: Sequence[Polynomial], ctx: PrimeContext,

@@ -1,10 +1,12 @@
 """End-to-end CLI contract: exit codes, outputs, determinism."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from cellint.cli import main
+from cellint.cli import build_parser, main
 
 COSET_CERT = {
     "prime": 5,
@@ -252,6 +254,50 @@ def test_non_integer_config_setting_exit_1(tmp_path, capsys, command, line, frag
     config.write_text(line + "\n", encoding="utf-8")
     assert main(command + ["--config", str(config)]) == 1
     assert_one_error_line(capsys, "integer setting", fragment)
+
+
+@pytest.mark.parametrize("flag", ["--prime", "--budget", "--seed", "--arity", "--level",
+                                  "--m-min", "--m-max", "--oracle-level", "--check-level"])
+def test_non_integer_flag_exit_1(tmp_path, capsys, flag):
+    """A bad integer flag is refused like the same value in a config file."""
+    cert = write_json(tmp_path / "cert.json", ZP_CERT)
+    terms = write_json(tmp_path / "terms.json", NORM_TERMS)
+    command = {
+        "--arity": ["oracle", "--expr", "norm(x1)", "--level", "2"],
+        "--level": ["cells-check", "--certificate", cert],
+        "--m-min": ["singular", "--f", "x1^2", "--z", "1"],
+        "--m-max": ["decay", "--f", "x1^2"],
+        "--oracle-level": ["integrate", "--certificate", cert, "--terms", terms,
+                           "--expr", "norm(x1)"],
+        "--check-level": ["integrate", "--certificate", cert, "--terms", terms],
+    }.get(flag, ["expsum", "--f", "x1^2", "--y", "1/5"])
+    assert main(command + [flag, "x"]) == 1
+    assert_one_error_line(capsys, "integer setting", "'x'")
+
+
+def test_parser_reuse_carries_nothing_over(capsys):
+    argv = ["expsum", "--f", "x1^2", "--y", "1/5;1/25", "--prime", "5"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert main(["oracle", "--expr", "norm(x2)", "--arity", "2", "--level", "2"]) == 0
+    capsys.readouterr()
+    # without --arity the default 1 applies again, which is below x2
+    assert main(["oracle", "--expr", "norm(x2)", "--level", "2"]) == 1
+    assert_one_error_line(capsys, "arity")
+
+
+def test_readme_command_lines_parse():
+    """Every `cellint ...` line of README's Command line block names real flags."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("cellint ")]
+    assert len(lines) >= 8
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_integral_float_config_setting_accepted(tmp_path, capsys):
