@@ -1,10 +1,13 @@
 """Closed-form evaluation of the shell sums behind p-adic cell integration.
 
-Everything here is exact: geometric-type series sum(j^l y^j) are evaluated
-via memoized Eulerian polynomials, shell sums land in Q[p^(1/N), p^(-1/N)],
+Everything here is exact.  A series sum(k^l r^j) over a progression of k,
+with r = a/b, is summed in integers and divided once: term by term over a
+finite range, through the integer Eulerian polynomials over an infinite one.
+A shell sum is its coefficient times one monomial of Q[p^(1/N), p^(-1/N)],
 and divergence is reported in-band as (value 0, integrable False).  A cell
-fiber enters only through fiber_valuation_range, the KRange of v(t - c) its
-bounds allow; cells.contains and level_integral (one explicit fiber) read it.
+fiber enters through the KRange of v(t - c) its bounds allow, evaluated at a
+base point by fiber_valuation_range (cells.contains) and read from constant
+bounds by level_integral (one explicit fiber).
 """
 
 from __future__ import annotations
@@ -32,11 +35,11 @@ MAX_VAL_EXPONENT = 16
 
 # -- Eulerian polynomials ------------------------------------------------------
 
-_eulerian_cache: list[list[Fraction]] = [[Fraction(1)]]
+_eulerian_cache: list[list[int]] = [[1]]
 
 
-def eulerian_polynomial(l: int) -> list[Fraction]:
-    """Coefficients of A_l(y), with sum(j^l y^j, j>=0) = A_l(y)/(1-y)^(l+1).
+def eulerian_polynomial(l: int) -> list[int]:
+    """Integer coefficients of A_l(y), with sum(j^l y^j, j>=0) = A_l(y)/(1-y)^(l+1).
 
     Derived by the differentiate-and-multiply recurrence
     A_{l+1}(y) = y * (A_l'(y) (1-y) + (l+1) A_l(y)); memoized up to l = 16.
@@ -49,25 +52,18 @@ def eulerian_polynomial(l: int) -> list[Fraction]:
         cur = _eulerian_cache[-1]
         lev = len(_eulerian_cache) - 1
         deriv = [cur[i + 1] * (i + 1) for i in range(len(cur) - 1)]
-        term = [Fraction(0)] * (len(cur) + 1)
+        term = [0] * (len(cur) + 1)
         for i, c in enumerate(deriv):  # A'(y)
             term[i] += c
         for i, c in enumerate(deriv):  # -y A'(y)
             term[i + 1] -= c
         for i, c in enumerate(cur):  # (l+1) A(y)
             term[i] += (lev + 1) * c
-        nxt = [Fraction(0)] + term  # multiply by y
+        nxt = [0] + term  # multiply by y
         while nxt and nxt[-1] == 0:
             nxt.pop()
         _eulerian_cache.append(nxt)
     return _eulerian_cache[l]
-
-
-def _poly_at(coeffs: Sequence[Fraction], y: Fraction) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * y + c
-    return total
 
 
 def power_sum(y, l: int, lo: int | None, hi: int | None) -> Fraction:
@@ -159,12 +155,23 @@ def krange_from_bounds(v_alpha: int | None, alpha_strict: bool,
     return KRange(n, v_lambda % n, lo, hi)
 
 
-def _bound_value(bound: "Bound", prefix: Sequence[Fraction]) -> Fraction:
-    value = bound.expr.eval(prefix)
-    if value == 0:
-        raise BoundVanishedError(
-            f"bound {format_poly(bound.expr)} vanishes at {tuple(prefix)}")
-    return value
+def _valuation_range(level: "CellLevel", prefix: Sequence, read, ctx: PrimeContext) -> KRange:
+    """The KRange of a level with lambda != 0, its bounds valued by read(name, bound),
+    alpha first; BoundVanishedError names prefix when a bound reads 0."""
+
+    def vb(name: str, bound: "Bound | None"):
+        if bound is None:
+            return None, True
+        value = read(name, bound)
+        if value == 0:
+            raise BoundVanishedError(
+                f"bound {format_poly(bound.expr)} vanishes at {tuple(prefix)}")
+        return int(valuation(value, ctx)), bound.strict
+
+    v_alpha, alpha_strict = vb("alpha", level.lower)
+    v_beta, beta_strict = vb("beta", level.upper)
+    return krange_from_bounds(v_alpha, alpha_strict, v_beta, beta_strict,
+                              int(valuation(level.coset.lam, ctx)), level.coset.n)
 
 
 def fiber_valuation_range(level: "CellLevel", base_point: Sequence,
@@ -174,17 +181,7 @@ def fiber_valuation_range(level: "CellLevel", base_point: Sequence,
     if level.coset.lam == 0:
         raise ZeroCosetError("point fibers carry no valuation range")
     prefix = [Fraction(x) for x in base_point]
-    vlam = int(valuation(level.coset.lam, ctx))
-
-    def vb(bound: "Bound | None"):
-        if bound is None:
-            return None, True
-        return int(valuation(_bound_value(bound, prefix), ctx)), bound.strict
-
-    v_alpha, alpha_strict = vb(level.lower)
-    v_beta, beta_strict = vb(level.upper)
-    return krange_from_bounds(v_alpha, alpha_strict, v_beta, beta_strict,
-                              vlam, level.coset.n)
+    return _valuation_range(level, prefix, lambda _, bound: bound.expr.eval(prefix), ctx)
 
 
 # -- shell sums ----------------------------------------------------------------
@@ -221,42 +218,39 @@ def decide_integrability(term: TermOnCell, krange: KRange) -> bool:
     return True
 
 
-def _progression_series(l: int, krange: KRange, q: Fraction) -> tuple[int, Fraction]:
-    """(k0, s) with s = sum of k^l q^((k - k0)/modulus) over k in a nonempty krange.
+def _progression_series(l: int, krange: KRange, num: int, den: int) -> tuple[int, Fraction]:
+    """(k0, s) with s = sum of k^l q^((k - k0)/modulus) over k in a nonempty krange,
+    for q = num/den, den > 0.
 
     Walks up from the first member, or down from the last when the range is
-    unbounded below (each step then multiplies by 1/q).  A finite range is
-    summed directly; an infinite one is the shifted Eulerian closed form
-    sum_t C(l,t) k0^(l-t) step^t A_t(r)/(1-r)^(t+1), r the ratio per step;
-    it diverges (DivergentError) unless |r| < 1.
+    unbounded below (each step then multiplies by 1/q).  With the ratio per
+    step r = a/b, b > 0, the sum is kept in integers and divided once: a
+    finite range k_0..k_J gives sum_j k_j^l a^j b^(J-j) / b^J; an infinite one
+    is the shifted Eulerian form sum_t C(l,t) k0^(l-t) step^t A_t(r)/(1-r)^(t+1)
+    = sum_t C(l,t) k0^(l-t) step^t b B_t (b-a)^(l-t) / (b-a)^(l+1), with
+    B_t = sum_i A_t[i] a^i b^(t-i), and diverges (DivergentError) unless |a| < b.
     """
     if krange.lo is None and krange.hi is not None:
-        k0, step, ratio = krange.last(), -krange.modulus, 1 / q
+        k0, step = krange.last(), -krange.modulus
+        a, b = (den, num) if num >= 0 else (-den, -num)
     else:
-        k0, step, ratio = krange.first(), krange.modulus, q
+        k0, step = krange.first(), krange.modulus
+        a, b = num, den
     if krange.lo is not None and krange.hi is not None:
-        return k0, sum(Fraction(k) ** l * ratio**j for j, k in enumerate(krange.members()))
-    if abs(ratio) >= 1:
-        raise DivergentError(f"sum to +infinity diverges for y = {ratio}")
-    s = Fraction(0)
+        members = krange.members()
+        total, a_j = 0, 1
+        for k in members:
+            total = total * b + k**l * a_j
+            a_j *= a
+        return k0, Fraction(total, b ** (len(members) - 1))
+    if abs(a) >= b:
+        raise DivergentError(f"sum to +infinity diverges for y = {Fraction(a, b)}")
+    c = b - a
+    total = 0
     for t in range(l + 1):
-        tail = _poly_at(eulerian_polynomial(t), ratio) / (1 - ratio) ** (t + 1)
-        s += comb(l, t) * Fraction(k0) ** (l - t) * Fraction(step) ** t * tail
-    return k0, s
-
-
-def _shell_power_sum(p: int, a: int, n: int, l: int, krange: KRange) -> RootScaledValue:
-    """sum of k^l * p^(-k(n+a)/n) over k in krange; the caller guarantees
-    convergence (n + a > 0 toward +inf, n + a < 0 toward -inf).
-
-    Every k in the range is congruent mod n, so k(n+a)/n has one fractional
-    part and the sum is a single monomial with a rational coefficient.
-    """
-    if krange.is_empty():
-        return RootScaledValue.zero(p)
-    w = n + a
-    k0, s = _progression_series(l, krange, power_norm(p, -w))
-    return RootScaledValue.monomial(p, Fraction(k0 * w, n), s)
+        b_t = sum(e * a**i * b ** (t - i) for i, e in enumerate(eulerian_polynomial(t)))
+        total += comb(l, t) * k0 ** (l - t) * step**t * b_t * c ** (l - t)
+    return k0, Fraction(total * b, c ** (l + 1))
 
 
 def shell_sum(term: TermOnCell, krange: KRange,
@@ -264,7 +258,10 @@ def shell_sum(term: TermOnCell, krange: KRange,
     """Exact integral of a term over the shells v(u) = k, u in lam*P_n, k in krange.
 
     Value = coeff * eps * |lam^(-a)|^(1/n) * sum_k k^l p^(-k(n+a)/n), with eps
-    the exact shell density.  Divergence is in-band: (0, False).
+    the exact shell density.  Every k in the range is congruent to v(lam) mod
+    n, so the k-sum from its first summed member k0 is s * p^(-k0(n+a)/n) for
+    a rational s, and the whole value is coeff times the one monomial
+    eps * s * p^(-(k0(n+a) - a v(lam))/n).  Divergence is in-band: (0, False).
     """
     p = ctx.p
     zero = RootScaledValue.zero(p)
@@ -280,9 +277,11 @@ def shell_sum(term: TermOnCell, krange: KRange,
     if krange.residue != vlam % term.n:
         return zero, True  # every shell in the range misses the coset
     eps = unit_coset_density(term.lam, term.n, ctx)
-    prefix = term.coefficient.scale(eps) * RootScaledValue.monomial(
-        p, Fraction(-term.a * vlam, term.n))
-    return prefix * _shell_power_sum(p, term.a, term.n, term.l, krange), True
+    w = term.n + term.a
+    num, den = (1, p**w) if w >= 0 else (p**-w, 1)  # p^(-w), the ratio per step
+    k0, s = _progression_series(term.l, krange, num, den)
+    shell = RootScaledValue.monomial(p, Fraction(k0 * w - term.a * vlam, term.n), eps * s)
+    return term.coefficient * shell, True
 
 
 # -- explicit tower integration ------------------------------------------------
@@ -311,14 +310,13 @@ def level_integral(level: "CellLevel", a: int, l: int,
         return RootScaledValue.zero(ctx.p), True
     term = TermOnCell(RootScaledValue.from_rational(1, ctx.p),
                       a, level.coset.n, l, level.coset.lam)
-    for name, bound in (("alpha", level.lower), ("beta", level.upper)):
-        if bound is None:
-            continue
-        if not bound.expr.is_constant():
-            raise CertificateMismatchError(f"{name} must be constant for explicit towers")
-        if bound.expr.is_zero():
-            break  # fiber_valuation_range reports the vanished bound
-    return shell_sum(term, fiber_valuation_range(level, (), ctx), ctx)
+    return shell_sum(term, _valuation_range(level, (), _constant_bound, ctx), ctx)
+
+
+def _constant_bound(name: str, bound: "Bound") -> Fraction:
+    if not bound.expr.is_constant():
+        raise CertificateMismatchError(f"{name} must be constant for explicit towers")
+    return bound.expr.constant_value()
 
 
 def integrate_explicit_tower(terms: Sequence[CellTermSpec],
@@ -375,6 +373,8 @@ class LatticeTermSpec:
 
 def progression_power_sum(y, l: int, krange: KRange) -> Fraction:
     """Exact sum of z^l y^z over the aligned progression; raises DivergentError."""
+    if l < 0:
+        raise ValueError("l must be nonnegative")
     y = Fraction(y)
     if krange.is_empty():
         return Fraction(0)
@@ -388,7 +388,8 @@ def progression_power_sum(y, l: int, krange: KRange) -> Fraction:
             raise DivergentError("negative powers of y = 0")
         if krange.hi is None and abs(y) >= 1:
             raise DivergentError(f"sum to +infinity diverges for y = {y}")
-    k0, s = _progression_series(l, krange, y**krange.modulus)
+    m = krange.modulus
+    k0, s = _progression_series(l, krange, y.numerator**m, y.denominator**m)
     return y**k0 * s
 
 

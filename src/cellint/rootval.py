@@ -15,13 +15,12 @@ from math import lcm
 
 def _fold(p: int, exponent: Fraction, coeff: Fraction) -> tuple[Fraction, Fraction]:
     """Rewrite coeff * p^(-exponent) with exponent reduced into [0, 1)."""
-    shift = exponent.numerator // exponent.denominator  # floor
-    frac = exponent - shift
-    if shift >= 0:
+    shift, rest = divmod(exponent.numerator, exponent.denominator)  # floor
+    if shift > 0:
         coeff = coeff / p**shift
-    else:
+    elif shift < 0:
         coeff = coeff * p**-shift
-    return frac, coeff
+    return Fraction(rest, exponent.denominator), coeff
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -30,9 +31,10 @@ from cellint import (
     unit_ball_coset_cell,
     zp_nonzero_cell,
 )
-from cellint.cells import CellTower
-from cellint.padic_core import power_norm
-from cellint.qexp_sum import _shell_power_sum, progression_power_sum
+from cellint.cells import Bound, CellLevel, CellTower, CosetSpec, fiber_valuation_range
+from cellint.padic_core import power_norm, unit_coset_density, valuation
+from cellint.polynomials import Polynomial
+from cellint.qexp_sum import progression_power_sum
 
 C5 = PrimeContext(5)
 ONE5 = RootScaledValue.from_rational(1, 5)
@@ -158,17 +160,224 @@ def test_infinite_series_split_at_a_cut(y, l, modulus, residue, lo, skip):
        length=st.integers(-1, 10))
 def test_shell_series_match_lattice_series_for_integral_exponents(p, n, c, l, residue,
                                                                   lo, length):
-    # with n | n + a the shell term p^(-k(n+a)/n) is y^k for y = p^(-c), c = (n+a)/n
-    a = n * c - n
+    # with n | n + a the shell term p^(-k(n+a)/n) is y^k for y = p^(-c), c = (n+a)/n;
+    # lam = p^r puts v(lam) in the range's class and contributes |lam^(-a)|^(1/n) = p^(ar/n)
+    ctx = PrimeContext(p)
+    a, r = n * c - n, residue % n
     y = power_norm(p, -c)
+    t = TermOnCell(RootScaledValue.from_rational(1, p), a, n, l, Fraction(p**r))
+    eps = unit_coset_density(1, n, ctx)
     ranges = [KRange(n, residue, lo, lo + length)]
     if c > 0:
         ranges.append(KRange(n, residue, lo, None))
     if c < 0:
         ranges.append(KRange(n, residue, None, lo))
     for kr in ranges:
-        assert _shell_power_sum(p, a, n, l, kr) == \
-            RootScaledValue.from_rational(progression_power_sum(y, l, kr), p)
+        assert shell_sum(t, kr, ctx) == (RootScaledValue.monomial(
+            p, Fraction(-a * r, n), eps * progression_power_sum(y, l, kr)), True)
+
+
+# -- the integer series against the Fraction forms it replaced -------------------
+#
+# The closed forms are summed in integers and divided once.  The oracles below are
+# the term-by-term Fraction loop and the Fraction Eulerian tail, with A_t taken from
+# the explicit Eulerian-number sum instead of the recurrence.
+
+
+def _eulerian_oracle(t):
+    return [Fraction(1)] if t == 0 else [Fraction(0)] + [
+        Fraction(sum((-1) ** j * comb(t + 1, j) * (i - j) ** t for j in range(i + 1)))
+        for i in range(1, t + 1)]
+
+
+def _fraction_series(l, krange, q):
+    if krange.lo is None and krange.hi is not None:
+        k0, step, ratio = krange.last(), -krange.modulus, 1 / q
+    else:
+        k0, step, ratio = krange.first(), krange.modulus, q
+    if krange.lo is not None and krange.hi is not None:
+        return k0, sum(Fraction(k) ** l * ratio**j for j, k in enumerate(krange.members()))
+    if abs(ratio) >= 1:
+        raise DivergentError(f"sum to +infinity diverges for y = {ratio}")
+    s = Fraction(0)
+    for t in range(l + 1):
+        a_t = sum(c * ratio**i for i, c in enumerate(_eulerian_oracle(t)))
+        s += comb(l, t) * Fraction(k0) ** (l - t) * Fraction(step) ** t \
+            * a_t / (1 - ratio) ** (t + 1)
+    return k0, s
+
+
+def _fraction_progression_sum(y, l, krange):
+    y = Fraction(y)
+    if krange.is_empty():
+        return Fraction(0)
+    if krange.lo is None and krange.hi is not None:
+        if y == 0 or abs(y) <= 1:
+            raise DivergentError(f"sum to -infinity diverges for y = {y}")
+    else:
+        if y == 0 and krange.first() < 0:
+            raise DivergentError("negative powers of y = 0")
+        if krange.hi is None and abs(y) >= 1:
+            raise DivergentError(f"sum to +infinity diverges for y = {y}")
+    k0, s = _fraction_series(l, krange, y**krange.modulus)
+    return y**k0 * s
+
+
+def _fraction_power_sum(y, l, lo, hi):
+    if lo is None and hi is None:
+        raise DivergentError("sum over all of Z diverges")
+    return _fraction_progression_sum(y, l, KRange(1, 0, lo, hi))
+
+
+def _fraction_shell_sum(t, krange, ctx):
+    p, zero = ctx.p, RootScaledValue.zero(ctx.p)
+    if krange.is_empty():
+        return zero, True
+    if not decide_integrability(t, krange):
+        return zero, False
+    vlam = int(valuation(t.lam, ctx))
+    if krange.residue != vlam % t.n:
+        return zero, True
+    w = t.n + t.a
+    k0, s = _fraction_series(t.l, krange, power_norm(p, -w))
+    prefix = t.coefficient.scale(unit_coset_density(t.lam, t.n, ctx)) \
+        * RootScaledValue.monomial(p, Fraction(-t.a * vlam, t.n))
+    return prefix * RootScaledValue.monomial(p, Fraction(k0 * w, t.n), s), True
+
+
+def _fraction_tower(terms, cert, ctx):
+    zero = RootScaledValue.zero(ctx.p)
+    total = zero
+    for spec in terms:
+        if spec.coeff == 0:
+            continue
+        cellval = RootScaledValue.from_rational(spec.coeff, ctx.p)
+        for level, (a, l) in reversed(list(zip(cert.cells[spec.cell].levels, spec.levels))):
+            value, ok = zero, True
+            if level.coset.lam != 0:
+                t = TermOnCell(RootScaledValue.from_rational(1, ctx.p),
+                               a, level.coset.n, l, level.coset.lam)
+                value, ok = _fraction_shell_sum(t, fiber_valuation_range(level, (), ctx), ctx)
+            if not ok:
+                return zero, False
+            cellval = cellval * value
+        total = total + cellval
+    return total, True
+
+
+def _outcome(fn, *args):
+    """The value with its type, or the exception's type and message."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # both sides must fail alike
+        return type(exc), str(exc)
+    return type(value), value
+
+
+_differential = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+@st.composite
+def _ranges(draw, modulus):
+    residue, lo = draw(st.integers(0, 6)), draw(st.integers(-8, 8))
+    kind = draw(st.sampled_from(["finite", "up", "down", "all"]))
+    hi = lo + draw(st.integers(-2, 16))
+    return KRange(modulus, residue, *{"finite": (lo, hi), "up": (lo, None),
+                                      "down": (None, hi), "all": (None, None)}[kind])
+
+
+def test_eulerian_polynomials_are_integer_eulerian_numbers():
+    for t in range(17):
+        coeffs = eulerian_polynomial(t)
+        assert all(type(c) is int for c in coeffs) and coeffs == _eulerian_oracle(t)
+
+
+@_differential
+@given(y=st.fractions(-9, 9, max_denominator=12), l=st.integers(0, 16),
+       krange=st.integers(1, 5).flatmap(_ranges))
+def test_power_sums_match_fraction_forms(y, l, krange):
+    assert _outcome(progression_power_sum, y, l, krange) == \
+        _outcome(_fraction_progression_sum, y, l, krange)
+    assert _outcome(power_sum, y, l, krange.lo, krange.hi) == \
+        _outcome(_fraction_power_sum, y, l, krange.lo, krange.hi)
+
+
+_exponents = st.fractions(-3, 3, max_denominator=4)
+_rationals = st.fractions(-20, 20, max_denominator=10)
+
+
+@st.composite
+def _root_values(draw, p):
+    value = RootScaledValue.zero(p)
+    for f, c in draw(st.lists(st.tuples(_exponents, _rationals), min_size=1, max_size=4)):
+        value = value + RootScaledValue.monomial(p, f, c)
+    return value
+
+
+@st.composite
+def _lams(draw, p):
+    unit = Fraction(draw(st.sampled_from([1, -1, 2, -3, 4, 6])),
+                    draw(st.sampled_from([1, 7, 11])))
+    return unit * power_norm(p, draw(st.integers(-4, 4)))
+
+
+@_differential
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), n=st.integers(1, 4),
+       l=st.integers(0, 6))
+def test_shell_sums_match_fraction_forms(data, p, n, l):
+    ctx = PrimeContext(p)
+    lam, krange = data.draw(_lams(p)), data.draw(_ranges(n))
+    if krange.hi is None:
+        convergent = st.integers(1 - n, 6)
+    elif krange.lo is None:
+        convergent = st.integers(-6 - n, -1 - n)
+    else:
+        convergent = st.integers(-6, 6)
+    if data.draw(st.integers(0, 3)):  # mostly a convergent sum over the coset's class of k
+        a = data.draw(convergent)
+        krange = KRange(n, int(valuation(lam, ctx)), krange.lo, krange.hi)
+    else:
+        a = data.draw(st.integers(-6, 6))
+    t = TermOnCell(data.draw(_root_values(p)), a, n, l, lam)
+    assert _outcome(shell_sum, t, krange, ctx) == _outcome(_fraction_shell_sum, t, krange, ctx)
+
+
+@st.composite
+def _explicit_levels(draw, p):
+    if draw(st.integers(0, 9)) == 0:
+        return CellLevel(Polynomial.constant(draw(st.integers(-2, 2))), None, None,
+                         CosetSpec(Fraction(0), 1))
+
+    def side(weight):  # a bound in weight draws of 6
+        if draw(st.integers(1, 6)) > weight:
+            return None
+        return Bound(Polynomial.constant(draw(_lams(p))), draw(st.booleans()))
+
+    # alpha caps k = v(t - c) above, beta bounds it below: mostly beta alone
+    return CellLevel(Polynomial.constant(draw(st.integers(-2, 2))), side(1), side(5),
+                     CosetSpec(draw(_lams(p)), draw(st.integers(1, 4))))
+
+
+@_differential
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), depth=st.integers(1, 3),
+       cells=st.integers(1, 2))
+def test_explicit_towers_match_fraction_forms(data, p, depth, cells):
+    ctx = PrimeContext(p)
+    towers = tuple(CellTower(tuple(data.draw(_explicit_levels(p)) for _ in range(depth)))
+                   for _ in range(cells))
+    cert = DecompositionCertificate(p, BoxDomain(depth), towers)
+    exps = st.tuples(st.integers(-2, 4), st.integers(0, 4))
+    terms = [CellTermSpec(data.draw(st.integers(0, cells - 1)),
+                          data.draw(st.fractions(-3, 3, max_denominator=4)),
+                          tuple(data.draw(exps) for _ in range(depth)))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    assert _outcome(integrate_explicit_tower, terms, cert, ctx) == \
+        _outcome(_fraction_tower, terms, cert, ctx)
+
+
+def test_lattice_exponent_must_be_nonnegative():
+    with pytest.raises(ValueError, match="l must be nonnegative"):
+        progression_power_sum(Fraction(1, 2), -1, KRange(1, 0, 1, 3))
 
 
 # -- KRange ----------------------------------------------------------------------
@@ -276,8 +485,8 @@ def test_shell_sum_range_splitting_exact():
 
 def test_shell_sum_scaling_covariance():
     # Full shell sums (with the |lam^{-a}|^{1/n} normalization) scale by
-    # p^{-n} under lam -> p^n lam with the range shifted by n; the bare
-    # k-sum scales by p^{-(n+a)}.
+    # p^{-n} under lam -> p^n lam with the range shifted by n; with lam kept,
+    # the shifted k-sum scales by p^{-(n+a)}.
     for a, n in [(1, 1), (1, 2), (2, 3), (0, 2)]:
         kr = KRange(n, 0, 0, None)
         t1 = term(a, n, 0, lam=1)
@@ -285,9 +494,8 @@ def test_shell_sum_scaling_covariance():
         v1, _ = shell_sum(t1, kr, C5)
         v2, _ = shell_sum(t2, kr.shifted(n), C5)
         assert v2 == v1.scale(Fraction(1, 5**n))
-        bare1 = _shell_power_sum(5, a, n, 0, kr)
-        bare2 = _shell_power_sum(5, a, n, 0, kr.shifted(n))
-        assert bare2 == bare1 * RootScaledValue.monomial(5, Fraction(n + a))
+        v3, _ = shell_sum(t1, kr.shifted(n), C5)
+        assert v3 == v1 * RootScaledValue.monomial(5, Fraction(n + a))
 
 
 def test_shell_sum_downward_tail():
