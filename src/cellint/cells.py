@@ -21,6 +21,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterator, Sequence, Union
 
 from .errors import CertificateMismatchError, DivergentError, InvalidArgumentError
@@ -54,7 +55,8 @@ class CosetSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("coset order n must be >= 1")
-        object.__setattr__(self, "lam", Fraction(self.lam))
+        if type(self.lam) is not Fraction:  # a parsed Fraction is kept, and shared
+            object.__setattr__(self, "lam", Fraction(self.lam))
 
 
 @dataclass(frozen=True)
@@ -447,6 +449,32 @@ def check_norm_description(functions: Sequence[Polynomial],
 
 
 # -- certificate file format ---------------------------------------------------
+#
+# Polynomials are DSL texts (parse_poly) and rationals "a/b" texts (_rational);
+# each distinct text is read once per process and its immutable value shared
+# by every certificate and terms file that repeats it.  Integer fields go
+# through read_integer, the rule the CLI also applies to its integer flags.
+
+RATIONAL_CACHE_SIZE = 1024  # distinct rational texts kept parsed
+
+
+def read_integer(value, what: str) -> int:
+    """An integer read from JSON or a config value: an int, an integral float
+    (1e9) or integer text.  ValueError naming what=value for anything else: a
+    fractional float, a boolean, other text."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    try:
+        return int(str(value))
+    except ValueError:
+        raise ValueError(f"{what}={value!r} is not an integer") from None
+
+
+@lru_cache(maxsize=RATIONAL_CACHE_SIZE)
+def _rational(text: str) -> Fraction:
+    return Fraction(text)
 
 
 def _bound_from_dict(d: dict | None) -> Bound | None:
@@ -461,7 +489,7 @@ def _level_from_dict(d: dict) -> CellLevel:
         center=parse_poly(str(d.get("center", "0"))),
         lower=_bound_from_dict(d.get("lower")),
         upper=_bound_from_dict(d.get("upper")),
-        coset=CosetSpec(Fraction(str(coset["lambda"])), int(coset["n"])))
+        coset=CosetSpec(_rational(str(coset["lambda"])), read_integer(coset["n"], "n")))
 
 
 def _tower_from_dict(d: dict) -> CellTower:
@@ -484,17 +512,19 @@ def certificate_from_dict(data: dict) -> DecompositionCertificate:
     with _reading("certificate"):
         dom = data["domain"]
         if dom.get("kind", "box") == "box":
-            domain: Domain = BoxDomain(int(dom["arity"]))
+            domain: Domain = BoxDomain(read_integer(dom["arity"], "arity"))
         else:
             domain = _tower_from_dict(dom)
         cells = tuple(_tower_from_dict(c) for c in data["cells"])
         descriptions = tuple(
-            NormDescription(cell=int(d["cell"]), function=int(d.get("function", 0)),
-                            delta=parse_poly(str(d.get("delta", "1"))), a=int(d["a"]),
-                            level=int(d.get("level", -1)))
+            NormDescription(cell=read_integer(d["cell"], "cell"),
+                            function=read_integer(d.get("function", 0), "function"),
+                            delta=parse_poly(str(d.get("delta", "1"))),
+                            a=read_integer(d["a"], "a"),
+                            level=read_integer(d.get("level", -1), "level"))
             for d in data.get("descriptions", ()))
-        return DecompositionCertificate(prime=int(data["prime"]), domain=domain,
-                                        cells=cells, descriptions=descriptions)
+        return DecompositionCertificate(prime=read_integer(data["prime"], "prime"),
+                                        domain=domain, cells=cells, descriptions=descriptions)
 
 
 def _bound_to_dict(b: Bound | None):
@@ -559,9 +589,10 @@ def terms_from_dict(data: dict) -> list[CellTermSpec]:
     with _reading("terms"):
         out = []
         for t in data["terms"]:
-            levels = tuple((int(lv["a"]), int(lv["l"])) for lv in t["levels"])
-            out.append(CellTermSpec(cell=int(t["cell"]),
-                                    coeff=Fraction(str(t.get("coeff", "1"))),
+            levels = tuple((read_integer(lv["a"], "a"), read_integer(lv["l"], "l"))
+                           for lv in t["levels"])
+            out.append(CellTermSpec(cell=read_integer(t["cell"], "cell"),
+                                    coeff=_rational(str(t.get("coeff", "1"))),
                                     levels=levels))
         return out
 

@@ -28,6 +28,7 @@ from .cells import (
     check_partition,
     load_certificate,
     load_terms,
+    read_integer,
 )
 from .errors import BudgetExceededError, CellintError, ExprSyntaxError, InvalidArgumentError
 from .expsums import (
@@ -139,12 +140,11 @@ def _number_list(spec, kind) -> list:
 
 
 def _integer(key: str, value) -> int:
-    """A scalar setting from a flag or the config file, checked to be an integer."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)  # a JSON config value such as 1e9
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    return _convert(int, str(value), f"integer setting {key}={value!r}")
+    """A scalar setting from a flag or the config file, checked by cells.read_integer."""
+    try:
+        return read_integer(value, key)
+    except ValueError as ex:
+        raise InvalidArgumentError(f"bad integer setting: {ex}") from None
 
 
 def _grid(spec, flag: str, what: str) -> list[list[Fraction]]:

@@ -22,6 +22,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, mul
 from typing import Sequence
 
@@ -85,6 +86,15 @@ def additive_character(x, ctx: PrimeContext) -> CharacterValue:
     return cmath.exp(2j * math.pi * r / pe)
 
 
+CHARACTER_TABLE_CACHE_SIZE = 16  # moduli p^m whose character tables stay built
+
+
+@lru_cache(maxsize=CHARACTER_TABLE_CACHE_SIZE)
+def _character_table(pm: int) -> tuple[complex, ...]:
+    """exp(2 pi i j / p^m) for j = 0 .. p^m - 1, built once per modulus."""
+    return tuple(cmath.exp(2j * math.pi * j / pm) for j in range(pm))
+
+
 def _pairwise_sum(values: list[complex]) -> complex:
     if not values:
         return complex(0.0)
@@ -136,7 +146,7 @@ def exp_sum(fs: Sequence[Polynomial], y: Sequence, ctx: PrimeContext,
     # <y p^m, f(x)> mod p^m as one integer view: the terms of each f_i times c_i * inverse_i
     phase = ([(e, c * inverse * a) for (terms, inverse), c in zip(views, coeffs)
               for e, a in terms], 1)
-    table = [cmath.exp(2j * math.pi * j / pm) for j in range(pm)]
+    table = _character_table(pm)
     phases: Counter = Counter()
     partials = []
     for (column,) in _values_mod([phase], m, arity, p):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 from .errors import (
@@ -357,8 +358,17 @@ def parse_expr(text: str) -> QExpExpr:
     return e
 
 
+POLY_CACHE_SIZE = 4096  # distinct polynomial texts kept parsed
+
+
+@lru_cache(maxsize=POLY_CACHE_SIZE)
 def parse_poly(text: str) -> Polynomial:
-    """Parse a bare polynomial in x1..xN."""
+    """Parse a bare polynomial in x1..xN; raises ExprSyntaxError with offset.
+
+    Each distinct text is read once per process (up to POLY_CACHE_SIZE
+    texts): callers share the returned Polynomial, which is immutable.
+    Errors are not cached, so a bad text raises afresh on every call.
+    """
     sc = _Scanner(text)
     p = _parse_poly(sc)
     if not sc.at_end():

@@ -44,6 +44,7 @@ from cellint import (
     load_terms,
     parse_poly,
     point_cell,
+    save_certificate,
     terms_from_dict,
     tower_measure,
     unit_ball_coset_cell,
@@ -51,7 +52,7 @@ from cellint import (
     valuation,
     zp_nonzero_cell,
 )
-from cellint.cells import compile_membership, membership
+from cellint.cells import _rational, compile_membership, membership
 from cellint.errors import CertificateMismatchError
 from cellint.formula_dsl import _Carrier
 from cellint.polynomials import Polynomial
@@ -383,6 +384,98 @@ def test_certificate_json_round_trip():
 def test_certificate_arity_check():
     with pytest.raises(ValueError):
         DecompositionCertificate(5, BoxDomain(2), (zp_nonzero_cell(),))
+
+
+_OUTER = {"center": "0", "upper": {"expr": "1", "strict": False},
+          "coset": {"lambda": "1", "n": 1}}
+TOWER_CERT = {
+    "prime": 5,
+    "domain": {"kind": "tower", "levels": [
+        _OUTER, {"center": "x1^2 + 1", "lower": {"expr": "25"},
+                 "coset": {"lambda": "1/5", "n": 2}}]},
+    "cells": [
+        {"levels": [_OUTER, {"center": "x1^2 + 1", "upper": {"expr": "x1", "strict": True},
+                             "coset": {"lambda": "2", "n": 2}}]},
+        {"levels": [_OUTER, {"center": "x1^2 + 1", "coset": {"lambda": "0", "n": 1}}]},
+    ],
+    "descriptions": [{"cell": 0, "function": 1, "delta": "x1 - 3", "a": 2, "level": 1},
+                     {"cell": 1, "a": 0}],
+}
+
+
+def test_save_certificate_round_trip(tmp_path):
+    cert = certificate_from_dict(TOWER_CERT)
+    path = tmp_path / "cert.json"
+    save_certificate(cert, path)
+    loaded = load_certificate(path)
+    assert certificate_to_dict(loaded) == certificate_to_dict(cert)
+    assert loaded == cert
+
+
+def test_loading_reads_each_distinct_text_once(tmp_path):
+    """A count, not a time: 50 loads of one file parse each distinct text once."""
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(TOWER_CERT), encoding="utf-8")
+    levels = [lv for tower in (TOWER_CERT["domain"], *TOWER_CERT["cells"])
+              for lv in tower["levels"]]
+    polys = {lv.get("center", "0") for lv in levels} \
+        | {lv[side]["expr"] for lv in levels for side in ("lower", "upper") if side in lv} \
+        | {d.get("delta", "1") for d in TOWER_CERT["descriptions"]}
+    lambdas = {lv["coset"]["lambda"] for lv in levels}
+    parse_poly.cache_clear()
+    _rational.cache_clear()
+    first = load_certificate(path)
+    for _ in range(49):
+        assert load_certificate(path) == first
+    for cache, texts in ((parse_poly, polys), (_rational, lambdas)):
+        info = cache.cache_info()
+        assert info.misses == len(texts) and info.maxsize is not None
+
+
+_BOX_CERT = {
+    "prime": 5, "domain": {"kind": "box", "arity": 1},
+    "cells": [{"levels": [_OUTER]}],
+    "descriptions": [{"cell": 0, "function": 0, "delta": "1", "a": 1, "level": 0}],
+}
+_TERMS = {"terms": [{"cell": 0, "coeff": "1/2", "levels": [{"a": 1, "l": 2}]}]}
+# every integer field of the two file formats: (document, path to the field)
+INTEGER_FIELDS = [
+    (_BOX_CERT, ("prime",)),
+    (_BOX_CERT, ("domain", "arity")),
+    (_BOX_CERT, ("cells", 0, "levels", 0, "coset", "n")),
+    (_BOX_CERT, ("descriptions", 0, "cell")),
+    (_BOX_CERT, ("descriptions", 0, "function")),
+    (_BOX_CERT, ("descriptions", 0, "a")),
+    (_BOX_CERT, ("descriptions", 0, "level")),
+    (_TERMS, ("terms", 0, "cell")),
+    (_TERMS, ("terms", 0, "levels", 0, "a")),
+    (_TERMS, ("terms", 0, "levels", 0, "l")),
+]
+
+
+def with_field(doc: dict, path: tuple, value) -> dict:
+    """A deep copy of doc with the entry at path set to value."""
+    out = json.loads(json.dumps(doc))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize("doc, path", INTEGER_FIELDS)
+def test_integer_fields_are_not_truncated(doc, path):
+    read, what = (terms_from_dict, "terms") if "terms" in doc else \
+        (certificate_from_dict, "certificate")
+    value = doc
+    for key in path:
+        value = value[key]
+    assert read(with_field(doc, path, float(value))) == read(doc)  # 1.0 is 1
+    assert read(with_field(doc, path, str(value))) == read(doc)  # integer text
+    for bad in (value + 0.5, True, "two", [value]):
+        with pytest.raises(InvalidArgumentError,
+                           match=f"^malformed {what}: .*{path[-1]}=.* is not an integer$"):
+            read(with_field(doc, path, bad))
 
 
 # -- the compiled membership and the digit-tree checks against per-lift loops -------

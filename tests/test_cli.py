@@ -275,6 +275,34 @@ def test_non_integer_flag_exit_1(tmp_path, capsys, flag):
     assert_one_error_line(capsys, "integer setting", "'x'")
 
 
+_DESCRIBED_CERT = dict(ZP_CERT, descriptions=[{"cell": 1, "function": 0, "a": 1, "level": 0}])
+
+
+@pytest.mark.parametrize("path", [  # every integer field of the certificate and terms files
+    ("prime",), ("domain", "arity"), ("cells", 1, "levels", 0, "coset", "n"),
+    ("descriptions", 0, "cell"), ("descriptions", 0, "function"),
+    ("descriptions", 0, "a"), ("descriptions", 0, "level"),
+    ("terms", 1, "cell"), ("terms", 1, "levels", 0, "a"), ("terms", 1, "levels", 0, "l"),
+])
+@pytest.mark.parametrize("bad", [2.7, True, "two"])
+def test_non_integer_file_field_exit_1(tmp_path, capsys, path, bad):
+    """A fractional, boolean or non-numeric integer field is refused, never truncated."""
+    what = "terms" if path[0] == "terms" else "certificate"
+    cert, terms = json.loads(json.dumps(_DESCRIBED_CERT)), json.loads(json.dumps(NORM_TERMS))
+    parent = terms if what == "terms" else cert
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = bad
+    cert, terms = write_json(tmp_path / "cert.json", cert), write_json(tmp_path / "t.json", terms)
+    commands = [["integrate", "--certificate", cert, "--terms", terms]]
+    if what == "certificate":
+        commands.append(["cells-check", "--certificate", cert, "--functions", "x1"])
+    for argv in commands:
+        assert main(argv) == 1
+        assert_one_error_line(capsys, f"error: malformed {what}: ",
+                              f"{path[-1]}={bad!r} is not an integer")
+
+
 def test_parser_reuse_carries_nothing_over(capsys):
     argv = ["expsum", "--f", "x1^2", "--y", "1/5;1/25", "--prime", "5"]
     assert main(argv) == 0

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellint import (
     ExprSyntaxError,
@@ -26,7 +28,7 @@ from cellint import (
     parse_poly,
 )
 from cellint.formula_dsl import make_power, make_product, make_scalar_multiple, make_sum
-from cellint.polynomials import Polynomial
+from cellint.polynomials import Polynomial, format_poly
 
 C5 = PrimeContext(5)
 
@@ -208,3 +210,51 @@ def test_poly_parse_round_trip():
     for text in ["x1^2 + 1", "2*x1*x2 - 1/2", "-x1 + x2^3", "0", "5", "x3"]:
         p = parse_poly(text)
         assert parse_poly(str(p)) == p
+
+
+# -- parse_poly reads each distinct text once -------------------------------------
+
+
+@st.composite
+def _poly_texts(draw):
+    """format_poly of a random polynomial, as printed or respaced or parenthesized."""
+    arity = draw(st.integers(1, 3))
+    coeffs = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * arity),
+        st.fractions(min_value=-9, max_value=9, max_denominator=6), max_size=4))
+    text = format_poly(Polynomial.make(arity, coeffs))
+    variant = draw(st.sampled_from(("printed", "spaced", "packed", "parenthesized")))
+    if variant == "spaced":
+        for op in "+-*^/":
+            text = text.replace(op, f" {op} ")
+        return f"\t{text}  "
+    if variant == "packed":
+        return text.replace(" ", "")
+    if variant == "parenthesized":
+        return f"({text})" if draw(st.booleans()) else f"(({text})) * 1"
+    return text
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(text=_poly_texts())
+def test_cached_parse_poly_matches_the_parser(text):
+    expected = parse_poly.__wrapped__(text)
+    assert parse_poly(text) == expected
+    assert parse_poly(text) is parse_poly(text)  # one shared immutable value
+
+
+@pytest.mark.parametrize("text, error", [
+    ("x0", UnknownVariableError),
+    ("1/0", ZeroDenominatorError),
+    ("x1 +", ExprSyntaxError),
+    ("", ExprSyntaxError),
+])
+def test_parse_poly_errors_are_raised_afresh(text, error):
+    """Errors are not cached: every call raises the parser's own error again."""
+    raised = []
+    for parse in (parse_poly, parse_poly, parse_poly.__wrapped__):
+        with pytest.raises(error) as exc:
+            parse(text)
+        raised.append((type(exc.value), str(exc.value), exc.value.offset))
+    assert raised[0][0] is error
+    assert raised[0] == raised[1] == raised[2]

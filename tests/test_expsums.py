@@ -25,7 +25,7 @@ from cellint import (
     parse_poly,
     singular_series,
 )
-from cellint.expsums import DecayFit, ExpSumResult
+from cellint.expsums import DecayFit, ExpSumResult, _character_table
 from cellint.padic_core import residue
 from cellint.polynomials import Polynomial, eval_int_terms
 
@@ -85,6 +85,17 @@ def test_exp_sum_gauss_all_levels():
     for m in range(1, 6):
         res = exp_sum([X2], [Fraction(1, 5**m)], C5)
         assert abs(abs(res.value) - 5 ** (-m / 2)) < 1e-9, m
+
+
+def test_character_table_is_built_once_per_modulus():
+    _character_table.cache_clear()
+    first = exp_sum([X2 + X], [Fraction(2, 25)], C5)
+    again = exp_sum([X2 + X], [Fraction(2, 25)], C5)
+    assert (again.value, again.phases) == (first.value, first.phases)
+    assert _character_table.cache_info().misses == 1
+    assert _character_table.cache_info().maxsize is not None
+    # the table is the per-call expression, bit for bit
+    assert _character_table(25) == tuple(cmath.exp(2j * math.pi * j / 25) for j in range(25))
 
 
 def test_exp_sum_level_override_consistent():
