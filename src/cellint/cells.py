@@ -7,7 +7,8 @@ to partition a domain, plus norm descriptions |f| = |delta| *
 |(t-c)^a lam^(-a)|^(1/n)) are verified exactly on lifted residue points.
 
 contains reads a level through qexp_sum.fiber_valuation_range (re-exported
-here) and coset_membership; fiber_measure is qexp_sum.level_integral at a = l = 0.
+here) and coset_membership; fiber_measure and tower_measure thread one value
+through qexp_sum.level_integral at a = l = 0.
 compile_membership plans a tower once, in integer arithmetic.  The checks
 walk the digit-tree kernel refine_classes, which settles a class r mod p^j
 (all its p^(n(m-j)) lifts at once) when every plan is unambiguous on it and
@@ -41,6 +42,7 @@ from .padic_core import (
 )
 from .polynomials import Polynomial, eval_int_terms, format_poly
 from .qexp_sum import CellTermSpec, fiber_valuation_range, level_integral
+from .rootval import RootScaledValue
 
 # -- data types ----------------------------------------------------------------
 
@@ -285,20 +287,25 @@ def membership(tower: CellTower, point: Sequence, ctx: PrimeContext,
 # -- fiber geometry ---------------------------------------------------------------
 
 
+def _explicit_measure(levels: Sequence[CellLevel], ctx: PrimeContext) -> Fraction:
+    """Product of the Haar measures of constant-data fibers, outermost first:
+    the running value is each level's coefficient (level_integral at a = l = 0)."""
+    value = RootScaledValue.from_rational(1, ctx.p)
+    for level in levels:
+        value, ok = level_integral(level, 0, 0, value, ctx)
+        if not ok:
+            raise DivergentError("fiber has infinite measure (norm unbounded above)")
+    return value.as_exact_rational()
+
+
 def fiber_measure(level: CellLevel, ctx: PrimeContext) -> Fraction:
     """Haar measure of a constant-data fiber, summed in closed form."""
-    value, ok = level_integral(level, 0, 0, ctx)
-    if not ok:
-        raise DivergentError("fiber has infinite measure (norm unbounded above)")
-    return value.as_exact_rational()
+    return _explicit_measure((level,), ctx)
 
 
 def tower_measure(tower: CellTower, ctx: PrimeContext) -> Fraction:
     """Measure of an explicit tower (product of its constant-data fibers)."""
-    total = Fraction(1)
-    for level in tower.levels:
-        total *= fiber_measure(level, ctx)
-    return total
+    return _explicit_measure(tower.levels, ctx)
 
 
 # -- certificate checking ----------------------------------------------------------
@@ -583,13 +590,21 @@ def save_certificate(cert: DecompositionCertificate, path):
         fh.write("\n")
 
 
+def _exponent_l(value) -> int:
+    """The valuation exponent l of a terms level: an integer >= 0."""
+    l = read_integer(value, "l")
+    if l < 0:
+        raise ValueError(f"l={l} must be >= 0")
+    return l
+
+
 def terms_from_dict(data: dict) -> list[CellTermSpec]:
     """Cell-adapted integrand terms, as written in a terms JSON file;
     InvalidArgumentError if malformed."""
     with _reading("terms"):
         out = []
         for t in data["terms"]:
-            levels = tuple((read_integer(lv["a"], "a"), read_integer(lv["l"], "l"))
+            levels = tuple((read_integer(lv["a"], "a"), _exponent_l(lv["l"]))
                            for lv in t["levels"])
             out.append(CellTermSpec(cell=read_integer(t["cell"], "cell"),
                                     coeff=_rational(str(t.get("coeff", "1"))),

@@ -207,10 +207,10 @@ def fourier_check(fs: Sequence[Polynomial], y: Sequence, ctx: PrimeContext,
     pm = ctx.p**required
     coeffs = _phase_coefficients(ys, required, ctx)
     hist = solution_histogram(fs, required, ctx, n=arity, budget=budget)
+    table = _character_table(pm)
     terms = []
     for z, count in sorted(hist.items()):
-        phase = sum(map(mul, coeffs, z)) % pm
-        terms.append(count * cmath.exp(2j * math.pi * phase / pm))
+        terms.append(count * table[sum(map(mul, coeffs, z)) % pm])
     rhs = _pairwise_sum(terms) / pm**arity
     return lhs, rhs, abs(lhs - rhs)
 

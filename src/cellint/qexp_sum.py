@@ -8,6 +8,11 @@ and divergence is reported in-band as (value 0, integrable False).  A cell
 fiber enters through the KRange of v(t - c) its bounds allow, evaluated at a
 base point by fiber_valuation_range (cells.contains) and read from constant
 bounds by level_integral (one explicit fiber).
+
+An explicit tower is integrated by threading the cell's running value
+through its levels as the shell-sum coefficient: each level with lambda != 0
+builds one monomial, takes v(lambda) once and pays one multiply (the
+coefficient times that monomial, in shell_sum); a point level is 0.
 """
 
 from __future__ import annotations
@@ -155,9 +160,11 @@ def krange_from_bounds(v_alpha: int | None, alpha_strict: bool,
     return KRange(n, v_lambda % n, lo, hi)
 
 
-def _valuation_range(level: "CellLevel", prefix: Sequence, read, ctx: PrimeContext) -> KRange:
-    """The KRange of a level with lambda != 0, its bounds valued by read(name, bound),
-    alpha first; BoundVanishedError names prefix when a bound reads 0."""
+def _valuation_range(level: "CellLevel", prefix: Sequence, read, vlam: int,
+                     ctx: PrimeContext) -> KRange:
+    """The KRange of a level with lambda != 0 and v(lambda) = vlam, its bounds
+    valued by read(name, bound), alpha first; BoundVanishedError names prefix
+    when a bound reads 0."""
 
     def vb(name: str, bound: "Bound | None"):
         if bound is None:
@@ -170,8 +177,8 @@ def _valuation_range(level: "CellLevel", prefix: Sequence, read, ctx: PrimeConte
 
     v_alpha, alpha_strict = vb("alpha", level.lower)
     v_beta, beta_strict = vb("beta", level.upper)
-    return krange_from_bounds(v_alpha, alpha_strict, v_beta, beta_strict,
-                              int(valuation(level.coset.lam, ctx)), level.coset.n)
+    return krange_from_bounds(v_alpha, alpha_strict, v_beta, beta_strict, vlam,
+                              level.coset.n)
 
 
 def fiber_valuation_range(level: "CellLevel", base_point: Sequence,
@@ -181,7 +188,8 @@ def fiber_valuation_range(level: "CellLevel", base_point: Sequence,
     if level.coset.lam == 0:
         raise ZeroCosetError("point fibers carry no valuation range")
     prefix = [Fraction(x) for x in base_point]
-    return _valuation_range(level, prefix, lambda _, bound: bound.expr.eval(prefix), ctx)
+    return _valuation_range(level, prefix, lambda _, bound: bound.expr.eval(prefix),
+                            int(valuation(level.coset.lam, ctx)), ctx)
 
 
 # -- shell sums ----------------------------------------------------------------
@@ -253,15 +261,16 @@ def _progression_series(l: int, krange: KRange, num: int, den: int) -> tuple[int
     return k0, Fraction(total * b, c ** (l + 1))
 
 
-def shell_sum(term: TermOnCell, krange: KRange,
-              ctx: PrimeContext) -> tuple[RootScaledValue, bool]:
+def shell_sum(term: TermOnCell, krange: KRange, ctx: PrimeContext, *,
+              vlam: int | None = None) -> tuple[RootScaledValue, bool]:
     """Exact integral of a term over the shells v(u) = k, u in lam*P_n, k in krange.
 
     Value = coeff * eps * |lam^(-a)|^(1/n) * sum_k k^l p^(-k(n+a)/n), with eps
     the exact shell density.  Every k in the range is congruent to v(lam) mod
     n, so the k-sum from its first summed member k0 is s * p^(-k0(n+a)/n) for
     a rational s, and the whole value is coeff times the one monomial
-    eps * s * p^(-(k0(n+a) - a v(lam))/n).  Divergence is in-band: (0, False).
+    eps * s * p^(-(k0(n+a) - a v(lam))/n): one multiply.  A caller that has
+    already taken v(lam) passes it as vlam.  Divergence is in-band: (0, False).
     """
     p = ctx.p
     zero = RootScaledValue.zero(p)
@@ -273,7 +282,8 @@ def shell_sum(term: TermOnCell, krange: KRange,
         raise ZeroCosetError("shell_sum needs lambda != 0 (or an empty range)")
     if not decide_integrability(term, krange):
         return zero, False
-    vlam = int(valuation(term.lam, ctx))
+    if vlam is None:
+        vlam = int(valuation(term.lam, ctx))
     if krange.residue != vlam % term.n:
         return zero, True  # every shell in the range misses the coset
     eps = unit_coset_density(term.lam, term.n, ctx)
@@ -300,17 +310,24 @@ class CellTermSpec:
     levels: tuple[tuple[int, int], ...]
 
 
-def level_integral(level: "CellLevel", a: int, l: int,
+def level_integral(level: "CellLevel", a: int, l: int, value: RootScaledValue,
                    ctx: PrimeContext) -> tuple[RootScaledValue, bool]:
-    """Exact integral of |(t-c)^a lam^(-a)|^(1/n) v(t-c)^l over one explicit
-    (constant-data) fiber: shell_sum over its valuation range, 0 for a point
-    level (graph fibers carry Haar measure 0), (0, False) when divergent.
-    Raises CertificateMismatchError for a bound that is not constant."""
-    if level.coset.lam == 0:
+    """value times the exact integral of |(t-c)^a lam^(-a)|^(1/n) v(t-c)^l over
+    one explicit (constant-data) fiber: shell_sum over its valuation range with
+    value as the coefficient, 0 for a point level (graph fibers carry Haar
+    measure 0), (0, False) when divergent.
+
+    A level with lambda != 0 takes v(lambda) once, for both the range residue
+    and the shell exponent, and pays exactly one multiply (value times its
+    monomial); a point level pays none.  Raises CertificateMismatchError for
+    a bound that is not constant."""
+    lam = level.coset.lam
+    if lam == 0:
         return RootScaledValue.zero(ctx.p), True
-    term = TermOnCell(RootScaledValue.from_rational(1, ctx.p),
-                      a, level.coset.n, l, level.coset.lam)
-    return shell_sum(term, _valuation_range(level, (), _constant_bound, ctx), ctx)
+    term = TermOnCell(value, a, level.coset.n, l, lam)
+    vlam = int(valuation(lam, ctx))
+    return shell_sum(term, _valuation_range(level, (), _constant_bound, vlam, ctx), ctx,
+                     vlam=vlam)
 
 
 def _constant_bound(name: str, bound: "Bound") -> Fraction:
@@ -325,10 +342,11 @@ def integrate_explicit_tower(terms: Sequence[CellTermSpec],
     """Integrate cell-adapted terms over an explicit-tower certificate.
 
     Innermost levels are shell-summed first and each level contributes a
-    constant factor (explicit towers are products of 1-d fibers); the total
-    is the sum over cells.  Any divergent contribution makes the whole
-    integral (0, False), matching the convention that non-integrable
-    functions integrate to zero.
+    constant factor (explicit towers are products of 1-d fibers): the cell's
+    value starts as its coefficient and each level multiplies it by its
+    monomial (level_integral); the total is the sum over cells.  Any
+    divergent contribution makes the whole integral (0, False), matching the
+    convention that non-integrable functions integrate to zero.
     """
     p = ctx.p
     zero = RootScaledValue.zero(p)
@@ -344,11 +362,10 @@ def integrate_explicit_tower(terms: Sequence[CellTermSpec],
         if spec.coeff == 0:
             continue
         cellval = RootScaledValue.from_rational(spec.coeff, p)
-        for level, (a, l) in reversed(list(zip(tower.levels, spec.levels))):
-            value, ok = level_integral(level, a, l, ctx)
+        for level, (a, l) in zip(reversed(tower.levels), reversed(spec.levels)):
+            cellval, ok = level_integral(level, a, l, cellval, ctx)
             if not ok:
                 return zero, False
-            cellval = cellval * value
         total = total + cellval
     return total, True
 

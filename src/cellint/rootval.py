@@ -16,6 +16,8 @@ from math import lcm
 def _fold(p: int, exponent: Fraction, coeff: Fraction) -> tuple[Fraction, Fraction]:
     """Rewrite coeff * p^(-exponent) with exponent reduced into [0, 1)."""
     shift, rest = divmod(exponent.numerator, exponent.denominator)  # floor
+    if shift == 0:
+        return exponent, coeff
     if shift > 0:
         coeff = coeff / p**shift
     elif shift < 0:
@@ -74,6 +76,10 @@ class RootScaledValue:
 
     def __mul__(self, other: "RootScaledValue") -> "RootScaledValue":
         self._check(other)
+        if len(self.items) == 1 == len(other.items):  # monomials: c1 * c2 != 0, no dict
+            (f1, c1), = self.items
+            (f2, c2), = other.items
+            return RootScaledValue(self.p, (_fold(self.p, f1 + f2, c1 * c2),))
         acc: dict[Fraction, Fraction] = {}
         for f1, c1 in self.items:
             for f2, c2 in other.items:

@@ -478,6 +478,13 @@ def test_integer_fields_are_not_truncated(doc, path):
             read(with_field(doc, path, bad))
 
 
+def test_negative_valuation_exponent_is_malformed():
+    assert terms_from_dict(with_field(_TERMS, ("terms", 0, "levels", 0, "l"), 0))
+    for bad in (-1, -1.0, "-3"):
+        with pytest.raises(InvalidArgumentError, match=r"^malformed terms: .*l=-\d must be >= 0$"):
+            terms_from_dict(with_field(_TERMS, ("terms", 0, "levels", 0, "l"), bad))
+
+
 # -- the compiled membership and the digit-tree checks against per-lift loops -------
 
 

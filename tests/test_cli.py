@@ -303,6 +303,16 @@ def test_non_integer_file_field_exit_1(tmp_path, capsys, path, bad):
                               f"{path[-1]}={bad!r} is not an integer")
 
 
+def test_negative_valuation_exponent_exit_1(tmp_path, capsys):
+    """l < 0 on a lambda != 0 level is a malformed terms file, not a traceback."""
+    terms = json.loads(json.dumps(NORM_TERMS))
+    terms["terms"][1]["levels"][0] = {"a": 0, "l": -1}
+    argv = ["integrate", "--certificate", write_json(tmp_path / "cert.json", ZP_CERT),
+            "--terms", write_json(tmp_path / "t.json", terms)]
+    assert main(argv) == 1
+    assert_one_error_line(capsys, "error: malformed terms: ", "l=-1 must be >= 0")
+
+
 def test_parser_reuse_carries_nothing_over(capsys):
     argv = ["expsum", "--f", "x1^2", "--y", "1/5;1/25", "--prime", "5"]
     assert main(argv) == 0

@@ -24,6 +24,7 @@ from cellint import (
     decide_integrability,
     eulerian_polynomial,
     integrate_explicit_tower,
+    krange_from_bounds,
     mixed_sum,
     point_cell,
     power_sum,
@@ -31,7 +32,15 @@ from cellint import (
     unit_ball_coset_cell,
     zp_nonzero_cell,
 )
-from cellint.cells import Bound, CellLevel, CellTower, CosetSpec, fiber_valuation_range
+from cellint import padic_core, qexp_sum
+from cellint.cells import (
+    Bound,
+    CellLevel,
+    CellTower,
+    CosetSpec,
+    fiber_valuation_range,
+    tower_measure,
+)
 from cellint.padic_core import power_norm, unit_coset_density, valuation
 from cellint.polynomials import Polynomial
 from cellint.qexp_sum import progression_power_sum
@@ -395,6 +404,16 @@ def test_krange_basics():
     assert empty.is_empty()
 
 
+def test_krange_from_bounds():
+    # |alpha| < |t - c| caps k above, |t - c| < |beta| bounds it below
+    assert krange_from_bounds(5, True, 1, True, 0, 1) == KRange(1, 0, 2, 4)
+    assert krange_from_bounds(5, False, 1, False, 7, 3) == KRange(3, 1, 1, 5)
+    assert krange_from_bounds(None, True, -2, False, -3, 2) == KRange(2, 1, -2, None)
+    assert krange_from_bounds(0, True, None, True, 4, 4) == KRange(4, 0, None, -1)
+    assert krange_from_bounds(None, False, None, False, 1, 1) == KRange(1, 0)
+    assert krange_from_bounds(2, True, 2, False, 0, 1).is_empty()
+
+
 def test_krange_split():
     kr = KRange(3, 1, -2, None)
     below, above = kr.below(6), kr.at_least(6)
@@ -535,6 +554,71 @@ def test_tower_divergent_returns_zero_false():
     cert = DecompositionCertificate(5, BoxDomain(1), (zp_nonzero_cell(),))
     v, ok = integrate_explicit_tower([CellTermSpec(0, Fraction(1), ((-1, 0),))], cert, C5)
     assert not ok and v.is_zero()
+
+
+def test_point_level_before_divergent_level():
+    # levels run innermost first: the point level makes the value 0, and the
+    # divergent outer level still makes the whole integral (0, False)
+    unbounded = CellLevel(Polynomial.constant(0), None, None, CosetSpec(Fraction(1), 1))
+    point = point_cell(0).levels[0]
+    cert = DecompositionCertificate(5, BoxDomain(2), (CellTower((unbounded, point)),))
+    v, ok = integrate_explicit_tower([CellTermSpec(0, Fraction(1), ((0, 0), (0, 0)))],
+                                     cert, C5)
+    assert not ok and v.is_zero()
+    with pytest.raises(DivergentError):  # tower_measure runs outermost first
+        tower_measure(CellTower((point, unbounded)), C5)
+
+
+def _level(lam, n=1, lower=None, upper=None):
+    """A constant level |lower| < |t| < |upper|, t in lam*P_n (None: no bound)."""
+    def bound(c):
+        return None if c is None else Bound(Polynomial.constant(Fraction(c)), True)
+    return CellLevel(Polynomial.constant(0), bound(lower), bound(upper),
+                     CosetSpec(Fraction(lam), n))
+
+
+def test_one_multiply_per_explicit_level(monkeypatch):
+    """Counts, not times: one from_rational per cell, one multiply and one
+    v(lambda) per level with lambda != 0, none for the point level."""
+    cells = (CellTower((_level(2, upper=25), point_cell(0).levels[0], _level(3, 2, upper=1))),
+             CellTower((_level(7, lower=Fraction(1, 25)), _level(10, upper=1),
+                        _level(Fraction(1, 5), 2, lower=125, upper=Fraction(1, 25)))))
+    cert = DecompositionCertificate(5, BoxDomain(3), cells)
+    terms = [CellTermSpec(0, Fraction(2), ((1, 0), (0, 0), (0, 2))),
+             CellTermSpec(1, Fraction(-1, 3), ((-2, 1), (0, 0), (2, 3)))]
+    expected = _fraction_tower(terms, cert, C5)
+
+    calls = {"mul": 0, "from_rational": 0}
+    valued = []
+    mul, from_rational = RootScaledValue.__mul__, RootScaledValue.from_rational.__func__
+    valuation_ = padic_core.valuation
+
+    def counted_mul(x, y):
+        calls["mul"] += 1
+        return mul(x, y)
+
+    def counted_from_rational(cls, q, p):
+        calls["from_rational"] += 1
+        return from_rational(cls, q, p)
+
+    def counted_valuation(x, ctx):
+        valued.append(Fraction(x))
+        return valuation_(x, ctx)
+
+    monkeypatch.setattr(RootScaledValue, "__mul__", counted_mul)
+    monkeypatch.setattr(RootScaledValue, "from_rational", classmethod(counted_from_rational))
+    for module in (padic_core, qexp_sum):
+        monkeypatch.setattr(module, "valuation", counted_valuation)
+    assert integrate_explicit_tower(terms, cert, C5) == expected
+    assert expected[1] and not expected[0].is_zero()
+
+    levels = [lv for tower in cells for lv in tower.levels]
+    lams = [lv.coset.lam for lv in levels if lv.coset.lam != 0]
+    bounds = [b.expr.constant_value() for lv in levels if lv.coset.lam != 0
+              for b in (lv.lower, lv.upper) if b is not None]
+    assert len(lams) == 5 and not set(lams) & set(bounds)
+    assert calls == {"mul": len(lams), "from_rational": len(cells)}
+    assert sorted(valued) == sorted(lams + bounds)  # v(lambda) once per level
 
 
 def test_tower_certificate_mismatch():

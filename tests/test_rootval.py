@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellint import RootScaledValue
+from cellint.rootval import _fold
 
 
 def mono(e, c=1, p=5):
@@ -58,6 +61,56 @@ def test_ring_axioms_random():
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
         assert (a + b) - b == a
+
+
+def _dict_product(x: RootScaledValue, y: RootScaledValue) -> RootScaledValue:
+    """The general path of __mul__: every pair of items folded into one dict."""
+    acc: dict[Fraction, Fraction] = {}
+    for f1, c1 in x.items:
+        for f2, c2 in y.items:
+            f, c = _fold(x.p, f1 + f2, c1 * c2)
+            acc[f] = acc.get(f, Fraction(0)) + c
+    return RootScaledValue._make(x.p, acc)
+
+
+_exponents = st.fractions(-3, 3, max_denominator=12)
+_coefficients = st.fractions(-9, 9, max_denominator=12).filter(bool)
+
+
+@st.composite
+def _monomials(draw, p):
+    """One item: canonical (from monomial) or raw, with an exponent outside [0, 1)."""
+    e, c = draw(_exponents), draw(_coefficients)
+    if draw(st.booleans()):
+        return RootScaledValue.monomial(p, e, c)
+    return RootScaledValue(p, ((e, c),))
+
+
+def _check_product(x: RootScaledValue, y: RootScaledValue):
+    product = x * y
+    assert product.items == _dict_product(x, y).items  # bit-identical, canonical
+    (f, c), = product.items
+    assert 0 <= f < 1 and c != 0
+    assert y * x == product
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("a, b", [
+    ((Fraction(1, 2), 3), (Fraction(2, 3), -1)),  # exponent sum 7/6 = 1 + 1/6
+    ((Fraction(1, 2), 1), (Fraction(1, 2), 2)),  # sum 1 = 1 + 0
+    ((Fraction(-1, 3), 1), (Fraction(1, 4), -5)),  # sum -1/12 = -1 + 11/12
+    ((Fraction(-5, 2), -2), (Fraction(1, 3), 7)),  # sum -13/6 = -3 + 5/6
+    ((Fraction(0), 4), (Fraction(0), Fraction(-1, 9))),  # two rationals
+])
+def test_monomial_product_boundaries(p, a, b):
+    _check_product(RootScaledValue(p, (a,)), RootScaledValue(p, (b,)))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]))
+def test_monomial_product_matches_dict_path(data, p):
+    """The one-item fast path of __mul__ equals the general dict path exactly."""
+    _check_product(data.draw(_monomials(p)), data.draw(_monomials(p)))
 
 
 def test_real_value_accuracy():
