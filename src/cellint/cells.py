@@ -374,6 +374,37 @@ def check_partition(cert: DecompositionCertificate, m: int, ctx: PrimeContext,
                            ambiguous_points=ambiguous_points, points_tested=total)
 
 
+def _described_level(desc: NormDescription, functions: Sequence[Polynomial],
+                    cert: DecompositionCertificate) -> int:
+    """The index of the level a norm description is about, checked to fit:
+    its cell and function exist, -L <= level < L for the cell's L >= 1 levels,
+    delta uses only the variables before that level, f only the cell's, and
+    a = 0 on a point level.  CertificateMismatchError otherwise."""
+    if not 0 <= desc.cell < len(cert.cells):
+        raise CertificateMismatchError(f"description references missing cell {desc.cell}")
+    if not 0 <= desc.function < len(functions):
+        raise CertificateMismatchError(
+            f"description references missing function {desc.function}")
+    tower, f = cert.cells[desc.cell], functions[desc.function]
+    count = len(tower.levels)
+    if not -count <= desc.level < count:
+        raise CertificateMismatchError(
+            f"description level {desc.level} is not a level of cell {desc.cell} "
+            f"({count} level(s))")
+    index = desc.level % count
+    if desc.delta.arity > index:
+        raise CertificateMismatchError(
+            f"description delta {format_poly(desc.delta)} uses x{desc.delta.arity}, but "
+            f"only {index} variable(s) precede level {index} of cell {desc.cell}")
+    if f.arity > tower.arity:
+        raise CertificateMismatchError(
+            f"function {desc.function} ({format_poly(f)}) uses x{f.arity}, but cell "
+            f"{desc.cell} has arity {tower.arity}")
+    if tower.levels[index].coset.lam == 0 and desc.a != 0:
+        raise CertificateMismatchError("lambda = 0 level requires a = 0")
+    return index
+
+
 @dataclass
 class NormCheckReport:
     ok: bool
@@ -396,8 +427,9 @@ def check_norm_description(functions: Sequence[Polynomial],
     Norms are compared exactly as elements of p^((1/n)Z) union {0} via their
     exponents.  Every certificate description entry is tested on all lifted
     cell points mod p^m (mismatches in product order per entry).  Raises
-    InvalidArgumentError for m < 1, and BudgetExceededError before
-    enumerating when p^(m*arity) exceeds budget.
+    InvalidArgumentError for m < 1, BudgetExceededError before enumerating
+    when p^(m*arity) exceeds budget, and CertificateMismatchError before
+    enumerating when a description does not fit its cell (_described_level).
     """
     if m < 1:
         raise InvalidArgumentError("level m must be >= 1")
@@ -405,28 +437,18 @@ def check_norm_description(functions: Sequence[Polynomial],
         raise ValueError("context prime differs from certificate prime")
     p = ctx.p
     check_budget(p, m, cert.domain.arity, budget)
+    level_indices = [_described_level(desc, functions, cert) for desc in cert.descriptions]
     mismatches: list[tuple[tuple[int, ...], object, object]] = []
     ambiguous = 0
     checked = 0
-    for desc in cert.descriptions:
-        if not 0 <= desc.cell < len(cert.cells):
-            raise CertificateMismatchError(f"description references missing cell {desc.cell}")
-        if not 0 <= desc.function < len(functions):
-            raise CertificateMismatchError(
-                f"description references missing function {desc.function}")
+    for desc, level_idx in zip(cert.descriptions, level_indices):
         tower = cert.cells[desc.cell]
-        level_idx = desc.level % len(tower.levels)
         level = tower.levels[level_idx]
         f, delta = _Carrier(functions[desc.function], ctx), _Carrier(desc.delta, ctx)
         diff = _Carrier(Polynomial.variable(level_idx) - level.center, ctx)
         vlam = None if level.coset.lam == 0 else int(valuation(level.coset.lam, ctx))
-        malformed = delta.arity > level_idx or f.arity > tower.arity or (
-            vlam is None and desc.a != 0)
 
         def classify(r, j, amb):
-            if malformed:  # raise at the first member point, as evaluating there does
-                desc.delta.eval(r[:level_idx]), functions[desc.function].eval(r)
-                raise CertificateMismatchError("lambda = 0 level requires a = 0")
             fnum, dnum = eval_int_terms(f.terms, r), eval_int_terms(delta.terms, r)
             if j < m and not (fnum % p**j and dnum % p**j):
                 return None

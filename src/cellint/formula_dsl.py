@@ -14,9 +14,11 @@ ASTs are immutable; construction canonicalizes (flattens nested sums
 and products, merges rational scalars) so that format/parse round-trips
 are structural identities.
 
-compile_expr is the one evaluator: exact at rational points (behind
-evaluate_fractional and evaluate), or at integer lifts of residue classes
-mod p^level with an ambiguity flag (behind the oracles).
+compile_expr is the one evaluator.  It reads the valuation vector of the
+distinct carriers (expr_carriers), exactly or at a level with an ambiguity
+flag: riemann_integrate hands it the enumeration kernel's key, and
+carrier_valuations computes it at a point (evaluate_fractional, evaluate,
+monte_carlo_integrate).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Callable, Sequence, Union
 
 from .errors import (
@@ -469,125 +472,77 @@ class _Carrier:
             - self.vden
 
 
+def carrier_valuations(e: QExpExpr, ctx: PrimeContext) -> Callable[[Sequence], tuple]:
+    """point -> the valuation vector of expr_carriers(e) there, compile_expr's
+    input; ValueError naming the first carrier the point is too short for."""
+    views = [_Carrier(f, ctx).valuation_at for f in expr_carriers(e)]
+    return lambda point: tuple([valuation_at(point) for valuation_at in views])
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def compile_expr(e: QExpExpr, ctx: PrimeContext,
                  level: int | None = None) -> Callable[[Sequence], tuple[ExactValue, bool]]:
-    """Compile an expression into an evaluator returning (exact value, ambiguous).
+    """Compile an expression into an evaluator: the valuation vector of
+    expr_carriers(e) (INF for a zero carrier) -> (exact value, ambiguous).
 
-    With a level, points are integer lifts of residue classes and ambiguous
-    means a carrier was 0 mod p^level.  Conventions at exactly-vanishing
-    carriers: val contributes the level-truncated valuation, norm powers
-    contribute 0.  With level None the evaluation is exact at rational
-    points, never ambiguous, and a vanishing val carrier or negative norm
-    power raises ValOfZeroError.
+    Every leaf depends on its carrier's valuation alone, so the vector is all
+    the evaluator reads.  With a level, ambiguous means some valuation is
+    >= level; a zero carrier gives val the truncated valuation level and norm
+    powers 0 (1 at power 0).  With level None the value is exact, and a zero
+    val carrier or norm carrier under a negative power raises
+    ValOfZeroError(carrier, negative_power).  Rational integrands stay in
+    Fraction; RootScaledValue's operators absorb rational operands.
     """
-    p = ctx.p
-    exact = level is None
+    value_of = _compile(e, {c: i for i, c in enumerate(expr_carriers(e))}, ctx.p, level)
+    if level is None:
+        return lambda vals: (value_of(vals), False)
+    return lambda vals: (value_of(vals), any(v >= level for v in vals))
 
+
+def _compile(e: QExpExpr, index: dict, p: int, level: int | None) -> Callable:
+    """The value half of compile_expr's evaluator; index maps a carrier to its slot."""
     if isinstance(e, RationalConst):
         value = e.value
-        return lambda pt: (value, False)
-    if isinstance(e, (Norm, Val, FracNormPower)):
-        valuation_at = _Carrier(e.carrier, ctx).valuation_at
-        top = INF if exact else level
-        if isinstance(e, Norm):
-            def run(pt):
-                v = valuation_at(pt)
-                if v is INF:
-                    return Fraction(0), not exact
-                return power_norm(p, -int(v)), v >= top
-            return run
-        if isinstance(e, Val):
-            def run(pt):
-                v = valuation_at(pt)
-                if v is INF:
-                    if exact:
-                        raise ValOfZeroError(f"val carrier {e.carrier} vanishes at {tuple(pt)}")
-                    return Fraction(level), True  # truncated valuation
-                return Fraction(int(v)), v >= top
-            return run
-        a, n = e.a, e.n
+        return lambda vals: value
+    if isinstance(e, Val):
+        i, carrier = index[e.carrier], e.carrier
 
-        def run(pt):
-            v = valuation_at(pt)
+        def val(vals):
+            v = vals[i]
+            if v is not INF:
+                return Fraction(v)
+            if level is None:
+                raise ValOfZeroError(carrier, False)
+            return Fraction(level)  # truncated valuation
+        return val
+    if isinstance(e, (Norm, FracNormPower)):
+        i, carrier = index[e.carrier], e.carrier
+        a, n = (1, 1) if isinstance(e, Norm) else (e.a, e.n)
+
+        def norm_power(vals):
+            v = vals[i]
             if v is INF:
-                if a > 0:
-                    return Fraction(0), not exact
-                if a == 0:  # 0^0 = 1 convention
-                    return Fraction(1), not exact
-                if exact:
-                    raise ValOfZeroError(f"norm carrier {e.carrier} vanishes at "
-                                         f"{tuple(pt)} with negative power")
-                return Fraction(0), True  # divergent convention, flagged
-            exp = Fraction(a * int(v), n)
-            amb = v >= top
-            if exp.denominator == 1:
-                return power_norm(p, -int(exp)), amb
-            return RootScaledValue.monomial(p, exp), amb
-        return run
-    if isinstance(e, Sum):
-        subs = [compile_expr(it, ctx, level) for it in e.items]
-
-        def run(pt):
-            total: ExactValue = Fraction(0)
-            amb = False
-            for sub in subs:
-                v, a_ = sub(pt)
-                total = _vadd(total, v, p)
-                amb = amb or a_
-            return total, amb
-        return run
-    if isinstance(e, Product):
-        subs = [compile_expr(it, ctx, level) for it in e.items]
-
-        def run(pt):
-            total: ExactValue = Fraction(1)
-            amb = False
-            for sub in subs:
-                v, a_ = sub(pt)
-                total = _vmul(total, v, p)
-                amb = amb or a_
-            return total, amb
-        return run
+                if a < 0 and level is None:
+                    raise ValOfZeroError(carrier, True)
+                return _ONE if a == 0 else _ZERO  # 0^0 = 1; a < 0: divergent, flagged
+            if a * v % n:
+                return RootScaledValue.monomial(p, Fraction(a * v, n))
+            return power_norm(p, -(a * v // n))
+        return norm_power
+    if isinstance(e, (Sum, Product)):
+        subs = [_compile(it, index, p, level) for it in e.items]
+        if isinstance(e, Sum):
+            return lambda vals: sum([sub(vals) for sub in subs], _ZERO)
+        return lambda vals: prod([sub(vals) for sub in subs], start=_ONE)
     if isinstance(e, ScalarMultiple):
-        sub = compile_expr(e.item, ctx, level)
-        scalar = e.scalar
-
-        def run(pt):
-            v, amb = sub(pt)
-            if isinstance(v, RootScaledValue):
-                return v.scale(scalar), amb
-            return scalar * v, amb
-        return run
+        sub, scalar = _compile(e.item, index, p, level), e.scalar
+        return lambda vals: scalar * sub(vals)
     if isinstance(e, IntegerPower):
-        sub = compile_expr(e.base, ctx, level)
-        k = e.exponent
-
-        def run(pt):
-            v, amb = sub(pt)
-            if isinstance(v, RootScaledValue):
-                out: ExactValue = RootScaledValue.from_rational(1, p)
-                for _ in range(k):
-                    out = out * v
-                return out, amb
-            return v**k, amb
-        return run
+        sub, k = _compile(e.base, index, p, level), e.exponent
+        return lambda vals: prod([sub(vals)] * k, start=_ONE)
     raise TypeError(f"not a DSL node: {e!r}")
-
-
-def _as_root(a: ExactValue, p: int) -> RootScaledValue:
-    return a if isinstance(a, RootScaledValue) else RootScaledValue.from_rational(a, p)
-
-
-def _vadd(a: ExactValue, b: ExactValue, p: int) -> ExactValue:
-    if isinstance(a, RootScaledValue) or isinstance(b, RootScaledValue):
-        return _as_root(a, p) + _as_root(b, p)
-    return a + b
-
-
-def _vmul(a: ExactValue, b: ExactValue, p: int) -> ExactValue:
-    if isinstance(a, RootScaledValue) or isinstance(b, RootScaledValue):
-        return _as_root(a, p) * _as_root(b, p)
-    return a * b
 
 
 def evaluate_fractional(e: QExpExpr, point: Sequence, ctx: PrimeContext) -> RootScaledValue:
@@ -596,8 +551,13 @@ def evaluate_fractional(e: QExpExpr, point: Sequence, ctx: PrimeContext) -> Root
     Raises ValOfZeroError where a val carrier, or a norm carrier under a
     negative power, vanishes.
     """
-    value, _ = compile_expr(e, ctx)(point)
-    return _as_root(value, ctx.p)
+    try:
+        value, _ = compile_expr(e, ctx)(carrier_valuations(e, ctx)(point))
+    except ValOfZeroError as err:  # name the point
+        carrier, negative = err.args
+        kind, tail = ("norm", " with negative power") if negative else ("val", "")
+        raise ValOfZeroError(f"{kind} carrier {carrier} vanishes at {tuple(point)}{tail}") from None
+    return RootScaledValue.zero(ctx.p) + value
 
 
 def evaluate(e: QExpExpr, point: Sequence, ctx: PrimeContext) -> Fraction:

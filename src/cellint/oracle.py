@@ -10,8 +10,8 @@ the count vanishes (or tolerates it).
 
 riemann_integrate never evaluates the integrand lift by lift.  Its value
 at a lift depends only on the lift's key, the tuple of exact valuations of
-the distinct norm/val carriers there, so it counts lifts per key and
-evaluates once per key, at the first lift found with it (the witness).
+the distinct norm/val carriers there, which is also the compiled evaluator's
+input: it counts lifts per key and evaluates each key's valuations once.
 For an integer polynomial f(x + p^j y) = f(x) mod p^j, so the classes are
 refined one p-adic digit at a time (cells.refine_classes, shared with the
 certificate checks): a class r mod p^j is settled, its p^(n(level-j)) lifts
@@ -41,7 +41,8 @@ from typing import Iterator, Sequence
 
 from .cells import CellTower, compile_membership, refine_classes
 from .errors import InvalidArgumentError, NonIntegralCoefficientsError
-from .formula_dsl import ExactValue, QExpExpr, _Carrier, _vadd, compile_expr, expr_carriers
+from .formula_dsl import (ExactValue, QExpExpr, _Carrier, carrier_valuations, compile_expr,
+                          expr_carriers)
 from .padic_core import (
     DEFAULT_BUDGET,
     INF,
@@ -63,8 +64,6 @@ class OracleResult:
     ambiguous_count: int
 
     def real_value(self) -> float:
-        if isinstance(self.value, RootScaledValue):
-            return self.value.real_value()
         return float(self.value)
 
 
@@ -88,8 +87,8 @@ def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
     level cannot decide are counted ambiguous).
 
     The lifts are counted per key, the tuple of exact valuations of the
-    expression's distinct carriers, and the integrand is evaluated once per
-    key at a witness lift; the value and the ambiguity flag depend only on
+    expression's distinct carriers, and the compiled evaluator reads each
+    key's valuations once; the value and the ambiguity flag depend only on
     the key, so the exact sum is the same as lift by lift.  Classes are
     refined one p-adic digit at a time and counted whole as soon as their
     domain membership is unambiguous and no carrier vanishes on a member
@@ -119,28 +118,21 @@ def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
                       for num, c in zip(nums, carriers)]), amb
 
     counts: dict = {}
-    witness: dict = {}
     member_of = None if domain is None else compile_membership(domain, ctx)
     for key, r, j in refine_classes(p, level, arity, classify, member_of):
-        witness.setdefault(key, r)
         counts[key] = counts.get(key, 0) + p ** (arity * (level - j))
     ambiguous = sum(count for key, count in counts.items() if key[1])
     total: ExactValue = Fraction(0)
-    for key, count in counts.items():
-        if key[0] is None:
+    for (valuations, amb), count in counts.items():
+        if valuations is None:
             continue
-        value, amb_v = run(witness[key])
-        if amb_v and not key[1]:
+        value, amb_v = run(valuations)
+        if amb_v and not amb:
             ambiguous += count
-        weighted = value.scale(count) if isinstance(value, RootScaledValue) else value * count
-        total = _vadd(total, weighted, p)
-    weight = Fraction(1, p ** (arity * level))
-    if isinstance(total, RootScaledValue):
-        value: ExactValue = total.scale(weight)
-        if value.is_rational():
-            value = value.as_exact_rational()
-    else:
-        value = total * weight
+        total = total + value * count
+    value = total * Fraction(1, p ** (arity * level))
+    if isinstance(value, RootScaledValue) and value.is_rational():
+        value = value.as_exact_rational()
     return OracleResult(value=value, level=level, ambiguous_count=ambiguous)
 
 
@@ -157,13 +149,13 @@ def monte_carlo_integrate(e: QExpExpr, arity: int, samples: int, seed: int,
         raise ValueError("need at least 2 samples")
     level = ctx.default_level if level is None else level
     rng = random.Random(seed)
-    run = compile_expr(e, ctx, level)
+    run, valuations = compile_expr(e, ctx, level), carrier_valuations(e, ctx)
     pm = ctx.p**level
     values = []
     for _ in range(samples):
         pt = tuple(rng.randrange(pm) for _ in range(arity))
-        v, _amb = run(pt)
-        values.append(v.real_value() if isinstance(v, RootScaledValue) else float(v))
+        v, _amb = run(valuations(pt))
+        values.append(float(v))
     mean = sum(values) / samples
     var = sum((v - mean) ** 2 for v in values) / (samples - 1)
     return mean, sqrt(var / samples)

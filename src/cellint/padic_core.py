@@ -24,16 +24,16 @@ Valuation = Union[int, float]  # finite int, or math.inf for v(0)
 
 INF = math.inf
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.317e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin base set, valid for all n < 3.317e24.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with fixed witnesses)."""
+    """Deterministic primality test (Miller-Rabin with fixed bases)."""
     if n < 2:
         return False
-    for q in _MR_WITNESSES:
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     if n >= _MR_LIMIT:
@@ -42,7 +42,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -4,6 +4,9 @@ Values are stored as sparse sums sum_f c_f * p^(-f) with reduced
 fractional exponents f in [0, 1); integer powers of p are folded into
 the rational coefficients.  Distinct fractional powers of p are linearly
 independent over Q, so equality is exact structural equality.
+
+A rational operand (int or Fraction) of + and * on either side is promoted
+into the ring, so rational and root-scaled values mix through the operators.
 """
 
 from __future__ import annotations
@@ -11,6 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+
+from .padic_core import as_rational
+
+_ZERO = Fraction(0)  # the exponent of every rational value, shared
 
 
 def _fold(p: int, exponent: Fraction, coeff: Fraction) -> tuple[Fraction, Fraction]:
@@ -43,16 +50,16 @@ class RootScaledValue:
 
     @classmethod
     def from_rational(cls, q, p: int) -> "RootScaledValue":
-        q = Fraction(q)
-        return cls(p, ((Fraction(0), q),) if q != 0 else ())
+        q = as_rational(q)
+        return cls(p, ((_ZERO, q),) if q != 0 else ())
 
     @classmethod
     def monomial(cls, p: int, exponent, coeff=Fraction(1)) -> "RootScaledValue":
         """coeff * p^(-exponent) for a rational exponent."""
-        coeff = Fraction(coeff)
+        coeff = as_rational(coeff)
         if coeff == 0:
             return cls.zero(p)
-        f, c = _fold(p, Fraction(exponent), coeff)
+        f, c = _fold(p, as_rational(exponent), coeff)
         return cls(p, ((f, c),))
 
     # -- ring operations -------------------------------------------------
@@ -61,12 +68,16 @@ class RootScaledValue:
         if self.p != other.p:
             raise ValueError("mixing value rings over different primes")
 
-    def __add__(self, other: "RootScaledValue") -> "RootScaledValue":
+    def __add__(self, other) -> "RootScaledValue":
+        if not isinstance(other, RootScaledValue):
+            other = self.from_rational(other, self.p)
         self._check(other)
         acc = dict(self.items)
         for f, c in other.items:
             acc[f] = acc.get(f, Fraction(0)) + c
         return self._make(self.p, acc)
+
+    __radd__ = __add__
 
     def __neg__(self) -> "RootScaledValue":
         return RootScaledValue(self.p, tuple((f, -c) for f, c in self.items))
@@ -74,7 +85,9 @@ class RootScaledValue:
     def __sub__(self, other: "RootScaledValue") -> "RootScaledValue":
         return self + (-other)
 
-    def __mul__(self, other: "RootScaledValue") -> "RootScaledValue":
+    def __mul__(self, other) -> "RootScaledValue":
+        if not isinstance(other, RootScaledValue):
+            return self.scale(other)
         self._check(other)
         if len(self.items) == 1 == len(other.items):  # monomials: c1 * c2 != 0, no dict
             (f1, c1), = self.items
@@ -87,8 +100,10 @@ class RootScaledValue:
                 acc[f] = acc.get(f, Fraction(0)) + c
         return self._make(self.p, acc)
 
+    __rmul__ = __mul__
+
     def scale(self, q) -> "RootScaledValue":
-        q = Fraction(q)
+        q = as_rational(q)
         if q == 0:
             return self.zero(self.p)
         return RootScaledValue(self.p, tuple((f, c * q) for f, c in self.items))
@@ -121,6 +136,9 @@ class RootScaledValue:
 
     def real_value(self) -> float:
         return sum(float(c) * self.p ** -float(f) for f, c in self.items)
+
+    def __float__(self) -> float:
+        return float(self.real_value())
 
     def __str__(self) -> str:
         if not self.items:

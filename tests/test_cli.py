@@ -386,6 +386,36 @@ def test_certificate_argument_errors_exit_1(tmp_path, capsys, argv, fragment):
     assert_one_error_line(capsys, fragment)
 
 
+POINT_LEVEL, BALL_LEVEL = ZP_CERT["cells"][0]["levels"][0], ZP_CERT["cells"][1]["levels"][0]
+OUTSIDE_LEVEL = {"center": "0", "lower": {"expr": "1"}, "coset": {"lambda": "1", "n": 1}}
+
+
+@pytest.mark.parametrize("arity, cells, description, functions, fragment", [
+    (1, [POINT_LEVEL, BALL_LEVEL], {"cell": 1, "a": 1, "level": 0}, "x1*x2",
+     "function 0 (x1*x2) uses x2, but cell 1 has arity 1"),
+    (1, [POINT_LEVEL, BALL_LEVEL], {"cell": 1, "a": 1, "delta": "x2", "level": 0}, "x1",
+     "description delta x2 uses x2, but only 0 variable(s) precede level 0 of cell 1"),
+    (0, [None], {"cell": 0, "a": 0}, "1", "description level -1 is not a level of cell 0 (0 "),
+    (1, [POINT_LEVEL, BALL_LEVEL], {"cell": 1, "a": 1, "level": 7}, "x1",
+     "description level 7 is not a level of cell 1 (1 level(s))"),
+    (1, [POINT_LEVEL, BALL_LEVEL], {"cell": 0, "a": 1}, "x1", "lambda = 0 level requires a = 0"),
+    # |t| > 1 holds at no class of Z_p: the description is still checked
+    (1, [POINT_LEVEL, BALL_LEVEL, OUTSIDE_LEVEL], {"cell": 2, "a": 1, "delta": "x1"}, "x1",
+     "description delta x1 uses x1"),
+])
+def test_malformed_norm_description_exit_1(tmp_path, capsys, arity, cells, description,
+                                           functions, fragment):
+    """A description that does not fit its cell is one error line, checked
+    before any class is walked, never a traceback or a wrapped level."""
+    cert = write_json(tmp_path / "cert.json", {
+        "prime": 5, "domain": {"kind": "box", "arity": arity},
+        "cells": [{"levels": [] if level is None else [level]} for level in cells],
+        "descriptions": [description]})
+    argv = ["cells-check", "--certificate", cert, "--level", "2", "--functions", functions]
+    assert main(argv) == 1
+    assert_one_error_line(capsys, fragment)
+
+
 def test_unwritable_out_file_exit_1(tmp_path, capsys):
     args = ["decay", "--f", "x1^2", "--prime", "5", "--m-max", "2", "--out"]
     assert main(args + [str(tmp_path / "missing" / "x.csv")]) == 1

@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
+from operator import add, mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cellint import (
@@ -17,6 +18,7 @@ from cellint import (
     RationalConst,
     RootScaledValue,
     ScalarMultiple,
+    Sum,
     UnknownVariableError,
     Val,
     ValOfZeroError,
@@ -27,7 +29,17 @@ from cellint import (
     parse_expr,
     parse_poly,
 )
-from cellint.formula_dsl import make_power, make_product, make_scalar_multiple, make_sum
+from cellint.formula_dsl import (
+    _Carrier,
+    carrier_valuations,
+    compile_expr,
+    expr_carriers,
+    make_power,
+    make_product,
+    make_scalar_multiple,
+    make_sum,
+)
+from cellint.padic_core import INF, power_norm
 from cellint.polynomials import Polynomial, format_poly
 
 C5 = PrimeContext(5)
@@ -258,3 +270,166 @@ def test_parse_poly_errors_are_raised_afresh(text, error):
         raised.append((type(exc.value), str(exc.value), exc.value.offset))
     assert raised[0][0] is error
     assert raised[0] == raised[1] == raised[2]
+
+
+# -- the valuation-vector evaluator against the per-leaf point evaluator --------------
+
+
+def _parent_point_evaluator(e, ctx, level=None):
+    """The point evaluator compile_expr was before it read valuation vectors:
+    every leaf values its own carrier at the point, and Fraction and
+    RootScaledValue operands are dispatched by hand."""
+    p, exact = ctx.p, level is None
+
+    def as_root(a):
+        return a if isinstance(a, RootScaledValue) else RootScaledValue.from_rational(a, p)
+
+    def combine(a, b, op):
+        if isinstance(a, RootScaledValue) or isinstance(b, RootScaledValue):
+            return op(as_root(a), as_root(b))
+        return op(a, b)
+
+    def build(e):
+        if isinstance(e, RationalConst):
+            return lambda pt: (e.value, False)
+        if isinstance(e, (Norm, Val, FracNormPower)):
+            valuation_at = _Carrier(e.carrier, ctx).valuation_at
+            top = INF if exact else level
+
+            def leaf(pt):
+                v = valuation_at(pt)
+                if isinstance(e, Val):
+                    if v is INF:
+                        if exact:
+                            raise ValOfZeroError(f"val carrier {e.carrier} vanishes at {tuple(pt)}")
+                        return Fraction(level), True
+                    return Fraction(int(v)), v >= top
+                a, n = (1, 1) if isinstance(e, Norm) else (e.a, e.n)
+                if v is INF:
+                    if a > 0:
+                        return Fraction(0), not exact
+                    if a == 0:
+                        return Fraction(1), not exact
+                    if exact:
+                        raise ValOfZeroError(f"norm carrier {e.carrier} vanishes at "
+                                             f"{tuple(pt)} with negative power")
+                    return Fraction(0), True
+                exp = Fraction(a * int(v), n)
+                if exp.denominator == 1:
+                    return power_norm(p, -int(exp)), v >= top
+                return RootScaledValue.monomial(p, exp), v >= top
+            return leaf
+        if isinstance(e, (Sum, Product)):
+            subs = [build(it) for it in e.items]
+            start, op = (Fraction(0), add) if isinstance(e, Sum) else (Fraction(1), mul)
+
+            def fold(pt):
+                total, amb = start, False
+                for sub in subs:
+                    v, a_ = sub(pt)
+                    total, amb = combine(total, v, op), amb or a_
+                return total, amb
+            return fold
+        if isinstance(e, ScalarMultiple):
+            sub = build(e.item)
+
+            def scaled(pt):
+                v, amb = sub(pt)
+                return (v.scale(e.scalar) if isinstance(v, RootScaledValue) else e.scalar * v), amb
+            return scaled
+        sub, k = build(e.base), e.exponent
+
+        def power(pt):
+            v, amb = sub(pt)
+            if isinstance(v, RootScaledValue):
+                out = RootScaledValue.from_rational(1, p)
+                for _ in range(k):
+                    out = out * v
+                return out, amb
+            return v**k, amb
+        return power
+
+    return build(e)
+
+
+# the seven integrand shapes of the benchmark's oracle jobs
+_SHAPES = ("norm({f})", "val({f})", "norm({f})^{{{a}/{n}}}", "{s}*norm({f}) + val({g})",
+           "norm({f})*val({g})", "{s}*norm({f})^{{{a}/{n}}} + norm({g})", "val({f})^2 + {s}")
+_POWERED = "({s}*norm({f})^{{{a}/{n}}} + val({g}))^2"  # a power of an irrational value
+
+
+@st.composite
+def _carrier_texts(draw, p, level):
+    """A carrier in x1, x2: one with many zeros, one that is 0 mod p^level
+    everywhere, the zero polynomial, or a random one over Q."""
+    special = ("x1", "x1 - x2", "x1^2 - 2*x2^3", f"{p**level}*x1", f"{p}*x1*x2", "x1 - x1",
+               f"x2 + 1/{p}")
+    if draw(st.booleans()):
+        return draw(st.sampled_from(special))
+    monomial = st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(-4, 4),
+                         st.sampled_from((1, 1, 2, p)))
+    coeffs = {(i, j): Fraction(c, d) for i, j, c, d in draw(st.lists(monomial, min_size=1,
+                                                                        max_size=3))}
+    return format_poly(Polynomial.make(2, coeffs))
+
+
+@st.composite
+def _evaluator_problems(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    level = draw(st.integers(1, 3))
+    f = draw(_carrier_texts(p, level))
+    g = f if draw(st.booleans()) else draw(_carrier_texts(p, level))  # repeated carriers
+    if draw(st.integers(0, 7)) == 7:  # a random nested expression
+        e = _random_expr(random.Random(draw(st.integers(0, 2**32))))
+    else:
+        e = parse_expr(draw(st.sampled_from(_SHAPES + _SHAPES[2::3] + (_POWERED,))).format(
+            f=f, g=g, a=draw(st.integers(-3, 3)), n=draw(st.integers(1, 3)),
+            s=draw(st.sampled_from(("2", "1/2", "3/4")))))
+    # coordinates u * p^k, so that carriers take many valuations and zeros
+    scaled = st.builds(lambda u, k: u * p**k, st.integers(-p, p**level), st.integers(0, level))
+    lift = st.tuples(scaled, scaled).map(lambda pt: tuple(x % p**level for x in pt))
+    short = st.lists(scaled, max_size=1).map(tuple)  # too short for an x2 carrier
+    points = draw(st.lists(st.one_of(lift, lift, lift, short), min_size=1, max_size=6))
+    rational = st.builds(Fraction, scaled, st.sampled_from((1, 2, p, p * p)))
+    points += draw(st.lists(st.tuples(rational, rational), max_size=3))
+    return e, PrimeContext(p), level, points
+
+
+def _result(fn, *args):
+    try:
+        value, amb = fn(*args)
+        return type(value), value, amb
+    except (ValOfZeroError, ValueError) as ex:
+        return type(ex), str(ex)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(problem=_evaluator_problems())
+@example(problem=(parse_expr("val(x1) + norm(x1 - x2)"), C5, 2, [(0,), (0, 0), (5, 5)]))
+def test_valuation_evaluator_matches_the_per_leaf_point_evaluator(problem):
+    """Same value and value type, ambiguity flag, and error type and message
+    as the per-leaf point evaluator, exactly and at a level.  The one change:
+    a point too short for some carrier raises that carrier's ValueError
+    before any ValOfZeroError."""
+    e, ctx, level, points = problem
+    valuations = carrier_valuations(e, ctx)
+    carriers = expr_carriers(e)
+    for lv in (None, level):
+        run, parent = compile_expr(e, ctx, lv), _parent_point_evaluator(e, ctx, lv)
+        for pt in points:
+            if lv is not None and any(Fraction(x).denominator != 1 for x in pt):
+                continue  # a level reads integer lifts
+            old, new = _result(parent, pt), _result(lambda x: run(valuations(x)), pt)
+            fractional = _result(lambda x: (evaluate_fractional(e, x, ctx), False), pt)
+            short = [c.arity for c in carriers if c.arity > len(pt)]
+            if short:
+                error = (ValueError, f"point has {len(pt)} coordinates, need {short[0]}")
+                assert new == fractional == error
+                assert old[0] is ValOfZeroError or old == error
+            elif old[0] is ValOfZeroError:
+                assert lv is None and new[0] is ValOfZeroError and fractional == old
+            else:
+                assert new == old, (format_expr(e), lv, pt)
+                if lv is None:
+                    assert fractional == (RootScaledValue, old[1] + RootScaledValue.zero(ctx.p),
+                                          False)

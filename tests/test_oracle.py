@@ -24,7 +24,8 @@ from cellint import (
     unit_ball_coset_cell,
 )
 from cellint.cells import Bound, CellLevel, CellTower, CosetSpec, compile_membership
-from cellint.formula_dsl import _vadd, compile_expr
+from cellint import oracle
+from cellint.formula_dsl import _Carrier, carrier_valuations, compile_expr
 from cellint.oracle import _CHUNK, _modular_view, _values_mod
 from cellint.polynomials import Polynomial
 from cellint.rootval import RootScaledValue
@@ -178,7 +179,7 @@ def brute_force_riemann(e, arity, level, ctx, domain=None):
     test_cells.py.
     """
     p = ctx.p
-    run = compile_expr(e, ctx, level)
+    run, valuations = compile_expr(e, ctx, level), carrier_valuations(e, ctx)
     total = Fraction(0)
     ambiguous = 0
     member_of = None if domain is None else compile_membership(domain, ctx)
@@ -189,14 +190,14 @@ def brute_force_riemann(e, arity, level, ctx, domain=None):
                 ambiguous += 1
             if not member:
                 continue
-            value, amb_v = run(pt)
+            value, amb_v = run(valuations(pt))
             if amb_v and not amb:
                 ambiguous += 1
         else:
-            value, amb_v = run(pt)
+            value, amb_v = run(valuations(pt))
             if amb_v:
                 ambiguous += 1
-        total = _vadd(total, value, p)
+        total = total + value
     weight = Fraction(1, p ** (arity * level))
     if isinstance(total, RootScaledValue):
         value = total.scale(weight)
@@ -314,6 +315,37 @@ def test_riemann_box_matches_brute_force(problem):
 @given(problem=_problem(with_domain=True))
 def test_riemann_domain_matches_brute_force(problem):
     _check_against_brute_force(*problem)
+
+
+def test_riemann_evaluates_each_key_once_and_values_no_carrier_at_a_point(monkeypatch):
+    """The evaluator reads the kernel's keys: one call per distinct key of a
+    member class, in the order first found, and no _Carrier.valuation_at call."""
+    valued = []
+    monkeypatch.setattr(_Carrier, "valuation_at",
+                        lambda self, point: valued.append(point))  # must not be called
+    keys, calls = [], []
+    refine, compile_ = oracle.refine_classes, oracle.compile_expr
+
+    def recorded_refine(*args):
+        for key, r, j in refine(*args):
+            keys.append(key)
+            yield key, r, j
+
+    def counted_compile(*args):
+        run = compile_(*args)
+        return lambda valuations: calls.append(valuations) or run(valuations)
+
+    monkeypatch.setattr(oracle, "refine_classes", recorded_refine)
+    monkeypatch.setattr(oracle, "compile_expr", counted_compile)
+    unbounded = CellTower((CellLevel(Polynomial.constant(0), None, None,
+                                     CosetSpec(Fraction(1), 2)),))
+    for text, arity, domain in (("norm(x1^2 - 2*x2^3)^{1/2}*val(x1) + val(x1 - x2)", 2, None),
+                                ("norm(x1 - 1)*val(x1 - 4) + norm(x1 + 5)^{-1/3}", 1, unbounded)):
+        keys.clear(), calls.clear()
+        riemann_integrate(parse_expr(text), arity, 3, C5, domain=domain)
+        member_keys = list(dict.fromkeys(key for key in keys if key[0] is not None))
+        assert len(member_keys) > 3 and calls == [valuations for valuations, _ in member_keys]
+    assert valued == []
 
 
 # -- the one modular enumeration against the per-point product loops ---------------

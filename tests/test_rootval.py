@@ -44,6 +44,37 @@ def test_mixed_prime_rejected():
         mono(1, p=5) + mono(1, p=7)
 
 
+def test_rational_operands_are_promoted():
+    """int and Fraction operands on either side of + and * act as the
+    rational elements of the ring; float() is real_value()."""
+    r = mono(Fraction(1, 2), 3) + mono(Fraction(1, 3))
+    third = RootScaledValue.from_rational(Fraction(1, 3), 5)
+    assert Fraction(1, 3) + r == r + Fraction(1, 3) == r + third
+    assert (0 + r).items == r.items and (r + Fraction(0)).items == r.items
+    assert r * 4 == 4 * r == r.scale(4) == r * RootScaledValue.from_rational(4, 5)
+    assert Fraction(-2, 7) * r == r * RootScaledValue.from_rational(Fraction(-2, 7), 5)
+    assert r * 0 == 0 * r == RootScaledValue.zero(5)
+    assert float(r) == r.real_value() == 3 * 5 ** -0.5 + 5 ** (-1 / 3)
+    zero = RootScaledValue.zero(5)
+    assert zero.real_value() == 0 and type(zero.real_value()) is int  # printed as "0"
+    assert float(zero) == 0.0 and type(float(zero)) is float
+    with pytest.raises(ValueError, match="different primes"):
+        mono(1, p=5) * mono(Fraction(1, 2), p=7)
+    with pytest.raises(ValueError, match="different primes"):
+        Fraction(1, 2) + mono(1, p=5) + mono(1, p=7)
+
+
+def test_rational_parts_are_not_copied():
+    """from_rational and monomial keep a Fraction they are given, and every
+    rational value shares one zero exponent."""
+    q = Fraction(3, 4)
+    assert RootScaledValue.from_rational(q, 5).items[0][1] is q
+    assert RootScaledValue.monomial(5, Fraction(1, 2), q).items[0][1] is q
+    assert RootScaledValue.from_rational(q, 5).items[0][0] \
+        is RootScaledValue.from_rational(7, 3).items[0][0]
+    assert RootScaledValue.from_rational(7, 3).items == ((Fraction(0), Fraction(7)),)
+
+
 def test_ring_axioms_random():
     rng = random.Random(606)
 
