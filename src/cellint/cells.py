@@ -9,10 +9,17 @@ to partition a domain, plus norm descriptions |f| = |delta| *
 contains reads a level through qexp_sum.fiber_valuation_range (re-exported
 here) and coset_membership; fiber_measure and tower_measure thread one value
 through qexp_sum.level_integral at a = l = 0.
-compile_membership plans a tower once, in integer arithmetic.  The checks
-walk the digit-tree kernel refine_classes, which settles a class r mod p^j
-(all its p^(n(m-j)) lifts at once) when every plan is unambiguous on it and
-no described f or delta is 0 mod p^j.  The budget counts all p^(m*n) classes.
+A MembershipPlan plans the membership tests of one check once, in integer
+arithmetic: one cleared view per distinct level carrier (t - c(x), keyed by
+level index and centre, and each non-constant bound), evaluated once per
+class, and one test per distinct level.  check_partition merges the cells
+into a tree of level tests; the domain, the described towers and f, delta
+and t - c of check_norm_description, and the domain of
+oracle.riemann_integrate read the same plan's views.  compile_membership is
+the one-tower plan.  The checks walk the digit-tree kernel refine_classes,
+which settles a class r mod p^j (all its p^(n(m-j)) lifts at once) when
+every test is unambiguous on it and no described f or delta is 0 mod p^j.
+The budget counts all p^(m*n) classes.
 """
 
 from __future__ import annotations
@@ -36,8 +43,6 @@ from .padic_core import (
     coset_membership,
     hensel_level,
     int_valuation,
-    residue,
-    unit_part,
     valuation,
 )
 from .polynomials import Polynomial, eval_int_terms, format_poly
@@ -183,75 +188,197 @@ def contains(tower: CellTower, point: Sequence, ctx: PrimeContext) -> bool:
                for i, level in enumerate(tower.levels))
 
 
-def _plan_level(index: int, level: CellLevel, ctx: PrimeContext):
-    """(point, level) -> (holds, ambiguous) for one cell level, in integers: with
-    t - c(x) = N(x)/D cleared of denominators, v(t - c) = v(N) - v(D) and
-    unit((t - c)/lam) = unit(N) * unit(D*lam)^(-1) mod p^M, whose n-th-power
-    coset is padic_core._power_test's closed form."""
-    p, lam, n = ctx.p, level.coset.lam, level.coset.n
-    diff = _Carrier(Polynomial.variable(index) - level.center, ctx)
-    terms, vden = diff.terms, diff.vden
-    bounds = []
-    for lower, bound in ((True, level.lower), (False, level.upper)):
-        if bound is not None:
-            view = _Carrier(bound.expr, ctx)
-            const = view.valuation_at(()) if bound.expr.is_constant() else None
-            bounds.append((lower, bound.strict, view.terms, view.vden, const))
-    hensel = 1 if lam == 0 else hensel_level(n, p)
-    if lam != 0:
-        vlam = int(valuation(lam, ctx))
-        inverse = pow(residue(unit_part(diff.denom * lam, ctx), hensel, ctx), -1, p**hensel)
-        exponent, power_level, _ = _power_test(n, p)
-        power_modulus = p**power_level
+class _View(_Carrier):
+    """A level carrier's cleared integer view poly = terms/denom, evaluated once
+    per class: read(point) -> (terms(point), its valuation, INF for 0), kept
+    for the last point read.  The point is matched by identity, which the kept
+    reference makes unique, so every test handed the same class tuple shares
+    one evaluation."""
 
-    def test(point: Sequence[int], at: int) -> tuple[bool, bool]:
-        num = eval_int_terms(terms, point)
-        vnum = INF if num == 0 else int_valuation(num, p)
-        ambiguous = vnum + hensel > at
-        values = []
-        for _, _, bterms, bvden, const in bounds:
-            if const is None:
-                b = eval_int_terms(bterms, point)
-                ambiguous = ambiguous or b % p**at == 0
-                const = INF if b == 0 else int_valuation(b, p) - bvden
-            values.append(const)
+    point = None
+
+    def read(self, point: Sequence[int]) -> tuple:
+        if point is not self.point:
+            num = eval_int_terms(self.terms, point)
+            self.point, self.num, self.powers = point, num, {}
+            self.v = INF if num == 0 else int_valuation(num, self.p)
+        return self.num, self.v
+
+    def unit_power(self, n: int, exponent: int, modulus: int) -> int:
+        """unit(num)^exponent mod modulus at the last point read (num != 0), once per n."""
+        power = self.powers.get(n)
+        if power is None:
+            power = self.powers[n] = pow(self.num // self.p**self.v, exponent, modulus)
+        return power
+
+
+class MembershipPlan:
+    """The membership tests of one check over one prime, planned once.
+
+    A cell level reads two kinds of carriers: t - c(x) = x_i - c(x), keyed by
+    (i, c) and built only on a miss, and its non-constant bound polynomials.
+    The plan keeps one _View per distinct carrier and one test per distinct
+    (index, level), and every tower planned on it (a domain, the cells of a
+    certificate, the towers its descriptions name) shares them: a class
+    evaluates each carrier once, however many cells and levels read it.
+    """
+
+    def __init__(self, ctx: PrimeContext):
+        self.ctx = ctx
+        self._views: dict = {}
+        self._diffs: dict = {}
+        self._levels: dict = {}
+
+    def view(self, poly: Polynomial) -> _View:
+        view = self._views.get(poly)
+        if view is None:
+            view = self._views[poly] = _View(poly, self.ctx)
+        return view
+
+    def diff(self, index: int, center: Polynomial) -> _View:
+        """The view of t - c(x) = x_(index+1) - center."""
+        view = self._diffs.get((index, center))
+        if view is None:
+            view = self._diffs[index, center] = self.view(Polynomial.variable_minus(index, center))
+        return view
+
+    def _level(self, index: int, level: CellLevel):
+        test = self._levels.get((index, level))
+        if test is None:
+            test = self._levels[index, level] = self._plan_level(index, level)
+        return test
+
+    def _plan_level(self, index: int, level: CellLevel):
+        """(point, level) -> (holds, ambiguous) for one cell level, in integers.
+
+        With t - c(x) = N(x)/D cleared of denominators, v(t - c) = v(N) - v(D),
+        and (t - c)/lam is in P_n iff v(N) - v(D) = v(lam) mod n and
+        unit(N)^e * c_lam = 1 mod p^L, with (e, L) from padic_core._power_test
+        and c_lam = unit(D*lam)^(-e) mod p^L, since (ab)^e = a^e b^e; unit(N)^e
+        is taken once per class and order n (_View.unit_power).
+        """
+        p, lam, n = self.ctx.p, level.coset.lam, level.coset.n
+        diff = self.diff(index, level.center)
+        read, vden = diff.read, diff.vden
         if lam == 0:
-            return num == 0, ambiguous
-        k = vnum - vden
-        for (lower, strict, _, _, _), v in zip(bounds, values):
-            if v is INF:  # the bound vanished: a malformed cell at this point
-                return False, True
-            if not ((k < v if strict else k <= v) if lower else (k > v if strict else k >= v)):
-                return False, ambiguous
-        if num == 0 or (k - vlam) % n:
-            return False, ambiguous
-        return pow(num // p**vnum * inverse, exponent, power_modulus) == 1, ambiguous
+            def point_test(point: Sequence[int], at: int) -> tuple[bool, bool]:
+                num, v = read(point)
+                return num == 0, v >= at  # v + M > at with M = 1
+            return point_test
+        unit_power, hensel = diff.unit_power, hensel_level(n, p)
+        exponent, power_level, _ = _power_test(n, p)
+        modulus = p**power_level
+        num, den = diff.denom * lam.numerator, lam.denominator  # D*lam = num/den
+        vnum, vden_lam = int_valuation(num, p), int_valuation(den, p)
+        vlam = vnum - diff.vden - vden_lam
+        c_lam = pow(den // p**vden_lam * pow(num // p**vnum, -1, modulus), exponent, modulus)
+        sides = []  # (lower, strict, view of a non-constant bound, valuation of a constant)
+        for lower, bound in ((True, level.lower), (False, level.upper)):
+            if bound is not None:
+                constant = bound.expr.is_constant()
+                sides.append((lower, bound.strict, None if constant else self.view(bound.expr),
+                              valuation(bound.expr.constant_value(), self.ctx) if constant
+                              else None))
 
-    return test
+        if all(view is None and value is not INF for _, _, view, value in sides):
+            lo, hi = -INF, INF  # nonzero constant bounds: one range lo <= v(t - c) <= hi
+            for lower, strict, _, value in sides:
+                if lower:  # |alpha| < |t - c|: k < v(alpha)
+                    hi = min(hi, value - strict)
+                else:  # |t - c| < |beta|: k > v(beta)
+                    lo = max(lo, value + strict)
+
+            def range_test(point: Sequence[int], at: int) -> tuple[bool, bool]:
+                num, v = read(point)
+                ambiguous = v + hensel > at
+                k = v - vden
+                if not lo <= k <= hi or num == 0 or (k - vlam) % n:
+                    return False, ambiguous
+                return unit_power(n, exponent, modulus) * c_lam % modulus == 1, ambiguous
+            return range_test
+
+        def test(point: Sequence[int], at: int) -> tuple[bool, bool]:
+            num, v = read(point)
+            ambiguous = v + hensel > at
+            values = []
+            for _, _, view, value in sides:
+                if view is not None:
+                    bv = view.read(point)[1]
+                    ambiguous = ambiguous or bv >= at  # the cleared bound is 0 mod p^at
+                    value = INF if bv is INF else bv - view.vden
+                values.append(value)
+            k = v - vden
+            for (lower, strict, _, _), value in zip(sides, values):
+                if value is INF:  # the bound vanished: a malformed cell at this point
+                    return False, True
+                if not ((k < value if strict else k <= value) if lower
+                        else (k > value if strict else k >= value)):
+                    return False, ambiguous
+            if num == 0 or (k - vlam) % n:
+                return False, ambiguous
+            return unit_power(n, exponent, modulus) * c_lam % modulus == 1, ambiguous
+        return test
+
+    def member_of(self, tower: CellTower) -> Callable[[Sequence[int], int], tuple[bool, bool]]:
+        """compile_membership's (integer point, level) -> (member, ambiguous) on this plan."""
+        tests = [self._level(i, level) for i, level in enumerate(tower.levels)]
+
+        def member_of(point: Sequence[int], at: int) -> tuple[bool, bool]:
+            ambiguous = False
+            for test in tests:
+                holds, amb = test(point, at)
+                ambiguous = ambiguous or amb
+                if not holds:
+                    return False, ambiguous
+            return True, ambiguous
+
+        return member_of
+
+    def owners_of(self, towers: Sequence[CellTower]) -> Callable[[Sequence[int], int], tuple]:
+        """(integer point, level) -> (indices of the towers holding it, ambiguous).
+
+        The towers are merged into a tree of level tests, so a level shared by
+        the towers' common prefix is tested once; ambiguous is the or of every
+        test made, which is the or of member_of's flags over the towers.
+        """
+        root: tuple[dict, list] = ({}, [])
+        for idx, tower in enumerate(towers):
+            children, owners = root
+            for i, level in enumerate(tower.levels):
+                test = self._level(i, level)
+                children, owners = children.setdefault(test, ({}, []))
+            owners.append(idx)
+
+        def owners_of(point: Sequence[int], at: int) -> tuple[tuple[int, ...], bool]:
+            owners, ambiguous = list(root[1]), False
+            stack = [root[0]]
+            while stack:
+                for test, (children, cells) in stack.pop().items():
+                    holds, amb = test(point, at)
+                    ambiguous = ambiguous or amb
+                    if holds:
+                        owners += cells
+                        if children:
+                            stack.append(children)
+            return tuple(sorted(owners)), ambiguous
+
+        return owners_of
 
 
 def compile_membership(tower: CellTower,
                        ctx: PrimeContext) -> Callable[[Sequence[int], int], tuple[bool, bool]]:
     """Plan a tower once: (integer point, level) -> (member, ambiguous).
 
-    Membership is exact at the point, and ambiguous when the class mod
-    p^level does not fix it: at some level v(t - c) + M > level - (precision
-    lost to p in the centre's denominators), M the coset's Hensel level (1
-    for a point), or a non-constant bound is 0 mod p^level once cleared, or
-    a bound vanishes.  Levels after the first that fails are not tested.
+    MembershipPlan.member_of on a plan of the tower's own; a check that tests
+    several towers plans them on one MembershipPlan, so that they share its
+    carrier views and level tests.  Membership is exact at the point, and
+    ambiguous when the class mod p^level does not fix it: at some level
+    v(t - c) + M > level - (precision lost to p in the centre's
+    denominators), M the coset's Hensel level (1 for a point), or a
+    non-constant bound is 0 mod p^level once cleared, or a bound vanishes.
+    Levels after the first that fails are not tested.
     """
-    levels = [_plan_level(i, level, ctx) for i, level in enumerate(tower.levels)]
-
-    def member_of(point: Sequence[int], level: int) -> tuple[bool, bool]:
-        ambiguous = False
-        for test in levels:
-            holds, amb = test(point, level)
-            ambiguous = ambiguous or amb
-            if not holds:
-                return False, ambiguous
-        return True, ambiguous
-
-    return member_of
+    return MembershipPlan(ctx).member_of(tower)
 
 
 def refine_classes(p: int, level: int, arity: int, classify: Callable,
@@ -279,6 +406,8 @@ def refine_classes(p: int, level: int, arity: int, classify: Callable,
 def membership(tower: CellTower, point: Sequence, ctx: PrimeContext,
                level_m: int) -> tuple[bool, bool]:
     """(member, ambiguous) of the integer lift of a class mod p^level_m, planned once."""
+    if len(point) != tower.arity:
+        raise InvalidArgumentError(f"point arity {len(point)} != tower arity {tower.arity}")
     if any(Fraction(x).denominator != 1 for x in point):
         raise InvalidArgumentError("membership is decided at integer lifts")
     return compile_membership(tower, ctx)(tuple(int(x) for x in point), level_m)
@@ -341,21 +470,13 @@ def check_partition(cert: DecompositionCertificate, m: int, ctx: PrimeContext,
         raise ValueError("context prime differs from certificate prime")
     p, arity = ctx.p, cert.domain.arity
     check_budget(p, m, arity, budget)
-    domain = None if isinstance(cert.domain, BoxDomain) else compile_membership(cert.domain, ctx)
-    cells = [compile_membership(tower, ctx) for tower in cert.cells]
+    plan = MembershipPlan(ctx)
+    domain = None if isinstance(cert.domain, BoxDomain) else plan.member_of(cert.domain)
+    owners_of = plan.owners_of(cert.cells)
 
     def classify(r, j, _):
-        owners = []
-        point_ambiguous = False
-        for idx, cell in enumerate(cells):
-            member, amb = cell(r, j)
-            if amb:
-                if j < m:
-                    return None
-                point_ambiguous = True
-            if member:
-                owners.append(idx)
-        return tuple(owners), point_ambiguous
+        owners, ambiguous = owners_of(r, j)
+        return None if ambiguous and j < m else (owners, ambiguous)
 
     violations: list[tuple[tuple[int, ...], list[int]]] = []
     ambiguous_points = 0
@@ -438,32 +559,34 @@ def check_norm_description(functions: Sequence[Polynomial],
     p = ctx.p
     check_budget(p, m, cert.domain.arity, budget)
     level_indices = [_described_level(desc, functions, cert) for desc in cert.descriptions]
+    plan = MembershipPlan(ctx)
     mismatches: list[tuple[tuple[int, ...], object, object]] = []
     ambiguous = 0
     checked = 0
     for desc, level_idx in zip(cert.descriptions, level_indices):
         tower = cert.cells[desc.cell]
         level = tower.levels[level_idx]
-        f, delta = _Carrier(functions[desc.function], ctx), _Carrier(desc.delta, ctx)
-        diff = _Carrier(Polynomial.variable(level_idx) - level.center, ctx)
+        f, delta = plan.view(functions[desc.function]), plan.view(desc.delta)
+        diff = plan.diff(level_idx, level.center)
         vlam = None if level.coset.lam == 0 else int(valuation(level.coset.lam, ctx))
 
         def classify(r, j, amb):
-            fnum, dnum = eval_int_terms(f.terms, r), eval_int_terms(delta.terms, r)
-            if j < m and not (fnum % p**j and dnum % p**j):
+            vf, vd = f.read(r)[1], delta.read(r)[1]
+            if j < m and (vf >= j or vd >= j):  # f or delta is 0 mod p^j
                 return None
-            lhs = INF if fnum == 0 else Fraction(int_valuation(fnum, p) - f.vden)
-            vd = INF if dnum == 0 else int_valuation(dnum, p) - delta.vden
+            lhs = INF if vf is INF else Fraction(vf - f.vden)
+            vd = INF if vd is INF else vd - delta.vden
             if vlam is None:
                 return (lhs, vd), amb
-            k = diff.valuation_at(r)
+            k = diff.read(r)[1]
             if k is INF or vd is INF:
                 return (lhs, INF), amb
+            k -= diff.vden
             return (lhs, Fraction(vd) + Fraction(desc.a * (k - vlam), level.coset.n)), amb
 
         start = len(mismatches)
         for (sides, amb), r, j in refine_classes(p, m, tower.arity, classify,
-                                                 compile_membership(tower, ctx)):
+                                                 plan.member_of(tower)):
             if sides is None:
                 continue
             size = p ** (tower.arity * (m - j))

@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .cells import (
     BoxDomain,
+    _described_level,
     check_norm_description,
     check_partition,
     load_certificate,
@@ -220,6 +221,11 @@ def _cmd_cells_check(run: RunConfig) -> int:
     cert = load_certificate(run.require("certificate"))
     ctx = PrimeContext(cert.prime)
     level = run.integer("level", 4)
+    functions = run.get("functions")
+    if functions is not None and cert.descriptions:  # a malformed description fails at once
+        functions = _poly_list(functions, "--functions")
+        for desc in cert.descriptions:
+            _described_level(desc, functions, cert)
     report = check_partition(cert, level, ctx, budget=run.budget)
     payload = {
         "partition_ok": report.ok,
@@ -228,10 +234,8 @@ def _cmd_cells_check(run: RunConfig) -> int:
         "violations": [[list(pt), cells] for pt, cells in report.violations[:50]],
     }
     ok = report.ok
-    functions = run.get("functions")
     if functions is not None and cert.descriptions:
-        norm_report = check_norm_description(_poly_list(functions, "--functions"), cert,
-                                             level, ctx, budget=run.budget)
+        norm_report = check_norm_description(functions, cert, level, ctx, budget=run.budget)
         payload.update({
             "norms_ok": norm_report.ok,
             "norm_points_checked": norm_report.points_checked,

@@ -15,8 +15,10 @@ input: it counts lifts per key and evaluates each key's valuations once.
 For an integer polynomial f(x + p^j y) = f(x) mod p^j, so the classes are
 refined one p-adic digit at a time (cells.refine_classes, shared with the
 certificate checks): a class r mod p^j is settled, its p^(n(level-j)) lifts
-counted at once, when the domain's compiled membership is unambiguous on it
-and no carrier is 0 mod p^j there.  The budget counts all p^(level*n) classes.
+counted at once, when the domain's membership is unambiguous on it and no
+carrier is 0 mod p^j there.  With a domain, the carriers are views of the
+domain's cells.MembershipPlan, so a carrier that is also a level's t - c(x)
+is evaluated once per class.  The budget counts all p^(level*n) classes.
 
 _values_mod is the one enumeration of (Z/p^m)^n under a polynomial map.  It
 reads each f through the same integer view (Polynomial.cleared), with the
@@ -39,7 +41,7 @@ from fractions import Fraction
 from math import prod, sqrt
 from typing import Iterator, Sequence
 
-from .cells import CellTower, compile_membership, refine_classes
+from .cells import CellTower, MembershipPlan, refine_classes
 from .errors import InvalidArgumentError, NonIntegralCoefficientsError
 from .formula_dsl import (ExactValue, QExpExpr, _Carrier, carrier_valuations, compile_expr,
                           expr_carriers)
@@ -105,20 +107,31 @@ def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
         raise InvalidArgumentError(f"arity is {arity}, but the domain has arity {domain.arity}")
     check_budget(p, level, arity, budget)
     run = compile_expr(e, ctx, level)
-    carriers = [_Carrier(f, ctx) for f in polys]
+    if domain is None:
+        carriers = [_Carrier(f, ctx) for f in polys]
+        member_of = None
 
-    def classify(r, j, amb):
-        nums = [eval_int_terms(c.terms, r) for c in carriers]
-        if j < level:
-            pj = p**j
-            for num in nums:
-                if not num % pj:
-                    return None
-        return tuple([INF if num == 0 else int_valuation(num, p) - c.vden
-                      for num, c in zip(nums, carriers)]), amb
+        def classify(r, j, amb):
+            nums = [eval_int_terms(c.terms, r) for c in carriers]
+            if j < level:
+                pj = p**j
+                for num in nums:
+                    if not num % pj:
+                        return None
+            return tuple([INF if num == 0 else int_valuation(num, p) - c.vden
+                          for num, c in zip(nums, carriers)]), amb
+    else:  # carriers the domain's levels share are read once per class
+        plan = MembershipPlan(ctx)
+        member_of, views = plan.member_of(domain), [plan.view(f) for f in polys]
+
+        def classify(r, j, amb):
+            vals = [view.read(r)[1] for view in views]
+            if j < level and any(v >= j for v in vals):  # a carrier is 0 mod p^j
+                return None
+            return tuple([INF if v is INF else v - view.vden
+                          for v, view in zip(vals, views)]), amb
 
     counts: dict = {}
-    member_of = None if domain is None else compile_membership(domain, ctx)
     for key, r, j in refine_classes(p, level, arity, classify, member_of):
         counts[key] = counts.get(key, 0) + p ** (arity * (level - j))
     ambiguous = sum(count for key, count in counts.items() if key[1])

@@ -45,6 +45,16 @@ class Polynomial:
         e = tuple(1 if i == index else 0 for i in range(n))
         return cls.make(n, {e: Fraction(1)})
 
+    @classmethod
+    def variable_minus(cls, index: int, poly: "Polynomial") -> "Polynomial":
+        """x{index+1} - poly for a poly in x1..x{index}: variable(index) - poly,
+        built in canonical form without the general arithmetic."""
+        if poly.arity > index:
+            raise ValueError(f"poly uses x{poly.arity}, not only x1..x{index}")
+        n = index + 1
+        terms = [((0,) * index + (1,), Fraction(1))] + [(_pad(e, n), -c) for e, c in poly.terms]
+        return cls(n, tuple(sorted(terms, reverse=True)))
+
     # -- algebra -----------------------------------------------------------
 
     def _aligned(self, other: "Polynomial") -> tuple[int, dict, dict]:

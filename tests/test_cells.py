@@ -5,8 +5,10 @@ import json
 import os
 import random
 import tempfile
+from contextlib import contextmanager
 from fractions import Fraction
 from math import prod
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -52,6 +54,7 @@ from cellint import (
     valuation,
     zp_nonzero_cell,
 )
+import cellint.cells as cells_module
 from cellint.cells import _described_level, _rational, compile_membership, membership
 from cellint.errors import CertificateMismatchError
 from cellint.formula_dsl import _Carrier
@@ -739,6 +742,19 @@ def test_compiled_membership_matches_fraction_oracle(data):
     assert membership(tower, pt, ctx, m) == fraction_membership(tower, pt, ctx, m)
 
 
+def test_membership_rejects_a_point_of_the_wrong_arity():
+    tower = certificate_from_dict({"prime": 5, "domain": {"kind": "box", "arity": 2}, "cells": [
+        {"levels": [{"center": c, "upper": {"expr": "1", "strict": False},
+                     "coset": {"lambda": "1", "n": 1}} for c in ("0", "x1")]}]}).cells[0]
+    assert membership(tower, (3, 4), C5, 3) == (True, False)
+    for point in ((3,), (3, 4, 7)):
+        message = rf"^point arity {len(point)} != tower arity 2$"
+        with pytest.raises(InvalidArgumentError, match=message):
+            membership(tower, point, C5, 3)
+        with pytest.raises(ValueError, match=message):
+            contains(tower, point, C5)
+
+
 @_differential
 @given(data=st.data())
 def test_contains_matches_fraction_oracle(data):
@@ -856,6 +872,120 @@ def test_check_partition_matches_per_lift_loop(problem):
     assert (report.violations, report.ambiguous_points, report.points_tested) \
         == (violations, ambiguous, points)
     assert report.ok == (not violations)
+
+
+# product certificates of at most 343 points: the per-lift loops test every cell at each
+_PRODUCT_SIZES = [(p, n, m) for p, n, m in _SIZES if p ** (m * n) <= 343]
+
+
+@st.composite
+def _product_certificate(draw):
+    """A certificate as a decomposition builds it: level i of every cell shares
+    one centre c_i and one upper bound, and the cells are all products of the
+    coset representatives of P_(n_i), then some are dropped or duplicated (the
+    same tower or an equal copy).  Each description is |u*(x_i - c_i)^k| =
+    |u*lam_i^k| * |(t - c_i)^(kn) lam_i^(-kn)|^(1/n) on one cell, true unless
+    its exponent a is shifted."""
+    p, arity, m = draw(st.sampled_from(_PRODUCT_SIZES))
+    ctx = PrimeContext(p)
+    centers = [Polynomial.constant(draw(st.integers(0, p * p)))]
+    centers += [draw(_poly(p, i)) for i in range(1, arity)]
+    uppers = [bound(1, strict=False)] + [
+        bound(1, strict=False) if draw(st.booleans()) else Bound(draw(_poly(p, i)), False)
+        for i in range(1, arity)]
+    orders = [draw(st.sampled_from((1, 2, 3) if arity == 1 else (1, 2))) for _ in centers]
+    towers = [()]
+    for center, upper, n in zip(centers, uppers, orders):
+        towers = [tower + (CellLevel(center, None, upper, CosetSpec(lam, n)),)
+                  for tower in towers for lam in coset_representatives(n, ctx)]
+    cells = [CellTower(levels) for levels in towers]
+    for _ in range(draw(st.integers(0, 2))):
+        idx = draw(st.integers(0, len(cells) - 1))
+        kind = draw(st.sampled_from(("drop", "same", "copy")))
+        if kind == "drop" and len(cells) > 1:
+            cells.pop(idx)
+        elif kind != "drop":
+            cells.insert(idx, cells[idx] if kind == "same" else CellTower(cells[idx].levels))
+    domain = BoxDomain(arity) if draw(st.booleans()) else CellTower(tuple(
+        CellLevel(c, None, bound(1, strict=False), CosetSpec(Fraction(1), 1)) for c in centers))
+    functions, descriptions = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        cell = draw(st.integers(0, len(cells) - 1))
+        level = draw(st.integers(0, arity - 1))
+        lam, n = cells[cell].levels[level].coset.lam, cells[cell].levels[level].coset.n
+        k, u = draw(st.integers(1, 2)), draw(st.sampled_from((1, 2, 3, p)))
+        functions.append((Polynomial.variable(level) - centers[level]).scale(u) ** k)
+        descriptions.append(NormDescription(
+            cell=cell, function=len(functions) - 1, delta=Polynomial.constant(u * lam**k),
+            a=k * n + draw(st.sampled_from((0, 0, 0, 1))), level=level))
+    cert = DecompositionCertificate(p, domain, tuple(cells), tuple(descriptions))
+    return cert, functions, m, ctx
+
+
+def _carrier_count(towers, polys=()) -> int:
+    """The distinct level carriers of the towers (each x_i - c_i(x) and non-constant
+    bound) and the polynomials polys."""
+    carriers = set(polys)
+    for tower in towers:
+        for i, level in enumerate(tower.levels):
+            carriers.add(Polynomial.variable(i) - level.center)
+            carriers.update(b.expr for b in (level.lower, level.upper)
+                            if b is not None and not b.expr.is_constant())
+    return len(carriers)
+
+
+@contextmanager
+def _counting():
+    """Count the integer evaluations of cells.eval_int_terms and the classes
+    cells.refine_classes visits (one membership test, or one classify call
+    without a domain, per class)."""
+    counts = {"evals": 0, "visited": 0}
+    evaluate, refine = cells_module.eval_int_terms, cells_module.refine_classes
+
+    def counting_eval(terms, point):
+        counts["evals"] += 1
+        return evaluate(terms, point)
+
+    def visiting(fn):
+        def visit(*args):
+            counts["visited"] += 1
+            return fn(*args)
+        return visit
+
+    def counting_refine(p, level, arity, classify, member_of=None):
+        if member_of is None:
+            return refine(p, level, arity, visiting(classify))
+        return refine(p, level, arity, classify, visiting(member_of))
+
+    with patch.object(cells_module, "eval_int_terms", counting_eval), \
+            patch.object(cells_module, "refine_classes", counting_refine):
+        yield counts
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(problem=_product_certificate())
+def test_shared_plan_matches_per_lift_loops_on_product_certificates(problem):
+    """One plan per check equals the per-lift loops field by field, and each
+    class evaluates each distinct carrier at most once (and some carrier at
+    least once: a plan that ignored the point would evaluate less)."""
+    cert, functions, m, ctx = problem
+    domain = [] if isinstance(cert.domain, BoxDomain) else [cert.domain]
+    with _counting() as counts:
+        report = check_partition(cert, m, ctx)
+    violations, ambiguous, points = per_lift_partition(cert, m, ctx)
+    assert (report.violations, report.ambiguous_points, report.points_tested, report.ok) \
+        == (violations, ambiguous, points, not violations)
+    carriers = _carrier_count(domain + list(cert.cells))
+    assert counts["visited"] <= counts["evals"] <= carriers * counts["visited"]
+
+    with _counting() as counts:
+        norms = check_norm_description(functions, cert, m, ctx)
+    mismatches, ambiguous, points = per_lift_norm_description(functions, cert, m, ctx)
+    assert (norms.mismatches, norms.ambiguous_points, norms.points_checked, norms.ok) \
+        == (mismatches, ambiguous, points, not mismatches)
+    carriers = _carrier_count([cert.cells[d.cell] for d in cert.descriptions],
+                              functions + [d.delta for d in cert.descriptions])
+    assert counts["visited"] <= counts["evals"] <= carriers * counts["visited"]
 
 
 def _delta_root_problem():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from cellint import cli
 from cellint.cli import build_parser, main
 
 COSET_CERT = {
@@ -403,16 +404,23 @@ OUTSIDE_LEVEL = {"center": "0", "lower": {"expr": "1"}, "coset": {"lambda": "1",
     (1, [POINT_LEVEL, BALL_LEVEL, OUTSIDE_LEVEL], {"cell": 2, "a": 1, "delta": "x1"}, "x1",
      "description delta x1 uses x1"),
 ])
-def test_malformed_norm_description_exit_1(tmp_path, capsys, arity, cells, description,
-                                           functions, fragment):
+def test_malformed_norm_description_exit_1(tmp_path, capsys, monkeypatch, arity, cells,
+                                           description, functions, fragment):
     """A description that does not fit its cell is one error line, checked
-    before any class is walked, never a traceback or a wrapped level."""
+    before any class is walked (the partition check is never called), never a
+    traceback or a wrapped level; it wins over a budget the check would exceed."""
+    def walked(*args, **kwargs):
+        raise AssertionError("check_partition walked a certificate with a bad description")
+
+    monkeypatch.setattr(cli, "check_partition", walked)
     cert = write_json(tmp_path / "cert.json", {
         "prime": 5, "domain": {"kind": "box", "arity": arity},
         "cells": [{"levels": [] if level is None else [level]} for level in cells],
         "descriptions": [description]})
     argv = ["cells-check", "--certificate", cert, "--level", "2", "--functions", functions]
     assert main(argv) == 1
+    assert_one_error_line(capsys, fragment)
+    assert main(argv + ["--level", "12", "--budget", "1000"]) == 1
     assert_one_error_line(capsys, fragment)
 
 

@@ -218,6 +218,17 @@ def test_polynomial_cancellation_random():
         assert (f + g) - g == f
 
 
+def test_variable_minus_is_the_canonical_difference():
+    rng = random.Random(97)
+    for _ in range(300):
+        index = rng.randint(0, 3)
+        center = _random_poly(rng, max_arity=index) if index else Polynomial.constant(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+        assert Polynomial.variable_minus(index, center) == Polynomial.variable(index) - center
+    with pytest.raises(ValueError, match="uses x2"):
+        Polynomial.variable_minus(1, parse_poly("x2 + 1"))
+
+
 def test_poly_parse_round_trip():
     for text in ["x1^2 + 1", "2*x1*x2 - 1/2", "-x1 + x2^3", "0", "5", "x3"]:
         p = parse_poly(text)
