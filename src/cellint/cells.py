@@ -10,16 +10,17 @@ contains reads a level through qexp_sum.fiber_valuation_range (re-exported
 here) and coset_membership; fiber_measure and tower_measure thread one value
 through qexp_sum.level_integral at a = l = 0.
 A MembershipPlan plans the membership tests of one check once, in integer
-arithmetic: one cleared view per distinct level carrier (t - c(x), keyed by
-level index and centre, and each non-constant bound), evaluated once per
-class, and one test per distinct level.  check_partition merges the cells
-into a tree of level tests; the domain, the described towers and f, delta
-and t - c of check_norm_description, and the domain of
-oracle.riemann_integrate read the same plan's views.  compile_membership is
-the one-tower plan.  The checks walk the digit-tree kernel refine_classes,
-which settles a class r mod p^j (all its p^(n(m-j)) lifts at once) when
-every test is unambiguous on it and no described f or delta is 0 mod p^j.
-The budget counts all p^(m*n) classes.
+arithmetic: one cleared view (formula_dsl._Carrier) per distinct level
+carrier (t - c(x), keyed by level index and centre, and each non-constant
+bound), evaluated once per class and valued only where a test or a settled
+class reads it, and one test per distinct level.  check_partition merges the
+cells into a tree of level tests; the domain, the described towers and f,
+delta and t - c of check_norm_description, and the domain and integrand
+carriers of oracle.riemann_integrate read the same plan's views, and
+MembershipPlan.member_of plans a single tower.  The checks walk the
+digit-tree kernel refine_classes, which settles a class r mod p^j (all its
+p^(n(m-j)) lifts at once) when every test is unambiguous on it and no
+described f or delta is 0 mod p^j.  The budget counts all p^(m*n) classes.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .padic_core import (
     int_valuation,
     valuation,
 )
-from .polynomials import Polynomial, eval_int_terms, format_poly
+from .polynomials import Polynomial, format_poly
 from .qexp_sum import CellTermSpec, fiber_valuation_range, level_integral
 from .rootval import RootScaledValue
 
@@ -188,39 +189,17 @@ def contains(tower: CellTower, point: Sequence, ctx: PrimeContext) -> bool:
                for i, level in enumerate(tower.levels))
 
 
-class _View(_Carrier):
-    """A level carrier's cleared integer view poly = terms/denom, evaluated once
-    per class: read(point) -> (terms(point), its valuation, INF for 0), kept
-    for the last point read.  The point is matched by identity, which the kept
-    reference makes unique, so every test handed the same class tuple shares
-    one evaluation."""
-
-    point = None
-
-    def read(self, point: Sequence[int]) -> tuple:
-        if point is not self.point:
-            num = eval_int_terms(self.terms, point)
-            self.point, self.num, self.powers = point, num, {}
-            self.v = INF if num == 0 else int_valuation(num, self.p)
-        return self.num, self.v
-
-    def unit_power(self, n: int, exponent: int, modulus: int) -> int:
-        """unit(num)^exponent mod modulus at the last point read (num != 0), once per n."""
-        power = self.powers.get(n)
-        if power is None:
-            power = self.powers[n] = pow(self.num // self.p**self.v, exponent, modulus)
-        return power
-
-
 class MembershipPlan:
     """The membership tests of one check over one prime, planned once.
 
     A cell level reads two kinds of carriers: t - c(x) = x_i - c(x), keyed by
     (i, c) and built only on a miss, and its non-constant bound polynomials.
-    The plan keeps one _View per distinct carrier and one test per distinct
-    (index, level), and every tower planned on it (a domain, the cells of a
-    certificate, the towers its descriptions name) shares them: a class
-    evaluates each carrier once, however many cells and levels read it.
+    The plan keeps one view (formula_dsl._Carrier) per distinct carrier and
+    one test per distinct (index, level), and every tower and polynomial
+    planned on it (a domain, the cells of a certificate, the towers, f and
+    delta its descriptions name, an integrand's carriers) shares them: a class
+    evaluates each carrier once, however many cells, levels and callers read
+    it, and values it only where a test or a settled class needs it.
     """
 
     def __init__(self, ctx: PrimeContext):
@@ -229,13 +208,13 @@ class MembershipPlan:
         self._diffs: dict = {}
         self._levels: dict = {}
 
-    def view(self, poly: Polynomial) -> _View:
+    def view(self, poly: Polynomial) -> _Carrier:
         view = self._views.get(poly)
         if view is None:
-            view = self._views[poly] = _View(poly, self.ctx)
+            view = self._views[poly] = _Carrier(poly, self.ctx)
         return view
 
-    def diff(self, index: int, center: Polynomial) -> _View:
+    def diff(self, index: int, center: Polynomial) -> _Carrier:
         """The view of t - c(x) = x_(index+1) - center."""
         view = self._diffs.get((index, center))
         if view is None:
@@ -255,15 +234,15 @@ class MembershipPlan:
         and (t - c)/lam is in P_n iff v(N) - v(D) = v(lam) mod n and
         unit(N)^e * c_lam = 1 mod p^L, with (e, L) from padic_core._power_test
         and c_lam = unit(D*lam)^(-e) mod p^L, since (ab)^e = a^e b^e; unit(N)^e
-        is taken once per class and order n (_View.unit_power).
+        is taken once per class and order n (_Carrier.unit_power).
         """
         p, lam, n = self.ctx.p, level.coset.lam, level.coset.n
         diff = self.diff(index, level.center)
-        read, vden = diff.read, diff.vden
+        read, vden = diff.valuation, diff.vden
         if lam == 0:
             def point_test(point: Sequence[int], at: int) -> tuple[bool, bool]:
-                num, v = read(point)
-                return num == 0, v >= at  # v + M > at with M = 1
+                v = read(point)
+                return v is INF, v >= at  # v + M > at with M = 1
             return point_test
         unit_power, hensel = diff.unit_power, hensel_level(n, p)
         exponent, power_level, _ = _power_test(n, p)
@@ -289,21 +268,21 @@ class MembershipPlan:
                     lo = max(lo, value + strict)
 
             def range_test(point: Sequence[int], at: int) -> tuple[bool, bool]:
-                num, v = read(point)
+                v = read(point)
                 ambiguous = v + hensel > at
                 k = v - vden
-                if not lo <= k <= hi or num == 0 or (k - vlam) % n:
+                if not lo <= k <= hi or v is INF or (k - vlam) % n:
                     return False, ambiguous
                 return unit_power(n, exponent, modulus) * c_lam % modulus == 1, ambiguous
             return range_test
 
         def test(point: Sequence[int], at: int) -> tuple[bool, bool]:
-            num, v = read(point)
+            v = read(point)
             ambiguous = v + hensel > at
             values = []
             for _, _, view, value in sides:
                 if view is not None:
-                    bv = view.read(point)[1]
+                    bv = view.valuation(point)
                     ambiguous = ambiguous or bv >= at  # the cleared bound is 0 mod p^at
                     value = INF if bv is INF else bv - view.vden
                 values.append(value)
@@ -314,13 +293,21 @@ class MembershipPlan:
                 if not ((k < value if strict else k <= value) if lower
                         else (k > value if strict else k >= value)):
                     return False, ambiguous
-            if num == 0 or (k - vlam) % n:
+            if v is INF or (k - vlam) % n:
                 return False, ambiguous
             return unit_power(n, exponent, modulus) * c_lam % modulus == 1, ambiguous
         return test
 
     def member_of(self, tower: CellTower) -> Callable[[Sequence[int], int], tuple[bool, bool]]:
-        """compile_membership's (integer point, level) -> (member, ambiguous) on this plan."""
+        """Plan a tower on this plan: (integer point, level) -> (member, ambiguous).
+
+        Membership is exact at the point, and ambiguous when the class mod
+        p^level does not fix it: at some level v(t - c) + M > level -
+        (precision lost to p in the centre's denominators), M the coset's
+        Hensel level (1 for a point), or a non-constant bound is 0 mod p^level
+        once cleared, or a bound vanishes.  Levels after the first that fails
+        are not tested.
+        """
         tests = [self._level(i, level) for i, level in enumerate(tower.levels)]
 
         def member_of(point: Sequence[int], at: int) -> tuple[bool, bool]:
@@ -333,6 +320,11 @@ class MembershipPlan:
             return True, ambiguous
 
         return member_of
+
+    def domain_of(self, domain: Domain | None) -> Callable | None:
+        """member_of of a tower domain; None for the box or no domain, which
+        restrict nothing."""
+        return None if domain is None or isinstance(domain, BoxDomain) else self.member_of(domain)
 
     def owners_of(self, towers: Sequence[CellTower]) -> Callable[[Sequence[int], int], tuple]:
         """(integer point, level) -> (indices of the towers holding it, ambiguous).
@@ -365,22 +357,6 @@ class MembershipPlan:
         return owners_of
 
 
-def compile_membership(tower: CellTower,
-                       ctx: PrimeContext) -> Callable[[Sequence[int], int], tuple[bool, bool]]:
-    """Plan a tower once: (integer point, level) -> (member, ambiguous).
-
-    MembershipPlan.member_of on a plan of the tower's own; a check that tests
-    several towers plans them on one MembershipPlan, so that they share its
-    carrier views and level tests.  Membership is exact at the point, and
-    ambiguous when the class mod p^level does not fix it: at some level
-    v(t - c) + M > level - (precision lost to p in the centre's
-    denominators), M the coset's Hensel level (1 for a point), or a
-    non-constant bound is 0 mod p^level once cleared, or a bound vanishes.
-    Levels after the first that fails are not tested.
-    """
-    return MembershipPlan(ctx).member_of(tower)
-
-
 def refine_classes(p: int, level: int, arity: int, classify: Callable,
                    member_of: Callable | None = None) -> Iterator[tuple]:
     """Settle the classes r mod p^j of Z_p^arity, depth first, one p-adic digit at a time.
@@ -405,12 +381,13 @@ def refine_classes(p: int, level: int, arity: int, classify: Callable,
 
 def membership(tower: CellTower, point: Sequence, ctx: PrimeContext,
                level_m: int) -> tuple[bool, bool]:
-    """(member, ambiguous) of the integer lift of a class mod p^level_m, planned once."""
+    """(member, ambiguous) of the integer lift of a class mod p^level_m: the
+    tower planned once, on a MembershipPlan of its own."""
     if len(point) != tower.arity:
         raise InvalidArgumentError(f"point arity {len(point)} != tower arity {tower.arity}")
     if any(Fraction(x).denominator != 1 for x in point):
         raise InvalidArgumentError("membership is decided at integer lifts")
-    return compile_membership(tower, ctx)(tuple(int(x) for x in point), level_m)
+    return MembershipPlan(ctx).member_of(tower)(tuple(int(x) for x in point), level_m)
 
 
 # -- fiber geometry ---------------------------------------------------------------
@@ -471,7 +448,7 @@ def check_partition(cert: DecompositionCertificate, m: int, ctx: PrimeContext,
     p, arity = ctx.p, cert.domain.arity
     check_budget(p, m, arity, budget)
     plan = MembershipPlan(ctx)
-    domain = None if isinstance(cert.domain, BoxDomain) else plan.member_of(cert.domain)
+    domain = plan.domain_of(cert.domain)
     owners_of = plan.owners_of(cert.cells)
 
     def classify(r, j, _):
@@ -548,17 +525,18 @@ def check_norm_description(functions: Sequence[Polynomial],
     Norms are compared exactly as elements of p^((1/n)Z) union {0} via their
     exponents.  Every certificate description entry is tested on all lifted
     cell points mod p^m (mismatches in product order per entry).  Raises
-    InvalidArgumentError for m < 1, BudgetExceededError before enumerating
-    when p^(m*arity) exceeds budget, and CertificateMismatchError before
-    enumerating when a description does not fit its cell (_described_level).
+    InvalidArgumentError for m < 1, CertificateMismatchError when a
+    description does not fit its cell (_described_level), and then
+    BudgetExceededError when p^(m*arity) exceeds budget, all before
+    enumerating.
     """
     if m < 1:
         raise InvalidArgumentError("level m must be >= 1")
     if ctx.p != cert.prime:
         raise ValueError("context prime differs from certificate prime")
     p = ctx.p
-    check_budget(p, m, cert.domain.arity, budget)
     level_indices = [_described_level(desc, functions, cert) for desc in cert.descriptions]
+    check_budget(p, m, cert.domain.arity, budget)
     plan = MembershipPlan(ctx)
     mismatches: list[tuple[tuple[int, ...], object, object]] = []
     ambiguous = 0
@@ -571,14 +549,14 @@ def check_norm_description(functions: Sequence[Polynomial],
         vlam = None if level.coset.lam == 0 else int(valuation(level.coset.lam, ctx))
 
         def classify(r, j, amb):
-            vf, vd = f.read(r)[1], delta.read(r)[1]
-            if j < m and (vf >= j or vd >= j):  # f or delta is 0 mod p^j
-                return None
+            if j < m and (not f.read(r) % p**j or not delta.read(r) % p**j):
+                return None  # f or delta is 0 mod p^j
+            vf, vd = f.valuation(r), delta.valuation(r)
             lhs = INF if vf is INF else Fraction(vf - f.vden)
             vd = INF if vd is INF else vd - delta.vden
             if vlam is None:
                 return (lhs, vd), amb
-            k = diff.read(r)[1]
+            k = diff.valuation(r)
             if k is INF or vd is INF:
                 return (lhs, INF), amb
             k -= diff.vden

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cells import (
-    BoxDomain,
-    _described_level,
     check_norm_description,
     check_partition,
     load_certificate,
@@ -203,9 +201,8 @@ def _cmd_integrate(run: RunConfig) -> int:
     expr = run.get("expr")
     if expr is not None:
         level = run.integer("oracle-level", 6)
-        domain = None if isinstance(cert.domain, BoxDomain) else cert.domain
         oracle = riemann_integrate(parse_expr(str(expr)), cert.domain.arity,
-                                   level, ctx, domain=domain, budget=run.budget)
+                                   level, ctx, domain=cert.domain, budget=run.budget)
         payload.update({
             "oracle_value": oracle.real_value(),
             "oracle_exact": str(oracle.value),
@@ -221,11 +218,11 @@ def _cmd_cells_check(run: RunConfig) -> int:
     cert = load_certificate(run.require("certificate"))
     ctx = PrimeContext(cert.prime)
     level = run.integer("level", 4)
-    functions = run.get("functions")
-    if functions is not None and cert.descriptions:  # a malformed description fails at once
+    functions, norm_report = run.get("functions"), None
+    if functions is not None:  # a malformed description fails before any class is walked
         functions = _poly_list(functions, "--functions")
-        for desc in cert.descriptions:
-            _described_level(desc, functions, cert)
+        if cert.descriptions:
+            norm_report = check_norm_description(functions, cert, level, ctx, budget=run.budget)
     report = check_partition(cert, level, ctx, budget=run.budget)
     payload = {
         "partition_ok": report.ok,
@@ -234,8 +231,7 @@ def _cmd_cells_check(run: RunConfig) -> int:
         "violations": [[list(pt), cells] for pt, cells in report.violations[:50]],
     }
     ok = report.ok
-    if functions is not None and cert.descriptions:
-        norm_report = check_norm_description(functions, cert, level, ctx, budget=run.budget)
+    if norm_report is not None:
         payload.update({
             "norms_ok": norm_report.ok,
             "norm_points_checked": norm_report.points_checked,

@@ -453,13 +453,42 @@ ExactValue = Union[Fraction, RootScaledValue]
 
 
 class _Carrier:
-    """Integer-cleared polynomial carrier poly = terms/denom, with vden = v(denom)."""
+    """Integer-cleared polynomial carrier poly = terms/denom, with vden = v(denom).
+    At integer points it keeps the last point read, matched by identity (which the
+    kept reference makes unique), so every test handed one class tuple shares one
+    evaluation, and values it only when asked."""
+
+    point = powers_at = None
 
     def __init__(self, poly: Polynomial, ctx: PrimeContext):
         self.terms, self.denom = poly.cleared()
         self.vden = int(int_valuation(self.denom, ctx.p))
         self.p = ctx.p
         self.arity = poly.arity
+
+    def read(self, point: Sequence[int]) -> int:
+        """terms(point), the cleared integer value at an integer point."""
+        if point is not self.point:
+            self.point, self.num, self.v = point, eval_int_terms(self.terms, point), None
+        return self.num
+
+    def valuation(self, point: Sequence[int]):
+        """v(terms(point)), INF for 0, taken once per point."""
+        if point is not self.point:
+            self.read(point)
+        v = self.v
+        if v is None:
+            v = self.v = INF if self.num == 0 else int_valuation(self.num, self.p)
+        return v
+
+    def unit_power(self, n: int, exponent: int, modulus: int) -> int:
+        """unit(num)^exponent mod modulus at the last point valued (num != 0), once per n."""
+        if self.powers_at is not self.point:
+            self.powers_at, self.powers = self.point, {}
+        power = self.powers.get(n)
+        if power is None:
+            power = self.powers[n] = pow(self.num // self.p**self.v, exponent, modulus)
+        return power
 
     def valuation_at(self, point: Sequence):
         """v(poly(point)) at an integer or rational point; INF where it vanishes."""

@@ -16,9 +16,11 @@ For an integer polynomial f(x + p^j y) = f(x) mod p^j, so the classes are
 refined one p-adic digit at a time (cells.refine_classes, shared with the
 certificate checks): a class r mod p^j is settled, its p^(n(level-j)) lifts
 counted at once, when the domain's membership is unambiguous on it and no
-carrier is 0 mod p^j there.  With a domain, the carriers are views of the
-domain's cells.MembershipPlan, so a carrier that is also a level's t - c(x)
-is evaluated once per class.  The budget counts all p^(level*n) classes.
+carrier is 0 mod p^j there.  One classify serves the box and a domain: the
+carriers are views of the cells.MembershipPlan that plans the domain, so a
+carrier that is also a level's t - c(x) is evaluated once per class, and a
+carrier is valued only on the classes settled (or where a test reads it).
+The budget counts all p^(level*n) classes.
 
 _values_mod is the one enumeration of (Z/p^m)^n under a polynomial map.  It
 reads each f through the same integer view (Polynomial.cleared), with the
@@ -41,19 +43,17 @@ from fractions import Fraction
 from math import prod, sqrt
 from typing import Iterator, Sequence
 
-from .cells import CellTower, MembershipPlan, refine_classes
+from .cells import Domain, MembershipPlan, refine_classes
 from .errors import InvalidArgumentError, NonIntegralCoefficientsError
-from .formula_dsl import (ExactValue, QExpExpr, _Carrier, carrier_valuations, compile_expr,
-                          expr_carriers)
+from .formula_dsl import ExactValue, QExpExpr, carrier_valuations, compile_expr, expr_carriers
 from .padic_core import (
     DEFAULT_BUDGET,
     INF,
     PrimeContext,
     check_budget,
-    int_valuation,
     power_norm,
 )
-from .polynomials import Polynomial, eval_int_terms
+from .polynomials import Polynomial
 from .rootval import RootScaledValue
 
 _CHUNK = 4096  # points per step of _values_mod
@@ -79,24 +79,26 @@ def _check_arity(carriers: Sequence[Polynomial], arity: int):
 
 
 def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
-                      domain: CellTower | None = None,
+                      domain: Domain | None = None,
                       budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Riemann sum over all residue classes mod p^level of Z_p^arity.
 
     Each class contributes p^(-arity*level) times the integrand value at its
-    least nonnegative integer lift; an optional explicit cell restricts the
-    domain (classes are included iff their lift is a member, and classes the
-    level cannot decide are counted ambiguous).
+    least nonnegative integer lift.  An optional domain restricts the sum:
+    with a tower, classes are included iff their lift is a member, and
+    classes the level cannot decide are counted ambiguous; a BoxDomain
+    restricts nothing, as None does.
 
     The lifts are counted per key, the tuple of exact valuations of the
     expression's distinct carriers, and the compiled evaluator reads each
     key's valuations once; the value and the ambiguity flag depend only on
     the key, so the exact sum is the same as lift by lift.  Classes are
     refined one p-adic digit at a time and counted whole as soon as their
-    domain membership is unambiguous and no carrier vanishes on a member
-    class mod p^j.  The budget bounds the p^(arity*level) classes decided,
-    however few are visited.  Raises InvalidArgumentError for level < 1 or
-    an arity below the expression's or the domain's.
+    domain membership is unambiguous and no carrier is 0 mod p^j on a
+    member class; a carrier is valued only on the classes counted.  The
+    budget bounds the p^(arity*level) classes decided, however few are
+    visited.  Raises InvalidArgumentError for level < 1 or an arity below
+    the expression's or the domain's.
     """
     if level < 1:
         raise InvalidArgumentError("level must be >= 1")
@@ -107,29 +109,17 @@ def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
         raise InvalidArgumentError(f"arity is {arity}, but the domain has arity {domain.arity}")
     check_budget(p, level, arity, budget)
     run = compile_expr(e, ctx, level)
-    if domain is None:
-        carriers = [_Carrier(f, ctx) for f in polys]
-        member_of = None
+    plan = MembershipPlan(ctx)
+    member_of, views = plan.domain_of(domain), [plan.view(f) for f in polys]
 
-        def classify(r, j, amb):
-            nums = [eval_int_terms(c.terms, r) for c in carriers]
-            if j < level:
-                pj = p**j
-                for num in nums:
-                    if not num % pj:
-                        return None
-            return tuple([INF if num == 0 else int_valuation(num, p) - c.vden
-                          for num, c in zip(nums, carriers)]), amb
-    else:  # carriers the domain's levels share are read once per class
-        plan = MembershipPlan(ctx)
-        member_of, views = plan.member_of(domain), [plan.view(f) for f in polys]
-
-        def classify(r, j, amb):
-            vals = [view.read(r)[1] for view in views]
-            if j < level and any(v >= j for v in vals):  # a carrier is 0 mod p^j
-                return None
-            return tuple([INF if v is INF else v - view.vden
-                          for v, view in zip(vals, views)]), amb
+    def classify(r, j, amb):
+        if j < level:
+            pj = p**j
+            for view in views:
+                if not view.read(r) % pj:  # a carrier is 0 mod p^j
+                    return None
+        return tuple([INF if (v := view.valuation(r)) is INF else v - view.vden
+                      for view in views]), amb
 
     counts: dict = {}
     for key, r, j in refine_classes(p, level, arity, classify, member_of):

@@ -55,7 +55,8 @@ from cellint import (
     zp_nonzero_cell,
 )
 import cellint.cells as cells_module
-from cellint.cells import _described_level, _rational, compile_membership, membership
+import cellint.formula_dsl as carrier_module
+from cellint.cells import MembershipPlan, _described_level, _rational, membership
 from cellint.errors import CertificateMismatchError
 from cellint.formula_dsl import _Carrier
 from cellint.polynomials import Polynomial
@@ -324,6 +325,16 @@ def test_norm_description_t2_minus_1():
     assert report.ok
     assert report.points_checked > 0
     with pytest.raises(BudgetExceededError):
+        check_norm_description([parse_poly("x1^2 - 1")], cert, 12, C5, budget=1000)
+
+
+def test_bad_description_is_reported_before_the_budget():
+    """A description that does not fit its cell is a CertificateMismatchError
+    even where the check would exceed the budget."""
+    cert = DecompositionCertificate(
+        5, BoxDomain(1), (near_one_cell(),),
+        (NormDescription(cell=0, function=0, delta=parse_poly("x1"), a=2),))
+    with pytest.raises(CertificateMismatchError, match="description delta x1 uses x1"):
         check_norm_description([parse_poly("x1^2 - 1")], cert, 12, C5, budget=1000)
 
 
@@ -621,7 +632,7 @@ def test_compiled_membership_matches_oracle_on_one_level_towers():
                   point_cell(1)]
         for level in (2, 4):
             for tower in towers:
-                member_of = compile_membership(tower, ctx)
+                member_of = MembershipPlan(ctx).member_of(tower)
                 for r in range(p**level):
                     assert member_of((r,), level) == fraction_membership(tower, (r,), ctx, level)
 
@@ -735,7 +746,7 @@ def test_compiled_membership_matches_fraction_oracle(data):
     p, arity, m = data.draw(st.sampled_from(_SIZES))
     ctx = PrimeContext(p)
     tower = data.draw(_random_tower(p, arity))
-    member_of = compile_membership(tower, ctx)
+    member_of = MembershipPlan(ctx).member_of(tower)
     level = data.draw(st.integers(0, m + 1))
     for pt in itertools.product(range(p**m), repeat=arity):
         assert member_of(pt, level) == fraction_membership(tower, pt, ctx, level), pt
@@ -936,11 +947,12 @@ def _carrier_count(towers, polys=()) -> int:
 
 @contextmanager
 def _counting():
-    """Count the integer evaluations of cells.eval_int_terms and the classes
-    cells.refine_classes visits (one membership test, or one classify call
-    without a domain, per class)."""
+    """Count the integer evaluations of the carrier views (eval_int_terms in
+    the module of formula_dsl._Carrier) and the classes cells.refine_classes
+    visits (one membership test, or one classify call without a domain, per
+    class)."""
     counts = {"evals": 0, "visited": 0}
-    evaluate, refine = cells_module.eval_int_terms, cells_module.refine_classes
+    evaluate, refine = carrier_module.eval_int_terms, cells_module.refine_classes
 
     def counting_eval(terms, point):
         counts["evals"] += 1
@@ -957,7 +969,7 @@ def _counting():
             return refine(p, level, arity, visiting(classify))
         return refine(p, level, arity, classify, visiting(member_of))
 
-    with patch.object(cells_module, "eval_int_terms", counting_eval), \
+    with patch.object(carrier_module, "eval_int_terms", counting_eval), \
             patch.object(cells_module, "refine_classes", counting_refine):
         yield counts
 

@@ -117,6 +117,23 @@ def test_cells_check_failure_exit_3(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["partition_ok"] is False
 
 
+def test_cells_check_reads_functions_without_descriptions(tmp_path, capsys):
+    """--functions is read whenever it is given: on a certificate without
+    descriptions an empty list exits 1 and a parse error 2; a valid list
+    checks no norm."""
+    cert = write_json(tmp_path / "cert.json", ZP_CERT)
+    argv = ["cells-check", "--certificate", cert, "--level", "3", "--functions"]
+    assert main(argv + [""]) == 1
+    assert_one_error_line(capsys, "--functions needs at least one polynomial")
+    assert main(argv + ["x1^^2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("parse error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert main(argv + ["x1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["partition_ok"] is True and "norms_ok" not in out
+
+
 def test_oracle_command(tmp_path, capsys):
     rc = main(["oracle", "--expr", "norm(x1)", "--arity", "1", "--level", "4,5,6",
                "--prime", "5", "--out", str(tmp_path / "oracle")])

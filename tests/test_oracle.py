@@ -9,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cellint import (
+    INF,
+    BoxDomain,
     BudgetExceededError,
     InvalidArgumentError,
     NonIntegralCoefficientsError,
@@ -23,9 +25,9 @@ from cellint import (
     stabilization_check,
     unit_ball_coset_cell,
 )
-from cellint.cells import Bound, CellLevel, CellTower, CosetSpec, compile_membership
-from cellint import oracle
-from cellint.formula_dsl import _Carrier, carrier_valuations, compile_expr
+from cellint.cells import Bound, CellLevel, CellTower, CosetSpec, MembershipPlan
+from cellint import formula_dsl, oracle
+from cellint.formula_dsl import _Carrier, carrier_valuations, compile_expr, expr_carriers
 from cellint.oracle import _CHUNK, _modular_view, _values_mod
 from cellint.polynomials import Polynomial
 from cellint.rootval import RootScaledValue
@@ -159,6 +161,16 @@ def test_stabilization_divergent():
     assert stabilization_check(values, list(range(4, 9)), C5) is False
 
 
+def test_riemann_box_domain_restricts_nothing():
+    for text, arity, level in (("norm(x1)", 1, 3), ("norm(x1^2 - 2*x2^3)*val(x1)", 2, 2)):
+        e = parse_expr(text)
+        boxed = riemann_integrate(e, arity, level, C5, domain=BoxDomain(arity))
+        whole = riemann_integrate(e, arity, level, C5)
+        assert (boxed.value, boxed.ambiguous_count) == (whole.value, whole.ambiguous_count)
+    with pytest.raises(InvalidArgumentError, match="the domain has arity 3"):
+        riemann_integrate(parse_expr("norm(x1)"), 1, 3, C5, domain=BoxDomain(3))
+
+
 def test_riemann_arity_and_level_errors():
     for e, arity in (("norm(x2)", 1), ("norm(x1)", 0), ("val(x1*x3) + 1", 2)):
         with pytest.raises(InvalidArgumentError, match=f"arity is {arity}"):
@@ -182,7 +194,7 @@ def brute_force_riemann(e, arity, level, ctx, domain=None):
     run, valuations = compile_expr(e, ctx, level), carrier_valuations(e, ctx)
     total = Fraction(0)
     ambiguous = 0
-    member_of = None if domain is None else compile_membership(domain, ctx)
+    member_of = None if domain is None else MembershipPlan(ctx).member_of(domain)
     for pt in itertools.product(range(p**level), repeat=arity):
         if domain is not None:
             member, amb = member_of(pt, level)
@@ -346,6 +358,42 @@ def test_riemann_evaluates_each_key_once_and_values_no_carrier_at_a_point(monkey
         member_keys = list(dict.fromkeys(key for key in keys if key[0] is not None))
         assert len(member_keys) > 3 and calls == [valuations for valuations, _ in member_keys]
     assert valued == []
+
+
+def test_riemann_reads_each_carrier_once_and_values_only_settled_classes(monkeypatch):
+    """One classify: a visited class evaluates each distinct carrier at most
+    once, a class is split on the integer value (0 mod p^j), and valuations
+    are taken only on the classes settled, one per carrier that is nonzero
+    there (a zero carrier is INF in the key, with no valuation).  The
+    carriers of this integrand vanish mod p^j on many classes, which are
+    split; valuing them there too would exceed the count of finite entries."""
+    counts = {"evals": 0, "valuations": 0, "visited": 0, "settled": 0, "finite": 0}
+    evaluate, value, refine = (formula_dsl.eval_int_terms, formula_dsl.int_valuation,
+                               oracle.refine_classes)
+
+    def counting(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        return counted
+
+    def counting_refine(p, level, arity, classify, member_of=None):
+        counts["valuations"] = 0  # the views' denominators are valued before the walk
+        for item in refine(p, level, arity, counting("visited", classify), member_of):
+            counts["settled"] += 1
+            counts["finite"] += sum(v is not INF for v in item[0][0])
+            yield item
+
+    e = parse_expr("norm(x1^2 - 2*x2^3)*val(x1)")
+    expected = riemann_integrate(e, 2, 4, C5)
+    monkeypatch.setattr(formula_dsl, "eval_int_terms", counting("evals", evaluate))
+    monkeypatch.setattr(formula_dsl, "int_valuation", counting("valuations", value))
+    monkeypatch.setattr(oracle, "refine_classes", counting_refine)
+    run = riemann_integrate(e, 2, 4, C5)
+    assert (run.value, run.ambiguous_count) == (expected.value, expected.ambiguous_count)
+    carriers = len(expr_carriers(e))
+    assert counts["settled"] < counts["visited"] <= counts["evals"] <= carriers * counts["visited"]
+    assert counts["valuations"] <= counts["finite"] <= carriers * counts["settled"]
 
 
 # -- the one modular enumeration against the per-point product loops ---------------

@@ -25,7 +25,7 @@ from cellint import (
     unit_coset_density,
     valuation,
 )
-from cellint.cells import CellLevel, CellTower, CosetSpec, compile_membership
+from cellint.cells import CellLevel, CellTower, CosetSpec, MembershipPlan
 from cellint.padic_core import unit_part
 from cellint.polynomials import Polynomial
 
@@ -257,7 +257,7 @@ def test_compiled_coset_test_matches_enumeration(order, lam, center, den, t, ext
                                  CosetSpec(Fraction(lam), n)),))
     diff = t - c
     expected = diff != 0 and brute_is_nth_power(diff / lam, n, ctx, extra)
-    assert compile_membership(tower, ctx)((t,), 3)[0] == expected
+    assert MembershipPlan(ctx).member_of(tower)((t,), 3)[0] == expected
 
 
 def test_multiplicativity_random():
