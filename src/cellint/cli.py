@@ -128,8 +128,10 @@ def _convert(kind, text: str, what: str):
     """kind(text); a bad value is an InvalidArgumentError naming what it was."""
     try:
         return kind(text)
-    except (ValueError, ZeroDivisionError) as ex:
+    except ValueError as ex:
         raise InvalidArgumentError(f"bad {what}: {ex}") from None
+    except ZeroDivisionError:
+        raise InvalidArgumentError(f"bad {what}: denominator is zero") from None
 
 
 def _number_list(spec, kind) -> list:

@@ -5,8 +5,8 @@ E(y) is held exactly.  Once the level m reaches -v(y) the integrand is
 constant on residue classes, so the residue sum IS the integral:
 E(y) = p^(-nm) sum_j c_j zeta^j with zeta = exp(2 pi i / p^m) and the phase
 counts c_j = #{x mod p^m : <y p^m, f(x)> = j mod p^m}, read off
-oracle._values_mod, the column-at-a-time enumeration (Horner in the last
-variable) behind oracle.solution_histogram.
+oracle._values_mod, the column-at-a-time enumeration (difference tables in
+the last two variables) behind oracle.solution_histogram.
 Vanishing is decided on the counts, not on a float: sum_j c_j zeta^j = 0
 iff c is constant on every coset j + p^(m-1) Z/p^m, because the cyclotomic
 polynomial Phi_(p^m) is the minimal polynomial of zeta.  The complex value

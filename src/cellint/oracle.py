@@ -25,12 +25,16 @@ The budget counts all p^(level*n) classes.
 _values_mod is the one enumeration of (Z/p^m)^n under a polynomial map.  It
 reads each f through the same integer view (Polynomial.cleared), with the
 cleared denominator inverted mod p^m once per polynomial, and walks the
-points a column at a time: eval_poly_mod folds each prefix x_1..x_(n-1) into
-one coefficient per power of the last variable and evaluates the column of
-p^m values of x_n by Horner.  The values come out in itertools.product
-order, a chunk of _CHUNK points at a time.  solution_histogram counts them,
-count_solutions looks one count up there, and exp_sum counts the phases of
-<y, f(x)> along the same enumeration.
+points a column at a time, by difference tables: eval_poly_mod folds each
+prefix x_1..x_(n-1) into one coefficient per power of the last variable,
+evaluates the first d + 1 of the p^m values of x_n by Horner and the rest by
+running sums of their differences; for n >= 2 and p^m <= _CHUNK the columns
+along x_(n-1) are likewise sums of difference columns.  Every value is an
+exact integer reduced mod p^m, so the values are those of the per-point
+loop, and they come out in itertools.product order, a chunk of _CHUNK
+points at a time.  solution_histogram counts them, count_solutions looks one
+count up there, and exp_sum counts the phases of <y, f(x)> along the same
+enumeration.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod, sqrt
+from operator import add, mod, sub
 from typing import Iterator, Sequence
 
 from .cells import Domain, MembershipPlan, refine_classes
@@ -183,36 +188,74 @@ def _modular_view(f: Polynomial, modulus: int, p: int) -> tuple:
     return terms, pow(denom, -1, modulus)
 
 
+def _degree(terms, i: int) -> int:
+    """The degree of an integer view's terms in x_(i+1)."""
+    return max((e[i] for e, _ in terms if i < len(e)), default=0)
+
+
 def eval_poly_mod(view: tuple, prefix: tuple, block: range, modulus: int) -> list[int]:
-    """f(prefix, t) mod modulus for each t in block, from f's _modular_view: the
-    prefix x_1..x_(n-1) is folded into one integer coefficient per power of the
-    last variable x_n, and the column is evaluated by Horner in t."""
+    """f(prefix, t) mod modulus for each t in block, a range of step 1, from f's
+    _modular_view.  The prefix x_1..x_(n-1) is folded into one integer
+    coefficient per power of the last variable x_n, of degree d; Horner gives
+    the first d + 1 values, and the rest come from their forward differences
+    at block[0] by d nested running sums: additions and one reduction per
+    value.  A block of at most d + 1 values is returned from Horner."""
     terms, inverse = view
     last = len(prefix)  # the index of x_n
-    coeffs = [0] * (1 + max((e[last] for e, _ in terms if last < len(e)), default=0))
+    coeffs = [0] * (1 + _degree(terms, last))
     for e, c in terms:
         coeffs[-1 - (e[last] if last < len(e) else 0)] += c * prod(map(pow, prefix, e))
     lead, *rest = [c * inverse % modulus for c in coeffs]
-    column = [lead] * len(block)
+    head = block[:len(coeffs)]
+    values = [lead] * len(head)
     for c in rest:
-        column = [v * t + c for v, t in zip(column, block)]
-    return [v % modulus for v in column] if rest else column
+        values = [v * t + c for v, t in zip(values, head)]
+    values = [v % modulus for v in values]
+    if len(block) <= len(coeffs):
+        return values
+    seeds = [values[0]]  # the differences of orders 0..d at block[0]
+    while len(values) > 1:
+        values = list(map(sub, values[1:], values[:-1]))
+        seeds.append(values[0])
+    column = [seeds.pop()] * (len(block) - len(rest))
+    for seed in reversed(seeds):
+        column = itertools.accumulate(column, initial=seed)
+    return list(map(mod, column, itertools.repeat(modulus)))
 
 
 def _values_mod(views: Sequence[tuple], m: int, n: int, p: int) -> Iterator[list[list[int]]]:
     """The points of (Z/p^m)^n in itertools.product order, _CHUNK at a time, as
     one column of f(x) mod p^m per _modular_view: the one enumeration of
     (Z/p^m)^n under a polynomial map.  Each prefix x_1..x_(n-1) heads a column
-    of p^m values of x_n, evaluated in blocks of at most _CHUNK, so O(_CHUNK)
-    values per view are held.  Callers check the budget first."""
+    of p^m values of x_n, made by eval_poly_mod in blocks of at most _CHUNK.
+    For n >= 2 and p^m <= _CHUNK the columns along x_(n-1), of degree d' there,
+    come from differences instead: eval_poly_mod makes the first d' + 1 of
+    them, and each later one is the previous plus a backward-difference
+    column, in d' additions and one reduction per value.  So each view holds
+    O((d' + 1) * _CHUNK) values.  Callers check the budget first."""
     pm, heads = p**m, max(n - 1, 0)
     column = range(pm if n else 1)  # n = 0: the one empty point
 
-    def blocks(view):
-        for prefix in itertools.product(range(pm), repeat=heads):
-            for i in range(0, len(column), _CHUNK):
-                yield eval_poly_mod(view, prefix, column[i:i + _CHUNK], pm)
-    streams = [itertools.chain.from_iterable(blocks(view)) for view in views]
+    def columns(view):
+        if n < 2 or pm > _CHUNK:
+            for prefix in itertools.product(range(pm), repeat=heads):
+                for i in range(0, len(column), _CHUNK):
+                    yield eval_poly_mod(view, prefix, column[i:i + _CHUNK], pm)
+            return
+        d = _degree(view[0], n - 2)
+        for prefix in itertools.product(range(pm), repeat=n - 2):
+            seeds = [eval_poly_mod(view, prefix + (a,), column, pm) for a in range(min(d + 1, pm))]
+            yield from seeds
+            nabla = [seeds[-1]]  # the backward differences of orders 0..d at x_(n-1) = d
+            while len(seeds) > 1:
+                seeds = [list(map(sub, b, a)) for a, b in zip(seeds, seeds[1:])]
+                nabla.append(seeds[-1])
+            for _ in range(d + 1, pm):
+                for j in reversed(range(d)):
+                    nabla[j] = list(map(add, nabla[j], nabla[j + 1]))
+                nabla[0] = list(map(mod, nabla[0], itertools.repeat(pm)))
+                yield nabla[0]
+    streams = [itertools.chain.from_iterable(columns(view)) for view in views]
     for _ in range(0, pm**heads * len(column), _CHUNK):
         yield [list(itertools.islice(values, _CHUNK)) for values in streams]
 

@@ -261,6 +261,19 @@ def test_non_numeric_list_entry_exit_1(capsys, argv, entry):
     assert_one_error_line(capsys, entry)
 
 
+@pytest.mark.parametrize("argv", [
+    ["expsum", "--f", "x1^2", "--y", "1/0", "--prime", "5"],
+    ["singular", "--f", "x1^2", "--z", "2;1/0"],
+    ["decay", "--f", "x1^2", "--direction", "1/0"],
+])
+def test_zero_denominator_in_number_list_exit_1(capsys, argv):
+    """The DSL's wording, not the repr of the Fraction that failed."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad number list '1/0': denominator is zero\n"
+
+
 @pytest.mark.parametrize("command, line, fragment", [
     (["expsum", "--f", "x1^2", "--y", "1/5"], "budget=abc", "budget='abc'"),
     (["decay", "--f", "x1^2"], "m-max=x", "m-max='x'"),

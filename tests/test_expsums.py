@@ -362,6 +362,11 @@ def _chunked_problem(draw):
 @example(problem=([parse_poly("x1^2 + x2"), parse_poly("x1^3")],
                   [Fraction(1, 3), Fraction(2, 27)], C3, 2, 4))
 @example(problem=([parse_poly("x1^2 + 1")], [Fraction(1, 9)], C3, 3, 3))
+@example(problem=([parse_poly("x1^5 + x1")], [Fraction(1, 4)], PrimeContext(2), 1, 2))
+@example(problem=([parse_poly("x1^4*x2 + x2^3")], [Fraction(1, 3)], C3, 2, 1))
+@example(problem=([parse_poly("x1^3 + 1")], [Fraction(2, 27)], C3, 2, 3))
+@example(problem=([parse_poly("x2^3")], [Fraction(2, 27)], C3, 2, 3))
+@example(problem=([parse_poly("x1*x2^2*x3 + x3^3")], [Fraction(1, 9)], C3, 3, 2))
 def test_exp_sum_is_the_per_point_loop_bit_for_bit(problem):
     fs, ys, ctx, n, m = problem
     res = exp_sum(fs, ys, ctx, n=n, level=m)

@@ -28,7 +28,8 @@ from cellint import (
 from cellint.cells import Bound, CellLevel, CellTower, CosetSpec, MembershipPlan
 from cellint import formula_dsl, oracle
 from cellint.formula_dsl import _Carrier, carrier_valuations, compile_expr, expr_carriers
-from cellint.oracle import _CHUNK, _modular_view, _values_mod
+from cellint.oracle import _CHUNK, _modular_view, _values_mod, eval_poly_mod
+from cellint.padic_core import residue
 from cellint.polynomials import Polynomial
 from cellint.rootval import RootScaledValue
 
@@ -461,6 +462,11 @@ def modular_problem(draw):
 
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(problem=modular_problem(), z=st.lists(st.integers(-50, 50), min_size=2, max_size=2))
+@example(problem=([parse_poly("x1^5 + x1")], 2, PrimeContext(2), 1), z=[1, 0])
+@example(problem=([parse_poly("x1^4*x2 + x2^3")], 1, PrimeContext(3), 2), z=[1, 0])
+@example(problem=([parse_poly("x1^3 + 1")], 3, PrimeContext(3), 2), z=[1, 0])
+@example(problem=([parse_poly("x2^3")], 3, PrimeContext(3), 2), z=[1, 0])
+@example(problem=([parse_poly("x1*x2^2*x3 + x3^3")], 2, PrimeContext(3), 3), z=[1, 0])
 def test_solution_counts_match_product_loops(problem, z):
     fs, m, ctx, n = problem
     hist = solution_histogram(fs, m, ctx, n=n)
@@ -493,6 +499,11 @@ def chunked_problem(draw):
 @example(problem=([parse_poly("3/2")], 2, C5, 0))
 @example(problem=([parse_poly("x1^2 + x2"), parse_poly("x1^3")], 4, PrimeContext(3), 2))
 @example(problem=([parse_poly("x1^2 + 1")], 3, PrimeContext(3), 3))
+@example(problem=([parse_poly("x1^5 + x1")], 2, PrimeContext(2), 1))
+@example(problem=([parse_poly("x1^4*x2 + x2^3")], 1, PrimeContext(3), 2))
+@example(problem=([parse_poly("x1^3 + 1")], 3, PrimeContext(3), 2))
+@example(problem=([parse_poly("x2^3")], 3, PrimeContext(3), 2))
+@example(problem=([parse_poly("x1*x2^2*x3 + x3^3")], 2, PrimeContext(3), 3))
 def test_histogram_is_the_per_point_loop_past_one_chunk(problem):
     fs, m, ctx, n = problem
     hist = solution_histogram(fs, m, ctx, n=n)
@@ -512,3 +523,47 @@ def test_values_mod_chunks_hold_bounded_memory():
         tracemalloc.stop()
     assert sizes[:-1] == [_CHUNK] * (len(sizes) - 1) and sum(sizes) == pm
     assert peak < 2**20  # one whole column of 3^10 values takes about 2.4 MB
+
+
+@st.composite
+def block_problem(draw):
+    """(f, p, m, prefix, t0): f in x1..xn, a prefix x_1..x_(n-1) and a block start mod p^m."""
+    p, n, m = draw(st.sampled_from([(2, 1, 3), (3, 2, 2), (5, 2, 1), (7, 3, 1)]))
+    digit = st.integers(0, p**m - 1)
+    prefix = draw(st.lists(digit, min_size=n - 1, max_size=n - 1))
+    return draw(p_integral_poly(p, n)), p, m, tuple(prefix), draw(digit)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(problem=block_problem())
+@example(problem=(parse_poly("x1^5 + 3*x1^2 + x1 - 1/3"), 2, 3, (), 5))
+def test_eval_poly_mod_on_a_block_is_the_per_point_value(problem):
+    """A block range(t0, t0 + L) anywhere in the column, L below and above
+    degree + 1, gives f(prefix, t) mod p^m point by point."""
+    f, p, m, prefix, t0 = problem
+    pm = p**m
+    view = _modular_view(f, pm, p)
+    for length in range(1, 10):
+        block = range(t0, t0 + length)
+        assert eval_poly_mod(view, prefix, block, pm) == \
+            [residue(f.eval(prefix + (t,)), m, PrimeContext(p)) for t in block]
+
+
+def test_values_mod_past_one_column_is_lazy():
+    """n = 2 with p^m > _CHUNK: the first three chunks are the product-order
+    loop's, and taking them holds O(_CHUNK) values, not the six whole columns
+    of 3^8 values that a difference sweep along x1 (degree 5) would seed."""
+    p, m = 3, 8
+    f = parse_poly("x1^5*x2^3 - 2*x1^2*x2 + 5")
+    view = _modular_view(f, p**m, p)
+    tracemalloc.start()
+    try:
+        chunks = [column for (column,) in itertools.islice(_values_mod([view], m, 2, p), 3)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    points = itertools.islice(itertools.product(range(p**m), repeat=2), 3 * _CHUNK)
+    expected = [residue(f.eval(pt), m, PrimeContext(p)) for pt in points]
+    assert [len(c) for c in chunks] == [_CHUNK] * 3
+    assert sum(chunks, []) == expected
+    assert peak < 2**20  # the three chunks kept take about 0.45 MB
