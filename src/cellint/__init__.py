@@ -39,6 +39,7 @@ from .errors import (
     DivergentError,
     ExponentTooLargeError,
     ExprSyntaxError,
+    FloatOverflowError,
     InvalidArgumentError,
     NonIntegralCoefficientsError,
     NotPIntegralError,

@@ -57,6 +57,13 @@ class InvalidArgumentError(CellintError, ValueError):
     """An arity or level argument does not fit the request (e.g. too few variables)."""
 
 
+class FloatOverflowError(CellintError, OverflowError):
+    """An exact value is too large for its float view."""
+
+    def __init__(self, message: str = "value is too large for a float"):
+        super().__init__(message)
+
+
 class BudgetExceededError(CellintError):
     """Residue enumeration would exceed the configured evaluation budget."""
 

@@ -49,7 +49,7 @@ from operator import add, mod, sub
 from typing import Iterator, Sequence
 
 from .cells import Domain, MembershipPlan, refine_classes
-from .errors import InvalidArgumentError, NonIntegralCoefficientsError
+from .errors import FloatOverflowError, InvalidArgumentError, NonIntegralCoefficientsError
 from .formula_dsl import ExactValue, QExpExpr, carrier_valuations, compile_expr, expr_carriers
 from .padic_core import (
     DEFAULT_BUDGET,
@@ -71,7 +71,11 @@ class OracleResult:
     ambiguous_count: int
 
     def real_value(self) -> float:
-        return float(self.value)
+        """The value as a float; FloatOverflowError when it is too large for one."""
+        try:
+            return float(self.value)
+        except OverflowError:  # a Fraction past the float range
+            raise FloatOverflowError() from None
 
 
 # -- operations --------------------------------------------------------------------

@@ -1,18 +1,20 @@
 """Closed-form evaluation of the shell sums behind p-adic cell integration.
 
-Everything here is exact.  A series sum(k^l r^j) over a progression of k,
-with r = a/b, is summed in integers and divided once: term by term over a
-finite range, through the integer Eulerian polynomials over an infinite one.
-A shell sum is its coefficient times one monomial of Q[p^(1/N), p^(-1/N)],
-and divergence is reported in-band as (value 0, integrable False).  A cell
-fiber enters through the KRange of v(t - c) its bounds allow, evaluated at a
-base point by fiber_valuation_range (cells.contains) and read from constant
-bounds by level_integral (one explicit fiber).
+Everything here is exact, and in integers until one Fraction per level.  A
+series sum(k^l r^j) over a progression of k, with r = a/b, is summed as an
+integer numerator and denominator (_progression_series, the one series
+kernel): term by term over a finite range, through the integer Eulerian
+polynomials over an infinite one.  A shell sum is its coefficient, in
+Q[p^(1/N), p^(-1/N)], times one rational: that one Fraction.  Divergence is
+reported in-band as (value 0, integrable False).  A cell fiber enters
+through the KRange of v(t - c) its bounds allow, evaluated at a base point by
+fiber_valuation_range (cells.contains) and read from constant bounds by
+level_integral (one explicit fiber).
 
 An explicit tower is integrated by threading the cell's running value
 through its levels as the shell-sum coefficient: each level with lambda != 0
-builds one monomial, takes v(lambda) once and pays one multiply (the
-coefficient times that monomial, in shell_sum); a point level is 0.
+builds its one Fraction, takes v(lambda) once and pays one multiply (the
+coefficient times that rational, in shell_sum); a point level is 0.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from .errors import (
     ExponentTooLargeError,
     ZeroCosetError,
 )
-from .padic_core import PrimeContext, power_norm, unit_coset_density, valuation
+from .padic_core import PrimeContext, _power_test, as_rational, power_norm, valuation
 from .polynomials import format_poly
-from .rootval import RootScaledValue
+from .rootval import _ZERO, RootScaledValue
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cells import Bound, CellLevel, DecompositionCertificate
@@ -226,15 +228,16 @@ def decide_integrability(term: TermOnCell, krange: KRange) -> bool:
     return True
 
 
-def _progression_series(l: int, krange: KRange, num: int, den: int) -> tuple[int, Fraction]:
-    """(k0, s) with s = sum of k^l q^((k - k0)/modulus) over k in a nonempty krange,
-    for q = num/den, den > 0.
+def _progression_series(l: int, krange: KRange, num: int, den: int) -> tuple[int, int, int]:
+    """(k0, s_num, s_den), integers with s_den > 0 and s_num/s_den the sum of
+    k^l q^((k - k0)/modulus) over k in a nonempty krange, for q = num/den, den > 0.
 
     Walks up from the first member, or down from the last when the range is
     unbounded below (each step then multiplies by 1/q).  With the ratio per
-    step r = a/b, b > 0, the sum is kept in integers and divided once: a
-    finite range k_0..k_J gives sum_j k_j^l a^j b^(J-j) / b^J; an infinite one
-    is the shifted Eulerian form sum_t C(l,t) k0^(l-t) step^t A_t(r)/(1-r)^(t+1)
+    step r = a/b, b > 0, the sum stays in integers and the caller divides once,
+    folding it into its one Fraction: a finite range k_0..k_J gives
+    sum_j k_j^l a^j b^(J-j) / b^J; an infinite one is the shifted Eulerian form
+    sum_t C(l,t) k0^(l-t) step^t A_t(r)/(1-r)^(t+1)
     = sum_t C(l,t) k0^(l-t) step^t b B_t (b-a)^(l-t) / (b-a)^(l+1), with
     B_t = sum_i A_t[i] a^i b^(t-i), and diverges (DivergentError) unless |a| < b.
     """
@@ -250,27 +253,33 @@ def _progression_series(l: int, krange: KRange, num: int, den: int) -> tuple[int
         for k in members:
             total = total * b + k**l * a_j
             a_j *= a
-        return k0, Fraction(total, b ** (len(members) - 1))
+        return k0, total, b ** (len(members) - 1)
     if abs(a) >= b:
         raise DivergentError(f"sum to +infinity diverges for y = {Fraction(a, b)}")
     c = b - a
     total = 0
     for t in range(l + 1):
-        b_t = sum(e * a**i * b ** (t - i) for i, e in enumerate(eulerian_polynomial(t)))
+        b_t, a_i = 0, 1
+        for e in eulerian_polynomial(t):
+            b_t = b_t * b + e * a_i
+            a_i *= a
         total += comb(l, t) * k0 ** (l - t) * step**t * b_t * c ** (l - t)
-    return k0, Fraction(total * b, c ** (l + 1))
+    return k0, total * b, c ** (l + 1)
 
 
 def shell_sum(term: TermOnCell, krange: KRange, ctx: PrimeContext, *,
               vlam: int | None = None) -> tuple[RootScaledValue, bool]:
     """Exact integral of a term over the shells v(u) = k, u in lam*P_n, k in krange.
 
-    Value = coeff * eps * |lam^(-a)|^(1/n) * sum_k k^l p^(-k(n+a)/n), with eps
-    the exact shell density.  Every k in the range is congruent to v(lam) mod
-    n, so the k-sum from its first summed member k0 is s * p^(-k0(n+a)/n) for
-    a rational s, and the whole value is coeff times the one monomial
-    eps * s * p^(-(k0(n+a) - a v(lam))/n): one multiply.  A caller that has
-    already taken v(lam) passes it as vlam.  Divergence is in-band: (0, False).
+    Value = coeff * eps * |lam^(-a)|^(1/n) * sum_k k^l p^(-k(n+a)/n), with
+    eps = (p - 1)/(p * index) the exact shell density (unit_coset_density).
+    Every k in the range is congruent to v(lam) mod n, so the k-sum from its
+    first summed member k0 is s * p^(-k0(n+a)/n) for a rational s, and the
+    whole value is coeff times eps * s * p^(-E/n), E = k0(n+a) - a v(lam).
+    As k0 = v(lam) mod n, E/n = v(lam) + (k0 - v(lam))(n+a)/n is an integer:
+    that factor is rational, kept in integers until its one Fraction, and the
+    level pays one multiply.  A caller that has already taken v(lam) passes it
+    as vlam.  Divergence is in-band: (0, False).
     """
     p = ctx.p
     zero = RootScaledValue.zero(p)
@@ -286,11 +295,18 @@ def shell_sum(term: TermOnCell, krange: KRange, ctx: PrimeContext, *,
         vlam = int(valuation(term.lam, ctx))
     if krange.residue != vlam % term.n:
         return zero, True  # every shell in the range misses the coset
-    eps = unit_coset_density(term.lam, term.n, ctx)
     w = term.n + term.a
     num, den = (1, p**w) if w >= 0 else (p**-w, 1)  # p^(-w), the ratio per step
-    k0, s = _progression_series(term.l, krange, num, den)
-    shell = RootScaledValue.monomial(p, Fraction(k0 * w - term.a * vlam, term.n), eps * s)
+    k0, s_num, s_den = _progression_series(term.l, krange, num, den)
+    shell = zero
+    if s_num:
+        shift = (k0 * w - term.a * vlam) // term.n  # exact: k0 = v(lam) mod n
+        num, den = (p - 1) * s_num, p * _power_test(term.n, p)[2] * s_den
+        if shift > 0:
+            den *= p**shift
+        else:
+            num *= p**-shift
+        shell = RootScaledValue(p, ((_ZERO, Fraction(num, den)),))
     return term.coefficient * shell, True
 
 
@@ -331,9 +347,11 @@ def level_integral(level: "CellLevel", a: int, l: int, value: RootScaledValue,
 
 
 def _constant_bound(name: str, bound: "Bound") -> Fraction:
-    if not bound.expr.is_constant():
+    """The value of a constant bound, read in one scan of its terms."""
+    terms = bound.expr.terms
+    if any(any(exps) for exps, _ in terms):
         raise CertificateMismatchError(f"{name} must be constant for explicit towers")
-    return bound.expr.constant_value()
+    return terms[0][1] if terms else Fraction(0)
 
 
 def integrate_explicit_tower(terms: Sequence[CellTermSpec],
@@ -392,7 +410,7 @@ def progression_power_sum(y, l: int, krange: KRange) -> Fraction:
     """Exact sum of z^l y^z over the aligned progression; raises DivergentError."""
     if l < 0:
         raise ValueError("l must be nonnegative")
-    y = Fraction(y)
+    y = as_rational(y)
     if krange.is_empty():
         return Fraction(0)
     if krange.lo is None and krange.hi is not None:
@@ -405,9 +423,11 @@ def progression_power_sum(y, l: int, krange: KRange) -> Fraction:
             raise DivergentError("negative powers of y = 0")
         if krange.hi is None and abs(y) >= 1:
             raise DivergentError(f"sum to +infinity diverges for y = {y}")
-    m = krange.modulus
-    k0, s = _progression_series(l, krange, y.numerator**m, y.denominator**m)
-    return y**k0 * s
+    m, y_num, y_den = krange.modulus, y.numerator, y.denominator
+    k0, s_num, s_den = _progression_series(l, krange, y_num**m, y_den**m)
+    if k0 < 0:  # y != 0 here: y^k0 = (y_den/y_num)^(-k0)
+        y_num, y_den, k0 = y_den, y_num, -k0
+    return Fraction(y_num**k0 * s_num, y_den**k0 * s_den)
 
 
 def mixed_sum(terms: Sequence[LatticeTermSpec],

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 
+from .errors import FloatOverflowError
 from .padic_core import as_rational
 
 _ZERO = Fraction(0)  # the exponent of every rational value, shared
@@ -92,7 +93,8 @@ class RootScaledValue:
         if len(self.items) == 1 == len(other.items):  # monomials: c1 * c2 != 0, no dict
             (f1, c1), = self.items
             (f2, c2), = other.items
-            return RootScaledValue(self.p, (_fold(self.p, f1 + f2, c1 * c2),))
+            f = f1 + f2 if f1 and f2 else f1 or f2  # a zero exponent adds nothing
+            return RootScaledValue(self.p, (_fold(self.p, f, c1 * c2),))
         acc: dict[Fraction, Fraction] = {}
         for f1, c1 in self.items:
             for f2, c2 in other.items:
@@ -135,7 +137,14 @@ class RootScaledValue:
         return self.items[0][1]
 
     def real_value(self) -> float:
-        return sum(float(c) * self.p ** -float(f) for f, c in self.items)
+        """The value as a float; FloatOverflowError when it is too large for one."""
+        try:
+            total = sum(float(c) * self.p ** -float(f) for f, c in self.items)
+        except OverflowError:
+            raise FloatOverflowError() from None
+        if not isfinite(total):
+            raise FloatOverflowError()
+        return total
 
     def __float__(self) -> float:
         return float(self.real_value())

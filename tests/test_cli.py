@@ -229,6 +229,21 @@ def test_oracle_empty_level_list_exit_1(capsys):
     assert_one_error_line(capsys, "--level")
 
 
+HUGE = "1" + "0" * 400  # past the float range
+
+
+def test_float_view_overflow_exit_1(tmp_path, capsys):
+    """An exact value too large for its float view is one error line, not a traceback."""
+    terms = json.loads(json.dumps(NORM_TERMS))
+    terms["terms"][1]["coeff"] = HUGE
+    argv = ["integrate", "--certificate", write_json(tmp_path / "cert.json", ZP_CERT),
+            "--terms", write_json(tmp_path / "t.json", terms)]
+    assert main(argv) == 1
+    assert_one_error_line(capsys, "value is too large for a float")
+    assert main(["oracle", "--expr", f"{HUGE}*norm(x1)", "--level", "2"]) == 1
+    assert_one_error_line(capsys, "value is too large for a float")
+
+
 def test_nonpositive_budget_exit_1(capsys):
     assert main(["oracle", "--expr", "norm(x1)", "--level", "2", "--budget", "0"]) == 1
     assert_one_error_line(capsys, "budget must be positive")

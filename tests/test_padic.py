@@ -95,6 +95,20 @@ def test_valuation_examples():
     assert valuation(Fraction(5, 3), C5) == 1
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), k=st.integers(-12, 12),
+       unit=st.integers(-10**6, 10**6), den=st.integers(1, 10**6))
+def test_valuation_matches_its_definition(p, k, unit, den):
+    """v(p^k * u / d) = k for u, d prime to p, whether x is an int or a Fraction."""
+    ctx = PrimeContext(p)
+    unit, den = unit * p + 1, den * p + 1  # both prime to p
+    x = Fraction(unit, den) * Fraction(p) ** k
+    assert valuation(x, ctx) == k
+    if x.denominator == 1:
+        assert valuation(x.numerator, ctx) == k
+    assert valuation(Fraction(0), ctx) is INF and valuation(0, ctx) is INF
+
+
 def test_norm_examples():
     assert norm(5, C5) == Fraction(1, 5)
     assert norm(0, C5) == 0

@@ -2,10 +2,10 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cellint import (
@@ -304,6 +304,11 @@ def test_eulerian_polynomials_are_integer_eulerian_numbers():
 @_differential
 @given(y=st.fractions(-9, 9, max_denominator=12), l=st.integers(0, 16),
        krange=st.integers(1, 5).flatmap(_ranges))
+@example(y=Fraction(1), l=3, krange=KRange(2, 1, -5, 9))  # y = 1 (w = 0), finite range
+@example(y=Fraction(7, 2), l=2, krange=KRange(3, 1, None, -4))  # downward walk, k0 = -5
+@example(y=Fraction(-1, 3), l=1, krange=KRange(1, 0, -6, None))  # k0 < 0 going up
+@example(y=Fraction(2, 9), l=16, krange=KRange(4, 3, 0, None))  # l = 16
+@example(y=Fraction(1, 2), l=2, krange=KRange(16, 5, -20, None))  # p = 2, modulus 16
 def test_power_sums_match_fraction_forms(y, l, krange):
     assert _outcome(progression_power_sum, y, l, krange) == \
         _outcome(_fraction_progression_sum, y, l, krange)
@@ -330,24 +335,46 @@ def _lams(draw, p):
     return unit * power_norm(p, draw(st.integers(-4, 4)))
 
 
-@_differential
-@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), n=st.integers(1, 4),
-       l=st.integers(0, 6))
-def test_shell_sums_match_fraction_forms(data, p, n, l):
-    ctx = PrimeContext(p)
-    lam, krange = data.draw(_lams(p)), data.draw(_ranges(n))
+@st.composite
+def _shell_cases(draw):
+    p, n, l = draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    lam, krange = draw(_lams(p)), draw(_ranges(n))
     if krange.hi is None:
         convergent = st.integers(1 - n, 6)
     elif krange.lo is None:
         convergent = st.integers(-6 - n, -1 - n)
     else:
         convergent = st.integers(-6, 6)
-    if data.draw(st.integers(0, 3)):  # mostly a convergent sum over the coset's class of k
-        a = data.draw(convergent)
-        krange = KRange(n, int(valuation(lam, ctx)), krange.lo, krange.hi)
+    if draw(st.integers(0, 3)):  # mostly a convergent sum over the coset's class of k
+        a = draw(convergent)
+        krange = KRange(n, int(valuation(lam, PrimeContext(p))), krange.lo, krange.hi)
     else:
-        a = data.draw(st.integers(-6, 6))
-    t = TermOnCell(data.draw(_root_values(p)), a, n, l, lam)
+        a = draw(st.integers(-6, 6))
+    return p, TermOnCell(draw(_root_values(p)), a, n, l, lam), krange
+
+
+def _shell_example(p, a, n, l, lam, krange, coeff=Fraction(2, 3)):
+    if not isinstance(coeff, RootScaledValue):
+        coeff = RootScaledValue.from_rational(coeff, p)
+    return example(case=(p, TermOnCell(coeff, a, n, l, Fraction(lam)), krange))
+
+
+@_differential
+@given(case=_shell_cases())
+@_shell_example(3, -2, 2, 3, 3, KRange(2, 1, -3, 7))  # w = n + a = 0, finite range
+@_shell_example(5, -3, 1, 2, Fraction(1, 25), KRange(1, 0, None, 4))  # w < 0, downward walk
+@_shell_example(7, 1, 3, 1, Fraction(2, 49), KRange(3, 1, -8, None))  # k0 = -8
+@_shell_example(2, 0, 1, 16, 1, KRange(1, 0, 0, None))  # l = 16
+@_shell_example(2, 3, 16, 2, Fraction(3, 4), KRange(16, 14, -2, None))  # p = 2, n = 16
+# a coefficient at p^(-3/4): the Fraction forms fold 3/4 + 1/2 (from |lam^(-a)|^(1/n))
+# past 1, while the integer kernel's factor is rational and nothing folds
+@_shell_example(5, 1, 2, 1, 5, KRange(2, 1, 1, None),
+                RootScaledValue.monomial(5, Fraction(3, 4), Fraction(5, 2)))
+@_shell_example(5, 2, 1, 1, Fraction(1, 5), KRange(1, 0, -1, None),  # two items
+                RootScaledValue.monomial(5, Fraction(1, 3), 2) + Fraction(-7))
+def test_shell_sums_match_fraction_forms(case):
+    p, t, krange = case
+    ctx = PrimeContext(p)
     assert _outcome(shell_sum, t, krange, ctx) == _outcome(_fraction_shell_sum, t, krange, ctx)
 
 
@@ -367,19 +394,50 @@ def _explicit_levels(draw, p):
                      CosetSpec(draw(_lams(p)), draw(st.integers(1, 4))))
 
 
-@_differential
-@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), depth=st.integers(1, 3),
-       cells=st.integers(1, 2))
-def test_explicit_towers_match_fraction_forms(data, p, depth, cells):
-    ctx = PrimeContext(p)
-    towers = tuple(CellTower(tuple(data.draw(_explicit_levels(p)) for _ in range(depth)))
+@st.composite
+def _tower_cases(draw):
+    p, depth, cells = (draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 3)),
+                       draw(st.integers(1, 2)))
+    towers = tuple(CellTower(tuple(draw(_explicit_levels(p)) for _ in range(depth)))
                    for _ in range(cells))
     cert = DecompositionCertificate(p, BoxDomain(depth), towers)
     exps = st.tuples(st.integers(-2, 4), st.integers(0, 4))
-    terms = [CellTermSpec(data.draw(st.integers(0, cells - 1)),
-                          data.draw(st.fractions(-3, 3, max_denominator=4)),
-                          tuple(data.draw(exps) for _ in range(depth)))
-             for _ in range(data.draw(st.integers(1, 3)))]
+    terms = [CellTermSpec(draw(st.integers(0, cells - 1)),
+                          draw(st.fractions(-3, 3, max_denominator=4)),
+                          tuple(draw(exps) for _ in range(depth)))
+             for _ in range(draw(st.integers(1, 3)))]
+    return p, terms, cert
+
+
+def _level(lam, n=1, lower=None, upper=None):
+    """A constant level |lower| < |t| < |upper|, t in lam*P_n (None: no bound)."""
+    def bound(c):
+        return None if c is None else Bound(Polynomial.constant(Fraction(c)), True)
+    return CellLevel(Polynomial.constant(0), bound(lower), bound(upper),
+                     CosetSpec(Fraction(lam), n))
+
+
+def _tower_example(p, *levels):
+    """One cell of (level, (a, l)) pairs, outermost first, with coefficient -5/4."""
+    cert = DecompositionCertificate(p, BoxDomain(len(levels)),
+                                    (CellTower(tuple(lv for lv, _ in levels)),))
+    return example(case=(p, [CellTermSpec(0, Fraction(-5, 4), tuple(e for _, e in levels))],
+                         cert))
+
+
+@_differential
+@given(case=_tower_cases())
+@_tower_example(5, (_level(1, lower=625, upper=Fraction(1, 25)), (-1, 2)))  # w = 0, k in [-1, 3]
+@_tower_example(5, (_level(3, lower=Fraction(1, 5)), (-3, 1)))  # w < 0, downward from k0 = -2
+@_tower_example(3, (_level(Fraction(2, 9), 2, upper=Fraction(1, 3**5)), (0, 3)))  # k0 = -4
+@_tower_example(7, (_level(1, upper=1), (1, 16)), (_level(2, upper=7), (0, 16)))  # l = 16
+@_tower_example(2, (_level(Fraction(3, 4), 16, upper=Fraction(1, 8)), (3, 2)),  # p = 2, n = 16
+                (_level(1, 16, upper=1), (-15, 0)))
+# the Fraction forms fold 1/2 + 1/2 (from |lam^(-a)|^(1/n) and the k-sum) into 1
+@_tower_example(5, (_level(5, 2, upper=Fraction(1, 5)), (1, 0)), (_level(1, 2, upper=1), (1, 1)))
+def test_explicit_towers_match_fraction_forms(case):
+    p, terms, cert = case
+    ctx = PrimeContext(p)
     assert _outcome(integrate_explicit_tower, terms, cert, ctx) == \
         _outcome(_fraction_tower, terms, cert, ctx)
 
@@ -569,14 +627,6 @@ def test_point_level_before_divergent_level():
         tower_measure(CellTower((point, unbounded)), C5)
 
 
-def _level(lam, n=1, lower=None, upper=None):
-    """A constant level |lower| < |t| < |upper|, t in lam*P_n (None: no bound)."""
-    def bound(c):
-        return None if c is None else Bound(Polynomial.constant(Fraction(c)), True)
-    return CellLevel(Polynomial.constant(0), bound(lower), bound(upper),
-                     CosetSpec(Fraction(lam), n))
-
-
 def test_one_multiply_per_explicit_level(monkeypatch):
     """Counts, not times: one from_rational per cell, one multiply and one
     v(lambda) per level with lambda != 0, none for the point level."""
@@ -663,3 +713,42 @@ def test_mixed_sum_progressions():
     total, ok = mixed_sum([LatticeTermSpec(Fraction(2), (fac,))], C5)
     direct = 2 * sum(Fraction(z) * Fraction(1, 5**z) for z in (2, 5, 8, 11, 14))
     assert ok and total == direct
+
+
+@st.composite
+def _lattice_factors(draw):
+    """A factor over a finite or one-sided progression (never all of Z)."""
+    modulus, residue = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    lo = draw(st.integers(-8, 8))
+    bounds = draw(st.sampled_from([(lo, lo + draw(st.integers(-2, 14))), (lo, None), (None, lo)]))
+    return LatticeFactor(draw(st.integers(0, 5)), draw(st.integers(-3, 3)),
+                         KRange(modulus, residue, *bounds))
+
+
+def _fraction_mixed_sum(terms, p):
+    """Sum of coeff * prod of the Fraction progression sums; (0, False) once a
+    term with coeff != 0 has a divergent factor."""
+    products = []
+    for spec in terms:
+        if spec.coeff == 0:
+            continue
+        sums = [_outcome(_fraction_progression_sum, power_norm(p, -f.c), f.l, f.krange)
+                for f in spec.factors]
+        if any(kind is DivergentError for kind, _ in sums):
+            return Fraction(0), False
+        products.append(spec.coeff * prod(value for _, value in sums))
+    return sum(products, Fraction(0)), True
+
+
+_lattice_terms = st.lists(st.builds(LatticeTermSpec, st.fractions(-3, 3, max_denominator=4),
+                                    st.lists(_lattice_factors(), max_size=3).map(tuple)),
+                          min_size=1, max_size=3)
+
+
+@_differential
+@given(p=st.sampled_from([2, 3, 5, 7]), terms=_lattice_terms)
+@example(p=5, terms=[LatticeTermSpec(Fraction(1), (LatticeFactor(1, 1, KRange(2, 1, -3, None)),
+                                                    LatticeFactor(0, -1, KRange(1, 0, 0, None))))])
+def test_mixed_sums_match_fraction_forms(p, terms):
+    total, ok = mixed_sum(terms, PrimeContext(p))
+    assert type(total) is Fraction and (total, ok) == _fraction_mixed_sum(terms, p)

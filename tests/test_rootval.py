@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellint import RootScaledValue
+from cellint import FloatOverflowError, RootScaledValue
 from cellint.rootval import _fold
 
 
@@ -132,6 +132,8 @@ def _check_product(x: RootScaledValue, y: RootScaledValue):
     ((Fraction(-1, 3), 1), (Fraction(1, 4), -5)),  # sum -1/12 = -1 + 11/12
     ((Fraction(-5, 2), -2), (Fraction(1, 3), 7)),  # sum -13/6 = -3 + 5/6
     ((Fraction(0), 4), (Fraction(0), Fraction(-1, 9))),  # two rationals
+    ((Fraction(0), 3), (Fraction(1, 2), 5)),  # a zero exponent adds nothing
+    ((Fraction(-5, 2), 2), (Fraction(0), 3)),  # ... and the other still folds
 ])
 def test_monomial_product_boundaries(p, a, b):
     _check_product(RootScaledValue(p, (a,)), RootScaledValue(p, (b,)))
@@ -155,6 +157,17 @@ def test_real_value_accuracy():
             assert v.real_value() == 0
         else:
             assert abs(v.real_value() - expected) <= 1e-12 * abs(expected)
+
+
+def test_real_value_overflow_is_a_cellint_error():
+    huge = Fraction(10**400)
+    for value in (RootScaledValue.from_rational(huge, 5),  # float(c) overflows
+                  RootScaledValue.from_rational(Fraction(17 * 10**307), 5)  # the sum is inf
+                  + RootScaledValue.monomial(5, Fraction(1, 2), Fraction(17 * 10**307))):
+        with pytest.raises(FloatOverflowError, match="value is too large for a float"):
+            value.real_value()
+        with pytest.raises(OverflowError):
+            float(value)
 
 
 def test_str_forms():
