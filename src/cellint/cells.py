@@ -48,7 +48,6 @@ from .padic_core import (
 )
 from .polynomials import Polynomial, format_poly
 from .qexp_sum import CellTermSpec, fiber_valuation_range, level_integral
-from .rootval import RootScaledValue
 
 # -- data types ----------------------------------------------------------------
 
@@ -396,12 +395,12 @@ def membership(tower: CellTower, point: Sequence, ctx: PrimeContext,
 def _explicit_measure(levels: Sequence[CellLevel], ctx: PrimeContext) -> Fraction:
     """Product of the Haar measures of constant-data fibers, outermost first:
     the running value is each level's coefficient (level_integral at a = l = 0)."""
-    value = RootScaledValue.from_rational(1, ctx.p)
+    value = Fraction(1)
     for level in levels:
         value, ok = level_integral(level, 0, 0, value, ctx)
         if not ok:
             raise DivergentError("fiber has infinite measure (norm unbounded above)")
-    return value.as_exact_rational()
+    return value
 
 
 def fiber_measure(level: CellLevel, ctx: PrimeContext) -> Fraction:

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .padic_core import INF, PrimeContext, int_valuation, power_norm
 from .polynomials import Polynomial, eval_int_terms, format_poly
-from .rootval import RootScaledValue
+from .rootval import ExactValue, RootScaledValue
 
 # -- AST ---------------------------------------------------------------------
 
@@ -448,8 +448,6 @@ def expr_carriers(e: QExpExpr) -> list[Polynomial]:
     else:
         return []
     return list(dict.fromkeys(c for it in subs for c in expr_carriers(it)))
-
-ExactValue = Union[Fraction, RootScaledValue]
 
 
 class _Carrier:

@@ -4,17 +4,18 @@ Everything here is exact, and in integers until one Fraction per level.  A
 series sum(k^l r^j) over a progression of k, with r = a/b, is summed as an
 integer numerator and denominator (_progression_series, the one series
 kernel): term by term over a finite range, through the integer Eulerian
-polynomials over an infinite one.  A shell sum is its coefficient, in
-Q[p^(1/N), p^(-1/N)], times one rational: that one Fraction.  Divergence is
-reported in-band as (value 0, integrable False).  A cell fiber enters
-through the KRange of v(t - c) its bounds allow, evaluated at a base point by
-fiber_valuation_range (cells.contains) and read from constant bounds by
-level_integral (one explicit fiber).
+polynomials over an infinite one.  A shell sum is its coefficient times one
+rational, that one Fraction, so it has the coefficient's type: a Fraction, or
+a RootScaledValue in Q[p^(1/N), p^(-1/N)].  Divergence is reported in-band as
+(value 0, integrable False).  A cell fiber enters through the KRange of
+v(t - c) its bounds allow, evaluated at a base point by fiber_valuation_range
+(cells.contains) and read from constant bounds by level_integral.
 
-An explicit tower is integrated by threading the cell's running value
-through its levels as the shell-sum coefficient: each level with lambda != 0
-builds its one Fraction, takes v(lambda) once and pays one multiply (the
-coefficient times that rational, in shell_sum); a point level is 0.
+Explicit-tower integrals are rational, and are summed in Fraction: the coset
+condition forces v(t - c) = v(lam) mod n, so each factor is an integer power
+of p.  The cell's running value is the shell-sum coefficient of each level:
+a level with lambda != 0 builds its one Fraction, takes v(lambda) once and
+pays one multiply (in shell_sum); a point level is 0.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .padic_core import PrimeContext, _power_test, as_rational, power_norm, valuation
 from .polynomials import format_poly
-from .rootval import _ZERO, RootScaledValue
+from .rootval import ExactValue, RootScaledValue
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cells import Bound, CellLevel, DecompositionCertificate
@@ -199,15 +200,18 @@ def fiber_valuation_range(level: "CellLevel", base_point: Sequence,
 
 @dataclass(frozen=True)
 class TermOnCell:
-    """One cell-adapted integrand term |(t-c)^a lam^(-a)|^(1/n) v(t-c)^l."""
+    """One cell-adapted integrand term |(t-c)^a lam^(-a)|^(1/n) v(t-c)^l; an
+    int or float coefficient is made an exact Fraction."""
 
-    coefficient: RootScaledValue
+    coefficient: ExactValue
     a: int
     n: int
     l: int
     lam: Fraction = field(default_factory=lambda: Fraction(1))
 
     def __post_init__(self):
+        if not isinstance(self.coefficient, (Fraction, RootScaledValue)):
+            object.__setattr__(self, "coefficient", as_rational(self.coefficient))
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.l < 0:
@@ -268,7 +272,7 @@ def _progression_series(l: int, krange: KRange, num: int, den: int) -> tuple[int
 
 
 def shell_sum(term: TermOnCell, krange: KRange, ctx: PrimeContext, *,
-              vlam: int | None = None) -> tuple[RootScaledValue, bool]:
+              vlam: int | None = None) -> tuple[ExactValue, bool]:
     """Exact integral of a term over the shells v(u) = k, u in lam*P_n, k in krange.
 
     Value = coeff * eps * |lam^(-a)|^(1/n) * sum_k k^l p^(-k(n+a)/n), with
@@ -278,36 +282,35 @@ def shell_sum(term: TermOnCell, krange: KRange, ctx: PrimeContext, *,
     whole value is coeff times eps * s * p^(-E/n), E = k0(n+a) - a v(lam).
     As k0 = v(lam) mod n, E/n = v(lam) + (k0 - v(lam))(n+a)/n is an integer:
     that factor is rational, kept in integers until its one Fraction, and the
-    level pays one multiply.  A caller that has already taken v(lam) passes it
-    as vlam.  Divergence is in-band: (0, False).
+    level pays one multiply, so the value has the coefficient's type.  A caller
+    that has already taken v(lam) passes it as vlam.  Divergence is in-band:
+    (0, False).
     """
-    p = ctx.p
-    zero = RootScaledValue.zero(p)
+    p, coeff = ctx.p, term.coefficient
     if krange.modulus != term.n:
         raise ValueError("krange modulus must match the coset order n")
     if krange.is_empty():
-        return zero, True
+        return 0 * coeff, True
     if term.lam == 0:
         raise ZeroCosetError("shell_sum needs lambda != 0 (or an empty range)")
     if not decide_integrability(term, krange):
-        return zero, False
+        return 0 * coeff, False
     if vlam is None:
         vlam = int(valuation(term.lam, ctx))
     if krange.residue != vlam % term.n:
-        return zero, True  # every shell in the range misses the coset
+        return 0 * coeff, True  # every shell in the range misses the coset
     w = term.n + term.a
     num, den = (1, p**w) if w >= 0 else (p**-w, 1)  # p^(-w), the ratio per step
     k0, s_num, s_den = _progression_series(term.l, krange, num, den)
-    shell = zero
-    if s_num:
-        shift = (k0 * w - term.a * vlam) // term.n  # exact: k0 = v(lam) mod n
-        num, den = (p - 1) * s_num, p * _power_test(term.n, p)[2] * s_den
-        if shift > 0:
-            den *= p**shift
-        else:
-            num *= p**-shift
-        shell = RootScaledValue(p, ((_ZERO, Fraction(num, den)),))
-    return term.coefficient * shell, True
+    if not s_num:  # a zero sum needs no coset index
+        return 0 * coeff, True
+    shift = (k0 * w - term.a * vlam) // term.n  # exact: k0 = v(lam) mod n
+    num, den = (p - 1) * s_num, p * _power_test(term.n, p)[2] * s_den
+    if shift > 0:
+        den *= p**shift
+    else:
+        num *= p**-shift
+    return coeff * Fraction(num, den), True
 
 
 # -- explicit tower integration ------------------------------------------------
@@ -326,20 +329,20 @@ class CellTermSpec:
     levels: tuple[tuple[int, int], ...]
 
 
-def level_integral(level: "CellLevel", a: int, l: int, value: RootScaledValue,
-                   ctx: PrimeContext) -> tuple[RootScaledValue, bool]:
+def level_integral(level: "CellLevel", a: int, l: int, value: ExactValue,
+                   ctx: PrimeContext) -> tuple[ExactValue, bool]:
     """value times the exact integral of |(t-c)^a lam^(-a)|^(1/n) v(t-c)^l over
     one explicit (constant-data) fiber: shell_sum over its valuation range with
     value as the coefficient, 0 for a point level (graph fibers carry Haar
-    measure 0), (0, False) when divergent.
+    measure 0), (0, False) when divergent.  That integral is rational.
 
     A level with lambda != 0 takes v(lambda) once, for both the range residue
     and the shell exponent, and pays exactly one multiply (value times its
-    monomial); a point level pays none.  Raises CertificateMismatchError for
+    rational); a point level is 0 * value.  Raises CertificateMismatchError for
     a bound that is not constant."""
     lam = level.coset.lam
     if lam == 0:
-        return RootScaledValue.zero(ctx.p), True
+        return 0 * value, True
     term = TermOnCell(value, a, level.coset.n, l, lam)
     vlam = int(valuation(lam, ctx))
     return shell_sum(term, _valuation_range(level, (), _constant_bound, vlam, ctx), ctx,
@@ -360,15 +363,12 @@ def integrate_explicit_tower(terms: Sequence[CellTermSpec],
     """Integrate cell-adapted terms over an explicit-tower certificate.
 
     Innermost levels are shell-summed first and each level contributes a
-    constant factor (explicit towers are products of 1-d fibers): the cell's
+    rational factor (explicit towers are products of 1-d fibers): the cell's
     value starts as its coefficient and each level multiplies it by its
-    monomial (level_integral); the total is the sum over cells.  Any
-    divergent contribution makes the whole integral (0, False), matching the
-    convention that non-integrable functions integrate to zero.
-    """
-    p = ctx.p
-    zero = RootScaledValue.zero(p)
-    total = zero
+    factor (level_integral); the Fraction total over cells becomes a
+    RootScaledValue at return.  Any divergent contribution makes the whole
+    integral (0, False): non-integrable functions integrate to zero."""
+    total = Fraction(0)
     for spec in terms:
         if not 0 <= spec.cell < len(cert.cells):
             raise CertificateMismatchError(f"term references missing cell {spec.cell}")
@@ -379,13 +379,13 @@ def integrate_explicit_tower(terms: Sequence[CellTermSpec],
                 f"tower has {len(tower.levels)}")
         if spec.coeff == 0:
             continue
-        cellval = RootScaledValue.from_rational(spec.coeff, p)
+        cellval = as_rational(spec.coeff)
         for level, (a, l) in zip(reversed(tower.levels), reversed(spec.levels)):
             cellval, ok = level_integral(level, a, l, cellval, ctx)
             if not ok:
-                return zero, False
-        total = total + cellval
-    return total, True
+                return RootScaledValue.zero(ctx.p), False
+        total += cellval
+    return RootScaledValue.from_rational(total, ctx.p), True
 
 
 # -- lattice sums (the mixed Z^l x Q_p^n operator) ------------------------------

@@ -1,4 +1,7 @@
-"""The value ring Q[p^(1/N), p^(-1/N)] for closed-form integrals.
+"""The value ring Q[p^(1/N), p^(-1/N)] of the oracle's fractional norm powers.
+
+A leaf norm(f)^(a/n) can be a fractional power of p; explicit-tower
+integrals are rational and stay in Fraction (ExactValue is either kind).
 
 Values are stored as sparse sums sum_f c_f * p^(-f) with reduced
 fractional exponents f in [0, 1); integer powers of p are folded into
@@ -14,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isfinite, lcm
+from typing import Union
 
 from .errors import FloatOverflowError
 from .padic_core import as_rational
@@ -90,11 +94,6 @@ class RootScaledValue:
         if not isinstance(other, RootScaledValue):
             return self.scale(other)
         self._check(other)
-        if len(self.items) == 1 == len(other.items):  # monomials: c1 * c2 != 0, no dict
-            (f1, c1), = self.items
-            (f2, c2), = other.items
-            f = f1 + f2 if f1 and f2 else f1 or f2  # a zero exponent adds nothing
-            return RootScaledValue(self.p, (_fold(self.p, f, c1 * c2),))
         acc: dict[Fraction, Fraction] = {}
         for f1, c1 in self.items:
             for f2, c2 in other.items:
@@ -139,7 +138,7 @@ class RootScaledValue:
     def real_value(self) -> float:
         """The value as a float; FloatOverflowError when it is too large for one."""
         try:
-            total = sum(float(c) * self.p ** -float(f) for f, c in self.items)
+            total = sum((float(c) * self.p ** -float(f) for f, c in self.items), 0.0)
         except OverflowError:
             raise FloatOverflowError() from None
         if not isfinite(total):
@@ -147,7 +146,7 @@ class RootScaledValue:
         return total
 
     def __float__(self) -> float:
-        return float(self.real_value())
+        return self.real_value()
 
     def __str__(self) -> str:
         if not self.items:
@@ -159,3 +158,6 @@ class RootScaledValue:
             else:
                 parts.append(f"{c}*{self.p}^(-{f})")
         return " + ".join(parts)
+
+
+ExactValue = Union[Fraction, RootScaledValue]

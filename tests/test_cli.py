@@ -88,6 +88,18 @@ def test_integrate_divergent(tmp_path, capsys):
     assert payload["closed_form"] == "0"
 
 
+def test_integrate_zero_terms_real_value_is_float(tmp_path, capsys):
+    cert = write_json(tmp_path / "cert.json", ZP_CERT)
+    zero = {"terms": [{"cell": i, "coeff": "0", "levels": [{"a": 1, "l": 0}]}
+                      for i in (0, 1)]}
+    terms = write_json(tmp_path / "terms.json", zero)
+    assert main(["integrate", "--certificate", cert, "--terms", terms]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert payload["closed_form"] == "0" and payload["integrable"] is True
+    assert '"real_value": 0.0' in out and type(payload["real_value"]) is float
+
+
 def test_integrate_bad_certificate_exit_3(tmp_path, capsys):
     cert = write_json(tmp_path / "cert.json", DOUBLE_COVER_CERT)
     terms = write_json(tmp_path / "terms.json", NORM_TERMS)

@@ -1,6 +1,7 @@
 """Closed-form shell sums: exactness, divergence conventions, invariants."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, prod
 
@@ -38,6 +39,7 @@ from cellint.cells import (
     CellLevel,
     CellTower,
     CosetSpec,
+    fiber_measure,
     fiber_valuation_range,
     tower_measure,
 )
@@ -372,10 +374,29 @@ def _shell_example(p, a, n, l, lam, krange, coeff=Fraction(2, 3)):
                 RootScaledValue.monomial(5, Fraction(3, 4), Fraction(5, 2)))
 @_shell_example(5, 2, 1, 1, Fraction(1, 5), KRange(1, 0, -1, None),  # two items
                 RootScaledValue.monomial(5, Fraction(1, 3), 2) + Fraction(-7))
+# a float and an int coefficient are made exact Fractions by TermOnCell
+@example(case=(5, TermOnCell(0.5, 1, 2, 1, Fraction(5)), KRange(2, 1, 1, None)))
+@example(case=(3, TermOnCell(-4, -2, 2, 3, Fraction(3)), KRange(2, 1, -3, 7)))
 def test_shell_sums_match_fraction_forms(case):
+    """A RootScaledValue coefficient gives the ring value of the Fraction forms; a
+    rational one (a Fraction, or an int or float made one) gives that value's
+    Fraction, so explicit towers never leave Q."""
     p, t, krange = case
     ctx = PrimeContext(p)
-    assert _outcome(shell_sum, t, krange, ctx) == _outcome(_fraction_shell_sum, t, krange, ctx)
+    coeff = t.coefficient
+    if not isinstance(coeff, RootScaledValue):
+        assert type(coeff) is Fraction
+        coeff = RootScaledValue.from_rational(coeff, p)
+    want = _outcome(_fraction_shell_sum, replace(t, coefficient=coeff), krange, ctx)
+    if coeff is t.coefficient:
+        assert _outcome(shell_sum, t, krange, ctx) == want
+        if not coeff.is_rational():
+            return
+        t = replace(t, coefficient=coeff.as_exact_rational())
+    if want[0] is tuple:
+        want = tuple, (want[1][0].as_exact_rational(), want[1][1])
+    got = _outcome(shell_sum, t, krange, ctx)
+    assert got == want and (got[0] is not tuple or type(got[1][0]) is Fraction)
 
 
 @st.composite
@@ -417,12 +438,11 @@ def _level(lam, n=1, lower=None, upper=None):
                      CosetSpec(Fraction(lam), n))
 
 
-def _tower_example(p, *levels):
-    """One cell of (level, (a, l)) pairs, outermost first, with coefficient -5/4."""
+def _tower_example(p, *levels, coeff=Fraction(-5, 4)):
+    """One cell of (level, (a, l)) pairs, outermost first."""
     cert = DecompositionCertificate(p, BoxDomain(len(levels)),
                                     (CellTower(tuple(lv for lv, _ in levels)),))
-    return example(case=(p, [CellTermSpec(0, Fraction(-5, 4), tuple(e for _, e in levels))],
-                         cert))
+    return example(case=(p, [CellTermSpec(0, coeff, tuple(e for _, e in levels))], cert))
 
 
 @_differential
@@ -435,11 +455,30 @@ def _tower_example(p, *levels):
                 (_level(1, 16, upper=1), (-15, 0)))
 # the Fraction forms fold 1/2 + 1/2 (from |lam^(-a)|^(1/n) and the k-sum) into 1
 @_tower_example(5, (_level(5, 2, upper=Fraction(1, 5)), (1, 0)), (_level(1, 2, upper=1), (1, 1)))
+# a float and an int coefficient integrate exactly as their Fractions
+@_tower_example(5, (_level(5, 2, upper=Fraction(1, 5)), (1, 0)), coeff=0.5)
+@_tower_example(3, (_level(Fraction(2, 9), 2, upper=Fraction(1, 3**5)), (0, 3)), coeff=-3)
 def test_explicit_towers_match_fraction_forms(case):
+    """Integrals match the Fraction forms and stay a RootScaledValue at the API;
+    tower and fiber measures are Fractions."""
     p, terms, cert = case
     ctx = PrimeContext(p)
-    assert _outcome(integrate_explicit_tower, terms, cert, ctx) == \
-        _outcome(_fraction_tower, terms, cert, ctx)
+    got = _outcome(integrate_explicit_tower, terms, cert, ctx)
+    fractions = [replace(spec, coeff=Fraction(spec.coeff)) for spec in terms]
+    assert got == _outcome(_fraction_tower, terms, cert, ctx) \
+        == _outcome(integrate_explicit_tower, fractions, cert, ctx)
+    assert got[0] is not tuple or type(got[1][0]) is RootScaledValue
+    for i, tower in enumerate(cert.cells):
+        unit = [CellTermSpec(i, Fraction(1), ((0, 0),) * len(tower.levels))]
+        value, ok = _fraction_tower(unit, cert, ctx)
+        if not ok:
+            with pytest.raises(DivergentError):
+                tower_measure(tower, ctx)
+            continue
+        fibers = [fiber_measure(level, ctx) for level in tower.levels]
+        measure = tower_measure(tower, ctx)
+        assert type(measure) is Fraction and all(type(f) is Fraction for f in fibers)
+        assert measure == prod(fibers) == value.as_exact_rational()
 
 
 def test_lattice_exponent_must_be_nonnegative():
@@ -628,8 +667,9 @@ def test_point_level_before_divergent_level():
 
 
 def test_one_multiply_per_explicit_level(monkeypatch):
-    """Counts, not times: one from_rational per cell, one multiply and one
-    v(lambda) per level with lambda != 0, none for the point level."""
+    """Counts, not times: explicit towers stay in Fraction, so each level with
+    lambda != 0 pays one Fraction multiply and one v(lambda), no level touches
+    RootScaledValue arithmetic, and the total is made a RootScaledValue once."""
     cells = (CellTower((_level(2, upper=25), point_cell(0).levels[0], _level(3, 2, upper=1))),
              CellTower((_level(7, lower=Fraction(1, 25)), _level(10, upper=1),
                         _level(Fraction(1, 5), 2, lower=125, upper=Fraction(1, 25)))))
@@ -638,28 +678,32 @@ def test_one_multiply_per_explicit_level(monkeypatch):
              CellTermSpec(1, Fraction(-1, 3), ((-2, 1), (0, 0), (2, 3)))]
     expected = _fraction_tower(terms, cert, C5)
 
-    calls = {"mul": 0, "from_rational": 0}
+    calls = {"fraction_mul": 0, "root_mul": 0, "from_rational": 0}
     valued = []
-    mul, from_rational = RootScaledValue.__mul__, RootScaledValue.from_rational.__func__
+    fraction_mul, root_mul = Fraction.__mul__, RootScaledValue.__mul__
+    from_rational = RootScaledValue.from_rational.__func__
     valuation_ = padic_core.valuation
 
-    def counted_mul(x, y):
-        calls["mul"] += 1
-        return mul(x, y)
-
-    def counted_from_rational(cls, q, p):
-        calls["from_rational"] += 1
-        return from_rational(cls, q, p)
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
 
     def counted_valuation(x, ctx):
         valued.append(Fraction(x))
         return valuation_(x, ctx)
 
-    monkeypatch.setattr(RootScaledValue, "__mul__", counted_mul)
-    monkeypatch.setattr(RootScaledValue, "from_rational", classmethod(counted_from_rational))
+    monkeypatch.setattr(Fraction, "__mul__", counted("fraction_mul", fraction_mul))
+    monkeypatch.setattr(RootScaledValue, "__mul__", counted("root_mul", root_mul))
+    monkeypatch.setattr(RootScaledValue, "from_rational",
+                        classmethod(counted("from_rational", from_rational)))
     for module in (padic_core, qexp_sum):
         monkeypatch.setattr(module, "valuation", counted_valuation)
-    assert integrate_explicit_tower(terms, cert, C5) == expected
+    got = integrate_explicit_tower(terms, cert, C5)
+    counts = dict(calls)
+    monkeypatch.undo()
+    assert got == expected and type(got[0]) is RootScaledValue
     assert expected[1] and not expected[0].is_zero()
 
     levels = [lv for tower in cells for lv in tower.levels]
@@ -667,7 +711,7 @@ def test_one_multiply_per_explicit_level(monkeypatch):
     bounds = [b.expr.constant_value() for lv in levels if lv.coset.lam != 0
               for b in (lv.lower, lv.upper) if b is not None]
     assert len(lams) == 5 and not set(lams) & set(bounds)
-    assert calls == {"mul": len(lams), "from_rational": len(cells)}
+    assert counts == {"fraction_mul": len(lams), "root_mul": 0, "from_rational": 1}
     assert sorted(valued) == sorted(lams + bounds)  # v(lambda) once per level
 
 

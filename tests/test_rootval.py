@@ -56,7 +56,7 @@ def test_rational_operands_are_promoted():
     assert r * 0 == 0 * r == RootScaledValue.zero(5)
     assert float(r) == r.real_value() == 3 * 5 ** -0.5 + 5 ** (-1 / 3)
     zero = RootScaledValue.zero(5)
-    assert zero.real_value() == 0 and type(zero.real_value()) is int  # printed as "0"
+    assert zero.real_value() == 0 and type(zero.real_value()) is float  # as annotated
     assert float(zero) == 0.0 and type(float(zero)) is float
     with pytest.raises(ValueError, match="different primes"):
         mono(1, p=5) * mono(Fraction(1, 2), p=7)
@@ -95,7 +95,7 @@ def test_ring_axioms_random():
 
 
 def _dict_product(x: RootScaledValue, y: RootScaledValue) -> RootScaledValue:
-    """The general path of __mul__: every pair of items folded into one dict."""
+    """Every pair of items folded into one dict, as __mul__ does."""
     acc: dict[Fraction, Fraction] = {}
     for f1, c1 in x.items:
         for f2, c2 in y.items:
@@ -142,7 +142,7 @@ def test_monomial_product_boundaries(p, a, b):
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]))
 def test_monomial_product_matches_dict_path(data, p):
-    """The one-item fast path of __mul__ equals the general dict path exactly."""
+    """A product of two monomials is the dict fold of their items, canonical."""
     _check_product(data.draw(_monomials(p)), data.draw(_monomials(p)))
 
 
