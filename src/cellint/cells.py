@@ -13,14 +13,16 @@ A MembershipPlan plans the membership tests of one check once, in integer
 arithmetic: one cleared view (formula_dsl._Carrier) per distinct level
 carrier (t - c(x), keyed by level index and centre, and each non-constant
 bound), evaluated once per class and valued only where a test or a settled
-class reads it, and one test per distinct level.  check_partition merges the
+class reads it, and one test per distinct level, whose constant bounds are
+folded into one window of v(t - c) at plan time.  check_partition merges the
 cells into a tree of level tests; the domain, the described towers and f,
 delta and t - c of check_norm_description, and the domain and integrand
 carriers of oracle.riemann_integrate read the same plan's views, and
 MembershipPlan.member_of plans a single tower.  The checks walk the
 digit-tree kernel refine_classes, which settles a class r mod p^j (all its
 p^(n(m-j)) lifts at once) when every test is unambiguous on it and no
-described f or delta is 0 mod p^j.  The budget counts all p^(m*n) classes.
+described f or delta is 0 mod p^j, and tally the settled classes in one
+helper (_tally).  The budget counts all p^(m*n) classes.
 """
 
 from __future__ import annotations
@@ -233,7 +235,9 @@ class MembershipPlan:
         and (t - c)/lam is in P_n iff v(N) - v(D) = v(lam) mod n and
         unit(N)^e * c_lam = 1 mod p^L, with (e, L) from padic_core._power_test
         and c_lam = unit(D*lam)^(-e) mod p^L, since (ab)^e = a^e b^e; unit(N)^e
-        is taken once per class and order n (_Carrier.unit_power).
+        is taken once per class and order n (_Carrier.unit_power).  The bounds
+        narrow a window lo <= v(t - c) <= hi, nonzero constants at plan time; a
+        zero constant ends the fold (alpha first), and fails the level ambiguously.
         """
         p, lam, n = self.ctx.p, level.coset.lam, level.coset.n
         diff = self.diff(index, level.center)
@@ -250,50 +254,40 @@ class MembershipPlan:
         vnum, vden_lam = int_valuation(num, p), int_valuation(den, p)
         vlam = vnum - diff.vden - vden_lam
         c_lam = pow(den // p**vden_lam * pow(num // p**vnum, -1, modulus), exponent, modulus)
-        sides = []  # (lower, strict, view of a non-constant bound, valuation of a constant)
+        lo, hi, zero, reads = -INF, INF, False, []
         for lower, bound in ((True, level.lower), (False, level.upper)):
-            if bound is not None:
-                constant = bound.expr.is_constant()
-                sides.append((lower, bound.strict, None if constant else self.view(bound.expr),
-                              valuation(bound.expr.constant_value(), self.ctx) if constant
-                              else None))
-
-        if all(view is None and value is not INF for _, _, view, value in sides):
-            lo, hi = -INF, INF  # nonzero constant bounds: one range lo <= v(t - c) <= hi
-            for lower, strict, _, value in sides:
-                if lower:  # |alpha| < |t - c|: k < v(alpha)
-                    hi = min(hi, value - strict)
-                else:  # |t - c| < |beta|: k > v(beta)
-                    lo = max(lo, value + strict)
-
-            def range_test(point: Sequence[int], at: int) -> tuple[bool, bool]:
-                v = read(point)
-                ambiguous = v + hensel > at
-                k = v - vden
-                if not lo <= k <= hi or v is INF or (k - vlam) % n:
-                    return False, ambiguous
-                return unit_power(n, exponent, modulus) * c_lam % modulus == 1, ambiguous
-            return range_test
+            if bound is None:
+                continue
+            if not bound.expr.is_constant():
+                reads.append((lower, bound.strict, self.view(bound.expr)))
+                continue
+            value = valuation(bound.expr.constant_value(), self.ctx)
+            zero = value is INF
+            if zero:
+                break
+            if lower:  # |alpha| < |t - c|: k < v(alpha)
+                hi = min(hi, value - bound.strict)
+            else:  # |t - c| < |beta|: k > v(beta)
+                lo = max(lo, value + bound.strict)
 
         def test(point: Sequence[int], at: int) -> tuple[bool, bool]:
             v = read(point)
             ambiguous = v + hensel > at
-            values = []
-            for _, _, view, value in sides:
-                if view is not None:
-                    bv = view.valuation(point)
-                    ambiguous = ambiguous or bv >= at  # the cleared bound is 0 mod p^at
-                    value = INF if bv is INF else bv - view.vden
-                values.append(value)
+            k_lo, k_hi = lo, hi
+            for lower, strict, view in reads:  # the non-constant bounds, read at the class
+                bv = view.valuation(point)
+                ambiguous = ambiguous or bv >= at  # the cleared bound is 0 mod p^at
+                if bv is INF:  # the bound vanished: a malformed cell at this point
+                    k_hi = -INF
+                elif lower:
+                    k_hi = min(k_hi, bv - view.vden - strict)
+                else:
+                    k_lo = max(k_lo, bv - view.vden + strict)
             k = v - vden
-            for (lower, strict, _, _), value in zip(sides, values):
-                if value is INF:  # the bound vanished: a malformed cell at this point
-                    return False, True
-                if not ((k < value if strict else k <= value) if lower
-                        else (k > value if strict else k >= value)):
-                    return False, ambiguous
-            if v is INF or (k - vlam) % n:
+            if not k_lo <= k <= k_hi:
                 return False, ambiguous
+            if zero or v is INF or (k - vlam) % n:  # past the window, a zero bound is ambiguous
+                return False, ambiguous or zero
             return unit_power(n, exponent, modulus) * c_lam % modulus == 1, ambiguous
         return test
 
@@ -378,6 +372,23 @@ def refine_classes(p: int, level: int, arity: int, classify: Callable,
             yield key, r, j
 
 
+def _tally(p: int, m: int, arity: int, classify: Callable, member_of: Callable | None,
+           flag: Callable) -> tuple[int, int, list]:
+    """Walk refine_classes over the member classes: (points, ambiguous points,
+    the sorted (lift, key) of every lift of a class whose key flag(key) marks)."""
+    points, ambiguous, flagged = 0, 0, []
+    for (key, amb), r, j in refine_classes(p, m, arity, classify, member_of):
+        if key is None:
+            continue
+        size = p ** (arity * (m - j))
+        points += size
+        ambiguous += size if amb else 0
+        if flag(key):
+            lifts = itertools.product(*(range(x, p**m, p**j) for x in r))  # product order
+            flagged.extend((pt, key) for pt in lifts)
+    return points, ambiguous, sorted(flagged)
+
+
 def membership(tower: CellTower, point: Sequence, ctx: PrimeContext,
                level_m: int) -> tuple[bool, bool]:
     """(member, ambiguous) of the integer lift of a class mod p^level_m: the
@@ -454,19 +465,9 @@ def check_partition(cert: DecompositionCertificate, m: int, ctx: PrimeContext,
         owners, ambiguous = owners_of(r, j)
         return None if ambiguous and j < m else (owners, ambiguous)
 
-    violations: list[tuple[tuple[int, ...], list[int]]] = []
-    ambiguous_points = 0
-    total = 0
-    for (owners, amb), r, j in refine_classes(p, m, arity, classify, domain):
-        if owners is None:
-            continue
-        size = p ** (arity * (m - j))
-        total += size
-        ambiguous_points += size if amb else 0
-        if len(owners) != 1:
-            lifts = itertools.product(*(range(x, p**m, p**j) for x in r))  # product order
-            violations.extend((pt, list(owners)) for pt in lifts)
-    violations.sort()
+    total, ambiguous_points, lifts = _tally(p, m, arity, classify, domain,
+                                            lambda owners: len(owners) != 1)
+    violations = [(pt, list(owners)) for pt, owners in lifts]
     return PartitionReport(ok=not violations, violations=violations,
                            ambiguous_points=ambiguous_points, points_tested=total)
 
@@ -538,8 +539,7 @@ def check_norm_description(functions: Sequence[Polynomial],
     check_budget(p, m, cert.domain.arity, budget)
     plan = MembershipPlan(ctx)
     mismatches: list[tuple[tuple[int, ...], object, object]] = []
-    ambiguous = 0
-    checked = 0
+    ambiguous = checked = 0
     for desc, level_idx in zip(cert.descriptions, level_indices):
         tower = cert.cells[desc.cell]
         level = tower.levels[level_idx]
@@ -561,18 +561,11 @@ def check_norm_description(functions: Sequence[Polynomial],
             k -= diff.vden
             return (lhs, Fraction(vd) + Fraction(desc.a * (k - vlam), level.coset.n)), amb
 
-        start = len(mismatches)
-        for (sides, amb), r, j in refine_classes(p, m, tower.arity, classify,
-                                                 plan.member_of(tower)):
-            if sides is None:
-                continue
-            size = p ** (tower.arity * (m - j))
-            checked += size
-            ambiguous += size if amb else 0
-            if sides[0] != sides[1]:  # exponents in Q, or INF for |0|
-                lifts = itertools.product(*(range(x, p**m, p**j) for x in r))
-                mismatches.extend((pt, *sides) for pt in lifts)
-        mismatches[start:] = sorted(mismatches[start:])
+        # the sides are exponents in Q, or INF for |0|
+        points, amb_points, lifts = _tally(p, m, tower.arity, classify, plan.member_of(tower),
+                                           lambda sides: sides[0] != sides[1])
+        checked, ambiguous = checked + points, ambiguous + amb_points
+        mismatches.extend((pt, *sides) for pt, sides in lifts)
     return NormCheckReport(ok=not mismatches, mismatches=mismatches,
                            ambiguous_points=ambiguous, points_checked=checked)
 

@@ -12,6 +12,7 @@ iff c is constant on every coset j + p^(m-1) Z/p^m, because the cyclotomic
 polynomial Phi_(p^m) is the minimal polynomial of zeta.  The complex value
 adds the p^(nm) characters in enumeration order, pairwise within each chunk
 of oracle._CHUNK points and then over the chunk sums, so it is fixed bit for bit.
+decay_fit adds its floats left to right, as sum() did before Python 3.12.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import add, mul
 from typing import Sequence
 
@@ -49,9 +50,6 @@ class ExpSumResult:
     r: int
     p: int
     phases: dict[int, int] = field(default_factory=dict)  # j -> c_j > 0, the exact value
-
-    def modulus(self) -> float:
-        return abs(self.value)
 
     def vanishes(self) -> bool:
         """E(y) = 0 exactly: the phase counts are constant on every coset
@@ -255,9 +253,9 @@ def decay_fit(fs: Sequence[Polynomial], direction: Sequence, m_range: tuple[int,
         xs = [m for m, _ in samples]
         ls = [math.log(v) / math.log(p) for _, v in samples]
         mx = sum(xs) / len(xs)
-        my = sum(ls) / len(ls)
-        alpha = sum((x - mx) * (l - my) for x, l in zip(xs, ls)) / \
-            sum((x - mx) ** 2 for x in xs)
+        my = reduce(add, ls, 0) / len(ls)
+        alpha = reduce(add, ((x - mx) * (l - my) for x, l in zip(xs, ls)), 0) / \
+            reduce(add, ((x - mx) ** 2 for x in xs), 0)
     c_hat = max(v * p ** (-m * alpha) for m, v in samples)
     violation = max(
         (v - c_hat * min(p ** (m * alpha), 1.0) for m, v in samples), default=0.0)

@@ -2,7 +2,7 @@
 
 Grammar (whitespace-insensitive, rationals as "a/b" or integers):
 
-    expr    := term (('+'|'-') term)*
+    expr    := ['-'] term (('+'|'-') term)*
     term    := factor ('*' factor)*
     factor  := rational | atom ('^' nonneg)?
     atom    := 'norm' '(' poly ')' ('^{' int '/' posint '}')?
@@ -10,23 +10,25 @@ Grammar (whitespace-insensitive, rationals as "a/b" or integers):
              | '(' expr ')'
     poly    := multivariate polynomial over Q in x1..xN, with + - * ^
 
-ASTs are immutable; construction canonicalizes (flattens nested sums
-and products, merges rational scalars) so that format/parse round-trips
-are structural identities.
+Expressions and polynomials share one sum-of-products parser, which folds
+terms with make_sum and make_product, or with + and *.  ASTs are immutable;
+construction canonicalizes (flattens nested sums and products, merges
+rational scalars) so that format/parse round-trips are structural identities.
 
 compile_expr is the one evaluator.  It reads the valuation vector of the
 distinct carriers (expr_carriers), exactly or at a level with an ambiguity
 flag: riemann_integrate hands it the enumeration kernel's key, and
-carrier_valuations computes it at a point (evaluate_fractional, evaluate,
-monte_carlo_integrate).
+carrier_valuations computes it at a point from Polynomial.eval
+(evaluate_fractional, evaluate, monte_carlo_integrate).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from math import prod
+from operator import add, mul, neg
 from typing import Callable, Sequence, Union
 
 from .errors import (
@@ -35,7 +37,7 @@ from .errors import (
     ValOfZeroError,
     ZeroDenominatorError,
 )
-from .padic_core import INF, PrimeContext, int_valuation, power_norm
+from .padic_core import INF, PrimeContext, int_valuation, power_norm, valuation
 from .polynomials import Polynomial, eval_int_terms, format_poly
 from .rootval import ExactValue, RootScaledValue
 
@@ -213,8 +215,8 @@ class _Scanner:
             raise ExprSyntaxError("expected integer", self.pos)
         return int(self.text[start:self.pos])
 
-    def rational(self, signed: bool = False) -> Fraction:
-        num = self.integer(signed=signed)
+    def rational(self) -> Fraction:
+        num = self.integer()
         save = self.pos
         if self.accept("/"):
             offset = self.pos
@@ -240,47 +242,46 @@ def _variable_index(name: str, offset: int) -> int:
     raise UnknownVariableError(f"unknown variable '{name}' (use x1, x2, ...)", offset)
 
 
-def _parse_poly(sc: _Scanner) -> Polynomial:
-    def atom() -> Polynomial:
-        ch = sc.peek()
-        if ch == "(":
-            sc.expect("(")
-            p = expr()
-            sc.expect(")")
-        elif ch.isdigit():
-            p = Polynomial.constant(sc.rational())
-        elif ch.isalpha():
-            name, off = sc.ident()
-            p = Polynomial.variable(_variable_index(name, off))
-        else:
-            raise ExprSyntaxError("expected polynomial term", sc.pos)
-        if sc.accept("^"):
-            k = sc.integer()
-            if k < 0:
-                raise ExprSyntaxError("negative power in polynomial", sc.pos)
-            p = p**k
-        return p
-
-    def term() -> Polynomial:
-        p = atom()
+def _sum_of_products(sc: _Scanner, factor, negate, add, mul):
+    """sum := ['-'] product (('+'|'-') product)*, product := factor ('*' factor)*,
+    the grammar shared by polynomials and expressions: factor(sc) reads one
+    factor, and add and mul fold a list of operands."""
+    def product():
+        items = [factor(sc)]
         while sc.accept("*"):
-            p = p * atom()
-        return p
+            items.append(factor(sc))
+        return mul(items)
 
-    def expr() -> Polynomial:
-        negated = sc.accept("-")
-        p = term()
-        if negated:
-            p = -p
-        while True:
-            if sc.accept("+"):
-                p = p + term()
-            elif sc.accept("-"):
-                p = p - term()
-            else:
-                return p
+    items = [negate(product()) if sc.accept("-") else product()]
+    while True:
+        if sc.accept("+"):
+            items.append(product())
+        elif sc.accept("-"):
+            items.append(negate(product()))
+        else:
+            return add(items)
 
-    return expr()
+
+def _poly_factor(sc: _Scanner) -> Polynomial:
+    ch = sc.peek()
+    if ch == "(":
+        sc.expect("(")
+        p = _parse_poly(sc)
+        sc.expect(")")
+    elif ch.isdigit():
+        p = Polynomial.constant(sc.rational())
+    elif ch.isalpha():
+        name, off = sc.ident()
+        p = Polynomial.variable(_variable_index(name, off))
+    else:
+        raise ExprSyntaxError("expected polynomial term", sc.pos)
+    if sc.accept("^"):
+        p = p**sc.integer()
+    return p
+
+
+def _parse_poly(sc: _Scanner) -> Polynomial:
+    return _sum_of_products(sc, _poly_factor, neg, partial(reduce, add), partial(reduce, mul))
 
 
 def _parse_atom(sc: _Scanner) -> QExpExpr:
@@ -324,32 +325,12 @@ def _parse_factor(sc: _Scanner) -> QExpExpr:
     if sc.accept("^"):
         if sc.peek() == "{":
             raise ExprSyntaxError("fractional powers apply to norm(...) only", sc.pos)
-        off = sc.pos
-        k = sc.integer()
-        if k < 0:
-            raise ExprSyntaxError("expression power must be nonnegative", off)
-        e = make_power(e, k)
+        e = make_power(e, sc.integer())
     return e
 
 
-def _parse_term(sc: _Scanner) -> QExpExpr:
-    items = [_parse_factor(sc)]
-    while sc.accept("*"):
-        items.append(_parse_factor(sc))
-    return make_product(items)
-
-
 def _parse_expr(sc: _Scanner) -> QExpExpr:
-    negated = sc.accept("-")
-    first = _parse_term(sc)
-    items = [negate(first) if negated else first]
-    while True:
-        if sc.accept("+"):
-            items.append(_parse_term(sc))
-        elif sc.accept("-"):
-            items.append(negate(_parse_term(sc)))
-        else:
-            return make_sum(items)
+    return _sum_of_products(sc, _parse_factor, negate, make_sum, make_product)
 
 
 def parse_expr(text: str) -> QExpExpr:
@@ -462,7 +443,6 @@ class _Carrier:
         self.terms, self.denom = poly.cleared()
         self.vden = int(int_valuation(self.denom, ctx.p))
         self.p = ctx.p
-        self.arity = poly.arity
 
     def read(self, point: Sequence[int]) -> int:
         """terms(point), the cleared integer value at an integer point."""
@@ -488,22 +468,13 @@ class _Carrier:
             power = self.powers[n] = pow(self.num // self.p**self.v, exponent, modulus)
         return power
 
-    def valuation_at(self, point: Sequence):
-        """v(poly(point)) at an integer or rational point; INF where it vanishes."""
-        if len(point) < self.arity:
-            raise ValueError(f"point has {len(point)} coordinates, need {self.arity}")
-        num = eval_int_terms(self.terms, point)
-        if num == 0:
-            return INF
-        return int_valuation(num.numerator, self.p) - int_valuation(num.denominator, self.p) \
-            - self.vden
-
 
 def carrier_valuations(e: QExpExpr, ctx: PrimeContext) -> Callable[[Sequence], tuple]:
     """point -> the valuation vector of expr_carriers(e) there, compile_expr's
-    input; ValueError naming the first carrier the point is too short for."""
-    views = [_Carrier(f, ctx).valuation_at for f in expr_carriers(e)]
-    return lambda point: tuple([valuation_at(point) for valuation_at in views])
+    input, read through Polynomial.eval; ValueError for the first carrier the
+    point is too short for."""
+    carriers = expr_carriers(e)
+    return lambda point: tuple([valuation(f.eval(point), ctx) for f in carriers])
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)

@@ -44,6 +44,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import prod, sqrt
 from operator import add, mod, sub
 from typing import Iterator, Sequence
@@ -168,8 +169,8 @@ def monte_carlo_integrate(e: QExpExpr, arity: int, samples: int, seed: int,
         pt = tuple(rng.randrange(pm) for _ in range(arity))
         v, _amb = run(valuations(pt))
         values.append(float(v))
-    mean = sum(values) / samples
-    var = sum((v - mean) ** 2 for v in values) / (samples - 1)
+    mean = reduce(add, values, 0) / samples
+    var = reduce(add, ((v - mean) ** 2 for v in values), 0) / (samples - 1)
     return mean, sqrt(var / samples)
 
 

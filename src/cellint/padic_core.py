@@ -100,23 +100,14 @@ def int_valuation(n: int, p: int) -> Valuation:
 
 
 def valuation(x: PadicScalar, ctx: PrimeContext) -> Valuation:
-    """Exact p-adic valuation; +inf iff x = 0.
-
-    p is stripped from the numerator and the denominator of an int or a
-    Fraction as given, with no Fraction built."""
+    """Exact p-adic valuation v(num) - v(den), +inf iff x = 0; an int or a
+    Fraction is read as given, with no Fraction built."""
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
-    num, den, p = x.numerator, x.denominator, ctx.p
+    num = x.numerator
     if num == 0:
         return INF
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return int_valuation(num, ctx.p) - int_valuation(x.denominator, ctx.p)
 
 
 def norm(x: PadicScalar, ctx: PrimeContext) -> Fraction:

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import isfinite, lcm
+from operator import add
 from typing import Union
 
 from .errors import FloatOverflowError
@@ -138,7 +140,7 @@ class RootScaledValue:
     def real_value(self) -> float:
         """The value as a float; FloatOverflowError when it is too large for one."""
         try:
-            total = sum((float(c) * self.p ** -float(f) for f, c in self.items), 0.0)
+            total = reduce(add, (float(c) * self.p ** -float(f) for f, c in self.items), 0.0)
         except OverflowError:
             raise FloatOverflowError() from None
         if not isfinite(total):

@@ -58,7 +58,7 @@ import cellint.cells as cells_module
 import cellint.formula_dsl as carrier_module
 from cellint.cells import MembershipPlan, _described_level, _rational, membership
 from cellint.errors import CertificateMismatchError
-from cellint.formula_dsl import _Carrier
+from cellint.formula_dsl import Norm, _Carrier, carrier_valuations
 from cellint.polynomials import Polynomial
 
 C2 = PrimeContext(2)
@@ -753,6 +753,34 @@ def test_compiled_membership_matches_fraction_oracle(data):
     assert membership(tower, pt, ctx, m) == fraction_membership(tower, pt, ctx, m)
 
 
+_X1 = Polynomial.variable(0)
+
+
+def _over_units(lower, upper) -> CellTower:
+    """Z_p minus 0, then a level in x2 about x1 with these bounds."""
+    return CellTower((zp_nonzero_cell().levels[0],
+                      CellLevel(_X1, lower, upper, CosetSpec(Fraction(2), 2))))
+
+
+@pytest.mark.parametrize("tower", [
+    one_level(lower=bound(9), upper=bound(0)),
+    _over_units(bound(0), Bound(_X1 - Polynomial.constant(1))),
+    _over_units(bound(9), Bound(_X1 - Polynomial.constant(1), strict=False)),
+    _over_units(Bound(_X1 * _X1), bound(3)),
+    _over_units(Bound(_X1 - Polynomial.constant(1)), bound(0)),
+], ids=["zero-beta-after-failing-alpha", "zero-alpha-then-poly-beta", "constant-alpha-poly-beta",
+        "poly-alpha-constant-beta", "poly-alpha-then-zero-beta"])
+def test_level_window_matches_fraction_oracle(tower):
+    """Constant bounds fold into one window at plan time, and a constant zero
+    bound fails the level after the bounds before it, as the Fraction oracle
+    reads them in order: alpha, then beta."""
+    ctx = PrimeContext(3)
+    member_of = MembershipPlan(ctx).member_of(tower)
+    for level in range(5):
+        for pt in itertools.product(range(27), repeat=tower.arity):
+            assert member_of(pt, level) == fraction_membership(tower, pt, ctx, level), (pt, level)
+
+
 def test_membership_rejects_a_point_of_the_wrong_arity():
     tower = certificate_from_dict({"prime": 5, "domain": {"kind": "box", "arity": 2}, "cells": [
         {"levels": [{"center": c, "upper": {"expr": "1", "strict": False},
@@ -866,12 +894,11 @@ def test_carrier_valuation_is_the_rational_valuation(data):
     if data.draw(st.booleans()):  # make it vanish at the point
         poly = poly - Polynomial.constant(poly.eval(point))
     carrier = _Carrier(poly, ctx)
-    assert carrier.valuation_at(point) == valuation(poly.eval(point), ctx)
     lift = [x.numerator if isinstance(x, Fraction) else x for x in point]
-    assert carrier.valuation_at(lift) == valuation(poly.eval(lift), ctx)
+    assert carrier.valuation(lift) - carrier.vden == valuation(poly.eval(lift), ctx)
     if poly.arity:
         with pytest.raises(ValueError):
-            carrier.valuation_at(point[:poly.arity - 1])
+            carrier_valuations(Norm(poly), ctx)(point[:poly.arity - 1])
 
 
 @_differential

@@ -30,7 +30,6 @@ from cellint import (
     parse_poly,
 )
 from cellint.formula_dsl import (
-    _Carrier,
     carrier_valuations,
     compile_expr,
     expr_carriers,
@@ -39,7 +38,7 @@ from cellint.formula_dsl import (
     make_scalar_multiple,
     make_sum,
 )
-from cellint.padic_core import INF, power_norm
+from cellint.padic_core import INF, power_norm, valuation
 from cellint.polynomials import Polynomial, format_poly
 
 C5 = PrimeContext(5)
@@ -283,6 +282,17 @@ def test_parse_poly_errors_are_raised_afresh(text, error):
     assert raised[0] == raised[1] == raised[2]
 
 
+@pytest.mark.parametrize("parse, text, offset", [
+    (parse_poly, "x1^-1", 3),
+    (parse_expr, "val(x1)^-1", 8),
+])
+def test_powers_are_unsigned_integers(parse, text, offset):
+    """A '-' after '^' is no integer, so no power the parser reads is negative."""
+    with pytest.raises(ExprSyntaxError, match="expected integer") as exc:
+        parse(text)
+    assert type(exc.value) is ExprSyntaxError and exc.value.offset == offset
+
+
 # -- the valuation-vector evaluator against the per-leaf point evaluator --------------
 
 
@@ -304,11 +314,11 @@ def _parent_point_evaluator(e, ctx, level=None):
         if isinstance(e, RationalConst):
             return lambda pt: (e.value, False)
         if isinstance(e, (Norm, Val, FracNormPower)):
-            valuation_at = _Carrier(e.carrier, ctx).valuation_at
+            carrier = e.carrier
             top = INF if exact else level
 
             def leaf(pt):
-                v = valuation_at(pt)
+                v = valuation(carrier.eval(pt), ctx)
                 if isinstance(e, Val):
                     if v is INF:
                         if exact:

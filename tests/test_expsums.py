@@ -199,6 +199,17 @@ def test_decay_cubic_p7():
     assert bound_check(fit)
 
 
+def test_decay_fit_is_summed_left_to_right():
+    """The slope's sums add floats left to right from 0, so the fit is the same
+    bits on every Python version (a compensated sum, as the builtin sum of
+    floats is from Python 3.12, moves these last bits and the weakest ray)."""
+    f = parse_poly("x1^2 + 5*x1^3")
+    fits = {u: decay_fit([f], [u], (1, 4), C5) for u in (2, 12, 16)}
+    assert {u: repr(fit.alpha_hat) for u, fit in fits.items()} == {
+        2: "-0.5000000000000002", 12: "-0.5000000000000002", 16: "-0.5000000000000001"}
+    assert max(fits, key=lambda u: fits[u].alpha_hat) == 16
+
+
 def test_bound_check_manual():
     fit = DecayFit(p=5, alpha_hat=-0.5, c_hat=1.0,
                    samples=[(m, 5 ** (-m / 2)) for m in range(1, 9)],

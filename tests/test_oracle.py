@@ -27,7 +27,7 @@ from cellint import (
 )
 from cellint.cells import Bound, CellLevel, CellTower, CosetSpec, MembershipPlan
 from cellint import formula_dsl, oracle
-from cellint.formula_dsl import _Carrier, carrier_valuations, compile_expr, expr_carriers
+from cellint.formula_dsl import carrier_valuations, compile_expr, expr_carriers
 from cellint.oracle import _CHUNK, _modular_view, _values_mod, eval_poly_mod
 from cellint.padic_core import residue
 from cellint.polynomials import Polynomial
@@ -332,9 +332,10 @@ def test_riemann_domain_matches_brute_force(problem):
 
 def test_riemann_evaluates_each_key_once_and_values_no_carrier_at_a_point(monkeypatch):
     """The evaluator reads the kernel's keys: one call per distinct key of a
-    member class, in the order first found, and no _Carrier.valuation_at call."""
+    member class, in the order first found, and no carrier valued at a point
+    (no Polynomial.eval call)."""
     valued = []
-    monkeypatch.setattr(_Carrier, "valuation_at",
+    monkeypatch.setattr(Polynomial, "eval",
                         lambda self, point: valued.append(point))  # must not be called
     keys, calls = [], []
     refine, compile_ = oracle.refine_classes, oracle.compile_expr
