@@ -33,11 +33,11 @@ from .errors import BudgetExceededError, CellintError, ExprSyntaxError, InvalidA
 from .expsums import (
     bound_check,
     bound_violations,
-    decay_fit,
+    decay_fits,
     dominance_warning,
     exp_sum,
     normalized_kloosterman,
-    singular_series,
+    singular_values,
 )
 from .formula_dsl import format_expr, parse_expr, parse_poly
 from .oracle import riemann_integrate, stabilization_check
@@ -325,19 +325,17 @@ def _cmd_singular(run: RunConfig) -> int:
     m_max = run.integer("m-max", 3)
     if m_max < m_min:
         raise InvalidArgumentError(f"need m-max >= m-min, got {m_min} > {m_max}")
+    levels = range(m_min, m_max + 1)
+    by_level = [singular_values(fs, zs, m, ctx, budget=run.budget) for m in levels]
     rows = ["z,m,F"]
     summary = []
-    for z in zs:
-        values = []
-        for m in range(m_min, m_max + 1):
-            value = singular_series(fs, z, m, ctx, budget=run.budget)
-            values.append(value)
+    for z, values in zip(zs, map(list, zip(*by_level))):
+        for m, value in zip(levels, values):
             rows.append(f"\"{','.join(str(v) for v in z)}\",{m},{value}")
         entry = {"z": [str(v) for v in z], "values": [str(v) for v in values],
                  "final": str(values[-1])}
         if len(values) >= 3:
-            entry["stabilizing"] = stabilization_check(
-                values, list(range(m_min, m_max + 1)), ctx)
+            entry["stabilizing"] = stabilization_check(values, list(levels), ctx)
         summary.append(entry)
     _emit({"series": summary}, run, rows)
     return 0
@@ -367,10 +365,9 @@ def _cmd_decay(run: RunConfig) -> int:
     p = ctx.p
     multi = len(directions) > 1
     rows = ["direction,m,re,im,abs,logp_abs" if multi else "m,re,im,abs,logp_abs"]
-    fits = []
-    for direction in directions:
-        fit = decay_fit(fs, direction, (m_min, m_max), ctx, budget=run.budget)
-        fits.append((direction, fit))
+    fits = list(zip(directions, decay_fits(fs, directions, (m_min, m_max), ctx,
+                                           budget=run.budget)))
+    for direction, fit in fits:
         for m, value in fit.values:
             mod = abs(value)
             logp = math.log(mod) / math.log(p) if mod > 0 else float("-inf")

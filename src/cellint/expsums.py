@@ -13,6 +13,14 @@ polynomial Phi_(p^m) is the minimal polynomial of zeta.  The complex value
 adds the p^(nm) characters in enumeration order, pairwise within each chunk
 of oracle._CHUNK points and then over the chunk sums, so it is fixed bit for bit.
 decay_fit adds its floats left to right, as sum() did before Python 3.12.
+
+Each level is enumerated at most once per call.  _exp_sums evaluates every y
+of one level from one enumeration when their phase coefficients are unit
+multiples rho of one another (every direction of a one-polynomial decay_fits):
+the relabelled table j -> table[rho j] over the same column gives the floats
+of a separate enumeration bit for bit.  fourier_check with one polynomial
+reads the value histogram off the left side's phase counts, and
+singular_values reads every z off one solution_histogram.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from .oracle import (
     _infer_arity,
     _modular_view,
     _values_mod,
-    count_solutions,
+    _solution_target,
     solution_histogram,
 )
 from .padic_core import DEFAULT_BUDGET, INF, PrimeContext, check_budget, residue, valuation
@@ -137,21 +145,60 @@ def exp_sum(fs: Sequence[Polynomial], y: Sequence, ctx: PrimeContext,
         raise InvalidArgumentError(f"level {m} below the required {required}")
     if m == 0:
         return ExpSumResult(ys, 0, complex(1.0, 0.0), arity, len(fs), p, {0: 1})
+    return _exp_sums(fs, [ys], m, arity, ctx, budget)[0]
+
+
+def _unit_ratio(row: Sequence[int], lead: Sequence[int], p: int, pm: int) -> int | None:
+    """The unit rho with row = rho * lead mod p^m componentwise, or None."""
+    i = next((i for i, c in enumerate(lead) if c % p), None)
+    if i is None or not row[i] % p:
+        return None
+    rho = row[i] * pow(lead[i], -1, pm) % pm
+    return rho if all(r == rho * c % pm for r, c in zip(row, lead)) else None
+
+
+def _exp_sums(fs: Sequence[Polynomial], yss: Sequence[Sequence[Fraction]], m: int,
+              arity: int, ctx: PrimeContext, budget: int) -> list[ExpSumResult]:
+    """E(y) at one level m >= 1 for each y of yss, every y of level at most m.
+
+    One enumeration serves every y whose phase coefficients are a unit rho times
+    those of an earlier y: its phase column is rho times that y's, so it adds
+    table[rho j mod p^m] over the same column, chunk by chunk in the same order,
+    and its counts are the earlier counts relabelled j -> rho j.
+    """
+    p = ctx.p
     check_budget(p, m, arity, budget)
     pm = p**m
     views = [_modular_view(f, pm, p) for f in fs]
-    coeffs = _phase_coefficients(ys, m, ctx)
-    # <y p^m, f(x)> mod p^m as one integer view: the terms of each f_i times c_i * inverse_i
-    phase = ([(e, c * inverse * a) for (terms, inverse), c in zip(views, coeffs)
-              for e, a in terms], 1)
     table = _character_table(pm)
-    phases: Counter = Counter()
-    partials = []
-    for (column,) in _values_mod([phase], m, arity, p):
-        phases.update(column)
-        partials.append(_pairwise_sum(list(map(table.__getitem__, column))))
-    value = _pairwise_sum(partials) / pm**arity
-    return ExpSumResult(ys, m, value, arity, len(fs), p, dict(phases))
+    groups: list[tuple[list[int], list[tuple[int, int]]]] = []  # (lead row, [(index, rho)])
+    for k, ys in enumerate(yss):
+        row = _phase_coefficients(ys, m, ctx)
+        for lead, members in groups:
+            rho = _unit_ratio(row, lead, p, pm)
+            if rho is not None:
+                members.append((k, rho))
+                break
+        else:
+            groups.append((row, [(k, 1)]))
+    results: list = [None] * len(yss)
+    for lead, members in groups:
+        # <y p^m, f(x)> mod p^m as one integer view: the terms of each f_i times c_i * inverse_i
+        phase = ([(e, c * inverse * a) for (terms, inverse), c in zip(views, lead)
+                  for e, a in terms], 1)
+        tables = [table if rho == 1 else [table[rho * j % pm] for j in range(pm)]
+                  for _, rho in members]
+        phases: Counter = Counter()
+        partials: list[list[complex]] = [[] for _ in members]
+        for (column,) in _values_mod([phase], m, arity, p):
+            phases.update(column)
+            for relabelled, sums in zip(tables, partials):
+                sums.append(_pairwise_sum(list(map(relabelled.__getitem__, column))))
+        for (k, rho), sums in zip(members, partials):
+            counts = dict(phases) if rho == 1 else {rho * j % pm: c for j, c in phases.items()}
+            results[k] = ExpSumResult(tuple(yss[k]), m, _pairwise_sum(sums) / pm**arity,
+                                      arity, len(fs), p, counts)
+    return results
 
 
 def normalized_kloosterman(fs: Sequence[Polynomial], a: Sequence[int],
@@ -179,12 +226,21 @@ def singular_series(fs: Sequence[Polynomial], z: Sequence, m: int,
     For regular values this stabilizes in m; stabilization is tested by the
     caller, never assumed.
     """
+    return singular_values(fs, [z], m, ctx, n=n, budget=budget)[0]
+
+
+def singular_values(fs: Sequence[Polynomial], zs: Sequence[Sequence], m: int,
+                    ctx: PrimeContext, n: int | None = None,
+                    budget: int = DEFAULT_BUDGET) -> list[Fraction]:
+    """F_m(z) for each z of zs, read off one solution histogram of f mod p^m."""
     p = ctx.p
     arity = _infer_arity(fs, n)
-    zres = [residue(Fraction(zi), m, ctx) for zi in z]
-    count = count_solutions(fs, zres, m, ctx, n=arity, budget=budget)
+    zres = [[residue(Fraction(zi), m, ctx) for zi in z] for z in zs]
+    targets = [_solution_target(fs, z, m, p) for z in zres]
+    hist = solution_histogram(fs, m, ctx, n=arity, budget=budget)
     scale = m * (arity - len(fs))
-    return Fraction(count) * (Fraction(1, p**scale) if scale >= 0 else Fraction(p**-scale))
+    factor = Fraction(1, p**scale) if scale >= 0 else Fraction(p**-scale)
+    return [Fraction(hist.get(target, 0)) * factor for target in targets]
 
 
 def fourier_check(fs: Sequence[Polynomial], y: Sequence, ctx: PrimeContext,
@@ -194,17 +250,24 @@ def fourier_check(fs: Sequence[Polynomial], y: Sequence, ctx: PrimeContext,
 
     The left side sums point by point, the right side fibre by fibre: the
     two regroup the same finite sum, so the reported difference is pure
-    floating-point roundoff.
+    floating-point roundoff.  With one polynomial the fibre sizes are the
+    left side's phase counts, relabelled; with several, solution_histogram
+    enumerates them.
     """
     ys = tuple(Fraction(v) for v in y)
     arity = _infer_arity(fs, n)
     required = _required_level(ys, ctx)
-    lhs = exp_sum(fs, ys, ctx, n=arity, budget=budget).value
+    left = exp_sum(fs, ys, ctx, n=arity, budget=budget)
+    lhs = left.value
     if required == 0:
         return lhs, complex(1.0, 0.0), abs(lhs - 1.0)
     pm = ctx.p**required
     coeffs = _phase_coefficients(ys, required, ctx)
-    hist = solution_histogram(fs, required, ctx, n=arity, budget=budget)
+    if len(fs) == 1:  # c = y p^m is a unit, so f(x) = c^(-1) j where the phase is j
+        inverse = pow(coeffs[0], -1, pm)
+        hist = {(inverse * j % pm,): count for j, count in left.phases.items()}
+    else:
+        hist = solution_histogram(fs, required, ctx, n=arity, budget=budget)
     table = _character_table(pm)
     terms = []
     for z, count in sorted(hist.items()):
@@ -224,22 +287,44 @@ def decay_fit(fs: Sequence[Polynomial], direction: Sequence, m_range: tuple[int,
     are excluded and reported; if all vanish the fit is undefined
     (AllVanishedError).
     """
+    return decay_fits(fs, [direction], m_range, ctx, n=n, budget=budget)[0]
+
+
+def decay_fits(fs: Sequence[Polynomial], directions: Sequence[Sequence],
+               m_range: tuple[int, int], ctx: PrimeContext, n: int | None = None,
+               budget: int = DEFAULT_BUDGET) -> list[DecayFit]:
+    """decay_fit along each of the directions, every direction checked first.
+
+    At each level the directions share the enumerations of _exp_sums: with one
+    polynomial, u_k p^(-m) has phase coefficient rho_k c_1 with the unit
+    rho_k = u_k / u_1, so all directions share one.
+    """
     m1, m2 = m_range
     if not 1 <= m1 < m2:
         raise InvalidArgumentError("need m2 > m1 >= 1")
-    us = tuple(Fraction(u) for u in direction)
-    if len(us) != len(fs):
-        raise InvalidArgumentError("direction must have one component per polynomial")
-    for u in us:
-        if valuation(u, ctx) != 0:
-            raise InvalidArgumentError(f"direction component {u} is not a unit")
+    uss = []
+    for direction in directions:
+        us = tuple(Fraction(u) for u in direction)
+        if len(us) != len(fs):
+            raise InvalidArgumentError("direction must have one component per polynomial")
+        for u in us:
+            if valuation(u, ctx) != 0:
+                raise InvalidArgumentError(f"direction component {u} is not a unit")
+        uss.append(us)
     p = ctx.p
+    arity = _infer_arity(fs, n)
+    levels = range(m1, m2 + 1)
+    by_level = [_exp_sums(fs, [[u * Fraction(1, p**m) for u in us] for us in uss],
+                          m, arity, ctx, budget) for m in levels]
+    return [_fit(p, list(zip(levels, results))) for results in zip(*by_level)]
+
+
+def _fit(p: int, results: list[tuple[int, ExpSumResult]]) -> DecayFit:
+    """The DecayFit of the sums (m, E) along one direction."""
     samples: list[tuple[int, float]] = []
     vanished: list[int] = []
     values: list[tuple[int, complex]] = []
-    for m in range(m1, m2 + 1):
-        y = [u * Fraction(1, p**m) for u in us]
-        res = exp_sum(fs, y, ctx, n=n, budget=budget)
+    for m, res in results:
         values.append((m, res.value))
         if res.vanishes():
             vanished.append(m)

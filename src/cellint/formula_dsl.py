@@ -10,25 +10,30 @@ Grammar (whitespace-insensitive, rationals as "a/b" or integers):
              | '(' expr ')'
     poly    := multivariate polynomial over Q in x1..xN, with + - * ^
 
-Expressions and polynomials share one sum-of-products parser, which folds
-terms with make_sum and make_product, or with + and *.  ASTs are immutable;
+A text is split into tokens once (runs of digits, runs of word characters,
+single other characters; whitespace only separates them), and errors carry
+the offset of the token they meet.  Expressions and polynomials share one
+sum-of-products parser, which folds terms with make_sum and make_product, or
+with the coefficient-dict helpers of polynomials: a polynomial text, or each
+norm/val carrier of an expression, is folded into one exponent -> coefficient
+dict and made one canonical Polynomial at the end.  ASTs are immutable;
 construction canonicalizes (flattens nested sums and products, merges
 rational scalars) so that format/parse round-trips are structural identities.
 
 compile_expr is the one evaluator.  It reads the valuation vector of the
 distinct carriers (expr_carriers), exactly or at a level with an ambiguity
-flag: riemann_integrate hands it the enumeration kernel's key, and
-carrier_valuations computes it at a point from Polynomial.eval
-(evaluate_fractional, evaluate, monte_carlo_integrate).
+flag: riemann_integrate and monte_carlo_integrate hand it the valuations of
+the integer carrier views (_Carrier), and carrier_valuations computes it at
+a rational point from Polynomial.eval (evaluate_fractional, evaluate).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from math import prod
-from operator import add, mul, neg
 from typing import Callable, Sequence, Union
 
 from .errors import (
@@ -38,7 +43,15 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .padic_core import INF, PrimeContext, int_valuation, power_norm, valuation
-from .polynomials import Polynomial, eval_int_terms, format_poly
+from .polynomials import (
+    Coeffs,
+    Polynomial,
+    add_coeffs,
+    eval_int_terms,
+    format_poly,
+    mul_coeffs,
+    pow_coeffs,
+)
 from .rootval import ExactValue, RootScaledValue
 
 # -- AST ---------------------------------------------------------------------
@@ -176,22 +189,38 @@ def negate(e: QExpExpr) -> QExpExpr:
 # -- parsing -------------------------------------------------------------------
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+_TOKEN = re.compile(r"(\d+)|(\w+)|\S")  # groups: 1 digits, 2 word; else one character
+_DIGITS, _WORD = 1, 2
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+
+class _Scanner:
+    """The text's tokens, read front to back: runs of decimal digits, runs of word
+    characters, and single other characters; whitespace only separates them.  A
+    syntax error is reported at the offset of the token it meets."""
+
+    def __init__(self, text: str):
+        self.tokens = [(m.group(), m.lastindex, m.start(), m.end())
+                       for m in _TOKEN.finditer(text)]
+        self.tokens.append(("", None, len(text), len(text)))
+        self.i = 0
+
+    @property
+    def pos(self) -> int:
+        """The offset of the next token, the text's length at the end."""
+        return self.tokens[self.i][2]
+
+    @property
+    def end(self) -> int:
+        """The offset just past the last token read."""
+        return self.tokens[self.i - 1][3]
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """The first character of the next token, "" at the end."""
+        return self.tokens[self.i][0][:1]
 
     def accept(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
+        if self.tokens[self.i][0] == ch:
+            self.i += 1
             return True
         return False
 
@@ -200,44 +229,38 @@ class _Scanner:
             raise ExprSyntaxError(f"expected '{ch}'", self.pos)
 
     def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+        return self.i == len(self.tokens) - 1
 
     def integer(self, signed: bool = False) -> int:
-        self.skip_ws()
-        start = self.pos
-        if signed and self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits:
-            raise ExprSyntaxError("expected integer", self.pos)
-        return int(self.text[start:self.pos])
+        """A run of digits, after a '-' when signed."""
+        negative = signed and self.accept("-")
+        text, kind, start, _ = self.tokens[self.i]
+        if kind != _DIGITS:
+            raise ExprSyntaxError("expected integer", start)
+        self.i += 1
+        return -int(text) if negative else int(text)
 
     def rational(self) -> Fraction:
         num = self.integer()
-        save = self.pos
         if self.accept("/"):
-            offset = self.pos
+            offset = self.end
             den = self.integer()
             if den == 0:
                 raise ZeroDenominatorError("denominator is zero", offset)
             return Fraction(num, den)
-        self.pos = save
         return Fraction(num)
 
     def ident(self) -> tuple[str, int]:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] == "_"):
-            self.pos += 1
-        return self.text[start:self.pos], start
+        """The next run of word characters, or "" when the next token is none."""
+        text, kind, start, _ = self.tokens[self.i]
+        if kind != _WORD:
+            return "", start
+        self.i += 1
+        return text, start
 
 
 def _variable_index(name: str, offset: int) -> int:
-    if len(name) >= 2 and name[0] == "x" and name[1:].isdigit() and name[1] != "0":
+    if len(name) >= 2 and name[0] == "x" and name[1:].isdecimal() and name[1] != "0":
         return int(name[1:]) - 1
     raise UnknownVariableError(f"unknown variable '{name}' (use x1, x2, ...)", offset)
 
@@ -262,26 +285,32 @@ def _sum_of_products(sc: _Scanner, factor, negate, add, mul):
             return add(items)
 
 
-def _poly_factor(sc: _Scanner) -> Polynomial:
+def _poly_factor(sc: _Scanner) -> Coeffs:
     ch = sc.peek()
     if ch == "(":
         sc.expect("(")
-        p = _parse_poly(sc)
+        coeffs = _poly_coeffs(sc)
         sc.expect(")")
-    elif ch.isdigit():
-        p = Polynomial.constant(sc.rational())
+    elif ch.isdecimal():
+        coeffs = {(): sc.rational()}
     elif ch.isalpha():
         name, off = sc.ident()
-        p = Polynomial.variable(_variable_index(name, off))
+        coeffs = {(0,) * _variable_index(name, off) + (1,): 1}
     else:
         raise ExprSyntaxError("expected polynomial term", sc.pos)
     if sc.accept("^"):
-        p = p**sc.integer()
-    return p
+        coeffs = pow_coeffs(coeffs, sc.integer())
+    return coeffs
+
+
+def _poly_coeffs(sc: _Scanner) -> Coeffs:
+    """A polynomial folded into one coefficient dict, canonicalized by the caller."""
+    return _sum_of_products(sc, _poly_factor, lambda a: {e: -c for e, c in a.items()},
+                            partial(reduce, add_coeffs), partial(reduce, mul_coeffs))
 
 
 def _parse_poly(sc: _Scanner) -> Polynomial:
-    return _sum_of_products(sc, _poly_factor, neg, partial(reduce, add), partial(reduce, mul))
+    return Polynomial.from_coeffs(_poly_coeffs(sc))
 
 
 def _parse_atom(sc: _Scanner) -> QExpExpr:
@@ -296,17 +325,17 @@ def _parse_atom(sc: _Scanner) -> QExpExpr:
         sc.expect("(")
         carrier = _parse_poly(sc)
         sc.expect(")")
-        save = sc.pos
+        save = sc.i
         if sc.accept("^") and sc.accept("{"):
             a = sc.integer(signed=True)
             sc.expect("/")
-            off_n = sc.pos
+            off_n = sc.end
             n = sc.integer()
             if n < 1:
                 raise ExprSyntaxError("fractional power needs positive root order", off_n)
             sc.expect("}")
             return FracNormPower(carrier, a, n)
-        sc.pos = save
+        sc.i = save
         return Norm(carrier)
     if name == "val":
         sc.expect("(")
@@ -319,7 +348,7 @@ def _parse_atom(sc: _Scanner) -> QExpExpr:
 
 
 def _parse_factor(sc: _Scanner) -> QExpExpr:
-    if sc.peek().isdigit():
+    if sc.peek().isdecimal():
         return RationalConst(sc.rational())
     e = _parse_atom(sc)
     if sc.accept("^"):

@@ -51,7 +51,7 @@ from typing import Iterator, Sequence
 
 from .cells import Domain, MembershipPlan, refine_classes
 from .errors import FloatOverflowError, InvalidArgumentError, NonIntegralCoefficientsError
-from .formula_dsl import ExactValue, QExpExpr, carrier_valuations, compile_expr, expr_carriers
+from .formula_dsl import ExactValue, QExpExpr, _Carrier, compile_expr, expr_carriers
 from .padic_core import (
     DEFAULT_BUDGET,
     INF,
@@ -128,8 +128,7 @@ def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
             for view in views:
                 if not view.read(r) % pj:  # a carrier is 0 mod p^j
                     return None
-        return tuple([INF if (v := view.valuation(r)) is INF else v - view.vden
-                      for view in views]), amb
+        return _valuation_key(views, r), amb
 
     counts: dict = {}
     for key, r, j in refine_classes(p, level, arity, classify, member_of):
@@ -155,23 +154,31 @@ def monte_carlo_integrate(e: QExpExpr, arity: int, samples: int, seed: int,
     """Seeded Monte-Carlo estimate (mean, standard error) over Z_p^arity.
 
     Points are uniform independent residues at the configured level, lifted;
-    results are deterministic for a fixed seed.
+    results are deterministic for a fixed seed.  Each point is valued through
+    the integer carrier views, as riemann_integrate's classes are.
     """
     _check_arity(expr_carriers(e), arity)
     if samples < 2:
         raise ValueError("need at least 2 samples")
     level = ctx.default_level if level is None else level
     rng = random.Random(seed)
-    run, valuations = compile_expr(e, ctx, level), carrier_valuations(e, ctx)
+    run, views = compile_expr(e, ctx, level), [_Carrier(f, ctx) for f in expr_carriers(e)]
     pm = ctx.p**level
     values = []
     for _ in range(samples):
         pt = tuple(rng.randrange(pm) for _ in range(arity))
-        v, _amb = run(valuations(pt))
+        v, _amb = run(_valuation_key(views, pt))
         values.append(float(v))
     mean = reduce(add, values, 0) / samples
     var = reduce(add, ((v - mean) ** 2 for v in values), 0) / (samples - 1)
     return mean, sqrt(var / samples)
+
+
+def _valuation_key(views: Sequence[_Carrier], point: Sequence[int]) -> tuple:
+    """compile_expr's input at an integer point: v(terms(point)) - v(denom) for
+    each carrier view, INF for a zero carrier."""
+    return tuple([INF if (v := view.valuation(point)) is INF else v - view.vden
+                  for view in views])
 
 
 def _infer_arity(fs: Sequence[Polynomial], n: int | None) -> int:
@@ -285,13 +292,18 @@ def count_solutions(fs: Sequence[Polynomial], z: Sequence[int], m: int,
                     ctx: PrimeContext, n: int | None = None,
                     budget: int = DEFAULT_BUDGET) -> int:
     """#{x in (Z/p^m)^n : f(x) = z mod p^m componentwise}."""
+    target = _solution_target(fs, z, m, ctx.p)
+    return solution_histogram(fs, m, ctx, n=n, budget=budget).get(target, 0)
+
+
+def _solution_target(fs: Sequence[Polynomial], z: Sequence[int], m: int, p: int) -> tuple:
+    """z mod p^m, a key of solution_histogram; m >= 1 and one residue per f_i."""
     if m < 1:
         raise InvalidArgumentError("level m must be >= 1")
     if len(z) != len(fs):
         raise InvalidArgumentError("z must have one residue per polynomial")
-    pm = ctx.p**m
-    target = tuple(int(zi) % pm for zi in z)
-    return solution_histogram(fs, m, ctx, n=n, budget=budget).get(target, 0)
+    pm = p**m
+    return tuple(int(zi) % pm for zi in z)
 
 
 def stabilization_check(values: Sequence, levels: Sequence[int],

@@ -2,6 +2,13 @@
 
 Canonical sparse form: a map from exponent vectors to nonzero rational
 coefficients.  The variable order x1 < x2 < ... is fixed globally.
+
+The arithmetic is one set of helpers on coefficient dicts, keyed by exponent
+vectors without trailing zeros so that every monomial has one key:
+add_coeffs, mul_coeffs and pow_coeffs.  Polynomial's +, * and ** read a
+polynomial's dict (coeffs), combine, and canonicalize once (from_coeffs);
+the DSL parser folds a whole text through the same helpers and builds one
+Polynomial at the end.
 """
 
 from __future__ import annotations
@@ -9,11 +16,61 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Iterable, Sequence
+
+Coeffs = dict  # exponent vector without trailing zeros -> rational coefficient
 
 
 def _pad(exps: tuple[int, ...], arity: int) -> tuple[int, ...]:
     return exps + (0,) * (arity - len(exps))
+
+
+def _strip(exps: tuple[int, ...]) -> tuple[int, ...]:
+    """exps without its trailing zeros: the one key of a monomial."""
+    k = len(exps)
+    while k and not exps[k - 1]:
+        k -= 1
+    return exps[:k]
+
+
+def add_coeffs(a: Coeffs, b: Coeffs) -> Coeffs:
+    """a + b; a zero sum stays as a key until from_coeffs drops it."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return out
+
+
+def _mul_exps(e1: tuple[int, ...], e2: tuple[int, ...]) -> tuple[int, ...]:
+    """The exponent vector of a product: positionwise sums, the longer tail kept."""
+    if len(e1) < len(e2):
+        e1, e2 = e2, e1
+    return tuple(map(add, e1, e2)) + e1[len(e2):]
+
+
+def mul_coeffs(a: Coeffs, b: Coeffs) -> Coeffs:
+    """a * b."""
+    out: Coeffs = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = _mul_exps(e1, e2)
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def pow_coeffs(a: Coeffs, k: int) -> Coeffs:
+    """a^k by binary powering; the base is squared only while bits remain."""
+    if k < 0:
+        raise ValueError("negative polynomial power")
+    out: Coeffs = {(): 1}
+    while k:
+        if k & 1:
+            out = mul_coeffs(out, a)
+        k >>= 1
+        if k:
+            a = mul_coeffs(a, a)
+    return out
 
 
 @dataclass(frozen=True)
@@ -33,6 +90,15 @@ class Polynomial:
                     used = max(used, i + 1)
         trimmed = {e[:used]: c for e, c in clean.items()}
         return Polynomial(used, tuple(sorted(trimmed.items(), reverse=True)))
+
+    @staticmethod
+    def from_coeffs(coeffs: Coeffs) -> "Polynomial":
+        """The canonical Polynomial of a coefficient dict of the arithmetic helpers."""
+        return Polynomial.make(max(map(len, coeffs), default=0), coeffs)
+
+    def coeffs(self) -> Coeffs:
+        """The coefficient dict of the arithmetic helpers."""
+        return {_strip(e): c for e, c in self.terms}
 
     @classmethod
     def constant(cls, c, arity: int = 0) -> "Polynomial":
@@ -57,17 +123,8 @@ class Polynomial:
 
     # -- algebra -----------------------------------------------------------
 
-    def _aligned(self, other: "Polynomial") -> tuple[int, dict, dict]:
-        n = max(self.arity, other.arity)
-        a = {_pad(e, n): c for e, c in self.terms}
-        b = {_pad(e, n): c for e, c in other.terms}
-        return n, a, b
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        n, a, b = self._aligned(other)
-        for e, c in b.items():
-            a[e] = a.get(e, Fraction(0)) + c
-        return Polynomial.make(n, a)
+        return Polynomial.from_coeffs(add_coeffs(self.coeffs(), other.coeffs()))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.arity, tuple((e, -c) for e, c in self.terms))
@@ -76,25 +133,10 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        n, a, b = self._aligned(other)
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(i + j for i, j in zip(e1, e2))
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return Polynomial.make(n, acc)
+        return Polynomial.from_coeffs(mul_coeffs(self.coeffs(), other.coeffs()))
 
     def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        out = Polynomial.constant(1, self.arity)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return Polynomial.from_coeffs(pow_coeffs(self.coeffs(), k))
 
     def scale(self, q) -> "Polynomial":
         q = Fraction(q)

@@ -2,11 +2,12 @@
 
 import json
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from cellint import cli
+from cellint import PrimeContext, cli, parse_poly, singular_series
 from cellint.cli import build_parser, main
 
 COSET_CERT = {
@@ -177,6 +178,28 @@ def test_singular_command(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert all(entry["final"] == "1" for entry in payload["series"])
     assert all(entry["stabilizing"] for entry in payload["series"])
+
+
+@pytest.mark.parametrize("f, zs, prime", [
+    ("x1^2", "1;2;0;4", 5),  # 2 is no square mod 5: no solutions at any level
+    ("x1^2 + x2^3", "0;1;7", 3),
+    ("x1^3 - 1/2*x1", "3;1/2", 7),
+])
+def test_singular_rows_are_singular_series_at_every_z_and_level(f, zs, prime, tmp_path,
+                                                                 capsys):
+    rc = main(["singular", "--f", f, "--z", zs, "--m-min", "1", "--m-max", "3",
+               "--prime", str(prime), "--out", str(tmp_path / "ss")])
+    assert rc == 0
+    series = json.loads(capsys.readouterr().out)["series"]
+    rows = (tmp_path / "ss.csv").read_text(encoding="utf-8").splitlines()[1:]
+    ctx, fs = PrimeContext(prime), [parse_poly(f)]
+    expected = [[singular_series(fs, [Fraction(z)], m, ctx) for m in (1, 2, 3)]
+                for z in zs.split(";")]
+    assert [entry["values"] for entry in series] == [list(map(str, v)) for v in expected]
+    assert rows == [f'"{z}",{m},{value}' for z, values in zip(zs.split(";"), expected)
+                    for m, value in zip((1, 2, 3), values)]
+    if prime == 5:
+        assert expected[1] == [0, 0, 0]
 
 
 def test_decay_command_and_determinism(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 from operator import add, mul
 
 import pytest
@@ -291,6 +292,207 @@ def test_powers_are_unsigned_integers(parse, text, offset):
     with pytest.raises(ExprSyntaxError, match="expected integer") as exc:
         parse(text)
     assert type(exc.value) is ExprSyntaxError and exc.value.offset == offset
+
+
+def test_whitespace_may_follow_the_sign_of_a_fractional_power():
+    expected = FracNormPower(parse_poly("x1"), -1, 2)
+    assert parse_expr("norm(x1)^{- 1/2}") == expected
+    assert parse_expr("norm(x1)^{ -\t1 / 2 }") == expected
+
+
+# -- the one-pass parser against a fold through Polynomial arithmetic -----------------
+
+
+class _CharScanner:
+    """The reference scanner: one character at a time, whitespace skipped before
+    each token, offsets where the token starts (or, after '/', where it ends)."""
+
+    def __init__(self, text):
+        self.text, self.pos = text, 0
+
+    def peek(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.text[self.pos:self.pos + 1]
+
+    def accept(self, ch):
+        if self.peek() == ch:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, ch):
+        if not self.accept(ch):
+            raise ExprSyntaxError(f"expected '{ch}'", self.pos)
+
+    def run(self, test):
+        """The longest run of characters passing test at the next token, and its offset."""
+        self.peek()
+        start = self.pos
+        while self.pos < len(self.text) and test(self.text[self.pos]):
+            self.pos += 1
+        return self.text[start:self.pos], start
+
+    def integer(self, signed=False):
+        negative = signed and self.accept("-")
+        digits, start = self.run(str.isdecimal)
+        if not digits:
+            raise ExprSyntaxError("expected integer", start)
+        return -int(digits) if negative else int(digits)
+
+    def rational(self):
+        num = self.integer()
+        if self.accept("/"):
+            offset = self.pos
+            den = self.integer()
+            if den == 0:
+                raise ZeroDenominatorError("denominator is zero", offset)
+            return Fraction(num, den)
+        return Fraction(num)
+
+
+def _ref_sum_of_products(sc, factor, negate, fold_sum, fold_product):
+    def product():
+        items = [factor(sc)]
+        while sc.accept("*"):
+            items.append(factor(sc))
+        return fold_product(items)
+
+    items = [negate(product()) if sc.accept("-") else product()]
+    while True:
+        if sc.accept("+"):
+            items.append(product())
+        elif sc.accept("-"):
+            items.append(negate(product()))
+        else:
+            return fold_sum(items)
+
+
+def _ref_poly_factor(sc):
+    ch = sc.peek()
+    if ch == "(":
+        sc.expect("(")
+        p = _ref_poly(sc)
+        sc.expect(")")
+    elif ch.isdecimal():
+        p = Polynomial.constant(sc.rational())
+    elif ch.isalpha():
+        name, off = sc.run(lambda c: c.isalnum() or c == "_")
+        if not (len(name) >= 2 and name[0] == "x" and name[1:].isdecimal() and name[1] != "0"):
+            raise UnknownVariableError(f"unknown variable '{name}' (use x1, x2, ...)", off)
+        p = Polynomial.variable(int(name[1:]) - 1)
+    else:
+        raise ExprSyntaxError("expected polynomial term", sc.pos)
+    if sc.accept("^"):
+        p = p**sc.integer()
+    return p
+
+
+def _ref_poly(sc):
+    """A polynomial folded factor by factor through Polynomial's + * - and **."""
+    return _ref_sum_of_products(sc, _ref_poly_factor, lambda p: -p,
+                                lambda items: reduce(add, items),
+                                lambda items: reduce(mul, items))
+
+
+def _ref_carrier(sc):
+    sc.expect("(")
+    carrier = _ref_poly(sc)
+    sc.expect(")")
+    return carrier
+
+
+def _ref_expr_factor(sc):
+    if sc.peek().isdecimal():
+        return RationalConst(sc.rational())
+    if sc.peek() == "(":
+        sc.expect("(")
+        e = _ref_expr(sc)
+        sc.expect(")")
+    else:
+        name, off = sc.run(lambda c: c.isalnum() or c == "_")
+        if name == "norm":
+            carrier = _ref_carrier(sc)
+            save = sc.pos
+            if sc.accept("^") and sc.accept("{"):
+                a = sc.integer(signed=True)
+                sc.expect("/")
+                off_n = sc.pos
+                n = sc.integer()
+                if n < 1:
+                    raise ExprSyntaxError("fractional power needs positive root order", off_n)
+                sc.expect("}")
+                e = FracNormPower(carrier, a, n)
+            else:
+                sc.pos = save
+                e = Norm(carrier)
+        elif name == "val":
+            e = Val(_ref_carrier(sc))
+        elif not name:
+            raise ExprSyntaxError("expected expression", sc.pos)
+        else:
+            raise ExprSyntaxError(f"unknown function '{name}'", off)
+    if sc.accept("^"):
+        if sc.peek() == "{":
+            raise ExprSyntaxError("fractional powers apply to norm(...) only", sc.pos)
+        e = make_power(e, sc.integer())
+    return e
+
+
+def _ref_expr(sc):
+    return _ref_sum_of_products(sc, _ref_expr_factor, lambda e: make_scalar_multiple(-1, e),
+                                make_sum, make_product)
+
+
+def _reference(read):
+    def parse(text):
+        sc = _CharScanner(text)
+        result = read(sc)
+        if sc.peek():
+            raise ExprSyntaxError("trailing input", sc.pos)
+        return result
+    return parse
+
+
+def _outcome(parse, text):
+    """(terms, arity) of a Polynomial, an expression, or an error's class, message and offset."""
+    try:
+        result = parse(text)
+    except ExprSyntaxError as ex:
+        return type(ex), str(ex), ex.offset
+    return (result.terms, result.arity) if isinstance(result, Polynomial) else result
+
+
+# pieces of texts; no two digit runs meet, so a power stays small
+_FRAGMENTS = ("x1", "x2", "x3", "x0", "x", "norm", "val", "foo", "(", ")", "^", "{", "}",
+              "/", "*", "+", "-", "1 ", "2 ", "0 ", "3/4 ", " ", "\t", "norm(x1)",
+              "val(x2 + 1)", "^{-1/2}", "^{ - 1/3 }", "x1^2 ", "(x1 - x2)^2 ")
+
+
+@st.composite
+def _parser_texts(draw):
+    """Printed or respaced polynomials and expressions, and joined fragments, mostly invalid."""
+    kind = draw(st.sampled_from(("poly", "expr", "fragments", "fragments")))
+    if kind == "poly":
+        return draw(_poly_texts())
+    if kind == "expr":
+        text = draw(st.sampled_from(ROUND_TRIP_CORPUS))
+        return text.replace(" ", "") if draw(st.booleans()) else text.replace("^", " ^ ")
+    return "".join(draw(st.lists(st.sampled_from(_FRAGMENTS), max_size=12)))
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(text=_parser_texts())
+@example(text="norm(x1)^{- 1/2}")
+@example(text="norm(x1)^{-}")
+@example(text="1/ 0 + x1")
+@example(text="norm(x1)^{1/ 0}")
+@example(text="(x3 - x3)*x1 + 0*x2")
+@example(text="(x1 + 2*x2)^3 - x1^3")
+@example(text="2x1")
+def test_one_pass_parser_matches_the_polynomial_arithmetic_fold(text):
+    assert _outcome(parse_poly.__wrapped__, text) == _outcome(_reference(_ref_poly), text)
+    assert _outcome(parse_expr, text) == _outcome(_reference(_ref_expr), text)
 
 
 # -- the valuation-vector evaluator against the per-leaf point evaluator --------------

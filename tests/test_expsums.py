@@ -25,7 +25,15 @@ from cellint import (
     parse_poly,
     singular_series,
 )
-from cellint.expsums import DecayFit, ExpSumResult, _character_table
+from cellint import expsums
+from cellint.expsums import (
+    DecayFit,
+    ExpSumResult,
+    _character_table,
+    _required_level,
+    decay_fits,
+)
+from cellint.oracle import solution_histogram
 from cellint.padic_core import residue
 from cellint.polynomials import Polynomial, eval_int_terms
 
@@ -400,3 +408,91 @@ def test_vanishing_matches_cyclotomic_remainder(size, data):
         counts = data.draw(st.lists(st.integers(0, 3), min_size=pm, max_size=pm))
     res = ExpSumResult((), m, complex(0), 1, 0, p, {j: c for j, c in enumerate(counts) if c})
     assert res.vanishes() == (not any(cyclotomic_remainder(counts, p, m)))
+
+
+# -- one enumeration per level, against one enumeration per call ----------------------
+
+
+_DECAY_SIZES = [(p, n, m2) for p in (3, 5, 7) for n in (1, 2) for m2 in (2, 3, 4)
+                if p ** (m2 * n) <= 6561]
+
+
+@st.composite
+def _decay_problem(draw):
+    """(fs, directions, ctx, n, m2): r in 1-2 polynomials and one to four unit directions;
+    with r = 2 maybe one more, a unit multiple of the first."""
+    p, n, m2 = draw(st.sampled_from(_DECAY_SIZES))
+    r = draw(st.integers(1, 2))
+    fs = [draw(_p_integral_poly(p, n)) for _ in range(r)]
+    units = st.integers(1, p * p).filter(lambda u: u % p)
+    directions = draw(st.lists(st.lists(units, min_size=r, max_size=r), min_size=1, max_size=4))
+    if r == 2 and draw(st.booleans()):
+        rho = draw(units)
+        directions.append([rho * u for u in directions[0]])
+    return fs, directions, PrimeContext(p), n, m2
+
+
+@_differential
+@given(problem=_decay_problem())
+@example(problem=([X3], [[1], [2], [4]], C3, 1, 3))  # vanishes at m = 1 only
+@example(problem=([parse_poly("x1^2 + 2*x2^2 + x1*x2^2")], [[1], [2], [Fraction(5, 7)]],
+                  C3, 2, 4))  # 3^8 points: past one chunk
+@example(problem=([X2, parse_poly("x2^2")], [[1, 2], [2, 4], [1, 1]], C3, 2, 3))  # r = 2
+@example(problem=([X], [[1], [3]], C5, 1, 2))  # every sample vanishes
+def test_decay_fits_are_one_decay_fit_per_direction(problem):
+    fs, directions, ctx, n, m2 = problem
+    try:
+        singles = [decay_fit(fs, d, (1, m2), ctx, n=n) for d in directions]
+    except (AllVanishedError, InvalidArgumentError) as ex:
+        with pytest.raises(type(ex), match=str(ex)):
+            decay_fits(fs, directions, (1, m2), ctx, n=n)
+        return
+    shared = decay_fits(fs, directions, (1, m2), ctx, n=n)
+    for fit, single in zip(shared, singles, strict=True):
+        assert fit.values == single.values and fit.samples == single.samples
+        assert fit.alpha_hat == single.alpha_hat and fit.c_hat == single.c_hat
+        assert fit.vanished == single.vanished
+        assert fit == single
+
+
+def test_directions_share_one_enumeration_per_level(monkeypatch):
+    """With one polynomial every direction reads one enumeration per level; with
+    two, a direction shares one only with a unit multiple of itself."""
+    calls = []
+    values_mod = expsums._values_mod
+    monkeypatch.setattr(expsums, "_values_mod",
+                        lambda *args: calls.append(args[1]) or values_mod(*args))
+    fits = decay_fits([X3], [[1], [2], [4]], (1, 3), C3)
+    assert calls == [1, 2, 3]
+    assert [fit.vanished for fit in fits] == [[1], [1], [1]]
+    calls.clear()
+    decay_fits([X2, parse_poly("x2^2")], [[1, 2], [2, 4], [1, 1]], (1, 2), C3)
+    assert calls == [1, 1, 2, 2]  # [2, 4] = 2 * [1, 2] shares; [1, 1] does not
+
+
+def two_enumeration_fourier(fs, ys, ctx, n):
+    """Both sides of the Fourier identity from two enumerations: exp_sum, then the
+    value histogram of solution_histogram, added in sorted order."""
+    lhs = exp_sum(fs, ys, ctx, n=n).value
+    m = _required_level(ys, ctx)
+    if m == 0:
+        return lhs, complex(1.0, 0.0), abs(lhs - 1.0)
+    pm = ctx.p**m
+    coeffs = [residue(yi * pm, m, ctx) for yi in ys]
+    table = _character_table(pm)
+    terms = [count * table[sum(c * zi for c, zi in zip(coeffs, z)) % pm]
+             for z, count in sorted(solution_histogram(fs, m, ctx, n=n).items())]
+    rhs = _pairwise_sum(terms) / pm**n
+    return lhs, rhs, abs(lhs - rhs)
+
+
+@_differential
+@given(problem=_sum_problem())
+@example(problem=([parse_poly("x1^3 + 2*x1")], [Fraction(1, 3**8)], C3, 1, 8))
+@example(problem=([parse_poly("x1^2 + x1*x2^3 - 2")], [Fraction(4, 81)], C3, 2, 4))
+@example(problem=([parse_poly("x1^2 + x2"), parse_poly("x1^3")],
+                  [Fraction(1, 3), Fraction(2, 27)], C3, 2, 3))
+@example(problem=([parse_poly("1/2*x1^2 + x2")], [Fraction(3, 7)], C7, 2, 1))
+def test_fourier_check_is_the_two_enumeration_computation(problem):
+    fs, ys, ctx, n, _ = problem
+    assert fourier_check(fs, ys, ctx, n=n) == two_enumeration_fourier(fs, ys, ctx, n)

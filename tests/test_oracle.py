@@ -1,8 +1,12 @@
 """Residue-sum oracle, Monte-Carlo estimation, and solution counting."""
 
 import itertools
+import math
+import random
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -92,6 +96,27 @@ def test_monte_carlo_constant_and_determinism():
     assert a == b  # bit-identical for a fixed seed
     c = monte_carlo_integrate(parse_expr("norm(x1)"), 1, 5000, 43, C5)
     assert a != c
+
+
+@pytest.mark.parametrize("text, arity, level", [
+    ("norm(x1)", 1, None),
+    ("norm(x1^2 - 2*x2^3)^{1/2} * val(x1 + x2) + 3", 2, 4),
+    ("val(1/5*x1 + 2/3) - norm(1/3*x1 + x2)^{-1/2}", 2, 3),
+    ("val(x1 - x1) + norm(25)", 1, 2),
+])
+def test_monte_carlo_is_the_carrier_valuations_loop(text, arity, level):
+    """The integer carrier views give the samples of Polynomial.eval, bit for bit."""
+    e, seed, samples = parse_expr(text), 11, 2000
+    rng, level_used = random.Random(seed), C5.default_level if level is None else level
+    run, valuations = compile_expr(e, C5, level_used), carrier_valuations(e, C5)
+    values = []
+    for _ in range(samples):
+        pt = tuple(rng.randrange(5**level_used) for _ in range(arity))
+        values.append(float(run(valuations(pt))[0]))
+    mean = reduce(add, values, 0) / samples
+    var = reduce(add, ((v - mean) ** 2 for v in values), 0) / (samples - 1)
+    assert monte_carlo_integrate(e, arity, samples, seed, C5, level=level) == \
+        (mean, math.sqrt(var / samples))
 
 
 def test_monte_carlo_close_to_oracle():
