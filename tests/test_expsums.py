@@ -443,8 +443,8 @@ def test_decay_fits_are_one_decay_fit_per_direction(problem):
     fs, directions, ctx, n, m2 = problem
     try:
         singles = [decay_fit(fs, d, (1, m2), ctx, n=n) for d in directions]
-    except (AllVanishedError, InvalidArgumentError) as ex:
-        with pytest.raises(type(ex), match=str(ex)):
+    except AllVanishedError:
+        with pytest.raises(AllVanishedError):
             decay_fits(fs, directions, (1, m2), ctx, n=n)
         return
     shared = decay_fits(fs, directions, (1, m2), ctx, n=n)
