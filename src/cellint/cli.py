@@ -279,7 +279,7 @@ def _cmd_expsum(run: RunConfig) -> int:
     ctx = run.context
     fs = _poly_list(run.require("f"), "--f")
     grid = _grid(run.require("y"), "--y", "point")
-    warning = dominance_warning(fs, ctx, seed=run.seed)
+    warning = dominance_warning(fs, seed=run.seed)
     rows = ["y,re,im,abs"]
     entries = []
     for y in grid:
@@ -361,7 +361,7 @@ def _cmd_decay(run: RunConfig) -> int:
     dir_spec = run.get("direction")
     directions = [[Fraction(1)] * len(fs)] if dir_spec is None \
         else _grid(dir_spec, "--direction", "direction")
-    warning = dominance_warning(fs, ctx, seed=run.seed)
+    warning = dominance_warning(fs, seed=run.seed)
     p = ctx.p
     multi = len(directions) > 1
     rows = ["direction,m,re,im,abs,logp_abs" if multi else "m,re,im,abs,logp_abs"]

@@ -362,8 +362,8 @@ def bound_check(fit: DecayFit, slack: float = 1e-9) -> bool:
     return not bound_violations(fit, slack)
 
 
-def dominance_warning(fs: Sequence[Polynomial], ctx: PrimeContext,
-                      n: int | None = None, seed: int = 0) -> str | None:
+def dominance_warning(fs: Sequence[Polynomial], n: int | None = None,
+                      seed: int = 0) -> str | None:
     """Heuristic Jacobian-rank check at random rational points.
 
     Returns a warning string when the Jacobian never reaches full rank r at

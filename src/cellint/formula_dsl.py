@@ -15,10 +15,12 @@ single other characters; whitespace only separates them), and errors carry
 the offset of the token they meet.  Expressions and polynomials share one
 sum-of-products parser, which folds terms with make_sum and make_product, or
 with the coefficient-dict helpers of polynomials: a polynomial text, or each
-norm/val carrier of an expression, is folded into one exponent -> coefficient
-dict and made one canonical Polynomial at the end.  ASTs are immutable;
-construction canonicalizes (flattens nested sums and products, merges
-rational scalars) so that format/parse round-trips are structural identities.
+norm/val carrier of an expression, is folded into one dict keyed by exponent
+vectors without trailing zeros (the key of Polynomial.terms), and
+Polynomial.from_coeffs makes it one canonical Polynomial at the end.  ASTs
+are immutable; construction canonicalizes (flattens nested sums and
+products, merges rational scalars) so that format/parse round-trips are
+structural identities.
 
 compile_expr is the one evaluator.  It reads the valuation vector of the
 distinct carriers (expr_carriers), exactly or at a level with an ambiguity

@@ -1,12 +1,15 @@
 """Multivariate polynomials over Q in the variables x1, x2, ...
 
 Canonical sparse form: a map from exponent vectors to nonzero rational
-coefficients.  The variable order x1 < x2 < ... is fixed globally.
+coefficients.  The variable order x1 < x2 < ... is fixed globally.  A monomial
+has one key, its exponent vector without trailing zeros, so the constant
+term's key is () and a polynomial is constant iff its arity (the length of its
+longest key) is 0.  A stripped key sorts against another exactly as the two
+padded to a common length do.
 
-The arithmetic is one set of helpers on coefficient dicts, keyed by exponent
-vectors without trailing zeros so that every monomial has one key:
-add_coeffs, mul_coeffs and pow_coeffs.  Polynomial's +, * and ** read a
-polynomial's dict (coeffs), combine, and canonicalize once (from_coeffs);
+The arithmetic is one set of helpers on coefficient dicts with the same keys:
+add_coeffs, mul_coeffs and pow_coeffs.  from_coeffs is the one constructor:
+Polynomial's +, * and ** combine the dicts (coeffs) and canonicalize once, and
 the DSL parser folds a whole text through the same helpers and builds one
 Polynomial at the end.
 """
@@ -20,10 +23,6 @@ from operator import add
 from typing import Iterable, Sequence
 
 Coeffs = dict  # exponent vector without trailing zeros -> rational coefficient
-
-
-def _pad(exps: tuple[int, ...], arity: int) -> tuple[int, ...]:
-    return exps + (0,) * (arity - len(exps))
 
 
 def _strip(exps: tuple[int, ...]) -> tuple[int, ...]:
@@ -79,37 +78,29 @@ class Polynomial:
     terms: tuple[tuple[tuple[int, ...], Fraction], ...] = field(default=())
 
     @staticmethod
-    def make(arity: int, coeffs: dict[tuple[int, ...], Fraction]) -> "Polynomial":
-        """Canonical form: zero coefficients dropped, arity trimmed to the
-        variables actually referenced (so printing is faithful)."""
-        clean = {_pad(e, arity): Fraction(c) for e, c in coeffs.items() if c != 0}
-        used = 0
-        for e in clean:
-            for i, v in enumerate(e):
-                if v:
-                    used = max(used, i + 1)
-        trimmed = {e[:used]: c for e, c in clean.items()}
-        return Polynomial(used, tuple(sorted(trimmed.items(), reverse=True)))
-
-    @staticmethod
     def from_coeffs(coeffs: Coeffs) -> "Polynomial":
-        """The canonical Polynomial of a coefficient dict of the arithmetic helpers."""
-        return Polynomial.make(max(map(len, coeffs), default=0), coeffs)
+        """The canonical Polynomial of a coefficient dict: each key stripped of
+        its trailing zeros, the keys that become equal summed, zero
+        coefficients dropped, the terms sorted, the arity the longest key."""
+        acc: Coeffs = {}
+        for e, c in coeffs.items():
+            e = _strip(e)
+            acc[e] = acc.get(e, 0) + c
+        terms = tuple(sorted(((e, Fraction(c)) for e, c in acc.items() if c), reverse=True))
+        return Polynomial(max((len(e) for e, _ in terms), default=0), terms)
 
     def coeffs(self) -> Coeffs:
         """The coefficient dict of the arithmetic helpers."""
-        return {_strip(e): c for e, c in self.terms}
+        return dict(self.terms)
 
     @classmethod
-    def constant(cls, c, arity: int = 0) -> "Polynomial":
-        return cls.make(arity, {(0,) * arity: Fraction(c)})
+    def constant(cls, c) -> "Polynomial":
+        return cls.from_coeffs({(): c})
 
     @classmethod
-    def variable(cls, index: int, arity: int | None = None) -> "Polynomial":
+    def variable(cls, index: int) -> "Polynomial":
         """The variable x{index+1}."""
-        n = index + 1 if arity is None else arity
-        e = tuple(1 if i == index else 0 for i in range(n))
-        return cls.make(n, {e: Fraction(1)})
+        return cls.from_coeffs({(0,) * index + (1,): 1})
 
     @classmethod
     def variable_minus(cls, index: int, poly: "Polynomial") -> "Polynomial":
@@ -117,9 +108,8 @@ class Polynomial:
         built in canonical form without the general arithmetic."""
         if poly.arity > index:
             raise ValueError(f"poly uses x{poly.arity}, not only x1..x{index}")
-        n = index + 1
-        terms = [((0,) * index + (1,), Fraction(1))] + [(_pad(e, n), -c) for e, c in poly.terms]
-        return cls(n, tuple(sorted(terms, reverse=True)))
+        terms = [((0,) * index + (1,), Fraction(1))] + [(e, -c) for e, c in poly.terms]
+        return cls(index + 1, tuple(sorted(terms, reverse=True)))
 
     # -- algebra -----------------------------------------------------------
 
@@ -141,7 +131,7 @@ class Polynomial:
     def scale(self, q) -> "Polynomial":
         q = Fraction(q)
         if q == 0:
-            return Polynomial.make(self.arity, {})
+            return Polynomial(0)
         return Polynomial(self.arity, tuple((e, c * q) for e, c in self.terms))
 
     def derivative(self, index: int) -> "Polynomial":
@@ -150,18 +140,15 @@ class Polynomial:
             if index < len(e) and e[index] > 0:
                 de = tuple(v - 1 if i == index else v for i, v in enumerate(e))
                 acc[de] = acc.get(de, Fraction(0)) + c * e[index]
-        return Polynomial.make(self.arity, acc)
+        return Polynomial.from_coeffs(acc)
 
     # -- queries -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_constant(self) -> bool:
-        return all(all(v == 0 for v in e) for e, _ in self.terms)
+        return self.arity == 0
 
     def constant_value(self) -> Fraction:
-        if not self.is_constant():
+        if self.arity:
             raise ValueError("polynomial is not constant")
         return self.terms[0][1] if self.terms else Fraction(0)
 

@@ -135,14 +135,6 @@ class KRange:
             return range(0)
         return range(self.first(), self.last() + 1, self.modulus)
 
-    def below(self, cut: int) -> "KRange":
-        hi = cut - 1 if self.hi is None else min(self.hi, cut - 1)
-        return KRange(self.modulus, self.residue, self.lo, hi)
-
-    def at_least(self, cut: int) -> "KRange":
-        lo = cut if self.lo is None else max(self.lo, cut)
-        return KRange(self.modulus, self.residue, lo, self.hi)
-
     def shifted(self, d: int) -> "KRange":
         return KRange(self.modulus, self.residue + d,
                       None if self.lo is None else self.lo + d,
@@ -350,11 +342,10 @@ def level_integral(level: "CellLevel", a: int, l: int, value: ExactValue,
 
 
 def _constant_bound(name: str, bound: "Bound") -> Fraction:
-    """The value of a constant bound, read in one scan of its terms."""
-    terms = bound.expr.terms
-    if any(any(exps) for exps, _ in terms):
+    """The value of a constant bound."""
+    if not bound.expr.is_constant():
         raise CertificateMismatchError(f"{name} must be constant for explicit towers")
-    return terms[0][1] if terms else Fraction(0)
+    return bound.expr.constant_value()
 
 
 def integrate_explicit_tower(terms: Sequence[CellTermSpec],
@@ -368,6 +359,8 @@ def integrate_explicit_tower(terms: Sequence[CellTermSpec],
     factor (level_integral); the Fraction total over cells becomes a
     RootScaledValue at return.  Any divergent contribution makes the whole
     integral (0, False): non-integrable functions integrate to zero."""
+    if ctx.p != cert.prime:
+        raise ValueError("context prime differs from certificate prime")
     total = Fraction(0)
     for spec in terms:
         if not 0 <= spec.cell < len(cert.cells):

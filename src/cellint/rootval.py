@@ -124,9 +124,6 @@ class RootScaledValue:
         n = self.root_order
         return {int(f * n): c for f, c in self.items}
 
-    def is_zero(self) -> bool:
-        return not self.items
-
     def is_rational(self) -> bool:
         return all(f == 0 for f, _ in self.items)
 

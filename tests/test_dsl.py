@@ -152,10 +152,8 @@ def _random_poly(rng, max_arity=2):
     for _ in range(rng.randint(1, 3)):
         exps = tuple(rng.randint(0, 2) for _ in range(arity))
         coeffs[exps] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-    poly = Polynomial.make(arity, coeffs)
-    if poly.is_zero():
-        poly = Polynomial.constant(1, arity)
-    return poly
+    poly = Polynomial.from_coeffs(coeffs)
+    return poly if poly.terms else Polynomial.constant(1)
 
 
 def _random_expr(rng, depth=0):
@@ -235,6 +233,49 @@ def test_poly_parse_round_trip():
         assert parse_poly(str(p)) == p
 
 
+# -- one canonical form: one key per monomial, one constructor ---------------------
+
+
+def _stripped(e):
+    while e and not e[-1]:
+        e = e[:-1]
+    return e
+
+
+# exponent vectors padded with zeros to random lengths: one monomial, several keys
+_padded_coeffs = st.dictionaries(
+    st.builds(lambda e, pad: tuple(e) + (0,) * pad,
+              st.lists(st.integers(0, 2), max_size=3), st.integers(0, 2)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3), max_size=5)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(coeffs=_padded_coeffs, other=_padded_coeffs, k=st.integers(0, 3),
+       index=st.integers(0, 3))
+@example(coeffs={(1, 0): 1, (1,): 2}, other={}, k=1, index=0)
+def test_from_coeffs_is_the_one_canonical_form(coeffs, other, k, index):
+    summed = {}
+    for e, c in coeffs.items():
+        e = _stripped(e)
+        summed[e] = summed.get(e, 0) + c
+    f, g = Polynomial.from_coeffs(coeffs), Polynomial.from_coeffs(other)
+    assert f.coeffs() == {e: c for e, c in summed.items() if c}
+    for h in (f, f + g, f * g, f**k, f.derivative(index)):
+        assert all(e[-1] for e, _ in h.terms if e)
+        assert list(h.terms) == sorted(h.terms, reverse=True)
+        assert h.arity == max((len(e) for e, _ in h.terms), default=0)
+        assert h.is_constant() == (h.arity == 0) == all(not any(e) for e, _ in h.terms)
+        assert parse_poly(format_poly(h)) == h
+
+
+def test_one_constructor_examples():
+    assert Polynomial.from_coeffs({(1, 0): 1, (1,): 2}) == parse_poly("3*x1")
+    assert Polynomial.from_coeffs({(0, 0): 2, (0, 1): 0}) == Polynomial.constant(2)
+    assert Polynomial.variable(2).terms == (((0, 0, 1), 1),)
+    assert Polynomial.variable(2).arity == 3 and Polynomial.constant(5).arity == 0
+    assert parse_poly("x1 + x2").terms == (((1,), 1), ((0, 1), 1))
+
+
 # -- parse_poly reads each distinct text once -------------------------------------
 
 
@@ -245,7 +286,7 @@ def _poly_texts(draw):
     coeffs = draw(st.dictionaries(
         st.tuples(*[st.integers(0, 3)] * arity),
         st.fractions(min_value=-9, max_value=9, max_denominator=6), max_size=4))
-    text = format_poly(Polynomial.make(arity, coeffs))
+    text = format_poly(Polynomial.from_coeffs(coeffs))
     variant = draw(st.sampled_from(("printed", "spaced", "packed", "parenthesized")))
     if variant == "spaced":
         for op in "+-*^/":
@@ -593,7 +634,7 @@ def _carrier_texts(draw, p, level):
                          st.sampled_from((1, 1, 2, p)))
     coeffs = {(i, j): Fraction(c, d) for i, j, c, d in draw(st.lists(monomial, min_size=1,
                                                                         max_size=3))}
-    return format_poly(Polynomial.make(2, coeffs))
+    return format_poly(Polynomial.from_coeffs(coeffs))
 
 
 @st.composite

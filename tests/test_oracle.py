@@ -475,7 +475,7 @@ def p_integral_poly(draw, p: int, n: int) -> Polynomial:
         st.tuples(*[st.integers(0, 3)] * n),
         st.builds(Fraction, st.integers(-9, 9), st.sampled_from(dens)),
         min_size=1, max_size=4))
-    return Polynomial.make(n, terms)
+    return Polynomial.from_coeffs(terms)
 
 
 @st.composite

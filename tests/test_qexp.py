@@ -152,15 +152,15 @@ def test_infinite_series_split_at_a_cut(y, l, modulus, residue, lo, skip):
     cut = lo + skip
     up = KRange(modulus, residue, lo, None)
     assert progression_power_sum(y, l, up) == \
-        progression_power_sum(y, l, up.below(cut + 1)) + \
-        progression_power_sum(y, l, up.at_least(cut + 1))
+        progression_power_sum(y, l, KRange(modulus, residue, lo, cut)) + \
+        progression_power_sum(y, l, KRange(modulus, residue, cut + 1, None))
     assert power_sum(y, l, lo, None) == power_sum(y, l, lo, cut) + power_sum(y, l, cut + 1, None)
     # mirrored: (-inf, hi] = (-inf, hi - skip - 1] + [hi - skip, hi], converging for |1/y| > 1
     z, hi = 1 / y, lo
     down = KRange(modulus, residue, None, hi)
     assert progression_power_sum(z, l, down) == \
-        progression_power_sum(z, l, down.below(hi - skip)) + \
-        progression_power_sum(z, l, down.at_least(hi - skip))
+        progression_power_sum(z, l, KRange(modulus, residue, None, hi - skip - 1)) + \
+        progression_power_sum(z, l, KRange(modulus, residue, hi - skip, hi))
     assert power_sum(z, l, None, hi) == \
         power_sum(z, l, None, hi - skip - 1) + power_sum(z, l, hi - skip, hi)
 
@@ -512,8 +512,7 @@ def test_krange_from_bounds():
 
 
 def test_krange_split():
-    kr = KRange(3, 1, -2, None)
-    below, above = kr.below(6), kr.at_least(6)
+    below, above = KRange(3, 1, -2, 5), KRange(3, 1, 6, None)
     assert list(below.members()) == [-2, 1, 4]
     assert above.first() == 7
 
@@ -530,7 +529,7 @@ def test_shell_sum_unit_interval():
     assert ok and v.as_exact_rational() == 1
     # divergent: int |t|^{-1}
     v, ok = shell_sum(term(-1, 1, 0), KRange(1, 0, 0, None), C5)
-    assert not ok and v.is_zero()
+    assert not ok and v == RootScaledValue.zero(5)
     # int over P_2 shells of |t|^{1/2}
     v, ok = shell_sum(term(1, 2, 0), KRange(2, 0, 0, None), C5)
     assert ok and v.as_exact_rational() == Fraction(25, 62)
@@ -554,10 +553,10 @@ def test_shell_sum_fractional_value():
 
 def test_shell_sum_empty_and_mismatched_residue():
     v, ok = shell_sum(term(1, 2, 0), KRange(2, 0, 3, 2), C5)
-    assert ok and v.is_zero()
+    assert ok and v == RootScaledValue.zero(5)
     # residue class avoids the coset valuations entirely
     v, ok = shell_sum(term(1, 2, 0, lam=1), KRange(2, 1, 1, 9), C5)
-    assert ok and v.is_zero()
+    assert ok and v == RootScaledValue.zero(5)
 
 
 def test_decide_integrability():
@@ -593,8 +592,8 @@ def test_shell_sum_range_splitting_exact():
         kr = KRange(n, rng.randrange(n), rng.randint(-4, 2), None)
         cut = rng.randint(-2, 8)
         whole, ok = shell_sum(t, kr, C5)
-        lo_part, ok1 = shell_sum(t, kr.below(cut), C5)
-        hi_part, ok2 = shell_sum(t, kr.at_least(cut), C5)
+        lo_part, ok1 = shell_sum(t, KRange(n, kr.residue, kr.lo, cut - 1), C5)
+        hi_part, ok2 = shell_sum(t, KRange(n, kr.residue, max(kr.lo, cut), None), C5)
         assert ok and ok1 and ok2
         assert whole == lo_part + hi_part
 
@@ -641,16 +640,23 @@ def test_tower_valuation_integral_with_point_cell():
     assert ok and v.as_exact_rational() == Fraction(1, 4)
 
 
+def test_tower_refuses_a_context_at_another_prime():
+    cert = DecompositionCertificate(5, BoxDomain(1), (zp_nonzero_cell(),))
+    terms = [CellTermSpec(0, Fraction(1), ((1, 0),))]
+    with pytest.raises(ValueError, match="context prime differs from certificate prime"):
+        integrate_explicit_tower(terms, cert, PrimeContext(7))
+
+
 def test_tower_zero_integrand():
     cert = DecompositionCertificate(5, BoxDomain(1), (zp_nonzero_cell(),))
     v, ok = integrate_explicit_tower([CellTermSpec(0, Fraction(0), ((1, 0),))], cert, C5)
-    assert ok and v.is_zero()
+    assert ok and v == RootScaledValue.zero(5)
 
 
 def test_tower_divergent_returns_zero_false():
     cert = DecompositionCertificate(5, BoxDomain(1), (zp_nonzero_cell(),))
     v, ok = integrate_explicit_tower([CellTermSpec(0, Fraction(1), ((-1, 0),))], cert, C5)
-    assert not ok and v.is_zero()
+    assert not ok and v == RootScaledValue.zero(5)
 
 
 def test_point_level_before_divergent_level():
@@ -661,7 +667,7 @@ def test_point_level_before_divergent_level():
     cert = DecompositionCertificate(5, BoxDomain(2), (CellTower((unbounded, point)),))
     v, ok = integrate_explicit_tower([CellTermSpec(0, Fraction(1), ((0, 0), (0, 0)))],
                                      cert, C5)
-    assert not ok and v.is_zero()
+    assert not ok and v == RootScaledValue.zero(5)
     with pytest.raises(DivergentError):  # tower_measure runs outermost first
         tower_measure(CellTower((point, unbounded)), C5)
 
@@ -704,7 +710,7 @@ def test_one_multiply_per_explicit_level(monkeypatch):
     counts = dict(calls)
     monkeypatch.undo()
     assert got == expected and type(got[0]) is RootScaledValue
-    assert expected[1] and not expected[0].is_zero()
+    assert expected[1] and expected[0] != RootScaledValue.zero(5)
 
     levels = [lv for tower in cells for lv in tower.levels]
     lams = [lv.coset.lam for lv in levels if lv.coset.lam != 0]

@@ -32,7 +32,7 @@ def test_root_order_and_coefficients_view():
 
 def test_zero_and_rational_checks():
     z = RootScaledValue.zero(5)
-    assert z.is_zero() and z.is_rational() and z.as_exact_rational() == 0
+    assert mono(1) - mono(1) == z and z.is_rational() and z.as_exact_rational() == 0
     v = mono(Fraction(1, 2))
     assert not v.is_rational()
     with pytest.raises(ValueError):
