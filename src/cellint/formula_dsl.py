@@ -31,11 +31,13 @@ a rational point from Polynomial.eval (evaluate_fractional, evaluate).
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from math import prod
+from math import comb, prod
+from operator import sub
 from typing import Callable, Sequence, Union
 
 from .errors import (
@@ -48,6 +50,7 @@ from .padic_core import INF, PrimeContext, int_valuation, power_norm, valuation
 from .polynomials import (
     Coeffs,
     Polynomial,
+    _strip,
     add_coeffs,
     eval_int_terms,
     format_poly,
@@ -468,7 +471,7 @@ class _Carrier:
     kept reference makes unique), so every test handed one class tuple shares one
     evaluation, and values it only when asked."""
 
-    point = powers_at = None
+    point = powers_at = taylor = None
 
     def __init__(self, poly: Polynomial, ctx: PrimeContext):
         self.terms, self.denom = poly.cleared()
@@ -489,6 +492,43 @@ class _Carrier:
         if v is None:
             v = self.v = INF if self.num == 0 else int_valuation(self.num, self.p)
         return v
+
+    def constant_on(self, point: Sequence[int], j: int) -> bool:
+        """Whether v(terms) is constant on the class point + p^j*Z_p^n, by the
+        Taylor expansion terms(point + p^j*t) = sum_k a_k(point)*p^(j|k|)*t^k:
+        it is when v = v(terms(point)) is finite and a_k(point) = 0 mod
+        p^(v - j|k| + 1) for every k != 0 with j|k| <= v.  A value that is
+        nonzero mod p^j (v < j) settles it with no valuation; otherwise the
+        coefficients are read in order of |k| up to the first that fails.
+        False does not prove v(terms) varies on the class."""
+        p = self.p
+        if self.read(point) % p**j:
+            return True
+        v = self.valuation(point)
+        if v is INF:
+            return False
+        for order, coefficient in self._taylor():
+            if j * order > v:
+                break
+            if eval_int_terms(coefficient, point) % p**(v - j * order + 1):
+                return False
+        return True
+
+    def _taylor(self) -> list:
+        """[(|k|, terms of a_k)] for the multi-indices k != 0, in order of |k|:
+        a_k = sum c*prod(C(e_i, k_i))*x^(e - k) over the terms c*x^e with k <= e,
+        the integer Taylor coefficients of terms, built on first use."""
+        if self.taylor is None:
+            coefficients: dict = {}
+            for e, c in self.terms:
+                for k in itertools.product(*(range(d + 1) for d in e)):
+                    if any(k):
+                        key = (sum(k), _strip(k))
+                        term = (tuple(map(sub, e, k)), c * prod(map(comb, e, k)))
+                        coefficients.setdefault(key, []).append(term)
+            self.taylor = [(order, tuple(terms))
+                           for (order, _), terms in sorted(coefficients.items())]
+        return self.taylor
 
     def unit_power(self, n: int, exponent: int, modulus: int) -> int:
         """unit(num)^exponent mod modulus at the last point valued (num != 0), once per n."""

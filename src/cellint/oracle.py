@@ -12,14 +12,19 @@ riemann_integrate never evaluates the integrand lift by lift.  Its value
 at a lift depends only on the lift's key, the tuple of exact valuations of
 the distinct norm/val carriers there, which is also the compiled evaluator's
 input: it counts lifts per key and evaluates each key's valuations once.
-For an integer polynomial f(x + p^j y) = f(x) mod p^j, so the classes are
-refined one p-adic digit at a time (cells.refine_classes, shared with the
-certificate checks): a class r mod p^j is settled, its p^(n(level-j)) lifts
-counted at once, when the domain's membership is unambiguous on it and no
-carrier is 0 mod p^j there.  One classify serves the box and a domain: the
-carriers are views of the cells.MembershipPlan that plans the domain, so a
-carrier that is also a level's t - c(x) is evaluated once per class, and a
-carrier is valued only on the classes settled (or where a test reads it).
+The classes are refined one p-adic digit at a time (cells.refine_classes,
+shared with the certificate checks): a class r mod p^j is settled, its
+p^(n(level-j)) lifts counted at once, when the domain's membership is
+unambiguous on it and every carrier's valuation is constant on it
+(_Carrier.constant_on).  By Taylor's formula f(r + p^j t) = sum_k
+a_k(r) p^(j|k|) t^k with integer a_k, so that holds where f(r) is nonzero mod
+p^j, and also where v = v(f(r)) is finite and every a_k(r) with j|k| <= v is
+0 mod p^(v - j|k| + 1), as at a repeated root or a p-power coefficient.  Every
+lift then has the valuations of r, hence r's key.  One classify serves the
+box and a domain: the carriers are views of the cells.MembershipPlan that
+plans the domain, so a carrier that is also a level's t - c(x) is evaluated
+once per class, and a carrier is valued, or its Taylor coefficients read,
+only on the classes settled or where it is 0 mod p^j (or a test reads it).
 The budget counts all p^(level*n) classes.
 
 _values_mod is the one enumeration of (Z/p^m)^n under a polynomial map.  It
@@ -104,11 +109,12 @@ def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
     key's valuations once; the value and the ambiguity flag depend only on
     the key, so the exact sum is the same as lift by lift.  Classes are
     refined one p-adic digit at a time and counted whole as soon as their
-    domain membership is unambiguous and no carrier is 0 mod p^j on a
-    member class; a carrier is valued only on the classes counted.  The
-    budget bounds the p^(arity*level) classes decided, however few are
-    visited.  Raises InvalidArgumentError for level < 1 or an arity below
-    the expression's or the domain's.
+    domain membership is unambiguous and, on a member class, every carrier's
+    valuation is constant (_Carrier.constant_on); a carrier is valued only on
+    the classes counted or where it is 0 mod p^j.  The budget bounds the
+    p^(arity*level) classes decided, however few are visited.  Raises
+    InvalidArgumentError for level < 1 or an arity below the expression's or
+    the domain's.
     """
     if level < 1:
         raise InvalidArgumentError("level must be >= 1")
@@ -123,11 +129,8 @@ def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
     member_of, views = plan.domain_of(domain), [plan.view(f) for f in polys]
 
     def classify(r, j, amb):
-        if j < level:
-            pj = p**j
-            for view in views:
-                if not view.read(r) % pj:  # a carrier is 0 mod p^j
-                    return None
+        if j < level and not all(view.constant_on(r, j) for view in views):
+            return None
         return _valuation_key(views, r), amb
 
     counts: dict = {}

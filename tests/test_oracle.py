@@ -251,7 +251,7 @@ def test_riemann_refinement_edge_cases():
         ("1/3", 0, 3, 5, "1/3", 0),  # carrier-free box of arity 0: one class
         ("2*norm(5) + val(10)", 0, 3, 5, "7/5", 0),
         ("norm(x1 - x1)", 1, 3, 5, "0", 125),  # the zero carrier
-        ("val(125*x1)", 1, 3, 5, "403/125", 125),  # 0 mod p^m everywhere: nothing pruned
+        ("val(125*x1)", 1, 3, 5, "403/125", 125),  # v = 3 + v(x1): settled at j = 1 off 0
         ("norm(125*x1)^{1/2} + val(x1)", 1, 3, 5, "159/625 + 504/3125*5^(-1/2)", 125),
         ("norm(x1)", 1, 1, 7, "6/7", 1),
         ("val(x1*x2)", 2, 1, 3, "5/9", 5),
@@ -263,8 +263,11 @@ def test_riemann_refinement_edge_cases():
 
 _SIZES = [(p, n, m) for p in (2, 3, 5, 7) for n in (1, 2) for m in range(1, 12)
           if p ** (m * n) <= 2401]
-_SINGULAR = {1: ("(x1 - 1)^2*x1", "x1^3 - x1^2", "(x1 - 2)^3"),
-             2: ("x1^2 - 2*x2^3", "x1^3 - x2^2", "x1^2*x2 - 3*x2^4")}
+# Repeated roots and p-power coefficients, where v is constant on a class long
+# before the carrier is nonzero mod p^j; x1^2 - x1 is even everywhere at p = 2
+# with no dominant term, so no class of it may be settled early.
+_SINGULAR = {1: ("(x1 - 1)^2*x1", "x1^3 - x1^2", "(x1 - 2)^3", "(x1 - 3)^3*x1", "x1^2 - x1"),
+             2: ("x1^2 - 2*x2^3", "x1^3 - x2^2", "x1^2*x2 - 3*x2^4", "25*x1^2*x2")}
 _POWERS = ((1, 2), (1, 3), (2, 3), (3, 2), (-1, 2), (-1, 3))
 _SCALARS = ("2", "3", "1/2", "3/2", "5/4")
 
@@ -388,39 +391,115 @@ def test_riemann_evaluates_each_key_once_and_values_no_carrier_at_a_point(monkey
 
 
 def test_riemann_reads_each_carrier_once_and_values_only_settled_classes(monkeypatch):
-    """One classify: a visited class evaluates each distinct carrier at most
-    once, a class is split on the integer value (0 mod p^j), and valuations
-    are taken only on the classes settled, one per carrier that is nonzero
-    there (a zero carrier is INF in the key, with no valuation).  The
-    carriers of this integrand vanish mod p^j on many classes, which are
-    split; valuing them there too would exceed the count of finite entries."""
-    counts = {"evals": 0, "valuations": 0, "visited": 0, "settled": 0, "finite": 0}
+    """One classify: a visited class evaluates each distinct carrier's own
+    terms at most once.  A carrier is valued, and its Taylor coefficients are
+    evaluated, only on a class that is settled or where that carrier is 0 mod
+    p^j; a settled class values each carrier at most once, and a zero carrier
+    not at all (it is INF in the key).  The carriers of this integrand vanish
+    mod p^j on many classes, and the cusp's are split down to the level."""
+    e = parse_expr("norm(x1^2 - 2*x2^3)*val(x1)")
+    own = {f.cleared()[0] for f in expr_carriers(e)}
+    counts = {"evals": 0, "coefficients": 0, "valuations": 0, "visited": 0, "settled": 0}
     evaluate, value, refine = (formula_dsl.eval_int_terms, formula_dsl.int_valuation,
                                oracle.refine_classes)
 
-    def counting(name, fn):
-        def counted(*args):
-            counts[name] += 1
-            return fn(*args)
-        return counted
+    def counted_eval(terms, point):
+        counts["evals" if terms in own else "coefficients"] += 1
+        return evaluate(terms, point)
+
+    def counted_valuation(n, p):
+        counts["valuations"] += 1
+        return value(n, p)
 
     def counting_refine(p, level, arity, classify, member_of=None):
-        counts["valuations"] = 0  # the views' denominators are valued before the walk
-        for item in refine(p, level, arity, counting("visited", classify), member_of):
-            counts["settled"] += 1
-            counts["finite"] += sum(v is not INF for v in item[0][0])
-            yield item
+        def visit(r, j, amb):
+            before = dict(counts)
+            key = classify(r, j, amb)
+            spent = {name: counts[name] - before[name] for name in counts}
+            zero = sum(not evaluate(terms, r) % p**j for terms in own)
+            counts["visited"] += 1
+            assert spent["evals"] <= len(own)
+            if key is None:  # split: only carriers 0 mod p^j were valued or expanded
+                assert spent["valuations"] <= zero and (zero or not spent["coefficients"])
+            else:
+                counts["settled"] += 1
+                assert spent["valuations"] <= sum(v is not INF for v in key[0])
+            return key
 
-    e = parse_expr("norm(x1^2 - 2*x2^3)*val(x1)")
+        return refine(p, level, arity, visit, member_of)
+
     expected = riemann_integrate(e, 2, 4, C5)
-    monkeypatch.setattr(formula_dsl, "eval_int_terms", counting("evals", evaluate))
-    monkeypatch.setattr(formula_dsl, "int_valuation", counting("valuations", value))
+    monkeypatch.setattr(formula_dsl, "eval_int_terms", counted_eval)
+    monkeypatch.setattr(formula_dsl, "int_valuation", counted_valuation)
     monkeypatch.setattr(oracle, "refine_classes", counting_refine)
     run = riemann_integrate(e, 2, 4, C5)
     assert (run.value, run.ambiguous_count) == (expected.value, expected.ambiguous_count)
-    carriers = len(expr_carriers(e))
-    assert counts["settled"] < counts["visited"] <= counts["evals"] <= carriers * counts["visited"]
-    assert counts["valuations"] <= counts["finite"] <= carriers * counts["settled"]
+    assert counts["settled"] < counts["visited"] <= counts["evals"] <= len(own) * counts["visited"]
+    assert counts["coefficients"] > 0 and counts["visited"] <= 7001
+
+
+@pytest.mark.parametrize("text, arity, p, value, ambiguous, most", [
+    ("norm((x1 - 3)^3*x1)", 1, 7, "70971185417/96889010407", 50, 50),
+    ("norm(x1^2*x2)", 2, 5, "512726812416/762939453125", 18625, 7701),
+])
+def test_riemann_settles_a_class_once_every_valuation_is_constant(
+        text, arity, p, value, ambiguous, most, monkeypatch):
+    """A repeated root is settled as soon as its Taylor terms cannot reach v(f):
+    the walk visits at most `most` classes (428 and 34 501 when a class was
+    settled only where f was nonzero mod p^j), for the same value."""
+    visited, refine = [], oracle.refine_classes
+
+    def counting_refine(p, level, arity, classify, member_of=None):
+        return refine(p, level, arity, lambda *args: visited.append(args) or classify(*args),
+                      member_of)
+
+    monkeypatch.setattr(oracle, "refine_classes", counting_refine)
+    run = riemann_integrate(parse_expr(text), arity, 4, PrimeContext(p))
+    assert (str(run.value), run.ambiguous_count) == (value, ambiguous)
+    assert len(visited) <= most
+
+
+@st.composite
+def _taylor_case(draw):
+    """(f, p, j, r): f = p^a * g^k * h with small integer g, h in 1-2 variables,
+    and an integer point r, often near a repeated root."""
+    p, n, j = draw(st.sampled_from((2, 3, 5))), draw(st.integers(1, 2)), draw(st.integers(1, 4))
+
+    def factor(max_exp):
+        coeffs: dict = {}
+        for c, e in draw(st.lists(st.tuples(st.integers(-6, 6).filter(bool),
+                                            st.tuples(*[st.integers(0, max_exp)] * n)),
+                                  min_size=1, max_size=3)):
+            coeffs[e] = coeffs.get(e, 0) + c
+        return Polynomial.from_coeffs(coeffs)
+
+    f = factor(1) ** draw(st.integers(1, 3)) * factor(2)
+    f = f.scale(p ** draw(st.integers(0, 3)))
+    r = tuple(draw(st.integers(0, p ** (j + 2))) for _ in range(n))
+    return f, p, j, r
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=_taylor_case())
+@example(case=(parse_poly("(x1 - 3)^3*x1"), 7, 2, (10,)))
+@example(case=(parse_poly("25*x1^2*x2"), 5, 2, (5, 7)))
+@example(case=(parse_poly("x1^2 - x1"), 2, 1, (2,)))
+@example(case=(parse_poly("x1^2 - x1"), 2, 2, (5,)))
+@example(case=(parse_poly("125*x1"), 5, 1, (1,)))
+def test_constant_on_proves_a_constant_valuation(case):
+    """_Carrier.constant_on(r, j) is True whenever v(f(r)) < j, and when it is
+    True every lift r + p^j*t, t over (Z/p^3)^n, has the valuation v(f(r))."""
+    f, p, j, r = case
+    carrier = formula_dsl._Carrier(f, PrimeContext(p))
+    v = formula_dsl.int_valuation(formula_dsl.eval_int_terms(carrier.terms, r), p)
+    settled = carrier.constant_on(r, j)
+    if v is not INF and v < j:
+        assert settled
+    if settled:
+        for t in itertools.product(range(p**3), repeat=len(r)):
+            lift = [x + p**j * y for x, y in zip(r, t)]
+            assert formula_dsl.int_valuation(
+                formula_dsl.eval_int_terms(carrier.terms, lift), p) == v, (f, r, t)
 
 
 # -- the one modular enumeration against the per-point product loops ---------------
