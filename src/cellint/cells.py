@@ -10,19 +10,19 @@ contains reads a level through qexp_sum.fiber_valuation_range (re-exported
 here) and coset_membership; fiber_measure and tower_measure thread one value
 through qexp_sum.level_integral at a = l = 0.
 A MembershipPlan plans the membership tests of one check once, in integer
-arithmetic: one cleared view (formula_dsl._Carrier) per distinct level
-carrier (t - c(x), keyed by level index and centre, and each non-constant
-bound), evaluated once per class and valued only where a test or a settled
-class reads it, and one test per distinct level, whose constant bounds are
-folded into one window of v(t - c) at plan time.  check_partition merges the
-cells into a tree of level tests; the domain, the described towers and f,
-delta and t - c of check_norm_description, and the domain and integrand
-carriers of oracle.riemann_integrate read the same plan's views, and
+arithmetic: one cleared view (_Carrier) per distinct level carrier (t -
+c(x), keyed by level index and centre, and each non-constant bound),
+evaluated once per class and valued only where a test or a settled class
+reads it, and one test per distinct level, whose constant bounds are folded
+into one window of v(t - c) at plan time.  check_partition merges the cells
+into a tree of level tests; the domain, the described towers and f, delta
+and t - c of check_norm_description, and the domain and integrand carriers
+of oracle.riemann_integrate read the same plan's views, and
 MembershipPlan.member_of plans a single tower.  The checks walk the
 digit-tree kernel refine_classes, which settles a class r mod p^j (all its
-p^(n(m-j)) lifts at once) when every test is unambiguous on it and no
-described f or delta is 0 mod p^j, and tally the settled classes in one
-helper (_tally).  The budget counts all p^(m*n) classes.
+p^(n(m-j)) lifts at once) when every test is unambiguous on it and (one
+rule, settle_on_valuations) every view read has a constant valuation on it;
+_tally tallies the settled classes.  The budget counts all p^(m*n) classes.
 """
 
 from __future__ import annotations
@@ -33,10 +33,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, prod
+from operator import ne, sub
 from typing import Callable, Iterator, Sequence, Union
 
 from .errors import CertificateMismatchError, DivergentError, InvalidArgumentError
-from .formula_dsl import _Carrier, parse_poly
+from .formula_dsl import parse_poly
 from .padic_core import (
     DEFAULT_BUDGET,
     INF,
@@ -48,7 +50,7 @@ from .padic_core import (
     int_valuation,
     valuation,
 )
-from .polynomials import Polynomial, format_poly
+from .polynomials import Polynomial, _strip, eval_int_terms, format_poly
 from .qexp_sum import CellTermSpec, fiber_valuation_range, level_integral
 
 # -- data types ----------------------------------------------------------------
@@ -190,15 +192,90 @@ def contains(tower: CellTower, point: Sequence, ctx: PrimeContext) -> bool:
                for i, level in enumerate(tower.levels))
 
 
+class _Carrier:
+    """Integer-cleared polynomial carrier poly = terms/denom, with vden = v(denom).
+    At integer points it keeps the last point read, matched by identity (which the
+    kept reference makes unique), so every test handed one class tuple shares one
+    evaluation, and values it only when asked."""
+
+    point = powers_at = taylor = None
+
+    def __init__(self, poly: Polynomial, ctx: PrimeContext):
+        self.terms, self.denom = poly.cleared()
+        self.vden = int(int_valuation(self.denom, ctx.p))
+        self.p = ctx.p
+
+    def read(self, point: Sequence[int]) -> int:
+        """terms(point), the cleared integer value at an integer point."""
+        if point is not self.point:
+            self.point, self.num, self.v = point, eval_int_terms(self.terms, point), None
+        return self.num
+
+    def valuation(self, point: Sequence[int]):
+        """v(terms(point)), INF for 0, taken once per point."""
+        if point is not self.point:
+            self.read(point)
+        v = self.v
+        if v is None:
+            v = self.v = INF if self.num == 0 else int_valuation(self.num, self.p)
+        return v
+
+    def constant_on(self, point: Sequence[int], j: int) -> bool:
+        """Whether v(terms) is constant on the class point + p^j*Z_p^n, by the
+        Taylor expansion terms(point + p^j*t) = sum_k a_k(point)*p^(j|k|)*t^k:
+        it is when v = v(terms(point)) is finite and a_k(point) = 0 mod
+        p^(v - j|k| + 1) for every k != 0 with j|k| <= v.  A value that is
+        nonzero mod p^j (v < j) settles it with no valuation; otherwise the
+        coefficients are read in order of |k| up to the first that fails.
+        False does not prove v(terms) varies on the class."""
+        p = self.p
+        if self.read(point) % p**j:
+            return True
+        v = self.valuation(point)
+        if v is INF:
+            return False
+        for order, coefficient in self._taylor():
+            if j * order > v:
+                break
+            if eval_int_terms(coefficient, point) % p**(v - j * order + 1):
+                return False
+        return True
+
+    def _taylor(self) -> list:
+        """[(|k|, terms of a_k)] for the multi-indices k != 0, in order of |k|:
+        a_k = sum c*prod(C(e_i, k_i))*x^(e - k) over the terms c*x^e with k <= e,
+        the integer Taylor coefficients of terms, built on first use."""
+        if self.taylor is None:
+            coefficients: dict = {}
+            for e, c in self.terms:
+                for k in itertools.product(*(range(d + 1) for d in e)):
+                    if any(k):
+                        key = (sum(k), _strip(k))
+                        term = (tuple(map(sub, e, k)), c * prod(map(comb, e, k)))
+                        coefficients.setdefault(key, []).append(term)
+            self.taylor = [(order, tuple(terms))
+                           for (order, _), terms in sorted(coefficients.items())]
+        return self.taylor
+
+    def unit_power(self, n: int, exponent: int, modulus: int) -> int:
+        """unit(num)^exponent mod modulus at the last point valued (num != 0), once per n."""
+        if self.powers_at is not self.point:
+            self.powers_at, self.powers = self.point, {}
+        power = self.powers.get(n)
+        if power is None:
+            power = self.powers[n] = pow(self.num // self.p**self.v, exponent, modulus)
+        return power
+
+
 class MembershipPlan:
     """The membership tests of one check over one prime, planned once.
 
     A cell level reads two kinds of carriers: t - c(x) = x_i - c(x), keyed by
     (i, c) and built only on a miss, and its non-constant bound polynomials.
-    The plan keeps one view (formula_dsl._Carrier) per distinct carrier and
-    one test per distinct (index, level), and every tower and polynomial
-    planned on it (a domain, the cells of a certificate, the towers, f and
-    delta its descriptions name, an integrand's carriers) shares them: a class
+    The plan keeps one view (_Carrier) per distinct carrier and one test per
+    distinct (index, level), and every tower and polynomial planned on it (a
+    domain, the cells of a certificate, the towers, f and delta its
+    descriptions name, an integrand's carriers) shares them: a class
     evaluates each carrier once, however many cells, levels and callers read
     it, and values it only where a test or a settled class needs it.
     """
@@ -372,6 +449,23 @@ def refine_classes(p: int, level: int, arity: int, classify: Callable,
             yield key, r, j
 
 
+def valuation_key(views: Sequence[_Carrier], point: Sequence[int]) -> tuple:
+    """The valuations of the carrier views at an integer point, compile_expr's
+    input: v(terms(point)) - v(denom) for each view, INF for a zero carrier."""
+    return tuple([INF if (v := view.valuation(point)) is INF else v - view.vden
+                  for view in views])
+
+
+def settle_on_valuations(views: Sequence[_Carrier], level: int) -> Callable:
+    """refine_classes' classify over carrier views: below the level, split a class
+    unless every view's constant_on holds; key a settled one by valuation_key."""
+    def classify(r, j, amb):
+        if j < level and not all(view.constant_on(r, j) for view in views):
+            return None
+        return valuation_key(views, r), amb
+    return classify
+
+
 def _tally(p: int, m: int, arity: int, classify: Callable, member_of: Callable | None,
            flag: Callable) -> tuple[int, int, list]:
     """Walk refine_classes over the member classes: (points, ambiguous points,
@@ -524,11 +618,11 @@ def check_norm_description(functions: Sequence[Polynomial],
 
     Norms are compared exactly as elements of p^((1/n)Z) union {0} via their
     exponents.  Every certificate description entry is tested on all lifted
-    cell points mod p^m (mismatches in product order per entry).  Raises
-    InvalidArgumentError for m < 1, CertificateMismatchError when a
-    description does not fit its cell (_described_level), and then
-    BudgetExceededError when p^(m*arity) exceeds budget, all before
-    enumerating.
+    cell points mod p^m (mismatches in product order per entry), settled by
+    the oracle's rule on f, delta and t - c.  Raises InvalidArgumentError for
+    m < 1, CertificateMismatchError when a description does not fit its cell
+    (_described_level), and then BudgetExceededError when p^(m*arity) exceeds
+    budget, all before enumerating.
     """
     if m < 1:
         raise InvalidArgumentError("level m must be >= 1")
@@ -543,29 +637,23 @@ def check_norm_description(functions: Sequence[Polynomial],
     for desc, level_idx in zip(cert.descriptions, level_indices):
         tower = cert.cells[desc.cell]
         level = tower.levels[level_idx]
-        f, delta = plan.view(functions[desc.function]), plan.view(desc.delta)
-        diff = plan.diff(level_idx, level.center)
+        views = (plan.view(functions[desc.function]), plan.view(desc.delta),
+                 plan.diff(level_idx, level.center))
         vlam = None if level.coset.lam == 0 else int(valuation(level.coset.lam, ctx))
 
-        def classify(r, j, amb):
-            if j < m and (not f.read(r) % p**j or not delta.read(r) % p**j):
-                return None  # f or delta is 0 mod p^j
-            vf, vd = f.valuation(r), delta.valuation(r)
-            lhs = INF if vf is INF else Fraction(vf - f.vden)
-            vd = INF if vd is INF else vd - delta.vden
+        def sides(vf, vd, k):
+            """(lhs, rhs) from the key v(f), v(delta), v(t - c): exponents in Q, or INF for |0|."""
+            lhs = INF if vf is INF else Fraction(vf)
             if vlam is None:
-                return (lhs, vd), amb
-            k = diff.valuation(r)
+                return lhs, vd
             if k is INF or vd is INF:
-                return (lhs, INF), amb
-            k -= diff.vden
-            return (lhs, Fraction(vd) + Fraction(desc.a * (k - vlam), level.coset.n)), amb
+                return lhs, INF
+            return lhs, Fraction(vd) + Fraction(desc.a * (k - vlam), level.coset.n)
 
-        # the sides are exponents in Q, or INF for |0|
-        points, amb_points, lifts = _tally(p, m, tower.arity, classify, plan.member_of(tower),
-                                           lambda sides: sides[0] != sides[1])
+        points, amb_points, lifts = _tally(p, m, tower.arity, settle_on_valuations(views, m),
+                                           plan.member_of(tower), lambda key: ne(*sides(*key)))
         checked, ambiguous = checked + points, ambiguous + amb_points
-        mismatches.extend((pt, *sides) for pt, sides in lifts)
+        mismatches.extend((pt, *sides(*key)) for pt, key in lifts)
     return NormCheckReport(ok=not mismatches, mismatches=mismatches,
                            ambiguous_points=ambiguous, points_checked=checked)
 

@@ -24,20 +24,18 @@ structural identities.
 
 compile_expr is the one evaluator.  It reads the valuation vector of the
 distinct carriers (expr_carriers), exactly or at a level with an ambiguity
-flag: riemann_integrate and monte_carlo_integrate hand it the valuations of
-the integer carrier views (_Carrier), and carrier_valuations computes it at
-a rational point from Polynomial.eval (evaluate_fractional, evaluate).
+flag: riemann_integrate and monte_carlo_integrate hand it cells.valuation_key
+of the integer carrier views, and carrier_valuations computes it at a
+rational point from Polynomial.eval (evaluate_fractional, evaluate).
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from math import comb, prod
-from operator import sub
+from math import prod
 from typing import Callable, Sequence, Union
 
 from .errors import (
@@ -46,13 +44,11 @@ from .errors import (
     ValOfZeroError,
     ZeroDenominatorError,
 )
-from .padic_core import INF, PrimeContext, int_valuation, power_norm, valuation
+from .padic_core import INF, PrimeContext, power_norm, valuation
 from .polynomials import (
     Coeffs,
     Polynomial,
-    _strip,
     add_coeffs,
-    eval_int_terms,
     format_poly,
     mul_coeffs,
     pow_coeffs,
@@ -463,81 +459,6 @@ def expr_carriers(e: QExpExpr) -> list[Polynomial]:
     else:
         return []
     return list(dict.fromkeys(c for it in subs for c in expr_carriers(it)))
-
-
-class _Carrier:
-    """Integer-cleared polynomial carrier poly = terms/denom, with vden = v(denom).
-    At integer points it keeps the last point read, matched by identity (which the
-    kept reference makes unique), so every test handed one class tuple shares one
-    evaluation, and values it only when asked."""
-
-    point = powers_at = taylor = None
-
-    def __init__(self, poly: Polynomial, ctx: PrimeContext):
-        self.terms, self.denom = poly.cleared()
-        self.vden = int(int_valuation(self.denom, ctx.p))
-        self.p = ctx.p
-
-    def read(self, point: Sequence[int]) -> int:
-        """terms(point), the cleared integer value at an integer point."""
-        if point is not self.point:
-            self.point, self.num, self.v = point, eval_int_terms(self.terms, point), None
-        return self.num
-
-    def valuation(self, point: Sequence[int]):
-        """v(terms(point)), INF for 0, taken once per point."""
-        if point is not self.point:
-            self.read(point)
-        v = self.v
-        if v is None:
-            v = self.v = INF if self.num == 0 else int_valuation(self.num, self.p)
-        return v
-
-    def constant_on(self, point: Sequence[int], j: int) -> bool:
-        """Whether v(terms) is constant on the class point + p^j*Z_p^n, by the
-        Taylor expansion terms(point + p^j*t) = sum_k a_k(point)*p^(j|k|)*t^k:
-        it is when v = v(terms(point)) is finite and a_k(point) = 0 mod
-        p^(v - j|k| + 1) for every k != 0 with j|k| <= v.  A value that is
-        nonzero mod p^j (v < j) settles it with no valuation; otherwise the
-        coefficients are read in order of |k| up to the first that fails.
-        False does not prove v(terms) varies on the class."""
-        p = self.p
-        if self.read(point) % p**j:
-            return True
-        v = self.valuation(point)
-        if v is INF:
-            return False
-        for order, coefficient in self._taylor():
-            if j * order > v:
-                break
-            if eval_int_terms(coefficient, point) % p**(v - j * order + 1):
-                return False
-        return True
-
-    def _taylor(self) -> list:
-        """[(|k|, terms of a_k)] for the multi-indices k != 0, in order of |k|:
-        a_k = sum c*prod(C(e_i, k_i))*x^(e - k) over the terms c*x^e with k <= e,
-        the integer Taylor coefficients of terms, built on first use."""
-        if self.taylor is None:
-            coefficients: dict = {}
-            for e, c in self.terms:
-                for k in itertools.product(*(range(d + 1) for d in e)):
-                    if any(k):
-                        key = (sum(k), _strip(k))
-                        term = (tuple(map(sub, e, k)), c * prod(map(comb, e, k)))
-                        coefficients.setdefault(key, []).append(term)
-            self.taylor = [(order, tuple(terms))
-                           for (order, _), terms in sorted(coefficients.items())]
-        return self.taylor
-
-    def unit_power(self, n: int, exponent: int, modulus: int) -> int:
-        """unit(num)^exponent mod modulus at the last point valued (num != 0), once per n."""
-        if self.powers_at is not self.point:
-            self.powers_at, self.powers = self.point, {}
-        power = self.powers.get(n)
-        if power is None:
-            power = self.powers[n] = pow(self.num // self.p**self.v, exponent, modulus)
-        return power
 
 
 def carrier_valuations(e: QExpExpr, ctx: PrimeContext) -> Callable[[Sequence], tuple]:

@@ -16,16 +16,16 @@ The classes are refined one p-adic digit at a time (cells.refine_classes,
 shared with the certificate checks): a class r mod p^j is settled, its
 p^(n(level-j)) lifts counted at once, when the domain's membership is
 unambiguous on it and every carrier's valuation is constant on it
-(_Carrier.constant_on).  By Taylor's formula f(r + p^j t) = sum_k
-a_k(r) p^(j|k|) t^k with integer a_k, so that holds where f(r) is nonzero mod
-p^j, and also where v = v(f(r)) is finite and every a_k(r) with j|k| <= v is
-0 mod p^(v - j|k| + 1), as at a repeated root or a p-power coefficient.  Every
-lift then has the valuations of r, hence r's key.  One classify serves the
-box and a domain: the carriers are views of the cells.MembershipPlan that
-plans the domain, so a carrier that is also a level's t - c(x) is evaluated
-once per class, and a carrier is valued, or its Taylor coefficients read,
-only on the classes settled or where it is 0 mod p^j (or a test reads it).
-The budget counts all p^(level*n) classes.
+(cells.settle_on_valuations, check_norm_description's rule too).  By Taylor's
+formula f(r + p^j t) = sum_k a_k(r) p^(j|k|) t^k with integer a_k, so that
+holds where f(r) is nonzero mod p^j, and also where v = v(f(r)) is finite and
+every a_k(r) with j|k| <= v is 0 mod p^(v - j|k| + 1), as at a repeated root
+or a p-power coefficient.  Every lift then has the valuations of r, hence r's
+key.  One classify serves the box and a domain: the carriers are views of the
+cells.MembershipPlan that plans the domain, so a carrier that is also a
+level's t - c(x) is evaluated once per class, and a carrier is valued, or its
+Taylor coefficients read, only on the classes settled or where it is 0 mod
+p^j (or a test reads it).  The budget counts all p^(level*n) classes.
 
 _values_mod is the one enumeration of (Z/p^m)^n under a polynomial map.  It
 reads each f through the same integer view (Polynomial.cleared), with the
@@ -54,12 +54,11 @@ from math import prod, sqrt
 from operator import add, mod, sub
 from typing import Iterator, Sequence
 
-from .cells import Domain, MembershipPlan, refine_classes
+from .cells import Domain, MembershipPlan, refine_classes, settle_on_valuations, valuation_key
 from .errors import FloatOverflowError, InvalidArgumentError, NonIntegralCoefficientsError
-from .formula_dsl import ExactValue, QExpExpr, _Carrier, compile_expr, expr_carriers
+from .formula_dsl import ExactValue, QExpExpr, compile_expr, expr_carriers
 from .padic_core import (
     DEFAULT_BUDGET,
-    INF,
     PrimeContext,
     check_budget,
     power_norm,
@@ -110,7 +109,7 @@ def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
     the key, so the exact sum is the same as lift by lift.  Classes are
     refined one p-adic digit at a time and counted whole as soon as their
     domain membership is unambiguous and, on a member class, every carrier's
-    valuation is constant (_Carrier.constant_on); a carrier is valued only on
+    valuation is constant (cells.settle_on_valuations); a carrier is valued only on
     the classes counted or where it is 0 mod p^j.  The budget bounds the
     p^(arity*level) classes decided, however few are visited.  Raises
     InvalidArgumentError for level < 1 or an arity below the expression's or
@@ -126,15 +125,9 @@ def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
     check_budget(p, level, arity, budget)
     run = compile_expr(e, ctx, level)
     plan = MembershipPlan(ctx)
-    member_of, views = plan.domain_of(domain), [plan.view(f) for f in polys]
-
-    def classify(r, j, amb):
-        if j < level and not all(view.constant_on(r, j) for view in views):
-            return None
-        return _valuation_key(views, r), amb
-
+    classify = settle_on_valuations([plan.view(f) for f in polys], level)
     counts: dict = {}
-    for key, r, j in refine_classes(p, level, arity, classify, member_of):
+    for key, r, j in refine_classes(p, level, arity, classify, plan.domain_of(domain)):
         counts[key] = counts.get(key, 0) + p ** (arity * (level - j))
     ambiguous = sum(count for key, count in counts.items() if key[1])
     total: ExactValue = Fraction(0)
@@ -158,30 +151,27 @@ def monte_carlo_integrate(e: QExpExpr, arity: int, samples: int, seed: int,
 
     Points are uniform independent residues at the configured level, lifted;
     results are deterministic for a fixed seed.  Each point is valued through
-    the integer carrier views, as riemann_integrate's classes are.
+    the integer carrier views, as riemann_integrate's classes are.  Raises
+    InvalidArgumentError for level < 1.
     """
     _check_arity(expr_carriers(e), arity)
     if samples < 2:
         raise ValueError("need at least 2 samples")
     level = ctx.default_level if level is None else level
+    if level < 1:
+        raise InvalidArgumentError("level m must be >= 1")
     rng = random.Random(seed)
-    run, views = compile_expr(e, ctx, level), [_Carrier(f, ctx) for f in expr_carriers(e)]
+    run, plan = compile_expr(e, ctx, level), MembershipPlan(ctx)
+    views = [plan.view(f) for f in expr_carriers(e)]
     pm = ctx.p**level
     values = []
     for _ in range(samples):
         pt = tuple(rng.randrange(pm) for _ in range(arity))
-        v, _amb = run(_valuation_key(views, pt))
+        v, _amb = run(valuation_key(views, pt))
         values.append(float(v))
     mean = reduce(add, values, 0) / samples
     var = reduce(add, ((v - mean) ** 2 for v in values), 0) / (samples - 1)
     return mean, sqrt(var / samples)
-
-
-def _valuation_key(views: Sequence[_Carrier], point: Sequence[int]) -> tuple:
-    """compile_expr's input at an integer point: v(terms(point)) - v(denom) for
-    each carrier view, INF for a zero carrier."""
-    return tuple([INF if (v := view.valuation(point)) is INF else v - view.vden
-                  for view in views])
 
 
 def _infer_arity(fs: Sequence[Polynomial], n: int | None) -> int:
@@ -278,7 +268,9 @@ def _values_mod(views: Sequence[tuple], m: int, n: int, p: int) -> Iterator[list
 def solution_histogram(fs: Sequence[Polynomial], m: int, ctx: PrimeContext,
                        n: int | None = None,
                        budget: int = DEFAULT_BUDGET) -> dict[tuple[int, ...], int]:
-    """All counts N_m(z) at once: the histogram of f(x) mod p^m over x."""
+    """All counts N_m(z) at once, m >= 1: the histogram of f(x) mod p^m over x."""
+    if m < 1:
+        raise InvalidArgumentError("level m must be >= 1")
     p = ctx.p
     n = _infer_arity(fs, n)
     check_budget(p, m, n, budget)
@@ -300,9 +292,7 @@ def count_solutions(fs: Sequence[Polynomial], z: Sequence[int], m: int,
 
 
 def _solution_target(fs: Sequence[Polynomial], z: Sequence[int], m: int, p: int) -> tuple:
-    """z mod p^m, a key of solution_histogram; m >= 1 and one residue per f_i."""
-    if m < 1:
-        raise InvalidArgumentError("level m must be >= 1")
+    """z mod p^m, a key of solution_histogram; one residue per f_i."""
     if len(z) != len(fs):
         raise InvalidArgumentError("z must have one residue per polynomial")
     pm = p**m

@@ -55,10 +55,9 @@ from cellint import (
     zp_nonzero_cell,
 )
 import cellint.cells as cells_module
-import cellint.formula_dsl as carrier_module
-from cellint.cells import MembershipPlan, _described_level, _rational, membership
+from cellint.cells import MembershipPlan, _Carrier, _described_level, _rational, membership
 from cellint.errors import CertificateMismatchError
-from cellint.formula_dsl import Norm, _Carrier, carrier_valuations
+from cellint.formula_dsl import Norm, carrier_valuations
 from cellint.polynomials import Polynomial
 
 C2 = PrimeContext(2)
@@ -960,7 +959,7 @@ def _product_certificate(draw):
     return cert, functions, m, ctx
 
 
-def _carrier_count(towers, polys=()) -> int:
+def _carriers(towers, polys=()) -> set:
     """The distinct level carriers of the towers (each x_i - c_i(x) and non-constant
     bound) and the polynomials polys."""
     carriers = set(polys)
@@ -969,20 +968,22 @@ def _carrier_count(towers, polys=()) -> int:
             carriers.add(Polynomial.variable(i) - level.center)
             carriers.update(b.expr for b in (level.lower, level.upper)
                             if b is not None and not b.expr.is_constant())
-    return len(carriers)
+    return carriers
 
 
 @contextmanager
-def _counting():
+def _counting(carriers):
     """Count the integer evaluations of the carrier views (eval_int_terms in
-    the module of formula_dsl._Carrier) and the classes cells.refine_classes
-    visits (one membership test, or one classify call without a domain, per
-    class)."""
-    counts = {"evals": 0, "visited": 0}
-    evaluate, refine = carrier_module.eval_int_terms, cells_module.refine_classes
+    cells, the module of _Carrier) and the classes cells.refine_classes visits
+    (one membership test, or one classify call without a domain, per class).
+    An evaluation of some carrier's own cleared terms counts as "evals", any
+    other (a Taylor coefficient _Carrier.constant_on reads) as "coefficients"."""
+    own = {poly.cleared()[0] for poly in carriers}
+    counts = {"evals": 0, "coefficients": 0, "visited": 0}
+    evaluate, refine = cells_module.eval_int_terms, cells_module.refine_classes
 
     def counting_eval(terms, point):
-        counts["evals"] += 1
+        counts["evals" if terms in own else "coefficients"] += 1
         return evaluate(terms, point)
 
     def visiting(fn):
@@ -996,7 +997,7 @@ def _counting():
             return refine(p, level, arity, visiting(classify))
         return refine(p, level, arity, classify, visiting(member_of))
 
-    with patch.object(carrier_module, "eval_int_terms", counting_eval), \
+    with patch.object(cells_module, "eval_int_terms", counting_eval), \
             patch.object(cells_module, "refine_classes", counting_refine):
         yield counts
 
@@ -1005,26 +1006,59 @@ def _counting():
 @given(problem=_product_certificate())
 def test_shared_plan_matches_per_lift_loops_on_product_certificates(problem):
     """One plan per check equals the per-lift loops field by field, and each
-    class evaluates each distinct carrier at most once (and some carrier at
-    least once: a plan that ignored the point would evaluate less)."""
+    class evaluates each distinct carrier's own terms at most once (and some
+    carrier at least once: a plan that ignored the point would evaluate less).
+    The Taylor coefficients the norm check reads to settle a class are
+    counted apart."""
     cert, functions, m, ctx = problem
     domain = [] if isinstance(cert.domain, BoxDomain) else [cert.domain]
-    with _counting() as counts:
+    carriers = _carriers(domain + list(cert.cells))
+    with _counting(carriers) as counts:
         report = check_partition(cert, m, ctx)
     violations, ambiguous, points = per_lift_partition(cert, m, ctx)
     assert (report.violations, report.ambiguous_points, report.points_tested, report.ok) \
         == (violations, ambiguous, points, not violations)
-    carriers = _carrier_count(domain + list(cert.cells))
-    assert counts["visited"] <= counts["evals"] <= carriers * counts["visited"]
+    assert counts["visited"] <= counts["evals"] <= len(carriers) * counts["visited"]
 
-    with _counting() as counts:
+    carriers = _carriers([cert.cells[d.cell] for d in cert.descriptions],
+                         functions + [d.delta for d in cert.descriptions])
+    with _counting(carriers) as counts:
         norms = check_norm_description(functions, cert, m, ctx)
     mismatches, ambiguous, points = per_lift_norm_description(functions, cert, m, ctx)
     assert (norms.mismatches, norms.ambiguous_points, norms.points_checked, norms.ok) \
         == (mismatches, ambiguous, points, not mismatches)
-    carriers = _carrier_count([cert.cells[d.cell] for d in cert.descriptions],
-                              functions + [d.delta for d in cert.descriptions])
-    assert counts["visited"] <= counts["evals"] <= carriers * counts["visited"]
+    assert counts["visited"] <= counts["evals"] <= len(carriers) * counts["visited"]
+
+
+@pytest.mark.parametrize("p, f, delta, a, m, most, mismatches", [
+    (5, "25*x1", "25", 1, 6, 31, 0),
+    (5, "25*x1^3", "25", 3, 6, 31, 0),
+    (3, "x1^2*(x1 - 1)^2", "1", 2, 6, 34, 243),
+    (7, "(x1 - 1)^3", "1", 0, 5, 64, 2401),
+])
+def test_norm_check_settles_a_class_once_every_valuation_is_constant(
+        p, f, delta, a, m, most, mismatches):
+    """A class on which f is 0 mod p^j is settled as soon as the valuations of
+    f, delta and t - c are constant on it, by the oracle's rule: the walk makes
+    at most `most` membership tests (531, 4 031, 154 and 778 when a class was
+    settled only where f and delta were nonzero mod p^j), for the report of
+    the per-lift loop."""
+    ctx = PrimeContext(p)
+    cert = DecompositionCertificate(p, BoxDomain(1), (zp_nonzero_cell(), point_cell(0)),
+                                    (NormDescription(0, 0, parse_poly(delta), a),))
+    functions = [parse_poly(f)]
+    visited, refine = [], cells_module.refine_classes
+
+    def counting_refine(p, level, arity, classify, member_of=None):
+        return refine(p, level, arity, classify,
+                      lambda *args: visited.append(args) or member_of(*args))
+
+    with patch.object(cells_module, "refine_classes", counting_refine):
+        report = check_norm_description(functions, cert, m, ctx)
+    expected = per_lift_norm_description(functions, cert, m, ctx)
+    assert (report.mismatches, report.ambiguous_points, report.points_checked) == expected
+    assert (len(report.mismatches), report.ok) == (mismatches, not mismatches)
+    assert len(visited) <= most
 
 
 def _delta_root_problem():

@@ -28,3 +28,16 @@ def test_package_imports_only_the_standard_library(source):
 
 def test_sources_are_found():
     assert len(SOURCES) > 5
+
+
+def test_the_expression_language_imports_no_private_name_of_the_package():
+    """formula_dsl is the language alone (AST, parser, printer, compile_expr):
+    it reads the package through public names only, so the integer walk's
+    machinery (views, Taylor coefficients, _strip) stays in cells."""
+    source = next(path for path in SOURCES if path.name == "formula_dsl.py")
+    tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").split(".")[0] == "cellint")
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"formula_dsl imports {private}"

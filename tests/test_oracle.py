@@ -30,7 +30,7 @@ from cellint import (
     unit_ball_coset_cell,
 )
 from cellint.cells import Bound, CellLevel, CellTower, CosetSpec, MembershipPlan
-from cellint import formula_dsl, oracle
+from cellint import cells, oracle
 from cellint.formula_dsl import carrier_valuations, compile_expr, expr_carriers
 from cellint.oracle import _CHUNK, _modular_view, _values_mod, eval_poly_mod
 from cellint.padic_core import residue
@@ -205,6 +205,23 @@ def test_riemann_arity_and_level_errors():
             monte_carlo_integrate(parse_expr(e), arity, 10, 0, C5)
     with pytest.raises(ValueError, match="level must be >= 1"):  # still a ValueError
         riemann_integrate(parse_expr("norm(x1)"), 1, 0, C5)
+
+
+@pytest.mark.parametrize("level", [0, -1])
+def test_monte_carlo_rejects_a_level_below_one(level):
+    """Level 0 used to sample the one residue mod p^0, an estimate of 0 for an
+    integral of 5/6, and level -1 failed inside random.randrange."""
+    with pytest.raises(InvalidArgumentError, match="level m must be >= 1"):
+        monte_carlo_integrate(parse_expr("norm(x1)"), 1, 10, 0, C5, level=level)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_solution_histogram_rejects_a_level_below_one(m):
+    """Level -1 used to fail inside pow; count_solutions reads the same check."""
+    with pytest.raises(InvalidArgumentError, match="level m must be >= 1"):
+        solution_histogram([parse_poly("x1^2")], m, C5)
+    with pytest.raises(InvalidArgumentError, match="level m must be >= 1"):
+        count_solutions([parse_poly("x1^2")], [1], m, C5)
 
 
 # -- the key-counting kernel against the per-point loop ------------------------------
@@ -400,7 +417,7 @@ def test_riemann_reads_each_carrier_once_and_values_only_settled_classes(monkeyp
     e = parse_expr("norm(x1^2 - 2*x2^3)*val(x1)")
     own = {f.cleared()[0] for f in expr_carriers(e)}
     counts = {"evals": 0, "coefficients": 0, "valuations": 0, "visited": 0, "settled": 0}
-    evaluate, value, refine = (formula_dsl.eval_int_terms, formula_dsl.int_valuation,
+    evaluate, value, refine = (cells.eval_int_terms, cells.int_valuation,
                                oracle.refine_classes)
 
     def counted_eval(terms, point):
@@ -429,8 +446,8 @@ def test_riemann_reads_each_carrier_once_and_values_only_settled_classes(monkeyp
         return refine(p, level, arity, visit, member_of)
 
     expected = riemann_integrate(e, 2, 4, C5)
-    monkeypatch.setattr(formula_dsl, "eval_int_terms", counted_eval)
-    monkeypatch.setattr(formula_dsl, "int_valuation", counted_valuation)
+    monkeypatch.setattr(cells, "eval_int_terms", counted_eval)
+    monkeypatch.setattr(cells, "int_valuation", counted_valuation)
     monkeypatch.setattr(oracle, "refine_classes", counting_refine)
     run = riemann_integrate(e, 2, 4, C5)
     assert (run.value, run.ambiguous_count) == (expected.value, expected.ambiguous_count)
@@ -490,16 +507,16 @@ def test_constant_on_proves_a_constant_valuation(case):
     """_Carrier.constant_on(r, j) is True whenever v(f(r)) < j, and when it is
     True every lift r + p^j*t, t over (Z/p^3)^n, has the valuation v(f(r))."""
     f, p, j, r = case
-    carrier = formula_dsl._Carrier(f, PrimeContext(p))
-    v = formula_dsl.int_valuation(formula_dsl.eval_int_terms(carrier.terms, r), p)
+    carrier = cells._Carrier(f, PrimeContext(p))
+    v = cells.int_valuation(cells.eval_int_terms(carrier.terms, r), p)
     settled = carrier.constant_on(r, j)
     if v is not INF and v < j:
         assert settled
     if settled:
         for t in itertools.product(range(p**3), repeat=len(r)):
             lift = [x + p**j * y for x, y in zip(r, t)]
-            assert formula_dsl.int_valuation(
-                formula_dsl.eval_int_terms(carrier.terms, lift), p) == v, (f, r, t)
+            assert cells.int_valuation(
+                cells.eval_int_terms(carrier.terms, lift), p) == v, (f, r, t)
 
 
 # -- the one modular enumeration against the per-point product loops ---------------
