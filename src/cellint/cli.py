@@ -1,16 +1,16 @@
 """Command-line front end.
 
 Subcommands: parse, integrate, cells-check, oracle, expsum, kloosterman,
-singular, decay.  Global flags: --prime, --budget, --seed, --out, --config.
-Every flag is declared once, in the COMMANDS table, and reaches its command as
-text, converted where the command reads it.  Configs are flat key=value files;
-command-line flags win over config values.
+singular, decay.  The COMMANDS table declares once the settings each command
+reads, each a flag and a key of its --config file (flat key=value lines; flags
+win), and each reaches its command as text, converted where the command reads it.
 
 Exit codes: 0 success, 1 any other cellint error (one "error: ..." line on
 stderr), such as a non-integer --arity on the command line or arity=x in the
-config file, 2 expression parse error or argparse usage error (an unknown
-subcommand or flag, a flag without its value), 3 certificate verification
-failure, 4 budget exceeded.
+config file, or a config key the command does not read, 2 expression parse
+error or argparse usage error (an unknown subcommand, or a flag the command
+does not read or without its value), 3 certificate verification failure,
+4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -50,22 +50,18 @@ from .rootval import RootScaledValue
 class RunConfig:
     """Merged run settings: flags win over the config file."""
 
-    prime: int = 5
-    budget: int = DEFAULT_BUDGET
-    seed: int = 0
-    out: str | None = None
     payload: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.budget <= 0:
-            raise InvalidArgumentError(f"budget must be positive, got {self.budget}")
 
     def get(self, key: str, default=None):
         value = self.payload.get(key, default)
         return default if value is None else value
 
     def integer(self, key: str, default: int) -> int:
-        return _integer(key, self.get(key, default))
+        """A scalar setting from a flag or the config file, checked by cells.read_integer."""
+        try:
+            return read_integer(self.get(key, default), key)
+        except ValueError as ex:
+            raise InvalidArgumentError(f"bad integer setting: {ex}") from None
 
     def require(self, key: str):
         value = self.payload.get(key)
@@ -74,8 +70,15 @@ class RunConfig:
         return value
 
     @property
+    def budget(self) -> int:
+        budget = self.integer("budget", DEFAULT_BUDGET)
+        if budget <= 0:
+            raise InvalidArgumentError(f"budget must be positive, got {budget}")
+        return budget
+
+    @property
     def context(self) -> PrimeContext:
-        return PrimeContext(self.prime)
+        return PrimeContext(self.integer("prime", 5))
 
 
 def load_config(path: str) -> dict:
@@ -103,17 +106,16 @@ def load_config(path: str) -> dict:
 
 
 def make_run_config(args) -> RunConfig:
+    """The config file overridden by the flags; a key the command does not read is refused."""
     payload = dict(load_config(args.config)) if args.config else {}
+    unknown = sorted(set(payload) - {arg.lstrip("-") for arg in COMMANDS[args.command][2]})
+    if unknown:  # the first in sorted order, so the message does not depend on hashing
+        raise InvalidArgumentError(f"config key '{unknown[0]}' is not a setting of {args.command}")
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue
         payload[key.replace("_", "-")] = value
-    return RunConfig(
-        prime=_integer("prime", payload.pop("prime", 5)),
-        budget=_integer("budget", payload.pop("budget", DEFAULT_BUDGET)),
-        seed=_integer("seed", payload.pop("seed", 0)),
-        out=payload.pop("out", None),
-        payload=payload)
+    return RunConfig(payload)
 
 
 def _poly_list(spec, flag: str) -> list:
@@ -140,14 +142,6 @@ def _number_list(spec, kind) -> list:
             for part in str(spec).split(",") if part.strip()]
 
 
-def _integer(key: str, value) -> int:
-    """A scalar setting from a flag or the config file, checked by cells.read_integer."""
-    try:
-        return read_integer(value, key)
-    except ValueError as ex:
-        raise InvalidArgumentError(f"bad integer setting: {ex}") from None
-
-
 def _grid(spec, flag: str, what: str) -> list[list[Fraction]]:
     """The ';'-separated points of a grid flag; an empty grid is an InvalidArgumentError."""
     grid = [_number_list(part, Fraction) for part in str(spec).split(";") if part.strip()]
@@ -161,12 +155,13 @@ def _emit(payload: dict, run: RunConfig, csv_rows: list[str] | None = None):
     InvalidArgumentError naming it, and nothing is printed."""
     text = json.dumps(payload, indent=2, sort_keys=True)
     files = [(".json", text)] + ([] if csv_rows is None else [(".csv", "\n".join(csv_rows))])
-    for suffix, body in files if run.out else ():
+    out = run.get("out")
+    for suffix, body in files if out else ():
         try:
-            with open(f"{run.out}{suffix}", "w", encoding="utf-8", newline="") as fh:
+            with open(f"{out}{suffix}", "w", encoding="utf-8", newline="") as fh:
                 fh.write(body + "\n")
         except OSError as ex:
-            raise InvalidArgumentError(f"cannot write {run.out}{suffix}: {ex.strerror}") from None
+            raise InvalidArgumentError(f"cannot write {out}{suffix}: {ex.strerror}") from None
     print(text)
 
 
@@ -183,10 +178,11 @@ def _cmd_parse(run: RunConfig) -> int:
 
 
 def _cmd_integrate(run: RunConfig) -> int:
+    budget = run.budget
     cert = load_certificate(run.require("certificate"))
     terms = load_terms(run.require("terms"))
     ctx = PrimeContext(cert.prime)
-    report = check_partition(cert, run.integer("check-level", 3), ctx, budget=run.budget)
+    report = check_partition(cert, run.integer("check-level", 3), ctx, budget=budget)
     if not report.ok:
         print(json.dumps({"certificate": report.summary(),
                           "violations": [[list(pt), cells] for pt, cells
@@ -204,7 +200,7 @@ def _cmd_integrate(run: RunConfig) -> int:
     if expr is not None:
         level = run.integer("oracle-level", 6)
         oracle = riemann_integrate(parse_expr(str(expr)), cert.domain.arity,
-                                   level, ctx, domain=cert.domain, budget=run.budget)
+                                   level, ctx, domain=cert.domain, budget=budget)
         payload.update({
             "oracle_value": oracle.real_value(),
             "oracle_exact": str(oracle.value),
@@ -217,6 +213,7 @@ def _cmd_integrate(run: RunConfig) -> int:
 
 
 def _cmd_cells_check(run: RunConfig) -> int:
+    budget = run.budget
     cert = load_certificate(run.require("certificate"))
     ctx = PrimeContext(cert.prime)
     level = run.integer("level", 4)
@@ -224,8 +221,8 @@ def _cmd_cells_check(run: RunConfig) -> int:
     if functions is not None:  # a malformed description fails before any class is walked
         functions = _poly_list(functions, "--functions")
         if cert.descriptions:
-            norm_report = check_norm_description(functions, cert, level, ctx, budget=run.budget)
-    report = check_partition(cert, level, ctx, budget=run.budget)
+            norm_report = check_norm_description(functions, cert, level, ctx, budget=budget)
+    report = check_partition(cert, level, ctx, budget=budget)
     payload = {
         "partition_ok": report.ok,
         "points_tested": report.points_tested,
@@ -247,7 +244,7 @@ def _cmd_cells_check(run: RunConfig) -> int:
 
 
 def _cmd_oracle(run: RunConfig) -> int:
-    ctx = run.context
+    ctx, budget = run.context, run.budget
     expr = parse_expr(str(run.require("expr")))
     arity = run.integer("arity", 1)
     levels = run.get("level", ctx.default_level)
@@ -258,7 +255,7 @@ def _cmd_oracle(run: RunConfig) -> int:
     values = []
     result = None
     for level in level_list:
-        result = riemann_integrate(expr, arity, level, ctx, budget=run.budget)
+        result = riemann_integrate(expr, arity, level, ctx, budget=budget)
         values.append(result.value)
         rows.append(f"{level},{result.real_value()!r},{result.ambiguous_count}")
     payload = {
@@ -276,14 +273,14 @@ def _cmd_oracle(run: RunConfig) -> int:
 
 
 def _cmd_expsum(run: RunConfig) -> int:
-    ctx = run.context
+    ctx, budget, seed = run.context, run.budget, run.integer("seed", 0)
     fs = _poly_list(run.require("f"), "--f")
     grid = _grid(run.require("y"), "--y", "point")
-    warning = dominance_warning(fs, seed=run.seed)
+    warning = dominance_warning(fs, seed=seed)
     rows = ["y,re,im,abs"]
     entries = []
     for y in grid:
-        result = exp_sum(fs, y, ctx, budget=run.budget)
+        result = exp_sum(fs, y, ctx, budget=budget)
         entries.append({
             "y": [str(v) for v in y],
             "re": result.value.real,
@@ -303,11 +300,11 @@ def _cmd_expsum(run: RunConfig) -> int:
 
 
 def _cmd_kloosterman(run: RunConfig) -> int:
-    ctx = run.context
+    ctx, budget = run.context, run.budget
     fs = _poly_list(run.require("f"), "--f")
     a = _number_list(run.require("a"), int)
     m = _number_list(run.require("m"), int)
-    value = normalized_kloosterman(fs, a, m, ctx, budget=run.budget)
+    value = normalized_kloosterman(fs, a, m, ctx, budget=budget)
     payload = {"re": value.real, "im": value.imag, "abs": abs(value),
                "a": a, "m": m}
     rows = ["a,m,re,im,abs",
@@ -318,7 +315,7 @@ def _cmd_kloosterman(run: RunConfig) -> int:
 
 
 def _cmd_singular(run: RunConfig) -> int:
-    ctx = run.context
+    ctx, budget = run.context, run.budget
     fs = _poly_list(run.require("f"), "--f")
     zs = _grid(run.require("z"), "--z", "value")
     m_min = run.integer("m-min", 1)
@@ -326,7 +323,7 @@ def _cmd_singular(run: RunConfig) -> int:
     if m_max < m_min:
         raise InvalidArgumentError(f"need m-max >= m-min, got {m_min} > {m_max}")
     levels = range(m_min, m_max + 1)
-    by_level = [singular_values(fs, zs, m, ctx, budget=run.budget) for m in levels]
+    by_level = [singular_values(fs, zs, m, ctx, budget=budget) for m in levels]
     rows = ["z,m,F"]
     summary = []
     for z, values in zip(zs, map(list, zip(*by_level))):
@@ -354,19 +351,19 @@ def _fit_payload(fit) -> dict:
 
 
 def _cmd_decay(run: RunConfig) -> int:
-    ctx = run.context
+    ctx, budget, seed = run.context, run.budget, run.integer("seed", 0)
     fs = _poly_list(run.require("f"), "--f")
     m_min = run.integer("m-min", 1)
     m_max = run.integer("m-max", 4)
     dir_spec = run.get("direction")
     directions = [[Fraction(1)] * len(fs)] if dir_spec is None \
         else _grid(dir_spec, "--direction", "direction")
-    warning = dominance_warning(fs, seed=run.seed)
+    warning = dominance_warning(fs, seed=seed)
     p = ctx.p
     multi = len(directions) > 1
     rows = ["direction,m,re,im,abs,logp_abs" if multi else "m,re,im,abs,logp_abs"]
     fits = list(zip(directions, decay_fits(fs, directions, (m_min, m_max), ctx,
-                                           budget=run.budget)))
+                                           budget=budget)))
     for direction, fit in fits:
         for m, value in fit.values:
             mod = abs(value)
@@ -394,22 +391,28 @@ def _cmd_decay(run: RunConfig) -> int:
 # -- driver ------------------------------------------------------------------------
 
 
-# name: (handler, help, arguments); an argument without "--" is an optional positional
+# name: (handler, help, settings): the settings the command reads, each a flag and a
+# config key; a setting without "--" is an optional positional.  A certificate
+# carries its own prime, so integrate and cells-check take no --prime.
 COMMANDS = {
     "parse": (_cmd_parse, "echo canonical form", ("expr",)),
     "integrate": (_cmd_integrate, "closed-form tower integral vs residue oracle",
-                  ("--certificate", "--terms", "--expr", "--oracle-level", "--check-level")),
+                  ("--certificate", "--terms", "--expr", "--oracle-level", "--check-level",
+                   "--budget", "--out")),
     "cells-check": (_cmd_cells_check, "verify a decomposition certificate",
-                    ("--certificate", "--level", "--functions")),
-    "oracle": (_cmd_oracle, "brute-force Riemann sum", ("--expr", "--arity", "--level")),
-    "expsum": (_cmd_expsum, "exponential sum E(y)", ("--f", "--y")),
+                    ("--certificate", "--level", "--functions", "--budget", "--out")),
+    "oracle": (_cmd_oracle, "brute-force Riemann sum",
+               ("--expr", "--arity", "--level", "--prime", "--budget", "--out")),
+    "expsum": (_cmd_expsum, "exponential sum E(y)",
+               ("--f", "--y", "--prime", "--budget", "--seed", "--out")),
     "kloosterman": (_cmd_kloosterman, "normalized Kloosterman sum E(a, m)",
-                    ("--f", "--a", "--m")),
-    "singular": (_cmd_singular, "local singular series", ("--f", "--z", "--m-min", "--m-max")),
+                    ("--f", "--a", "--m", "--prime", "--budget", "--out")),
+    "singular": (_cmd_singular, "local singular series",
+                 ("--f", "--z", "--m-min", "--m-max", "--prime", "--budget", "--out")),
     "decay": (_cmd_decay, "decay-rate fit of |E|",
-              ("--f", "--direction", "--m-min", "--m-max")),
+              ("--f", "--direction", "--m-min", "--m-max", "--prime", "--budget", "--seed",
+               "--out")),
 }
-COMMON_FLAGS = ("--prime", "--budget", "--seed", "--out", "--config")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, text, arguments) in COMMANDS.items():
         sp = sub.add_parser(name, help=text)
-        for arg in COMMON_FLAGS + arguments:
+        for arg in ("--config",) + arguments:
             sp.add_argument(arg, nargs=None if arg.startswith("--") else "?")
     return parser
 

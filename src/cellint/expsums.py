@@ -14,11 +14,12 @@ adds the p^(nm) characters in enumeration order, pairwise within each chunk
 of oracle._CHUNK points and then over the chunk sums, so it is fixed bit for bit.
 decay_fit adds its floats left to right, as sum() did before Python 3.12.
 
-Each level is enumerated at most once per call.  _exp_sums evaluates every y
-of one level from one enumeration when their phase coefficients are unit
-multiples rho of one another (every direction of a one-polynomial decay_fits):
-the relabelled table j -> table[rho j] over the same column gives the floats
-of a separate enumeration bit for bit.  fourier_check with one polynomial
+Each level is enumerated at most once per call.  _exp_sums keys the ys of one
+level by their phase coefficients divided by the first unit among them, and
+evaluates each key from one enumeration: the ys of a key are unit multiples rho
+of one another (every direction of a one-polynomial decay_fits), and the
+relabelled table j -> table[rho j] over the same column gives the floats of a
+separate enumeration bit for bit.  fourier_check with one polynomial
 reads the value histogram off the left side's phase counts, and
 singular_values reads every z off one solution_histogram.
 """
@@ -148,41 +149,32 @@ def exp_sum(fs: Sequence[Polynomial], y: Sequence, ctx: PrimeContext,
     return _exp_sums(fs, [ys], m, arity, ctx, budget)[0]
 
 
-def _unit_ratio(row: Sequence[int], lead: Sequence[int], p: int, pm: int) -> int | None:
-    """The unit rho with row = rho * lead mod p^m componentwise, or None."""
-    i = next((i for i, c in enumerate(lead) if c % p), None)
-    if i is None or not row[i] % p:
-        return None
-    rho = row[i] * pow(lead[i], -1, pm) % pm
-    return rho if all(r == rho * c % pm for r, c in zip(row, lead)) else None
-
-
 def _exp_sums(fs: Sequence[Polynomial], yss: Sequence[Sequence[Fraction]], m: int,
               arity: int, ctx: PrimeContext, budget: int) -> list[ExpSumResult]:
     """E(y) at one level m >= 1 for each y of yss, every y of level at most m.
 
-    One enumeration serves every y whose phase coefficients are a unit rho times
-    those of an earlier y: its phase column is rho times that y's, so it adds
+    The ys are grouped by their phase row divided by its first unit entry u (a row
+    without a unit entry is its own key), so a group's rows are unit multiples of
+    its first.  One enumeration of the first row's phase serves the group: a row
+    with rho = u / u_first has rho times that phase column, so it adds
     table[rho j mod p^m] over the same column, chunk by chunk in the same order,
-    and its counts are the earlier counts relabelled j -> rho j.
+    and its counts are the first row's relabelled j -> rho j.
     """
     p = ctx.p
     check_budget(p, m, arity, budget)
     pm = p**m
     views = [_modular_view(f, pm, p) for f in fs]
     table = _character_table(pm)
-    groups: list[tuple[list[int], list[tuple[int, int]]]] = []  # (lead row, [(index, rho)])
+    groups: dict[tuple, tuple] = {}  # key -> (first row, its 1/u, [(index, rho)])
     for k, ys in enumerate(yss):
         row = _phase_coefficients(ys, m, ctx)
-        for lead, members in groups:
-            rho = _unit_ratio(row, lead, p, pm)
-            if rho is not None:
-                members.append((k, rho))
-                break
-        else:
-            groups.append((row, [(k, 1)]))
+        u = next((c for c in row if c % p), 1)  # the first unit entry, 1 if there is none
+        u_inverse = pow(u, -1, pm)
+        _, lead_inverse, members = groups.setdefault(
+            tuple(c * u_inverse % pm for c in row), (row, u_inverse, []))
+        members.append((k, u * lead_inverse % pm))
     results: list = [None] * len(yss)
-    for lead, members in groups:
+    for lead, _, members in groups.values():
         # <y p^m, f(x)> mod p^m as one integer view: the terms of each f_i times c_i * inverse_i
         phase = ([(e, c * inverse * a) for (terms, inverse), c in zip(views, lead)
                   for e, a in terms], 1)
@@ -205,16 +197,19 @@ def normalized_kloosterman(fs: Sequence[Polynomial], a: Sequence[int],
                            m: Sequence[int], ctx: PrimeContext,
                            n: int | None = None,
                            budget: int = DEFAULT_BUDGET) -> complex:
-    """E(a, m): the exponential sum at y_i = a_i * p^(-m_i), a_i prime to p."""
+    """E(a, m): the exponential sum at y_i = a_i * p^(-m_i), ints a_i prime to p and m_i >= 1."""
     if len(a) != len(fs) or len(m) != len(fs):
         raise InvalidArgumentError("a and m must have one entry per polynomial")
+    for v in (*a, *m):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise InvalidArgumentError(f"a and m must be integers, got {v!r}")
     for ai in a:
-        if math.gcd(int(ai), ctx.p) != 1:
+        if math.gcd(ai, ctx.p) != 1:
             raise InvalidArgumentError(f"a = {ai} is not prime to p = {ctx.p}")
     for mi in m:
         if mi < 1:
             raise InvalidArgumentError("levels m_i must be positive")
-    y = [Fraction(int(ai), ctx.p ** int(mi)) for ai, mi in zip(a, m)]
+    y = [Fraction(ai, ctx.p**mi) for ai, mi in zip(a, m)]
     return exp_sum(fs, y, ctx, n=n, budget=budget).value
 
 
@@ -235,8 +230,7 @@ def singular_values(fs: Sequence[Polynomial], zs: Sequence[Sequence], m: int,
     """F_m(z) for each z of zs, read off one solution histogram of f mod p^m."""
     p = ctx.p
     arity = _infer_arity(fs, n)
-    zres = [[residue(Fraction(zi), m, ctx) for zi in z] for z in zs]
-    targets = [_solution_target(fs, z, m, p) for z in zres]
+    targets = [_solution_target(fs, z, m, ctx) for z in zs]
     hist = solution_histogram(fs, m, ctx, n=arity, budget=budget)
     scale = m * (arity - len(fs))
     factor = Fraction(1, p**scale) if scale >= 0 else Fraction(p**-scale)

@@ -62,6 +62,7 @@ from .padic_core import (
     PrimeContext,
     check_budget,
     power_norm,
+    residue,
 )
 from .polynomials import Polynomial
 from .rootval import RootScaledValue
@@ -283,20 +284,19 @@ def solution_histogram(fs: Sequence[Polynomial], m: int, ctx: PrimeContext,
     return dict(hist)
 
 
-def count_solutions(fs: Sequence[Polynomial], z: Sequence[int], m: int,
+def count_solutions(fs: Sequence[Polynomial], z: Sequence, m: int,
                     ctx: PrimeContext, n: int | None = None,
                     budget: int = DEFAULT_BUDGET) -> int:
     """#{x in (Z/p^m)^n : f(x) = z mod p^m componentwise}."""
-    target = _solution_target(fs, z, m, ctx.p)
+    target = _solution_target(fs, z, m, ctx)
     return solution_histogram(fs, m, ctx, n=n, budget=budget).get(target, 0)
 
 
-def _solution_target(fs: Sequence[Polynomial], z: Sequence[int], m: int, p: int) -> tuple:
-    """z mod p^m, a key of solution_histogram; one residue per f_i."""
+def _solution_target(fs: Sequence[Polynomial], z: Sequence, m: int, ctx: PrimeContext) -> tuple:
+    """z mod p^m, a key of solution_histogram: one p-integral z_i per f_i, reduced exactly."""
     if len(z) != len(fs):
         raise InvalidArgumentError("z must have one residue per polynomial")
-    pm = p**m
-    return tuple(int(zi) % pm for zi in z)
+    return tuple(residue(zi, m, ctx) for zi in z)
 
 
 def stabilization_check(values: Sequence, levels: Sequence[int],

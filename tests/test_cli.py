@@ -1,5 +1,6 @@
 """End-to-end CLI contract: exit codes, outputs, determinism."""
 
+import argparse
 import json
 import shlex
 from fractions import Fraction
@@ -560,3 +561,102 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["level"] == 2
+
+
+# -- each command accepts only the settings it reads ---------------------------------
+
+
+def _flags(command):
+    return {"--config"} | {arg for arg in cli.COMMANDS[command][2] if arg.startswith("--")}
+
+
+def test_each_subparser_takes_config_and_its_settings_only():
+    """COMMANDS is the one list of each command's settings; --config is the one
+    flag every command takes."""
+    parser = build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)).choices
+    assert set(subparsers) == set(cli.COMMANDS)
+    slots = 0
+    for name, sub in subparsers.items():
+        flags = {flag for action in sub._actions for flag in action.option_strings
+                 if flag.startswith("--") and flag != "--help"}
+        assert flags == _flags(name)
+        slots += len(flags) + sum(1 for action in sub._actions if not action.option_strings)
+    assert slots == 54
+    reads = {flag: sorted(name for name in cli.COMMANDS if flag in _flags(name))
+             for flag in ("--prime", "--budget", "--seed", "--out")}
+    assert reads == {
+        "--prime": ["decay", "expsum", "kloosterman", "oracle", "singular"],
+        "--budget": sorted(set(cli.COMMANDS) - {"parse"}),
+        "--seed": ["decay", "expsum"],
+        "--out": sorted(set(cli.COMMANDS) - {"parse"}),
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["cells-check", "--certificate", "cert.json", "--prime", "7"],
+    ["integrate", "--certificate", "cert.json", "--terms", "terms.json", "--prime", "7"],
+    ["parse", "norm(x1)", "--out", "x"],
+    ["parse", "norm(x1)", "--budget", "10"],
+    ["parse", "norm(x1)", "--prime", "7"],
+    ["oracle", "--expr", "norm(x1)", "--seed", "1"],
+    ["singular", "--f", "x1", "--z", "1", "--seed", "1"],
+])
+def test_unread_flag_is_a_usage_error_exit_2(capsys, argv):
+    """A flag the command would never read is refused by argparse before any
+    file is read, so a certificate's prime cannot be silently overridden."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: " + argv[-2] in captured.err
+
+
+@pytest.mark.parametrize("command, lines, key", [
+    (["cells-check", "--certificate", "{cert}"], "prime=7", "prime"),
+    (["integrate", "--certificate", "{cert}", "--terms", "{terms}"], "prime=7\nseed=2", "prime"),
+    (["parse", "norm(x1)"], "out=x\nbudget=10", "budget"),
+    (["oracle", "--expr", "norm(x1)"], "seed=1\nlevel=2", "seed"),
+    (["expsum", "--f", "x1^2", "--y", "1/5"], "zeta=1\nm_min=2\nalpha=0\nprime=5", "alpha"),
+    (["decay", "--f", "x1^2"], "config=other.cfg", "config"),
+])
+def test_config_key_the_command_does_not_read_exit_1(tmp_path, capsys, command, lines, key):
+    """One error line naming the first unread key in sorted order; nothing is run."""
+    cert = write_json(tmp_path / "cert.json", ZP_CERT)
+    terms = write_json(tmp_path / "terms.json", NORM_TERMS)
+    config = tmp_path / "run.cfg"
+    config.write_text(lines + "\n", encoding="utf-8")
+    argv = [arg.format(cert=cert, terms=terms) for arg in command]
+    assert main(argv + ["--config", str(config)]) == 1
+    assert_one_error_line(capsys, f"config key '{key}' is not a setting of {command[0]}")
+
+
+def test_every_config_key_of_a_command_is_accepted(tmp_path, capsys):
+    """A config file may hold every setting the command reads, and a flag wins."""
+    config = tmp_path / "run.cfg"
+    config.write_text(f"f=x1^2\ny=1/7\nprime=7\nbudget=1000\nseed=3\n"
+                      f"out={tmp_path / 'res'}\n", encoding="utf-8")
+    assert main(["expsum", "--config", str(config), "--y", "1/49"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["level"] == 2
+    assert json.loads((tmp_path / "res.json").read_text()) == payload
+    assert main(["expsum", "--config", str(config), "--y", "1/2401"]) == 4
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+
+
+@pytest.mark.parametrize("setting, value, fragment", [
+    ("--budget", "0", "budget must be positive"),
+    ("--budget", "x", "budget='x'"),
+])
+@pytest.mark.parametrize("command", ["integrate", "cells-check"])
+def test_budget_is_checked_before_the_certificate_is_read(tmp_path, capsys, command,
+                                                         setting, value, fragment):
+    missing = str(tmp_path / "missing.json")
+    argv = [command, "--certificate", missing] + \
+        (["--terms", missing] if command == "integrate" else [])
+    assert main(argv + [setting, value]) == 1
+    assert_one_error_line(capsys, fragment)
+    assert main(argv) == 1
+    assert_one_error_line(capsys, "missing.json")

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ from cellint.expsums import (
     decay_fits,
 )
 from cellint.oracle import solution_histogram
-from cellint.padic_core import residue
+from cellint.padic_core import DEFAULT_BUDGET, residue
 from cellint.polynomials import Polynomial, eval_int_terms
 
 C3 = PrimeContext(3)
@@ -158,6 +159,18 @@ def test_kloosterman_examples():
     assert abs(abs(v) - 5 ** -0.5) < 1e-9
     with pytest.raises(ValueError):
         normalized_kloosterman([X], [5], [1], C5)
+
+
+@pytest.mark.parametrize("a, m, bad", [
+    ([Fraction(3, 2)], [1], "Fraction(3, 2)"),  # used to be the sum at a = 1
+    ([1], [1.5], "1.5"),  # used to be the sum at m = 1
+    ([True], [1], "True"),
+    ([1], [True], "True"),
+    ([2.0], [1], "2.0"),
+])
+def test_kloosterman_refuses_non_integer_a_and_m(a, m, bad):
+    with pytest.raises(InvalidArgumentError, match=f"must be integers, got {re.escape(bad)}$"):
+        normalized_kloosterman([X2], a, m, C5)
 
 
 def test_singular_series_identity_map():
@@ -453,6 +466,48 @@ def test_decay_fits_are_one_decay_fit_per_direction(problem):
         assert fit.alpha_hat == single.alpha_hat and fit.c_hat == single.c_hat
         assert fit.vanished == single.vanished
         assert fit == single
+
+
+@st.composite
+def _grouping_problem(draw):
+    """(fs, yss, ctx, n, m): r in 1-2 polynomials and ys of level at most m that mix
+    repeats, unit multiples of earlier ys and fresh ys, whose phase rows may hold
+    zero or non-unit entries."""
+    p, n, m = draw(st.sampled_from(_SIZES))
+    r = draw(st.integers(1, 2))
+    fs = [draw(_p_integral_poly(p, n)) for _ in range(r)]
+    units = st.integers(1, p * p).filter(lambda u: u % p)
+    fresh = st.lists(st.builds(lambda a, k: Fraction(a, p**k), st.integers(-30, 30),
+                               st.integers(0, m)), min_size=r, max_size=r)
+    yss = [draw(fresh)]
+    for _ in range(draw(st.integers(0, 5))):
+        earlier = draw(st.sampled_from(yss))
+        yss.append(draw(st.one_of(st.just(earlier), fresh,
+                                  units.map(lambda rho: [rho * y for y in earlier]))))
+    return fs, yss, PrimeContext(p), n, m
+
+
+@_differential
+@given(problem=_grouping_problem())
+@example(problem=([X2], [[Fraction(1, 9)], [Fraction(2, 9)], [Fraction(1, 3)], [Fraction(1, 3)],
+                         [Fraction(0)], [Fraction(0)]], C3, 1, 2))
+@example(problem=([X2, parse_poly("x2^2")], [[Fraction(1, 9), Fraction(1, 3)],
+                                              [Fraction(2, 9), Fraction(2, 3)],
+                                              [Fraction(0), Fraction(1, 3)],
+                                              [Fraction(0), Fraction(4, 3)],
+                                              [Fraction(1, 3), Fraction(0)],
+                                              [Fraction(1, 3), Fraction(0)]], C3, 2, 2))
+def test_grouped_exp_sums_are_one_exp_sum_per_y(problem):
+    """_exp_sums over many ys of one level equals one exp_sum per y, field by
+    field, with the value's float bits and the phase counts."""
+    fs, yss, ctx, n, m = problem
+    shared = expsums._exp_sums(fs, yss, m, n, ctx, DEFAULT_BUDGET)
+    singles = [exp_sum(fs, ys, ctx, n=n, level=m) for ys in yss]
+    for res, single in zip(shared, singles, strict=True):
+        assert res == single
+        assert (res.value.real.hex(), res.value.imag.hex()) == \
+            (single.value.real.hex(), single.value.imag.hex())
+        assert res.phases == single.phases
 
 
 def test_directions_share_one_enumeration_per_level(monkeypatch):

@@ -18,6 +18,7 @@ from cellint import (
     BudgetExceededError,
     InvalidArgumentError,
     NonIntegralCoefficientsError,
+    NotPIntegralError,
     PrimeContext,
     count_solutions,
     monte_carlo_integrate,
@@ -137,6 +138,17 @@ def test_count_solutions_multiplicative_on_products():
         left = count_solutions([parse_poly("x1^2")], [z1], 2, C5)
         right = count_solutions([parse_poly("x1^3 + 1")], [z2], 2, C5)
         assert joint == left * right
+
+
+def test_count_solutions_reduces_a_rational_target_exactly():
+    """z = 1/2 is 3 mod 5, no square: it used to be truncated to 0, which is one."""
+    x2 = parse_poly("x1^2")
+    assert count_solutions([x2], [Fraction(1, 2)], 1, C5) == 0
+    assert count_solutions([x2], [Fraction(1, 4)], 1, C5) == 2  # 1/4 = 4 mod 5
+    assert count_solutions([x2], [Fraction(1, 2)], 2, C5) == 0
+    assert count_solutions([parse_poly("x1")], [1.5], 2, C5) == 1  # used to count z = 1
+    with pytest.raises(NotPIntegralError):
+        count_solutions([x2], [Fraction(1, 5)], 1, C5)
 
 
 def test_count_solutions_rejects_non_integral():

@@ -1,9 +1,12 @@
-"""The README's library quick tour runs and prints what its comments say."""
+"""The README's library quick tour and command lines run as the README says."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+from cellint import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,3 +23,20 @@ def test_quick_tour_prints_its_comments():
     value, ambiguous = oracle.split()
     assert abs(float(value) - 25 / 62) < 1e-5 and int(ambiguous) >= 0
     assert abs(float(alpha_hat) - (-0.5)) <= 1e-12
+
+
+def test_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    """Every `cellint ...` line of the Command line block exits 0, run next to
+    the README's certificate and terms files."""
+    text = README.read_text(encoding="utf-8")
+    certificate, terms = re.findall(r"```json\n(.*?)```", text, re.S)
+    (tmp_path / "cert.json").write_text(certificate, encoding="utf-8")
+    (tmp_path / "terms.json").write_text(terms, encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("cellint ")]
+    assert len(lines) >= 9
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == 0, (line, capsys.readouterr())
+    capsys.readouterr()
