@@ -542,11 +542,8 @@ def check_partition(cert: DecompositionCertificate, m: int, ctx: PrimeContext,
     the domain; evaluations whose result is not constant on the whole
     residue class are counted as ambiguous (reported, never silently
     passed) but still decided at the lift.  Violations are listed in product
-    order.  Raises InvalidArgumentError for m < 1, and BudgetExceededError
-    before enumerating when p^(m*arity) exceeds the budget.
+    order.  Raises check_budget's errors for m before enumerating.
     """
-    if m < 1:
-        raise InvalidArgumentError("level m must be >= 1")
     if ctx.p != cert.prime:
         raise ValueError("context prime differs from certificate prime")
     p, arity = ctx.p, cert.domain.arity
@@ -619,13 +616,10 @@ def check_norm_description(functions: Sequence[Polynomial],
     Norms are compared exactly as elements of p^((1/n)Z) union {0} via their
     exponents.  Every certificate description entry is tested on all lifted
     cell points mod p^m (mismatches in product order per entry), settled by
-    the oracle's rule on f, delta and t - c.  Raises InvalidArgumentError for
-    m < 1, CertificateMismatchError when a description does not fit its cell
-    (_described_level), and then BudgetExceededError when p^(m*arity) exceeds
-    budget, all before enumerating.
+    the oracle's rule on f, delta and t - c.  Raises CertificateMismatchError
+    when a description does not fit its cell (_described_level), and then
+    check_budget's errors for m, all before enumerating.
     """
-    if m < 1:
-        raise InvalidArgumentError("level m must be >= 1")
     if ctx.p != cert.prime:
         raise ValueError("context prime differs from certificate prime")
     p = ctx.p

@@ -40,8 +40,8 @@ from .expsums import (
     singular_values,
 )
 from .formula_dsl import format_expr, parse_expr, parse_poly
-from .oracle import riemann_integrate, stabilization_check
-from .padic_core import DEFAULT_BUDGET, PrimeContext
+from .oracle import DEFAULT_LEVEL, _arity, riemann_integrate, stabilization_check
+from .padic_core import DEFAULT_BUDGET, PrimeContext, check_budget
 from .qexp_sum import integrate_explicit_tower
 from .rootval import RootScaledValue
 
@@ -182,7 +182,10 @@ def _cmd_integrate(run: RunConfig) -> int:
     cert = load_certificate(run.require("certificate"))
     terms = load_terms(run.require("terms"))
     ctx = PrimeContext(cert.prime)
-    report = check_partition(cert, run.integer("check-level", 3), ctx, budget=budget)
+    level, expr = run.integer("check-level", 3), run.get("expr")
+    oracle_level = level if expr is None else run.integer("oracle-level", DEFAULT_LEVEL)
+    check_budget(ctx.p, max(level, oracle_level), cert.domain.arity, budget)
+    report = check_partition(cert, level, ctx, budget=budget)
     if not report.ok:
         print(json.dumps({"certificate": report.summary(),
                           "violations": [[list(pt), cells] for pt, cells
@@ -196,11 +199,9 @@ def _cmd_integrate(run: RunConfig) -> int:
         "integrable": integrable,
         "certificate": report.summary(),
     }
-    expr = run.get("expr")
     if expr is not None:
-        level = run.integer("oracle-level", 6)
         oracle = riemann_integrate(parse_expr(str(expr)), cert.domain.arity,
-                                   level, ctx, domain=cert.domain, budget=budget)
+                                   oracle_level, ctx, domain=cert.domain, budget=budget)
         payload.update({
             "oracle_value": oracle.real_value(),
             "oracle_exact": str(oracle.value),
@@ -247,13 +248,13 @@ def _cmd_oracle(run: RunConfig) -> int:
     ctx, budget = run.context, run.budget
     expr = parse_expr(str(run.require("expr")))
     arity = run.integer("arity", 1)
-    levels = run.get("level", ctx.default_level)
-    level_list = _number_list(levels, int)
+    level_list = _number_list(run.get("level", DEFAULT_LEVEL), int)
     if not level_list:
         raise InvalidArgumentError("--level needs at least one level")
+    for level in (min(level_list), max(level_list)):  # every level admitted before any runs
+        check_budget(ctx.p, level, arity, budget)
     rows = ["level,value,ambiguous"]
     values = []
-    result = None
     for level in level_list:
         result = riemann_integrate(expr, arity, level, ctx, budget=budget)
         values.append(result.value)
@@ -322,6 +323,7 @@ def _cmd_singular(run: RunConfig) -> int:
     m_max = run.integer("m-max", 3)
     if m_max < m_min:
         raise InvalidArgumentError(f"need m-max >= m-min, got {m_min} > {m_max}")
+    check_budget(ctx.p, m_max, _arity(fs), budget)
     levels = range(m_min, m_max + 1)
     by_level = [singular_values(fs, zs, m, ctx, budget=budget) for m in levels]
     rows = ["z,m,F"]
@@ -431,8 +433,11 @@ _PARSER = build_parser()  # parse_args leaves it unchanged, so every call shares
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if cap is not None:  # exact values and literals may pass the int-str digit cap
+        sys.set_int_max_str_digits(0)
     try:
+        args = _PARSER.parse_args(argv)
         return COMMANDS[args.command][0](make_run_config(args))
     except ExprSyntaxError as ex:
         print(f"parse error: {ex}", file=sys.stderr)
@@ -443,6 +448,9 @@ def main(argv=None) -> int:
     except CellintError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 def entry():  # console-script target

@@ -1,5 +1,7 @@
 """Exponential sums, local singular series, the Fourier identity, and
-decay-rate fitting.
+decay-rate fitting, over Z_p^n for n the highest variable of the polynomials
+(at least 1): a higher n would give the same values from p^(m*extra) times more
+points.
 
 E(y) is held exactly.  Once the level m reaches -v(y) the integrand is
 constant on residue classes, so the residue sum IS the integral:
@@ -38,7 +40,7 @@ from typing import Sequence
 
 from .errors import AllVanishedError, InvalidArgumentError
 from .oracle import (
-    _infer_arity,
+    _arity,
     _modular_view,
     _values_mod,
     _solution_target,
@@ -126,8 +128,7 @@ def _required_level(ys: Sequence[Fraction], ctx: PrimeContext) -> int:
 
 
 def exp_sum(fs: Sequence[Polynomial], y: Sequence, ctx: PrimeContext,
-            n: int | None = None, level: int | None = None,
-            budget: int = DEFAULT_BUDGET) -> ExpSumResult:
+            level: int | None = None, budget: int = DEFAULT_BUDGET) -> ExpSumResult:
     """E(y) = p^(-nm) sum over x mod p^m of psi(<y, f(x)>), m = max(0, -v(y_i)).
 
     Exact as an integral over Z_p^n once m is large enough (over-refining via
@@ -139,7 +140,7 @@ def exp_sum(fs: Sequence[Polynomial], y: Sequence, ctx: PrimeContext,
     ys = tuple(Fraction(v) for v in y)
     if len(ys) != len(fs):
         raise InvalidArgumentError("y must have one component per polynomial")
-    arity = _infer_arity(fs, n)
+    arity = _arity(fs)
     required = _required_level(ys, ctx)
     m = required if level is None else level
     if m < required:
@@ -195,7 +196,6 @@ def _exp_sums(fs: Sequence[Polynomial], yss: Sequence[Sequence[Fraction]], m: in
 
 def normalized_kloosterman(fs: Sequence[Polynomial], a: Sequence[int],
                            m: Sequence[int], ctx: PrimeContext,
-                           n: int | None = None,
                            budget: int = DEFAULT_BUDGET) -> complex:
     """E(a, m): the exponential sum at y_i = a_i * p^(-m_i), ints a_i prime to p and m_i >= 1."""
     if len(a) != len(fs) or len(m) != len(fs):
@@ -209,36 +209,36 @@ def normalized_kloosterman(fs: Sequence[Polynomial], a: Sequence[int],
     for mi in m:
         if mi < 1:
             raise InvalidArgumentError("levels m_i must be positive")
+    if m:  # admitted at the largest m_i before any p^(m_i) is built
+        check_budget(ctx.p, max(m), _arity(fs), budget)
     y = [Fraction(ai, ctx.p**mi) for ai, mi in zip(a, m)]
-    return exp_sum(fs, y, ctx, n=n, budget=budget).value
+    return exp_sum(fs, y, ctx, budget=budget).value
 
 
 def singular_series(fs: Sequence[Polynomial], z: Sequence, m: int,
-                    ctx: PrimeContext, n: int | None = None,
-                    budget: int = DEFAULT_BUDGET) -> Fraction:
+                    ctx: PrimeContext, budget: int = DEFAULT_BUDGET) -> Fraction:
     """F_m(z) = p^(-m(n-r)) N_m(z): the normalized solution count of f(x) = z.
 
     For regular values this stabilizes in m; stabilization is tested by the
     caller, never assumed.
     """
-    return singular_values(fs, [z], m, ctx, n=n, budget=budget)[0]
+    return singular_values(fs, [z], m, ctx, budget=budget)[0]
 
 
 def singular_values(fs: Sequence[Polynomial], zs: Sequence[Sequence], m: int,
-                    ctx: PrimeContext, n: int | None = None,
-                    budget: int = DEFAULT_BUDGET) -> list[Fraction]:
+                    ctx: PrimeContext, budget: int = DEFAULT_BUDGET) -> list[Fraction]:
     """F_m(z) for each z of zs, read off one solution histogram of f mod p^m."""
     p = ctx.p
-    arity = _infer_arity(fs, n)
+    arity = _arity(fs)
+    check_budget(p, m, arity, budget)  # before any z mod p^m is built
     targets = [_solution_target(fs, z, m, ctx) for z in zs]
-    hist = solution_histogram(fs, m, ctx, n=arity, budget=budget)
+    hist = solution_histogram(fs, m, ctx, budget=budget)
     scale = m * (arity - len(fs))
     factor = Fraction(1, p**scale) if scale >= 0 else Fraction(p**-scale)
     return [Fraction(hist.get(target, 0)) * factor for target in targets]
 
 
 def fourier_check(fs: Sequence[Polynomial], y: Sequence, ctx: PrimeContext,
-                  n: int | None = None,
                   budget: int = DEFAULT_BUDGET) -> tuple[complex, complex, float]:
     """Both sides of E(y) = sum_z F_m(z) p^(-rm) psi(<y,z>), finitely.
 
@@ -249,9 +249,8 @@ def fourier_check(fs: Sequence[Polynomial], y: Sequence, ctx: PrimeContext,
     enumerates them.
     """
     ys = tuple(Fraction(v) for v in y)
-    arity = _infer_arity(fs, n)
     required = _required_level(ys, ctx)
-    left = exp_sum(fs, ys, ctx, n=arity, budget=budget)
+    left = exp_sum(fs, ys, ctx, budget=budget)
     lhs = left.value
     if required == 0:
         return lhs, complex(1.0, 0.0), abs(lhs - 1.0)
@@ -261,18 +260,17 @@ def fourier_check(fs: Sequence[Polynomial], y: Sequence, ctx: PrimeContext,
         inverse = pow(coeffs[0], -1, pm)
         hist = {(inverse * j % pm,): count for j, count in left.phases.items()}
     else:
-        hist = solution_histogram(fs, required, ctx, n=arity, budget=budget)
+        hist = solution_histogram(fs, required, ctx, budget=budget)
     table = _character_table(pm)
     terms = []
     for z, count in sorted(hist.items()):
         terms.append(count * table[sum(map(mul, coeffs, z)) % pm])
-    rhs = _pairwise_sum(terms) / pm**arity
+    rhs = _pairwise_sum(terms) / pm**left.n
     return lhs, rhs, abs(lhs - rhs)
 
 
 def decay_fit(fs: Sequence[Polynomial], direction: Sequence, m_range: tuple[int, int],
-              ctx: PrimeContext, n: int | None = None,
-              budget: int = DEFAULT_BUDGET) -> DecayFit:
+              ctx: PrimeContext, budget: int = DEFAULT_BUDGET) -> DecayFit:
     """Fit |E(u p^(-m))| ~ c |y|^alpha along a unit direction u, m in [m1, m2].
 
     alpha_hat is the least-squares slope of log_p|E| against m (|y| = p^m);
@@ -281,11 +279,11 @@ def decay_fit(fs: Sequence[Polynomial], direction: Sequence, m_range: tuple[int,
     are excluded and reported; if all vanish the fit is undefined
     (AllVanishedError).
     """
-    return decay_fits(fs, [direction], m_range, ctx, n=n, budget=budget)[0]
+    return decay_fits(fs, [direction], m_range, ctx, budget=budget)[0]
 
 
 def decay_fits(fs: Sequence[Polynomial], directions: Sequence[Sequence],
-               m_range: tuple[int, int], ctx: PrimeContext, n: int | None = None,
+               m_range: tuple[int, int], ctx: PrimeContext,
                budget: int = DEFAULT_BUDGET) -> list[DecayFit]:
     """decay_fit along each of the directions, every direction checked first.
 
@@ -305,8 +303,8 @@ def decay_fits(fs: Sequence[Polynomial], directions: Sequence[Sequence],
             if valuation(u, ctx) != 0:
                 raise InvalidArgumentError(f"direction component {u} is not a unit")
         uss.append(us)
-    p = ctx.p
-    arity = _infer_arity(fs, n)
+    p, arity = ctx.p, _arity(fs)
+    check_budget(p, m2, arity, budget)  # before any level is summed
     levels = range(m1, m2 + 1)
     by_level = [_exp_sums(fs, [[u * Fraction(1, p**m) for u in us] for us in uss],
                           m, arity, ctx, budget) for m in levels]
@@ -356,15 +354,14 @@ def bound_check(fit: DecayFit, slack: float = 1e-9) -> bool:
     return not bound_violations(fit, slack)
 
 
-def dominance_warning(fs: Sequence[Polynomial], n: int | None = None,
-                      seed: int = 0) -> str | None:
+def dominance_warning(fs: Sequence[Polynomial], seed: int = 0) -> str | None:
     """Heuristic Jacobian-rank check at random rational points.
 
     Returns a warning string when the Jacobian never reaches full rank r at
     the sampled points (the map is then likely not dominant); None otherwise.
     This is advisory, not a decision procedure.
     """
-    arity = _infer_arity(fs, n)
+    arity = _arity(fs)
     r = len(fs)
     if r > arity:
         return f"map has {r} components in {arity} variables; cannot be dominant"

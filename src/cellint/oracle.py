@@ -68,6 +68,7 @@ from .polynomials import Polynomial
 from .rootval import RootScaledValue
 
 _CHUNK = 4096  # points per step of _values_mod
+DEFAULT_LEVEL = 6  # the level of monte_carlo_integrate and of the CLI's oracle runs
 
 
 @dataclass
@@ -87,10 +88,14 @@ class OracleResult:
 # -- operations --------------------------------------------------------------------
 
 
-def _check_arity(carriers: Sequence[Polynomial], arity: int):
-    need = max((c.arity for c in carriers), default=0)
-    if arity < need:
-        raise InvalidArgumentError(f"arity is {arity}, but the expression needs at least {need}")
+def _arity(fs: Sequence[Polynomial], n: int | None = None) -> int:
+    """n, checked against the highest variable of fs, or that variable (at least 1)."""
+    need = max((f.arity for f in fs), default=0)
+    if n is None:
+        return need or 1
+    if n < need:
+        raise InvalidArgumentError(f"arity is {n}, but the expression needs at least {need}")
+    return n
 
 
 def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
@@ -113,13 +118,11 @@ def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
     valuation is constant (cells.settle_on_valuations); a carrier is valued only on
     the classes counted or where it is 0 mod p^j.  The budget bounds the
     p^(arity*level) classes decided, however few are visited.  Raises
-    InvalidArgumentError for level < 1 or an arity below the expression's or
-    the domain's.
+    InvalidArgumentError for an arity below the expression's or the domain's,
+    and check_budget's errors for the level.
     """
-    if level < 1:
-        raise InvalidArgumentError("level must be >= 1")
     polys = expr_carriers(e)
-    _check_arity(polys, arity)
+    _arity(polys, arity)
     p = ctx.p
     if domain is not None and domain.arity > arity:
         raise InvalidArgumentError(f"arity is {arity}, but the domain has arity {domain.arity}")
@@ -155,10 +158,10 @@ def monte_carlo_integrate(e: QExpExpr, arity: int, samples: int, seed: int,
     the integer carrier views, as riemann_integrate's classes are.  Raises
     InvalidArgumentError for level < 1.
     """
-    _check_arity(expr_carriers(e), arity)
+    _arity(expr_carriers(e), arity)
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    level = ctx.default_level if level is None else level
+    level = DEFAULT_LEVEL if level is None else level
     if level < 1:
         raise InvalidArgumentError("level m must be >= 1")
     rng = random.Random(seed)
@@ -173,14 +176,6 @@ def monte_carlo_integrate(e: QExpExpr, arity: int, samples: int, seed: int,
     mean = reduce(add, values, 0) / samples
     var = reduce(add, ((v - mean) ** 2 for v in values), 0) / (samples - 1)
     return mean, sqrt(var / samples)
-
-
-def _infer_arity(fs: Sequence[Polynomial], n: int | None) -> int:
-    """n, checked against the highest variable of fs, or that variable (at least 1)."""
-    if n is None:
-        return max((f.arity for f in fs), default=1) or 1
-    _check_arity(fs, n)
-    return n
 
 
 def _modular_view(f: Polynomial, modulus: int, p: int) -> tuple:
@@ -269,11 +264,10 @@ def _values_mod(views: Sequence[tuple], m: int, n: int, p: int) -> Iterator[list
 def solution_histogram(fs: Sequence[Polynomial], m: int, ctx: PrimeContext,
                        n: int | None = None,
                        budget: int = DEFAULT_BUDGET) -> dict[tuple[int, ...], int]:
-    """All counts N_m(z) at once, m >= 1: the histogram of f(x) mod p^m over x."""
-    if m < 1:
-        raise InvalidArgumentError("level m must be >= 1")
+    """All counts N_m(z) at once: the histogram of f(x) mod p^m over x, admitted
+    by check_budget."""
     p = ctx.p
-    n = _infer_arity(fs, n)
+    n = _arity(fs, n)
     check_budget(p, m, n, budget)
     if not fs:
         return {(): p ** (m * n)}
@@ -288,6 +282,7 @@ def count_solutions(fs: Sequence[Polynomial], z: Sequence, m: int,
                     ctx: PrimeContext, n: int | None = None,
                     budget: int = DEFAULT_BUDGET) -> int:
     """#{x in (Z/p^m)^n : f(x) = z mod p^m componentwise}."""
+    check_budget(ctx.p, m, _arity(fs, n), budget)  # before z mod p^m is built
     target = _solution_target(fs, z, m, ctx)
     return solution_histogram(fs, m, ctx, n=n, budget=budget).get(target, 0)
 

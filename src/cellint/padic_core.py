@@ -6,7 +6,7 @@ exactly, never approximated.  n-th-power cosets come in closed form from
 Z_p^x = mu_(p-1) x (1+pZ_p), decided mod p^(v_p(n)+1) (mod 2^(v_2(n)+2) at
 p = 2) without enumerating unit residues.  check_budget is the one guard on
 how many residue classes mod p^m any enumeration (oracles, certificate
-checks, exponential sums) may decide.
+checks, exponential sums) may decide, and it decides without building p^m.
 """
 
 from __future__ import annotations
@@ -57,29 +57,34 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeContext:
-    """Fixes the prime p (residue field size q = p) and a working level.
+    """Fixes the prime p (residue field size q = p).
 
     Unramified or ramified extensions are out of scope: q = p and the
     uniformizer is p itself.
     """
 
     p: int
-    default_level: int = 6
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise InvalidArgumentError(f"p = {self.p} is not prime")
-        if self.default_level < 1:
-            raise InvalidArgumentError("default_level must be >= 1")
 
 
 DEFAULT_BUDGET = 10**8
 
 
 def check_budget(p: int, level: int, arity: int, budget: int):
-    """Refuse to enumerate the p^(level*arity) residue classes of Z_p^arity
-    mod p^level when they exceed the budget."""
-    if p ** (level * arity) > budget:
+    """Admit the p^(level*arity) residue classes of Z_p^arity mod p^level, or raise
+    InvalidArgumentError for level < 1 and BudgetExceededError past the budget:
+    counted up to the budget, in at most log_p(budget) + 1 multiplications."""
+    if level < 1:
+        raise InvalidArgumentError("level m must be >= 1")
+    size = 1
+    for _ in range(level * arity):
+        if size > budget:
+            break
+        size *= p
+    if size > budget:
         raise BudgetExceededError(
             f"{p}^{level * arity} residue points exceed the budget of {budget}")
 

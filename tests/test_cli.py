@@ -3,12 +3,14 @@
 import argparse
 import json
 import shlex
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from cellint import PrimeContext, cli, parse_poly, singular_series
+from cellint import PrimeContext, cli, parse_expr, parse_poly, riemann_integrate, singular_series
 from cellint.cli import build_parser, main
 
 COSET_CERT = {
@@ -244,12 +246,87 @@ def test_cells_check_budget_exit_code_4(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("budget exceeded: 5^12 residue points")
 
 
+@pytest.mark.parametrize("argv, size", [
+    (["kloosterman", "--f", "x1^2", "--a", "1", "--m", "10000000"], "5^10000000"),
+    (["decay", "--f", "x1^2", "--m-min", "1", "--m-max", "40"], "5^40"),
+    (["decay", "--f", "x1^2", "--m-min", "10000000", "--m-max", "10000001"], "5^10000001"),
+    (["singular", "--f", "x1^2", "--z", "1", "--m-min", "1", "--m-max", "40"], "5^40"),
+    (["singular", "--f", "x1^2", "--z", "1", "--m-min", "10000000", "--m-max", "10000000"],
+     "5^10000000"),
+    (["oracle", "--expr", "norm(x1)", "--level", "4,5,1000000000000"], "5^1000000000000"),
+    (["cells-check", "--certificate", "{cert}", "--level", "1000000000000"],
+     "5^1000000000000"),
+    (["integrate", "--certificate", "{cert}", "--terms", "{terms}",
+      "--check-level", "1000000000000"], "5^1000000000000"),
+    (["integrate", "--certificate", "{cert}", "--terms", "{terms}", "--expr", "norm(x1)",
+      "--oracle-level", "1000000000000"], "5^1000000000000"),
+])
+def test_largest_level_is_refused_before_any_work(tmp_path, capsys, deadline, argv, size):
+    """A command whose largest level is over the budget exits 4 at once, naming
+    that level's size, with nothing on stdout."""
+    cert = write_json(tmp_path / "cert.json", COSET_CERT)
+    terms = write_json(tmp_path / "terms.json", {"terms": [
+        {"cell": k, "coeff": "1", "levels": [{"a": 0, "l": 0}]} for k in range(4)]})
+    deadline(2)
+    assert main([arg.format(cert=cert, terms=terms) for arg in argv]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"budget exceeded: {size} residue points exceed the budget of 100000000"]
+
+
+@contextmanager
+def no_digit_cap():
+    """Python's cap on int-str conversion digits lifted, where the interpreter has one."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
+
+
+def test_exact_values_and_literals_past_the_digit_cap(capsys):
+    """An exact value or a literal past 4300 digits is printed or read in full."""
+    assert main(["oracle", "--expr", "norm(x1)^6000", "--level", "3"]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    with no_digit_cap():
+        assert Fraction(value) == riemann_integrate(
+            parse_expr("norm(x1)^6000"), 1, 3, PrimeContext(5)).value
+    assert main(["parse", "7" * 5000 + "*norm(x1)"]) == 0
+    assert capsys.readouterr().out == "7" * 5000 + "*norm(x1)\n"
+    assert main(["expsum", "--f", "1" * 5000 + "*x1^2", "--y", "1/5"]) == 0
+    big = json.loads(capsys.readouterr().out)
+    assert main(["expsum", "--f", "x1^2", "--y", "1/5"]) == 0  # 11...1 = 1 mod 5
+    assert big == json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-str digit cap")
+@pytest.mark.parametrize("argv", [["oracle", "--expr", "norm(x1)^6000", "--level", "3"],
+                                  ["parse", "norm(x1"], ["oracle", "--level", "0"]])
+def test_main_restores_the_digit_cap(capsys, argv):
+    before = sys.get_int_max_str_digits()
+    main(argv)
+    assert sys.get_int_max_str_digits() == before
+    if before:  # the library runs under the cap again
+        with pytest.raises(ValueError):
+            int("1" * (before + 1))
+
+
 def assert_one_error_line(capsys, *fragments):
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert all(fragment in lines[0] for fragment in fragments), lines
+
+
+def test_oracle_admits_every_level_before_running_any(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "riemann_integrate", lambda *args, **kw: pytest.fail("a level ran"))
+    assert main(["oracle", "--expr", "norm(x1)", "--level", "4,0"]) == 1
+    assert_one_error_line(capsys, "level m must be >= 1")
 
 
 def test_oracle_argument_errors_exit_1(capsys):

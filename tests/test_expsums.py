@@ -128,10 +128,13 @@ def test_exp_sum_zero_direction():
     assert res.value == 1  # E(0) = 1 exactly
 
 
-def test_exp_sum_rejects_dropped_variables():
-    # x2 at n = 1 used to be dropped silently, giving psi(1/5)
-    with pytest.raises(InvalidArgumentError, match="arity is 1"):
-        exp_sum([parse_poly("x2^2")], [Fraction(1, 5)], C5, n=1)
+def test_exp_sum_takes_its_arity_from_the_highest_variable():
+    # x2 is never dropped: the sum is over Z_p^2, where x1 is a free variable
+    res = exp_sum([parse_poly("x2^2")], [Fraction(1, 5)], C5)
+    assert res.n == 2
+    one = exp_sum([X2], [Fraction(1, 5)], C5)  # the same sum over Z_p^1
+    assert res.phases == {j: 5 * c for j, c in one.phases.items()}
+    assert abs(res.value - one.value) <= 1e-15
 
 
 def test_exp_sum_keeps_exact_phase_counts():
@@ -186,8 +189,8 @@ def test_singular_series_squares():
 
 
 def test_singular_series_normalization():
-    # f(x1, x2) = x1: n - r = 1, fibers are lines: F = 1
-    assert singular_series([X], [3], 2, C5, n=2) == 1
+    # f(x1, x2) = x1 + x2: n - r = 1, fibers are lines: F = 1
+    assert singular_series([parse_poly("x1 + x2")], [3], 2, C5) == 1
 
 
 @pytest.mark.parametrize("fs,y,ctx", [
@@ -242,9 +245,12 @@ def test_bound_check_manual():
 
 def test_dominance_warning():
     assert dominance_warning([X2]) is None
-    assert dominance_warning([parse_poly("x1 + x2")], n=2) is None
-    # f = (x1, x1): rank-1 Jacobian with r = 2 cannot be dominant
-    assert dominance_warning([X, X], n=2) is not None
+    assert dominance_warning([parse_poly("x1 + x2")]) is None
+    # f = (x1 + x2, 2*x1 + 2*x2): rank-1 Jacobian with r = 2 cannot be dominant
+    assert "rank stayed at 1" in dominance_warning(
+        [parse_poly("x1 + x2"), parse_poly("2*x1 + 2*x2")])
+    # f = (x1, x1): two components in one variable
+    assert "cannot be dominant" in dominance_warning([X, X])
 
 
 # -- phase counts against the per-point complex sum -----------------------------------
@@ -302,14 +308,20 @@ def _p_integral_poly(draw, p, n):
     return Polynomial.from_coeffs(terms)
 
 
+def _top(fs):
+    """The highest variable of fs, at least 1: the arity the exp-sum layer sums over."""
+    return max((f.arity for f in fs), default=0) or 1
+
+
 @st.composite
 def _sum_problem(draw):
-    """(fs, y, ctx, n, m): r in 1-2 polynomials, y_i = a_i / p^(m_i), p^(m*n) <= 2401."""
-    p, n, m = draw(st.sampled_from(_SIZES))
+    """(fs, y, ctx, n, m): r in 1-2 polynomials in x1..xk, y_i = a_i / p^(m_i),
+    p^(m*k) <= 2401, and n their highest variable."""
+    p, k, m = draw(st.sampled_from(_SIZES))
     r = draw(st.integers(1, 2))
-    fs = [draw(_p_integral_poly(p, n)) for _ in range(r)]
+    fs = [draw(_p_integral_poly(p, k)) for _ in range(r)]
     ys = [Fraction(draw(st.integers(-30, 30)), p ** draw(st.integers(0, m))) for _ in fs]
-    return fs, ys, PrimeContext(p), n, m
+    return fs, ys, PrimeContext(p), _top(fs), m
 
 
 _differential = settings(derandomize=True, max_examples=80, deadline=None)
@@ -321,7 +333,8 @@ _differential = settings(derandomize=True, max_examples=80, deadline=None)
 @example(problem=([parse_poly("x1 + 3*x2^2")], [Fraction(2, 49)], C7, 2, 2))
 def test_exp_sum_matches_per_point_sum(problem):
     fs, ys, ctx, n, _ = problem
-    res = exp_sum(fs, ys, ctx, n=n)
+    res = exp_sum(fs, ys, ctx)
+    assert res.n == n
     if res.level == 0:
         assert res.value == 1 and not res.vanishes()
         return
@@ -331,7 +344,7 @@ def test_exp_sum_matches_per_point_sum(problem):
     assert sum(counts) == ctx.p ** (res.level * n)
     assert res.vanishes() == (not any(cyclotomic_remainder(counts, ctx.p, res.level)))
     assert res.vanishes() == (abs(brute) < 1e-13)  # the float threshold it replaces
-    lhs, rhs, diff = fourier_check(fs, ys, ctx, n=n)
+    lhs, rhs, diff = fourier_check(fs, ys, ctx)
     assert lhs == res.value and abs(rhs - brute) <= 1e-12 and diff <= 1e-12
 
 
@@ -342,7 +355,7 @@ def test_singular_series_matches_per_point_count(problem, z):
     z = z[:len(fs)]
     count = sum(1 for v in _exact_values_mod(fs, m, ctx, n)
                 if v == tuple(residue(zi, m, ctx) for zi in z))
-    assert singular_series(fs, z, m, ctx, n=n) == \
+    assert singular_series(fs, z, m, ctx) == \
         Fraction(count) / Fraction(ctx.p) ** (m * (n - len(fs)))
 
 
@@ -376,10 +389,12 @@ def per_point_exp_sum(fs, ys, m, ctx, n):
 
 @st.composite
 def _chunked_problem(draw):
-    """(fs, y, ctx, n, m) with 512 < p^(m*n) <= 20000; each f_i in x1..xk, 1 <= k <= n."""
+    """(fs, y, ctx, n, m) with 512 < p^(m*n) <= 20000; f_1 in x1..xn with xn, any
+    other f_i in x1..xk, 1 <= k <= n."""
     p, n, m = draw(st.sampled_from(_CHUNKED_SIZES))
-    fs = [draw(_p_integral_poly(p, draw(st.integers(1, n))))
-          for _ in range(draw(st.integers(1, 2)))]
+    fs = [draw(_p_integral_poly(p, n).filter(lambda f: f.arity == n))]
+    fs += [draw(_p_integral_poly(p, draw(st.integers(1, n))))
+           for _ in range(draw(st.integers(0, 1)))]
     ys = [Fraction(draw(st.integers(-30, 30)), p ** draw(st.integers(0, m))) for _ in fs]
     return fs, ys, PrimeContext(p), n, m
 
@@ -390,18 +405,19 @@ def _chunked_problem(draw):
 @example(problem=([parse_poly("x1^2 + x1*x2^3 - 2")], [Fraction(1, 81)], C3, 2, 4))
 @example(problem=([parse_poly("x1*x2 + 1/3*x2^2")], [Fraction(2, 125)], C5, 2, 3))
 @example(problem=([parse_poly("x1*x2*x3 + x3^3")], [Fraction(1, 32)], PrimeContext(2), 3, 5))
-@example(problem=([parse_poly("3/2")], [Fraction(1, 25)], C5, 0, 2))
+@example(problem=([parse_poly("3/2")], [Fraction(1, 25)], C5, 1, 2))
 @example(problem=([parse_poly("x1^2 + x2"), parse_poly("x1^3")],
                   [Fraction(1, 3), Fraction(2, 27)], C3, 2, 4))
-@example(problem=([parse_poly("x1^2 + 1")], [Fraction(1, 9)], C3, 3, 3))
+@example(problem=([parse_poly("x1^2 + x3 + 1")], [Fraction(1, 9)], C3, 3, 3))
 @example(problem=([parse_poly("x1^5 + x1")], [Fraction(1, 4)], PrimeContext(2), 1, 2))
 @example(problem=([parse_poly("x1^4*x2 + x2^3")], [Fraction(1, 3)], C3, 2, 1))
-@example(problem=([parse_poly("x1^3 + 1")], [Fraction(2, 27)], C3, 2, 3))
+@example(problem=([parse_poly("x1^3 + 1"), parse_poly("x2")], [Fraction(2, 27), Fraction(0)],
+                  C3, 2, 3))
 @example(problem=([parse_poly("x2^3")], [Fraction(2, 27)], C3, 2, 3))
 @example(problem=([parse_poly("x1*x2^2*x3 + x3^3")], [Fraction(1, 9)], C3, 3, 2))
 def test_exp_sum_is_the_per_point_loop_bit_for_bit(problem):
     fs, ys, ctx, n, m = problem
-    res = exp_sum(fs, ys, ctx, n=n, level=m)
+    res = exp_sum(fs, ys, ctx, level=m)
     value, phases = per_point_exp_sum(fs, ys, m, ctx, n)
     assert res.value == value
     assert res.phases == phases
@@ -432,17 +448,18 @@ _DECAY_SIZES = [(p, n, m2) for p in (3, 5, 7) for n in (1, 2) for m2 in (2, 3, 4
 
 @st.composite
 def _decay_problem(draw):
-    """(fs, directions, ctx, n, m2): r in 1-2 polynomials and one to four unit directions;
-    with r = 2 maybe one more, a unit multiple of the first."""
-    p, n, m2 = draw(st.sampled_from(_DECAY_SIZES))
+    """(fs, directions, ctx, n, m2): r in 1-2 polynomials in x1..xk and one to four unit
+    directions, with r = 2 maybe one more, a unit multiple of the first; n the
+    highest variable."""
+    p, k, m2 = draw(st.sampled_from(_DECAY_SIZES))
     r = draw(st.integers(1, 2))
-    fs = [draw(_p_integral_poly(p, n)) for _ in range(r)]
+    fs = [draw(_p_integral_poly(p, k)) for _ in range(r)]
     units = st.integers(1, p * p).filter(lambda u: u % p)
     directions = draw(st.lists(st.lists(units, min_size=r, max_size=r), min_size=1, max_size=4))
     if r == 2 and draw(st.booleans()):
         rho = draw(units)
         directions.append([rho * u for u in directions[0]])
-    return fs, directions, PrimeContext(p), n, m2
+    return fs, directions, PrimeContext(p), _top(fs), m2
 
 
 @_differential
@@ -453,14 +470,14 @@ def _decay_problem(draw):
 @example(problem=([X2, parse_poly("x2^2")], [[1, 2], [2, 4], [1, 1]], C3, 2, 3))  # r = 2
 @example(problem=([X], [[1], [3]], C5, 1, 2))  # every sample vanishes
 def test_decay_fits_are_one_decay_fit_per_direction(problem):
-    fs, directions, ctx, n, m2 = problem
+    fs, directions, ctx, _, m2 = problem
     try:
-        singles = [decay_fit(fs, d, (1, m2), ctx, n=n) for d in directions]
+        singles = [decay_fit(fs, d, (1, m2), ctx) for d in directions]
     except AllVanishedError:
         with pytest.raises(AllVanishedError):
-            decay_fits(fs, directions, (1, m2), ctx, n=n)
+            decay_fits(fs, directions, (1, m2), ctx)
         return
-    shared = decay_fits(fs, directions, (1, m2), ctx, n=n)
+    shared = decay_fits(fs, directions, (1, m2), ctx)
     for fit, single in zip(shared, singles, strict=True):
         assert fit.values == single.values and fit.samples == single.samples
         assert fit.alpha_hat == single.alpha_hat and fit.c_hat == single.c_hat
@@ -470,12 +487,12 @@ def test_decay_fits_are_one_decay_fit_per_direction(problem):
 
 @st.composite
 def _grouping_problem(draw):
-    """(fs, yss, ctx, n, m): r in 1-2 polynomials and ys of level at most m that mix
-    repeats, unit multiples of earlier ys and fresh ys, whose phase rows may hold
-    zero or non-unit entries."""
-    p, n, m = draw(st.sampled_from(_SIZES))
+    """(fs, yss, ctx, n, m): r in 1-2 polynomials in x1..xk and ys of level at most m
+    that mix repeats, unit multiples of earlier ys and fresh ys, whose phase rows may
+    hold zero or non-unit entries; n the highest variable."""
+    p, k, m = draw(st.sampled_from(_SIZES))
     r = draw(st.integers(1, 2))
-    fs = [draw(_p_integral_poly(p, n)) for _ in range(r)]
+    fs = [draw(_p_integral_poly(p, k)) for _ in range(r)]
     units = st.integers(1, p * p).filter(lambda u: u % p)
     fresh = st.lists(st.builds(lambda a, k: Fraction(a, p**k), st.integers(-30, 30),
                                st.integers(0, m)), min_size=r, max_size=r)
@@ -484,7 +501,7 @@ def _grouping_problem(draw):
         earlier = draw(st.sampled_from(yss))
         yss.append(draw(st.one_of(st.just(earlier), fresh,
                                   units.map(lambda rho: [rho * y for y in earlier]))))
-    return fs, yss, PrimeContext(p), n, m
+    return fs, yss, PrimeContext(p), _top(fs), m
 
 
 @_differential
@@ -502,7 +519,7 @@ def test_grouped_exp_sums_are_one_exp_sum_per_y(problem):
     field, with the value's float bits and the phase counts."""
     fs, yss, ctx, n, m = problem
     shared = expsums._exp_sums(fs, yss, m, n, ctx, DEFAULT_BUDGET)
-    singles = [exp_sum(fs, ys, ctx, n=n, level=m) for ys in yss]
+    singles = [exp_sum(fs, ys, ctx, level=m) for ys in yss]
     for res, single in zip(shared, singles, strict=True):
         assert res == single
         assert (res.value.real.hex(), res.value.imag.hex()) == \
@@ -528,7 +545,7 @@ def test_directions_share_one_enumeration_per_level(monkeypatch):
 def two_enumeration_fourier(fs, ys, ctx, n):
     """Both sides of the Fourier identity from two enumerations: exp_sum, then the
     value histogram of solution_histogram, added in sorted order."""
-    lhs = exp_sum(fs, ys, ctx, n=n).value
+    lhs = exp_sum(fs, ys, ctx).value
     m = _required_level(ys, ctx)
     if m == 0:
         return lhs, complex(1.0, 0.0), abs(lhs - 1.0)
@@ -550,4 +567,4 @@ def two_enumeration_fourier(fs, ys, ctx, n):
 @example(problem=([parse_poly("1/2*x1^2 + x2")], [Fraction(3, 7)], C7, 2, 1))
 def test_fourier_check_is_the_two_enumeration_computation(problem):
     fs, ys, ctx, n, _ = problem
-    assert fourier_check(fs, ys, ctx, n=n) == two_enumeration_fourier(fs, ys, ctx, n)
+    assert fourier_check(fs, ys, ctx) == two_enumeration_fourier(fs, ys, ctx, n)

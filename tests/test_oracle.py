@@ -33,7 +33,7 @@ from cellint import (
 from cellint.cells import Bound, CellLevel, CellTower, CosetSpec, MembershipPlan
 from cellint import cells, oracle
 from cellint.formula_dsl import carrier_valuations, compile_expr, expr_carriers
-from cellint.oracle import _CHUNK, _modular_view, _values_mod, eval_poly_mod
+from cellint.oracle import DEFAULT_LEVEL, _CHUNK, _modular_view, _values_mod, eval_poly_mod
 from cellint.padic_core import residue
 from cellint.polynomials import Polynomial
 from cellint.rootval import RootScaledValue
@@ -108,7 +108,7 @@ def test_monte_carlo_constant_and_determinism():
 def test_monte_carlo_is_the_carrier_valuations_loop(text, arity, level):
     """The integer carrier views give the samples of Polynomial.eval, bit for bit."""
     e, seed, samples = parse_expr(text), 11, 2000
-    rng, level_used = random.Random(seed), C5.default_level if level is None else level
+    rng, level_used = random.Random(seed), DEFAULT_LEVEL if level is None else level
     run, valuations = compile_expr(e, C5, level_used), carrier_valuations(e, C5)
     values = []
     for _ in range(samples):
@@ -215,7 +215,7 @@ def test_riemann_arity_and_level_errors():
             riemann_integrate(parse_expr(e), arity, 2, C5)
         with pytest.raises(InvalidArgumentError):
             monte_carlo_integrate(parse_expr(e), arity, 10, 0, C5)
-    with pytest.raises(ValueError, match="level must be >= 1"):  # still a ValueError
+    with pytest.raises(ValueError, match="level m must be >= 1"):  # still a ValueError
         riemann_integrate(parse_expr("norm(x1)"), 1, 0, C5)
 
 

@@ -1,5 +1,6 @@
 """Valuation arithmetic, n-th power decisions, and shell measures."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from cellint import (
     INF,
+    BudgetExceededError,
+    InvalidArgumentError,
     NotPIntegralError,
     PrimeContext,
     ZeroCosetError,
@@ -26,7 +29,7 @@ from cellint import (
     valuation,
 )
 from cellint.cells import CellLevel, CellTower, CosetSpec, MembershipPlan
-from cellint.padic_core import unit_part
+from cellint.padic_core import check_budget, unit_part
 from cellint.polynomials import Polynomial
 
 C2 = PrimeContext(2)
@@ -85,8 +88,7 @@ def test_primality_gate():
     assert is_prime(2) and is_prime(97) and not is_prime(1) and not is_prime(91)
     with pytest.raises(ValueError):
         PrimeContext(6)
-    with pytest.raises(ValueError):
-        PrimeContext(5, default_level=0)
+    assert [f.name for f in dataclasses.fields(PrimeContext)] == ["p"]  # the prime alone
 
 
 def test_valuation_examples():
@@ -303,3 +305,35 @@ def test_ultrametric_random():
         y = Fraction(rng.randint(-200, 200), rng.randint(1, 50))
         assert ultrametric_holds(x, y, C5)
         assert ultrametric_holds(x, y, C2)
+
+
+# -- the admission rule of every enumeration ----------------------------------------
+
+
+def test_check_budget_refuses_exactly_past_the_size():
+    """check_budget refuses exactly when level < 1 or p^(level*arity) > budget, at
+    budgets on both sides of every power of p it can meet."""
+    for p in (2, 3, 5, 7):
+        for level in range(-1, 13):
+            for arity in range(4):
+                for k in range(12 * 3 + 2):
+                    for budget in (p**k - 1, p**k, p**k + 1):
+                        if level < 1:
+                            with pytest.raises(InvalidArgumentError,
+                                               match="level m must be >= 1"):
+                                check_budget(p, level, arity, budget)
+                        elif p ** (level * arity) > budget:
+                            with pytest.raises(BudgetExceededError, match=(
+                                    f"^{p}\\^{level * arity} residue points exceed "
+                                    f"the budget of {budget}$")):
+                                check_budget(p, level, arity, budget)
+                        else:
+                            assert check_budget(p, level, arity, budget) is None
+
+
+def test_check_budget_never_builds_the_size(deadline):
+    """5^(2*10^18) has more digits than any machine holds: the refusal must come
+    from counting up to the budget."""
+    deadline(2)
+    with pytest.raises(BudgetExceededError, match="^5\\^2000000000000000000 residue"):
+        check_budget(5, 10**18, 2, 10**8)
