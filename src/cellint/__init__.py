@@ -82,6 +82,7 @@ from .oracle import (
     count_solutions,
     monte_carlo_integrate,
     riemann_integrate,
+    riemann_sums,
     solution_histogram,
     stabilization_check,
 )

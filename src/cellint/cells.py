@@ -22,7 +22,11 @@ MembershipPlan.member_of plans a single tower.  The checks walk the
 digit-tree kernel refine_classes, which settles a class r mod p^j (all its
 p^(n(m-j)) lifts at once) when every test is unambiguous on it and (one
 rule, settle_on_valuations) every view read has a constant valuation on it;
-_tally tallies the settled classes.  The budget counts all p^(m*n) classes.
+_tally tallies the settled classes.  Given listed depths below its level, the
+walk also yields the leaves a walk to each of them keys there, so one walk
+serves several levels (oracle.riemann_sums).  The budget counts all p^(m*n)
+classes.  The classes see only the domain's points, so check_partition also
+asks the plan which cells reach outside the domain (MembershipPlan.outside).
 """
 
 from __future__ import annotations
@@ -285,6 +289,7 @@ class MembershipPlan:
         self._views: dict = {}
         self._diffs: dict = {}
         self._levels: dict = {}
+        self._windows: dict = {}  # test of a nonempty explicit level -> (view of t - c, window)
 
     def view(self, poly: Polynomial) -> _Carrier:
         view = self._views.get(poly)
@@ -315,6 +320,9 @@ class MembershipPlan:
         is taken once per class and order n (_Carrier.unit_power).  The bounds
         narrow a window lo <= v(t - c) <= hi, nonzero constants at plan time; a
         zero constant ends the fold (alpha first), and fails the level ambiguously.
+        A level whose bounds are all nonzero constants (explicit) keeps its
+        window of admitted v(t - c) for outside, _POINT for a point level, and
+        none when it admits no valuation.
         """
         p, lam, n = self.ctx.p, level.coset.lam, level.coset.n
         diff = self.diff(index, level.center)
@@ -323,6 +331,7 @@ class MembershipPlan:
             def point_test(point: Sequence[int], at: int) -> tuple[bool, bool]:
                 v = read(point)
                 return v is INF, v >= at  # v + M > at with M = 1
+            self._windows[point_test] = diff, _POINT
             return point_test
         unit_power, hensel = diff.unit_power, hensel_level(n, p)
         exponent, power_level, _ = _power_test(n, p)
@@ -366,7 +375,15 @@ class MembershipPlan:
             if zero or v is INF or (k - vlam) % n:  # past the window, a zero bound is ambiguous
                 return False, ambiguous or zero
             return unit_power(n, exponent, modulus) * c_lam % modulus == 1, ambiguous
+        first = lo if lo == -INF else lo + (vlam - lo) % n  # the least and greatest k admitted
+        last = hi if hi == INF else hi - (hi - vlam) % n
+        if not reads and not zero and first <= last:
+            self._windows[test] = diff, (first, last, vlam % n, n)
         return test
+
+    def tests_of(self, tower: CellTower) -> list[Callable]:
+        """The planned test of each level of a tower."""
+        return [self._level(i, level) for i, level in enumerate(tower.levels)]
 
     def member_of(self, tower: CellTower) -> Callable[[Sequence[int], int], tuple[bool, bool]]:
         """Plan a tower on this plan: (integer point, level) -> (member, ambiguous).
@@ -378,7 +395,7 @@ class MembershipPlan:
         once cleared, or a bound vanishes.  Levels after the first that fails
         are not tested.
         """
-        tests = [self._level(i, level) for i, level in enumerate(tower.levels)]
+        tests = self.tests_of(tower)
 
         def member_of(point: Sequence[int], at: int) -> tuple[bool, bool]:
             ambiguous = False
@@ -396,18 +413,18 @@ class MembershipPlan:
         restrict nothing."""
         return None if domain is None or isinstance(domain, BoxDomain) else self.member_of(domain)
 
-    def owners_of(self, towers: Sequence[CellTower]) -> Callable[[Sequence[int], int], tuple]:
-        """(integer point, level) -> (indices of the towers holding it, ambiguous).
+    def owners_of(self, towers: Sequence[list]) -> Callable[[Sequence[int], int], tuple]:
+        """(integer point, level) -> (indices of the towers holding it, ambiguous),
+        for towers planned by tests_of.
 
         The towers are merged into a tree of level tests, so a level shared by
         the towers' common prefix is tested once; ambiguous is the or of every
         test made, which is the or of member_of's flags over the towers.
         """
         root: tuple[dict, list] = ({}, [])
-        for idx, tower in enumerate(towers):
+        for idx, tests in enumerate(towers):
             children, owners = root
-            for i, level in enumerate(tower.levels):
-                test = self._level(i, level)
+            for test in tests:
                 children, owners = children.setdefault(test, ({}, []))
             owners.append(idx)
 
@@ -426,27 +443,82 @@ class MembershipPlan:
 
         return owners_of
 
+    def outside(self, domain: Domain, towers: Sequence[list]) -> list[int]:
+        """The indices of the towers, planned by tests_of, that reach outside the
+        domain: decided exactly, at no level, on towers explicit at every level.
+
+        Such a tower is empty iff some level admits no valuation (it keeps no
+        window); otherwise each level has points of every admitted v(t - c)
+        above every prefix in the tower, so one level admitting a valuation
+        that the domain's level excludes puts a point outside the domain.
+        Over the box, a level about a p-integral centre excludes v(t - c) < 0;
+        over a tower, a level is compared with the domain's explicit level of
+        the same centre (the same view of t - c).  Other centres, polynomial
+        domain bounds and the unit parts of cosets are left to the classes.
+        """
+        if isinstance(domain, BoxDomain):
+            def excludes(i, diff, window):
+                return window is not _POINT and not diff.vden and not _within(window, _INTEGRAL)
+        else:
+            outer = [self._windows.get(test) for test in self.tests_of(domain)]
+
+            def excludes(i, diff, window):
+                return outer[i] is not None and outer[i][0] is diff \
+                    and not _within(window, outer[i][1])
+        outside = []
+        for idx, tests in enumerate(towers):
+            windows = [self._windows.get(test) for test in tests]
+            if None not in windows and any(excludes(i, *window)  # skip an empty tower too
+                                           for i, window in enumerate(windows)):
+                outside.append(idx)
+        return outside
+
+
+# A window (first, last, residue, n) holds the valuations k = v(t - c) a level
+# admits: first <= k <= last (either may be infinite) and k = residue mod n.
+_POINT = (INF, INF, 0, 0)  # the point level t = c
+_INTEGRAL = (0, INF, 0, 1)  # k >= 0: t in Z_p about a p-integral centre
+
+
+def _within(inner: tuple, outer: tuple) -> bool:
+    """Whether every valuation the window inner admits is admitted by outer."""
+    first, last, residue, n = inner
+    lo, hi, outer_residue, outer_n = outer
+    if not n or not outer_n:
+        return n == outer_n  # a point only within a point
+    if first == last:  # one valuation
+        return lo <= first <= hi and (first - outer_residue) % outer_n == 0
+    return lo <= first and last <= hi and n % outer_n == 0 \
+        and (residue - outer_residue) % outer_n == 0
+
 
 def refine_classes(p: int, level: int, arity: int, classify: Callable,
-                   member_of: Callable | None = None) -> Iterator[tuple]:
+                   member_of: Callable | None = None, depths=()) -> Iterator[tuple]:
     """Settle the classes r mod p^j of Z_p^arity, depth first, one p-adic digit at a time.
 
     A class that member_of (a membership plan) finds ambiguous is split, one
     outside it is settled with the key (None, ambiguous); classify(r, j,
-    ambiguous) keys all p^(arity*(level-j)) lifts of the others, or returns
-    None to split r into r + p^j*d (never at j = level).  Yields (key, r, j).
+    ambiguous, level) keys all p^(arity*(level-j)) lifts of the others, or
+    returns None to split r into r + p^j*d (never at j = level).  Yields
+    (key, r, j, True) for a settled class, which a walk to any level m >= j
+    settles alike.  At a depth j in depths below the level, a class about to
+    be split is first yielded as (key, r, j, False), a leaf of a walk to j
+    only, keyed as that walk keys it: classify(r, j, ambiguous, j), or (None,
+    ambiguous) outside member_of.
     """
     digits = list(itertools.product(range(p), repeat=arity))
     stack = [((0,) * arity, 0)]
     while stack:
         r, j = stack.pop()
         member, amb = (True, False) if member_of is None else member_of(r, j)
-        key = None if amb and j < level else classify(r, j, amb) if member else (None, amb)
+        key = None if amb and j < level else classify(r, j, amb, level) if member else (None, amb)
         if key is None:
+            if j in depths:
+                yield (classify(r, j, amb, j) if member else (None, amb)), r, j, False
             pj = p**j
             stack.extend((tuple(x + pj * d for x, d in zip(r, ds)), j + 1) for ds in digits)
         else:
-            yield key, r, j
+            yield key, r, j, True
 
 
 def valuation_key(views: Sequence[_Carrier], point: Sequence[int]) -> tuple:
@@ -456,10 +528,10 @@ def valuation_key(views: Sequence[_Carrier], point: Sequence[int]) -> tuple:
                   for view in views])
 
 
-def settle_on_valuations(views: Sequence[_Carrier], level: int) -> Callable:
+def settle_on_valuations(views: Sequence[_Carrier]) -> Callable:
     """refine_classes' classify over carrier views: below the level, split a class
     unless every view's constant_on holds; key a settled one by valuation_key."""
-    def classify(r, j, amb):
+    def classify(r, j, amb, level):
         if j < level and not all(view.constant_on(r, j) for view in views):
             return None
         return valuation_key(views, r), amb
@@ -471,7 +543,7 @@ def _tally(p: int, m: int, arity: int, classify: Callable, member_of: Callable |
     """Walk refine_classes over the member classes: (points, ambiguous points,
     the sorted (lift, key) of every lift of a class whose key flag(key) marks)."""
     points, ambiguous, flagged = 0, 0, []
-    for (key, amb), r, j in refine_classes(p, m, arity, classify, member_of):
+    for (key, amb), r, j, _ in refine_classes(p, m, arity, classify, member_of):
         if key is None:
             continue
         size = p ** (arity * (m - j))
@@ -527,10 +599,13 @@ class PartitionReport:
     violations: list[tuple[tuple[int, ...], list[int]]]
     ambiguous_points: int
     points_tested: int
+    outside: list[int] = field(default_factory=list)  # cells reaching outside the domain
 
     def summary(self) -> str:
-        status = "ok" if self.ok else f"{len(self.violations)} violation(s)"
-        return (f"partition check: {status}, {self.points_tested} points, "
+        status = ", ".join(
+            ([f"{len(self.violations)} violation(s)"] if self.violations else [])
+            + ([f"{len(self.outside)} cell(s) outside the domain"] if self.outside else []))
+        return (f"partition check: {status or 'ok'}, {self.points_tested} points, "
                 f"{self.ambiguous_points} ambiguous")
 
 
@@ -550,17 +625,20 @@ def check_partition(cert: DecompositionCertificate, m: int, ctx: PrimeContext,
     check_budget(p, m, arity, budget)
     plan = MembershipPlan(ctx)
     domain = plan.domain_of(cert.domain)
-    owners_of = plan.owners_of(cert.cells)
+    towers = [plan.tests_of(tower) for tower in cert.cells]
+    owners_of = plan.owners_of(towers)
 
-    def classify(r, j, _):
+    def classify(r, j, _, level):
         owners, ambiguous = owners_of(r, j)
-        return None if ambiguous and j < m else (owners, ambiguous)
+        return None if ambiguous and j < level else (owners, ambiguous)
 
     total, ambiguous_points, lifts = _tally(p, m, arity, classify, domain,
                                             lambda owners: len(owners) != 1)
     violations = [(pt, list(owners)) for pt, owners in lifts]
-    return PartitionReport(ok=not violations, violations=violations,
-                           ambiguous_points=ambiguous_points, points_tested=total)
+    outside = plan.outside(cert.domain, towers)
+    return PartitionReport(ok=not violations and not outside, violations=violations,
+                           ambiguous_points=ambiguous_points, points_tested=total,
+                           outside=outside)
 
 
 def _described_level(desc: NormDescription, functions: Sequence[Polynomial],
@@ -644,7 +722,7 @@ def check_norm_description(functions: Sequence[Polynomial],
                 return lhs, INF
             return lhs, Fraction(vd) + Fraction(desc.a * (k - vlam), level.coset.n)
 
-        points, amb_points, lifts = _tally(p, m, tower.arity, settle_on_valuations(views, m),
+        points, amb_points, lifts = _tally(p, m, tower.arity, settle_on_valuations(views),
                                            plan.member_of(tower), lambda key: ne(*sides(*key)))
         checked, ambiguous = checked + points, ambiguous + amb_points
         mismatches.extend((pt, *sides(*key)) for pt, key in lifts)

@@ -40,7 +40,7 @@ from .expsums import (
     singular_values,
 )
 from .formula_dsl import format_expr, parse_expr, parse_poly
-from .oracle import DEFAULT_LEVEL, _arity, riemann_integrate, stabilization_check
+from .oracle import DEFAULT_LEVEL, _arity, riemann_integrate, riemann_sums, stabilization_check
 from .padic_core import DEFAULT_BUDGET, PrimeContext, check_budget
 from .qexp_sum import integrate_explicit_tower
 from .rootval import RootScaledValue
@@ -177,6 +177,12 @@ def _cmd_parse(run: RunConfig) -> int:
     return 0
 
 
+def _outside_payload(report) -> dict:
+    """The cells that reach outside the domain, a violation of their own kind;
+    nothing when there are none."""
+    return {"outside_domain": report.outside} if report.outside else {}
+
+
 def _cmd_integrate(run: RunConfig) -> int:
     budget = run.budget
     cert = load_certificate(run.require("certificate"))
@@ -189,7 +195,8 @@ def _cmd_integrate(run: RunConfig) -> int:
     if not report.ok:
         print(json.dumps({"certificate": report.summary(),
                           "violations": [[list(pt), cells] for pt, cells
-                                         in report.violations[:20]]},
+                                         in report.violations[:20]],
+                          **_outside_payload(report)},
                          indent=2, sort_keys=True), file=sys.stderr)
         return 3
     value, integrable = integrate_explicit_tower(terms, cert, ctx)
@@ -229,6 +236,7 @@ def _cmd_cells_check(run: RunConfig) -> int:
         "points_tested": report.points_tested,
         "ambiguous_points": report.ambiguous_points,
         "violations": [[list(pt), cells] for pt, cells in report.violations[:50]],
+        **_outside_payload(report),
     }
     ok = report.ok
     if norm_report is not None:
@@ -251,24 +259,20 @@ def _cmd_oracle(run: RunConfig) -> int:
     level_list = _number_list(run.get("level", DEFAULT_LEVEL), int)
     if not level_list:
         raise InvalidArgumentError("--level needs at least one level")
-    for level in (min(level_list), max(level_list)):  # every level admitted before any runs
-        check_budget(ctx.p, level, arity, budget)
-    rows = ["level,value,ambiguous"]
-    values = []
-    for level in level_list:
-        result = riemann_integrate(expr, arity, level, ctx, budget=budget)
-        values.append(result.value)
-        rows.append(f"{level},{result.real_value()!r},{result.ambiguous_count}")
+    results = riemann_sums(expr, arity, level_list, ctx, budget=budget)
+    rows = ["level,value,ambiguous"] + [
+        f"{result.level},{result.real_value()!r},{result.ambiguous_count}" for result in results]
+    result = results[-1]
     payload = {
         "value": str(result.value),
         "real_value": result.real_value(),
         "level": result.level,
         "ambiguous": result.ambiguous_count,
     }
-    if len(values) >= 3:
+    if len(results) >= 3:
         payload["stabilizing"] = stabilization_check(
-            [v.as_exact_rational() if isinstance(v, RootScaledValue) else Fraction(v)
-             for v in values], level_list, ctx)
+            [r.value.as_exact_rational() if isinstance(r.value, RootScaledValue)
+             else Fraction(r.value) for r in results], level_list, ctx)
     _emit(payload, run, rows)
     return 0
 

@@ -27,19 +27,28 @@ level's t - c(x) is evaluated once per class, and a carrier is valued, or its
 Taylor coefficients read, only on the classes settled or where it is 0 mod
 p^j (or a test reads it).  The budget counts all p^(level*n) classes.
 
+A multi-level oracle walks once.  Neither the domain test nor constant_on
+reads the level, so a class settled at depth j is settled, with the same
+key, in a walk to any level m >= j, where it holds p^(n(m-j)) classes.
+riemann_sums walks to the largest level listed, tallies the settled classes
+per key and depth, and a listed lower level m also tallies its own leaves:
+the classes a walk to m keys at depth m that this walk splits further.
+Each level's riemann_integrate then reads the shared tally with its own
+compile_expr, whose zero carriers and ambiguity flag read the level.
+
 _values_mod is the one enumeration of (Z/p^m)^n under a polynomial map.  It
 reads each f through the same integer view (Polynomial.cleared), with the
 cleared denominator inverted mod p^m once per polynomial, and walks the
 points a column at a time, by difference tables: eval_poly_mod folds each
 prefix x_1..x_(n-1) into one coefficient per power of the last variable,
-evaluates the first d + 1 of the p^m values of x_n by Horner and the rest by
-running sums of their differences; for n >= 2 and p^m <= _CHUNK the columns
-along x_(n-1) are likewise sums of difference columns.  Every value is an
-exact integer reduced mod p^m, so the values are those of the per-point
-loop, and they come out in itertools.product order, a chunk of _CHUNK
-points at a time.  solution_histogram counts them, count_solutions looks one
-count up there, and exp_sum counts the phases of <y, f(x)> along the same
-enumeration.
+evaluates the first d + 1 of the p^m values of x_n by Horner, reduced mod
+p^m at every step, and the rest by running sums of their differences; for
+n >= 2 and p^m <= _CHUNK the columns along x_(n-1) are likewise sums of
+difference columns.  Every value is an exact integer reduced mod p^m, so the
+values are those of the per-point loop, and they come out in
+itertools.product order, a chunk of _CHUNK points at a time.
+solution_histogram counts them, count_solutions looks one count up there,
+and exp_sum counts the phases of <y, f(x)> along the same enumeration.
 """
 
 from __future__ import annotations
@@ -100,7 +109,7 @@ def _arity(fs: Sequence[Polynomial], n: int | None = None) -> int:
 
 def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
                       domain: Domain | None = None,
-                      budget: int = DEFAULT_BUDGET) -> OracleResult:
+                      budget: int = DEFAULT_BUDGET, *, walk: tuple | None = None) -> OracleResult:
     """Riemann sum over all residue classes mod p^level of Z_p^arity.
 
     Each class contributes p^(-arity*level) times the integrand value at its
@@ -118,21 +127,21 @@ def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
     valuation is constant (cells.settle_on_valuations); a carrier is valued only on
     the classes counted or where it is 0 mod p^j.  The budget bounds the
     p^(arity*level) classes decided, however few are visited.  Raises
-    InvalidArgumentError for an arity below the expression's or the domain's,
-    and check_budget's errors for the level.
+    check_budget's errors for the level, then InvalidArgumentError for an
+    arity below the expression's or the domain's.  walk is the tally of a
+    walk that listed the level, which riemann_sums shares between its
+    levels; by default, a walk to level.
     """
-    polys = expr_carriers(e)
-    _arity(polys, arity)
-    p = ctx.p
-    if domain is not None and domain.arity > arity:
-        raise InvalidArgumentError(f"arity is {arity}, but the domain has arity {domain.arity}")
-    check_budget(p, level, arity, budget)
-    run = compile_expr(e, ctx, level)
-    plan = MembershipPlan(ctx)
-    classify = settle_on_valuations([plan.view(f) for f in polys], level)
-    counts: dict = {}
-    for key, r, j in refine_classes(p, level, arity, classify, plan.domain_of(domain)):
-        counts[key] = counts.get(key, 0) + p ** (arity * (level - j))
+    settled, leaves = walk or _walk(e, arity, [level], ctx, domain, budget)
+    p, run = ctx.p, compile_expr(e, ctx, level)
+    counts = dict(leaves[level])
+    width = p**arity
+    for key, row in settled.items():
+        count = 0  # sum_j row[j] * p^(arity*(level-j)), by Horner
+        for c in row[:level + 1]:
+            count = count * width + c
+        if count:
+            counts[key] = counts.get(key, 0) + count
     ambiguous = sum(count for key, count in counts.items() if key[1])
     total: ExactValue = Fraction(0)
     for (valuations, amb), count in counts.items():
@@ -146,6 +155,53 @@ def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
     if isinstance(value, RootScaledValue) and value.is_rational():
         value = value.as_exact_rational()
     return OracleResult(value=value, level=level, ambiguous_count=ambiguous)
+
+
+def riemann_sums(e: QExpExpr, arity: int, levels: Sequence[int], ctx: PrimeContext,
+                 domain: Domain | None = None,
+                 budget: int = DEFAULT_BUDGET) -> list[OracleResult]:
+    """riemann_integrate at each of levels, in order and repeats included, from
+    one walk of the digit tree to the largest (_walk).  Every level is
+    admitted before the walk; an empty list is an InvalidArgumentError."""
+    walk = _walk(e, arity, levels, ctx, domain, budget)
+    sums = {m: riemann_integrate(e, arity, m, ctx, domain, budget, walk=walk)
+            for m in dict.fromkeys(levels)}
+    return [sums[m] for m in levels]
+
+
+def _walk(e: QExpExpr, arity: int, levels: Sequence[int], ctx: PrimeContext,
+          domain: Domain | None, budget: int) -> tuple[dict, dict]:
+    """One walk of refine_classes to the largest of levels, tallied for each
+    (see the module docstring): (settled, leaves), settled[key][j] counting
+    the classes settled at depth j, keys in the order found, and
+    leaves[m][key] the leaves of a listed level m (none at the largest).
+    check_budget admits the smallest and the largest level, then the arity
+    is checked."""
+    if not levels:
+        raise InvalidArgumentError("need at least one level")
+    p = ctx.p
+    for level in (min(levels), max(levels)):
+        check_budget(p, level, arity, budget)
+    polys = expr_carriers(e)
+    _arity(polys, arity)
+    if domain is not None and domain.arity > arity:
+        raise InvalidArgumentError(f"arity is {arity}, but the domain has arity {domain.arity}")
+    top = max(levels)
+    leaves: dict = {m: {} for m in levels}
+    plan = MembershipPlan(ctx)
+    classify = settle_on_valuations([plan.view(f) for f in polys])
+    settled: dict = {}
+    for key, r, j, whole in refine_classes(p, top, arity, classify, plan.domain_of(domain),
+                                           leaves.keys() - {top}):
+        if whole:
+            row = settled.get(key)
+            if row is None:
+                row = settled[key] = [0] * (top + 1)
+            row[j] += 1
+        else:
+            tally = leaves[j]
+            tally[key] = tally.get(key, 0) + 1
+    return settled, leaves
 
 
 def monte_carlo_integrate(e: QExpExpr, arity: int, samples: int, seed: int,
@@ -197,21 +253,22 @@ def _degree(terms, i: int) -> int:
 def eval_poly_mod(view: tuple, prefix: tuple, block: range, modulus: int) -> list[int]:
     """f(prefix, t) mod modulus for each t in block, a range of step 1, from f's
     _modular_view.  The prefix x_1..x_(n-1) is folded into one integer
-    coefficient per power of the last variable x_n, of degree d; Horner gives
-    the first d + 1 values, and the rest come from their forward differences
-    at block[0] by d nested running sums: additions and one reduction per
-    value.  A block of at most d + 1 values is returned from Horner."""
+    coefficient per power of the last variable x_n, of degree d, by powers
+    mod modulus; Horner gives the first d + 1 values, reduced at every step,
+    and the rest come from their forward differences at block[0] by d nested
+    running sums: additions and one reduction per value.  A block of at most
+    d + 1 values is returned from Horner."""
     terms, inverse = view
     last = len(prefix)  # the index of x_n
     coeffs = [0] * (1 + _degree(terms, last))
     for e, c in terms:
-        coeffs[-1 - (e[last] if last < len(e) else 0)] += c * prod(map(pow, prefix, e))
+        power = prod(map(pow, prefix, e, itertools.repeat(modulus)))
+        coeffs[-1 - (e[last] if last < len(e) else 0)] += c * power
     lead, *rest = [c * inverse % modulus for c in coeffs]
     head = block[:len(coeffs)]
     values = [lead] * len(head)
     for c in rest:
-        values = [v * t + c for v, t in zip(values, head)]
-    values = [v % modulus for v in values]
+        values = [(v * t + c) % modulus for v, t in zip(values, head)]
     if len(block) <= len(coeffs):
         return values
     seeds = [values[0]]  # the differences of orders 0..d at block[0]

@@ -296,6 +296,36 @@ def test_partition_low_precision_is_ambiguous():
     assert report.ambiguous_points > 0
 
 
+def test_a_cell_reaching_outside_the_box_is_refused_at_every_level():
+    """{|t| < |5^(-6)|} and the point 0 cover Z_5 exactly once at every level m,
+    but the first cell also holds every t with -5 <= v(t) < 0."""
+    wide = one_level(upper=bound(Fraction(1, 5**6)))
+    cert = DecompositionCertificate(5, BoxDomain(1), (wide, point_cell(0)))
+    assert check_partition(cert, 1, C5).outside == [0]
+    for m in (1, 3, 6):
+        report = check_partition(cert, m, C5)
+        assert (report.ok, report.violations, report.outside) == (False, [], [0])
+        assert report.summary().startswith("partition check: 1 cell(s) outside the domain, ")
+    inside = DecompositionCertificate(5, BoxDomain(1), (zp_nonzero_cell(), point_cell(0)))
+    assert check_partition(inside, 3, C5).ok
+
+
+def test_cells_outside_a_tower_domain_compare_windows_and_residues():
+    """Over the tower {|t - 1| <= 1, t - 1 in P_2} (v(t - 1) even and >= 0), a
+    level of the same centre must admit only even valuations >= 0, and a point
+    level t = 1 lies outside it; a level about another centre is left to the
+    check on classes."""
+    domain = one_level(1, upper=bound(1, strict=False), n=2)
+    cells = (one_level(1, upper=bound(1, strict=False), lam=25, n=4),  # v = 2 mod 4: inside
+             one_level(1, upper=bound(1, strict=False), lam=5, n=2),  # odd valuations
+             one_level(1, upper=bound(Fraction(1, 25), strict=False), n=2),  # v >= -2
+             point_cell(1),
+             one_level(1, lower=bound(1), upper=bound(5, strict=False), lam=5, n=2),  # empty
+             one_level(2, upper=bound(1, strict=False), lam=5, n=1))  # another centre
+    cert = DecompositionCertificate(5, domain, cells)
+    assert check_partition(cert, 1, C5).outside == [1, 2, 3]
+
+
 # -- norm descriptions -------------------------------------------------------------
 
 
@@ -878,6 +908,42 @@ def test_fiber_measure_is_the_explicit_tower_integral(data):
     else:
         with pytest.raises(DivergentError):
             tower_measure(tower, ctx)
+
+
+@_differential
+@given(data=st.data())
+def test_cells_outside_the_box_hold_a_point_outside(data):
+    """Over the box, a cell of explicit levels is refused iff it holds a point
+    outside Z_p^n: a level with integer centre c admitting v(t - c) = k < 0.
+    The admitted valuations are found by contains at t = c + lam*p^(k - v(lam))
+    for k in [-20, 20], which holds every k a level admits below 0, and one
+    admitted k per level when there are any; the witness point is a member."""
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    ctx = PrimeContext(p)
+    levels = data.draw(st.lists(_explicit_level(p), min_size=1, max_size=2))
+
+    def admitted(level) -> dict:
+        """k -> t - c for the valuations k in [-20, 20] the level admits."""
+        lam, n = level.coset.lam, level.coset.n
+        if lam == 0:
+            return {INF: 0}
+        vlam = int(valuation(lam, ctx))
+        tower = CellTower((level,))
+        diffs = {k: lam * Fraction(p) ** (k - vlam) for k in range(-20, 21) if (k - vlam) % n == 0}
+        return {k: d for k, d in diffs.items()
+                if contains(tower, [level.center.constant_value() + d], ctx)}
+
+    shells = [admitted(level) for level in levels]
+    reaching = [k for k in map(min, filter(None, shells)) if k < 0]
+    expected = all(shells) and bool(reaching)
+    tower = CellTower(tuple(levels))
+    cert = DecompositionCertificate(p, BoxDomain(len(levels)), (tower,))
+    assert check_partition(cert, 1, ctx).outside == ([0] if expected else [])
+    if all(shells):
+        point = [level.center.constant_value() + shell[min(shell)]
+                 for level, shell in zip(levels, shells)]
+        assert contains(tower, point, ctx)
+        assert any(Fraction(x).denominator % p == 0 for x in point) == expected
 
 
 @_differential

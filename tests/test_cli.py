@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import shlex
 import sys
 from contextlib import contextmanager
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from cellint import PrimeContext, cli, parse_expr, parse_poly, riemann_integrate, singular_series
+from cellint import (PrimeContext, cli, oracle, parse_expr, parse_poly, riemann_integrate,
+                     singular_series)
 from cellint.cli import build_parser, main
 
 COSET_CERT = {
@@ -110,6 +112,38 @@ def test_integrate_bad_certificate_exit_3(tmp_path, capsys):
     rc = main(["integrate", "--certificate", cert, "--terms", terms])
     assert rc == 3
     assert "violation" in capsys.readouterr().err
+
+
+# the cell {|t| < |5^(-6)|} and the point 0 cover Z_5 exactly once, but the first
+# cell also holds every t with -5 <= v(t) < 0
+REACHING_OUT_CERT = {
+    "prime": 5,
+    "domain": {"kind": "box", "arity": 1},
+    "cells": [
+        {"levels": [{"center": "0", "upper": {"expr": "1/15625", "strict": True},
+                     "coset": {"lambda": "1", "n": 1}}]},
+        ZP_CERT["cells"][0],
+    ],
+}
+
+
+def test_a_cell_outside_its_domain_exits_3(tmp_path, capsys):
+    """integrate used to print closed_form 3125 against oracle_exact 1 with exit 0:
+    the classes mod 5^m see only the points of Z_5.  The cell is now refused at
+    any check level, by a violation of its own kind."""
+    cert = write_json(tmp_path / "cert.json", REACHING_OUT_CERT)
+    terms = write_json(tmp_path / "terms.json", {"terms": [
+        {"cell": k, "coeff": "1", "levels": [{"a": 0, "l": 0}]} for k in (0, 1)]})
+    assert main(["integrate", "--certificate", cert, "--terms", terms, "--expr", "norm(1)",
+                 "--oracle-level", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "certificate": "partition check: 1 cell(s) outside the domain, 125 points, 1 ambiguous",
+        "outside_domain": [0], "violations": []}
+    assert main(["cells-check", "--certificate", cert, "--level", "6"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert (out["partition_ok"], out["outside_domain"], out["violations"]) == (False, [0], [])
 
 
 def test_cells_check_ok_and_norms(tmp_path, capsys):
@@ -275,6 +309,19 @@ def test_largest_level_is_refused_before_any_work(tmp_path, capsys, deadline, ar
         f"budget exceeded: {size} residue points exceed the budget of 100000000"]
 
 
+def test_a_high_degree_with_few_points_is_fast(capsys, deadline):
+    """expsum --f x1^100000 --y 1/5 enumerates 5 points: Horner reduces mod 5 at
+    every step, so the value no longer grows to 100 000 digits (2.8 s before)."""
+    deadline(1)
+    assert main(["expsum", "--f", "x1^100000", "--y", "1/5", "--prime", "5"]) == 0
+    deadline(0)
+    out = json.loads(capsys.readouterr().out)
+    # x^100000 = 1 mod 5 on the 4 units: E = (1 + 4 e(1/5)) / 5
+    angle = 2 * math.pi / 5
+    assert [out["re"], out["im"]] == pytest.approx([(1 + 4 * math.cos(angle)) / 5,
+                                                    4 * math.sin(angle) / 5])
+
+
 @contextmanager
 def no_digit_cap():
     """Python's cap on int-str conversion digits lifted, where the interpreter has one."""
@@ -324,7 +371,7 @@ def assert_one_error_line(capsys, *fragments):
 
 
 def test_oracle_admits_every_level_before_running_any(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "riemann_integrate", lambda *args, **kw: pytest.fail("a level ran"))
+    monkeypatch.setattr(oracle, "refine_classes", lambda *args: pytest.fail("a level ran"))
     assert main(["oracle", "--expr", "norm(x1)", "--level", "4,0"]) == 1
     assert_one_error_line(capsys, "level m must be >= 1")
 

@@ -32,6 +32,7 @@ from cellint import (
 )
 from cellint.cells import Bound, CellLevel, CellTower, CosetSpec, MembershipPlan
 from cellint import cells, oracle
+from cellint.cli import main
 from cellint.formula_dsl import carrier_valuations, compile_expr, expr_carriers
 from cellint.oracle import DEFAULT_LEVEL, _CHUNK, _modular_view, _values_mod, eval_poly_mod
 from cellint.padic_core import residue
@@ -387,6 +388,73 @@ def test_riemann_domain_matches_brute_force(problem):
     _check_against_brute_force(*problem)
 
 
+@st.composite
+def _level_lists(draw):
+    """(e, n, levels, ctx, domain): p in {2, 3, 5}, arity 1-2, the box or a tower,
+    and an unsorted list of levels, repeats allowed, up to p^(m*n) <= 729."""
+    p, n = draw(st.sampled_from((2, 3, 5))), draw(st.integers(1, 2))
+    top = max(m for m in range(1, 10) if p ** (m * n) <= 729)
+    levels = draw(st.lists(st.integers(1, top), min_size=1, max_size=5))
+    domain = draw(st.one_of(st.none(), _tower(p, n)))
+    return parse_expr(draw(_integrand(p, n))), n, levels, PrimeContext(p), domain
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(problem=_level_lists())
+@example(problem=(parse_expr("norm(x1)*val(x1 - 2)"), 1, [4, 2, 4, 1], PrimeContext(3), None))
+@example(problem=(parse_expr("norm(x1 - 1)^{1/2} + val(x1)"), 1, [3, 1, 3, 2], C5,
+                  unit_ball_coset_cell(1, 2)))
+def test_riemann_sums_are_the_walks_to_each_level(problem):
+    """One walk to the largest level gives every listed level's sum, in the
+    order listed: the value and ambiguous count of a walk to that level alone,
+    and of the per-point loop."""
+    e, n, levels, ctx, domain = problem
+    results = oracle.riemann_sums(e, n, levels, ctx, domain=domain)
+    assert [r.level for r in results] == levels
+    brute = {m: brute_force_riemann(e, n, m, ctx, domain=domain) for m in set(levels)}
+    for result, m in zip(results, levels):
+        alone = riemann_integrate(e, n, m, ctx, domain=domain)
+        got = (str(result.value), result.ambiguous_count)
+        assert got == (str(alone.value), alone.ambiguous_count)
+        assert got == (str(brute[m][0]), brute[m][1])
+
+
+def test_riemann_sums_admit_every_level_before_the_walk(monkeypatch):
+    monkeypatch.setattr(oracle, "refine_classes", lambda *args: pytest.fail("a walk ran"))
+    e = parse_expr("norm(x1)")
+    with pytest.raises(InvalidArgumentError, match="at least one level"):
+        oracle.riemann_sums(e, 1, [], C5)
+    with pytest.raises(InvalidArgumentError, match="level m must be >= 1"):
+        oracle.riemann_sums(e, 1, [3, 0], C5)
+    with pytest.raises(BudgetExceededError):
+        oracle.riemann_sums(e, 1, [3, 40], C5)
+
+
+def test_oracle_levels_walk_once(monkeypatch, capsys):
+    """oracle --level 4,5,6 makes one walk, to level 6, and visits no more
+    classes than oracle --level 6: 173, where a walk per level visits 49 + 93 + 173."""
+    walks, visits, refine = [], [], oracle.refine_classes
+
+    def counting_refine(p, level, arity, classify, member_of=None, depths=()):
+        def visit(r, j, amb, at):
+            if at == level:  # a leaf of a listed level, keyed again at its own depth, is no visit
+                visits.append((r, j))
+            return classify(r, j, amb, at)
+
+        walks.append(level)
+        return refine(p, level, arity, visit, member_of, depths)
+
+    monkeypatch.setattr(oracle, "refine_classes", counting_refine)
+    counts = {}
+    for levels in ("6", "4,5,6"):
+        walks.clear(), visits.clear()
+        assert main(["oracle", "--expr", "norm(x1^2 - x2^3)", "--arity", "2", "--level", levels,
+                     "--prime", "2"]) == 0
+        assert walks == [6]
+        counts[levels] = len(visits)
+    assert 0 < counts["4,5,6"] <= counts["6"]
+
+
 def test_riemann_evaluates_each_key_once_and_values_no_carrier_at_a_point(monkeypatch):
     """The evaluator reads the kernel's keys: one call per distinct key of a
     member class, in the order first found, and no carrier valued at a point
@@ -398,9 +466,9 @@ def test_riemann_evaluates_each_key_once_and_values_no_carrier_at_a_point(monkey
     refine, compile_ = oracle.refine_classes, oracle.compile_expr
 
     def recorded_refine(*args):
-        for key, r, j in refine(*args):
+        for key, r, j, settled in refine(*args):
             keys.append(key)
-            yield key, r, j
+            yield key, r, j, settled
 
     def counted_compile(*args):
         run = compile_(*args)
@@ -440,10 +508,10 @@ def test_riemann_reads_each_carrier_once_and_values_only_settled_classes(monkeyp
         counts["valuations"] += 1
         return value(n, p)
 
-    def counting_refine(p, level, arity, classify, member_of=None):
-        def visit(r, j, amb):
+    def counting_refine(p, level, arity, classify, member_of=None, depths=()):
+        def visit(r, j, amb, at):
             before = dict(counts)
-            key = classify(r, j, amb)
+            key = classify(r, j, amb, at)
             spent = {name: counts[name] - before[name] for name in counts}
             zero = sum(not evaluate(terms, r) % p**j for terms in own)
             counts["visited"] += 1
@@ -455,7 +523,7 @@ def test_riemann_reads_each_carrier_once_and_values_only_settled_classes(monkeyp
                 assert spent["valuations"] <= sum(v is not INF for v in key[0])
             return key
 
-        return refine(p, level, arity, visit, member_of)
+        return refine(p, level, arity, visit, member_of, depths)
 
     expected = riemann_integrate(e, 2, 4, C5)
     monkeypatch.setattr(cells, "eval_int_terms", counted_eval)
@@ -478,9 +546,9 @@ def test_riemann_settles_a_class_once_every_valuation_is_constant(
     settled only where f was nonzero mod p^j), for the same value."""
     visited, refine = [], oracle.refine_classes
 
-    def counting_refine(p, level, arity, classify, member_of=None):
+    def counting_refine(p, level, arity, classify, member_of=None, depths=()):
         return refine(p, level, arity, lambda *args: visited.append(args) or classify(*args),
-                      member_of)
+                      member_of, depths)
 
     monkeypatch.setattr(oracle, "refine_classes", counting_refine)
     run = riemann_integrate(parse_expr(text), arity, 4, PrimeContext(p))
