@@ -14,11 +14,15 @@ arithmetic: one cleared view (_Carrier) per distinct level carrier (t -
 c(x), keyed by level index and centre, and each non-constant bound),
 evaluated once per class and valued only where a test or a settled class
 reads it, and one test per distinct level, whose constant bounds are folded
-into one window of v(t - c) at plan time.  check_partition merges the cells
-into a tree of level tests; the domain, the described towers and f, delta
-and t - c of check_norm_description, and the domain and integrand carriers
-of oracle.riemann_integrate read the same plan's views, and
-MembershipPlan.member_of plans a single tower.  The checks walk the
+into one window of v(t - c) at plan time.  A coset test compares the coset
+signature of t - c (its valuation mod n and unit part to the n-th-power
+precision, _Order) with lam's.  check_partition merges the cells into a
+tree of level tests, and decides the sibling levels of one node that share
+a view of t - c, an order and constant bounds with one signature and one
+lookup per class, not one test per cell.  The domain, the described towers
+and f, delta and t - c of check_norm_description, and the domain and
+integrand carriers of oracle.riemann_integrate read the same plan's views,
+and MembershipPlan.member_of plans a single tower.  The checks walk the
 digit-tree kernel refine_classes, which settles a class r mod p^j (all its
 p^(n(m-j)) lifts at once) when every test is unambiguous on it and (one
 rule, settle_on_valuations) every view read has a constant valuation on it;
@@ -37,7 +41,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb, gcd, prod
 from operator import ne, sub
 from typing import Callable, Iterator, Sequence, Union
 
@@ -202,7 +206,7 @@ class _Carrier:
     kept reference makes unique), so every test handed one class tuple shares one
     evaluation, and values it only when asked."""
 
-    point = powers_at = taylor = None
+    point = taylor = None
 
     def __init__(self, poly: Polynomial, ctx: PrimeContext):
         self.terms, self.denom = poly.cleared()
@@ -261,14 +265,41 @@ class _Carrier:
                            for (order, _), terms in sorted(coefficients.items())]
         return self.taylor
 
-    def unit_power(self, n: int, exponent: int, modulus: int) -> int:
-        """unit(num)^exponent mod modulus at the last point valued (num != 0), once per n."""
-        if self.powers_at is not self.point:
-            self.powers_at, self.powers = self.point, {}
-        power = self.powers.get(n)
-        if power is None:
-            power = self.powers[n] = pow(self.num // self.p**self.v, exponent, modulus)
-        return power
+
+class _Order:
+    """The cosets lam*P_n of one order n about one view of t - c = N/D, cleared.
+
+    A nonzero t - c lies in lam*P_n iff its signature (v(t - c) mod n,
+    unit(N)^e mod p^L) equals lam's, (v(lam) mod n, unit(D*lam)^e mod p^L),
+    with (e, L) from padic_core._power_test, since (ab)^e = a^e b^e.  The
+    cosets of one order partition Q_p^x, so one signature names the only
+    coset of that order holding a class.  At unit index 1 (every unit an n-th
+    power, as for n = 1) the unit part is 0 throughout and no power is taken.
+    """
+
+    def __init__(self, diff: _Carrier, n: int, p: int):
+        self.diff, self.n, self.hensel = diff, n, hensel_level(n, p)
+        self.exponent, level, self.index = _power_test(n, p)
+        self.modulus = p**level if self.index > 1 else 1
+
+    def key(self, lam: Fraction) -> tuple[int, int]:
+        """The signature of t - c = lam (nonzero)."""
+        p, modulus = self.diff.p, self.modulus
+        num, den = self.diff.denom * lam.numerator, lam.denominator  # D*lam = num/den
+        vnum, vden = int_valuation(num, p), int_valuation(den, p)
+        residue = (vnum - vden - self.diff.vden) % self.n
+        if modulus == 1:
+            return residue, 0
+        unit = num // p**vnum * pow(den // p**vden, -1, modulus)
+        return residue, pow(unit, self.exponent, modulus)
+
+    def unit(self) -> int:
+        """unit(N)^e mod p^L, the unit part of the signature of the point the
+        view last valued (N != 0 there)."""
+        if self.modulus == 1:
+            return 0
+        diff = self.diff
+        return pow(diff.num // diff.p**diff.v, self.exponent, self.modulus)
 
 
 class MembershipPlan:
@@ -288,8 +319,9 @@ class MembershipPlan:
         self.ctx = ctx
         self._views: dict = {}
         self._diffs: dict = {}
+        self._orders: dict = {}
         self._levels: dict = {}
-        self._windows: dict = {}  # test of a nonempty explicit level -> (view of t - c, window)
+        self._windows: dict = {}  # test of a nonempty explicit level -> (view, window, lam, unit)
 
     def view(self, poly: Polynomial) -> _Carrier:
         view = self._views.get(poly)
@@ -304,6 +336,12 @@ class MembershipPlan:
             view = self._diffs[index, center] = self.view(Polynomial.variable_minus(index, center))
         return view
 
+    def _order(self, diff: _Carrier, n: int) -> _Order:
+        order = self._orders.get((diff, n))
+        if order is None:
+            order = self._orders[diff, n] = _Order(diff, n, self.ctx.p)
+        return order
+
     def _level(self, index: int, level: CellLevel):
         test = self._levels.get((index, level))
         if test is None:
@@ -314,32 +352,27 @@ class MembershipPlan:
         """(point, level) -> (holds, ambiguous) for one cell level, in integers.
 
         With t - c(x) = N(x)/D cleared of denominators, v(t - c) = v(N) - v(D),
-        and (t - c)/lam is in P_n iff v(N) - v(D) = v(lam) mod n and
-        unit(N)^e * c_lam = 1 mod p^L, with (e, L) from padic_core._power_test
-        and c_lam = unit(D*lam)^(-e) mod p^L, since (ab)^e = a^e b^e; unit(N)^e
-        is taken once per class and order n (_Carrier.unit_power).  The bounds
-        narrow a window lo <= v(t - c) <= hi, nonzero constants at plan time; a
-        zero constant ends the fold (alpha first), and fails the level ambiguously.
-        A level whose bounds are all nonzero constants (explicit) keeps its
-        window of admitted v(t - c) for outside, _POINT for a point level, and
-        none when it admits no valuation.
+        and t - c is in lam*P_n iff its coset signature equals lam's (_Order).
+        The bounds narrow a window lo <= v(t - c) <= hi, nonzero constants at
+        plan time; a zero constant ends the fold (alpha first), and fails the
+        level ambiguously.  A level whose bounds are all nonzero constants
+        (explicit) keeps its window of admitted v(t - c), its lam and the unit
+        part of lam's signature, for owners_of's coset lookup and for outside;
+        a point level keeps _POINT, and a level that admits no valuation keeps
+        none.
         """
-        p, lam, n = self.ctx.p, level.coset.lam, level.coset.n
+        lam, n = level.coset.lam, level.coset.n
         diff = self.diff(index, level.center)
         read, vden = diff.valuation, diff.vden
         if lam == 0:
             def point_test(point: Sequence[int], at: int) -> tuple[bool, bool]:
                 v = read(point)
                 return v is INF, v >= at  # v + M > at with M = 1
-            self._windows[point_test] = diff, _POINT
+            self._windows[point_test] = diff, _POINT, lam, 0
             return point_test
-        unit_power, hensel = diff.unit_power, hensel_level(n, p)
-        exponent, power_level, _ = _power_test(n, p)
-        modulus = p**power_level
-        num, den = diff.denom * lam.numerator, lam.denominator  # D*lam = num/den
-        vnum, vden_lam = int_valuation(num, p), int_valuation(den, p)
-        vlam = vnum - diff.vden - vden_lam
-        c_lam = pow(den // p**vden_lam * pow(num // p**vnum, -1, modulus), exponent, modulus)
+        order = self._order(diff, n)
+        unit, hensel = order.unit, order.hensel
+        residue, unit_key = order.key(lam)
         lo, hi, zero, reads = -INF, INF, False, []
         for lower, bound in ((True, level.lower), (False, level.upper)):
             if bound is None:
@@ -372,13 +405,13 @@ class MembershipPlan:
             k = v - vden
             if not k_lo <= k <= k_hi:
                 return False, ambiguous
-            if zero or v is INF or (k - vlam) % n:  # past the window, a zero bound is ambiguous
+            if zero or v is INF or k % n != residue:  # past the window, a zero bound is ambiguous
                 return False, ambiguous or zero
-            return unit_power(n, exponent, modulus) * c_lam % modulus == 1, ambiguous
-        first = lo if lo == -INF else lo + (vlam - lo) % n  # the least and greatest k admitted
-        last = hi if hi == INF else hi - (hi - vlam) % n
+            return unit() == unit_key, ambiguous
+        first = lo if lo == -INF else lo + (residue - lo) % n  # the least and greatest k admitted
+        last = hi if hi == INF else hi - (hi - residue) % n
         if not reads and not zero and first <= last:
-            self._windows[test] = diff, (first, last, vlam % n, n)
+            self._windows[test] = diff, (first, last, residue, n), lam, unit_key
         return test
 
     def tests_of(self, tower: CellTower) -> list[Callable]:
@@ -418,8 +451,15 @@ class MembershipPlan:
         for towers planned by tests_of.
 
         The towers are merged into a tree of level tests, so a level shared by
-        the towers' common prefix is tested once; ambiguous is the or of every
-        test made, which is the or of member_of's flags over the towers.
+        the towers' common prefix is tested once.  The explicit coset levels
+        of one node that read one view of t - c at one order n are decided
+        together: one valuation and one coset signature (_Order) per class
+        name the one coset of that order holding it, and a lookup by
+        signature leaves only the windows of the levels of that coset to
+        compare.  Every other level (a point, a zero or non-constant bound)
+        is tested alone.  Siblings of one group share their view and Hensel
+        margin, so ambiguous is still the or of every level test the node
+        makes, which is the or of member_of's flags over the towers.
         """
         root: tuple[dict, list] = ({}, [])
         for idx, tests in enumerate(towers):
@@ -428,17 +468,51 @@ class MembershipPlan:
                 children, owners = children.setdefault(test, ({}, []))
             owners.append(idx)
 
+        def node(levels: dict) -> tuple[list, list]:
+            """([(test, node, owners)] of the levels tested alone, [(read, vden,
+            n, hensel, unit, {k mod n: {unit part: [(first, last, node,
+            owners)]}})] of the groups), node None for a leaf."""
+            alone, groups = [], {}
+            for test, (children, owners) in levels.items():
+                branch = (node(children) if children else None, owners)
+                record = self._windows.get(test)
+                if record is None or record[1] is _POINT:
+                    alone.append((test, *branch))
+                    continue
+                diff, (first, last, residue, n), _, unit = record
+                table = groups.setdefault(self._order(diff, n), {}).setdefault(residue, {})
+                table.setdefault(unit, []).append((first, last, *branch))
+            return alone, [(order.diff.valuation, order.diff.vden, order.n, order.hensel,
+                            order.unit, table) for order, table in groups.items()]
+
+        tree = node(root[0])
+
         def owners_of(point: Sequence[int], at: int) -> tuple[tuple[int, ...], bool]:
             owners, ambiguous = list(root[1]), False
-            stack = [root[0]]
+            stack = [tree]
             while stack:
-                for test, (children, cells) in stack.pop().items():
+                alone, groups = stack.pop()
+                for test, children, cells in alone:
                     holds, amb = test(point, at)
                     ambiguous = ambiguous or amb
                     if holds:
                         owners += cells
                         if children:
                             stack.append(children)
+                for read, vden, n, hensel, unit, table in groups:
+                    v = read(point)
+                    ambiguous = ambiguous or v + hensel > at
+                    if v is INF:
+                        continue
+                    k = v - vden
+                    units = table.get(k % n)
+                    if units is None:
+                        continue
+                    for first, last, children, cells in units.get(unit(), ()):
+                        if first <= k <= last:
+                            owners += cells
+                            if children:
+                                stack.append(children)
             return tuple(sorted(owners)), ambiguous
 
         return owners_of
@@ -448,23 +522,35 @@ class MembershipPlan:
         domain: decided exactly, at no level, on towers explicit at every level.
 
         Such a tower is empty iff some level admits no valuation (it keeps no
-        window); otherwise each level has points of every admitted v(t - c)
-        above every prefix in the tower, so one level admitting a valuation
-        that the domain's level excludes puts a point outside the domain.
-        Over the box, a level about a p-integral centre excludes v(t - c) < 0;
-        over a tower, a level is compared with the domain's explicit level of
-        the same centre (the same view of t - c).  Other centres, polynomial
-        domain bounds and the unit parts of cosets are left to the classes.
+        window); otherwise each level has points of every admitted v(t - c),
+        and of every unit of its coset, above every prefix in the tower, so one
+        level admitting a point that the domain's level excludes puts a point
+        outside the domain.  Over the box, a level about a p-integral centre
+        excludes v(t - c) < 0.  Over a tower, a level is compared with the
+        domain's explicit level of the same centre (the same view of t - c):
+        lam_C*P_(n_C) holds a unit part outside lam_D*P_(n_D) unless U^(n_C) is
+        within U^(n_D) (equal unit indices of the n_D-th and the
+        gcd(n_C, n_D)-th powers) and unit(lam_C/lam_D) is an n_D-th power.
+        Other centres and polynomial domain bounds are left to the classes.
         """
         if isinstance(domain, BoxDomain):
-            def excludes(i, diff, window):
+            def excludes(i, diff, window, *_):
                 return window is not _POINT and not diff.vden and not _within(window, _INTEGRAL)
         else:
             outer = [self._windows.get(test) for test in self.tests_of(domain)]
+            p = self.ctx.p
 
-            def excludes(i, diff, window):
-                return outer[i] is not None and outer[i][0] is diff \
-                    and not _within(window, outer[i][1])
+            def excludes(i, diff, window, lam, _):
+                if outer[i] is None or outer[i][0] is not diff:
+                    return False
+                _, outer_window, _, outer_unit = outer[i]
+                if not _within(window, outer_window):
+                    return True
+                if window is _POINT:
+                    return False
+                order = self._order(diff, outer_window[3])
+                return _power_test(gcd(window[3], order.n), p)[2] != order.index \
+                    or order.key(lam)[1] != outer_unit
         outside = []
         for idx, tests in enumerate(towers):
             windows = [self._windows.get(test) for test in tests]

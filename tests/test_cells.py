@@ -11,7 +11,7 @@ from math import prod
 from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cellint import (
@@ -58,6 +58,7 @@ import cellint.cells as cells_module
 from cellint.cells import MembershipPlan, _Carrier, _described_level, _rational, membership
 from cellint.errors import CertificateMismatchError
 from cellint.formula_dsl import Norm, carrier_valuations
+from cellint.padic_core import _power_test
 from cellint.polynomials import Polynomial
 
 C2 = PrimeContext(2)
@@ -324,6 +325,22 @@ def test_cells_outside_a_tower_domain_compare_windows_and_residues():
              one_level(2, upper=bound(1, strict=False), lam=5, n=1))  # another centre
     cert = DecompositionCertificate(5, domain, cells)
     assert check_partition(cert, 1, C5).outside == [1, 2, 3]
+
+
+def test_cells_outside_a_tower_domain_compare_unit_parts():
+    """Over the tower {|t - 1| <= 1, t - 1 in P_2} at p = 5, a level of the same
+    centre must also hold only squares as unit parts: lam_C*P_(n_C) is within
+    P_2 iff the n_C-th powers of units are squares and unit(lam_C) is one."""
+    domain = one_level(1, upper=bound(1, strict=False), n=2)
+    units = {"lower": bound(5), "upper": bound(1, strict=False)}  # v(t - 1) = 0 only
+    cells = (one_level(1, **units, lam=1, n=1),  # every unit
+             one_level(1, **units, lam=1, n=3),  # the cubes: every unit at p = 5
+             one_level(1, upper=bound(1, strict=False), lam=2, n=2),  # 2 is not a square
+             one_level(1, upper=bound(1, strict=False), lam=4, n=4),  # 4*P_4 within P_2
+             one_level(1, **units, lam=9, n=6),  # U^6 = U^2, and 9 is a square
+             one_level(1, **units, lam=3, n=6))  # 3 is not a square
+    cert = DecompositionCertificate(5, domain, cells)
+    assert check_partition(cert, 1, C5).outside == [0, 1, 2, 5]
 
 
 # -- norm descriptions -------------------------------------------------------------
@@ -946,6 +963,60 @@ def test_cells_outside_the_box_hold_a_point_outside(data):
         assert any(Fraction(x).denominator % p == 0 for x in point) == expected
 
 
+def _level_members(level: CellLevel, units, ctx) -> list[Fraction]:
+    """Values t of a constant-data level that contains finds in it: t = c +
+    lam*p^(n*s) of each valuation v(lam) + n*s in [-30, 30], then t = c +
+    (t0 - c)*w^n for the least such member t0 and each unit w in units; c
+    itself for a point level."""
+    c, lam, n, p = level.center.constant_value(), level.coset.lam, level.coset.n, ctx.p
+    if lam == 0:
+        return [c]
+    vlam = int(valuation(lam, ctx))
+    tower = CellTower((level,))
+    shells = [t for t in (c + lam * Fraction(p) ** (n * s)
+                          for s in range(-((30 + vlam) // n), (30 - vlam) // n + 1))
+              if contains(tower, [t], ctx)]
+    rotated = [c + (shells[0] - c) * w**n for w in units] if shells else []
+    assert all(contains(tower, [t], ctx) for t in rotated)
+    return shells + rotated
+
+
+@_differential
+@given(data=st.data())
+def test_cells_outside_a_tower_domain_hold_a_point_outside(data):
+    """Over a tower domain of explicit levels, a cell of explicit levels about
+    the domain's centres is refused iff contains finds one of its points
+    outside the domain.  The levels of such a cell are independent, so its
+    points are one member per level with one level varied over the members
+    _level_members finds: one of every valuation in [-30, 30], which holds
+    the first two past each finite bound (a level's orders are at most 14),
+    and one of every unit w mod p^L at one valuation, L the precision at
+    which the domain level tells units apart."""
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    ctx = PrimeContext(p)
+    domain = CellTower(tuple(data.draw(st.lists(_explicit_level(p), min_size=1, max_size=2))))
+    units = [[w for w in range(1, p ** _power_test(level.coset.n, p)[1] + 1) if w % p]
+             for level in domain.levels]
+    assume(all(_level_members(level, us, ctx) for level, us in zip(domain.levels, units)))
+    cells = []
+    for level in domain.levels:  # each cell level about the domain level's centre
+        cells.append(data.draw(st.lists(_explicit_level(p).map(
+            lambda cell: CellLevel(level.center, cell.lower, cell.upper, cell.coset)),
+            min_size=1, max_size=3)))
+    towers = [CellTower(levels) for levels in itertools.product(*cells)]
+    expected = []
+    for idx, tower in enumerate(towers):
+        members = [_level_members(level, us, ctx) for level, us in zip(tower.levels, units)]
+        points = [[ms[0] for ms in members[:i]] + [t] + [ms[0] for ms in members[i + 1:]]
+                  for i, level_members in enumerate(members) if all(members)
+                  for t in level_members]
+        assert all(contains(tower, point, ctx) for point in points)
+        if not all(contains(domain, point, ctx) for point in points):
+            expected.append(idx)
+    cert = DecompositionCertificate(p, domain, tuple(towers))
+    assert check_partition(cert, 1, ctx).outside == expected
+
+
 @_differential
 @given(data=st.data())
 def test_carrier_valuation_is_the_rational_valuation(data):
@@ -1094,6 +1165,117 @@ def test_shared_plan_matches_per_lift_loops_on_product_certificates(problem):
     assert (norms.mismatches, norms.ambiguous_points, norms.points_checked, norms.ok) \
         == (mismatches, ambiguous, points, not mismatches)
     assert counts["visited"] <= counts["evals"] <= len(carriers) * counts["visited"]
+
+
+@st.composite
+def _siblings(draw, p: int, center: Polynomial) -> list[CellLevel]:
+    """Levels about one centre: cosets of orders 1-4 (a representative of their
+    order or another lam) between constant bounds, one of them again with
+    another window; then perhaps a zero constant bound, a point level and,
+    about a polynomial centre, a non-constant bound."""
+    ctx, orders = PrimeContext(p), st.integers(1, 4)
+    windows = st.tuples(st.sampled_from((None, bound(p**3), bound(p * p, strict=False))),
+                        st.sampled_from((None, bound(1, strict=False), bound(p),
+                                         bound(Fraction(1, p), strict=False))))
+    levels = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(orders)
+        lam = draw(st.sampled_from(coset_representatives(n, ctx))
+                   | st.sampled_from((Fraction(2), Fraction(3, p), Fraction(p * p))))
+        levels.append(CellLevel(center, *draw(windows), CosetSpec(lam, n)))
+    levels.append(CellLevel(center, *draw(windows), levels[0].coset))
+    extras = [CellLevel(center, None, bound(0), CosetSpec(Fraction(1), draw(orders))),
+              CellLevel(center, None, None, CosetSpec(Fraction(0), 1))]
+    if not center.is_constant():
+        extras.append(CellLevel(center, None, Bound(_X1 - Polynomial.constant(1), draw(
+            st.booleans())), CosetSpec(Fraction(1), draw(orders))))
+    return levels + [level for level in extras if draw(st.booleans())]
+
+
+@st.composite
+def _coset_index_problem(draw):
+    """Cells picked from sibling levels about one constant centre (and perhaps a
+    level about another), then about a polynomial centre at arity 2; over the
+    box or a tower picked from the same levels."""
+    p, arity, m = draw(st.sampled_from(_SIZES))
+    ctx = PrimeContext(p)
+    first = draw(_siblings(p, Polynomial.constant(draw(st.integers(0, p)))))
+    if draw(st.booleans()):
+        first.append(one_level(p + 1, upper=bound(1, strict=False), n=2).levels[0])
+    pools = [first]
+    if arity == 2:
+        center = parse_poly(draw(st.sampled_from(("x1", "x1^2 + 1", "2*x1 + 3"))))
+        pools.append(draw(_siblings(p, center)))
+    picks = st.tuples(*(st.sampled_from(pool) for pool in pools))
+    cells = tuple(CellTower(levels) for levels in draw(st.lists(picks, min_size=1, max_size=10)))
+    domain = BoxDomain(arity) if draw(st.booleans()) else CellTower(draw(picks))
+    return DecompositionCertificate(p, domain, cells), m, ctx
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(problem=_coset_index_problem())
+def test_coset_lookup_matches_the_per_tower_loop(problem):
+    """owners_of decides the explicit sibling levels of a node by one coset
+    signature per class; at every class r mod p^j, j <= m, it equals the loop
+    of each tower's member_of (the owners sorted, ambiguous the or of the
+    flags), and check_partition's report equals that loop over the lifts."""
+    cert, m, ctx = problem
+    p, arity = ctx.p, cert.domain.arity
+    plan = MembershipPlan(ctx)
+    owners_of = plan.owners_of([plan.tests_of(tower) for tower in cert.cells])
+    loop = MembershipPlan(ctx)
+    members = [loop.member_of(tower) for tower in cert.cells]
+
+    def per_tower(point, at):
+        flags = [member(point, at) for member in members]
+        return tuple(i for i, (holds, _) in enumerate(flags) if holds), any(a for _, a in flags)
+
+    for j in range(m + 1):
+        for r in itertools.product(range(p**j), repeat=arity):
+            assert owners_of(r, j) == per_tower(r, j), (r, j)
+    domain = loop.domain_of(cert.domain)
+    violations, ambiguous, points = [], 0, 0
+    for pt in itertools.product(range(p**m), repeat=arity):
+        if domain is None or domain(pt, m)[0]:
+            owners, amb = per_tower(pt, m)
+            points, ambiguous = points + 1, ambiguous + amb
+            if len(owners) != 1:
+                violations.append((pt, list(owners)))
+    report = check_partition(cert, m, ctx)
+    assert (report.violations, report.ambiguous_points, report.points_tested) \
+        == (violations, ambiguous, points)
+
+
+@pytest.mark.parametrize("p, m, count", [(2, 6, 32), (5, 3, 16)])
+def test_partition_takes_one_coset_signature_per_class(p, m, count):
+    """The cells {|t| <= 1, t in lam*P_4} partition Z_p minus 0, all siblings of
+    the tree's one node: check_partition takes at most one unit power per
+    class it visits, where each cell's own test took one wherever v(t) =
+    v(lam) mod 4 (8 per class at p = 2, 4 at p = 5), and reports as the
+    per-lift loop does."""
+    ctx = PrimeContext(p)
+    cells = tuple(unit_ball_coset_cell(lam, 4) for lam in coset_representatives(4, ctx))
+    cert = DecompositionCertificate(p, zp_nonzero_cell(), cells)
+    assert len(cells) == count
+    visited, powers = [], []
+    refine, unit = cells_module.refine_classes, cells_module._Order.unit
+
+    def counting_refine(p, level, arity, classify, member_of=None):
+        return refine(p, level, arity, classify,
+                      lambda *args: visited.append(args) or member_of(*args))
+
+    def counting_unit(order):
+        if order.modulus > 1:  # a unit power is taken
+            powers.append(order.n)
+        return unit(order)
+
+    with patch.object(cells_module, "refine_classes", counting_refine), \
+            patch.object(cells_module._Order, "unit", counting_unit):
+        report = check_partition(cert, m, ctx)
+    assert (report.violations, report.ambiguous_points, report.points_tested) \
+        == per_lift_partition(cert, m, ctx)
+    assert report.ok
+    assert 0 < len(powers) <= len(visited)
 
 
 @pytest.mark.parametrize("p, f, delta, a, m, most, mismatches", [

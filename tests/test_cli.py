@@ -146,6 +146,22 @@ def test_a_cell_outside_its_domain_exits_3(tmp_path, capsys):
     assert (out["partition_ok"], out["outside_domain"], out["violations"]) == (False, [0], [])
 
 
+def test_a_coset_cell_outside_its_tower_domain_exits_3(tmp_path, capsys):
+    """Over the domain {|t| <= 1, t in P_2} at p = 5, the cell 2*P_2 holds none
+    of the domain's points (2 is not a square mod 5), so the classes see no
+    violation; its unit part puts it outside the domain."""
+    def ball(lam):
+        return {"levels": [{"center": "0", "upper": {"expr": "1", "strict": False},
+                            "coset": {"lambda": lam, "n": 2}}]}
+
+    cert = write_json(tmp_path / "cert.json", {
+        "prime": 5, "domain": {"kind": "tower", **ball("1")}, "cells": [ball("1"), ball("2")]})
+    assert main(["cells-check", "--certificate", cert, "--level", "4"]) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "ambiguous_points": 0, "outside_domain": [1], "partition_ok": False,
+        "points_tested": 260, "violations": []}
+
+
 def test_cells_check_ok_and_norms(tmp_path, capsys):
     payload = dict(COSET_CERT)
     # |t| = |lam| * |t^2 lam^{-2}|^{1/2} on each coset cell (root order 2)
