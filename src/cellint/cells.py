@@ -13,16 +13,17 @@ A MembershipPlan plans the membership tests of one check once, in integer
 arithmetic: one cleared view (_Carrier) per distinct level carrier (t -
 c(x), keyed by level index and centre, and each non-constant bound),
 evaluated once per class and valued only where a test or a settled class
-reads it, and one test per distinct level, whose constant bounds are folded
-into one window of v(t - c) at plan time.  A coset test compares the coset
-signature of t - c (its valuation mod n and unit part to the n-th-power
-precision, _Order) with lam's.  check_partition merges the cells into a
-tree of level tests, and decides the sibling levels of one node that share
-a view of t - c, an order and constant bounds with one signature and one
-lookup per class, not one test per cell.  The domain, the described towers
-and f, delta and t - c of check_norm_description, and the domain and
-integrand carriers of oracle.riemann_integrate read the same plan's views,
-and MembershipPlan.member_of plans a single tower.  The checks walk the
+reads it, and one record (_Level) per distinct level: its test, whose
+constant bounds are folded into one window of v(t - c) at plan time, and for
+an explicit level its order, window and lam's unit part.  A coset test
+compares the coset signature of t - c (its valuation mod n and unit part to
+the n-th-power precision, _Order) with lam's.  check_partition merges the
+cells into a tree of level records, and decides the sibling levels of one
+node that share an order with one signature and one lookup per class, not
+one test per cell.  The domain, the described towers and f, delta and t - c
+of check_norm_description, and the domain and integrand carriers of
+oracle.riemann_integrate read the same plan's views, and
+MembershipPlan.member_of plans a single tower.  The checks walk the
 digit-tree kernel refine_classes, which settles a class r mod p^j (all its
 p^(n(m-j)) lifts at once) when every test is unambiguous on it and (one
 rule, settle_on_valuations) every view read has a constant valuation on it;
@@ -30,7 +31,9 @@ _tally tallies the settled classes.  Given listed depths below its level, the
 walk also yields the leaves a walk to each of them keys there, so one walk
 serves several levels (oracle.riemann_sums).  The budget counts all p^(m*n)
 classes.  The classes see only the domain's points, so check_partition also
-asks the plan which cells reach outside the domain (MembershipPlan.outside).
+asks the plan which cells reach outside the domain (MembershipPlan.outside),
+in one comparison per level record: with Z_p over the box, with the domain's
+record of the same view of t - c over a tower.
 """
 
 from __future__ import annotations
@@ -302,15 +305,31 @@ class _Order:
         return pow(diff.num // diff.p**diff.v, self.exponent, self.modulus)
 
 
+@dataclass(eq=False)
+class _Level:
+    """One planned cell level: its test, view of t - c, centre and lam, and for
+    an explicit level admitting some k = v(t - c) its _Order, window (first,
+    last, residue, n): first <= k <= last, k = residue mod n, and lam's unit
+    part (_Order.key).  Compared by identity: a plan keeps one per level."""
+
+    test: Callable
+    diff: _Carrier
+    center: Polynomial
+    lam: Fraction
+    order: _Order | None = None
+    window: tuple | None = None
+    unit: int = 0
+
+
 class MembershipPlan:
     """The membership tests of one check over one prime, planned once.
 
     A cell level reads two kinds of carriers: t - c(x) = x_i - c(x), keyed by
     (i, c) and built only on a miss, and its non-constant bound polynomials.
-    The plan keeps one view (_Carrier) per distinct carrier and one test per
-    distinct (index, level), and every tower and polynomial planned on it (a
-    domain, the cells of a certificate, the towers, f and delta its
-    descriptions name, an integrand's carriers) shares them: a class
+    The plan keeps one view (_Carrier) per distinct carrier and one record
+    (_Level) per distinct (index, level), and every tower and polynomial
+    planned on it (a domain, the cells of a certificate, the towers, f and
+    delta its descriptions name, an integrand's carriers) shares them: a class
     evaluates each carrier once, however many cells, levels and callers read
     it, and values it only where a test or a settled class needs it.
     """
@@ -321,7 +340,6 @@ class MembershipPlan:
         self._diffs: dict = {}
         self._orders: dict = {}
         self._levels: dict = {}
-        self._windows: dict = {}  # test of a nonempty explicit level -> (view, window, lam, unit)
 
     def view(self, poly: Polynomial) -> _Carrier:
         view = self._views.get(poly)
@@ -342,24 +360,23 @@ class MembershipPlan:
             order = self._orders[diff, n] = _Order(diff, n, self.ctx.p)
         return order
 
-    def _level(self, index: int, level: CellLevel):
-        test = self._levels.get((index, level))
-        if test is None:
-            test = self._levels[index, level] = self._plan_level(index, level)
-        return test
+    def _level(self, index: int, level: CellLevel) -> _Level:
+        record = self._levels.get((index, level))
+        if record is None:
+            record = self._levels[index, level] = self._plan_level(index, level)
+        return record
 
-    def _plan_level(self, index: int, level: CellLevel):
-        """(point, level) -> (holds, ambiguous) for one cell level, in integers.
+    def _plan_level(self, index: int, level: CellLevel) -> _Level:
+        """The record of one cell level, with its test (point, level) ->
+        (holds, ambiguous) in integers.
 
         With t - c(x) = N(x)/D cleared of denominators, v(t - c) = v(N) - v(D),
         and t - c is in lam*P_n iff its coset signature equals lam's (_Order).
         The bounds narrow a window lo <= v(t - c) <= hi, nonzero constants at
         plan time; a zero constant ends the fold (alpha first), and fails the
         level ambiguously.  A level whose bounds are all nonzero constants
-        (explicit) keeps its window of admitted v(t - c), its lam and the unit
-        part of lam's signature, for owners_of's coset lookup and for outside;
-        a point level keeps _POINT, and a level that admits no valuation keeps
-        none.
+        (explicit) and that admits some valuation also records its order, its
+        window and the unit part of lam's signature.
         """
         lam, n = level.coset.lam, level.coset.n
         diff = self.diff(index, level.center)
@@ -368,8 +385,7 @@ class MembershipPlan:
             def point_test(point: Sequence[int], at: int) -> tuple[bool, bool]:
                 v = read(point)
                 return v is INF, v >= at  # v + M > at with M = 1
-            self._windows[point_test] = diff, _POINT, lam, 0
-            return point_test
+            return _Level(point_test, diff, level.center, lam)
         order = self._order(diff, n)
         unit, hensel = order.unit, order.hensel
         residue, unit_key = order.key(lam)
@@ -410,12 +426,12 @@ class MembershipPlan:
             return unit() == unit_key, ambiguous
         first = lo if lo == -INF else lo + (residue - lo) % n  # the least and greatest k admitted
         last = hi if hi == INF else hi - (hi - residue) % n
-        if not reads and not zero and first <= last:
-            self._windows[test] = diff, (first, last, residue, n), lam, unit_key
-        return test
+        if reads or zero or first > last:
+            return _Level(test, diff, level.center, lam)
+        return _Level(test, diff, level.center, lam, order, (first, last, residue, n), unit_key)
 
-    def tests_of(self, tower: CellTower) -> list[Callable]:
-        """The planned test of each level of a tower."""
+    def levels_of(self, tower: CellTower) -> list[_Level]:
+        """The planned record of each level of a tower."""
         return [self._level(i, level) for i, level in enumerate(tower.levels)]
 
     def member_of(self, tower: CellTower) -> Callable[[Sequence[int], int], tuple[bool, bool]]:
@@ -428,7 +444,7 @@ class MembershipPlan:
         once cleared, or a bound vanishes.  Levels after the first that fails
         are not tested.
         """
-        tests = self.tests_of(tower)
+        tests = [level.test for level in self.levels_of(tower)]
 
         def member_of(point: Sequence[int], at: int) -> tuple[bool, bool]:
             ambiguous = False
@@ -448,13 +464,13 @@ class MembershipPlan:
 
     def owners_of(self, towers: Sequence[list]) -> Callable[[Sequence[int], int], tuple]:
         """(integer point, level) -> (indices of the towers holding it, ambiguous),
-        for towers planned by tests_of.
+        for towers planned by levels_of.
 
-        The towers are merged into a tree of level tests, so a level shared by
-        the towers' common prefix is tested once.  The explicit coset levels
-        of one node that read one view of t - c at one order n are decided
-        together: one valuation and one coset signature (_Order) per class
-        name the one coset of that order holding it, and a lookup by
+        The towers are merged into a tree of level records, so a level shared
+        by the towers' common prefix is tested once.  The explicit coset
+        levels of one node that share an order (one view of t - c, one n) are
+        decided together: one valuation and one coset signature (_Order) per
+        class name the one coset of that order holding it, and a lookup by
         signature leaves only the windows of the levels of that coset to
         compare.  Every other level (a point, a zero or non-constant bound)
         is tested alone.  Siblings of one group share their view and Hensel
@@ -462,10 +478,10 @@ class MembershipPlan:
         makes, which is the or of member_of's flags over the towers.
         """
         root: tuple[dict, list] = ({}, [])
-        for idx, tests in enumerate(towers):
+        for idx, levels in enumerate(towers):
             children, owners = root
-            for test in tests:
-                children, owners = children.setdefault(test, ({}, []))
+            for level in levels:
+                children, owners = children.setdefault(level, ({}, []))
             owners.append(idx)
 
         def node(levels: dict) -> tuple[list, list]:
@@ -473,15 +489,14 @@ class MembershipPlan:
             n, hensel, unit, {k mod n: {unit part: [(first, last, node,
             owners)]}})] of the groups), node None for a leaf."""
             alone, groups = [], {}
-            for test, (children, owners) in levels.items():
+            for level, (children, owners) in levels.items():
                 branch = (node(children) if children else None, owners)
-                record = self._windows.get(test)
-                if record is None or record[1] is _POINT:
-                    alone.append((test, *branch))
+                if level.order is None:
+                    alone.append((level.test, *branch))
                     continue
-                diff, (first, last, residue, n), _, unit = record
-                table = groups.setdefault(self._order(diff, n), {}).setdefault(residue, {})
-                table.setdefault(unit, []).append((first, last, *branch))
+                first, last, residue, _ = level.window
+                table = groups.setdefault(level.order, {}).setdefault(residue, {})
+                table.setdefault(level.unit, []).append((first, last, *branch))
             return alone, [(order.diff.valuation, order.diff.vden, order.n, order.hensel,
                             order.unit, table) for order, table in groups.items()]
 
@@ -518,60 +533,60 @@ class MembershipPlan:
         return owners_of
 
     def outside(self, domain: Domain, towers: Sequence[list]) -> list[int]:
-        """The indices of the towers, planned by tests_of, that reach outside the
-        domain: decided exactly, at no level, on towers explicit at every level.
+        """The indices of the towers, planned by levels_of, that reach outside
+        the domain, decided exactly at no level where each level of a tower is
+        a point or has a window.  Such a tower is empty iff some level admits
+        no valuation; otherwise each level has points of every admitted
+        v(t - c), and of every unit of its coset, above every prefix, so one
+        level reaching outside the domain's level or Z_p (_reaches_out) puts a
+        point outside the domain."""
+        outer = None if isinstance(domain, BoxDomain) else self.levels_of(domain)
+        return [idx for idx, levels in enumerate(towers)
+                if all(level.window or not level.lam for level in levels)
+                and any(self._reaches_out(level, outer and outer[i])
+                        for i, level in enumerate(levels))]
 
-        Such a tower is empty iff some level admits no valuation (it keeps no
-        window); otherwise each level has points of every admitted v(t - c),
-        and of every unit of its coset, above every prefix in the tower, so one
-        level admitting a point that the domain's level excludes puts a point
-        outside the domain.  Over the box, a level about a p-integral centre
-        excludes v(t - c) < 0.  Over a tower, a level is compared with the
-        domain's explicit level of the same centre (the same view of t - c):
-        lam_C*P_(n_C) holds a unit part outside lam_D*P_(n_D) unless U^(n_C) is
-        within U^(n_D) (equal unit indices of the n_D-th and the
-        gcd(n_C, n_D)-th powers) and unit(lam_C/lam_D) is an n_D-th power.
-        Other centres and polynomial domain bounds are left to the classes.
-        """
-        if isinstance(domain, BoxDomain):
-            def excludes(i, diff, window, *_):
-                return window is not _POINT and not diff.vden and not _within(window, _INTEGRAL)
-        else:
-            outer = [self._windows.get(test) for test in self.tests_of(domain)]
-            p = self.ctx.p
-
-            def excludes(i, diff, window, lam, _):
-                if outer[i] is None or outer[i][0] is not diff:
-                    return False
-                _, outer_window, _, outer_unit = outer[i]
-                if not _within(window, outer_window):
-                    return True
-                if window is _POINT:
-                    return False
-                order = self._order(diff, outer_window[3])
-                return _power_test(gcd(window[3], order.n), p)[2] != order.index \
-                    or order.key(lam)[1] != outer_unit
-        outside = []
-        for idx, tests in enumerate(towers):
-            windows = [self._windows.get(test) for test in tests]
-            if None not in windows and any(excludes(i, *window)  # skip an empty tower too
-                                           for i, window in enumerate(windows)):
-                outside.append(idx)
-        return outside
-
-
-# A window (first, last, residue, n) holds the valuations k = v(t - c) a level
-# admits: first <= k <= last (either may be infinite) and k = residue mod n.
-_POINT = (INF, INF, 0, 0)  # the point level t = c
-_INTEGRAL = (0, INF, 0, 1)  # k >= 0: t in Z_p about a p-integral centre
+    def _reaches_out(self, cell: _Level, bound: _Level | None) -> bool:
+        """Whether a cell level holds a point outside the domain level bound, or
+        outside Z_p for None; False where the classes decide: another centre,
+        a polynomial one not p-integral, or a domain level with neither a
+        window nor lam = 0.  Over Z_p, a level about a p-integral centre
+        reaches out iff some v(t - c) < 0.  About a constant c with v(c) = -s
+        < 0, the point c reaches out, and a window lies in Z_p iff it admits
+        only k = -s, unit(lam) = unit(-c) mod p^s, and the exponent of
+        (Z/p^s)^x divides n (then lam*U^n is within unit(-c)*(1 + p^s*Z_p)).
+        Over a level of the same view, a point lies only within a point and a
+        window only within a window admitting its valuations; lam_C*P_(n_C)
+        also holds a unit part outside lam_D*P_(n_D) unless U^(n_C) is within
+        U^(n_D) (equal unit indices of the n_D-th and the gcd(n_C, n_D)-th
+        powers) and unit(lam_C/lam_D) is an n_D-th power."""
+        p, s = self.ctx.p, cell.diff.vden
+        if bound is None:
+            if not s:
+                return cell.window is not None and cell.window[0] < 0
+            if not cell.center.is_constant():
+                return False
+            if cell.window is None:  # the point c
+                return True
+            first, last, _, n = cell.window
+            exponent = p ** (s - 2) if p == 2 and s > 2 else (p - 1) * p ** (s - 1)  # of (Z/p^s)^x
+            unit = cell.lam * Fraction(p) ** -valuation(cell.lam, self.ctx)
+            gap = unit + cell.center.constant_value() * p**s  # unit(lam) - unit(-c)
+            return not first == last == -s or n % exponent != 0 or valuation(gap, self.ctx) < s
+        if bound.diff is not cell.diff or bound.lam and bound.window is None:
+            return False
+        if not cell.lam or not bound.lam:
+            return cell.lam != bound.lam
+        order = bound.order
+        return not _within(cell.window, bound.window) \
+            or _power_test(gcd(cell.window[3], order.n), p)[2] != order.index \
+            or order.key(cell.lam)[1] != bound.unit
 
 
 def _within(inner: tuple, outer: tuple) -> bool:
     """Whether every valuation the window inner admits is admitted by outer."""
     first, last, residue, n = inner
     lo, hi, outer_residue, outer_n = outer
-    if not n or not outer_n:
-        return n == outer_n  # a point only within a point
     if first == last:  # one valuation
         return lo <= first <= hi and (first - outer_residue) % outer_n == 0
     return lo <= first and last <= hi and n % outer_n == 0 \
@@ -711,7 +726,7 @@ def check_partition(cert: DecompositionCertificate, m: int, ctx: PrimeContext,
     check_budget(p, m, arity, budget)
     plan = MembershipPlan(ctx)
     domain = plan.domain_of(cert.domain)
-    towers = [plan.tests_of(tower) for tower in cert.cells]
+    towers = [plan.levels_of(tower) for tower in cert.cells]
     owners_of = plan.owners_of(towers)
 
     def classify(r, j, _, level):

@@ -343,6 +343,27 @@ def test_cells_outside_a_tower_domain_compare_unit_parts():
     assert check_partition(cert, 1, C5).outside == [0, 1, 2, 5]
 
 
+@pytest.mark.parametrize("p, s", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)])
+def test_a_single_shell_about_a_over_p_s_is_within_z_p_by_its_units(p, s):
+    """The shell v(t - c) = -s about c = a/p^s, in lam*P_n with v(lam) = -s,
+    lies in Z_p iff c + lam*w^n is p-integral for every unit w mod p^s.  The
+    box check decides it for every unit a and unit part of lam mod p^s, and
+    for n <= 8, 12 and 20, which the exponent of (Z/p^s)^x divides for some
+    of these sizes and not for others; some shells lie in Z_p at every size."""
+    ctx, q = PrimeContext(p), p**s
+    plan = MembershipPlan(ctx)
+    units = [w for w in range(1, q + 1) if w % p]
+    shell = {"lower": bound(Fraction(p) ** (1 - s)), "upper": bound(Fraction(1, q), strict=False)}
+    inside = 0
+    for a, u, n in itertools.product(units, units, (*range(1, 9), 12, 20)):
+        c, lam = Fraction(a, q), Fraction(u, q)
+        reaches = any(valuation(c + lam * w**n, ctx) < 0 for w in units)
+        assert plan.outside(BoxDomain(1), [plan.levels_of(one_level(c, **shell, lam=lam, n=n))]) \
+            == ([0] if reaches else []), (a, u, n)
+        inside += not reaches
+    assert inside
+
+
 # -- norm descriptions -------------------------------------------------------------
 
 
@@ -930,37 +951,31 @@ def test_fiber_measure_is_the_explicit_tower_integral(data):
 @_differential
 @given(data=st.data())
 def test_cells_outside_the_box_hold_a_point_outside(data):
-    """Over the box, a cell of explicit levels is refused iff it holds a point
-    outside Z_p^n: a level with integer centre c admitting v(t - c) = k < 0.
-    The admitted valuations are found by contains at t = c + lam*p^(k - v(lam))
-    for k in [-20, 20], which holds every k a level admits below 0, and one
-    admitted k per level when there are any; the witness point is a member."""
+    """Over the box, a cell of explicit levels about constant centres (integers,
+    or a/p^s with s in {1, 2}) is refused iff it holds a point outside Z_p^n.
+    Its levels are independent, so it does iff each level has a member and
+    some level a member outside Z_p.  The members are those _level_members
+    finds: one of every admitted valuation in [-30, 30], which holds every
+    admitted k < 0, and one of every unit class mod p^2 at the least, which
+    sees whether the units of a single shell about a/p^s stay in Z_p."""
     p = data.draw(st.sampled_from((2, 3, 5, 7)))
     ctx = PrimeContext(p)
-    levels = data.draw(st.lists(_explicit_level(p), min_size=1, max_size=2))
-
-    def admitted(level) -> dict:
-        """k -> t - c for the valuations k in [-20, 20] the level admits."""
-        lam, n = level.coset.lam, level.coset.n
-        if lam == 0:
-            return {INF: 0}
-        vlam = int(valuation(lam, ctx))
-        tower = CellTower((level,))
-        diffs = {k: lam * Fraction(p) ** (k - vlam) for k in range(-20, 21) if (k - vlam) % n == 0}
-        return {k: d for k, d in diffs.items()
-                if contains(tower, [level.center.constant_value() + d], ctx)}
-
-    shells = [admitted(level) for level in levels]
-    reaching = [k for k in map(min, filter(None, shells)) if k < 0]
-    expected = all(shells) and bool(reaching)
+    centers = st.integers(-p, p) | st.builds(lambda a, s: Fraction(a, p**s),
+                                             st.integers(-p * p, p * p), st.sampled_from((1, 2)))
+    levels = [CellLevel(Polynomial.constant(data.draw(centers)), level.lower, level.upper,
+                        level.coset)
+              for level in data.draw(st.lists(_explicit_level(p), min_size=1, max_size=2))]
     tower = CellTower(tuple(levels))
+    units = [w for w in range(1, p * p) if w % p]
+    members = [_level_members(level, units, ctx) for level in levels]
+    expected = False
+    if all(members):
+        point = [next((t for t in ms if Fraction(t).denominator % p == 0), ms[0])
+                 for ms in members]
+        assert contains(tower, point, ctx)
+        expected = any(Fraction(x).denominator % p == 0 for x in point)
     cert = DecompositionCertificate(p, BoxDomain(len(levels)), (tower,))
     assert check_partition(cert, 1, ctx).outside == ([0] if expected else [])
-    if all(shells):
-        point = [level.center.constant_value() + shell[min(shell)]
-                 for level, shell in zip(levels, shells)]
-        assert contains(tower, point, ctx)
-        assert any(Fraction(x).denominator % p == 0 for x in point) == expected
 
 
 def _level_members(level: CellLevel, units, ctx) -> list[Fraction]:
@@ -1045,7 +1060,7 @@ def test_check_partition_matches_per_lift_loop(problem):
     violations, ambiguous, points = per_lift_partition(cert, m, ctx)
     assert (report.violations, report.ambiguous_points, report.points_tested) \
         == (violations, ambiguous, points)
-    assert report.ok == (not violations)
+    assert report.ok == (not violations and not report.outside)
 
 
 # product certificates of at most 343 points: the per-lift loops test every cell at each
@@ -1154,7 +1169,7 @@ def test_shared_plan_matches_per_lift_loops_on_product_certificates(problem):
         report = check_partition(cert, m, ctx)
     violations, ambiguous, points = per_lift_partition(cert, m, ctx)
     assert (report.violations, report.ambiguous_points, report.points_tested, report.ok) \
-        == (violations, ambiguous, points, not violations)
+        == (violations, ambiguous, points, not violations and not report.outside)
     assert counts["visited"] <= counts["evals"] <= len(carriers) * counts["visited"]
 
     carriers = _carriers([cert.cells[d.cell] for d in cert.descriptions],
@@ -1222,7 +1237,7 @@ def test_coset_lookup_matches_the_per_tower_loop(problem):
     cert, m, ctx = problem
     p, arity = ctx.p, cert.domain.arity
     plan = MembershipPlan(ctx)
-    owners_of = plan.owners_of([plan.tests_of(tower) for tower in cert.cells])
+    owners_of = plan.owners_of([plan.levels_of(tower) for tower in cert.cells])
     loop = MembershipPlan(ctx)
     members = [loop.member_of(tower) for tower in cert.cells]
 

@@ -162,6 +162,51 @@ def test_a_coset_cell_outside_its_tower_domain_exits_3(tmp_path, capsys):
         "points_tested": 260, "violations": []}
 
 
+def _about_one_over(p: int, shell: bool) -> dict:
+    """A box certificate of one cell about c = 1/p in 1*P_1: v(t - c) >= -1,
+    or with shell only v(t - c) = -1."""
+    level = {"center": f"1/{p}", "upper": {"expr": f"1/{p}", "strict": False},
+             "coset": {"lambda": "1", "n": 1}}
+    if shell:
+        level["lower"] = {"expr": "1", "strict": True}
+    return {"prime": p, "domain": {"kind": "box", "arity": 1}, "cells": [{"levels": [level]}]}
+
+
+ONE_TERM = {"terms": [{"cell": 0, "coeff": "1", "levels": [{"a": 0, "l": 0}]}]}
+
+
+@pytest.mark.parametrize("shell", [False, True])
+def test_a_cell_about_a_non_integral_centre_outside_z5_exits_3(tmp_path, capsys, shell):
+    """About c = 1/5, integrate used to print closed_form 5 (4 for the single
+    shell) against oracle_exact 1 with exit 0: the cell holds t = c + 1."""
+    cert = write_json(tmp_path / "cert.json", _about_one_over(5, shell))
+    terms = write_json(tmp_path / "terms.json", ONE_TERM)
+    assert main(["integrate", "--certificate", cert, "--terms", terms, "--expr", "norm(1)",
+                 "--oracle-level", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "certificate": "partition check: 1 cell(s) outside the domain, 125 points, 0 ambiguous",
+        "outside_domain": [0], "violations": []}
+    assert main(["cells-check", "--certificate", cert]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert (out["partition_ok"], out["outside_domain"], out["violations"]) == (False, [0], [])
+
+
+def test_the_single_shell_about_one_half_is_z2(tmp_path, capsys):
+    """At p = 2 the shell v(t - 1/2) = -1 is Z_2 itself: t = (1 + u)/2 for the
+    units u, so the certificate passes and integrates to 1."""
+    cert = write_json(tmp_path / "cert.json", _about_one_over(2, True))
+    terms = write_json(tmp_path / "terms.json", ONE_TERM)
+    assert main(["integrate", "--certificate", cert, "--terms", terms, "--expr", "norm(1)",
+                 "--oracle-level", "3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["certificate"], out["closed_form"], out["oracle_exact"]) \
+        == ("partition check: ok, 8 points, 0 ambiguous", "1", "1")
+    assert main(["cells-check", "--certificate", cert]) == 0
+    assert json.loads(capsys.readouterr().out)["partition_ok"] is True
+
+
 def test_cells_check_ok_and_norms(tmp_path, capsys):
     payload = dict(COSET_CERT)
     # |t| = |lam| * |t^2 lam^{-2}|^{1/2} on each coset cell (root order 2)
