@@ -910,9 +910,7 @@ def certificate_from_dict(data: dict) -> DecompositionCertificate:
                                         domain=domain, cells=cells, descriptions=descriptions)
 
 
-def _bound_to_dict(b: Bound | None):
-    if b is None:
-        return None
+def _bound_to_dict(b: Bound) -> dict:
     return {"expr": format_poly(b.expr), "strict": b.strict}
 
 

@@ -96,6 +96,7 @@ def additive_character(x, ctx: PrimeContext) -> CharacterValue:
 
 
 CHARACTER_TABLE_CACHE_SIZE = 16  # moduli p^m whose character tables stay built
+BOUND_SLACK = 1e-9  # the relative float roundoff bound_check forgives a sample
 
 
 @lru_cache(maxsize=CHARACTER_TABLE_CACHE_SIZE)
@@ -105,8 +106,7 @@ def _character_table(pm: int) -> tuple[complex, ...]:
 
 
 def _pairwise_sum(values: list[complex]) -> complex:
-    if not values:
-        return complex(0.0)
+    """The sum of values, which is never empty."""
     while len(values) > 1:  # neighbours pairwise, an odd last value carried up
         values = list(map(add, values[0::2], values[1::2])) + values[len(values) & ~1:]
     return values[0]
@@ -341,17 +341,17 @@ def _fit(p: int, results: list[tuple[int, ExpSumResult]]) -> DecayFit:
                     values=values)
 
 
-def bound_violations(fit: DecayFit, slack: float = 1e-9) -> list[tuple[int, float]]:
-    """The samples (m, |E|) above c_hat * min{|y|^alpha_hat, 1} (with slack)."""
+def bound_violations(fit: DecayFit) -> list[tuple[int, float]]:
+    """The samples (m, |E|) above c_hat * min{|y|^alpha_hat, 1}, up to BOUND_SLACK."""
     return [(m, v) for m, v in fit.samples
-            if v > fit.c_hat * min(fit.p ** (m * fit.alpha_hat), 1.0) * (1 + slack)]
+            if v > fit.c_hat * min(fit.p ** (m * fit.alpha_hat), 1.0) * (1 + BOUND_SLACK)]
 
 
-def bound_check(fit: DecayFit, slack: float = 1e-9) -> bool:
-    """Every sample satisfies |E| <= c_hat * min{|y|^alpha_hat, 1} (with slack)."""
+def bound_check(fit: DecayFit) -> bool:
+    """Every sample satisfies |E| <= c_hat * min{|y|^alpha_hat, 1}, up to BOUND_SLACK."""
     if not fit.samples:
         raise ValueError("fit has no non-vanished samples")
-    return not bound_violations(fit, slack)
+    return not bound_violations(fit)
 
 
 def dominance_warning(fs: Sequence[Polynomial], seed: int = 0) -> str | None:

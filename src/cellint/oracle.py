@@ -30,11 +30,12 @@ p^j (or a test reads it).  The budget counts all p^(level*n) classes.
 A multi-level oracle walks once.  Neither the domain test nor constant_on
 reads the level, so a class settled at depth j is settled, with the same
 key, in a walk to any level m >= j, where it holds p^(n(m-j)) classes.
-riemann_sums walks to the largest level listed, tallies the settled classes
-per key and depth, and a listed lower level m also tallies its own leaves:
-the classes a walk to m keys at depth m that this walk splits further.
-Each level's riemann_integrate then reads the shared tally with its own
-compile_expr, whose zero carriers and ambiguity flag read the level.
+riemann_sums walks to the largest level listed and counts, as it walks, the
+lifts mod p^m of each key for every listed level m: a class settled at depth
+j <= m adds p^(n(m-j)), and a listed lower level m also adds 1 for each of
+its own leaves, the classes a walk to m keys at depth m that this walk splits
+further.  Each level's riemann_integrate then reads its own tally with its
+own compile_expr, whose zero carriers and ambiguity flag read the level.
 
 _values_mod is the one enumeration of (Z/p^m)^n under a polynomial map.  It
 reads each f through the same integer view (Polynomial.cleared), with the
@@ -109,7 +110,7 @@ def _arity(fs: Sequence[Polynomial], n: int | None = None) -> int:
 
 def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
                       domain: Domain | None = None,
-                      budget: int = DEFAULT_BUDGET, *, walk: tuple | None = None) -> OracleResult:
+                      budget: int = DEFAULT_BUDGET, *, walk: dict | None = None) -> OracleResult:
     """Riemann sum over all residue classes mod p^level of Z_p^arity.
 
     Each class contributes p^(-arity*level) times the integrand value at its
@@ -128,20 +129,12 @@ def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
     the classes counted or where it is 0 mod p^j.  The budget bounds the
     p^(arity*level) classes decided, however few are visited.  Raises
     check_budget's errors for the level, then InvalidArgumentError for an
-    arity below the expression's or the domain's.  walk is the tally of a
-    walk that listed the level, which riemann_sums shares between its
-    levels; by default, a walk to level.
+    arity below the expression's or the domain's.  walk is _walk's per-level
+    tally {m: {key: lifts mod p^m}} of a walk that listed the level, which
+    riemann_sums shares between its levels; by default, a walk to level.
     """
-    settled, leaves = walk or _walk(e, arity, [level], ctx, domain, budget)
+    counts = (walk or _walk(e, arity, [level], ctx, domain, budget))[level]
     p, run = ctx.p, compile_expr(e, ctx, level)
-    counts = dict(leaves[level])
-    width = p**arity
-    for key, row in settled.items():
-        count = 0  # sum_j row[j] * p^(arity*(level-j)), by Horner
-        for c in row[:level + 1]:
-            count = count * width + c
-        if count:
-            counts[key] = counts.get(key, 0) + count
     ambiguous = sum(count for key, count in counts.items() if key[1])
     total: ExactValue = Fraction(0)
     for (valuations, amb), count in counts.items():
@@ -170,13 +163,13 @@ def riemann_sums(e: QExpExpr, arity: int, levels: Sequence[int], ctx: PrimeConte
 
 
 def _walk(e: QExpExpr, arity: int, levels: Sequence[int], ctx: PrimeContext,
-          domain: Domain | None, budget: int) -> tuple[dict, dict]:
+          domain: Domain | None, budget: int) -> dict[int, dict]:
     """One walk of refine_classes to the largest of levels, tallied for each
-    (see the module docstring): (settled, leaves), settled[key][j] counting
-    the classes settled at depth j, keys in the order found, and
-    leaves[m][key] the leaves of a listed level m (none at the largest).
-    check_budget admits the smallest and the largest level, then the arity
-    is checked."""
+    (see the module docstring): {m: {key: lifts mod p^m}} for every listed
+    level m, keys in the order found.  A class settled at depth j <= m holds
+    p^(arity*(m-j)) lifts of m, from m's size table; a leaf of a lower listed
+    level m holds one.  check_budget admits the smallest and the largest
+    level, then the arity is checked."""
     if not levels:
         raise InvalidArgumentError("need at least one level")
     p = ctx.p
@@ -187,21 +180,19 @@ def _walk(e: QExpExpr, arity: int, levels: Sequence[int], ctx: PrimeContext,
     if domain is not None and domain.arity > arity:
         raise InvalidArgumentError(f"arity is {arity}, but the domain has arity {domain.arity}")
     top = max(levels)
-    leaves: dict = {m: {} for m in levels}
+    lifts: dict = {m: {} for m in levels}
+    sizes = [(lifts[m], [p ** (arity * (m - j)) for j in range(m + 1)]) for m in lifts]
     plan = MembershipPlan(ctx)
     classify = settle_on_valuations([plan.view(f) for f in polys])
-    settled: dict = {}
     for key, r, j, whole in refine_classes(p, top, arity, classify, plan.domain_of(domain),
-                                           leaves.keys() - {top}):
+                                           lifts.keys() - {top}):
         if whole:
-            row = settled.get(key)
-            if row is None:
-                row = settled[key] = [0] * (top + 1)
-            row[j] += 1
-        else:
-            tally = leaves[j]
-            tally[key] = tally.get(key, 0) + 1
-    return settled, leaves
+            for tally, size in sizes:
+                if j < len(size):
+                    tally[key] = tally.get(key, 0) + size[j]
+        else:  # a leaf of the lower listed level j
+            lifts[j][key] = lifts[j].get(key, 0) + 1
+    return lifts
 
 
 def monte_carlo_integrate(e: QExpExpr, arity: int, samples: int, seed: int,

@@ -25,7 +25,7 @@ Valuation = Union[int, float]  # finite int, or math.inf for v(0)
 INF = math.inf
 
 # Deterministic Miller-Rabin base set, valid for all n < 3.317e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 

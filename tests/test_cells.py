@@ -519,6 +519,17 @@ _BOX_CERT = {
     "descriptions": [{"cell": 0, "function": 0, "delta": "1", "a": 1, "level": 0}],
 }
 _TERMS = {"terms": [{"cell": 0, "coeff": "1/2", "levels": [{"a": 1, "l": 2}]}]}
+
+
+def test_save_certificate_round_trip_over_the_box(tmp_path):
+    cert = certificate_from_dict(_BOX_CERT)
+    path = tmp_path / "cert.json"
+    save_certificate(cert, path)
+    loaded = load_certificate(path)
+    assert loaded == cert and loaded.domain == BoxDomain(1)
+    assert certificate_to_dict(loaded) == _BOX_CERT
+
+
 # every integer field of the two file formats: (document, path to the field)
 INTEGER_FIELDS = [
     (_BOX_CERT, ("prime",)),

@@ -70,6 +70,12 @@ def test_parse_error_exit_code(capsys):
     assert "offset 5" in err
 
 
+def test_parse_without_an_expression_exit_2(capsys):
+    assert main(["parse"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "parse: missing expression\n"
+
+
 def test_integrate_norm(tmp_path, capsys):
     cert = write_json(tmp_path / "cert.json", ZP_CERT)
     terms = write_json(tmp_path / "terms.json", NORM_TERMS)
@@ -262,6 +268,13 @@ def test_expsum_command(capsys):
     assert abs(payload["abs"] - 5**-0.5) < 1e-9
 
 
+def test_expsum_warns_of_a_map_that_cannot_be_dominant(capsys):
+    assert main(["expsum", "--f", "x1;x1^2", "--y", "1/5,1/5", "--prime", "5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["warning"].startswith("map has 2 components in 1 variables")
+    assert (payload["n"], payload["r"]) == (1, 2)
+
+
 def test_kloosterman_command(capsys):
     rc = main(["kloosterman", "--f", "x1^2", "--a", "1", "--m", "1", "--prime", "5"])
     assert rc == 0
@@ -314,6 +327,13 @@ def test_decay_command_and_determinism(tmp_path, capsys):
     assert (tmp_path / "run1.json").read_bytes() == (tmp_path / "run2.json").read_bytes()
     header = (tmp_path / "run1.csv").read_text().splitlines()[0]
     assert header == "m,re,im,abs,logp_abs"
+
+
+def test_decay_warns_when_the_jacobian_stays_below_full_rank(capsys):
+    assert main(["decay", "--f", "x1*x2;2*x1*x2", "--m-min", "1", "--m-max", "2",
+                 "--prime", "5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["warning"].startswith("Jacobian rank stayed at 1 < 2")
 
 
 def test_decay_direction_sweep(capsys):

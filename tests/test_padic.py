@@ -1,6 +1,7 @@
 """Valuation arithmetic, n-th power decisions, and shell measures."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -29,7 +30,7 @@ from cellint import (
     valuation,
 )
 from cellint.cells import CellLevel, CellTower, CosetSpec, MembershipPlan
-from cellint.padic_core import check_budget, unit_part
+from cellint.padic_core import _MR_LIMIT, check_budget, unit_part
 from cellint.polynomials import Polynomial
 
 C2 = PrimeContext(2)
@@ -89,6 +90,27 @@ def test_primality_gate():
     with pytest.raises(ValueError):
         PrimeContext(6)
     assert [f.name for f in dataclasses.fields(PrimeContext)] == ["p"]  # the prime alone
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+def test_primality_is_deterministic_below_the_limit():
+    """Miller-Rabin over the bases 2..41 agrees with trial division below 20 000,
+    where composites such as 2021 = 43*47 pass the small-prime sieve; it rejects
+    the least strong pseudoprime to every base 2..37 and admits nothing past
+    the limit the bases are proven for."""
+    assert [n for n in range(20_000) if is_prime(n)] == [n for n in range(20_000)
+                                                         if _trial_division(n)]
+    assert not is_prime(2021) and not is_prime(1763)  # 1763 = 41*43
+    assert is_prime(2**61 - 1)
+    pseudoprime = 399_165_290_221 * 798_330_580_441
+    assert pseudoprime == 318_665_857_834_031_151_167_461 and not is_prime(pseudoprime)
+    with pytest.raises(InvalidArgumentError, match="not prime"):
+        PrimeContext(pseudoprime)
+    with pytest.raises(InvalidArgumentError, match="only deterministic below"):
+        is_prime(_MR_LIMIT)
 
 
 def test_valuation_examples():
