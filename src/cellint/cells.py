@@ -25,15 +25,16 @@ of check_norm_description, and the domain and integrand carriers of
 oracle.riemann_integrate read the same plan's views, and
 MembershipPlan.member_of plans a single tower.  The checks walk the
 digit-tree kernel refine_classes, which settles a class r mod p^j (all its
-p^(n(m-j)) lifts at once) when every test is unambiguous on it and (one
-rule, settle_on_valuations) every view read has a constant valuation on it;
-_tally tallies the settled classes.  Given listed depths below its level, the
-walk also yields the leaves a walk to each of them keys there, so one walk
-serves several levels (oracle.riemann_sums).  The budget counts all p^(m*n)
-classes.  The classes see only the domain's points, so check_partition also
-asks the plan which cells reach outside the domain (MembershipPlan.outside),
-in one comparison per level record: with Z_p over the box, with the domain's
-record of the same view of t - c over a tower.
+p^(n(m-j)) lifts at once) once every test is fixed on it (decided <= j) and
+(one rule, settle_on_valuations) every view read has a constant valuation on
+it; the Hensel margin only flags it ambiguous, as _tally counts.  Given
+listed depths below its level, the walk also yields the leaves a walk to
+each of them keys there, so one walk serves several levels
+(oracle.riemann_sums).  The budget counts all p^(m*n) classes.  The classes
+see only the domain's points, so check_partition also asks the plan which
+cells reach outside the domain (MembershipPlan.outside), in one comparison
+per level record: with Z_p over the box, with the domain's record of the
+same view of t - c over a tower.
 """
 
 from __future__ import annotations
@@ -282,8 +283,8 @@ class _Order:
 
     def __init__(self, diff: _Carrier, n: int, p: int):
         self.diff, self.n, self.hensel = diff, n, hensel_level(n, p)
-        self.exponent, level, self.index = _power_test(n, p)
-        self.modulus = p**level if self.index > 1 else 1
+        self.exponent, self.level, self.index = _power_test(n, p)  # (e, L, index), L = 1 at index 1
+        self.modulus = p**self.level if self.index > 1 else 1
 
     def key(self, lam: Fraction) -> tuple[int, int]:
         """The signature of t - c = lam (nonzero)."""
@@ -367,8 +368,8 @@ class MembershipPlan:
         return record
 
     def _plan_level(self, index: int, level: CellLevel) -> _Level:
-        """The record of one cell level, with its test (point, level) ->
-        (holds, ambiguous) in integers.
+        """The record of one cell level, with its test point -> (holds, decided,
+        flagged) in integers.
 
         With t - c(x) = N(x)/D cleared of denominators, v(t - c) = v(N) - v(D),
         and t - c is in lam*P_n iff its coset signature equals lam's (_Order).
@@ -376,18 +377,22 @@ class MembershipPlan:
         plan time; a zero constant ends the fold (alpha first), and fails the
         level ambiguously.  A level whose bounds are all nonzero constants
         (explicit) and that admits some valuation also records its order, its
-        window and the unit part of lam's signature.
+        window and the unit part of lam's signature.  As N(r + p^j*y) = N(r)
+        mod p^j, decided is v(N) + 1, or v(N) + L (_Order.level) where the unit
+        part is read, and flagged v(N) + M (1 for a point), INF for a zero bound
+        in the window; both are at least bv + 1 for each non-constant bound of
+        cleared valuation bv, and INF at a zero carrier.
         """
         lam, n = level.coset.lam, level.coset.n
         diff = self.diff(index, level.center)
         read, vden = diff.valuation, diff.vden
         if lam == 0:
-            def point_test(point: Sequence[int], at: int) -> tuple[bool, bool]:
+            def point_test(point: Sequence[int]) -> tuple:
                 v = read(point)
-                return v is INF, v >= at  # v + M > at with M = 1
+                return v is INF, v + 1, v + 1  # M = 1
             return _Level(point_test, diff, level.center, lam)
         order = self._order(diff, n)
-        unit, hensel = order.unit, order.hensel
+        unit, hensel, digits = order.unit, order.hensel, order.level
         residue, unit_key = order.key(lam)
         lo, hi, zero, reads = -INF, INF, False, []
         for lower, bound in ((True, level.lower), (False, level.upper)):
@@ -405,13 +410,13 @@ class MembershipPlan:
             else:  # |t - c| < |beta|: k > v(beta)
                 lo = max(lo, value + bound.strict)
 
-        def test(point: Sequence[int], at: int) -> tuple[bool, bool]:
+        def test(point: Sequence[int]) -> tuple:
             v = read(point)
-            ambiguous = v + hensel > at
+            decided, flagged = v + 1, v + hensel
             k_lo, k_hi = lo, hi
             for lower, strict, view in reads:  # the non-constant bounds, read at the class
                 bv = view.valuation(point)
-                ambiguous = ambiguous or bv >= at  # the cleared bound is 0 mod p^at
+                decided, flagged = max(decided, bv + 1), max(flagged, bv + 1)
                 if bv is INF:  # the bound vanished: a malformed cell at this point
                     k_hi = -INF
                 elif lower:
@@ -420,10 +425,10 @@ class MembershipPlan:
                     k_lo = max(k_lo, bv - view.vden + strict)
             k = v - vden
             if not k_lo <= k <= k_hi:
-                return False, ambiguous
+                return False, decided, flagged
             if zero or v is INF or k % n != residue:  # past the window, a zero bound is ambiguous
-                return False, ambiguous or zero
-            return unit() == unit_key, ambiguous
+                return False, decided, INF if zero else flagged
+            return unit() == unit_key, max(decided, v + digits), flagged
         first = lo if lo == -INF else lo + (residue - lo) % n  # the least and greatest k admitted
         last = hi if hi == INF else hi - (hi - residue) % n
         if reads or zero or first > last:
@@ -434,26 +439,26 @@ class MembershipPlan:
         """The planned record of each level of a tower."""
         return [self._level(i, level) for i, level in enumerate(tower.levels)]
 
-    def member_of(self, tower: CellTower) -> Callable[[Sequence[int], int], tuple[bool, bool]]:
-        """Plan a tower on this plan: (integer point, level) -> (member, ambiguous).
+    def member_of(self, tower: CellTower) -> Callable[[Sequence[int]], tuple]:
+        """Plan a tower on this plan: integer point -> (member, decided, flagged).
 
-        Membership is exact at the point, and ambiguous when the class mod
-        p^level does not fix it: at some level v(t - c) + M > level -
-        (precision lost to p in the centre's denominators), M the coset's
-        Hensel level (1 for a point), or a non-constant bound is 0 mod p^level
-        once cleared, or a bound vanishes.  Levels after the first that fails
-        are not tested.
+        Membership is exact at the point, and fixed on the class mod p^j once
+        decided <= j.  The class mod p^m is ambiguous iff flagged > m: at some
+        level v(t - c) + M > m - (precision lost to p in the centre's
+        denominators), M the coset's Hensel level (1 for a point), or a
+        non-constant bound is 0 mod p^m once cleared, or a bound vanishes.
+        Both are the largest over the levels tested, up to the first that fails.
         """
         tests = [level.test for level in self.levels_of(tower)]
 
-        def member_of(point: Sequence[int], at: int) -> tuple[bool, bool]:
-            ambiguous = False
+        def member_of(point: Sequence[int]) -> tuple:
+            decided = flagged = 0
             for test in tests:
-                holds, amb = test(point, at)
-                ambiguous = ambiguous or amb
+                holds, d, f = test(point)
+                decided, flagged = max(decided, d), max(flagged, f)
                 if not holds:
-                    return False, ambiguous
-            return True, ambiguous
+                    return False, decided, flagged
+            return True, decided, flagged
 
         return member_of
 
@@ -462,8 +467,8 @@ class MembershipPlan:
         restrict nothing."""
         return None if domain is None or isinstance(domain, BoxDomain) else self.member_of(domain)
 
-    def owners_of(self, towers: Sequence[list]) -> Callable[[Sequence[int], int], tuple]:
-        """(integer point, level) -> (indices of the towers holding it, ambiguous),
+    def owners_of(self, towers: Sequence[list]) -> Callable[[Sequence[int]], tuple]:
+        """integer point -> (indices of the towers holding it, decided, flagged),
         for towers planned by levels_of.
 
         The towers are merged into a tree of level records, so a level shared
@@ -474,8 +479,9 @@ class MembershipPlan:
         signature leaves only the windows of the levels of that coset to
         compare.  Every other level (a point, a zero or non-constant bound)
         is tested alone.  Siblings of one group share their view and Hensel
-        margin, so ambiguous is still the or of every level test the node
-        makes, which is the or of member_of's flags over the towers.
+        margin, so flagged is the largest of member_of's over the towers;
+        decided is, for a group, v + L where a unit part is read, v + 1 where
+        no level admits k mod n, INF at v = INF.
         """
         root: tuple[dict, list] = ({}, [])
         for idx, levels in enumerate(towers):
@@ -486,7 +492,7 @@ class MembershipPlan:
 
         def node(levels: dict) -> tuple[list, list]:
             """([(test, node, owners)] of the levels tested alone, [(read, vden,
-            n, hensel, unit, {k mod n: {unit part: [(first, last, node,
+            n, hensel, L, unit, {k mod n: {unit part: [(first, last, node,
             owners)]}})] of the groups), node None for a leaf."""
             alone, groups = [], {}
             for level, (children, owners) in levels.items():
@@ -498,29 +504,27 @@ class MembershipPlan:
                 table = groups.setdefault(level.order, {}).setdefault(residue, {})
                 table.setdefault(level.unit, []).append((first, last, *branch))
             return alone, [(order.diff.valuation, order.diff.vden, order.n, order.hensel,
-                            order.unit, table) for order, table in groups.items()]
+                            order.level, order.unit, table) for order, table in groups.items()]
 
         tree = node(root[0])
 
-        def owners_of(point: Sequence[int], at: int) -> tuple[tuple[int, ...], bool]:
-            owners, ambiguous = list(root[1]), False
+        def owners_of(point: Sequence[int]) -> tuple[tuple[int, ...], int, int]:
+            owners, decided, flagged = list(root[1]), 0, 0
             stack = [tree]
             while stack:
                 alone, groups = stack.pop()
                 for test, children, cells in alone:
-                    holds, amb = test(point, at)
-                    ambiguous = ambiguous or amb
+                    holds, d, f = test(point)
+                    decided, flagged = max(decided, d), max(flagged, f)
                     if holds:
                         owners += cells
                         if children:
                             stack.append(children)
-                for read, vden, n, hensel, unit, table in groups:
+                for read, vden, n, hensel, digits, unit, table in groups:
                     v = read(point)
-                    ambiguous = ambiguous or v + hensel > at
-                    if v is INF:
-                        continue
-                    k = v - vden
-                    units = table.get(k % n)
+                    flagged, k = max(flagged, v + hensel), v - vden
+                    units = None if v is INF else table.get(k % n)
+                    decided = max(decided, v + (1 if units is None else digits))
                     if units is None:
                         continue
                     for first, last, children, cells in units.get(unit(), ()):
@@ -528,7 +532,7 @@ class MembershipPlan:
                             owners += cells
                             if children:
                                 stack.append(children)
-            return tuple(sorted(owners)), ambiguous
+            return tuple(sorted(owners)), decided, flagged
 
         return owners_of
 
@@ -597,25 +601,28 @@ def refine_classes(p: int, level: int, arity: int, classify: Callable,
                    member_of: Callable | None = None, depths=()) -> Iterator[tuple]:
     """Settle the classes r mod p^j of Z_p^arity, depth first, one p-adic digit at a time.
 
-    A class that member_of (a membership plan) finds ambiguous is split, one
-    outside it is settled with the key (None, ambiguous); classify(r, j,
-    ambiguous, level) keys all p^(arity*(level-j)) lifts of the others, or
-    returns None to split r into r + p^j*d (never at j = level).  Yields
-    (key, r, j, True) for a settled class, which a walk to any level m >= j
-    settles alike.  At a depth j in depths below the level, a class about to
-    be split is first yielded as (key, r, j, False), a leaf of a walk to j
-    only, keyed as that walk keys it: classify(r, j, ambiguous, j), or (None,
-    ambiguous) outside member_of.
+    A class whose membership member_of (a membership plan) has not decided
+    (decided > j) is split, one outside it is settled with the key (None,
+    flagged); classify(r, j, flagged, level) keys all p^(arity*(level-j))
+    lifts of the others, or returns None to split r into r + p^j*d (never at
+    j = level).  Every lift of a decided class has its flagged (0 over the
+    box): ambiguous mod p^m iff flagged > m.  Yields (key, r, j, True) for a
+    settled class, which a walk to any level m >= j settles alike.  At a
+    depth j in depths below the level, a class about to be split is first
+    yielded as (key, r, j, False), a leaf of a walk to j only, keyed as that
+    walk keys it: classify(r, j, flagged, j), or (None, flagged) outside
+    member_of.
     """
     digits = list(itertools.product(range(p), repeat=arity))
     stack = [((0,) * arity, 0)]
     while stack:
         r, j = stack.pop()
-        member, amb = (True, False) if member_of is None else member_of(r, j)
-        key = None if amb and j < level else classify(r, j, amb, level) if member else (None, amb)
+        member, decided, flagged = (True, 0, 0) if member_of is None else member_of(r)
+        key = None if decided > j and j < level else \
+            classify(r, j, flagged, level) if member else (None, flagged)
         if key is None:
             if j in depths:
-                yield (classify(r, j, amb, j) if member else (None, amb)), r, j, False
+                yield (classify(r, j, flagged, j) if member else (None, flagged)), r, j, False
             pj = p**j
             stack.extend((tuple(x + pj * d for x, d in zip(r, ds)), j + 1) for ds in digits)
         else:
@@ -632,10 +639,10 @@ def valuation_key(views: Sequence[_Carrier], point: Sequence[int]) -> tuple:
 def settle_on_valuations(views: Sequence[_Carrier]) -> Callable:
     """refine_classes' classify over carrier views: below the level, split a class
     unless every view's constant_on holds; key a settled one by valuation_key."""
-    def classify(r, j, amb, level):
+    def classify(r, j, flagged, level):
         if j < level and not all(view.constant_on(r, j) for view in views):
             return None
-        return valuation_key(views, r), amb
+        return valuation_key(views, r), flagged
     return classify
 
 
@@ -643,17 +650,17 @@ def _tally(p: int, m: int, arity: int, classify: Callable, member_of: Callable |
            flag: Callable) -> tuple[int, int, list]:
     """Walk refine_classes over the member classes: (points, ambiguous points,
     the sorted (lift, key) of every lift of a class whose key flag(key) marks)."""
-    points, ambiguous, flagged = 0, 0, []
-    for (key, amb), r, j, _ in refine_classes(p, m, arity, classify, member_of):
+    points, ambiguous, marked = 0, 0, []
+    for (key, flagged), r, j, _ in refine_classes(p, m, arity, classify, member_of):
         if key is None:
             continue
         size = p ** (arity * (m - j))
         points += size
-        ambiguous += size if amb else 0
+        ambiguous += size if flagged > m else 0
         if flag(key):
             lifts = itertools.product(*(range(x, p**m, p**j) for x in r))  # product order
-            flagged.extend((pt, key) for pt in lifts)
-    return points, ambiguous, sorted(flagged)
+            marked.extend((pt, key) for pt in lifts)
+    return points, ambiguous, sorted(marked)
 
 
 def membership(tower: CellTower, point: Sequence, ctx: PrimeContext,
@@ -664,7 +671,8 @@ def membership(tower: CellTower, point: Sequence, ctx: PrimeContext,
         raise InvalidArgumentError(f"point arity {len(point)} != tower arity {tower.arity}")
     if any(Fraction(x).denominator != 1 for x in point):
         raise InvalidArgumentError("membership is decided at integer lifts")
-    return MembershipPlan(ctx).member_of(tower)(tuple(int(x) for x in point), level_m)
+    member, _, flagged = MembershipPlan(ctx).member_of(tower)(tuple(int(x) for x in point))
+    return member, flagged > level_m
 
 
 # -- fiber geometry ---------------------------------------------------------------
@@ -730,8 +738,8 @@ def check_partition(cert: DecompositionCertificate, m: int, ctx: PrimeContext,
     owners_of = plan.owners_of(towers)
 
     def classify(r, j, _, level):
-        owners, ambiguous = owners_of(r, j)
-        return None if ambiguous and j < level else (owners, ambiguous)
+        owners, decided, flagged = owners_of(r)
+        return None if decided > j and j < level else (owners, flagged)
 
     total, ambiguous_points, lifts = _tally(p, m, arity, classify, domain,
                                             lambda owners: len(owners) != 1)

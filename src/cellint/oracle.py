@@ -14,8 +14,8 @@ the distinct norm/val carriers there, which is also the compiled evaluator's
 input: it counts lifts per key and evaluates each key's valuations once.
 The classes are refined one p-adic digit at a time (cells.refine_classes,
 shared with the certificate checks): a class r mod p^j is settled, its
-p^(n(level-j)) lifts counted at once, when the domain's membership is
-unambiguous on it and every carrier's valuation is constant on it
+p^(n(level-j)) lifts counted at once, when the domain's membership is fixed
+on it and every carrier's valuation is constant on it
 (cells.settle_on_valuations, check_norm_description's rule too).  By Taylor's
 formula f(r + p^j t) = sum_k a_k(r) p^(j|k|) t^k with integer a_k, so that
 holds where f(r) is nonzero mod p^j, and also where v = v(f(r)) is finite and
@@ -27,7 +27,7 @@ level's t - c(x) is evaluated once per class, and a carrier is valued, or its
 Taylor coefficients read, only on the classes settled or where it is 0 mod
 p^j (or a test reads it).  The budget counts all p^(level*n) classes.
 
-A multi-level oracle walks once.  Neither the domain test nor constant_on
+A multi-level oracle walks once.  Neither the domain's split nor constant_on
 reads the level, so a class settled at depth j is settled, with the same
 key, in a walk to any level m >= j, where it holds p^(n(m-j)) classes.
 riemann_sums walks to the largest level listed and counts, as it walks, the
@@ -35,7 +35,8 @@ lifts mod p^m of each key for every listed level m: a class settled at depth
 j <= m adds p^(n(m-j)), and a listed lower level m also adds 1 for each of
 its own leaves, the classes a walk to m keys at depth m that this walk splits
 further.  Each level's riemann_integrate then reads its own tally with its
-own compile_expr, whose zero carriers and ambiguity flag read the level.
+own compile_expr, whose zero carriers and ambiguity flag read the level, as
+does the domain's Hensel margin each key carries (ambiguous iff flagged > m).
 
 _values_mod is the one enumeration of (Z/p^m)^n under a polynomial map.  It
 reads each f through the same integer view (Polynomial.cleared), with the
@@ -124,7 +125,7 @@ def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
     key's valuations once; the value and the ambiguity flag depend only on
     the key, so the exact sum is the same as lift by lift.  Classes are
     refined one p-adic digit at a time and counted whole as soon as their
-    domain membership is unambiguous and, on a member class, every carrier's
+    domain membership is fixed and, on a member class, every carrier's
     valuation is constant (cells.settle_on_valuations); a carrier is valued only on
     the classes counted or where it is 0 mod p^j.  The budget bounds the
     p^(arity*level) classes decided, however few are visited.  Raises
@@ -135,14 +136,13 @@ def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
     """
     counts = (walk or _walk(e, arity, [level], ctx, domain, budget))[level]
     p, run = ctx.p, compile_expr(e, ctx, level)
-    ambiguous = sum(count for key, count in counts.items() if key[1])
-    total: ExactValue = Fraction(0)
-    for (valuations, amb), count in counts.items():
+    ambiguous, total = 0, Fraction(0)
+    for (valuations, flagged), count in counts.items():
         if valuations is None:
+            ambiguous += count if flagged > level else 0
             continue
         value, amb_v = run(valuations)
-        if amb_v and not amb:
-            ambiguous += count
+        ambiguous += count if amb_v or flagged > level else 0
         total = total + value * count
     value = total * Fraction(1, p ** (arity * level))
     if isinstance(value, RootScaledValue) and value.is_rational():
@@ -226,14 +226,20 @@ def monte_carlo_integrate(e: QExpExpr, arity: int, samples: int, seed: int,
 
 
 def _modular_view(f: Polynomial, modulus: int, p: int) -> tuple:
-    """(terms, inverse) with f = terms * inverse mod modulus: the cleared integer
-    view of f and the inverse of its denominator; p-integrality enforced."""
+    """(terms, inverse) with f = terms * inverse mod modulus = p^m: the cleared
+    integer view of f, each exponent e >= m + phi(p^m) read as m + (e - m) mod
+    phi(p^m) and equal keys merged (Euler on units, x^e = 0 for p | x once e >=
+    m), and the inverse of its denominator; p-integrality enforced."""
     terms, denom = f.cleared()
     if denom % p == 0:
         coeff = next(c for _, c in f.terms if c.denominator % p == 0)
         raise NonIntegralCoefficientsError(
             f"coefficient {coeff} is not p-integral at p = {p}")
-    return terms, pow(denom, -1, modulus)
+    m, phi = next(k for k in itertools.count() if p**k >= modulus), modulus - modulus // p
+    reduced: Counter = Counter()
+    for e, c in terms:
+        reduced[tuple(k if k < m + phi else m + (k - m) % phi for k in e)] += c
+    return tuple(reduced.items()), pow(denom, -1, modulus)
 
 
 def _degree(terms, i: int) -> int:

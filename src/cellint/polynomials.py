@@ -89,6 +89,11 @@ class Polynomial:
         terms = tuple(sorted(((e, Fraction(c)) for e, c in acc.items() if c), reverse=True))
         return Polynomial(max((len(e) for e, _ in terms), default=0), terms)
 
+    def __hash__(self) -> int:  # computed once and kept; equality stays field by field
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash((self.arity, self.terms)))
+        return self._hash
+
     def coeffs(self) -> Coeffs:
         """The coefficient dict of the arithmetic helpers."""
         return dict(self.terms)

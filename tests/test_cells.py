@@ -44,8 +44,10 @@ from cellint import (
     integrate_explicit_tower,
     load_certificate,
     load_terms,
+    parse_expr,
     parse_poly,
     point_cell,
+    riemann_sums,
     save_certificate,
     terms_from_dict,
     tower_measure,
@@ -57,7 +59,7 @@ from cellint import (
 import cellint.cells as cells_module
 from cellint.cells import MembershipPlan, _Carrier, _described_level, _rational, membership
 from cellint.errors import CertificateMismatchError
-from cellint.formula_dsl import Norm, carrier_valuations
+from cellint.formula_dsl import Norm, carrier_valuations, compile_expr
 from cellint.padic_core import _power_test
 from cellint.polynomials import Polynomial
 
@@ -702,6 +704,13 @@ def per_lift_norm_description(functions, cert, m, ctx):
     return mismatches, ambiguous, checked
 
 
+def at_level(test, point, level: int) -> tuple:
+    """A planned test's answer at the class mod p^level of an integer point:
+    (holds, ambiguous), ambiguous where its flagged margin passes the level."""
+    holds, _, flagged = test(point)
+    return holds, flagged > level
+
+
 def test_compiled_membership_matches_oracle_on_one_level_towers():
     for ctx in (PrimeContext(2), PrimeContext(5)):
         p = ctx.p
@@ -712,7 +721,8 @@ def test_compiled_membership_matches_oracle_on_one_level_towers():
             for tower in towers:
                 member_of = MembershipPlan(ctx).member_of(tower)
                 for r in range(p**level):
-                    assert member_of((r,), level) == fraction_membership(tower, (r,), ctx, level)
+                    assert at_level(member_of, (r,), level) \
+                        == fraction_membership(tower, (r,), ctx, level)
 
 
 _SIZES = [(p, n, m) for p in (2, 3, 5, 7) for n in (1, 2) for m in range(1, 12)
@@ -827,7 +837,7 @@ def test_compiled_membership_matches_fraction_oracle(data):
     member_of = MembershipPlan(ctx).member_of(tower)
     level = data.draw(st.integers(0, m + 1))
     for pt in itertools.product(range(p**m), repeat=arity):
-        assert member_of(pt, level) == fraction_membership(tower, pt, ctx, level), pt
+        assert at_level(member_of, pt, level) == fraction_membership(tower, pt, ctx, level), pt
     assert membership(tower, pt, ctx, m) == fraction_membership(tower, pt, ctx, m)
 
 
@@ -856,7 +866,8 @@ def test_level_window_matches_fraction_oracle(tower):
     member_of = MembershipPlan(ctx).member_of(tower)
     for level in range(5):
         for pt in itertools.product(range(27), repeat=tower.arity):
-            assert member_of(pt, level) == fraction_membership(tower, pt, ctx, level), (pt, level)
+            assert at_level(member_of, pt, level) \
+                == fraction_membership(tower, pt, ctx, level), (pt, level)
 
 
 def test_membership_rejects_a_point_of_the_wrong_arity():
@@ -1253,16 +1264,16 @@ def test_coset_lookup_matches_the_per_tower_loop(problem):
     members = [loop.member_of(tower) for tower in cert.cells]
 
     def per_tower(point, at):
-        flags = [member(point, at) for member in members]
+        flags = [at_level(member, point, at) for member in members]
         return tuple(i for i, (holds, _) in enumerate(flags) if holds), any(a for _, a in flags)
 
     for j in range(m + 1):
         for r in itertools.product(range(p**j), repeat=arity):
-            assert owners_of(r, j) == per_tower(r, j), (r, j)
+            assert at_level(owners_of, r, j) == per_tower(r, j), (r, j)
     domain = loop.domain_of(cert.domain)
     violations, ambiguous, points = [], 0, 0
     for pt in itertools.product(range(p**m), repeat=arity):
-        if domain is None or domain(pt, m)[0]:
+        if domain is None or domain(pt)[0]:
             owners, amb = per_tower(pt, m)
             points, ambiguous = points + 1, ambiguous + amb
             if len(owners) != 1:
@@ -1302,6 +1313,99 @@ def test_partition_takes_one_coset_signature_per_class(p, m, count):
         == per_lift_partition(cert, m, ctx)
     assert report.ok
     assert 0 < len(powers) <= len(visited)
+
+
+def per_lift_riemann(e, arity, m, ctx, domain) -> tuple:
+    """The per-lift Riemann sum over a tower domain, membership by the Fraction
+    oracle: (value, ambiguous lifts)."""
+    run, valuations = compile_expr(e, ctx, m), carrier_valuations(e, ctx)
+    total, ambiguous = Fraction(0), 0
+    for pt in itertools.product(range(ctx.p**m), repeat=arity):
+        member, amb = fraction_membership(domain, pt, ctx, m)
+        if member:
+            value, amb_v = run(valuations(pt))
+            total, amb = total + value, amb or amb_v
+        ambiguous += amb
+    return total * Fraction(1, ctx.p ** (arity * m)), ambiguous
+
+
+_INTEGRANDS = {1: ("norm(x1)", "val(x1 - 1)", "norm(x1^2 - 2)*val(x1)"),
+               2: ("norm(x1*x2)", "val(x2 - x1) + norm(x1)", "norm(x2^2 - x1^3)")}
+
+
+@st.composite
+def _tower_domain_problem(draw):
+    """(cert, functions, e, m, ctx) over a tower domain at p in {2, 3, 5} with
+    coset orders n in {1, 2, 3, 4}, so p | n at p = 2 (n = 2, 4) and p = 3
+    (n = 3).  Each domain level about its centre (a constant, then x1 or
+    x1^2 + 1) is Z_p minus the centre, a shell of it, or one coset of order
+    n; the cells are the cosets of order n about the first centre, over Z_p
+    minus the second centre and that centre, or random towers."""
+    p, arity = draw(st.sampled_from((2, 3, 5))), draw(st.integers(1, 2))
+    m = draw(st.integers(1, max(k for k in range(1, 12) if p ** (k * arity) <= 729)))
+    ctx, n = PrimeContext(p), draw(st.integers(1, 4))
+    centers = [Polynomial.constant(draw(st.integers(0, p)))]
+    if arity == 2:
+        centers.append(parse_poly(draw(st.sampled_from(("x1", "x1^2 + 1")))))
+    unit_ball, one = bound(1, strict=False), CosetSpec(Fraction(1), 1)
+    lam = draw(st.sampled_from(coset_representatives(n, ctx)))
+    kinds = {"punctured": (None, unit_ball, one), "shell": (bound(p**3), unit_ball, one),
+             "coset": (None, draw(st.sampled_from((unit_ball, bound(p)))), CosetSpec(lam, n))}
+    domain = CellTower(tuple(CellLevel(c, *kinds[draw(st.sampled_from(sorted(kinds)))])
+                             for c in centers))
+    if draw(st.booleans()):
+        cells = [(CellLevel(centers[0], None, unit_ball, CosetSpec(rep, n)),)
+                 for rep in coset_representatives(n, ctx)]
+        if arity == 2:
+            cells = [cell + (level,) for cell in cells for level in (
+                CellLevel(centers[1], None, unit_ball, one),
+                CellLevel(centers[1], None, None, CosetSpec(Fraction(0), 1)))]
+        cells = tuple(CellTower(levels) for levels in cells)
+    else:
+        cells = tuple(draw(_random_tower(p, arity)) for _ in range(draw(st.integers(1, 4))))
+    descriptions = []
+    for _ in range(draw(st.integers(1, 2))):
+        cell = draw(st.integers(0, len(cells) - 1))
+        point = cells[cell].levels[-1].coset.lam == 0
+        delta = draw(st.sampled_from((Polynomial.constant(1), Polynomial.constant(p))
+                                     + ((parse_poly("x1 - 1"),) if arity == 2 else ())))
+        descriptions.append(NormDescription(cell, draw(st.integers(0, 1)), delta,
+                                            0 if point else draw(st.sampled_from((0, 1, 2)))))
+    functions = [Polynomial.variable(arity - 1) ** draw(st.integers(1, 3)), draw(_poly(p, arity))]
+    e = parse_expr(draw(st.sampled_from(_INTEGRANDS[arity])))
+    return DecompositionCertificate(p, domain, cells, tuple(descriptions)), functions, e, m, ctx
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(problem=_tower_domain_problem())
+def test_decided_classes_match_per_lift_loops_over_tower_domains(problem):
+    """A class is split only until its membership is fixed, and the Hensel
+    margin only flags it.  Over tower domains, with p | n among the orders:
+    every lift mod p^m of a class r mod p^j whose domain test is decided by
+    depth j gets the same (holds, decided, flagged) as r, decided <= flagged;
+    and check_partition, check_norm_description and riemann_sums at every
+    level up to m equal their per-lift loops."""
+    cert, functions, e, m, ctx = problem
+    p, arity = ctx.p, cert.domain.arity
+    member_of = MembershipPlan(ctx).member_of(cert.domain)
+    for j in range(m + 1):
+        for r in itertools.product(range(p**j), repeat=arity):
+            holds, decided, flagged = answer = member_of(r)
+            assert decided <= flagged
+            if decided <= j:
+                for t in itertools.product(range(p ** (m - j)), repeat=arity):
+                    lift = tuple(x + p**j * y for x, y in zip(r, t))
+                    assert member_of(lift) == answer, (r, j, lift)
+    report = check_partition(cert, m, ctx)
+    assert (report.violations, report.ambiguous_points, report.points_tested) \
+        == per_lift_partition(cert, m, ctx)
+    norms = check_norm_description(functions, cert, m, ctx)
+    assert (norms.mismatches, norms.ambiguous_points, norms.points_checked) \
+        == per_lift_norm_description(functions, cert, m, ctx)
+    levels = list(range(1, m + 1))
+    for result, level in zip(riemann_sums(e, arity, levels, ctx, domain=cert.domain), levels):
+        assert (result.value, result.ambiguous_count) \
+            == per_lift_riemann(e, arity, level, ctx, cert.domain), level
 
 
 @pytest.mark.parametrize("p, f, delta, a, m, most, mismatches", [

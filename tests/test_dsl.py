@@ -227,6 +227,25 @@ def test_variable_minus_is_the_canonical_difference():
         Polynomial.variable_minus(1, parse_poly("x2 + 1"))
 
 
+def test_equal_polynomials_built_apart_hash_alike(monkeypatch):
+    """A polynomial keeps the hash it computes first, so hashing it again
+    hashes none of its coefficients; equality stays field by field, so equal
+    polynomials built by different routes share dict entries."""
+    rng = random.Random(13)
+    hashed, fraction_hash = [], Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda q: hashed.append(q) or fraction_hash(q))
+    for _ in range(200):
+        f = _random_poly(rng, max_arity=3)
+        g = parse_poly(format_poly(f))
+        h = Polynomial(f.arity, tuple((e, Fraction(c.numerator, c.denominator))
+                                      for e, c in f.terms))
+        assert f == g == h and f is not g
+        assert hash(f) == hash(g) == hash(h) == hash((f.arity, f.terms))
+        hashed.clear()
+        assert {g: 1}[f] == 1 and hash(f) == hash(h) and hashed == []
+    assert parse_poly("x1 + 1") != parse_poly("x1 + 2")
+
+
 def test_poly_parse_round_trip():
     for text in ["x1^2 + 1", "2*x1*x2 - 1/2", "-x1 + x2^3", "0", "5", "x3"]:
         p = parse_poly(text)

@@ -21,6 +21,7 @@ from cellint import (
     NotPIntegralError,
     PrimeContext,
     count_solutions,
+    exp_sum,
     monte_carlo_integrate,
     parse_expr,
     parse_poly,
@@ -29,6 +30,7 @@ from cellint import (
     solution_histogram,
     stabilization_check,
     unit_ball_coset_cell,
+    zp_nonzero_cell,
 )
 from cellint.cells import Bound, CellLevel, CellTower, CosetSpec, MembershipPlan
 from cellint import cells, oracle
@@ -253,7 +255,8 @@ def brute_force_riemann(e, arity, level, ctx, domain=None):
     member_of = None if domain is None else MembershipPlan(ctx).member_of(domain)
     for pt in itertools.product(range(p**level), repeat=arity):
         if domain is not None:
-            member, amb = member_of(pt, level)
+            member, _, flagged = member_of(pt)
+            amb = flagged > level
             if amb:
                 ambiguous += 1
             if not member:
@@ -556,6 +559,29 @@ def test_riemann_settles_a_class_once_every_valuation_is_constant(
     assert len(visited) <= most
 
 
+def test_a_punctured_domain_splits_a_class_only_until_it_is_decided(monkeypatch):
+    """Over Z_2 minus 0, then minus x1 (the two-level integrate domains), a
+    shell v(t - c) = v is decided by its class mod 2^(v + 1), though its Hensel
+    margin v + 3 flags it ambiguous until 2^(v + 3): the walk makes at most
+    421 membership tests (821 when the margin drove it), for the per-point
+    value and ambiguous count."""
+    visited, refine = [], oracle.refine_classes
+
+    def counting_refine(p, level, arity, classify, member_of=None, depths=()):
+        return refine(p, level, arity, classify,
+                      lambda *args: visited.append(args) or member_of(*args), depths)
+
+    monkeypatch.setattr(oracle, "refine_classes", counting_refine)
+    ctx, e = PrimeContext(2), parse_expr("norm(x1*x2) + val(x2 - 3)")
+    domain = CellTower((zp_nonzero_cell().levels[0], CellLevel(
+        parse_poly("x1"), None, Bound(Polynomial.constant(1), False), CosetSpec(Fraction(1), 1))))
+    run = riemann_integrate(e, 2, 5, ctx, domain=domain)
+    assert (str(run.value), run.ambiguous_count) == ("21855/16384", 312)
+    assert len(visited) <= 421
+    value, ambiguous = brute_force_riemann(e, 2, 5, ctx, domain=domain)
+    assert (run.value, run.ambiguous_count) == (value, ambiguous)
+
+
 @st.composite
 def _taylor_case(draw):
     """(f, p, j, r): f = p^a * g^k * h with small integer g, h in 1-2 variables,
@@ -710,6 +736,48 @@ def test_histogram_is_the_per_point_loop_past_one_chunk(problem):
     fs, m, ctx, n = problem
     hist = solution_histogram(fs, m, ctx, n=n)
     assert list(hist.items()) == list(brute_force_histogram(fs, m, ctx.p, n).items())
+
+
+@st.composite
+def high_degree_problem(draw):
+    """(fs, m, ctx, n): 1-2 polynomials over (Z/p^m)^n, p^(m*n) <= 2401, with
+    exponents up to 10^9, far past m + phi(p^m), and some exponents that meet
+    mod phi(p^m), so that reduced terms merge."""
+    p, n, m = draw(st.sampled_from(_SIZES))
+    phi = p**m - p ** (m - 1)
+    exponent = st.integers(0, 3) | st.integers(0, 10**9) | st.builds(
+        lambda k, q: m + k + q * phi, st.integers(0, 3), st.integers(1, 10**6))
+    dens = [d for d in range(1, 10) if d % p]
+    fs = [Polynomial.from_coeffs(draw(st.dictionaries(
+        st.tuples(*[exponent] * n), st.builds(Fraction, st.integers(-9, 9), st.sampled_from(dens)),
+        min_size=1, max_size=4))) for _ in range(draw(st.integers(1, 2)))]
+    return fs, m, PrimeContext(p), n
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(problem=high_degree_problem())
+@example(problem=([parse_poly("x1^22 + x1^2 - x1^42")], 2, C5, 1))
+@example(problem=([parse_poly("x1^1000000*x2^7 + 2*x2^3")], 3, PrimeContext(2), 2))
+def test_high_degree_histogram_is_the_per_point_pow_loop(problem):
+    """_modular_view reads each exponent past m + phi(p^m) mod phi(p^m): the
+    histogram is the per-point loop's, whose every power is pow(x, e, p^m)."""
+    fs, m, ctx, n = problem
+    hist = solution_histogram(fs, m, ctx, n=n)
+    assert list(hist.items()) == list(brute_force_histogram(fs, m, ctx.p, n).items())
+
+
+def test_a_degree_of_ten_to_the_eight_is_read_mod_phi(deadline):
+    """x1^99999999 at p = 5, m = 2: its exponent is read mod phi(25) = 20 as 19,
+    so neither the histogram nor the exponential sum builds the 10^8 + 1
+    coefficients of the exponent as written."""
+    f = parse_poly("x1^99999999")
+    deadline(1)
+    hist = solution_histogram([f], 2, C5)
+    phases = exp_sum([f], [Fraction(1, 25)], C5).phases
+    deadline(0)
+    expected = brute_force_histogram([f], 2, 5, 1)
+    assert list(hist.items()) == list(expected.items())
+    assert phases == {z: count for (z,), count in expected.items()}
 
 
 def test_values_mod_chunks_hold_bounded_memory():
