@@ -630,8 +630,9 @@ def refine_classes(p: int, level: int, arity: int, classify: Callable,
 
 
 def valuation_key(views: Sequence[_Carrier], point: Sequence[int]) -> tuple:
-    """The valuations of the carrier views at an integer point, compile_expr's
-    input: v(terms(point)) - v(denom) for each view, INF for a zero carrier."""
+    """The valuations of the carrier views at an integer point, a key of
+    compile_expr's tally: v(terms(point)) - v(denom) for each view, INF for a
+    zero carrier."""
     return tuple([INF if (v := view.valuation(point)) is INF else v - view.vden
                   for view in views])
 

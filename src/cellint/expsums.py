@@ -35,6 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import repeat
 from operator import add, mul
 from typing import Sequence
 
@@ -354,44 +355,66 @@ def bound_check(fit: DecayFit) -> bool:
     return not bound_violations(fit)
 
 
+RANK_PRIME = 2**61 - 1  # dominance_warning takes the Jacobian's rank mod this prime
+
+
 def dominance_warning(fs: Sequence[Polynomial], seed: int = 0) -> str | None:
     """Heuristic Jacobian-rank check at random rational points.
 
     Returns a warning string when the Jacobian never reaches full rank r at
     the sampled points (the map is then likely not dominant); None otherwise.
-    This is advisory, not a decision procedure.
+    This is advisory, not a decision procedure.  The rank is taken mod the
+    prime q = RANK_PRIME (jacobian_rank_mod), so its cost does not grow with
+    the degree.  It is at most the rational rank, and falls below it at a
+    point only where q divides every minor of that size there.
     """
     arity = _arity(fs)
     r = len(fs)
     if r > arity:
         return f"map has {r} components in {arity} variables; cannot be dominant"
     rng = random.Random(seed)
-    jac = [[f.derivative(j) for j in range(arity)] for f in fs]
+    jac = integer_jacobian(fs, arity)
     best = 0
     for _ in range(8):
         pt = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(arity)]
-        rows = [[cell.eval(pt) for cell in row] for row in jac]
-        best = max(best, _rank(rows))
+        best = max(best, jacobian_rank_mod(jac, pt))
         if best >= r:
             return None
     return (f"Jacobian rank stayed at {best} < {r} on sampled points; "
             "the map may not be dominant")
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    mat = [row[:] for row in rows]
+def integer_jacobian(fs: Sequence[Polynomial], arity: int) -> list[list[list[tuple]]]:
+    """The Jacobian of fs in x_1..x_arity as integer term lists, row i that of
+    f_i's cleared integer view (f_i times its denominator, the same rank)."""
+    rows = []
+    for f in fs:
+        denom = f.cleared()[1]
+        rows.append([[(e, int(c * denom)) for e, c in f.derivative(j).terms]
+                     for j in range(arity)])
+    return rows
+
+
+def jacobian_rank_mod(jac: list[list[list[tuple]]], point: Sequence[Fraction]) -> int:
+    """The rank mod the prime q = RANK_PRIME of an integer_jacobian at a
+    rational point whose denominators q does not divide: each entry evaluated
+    with pow(x, e, q) at the point reduced mod q, then Gaussian elimination
+    mod q."""
+    q = RANK_PRIME
+    xs = [x.numerator * pow(x.denominator, -1, q) % q for x in map(Fraction, point)]
+    rows = [[sum(c * math.prod(map(pow, xs, e, repeat(q))) for e, c in terms) % q
+             for terms in row] for row in jac]
     rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+    for col in range(len(xs)):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], -1, q)
+        top = rows[rank] = [v * inverse % q for v in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [(a - factor * b) % q for a, b in zip(rows[i], top)]
         rank += 1
     return rank

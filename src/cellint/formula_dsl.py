@@ -22,11 +22,17 @@ are immutable; construction canonicalizes (flattens nested sums and
 products, merges rational scalars) so that format/parse round-trips are
 structural identities.
 
-compile_expr is the one evaluator.  It reads the valuation vector of the
-distinct carriers (expr_carriers), exactly or at a level with an ambiguity
-flag: riemann_integrate and monte_carlo_integrate hand it cells.valuation_key
-of the integer carrier views, and carrier_valuations computes it at a
-rational point from Polynomial.eval (evaluate_fractional, evaluate).
+compile_expr is the one evaluator.  Every leaf is a function of its
+carrier's valuation alone, so it compiles an expression once into a merged
+sum of terms s * prod_i v_i^(l_i) * |f_i|^(e_i) over the distinct carriers
+(expr_carriers), with the same coefficient-dict helpers, and reads a tally
+{valuation vector: count}, exactly or at a level with an ambiguous weight.
+It sums the tally in integers, one numerator per exponent class, and builds
+one Fraction per class.  riemann_integrate hands it one tally per level of
+cells.valuation_key of the integer carrier views; a point is the tally
+{vector: 1}, from valuation_key in monte_carlo_integrate and from
+carrier_valuations, through Polynomial.eval, at a rational point
+(evaluate_fractional, evaluate).
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from math import prod
+from math import gcd, lcm
 from typing import Callable, Sequence, Union
 
 from .errors import (
@@ -44,7 +50,7 @@ from .errors import (
     ValOfZeroError,
     ZeroDenominatorError,
 )
-from .padic_core import INF, PrimeContext, power_norm, valuation
+from .padic_core import INF, PrimeContext, valuation
 from .polynomials import (
     Coeffs,
     Polynomial,
@@ -446,93 +452,144 @@ def format_expr(e: QExpExpr) -> str:
 # -- evaluation ----------------------------------------------------------------
 
 
+def _leaves(e: QExpExpr) -> list:
+    """The norm, norm-power and val leaves of an expression, in pre-order."""
+    leaves, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Norm, Val, FracNormPower)):
+            leaves.append(node)
+        elif isinstance(node, (Sum, Product)):
+            stack.extend(reversed(node.items))
+        elif isinstance(node, ScalarMultiple):
+            stack.append(node.item)
+        elif isinstance(node, IntegerPower):
+            stack.append(node.base)
+    return leaves
+
+
+def _norm_power(leaf) -> tuple[int, int]:
+    """(a, n) of a norm leaf |carrier|^(a/n); Norm is (1, 1)."""
+    return (1, 1) if isinstance(leaf, Norm) else (leaf.a, leaf.n)
+
+
 def expr_carriers(e: QExpExpr) -> list[Polynomial]:
     """The distinct norm/val carrier polynomials of an expression, first seen first."""
-    if isinstance(e, (Norm, Val, FracNormPower)):
-        return [e.carrier]
-    if isinstance(e, (Sum, Product)):
-        subs = e.items
-    elif isinstance(e, ScalarMultiple):
-        subs = (e.item,)
-    elif isinstance(e, IntegerPower):
-        subs = (e.base,)
-    else:
-        return []
-    return list(dict.fromkeys(c for it in subs for c in expr_carriers(it)))
+    return list(dict.fromkeys(leaf.carrier for leaf in _leaves(e)))
 
 
 def carrier_valuations(e: QExpExpr, ctx: PrimeContext) -> Callable[[Sequence], tuple]:
-    """point -> the valuation vector of expr_carriers(e) there, compile_expr's
-    input, read through Polynomial.eval; ValueError for the first carrier the
-    point is too short for."""
+    """point -> the valuation vector of expr_carriers(e) there, a key of
+    compile_expr's tally, read through Polynomial.eval; ValueError for the
+    first carrier the point is too short for."""
     carriers = expr_carriers(e)
     return lambda point: tuple([valuation(f.eval(point), ctx) for f in carriers])
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+def _terms(e: QExpExpr, index: dict, roots: int) -> Coeffs:
+    """e as a merged sum of terms {monomial: s}, through the coefficient-dict
+    helpers of polynomials, with roots a multiple of every root order n.  A
+    monomial is an integer vector, without trailing zeros as a polynomial's
+    key is: for the carrier in slot i, the power l of v_i at 3i, roots times
+    the exponent (a sum of a/n) of |f_i| at 3i + 1, and at 3i + 2 the number
+    of its norm leaves with a != 0, which zero the term where f_i = 0."""
+    if isinstance(e, RationalConst):
+        return {(): e.value}
+    if isinstance(e, Val):
+        return {(0,) * (3 * index[e.carrier]) + (1,): 1}
+    if isinstance(e, (Norm, FracNormPower)):
+        a, n = _norm_power(e)
+        return {(0,) * (3 * index[e.carrier]) + (0, a * roots // n, 1) if a else (): 1}
+    if isinstance(e, Sum):
+        merged = reduce(add_coeffs, (_terms(it, index, roots) for it in e.items), {})
+        return {m: c for m, c in merged.items() if c}
+    if isinstance(e, Product):
+        return reduce(mul_coeffs, (_terms(it, index, roots) for it in e.items), {(): 1})
+    if isinstance(e, ScalarMultiple):
+        return {m: c * e.scalar for m, c in _terms(e.item, index, roots).items()} \
+            if e.scalar else {}
+    if isinstance(e, IntegerPower):
+        return pow_coeffs(_terms(e.base, index, roots), e.exponent)
+    raise TypeError(f"not a DSL node: {e!r}")
+
+
+_ZERO = Fraction(0)
 
 
 def compile_expr(e: QExpExpr, ctx: PrimeContext,
-                 level: int | None = None) -> Callable[[Sequence], tuple[ExactValue, bool]]:
-    """Compile an expression into an evaluator: the valuation vector of
-    expr_carriers(e) (INF for a zero carrier) -> (exact value, ambiguous).
+                 level: int | None = None) -> Callable[..., tuple[ExactValue, int]]:
+    """Compile an expression into an evaluator of tallies: (tally, shift=0) ->
+    (sum of count * value over the tally, times p^(-shift); ambiguous weight).
 
-    Every leaf depends on its carrier's valuation alone, so the vector is all
-    the evaluator reads.  With a level, ambiguous means some valuation is
-    >= level; a zero carrier gives val the truncated valuation level and norm
-    powers 0 (1 at power 0).  With level None the value is exact, and a zero
-    val carrier or norm carrier under a negative power raises
-    ValOfZeroError(carrier, negative_power).  Rational integrands stay in
-    Fraction; RootScaledValue's operators absorb rational operands.
+    A tally maps valuation vectors of expr_carriers(e), INF for a zero
+    carrier, to counts; a point is the tally {vector: 1}.  Every leaf depends
+    on its carrier's valuation alone, so the vector is all the evaluator
+    reads.  The expression is compiled once into a merged sum of terms
+    s * prod_i v_i^(l_i) * |f_i|^(e_i) (_terms), and the evaluator works in
+    integers: per key and term it adds s * D * count * prod v_i^(l_i) to a
+    numerator keyed by N * sum e_i * v_i, with D the common denominator of
+    the s and N the lcm of the root orders.  Each class r/N of the exponent
+    then makes one Fraction, p^(-shift) folded in.
+
+    With a level, the ambiguous weight counts the vectors with some
+    valuation >= level; a zero carrier gives val the truncated valuation
+    level, and a norm leaf with a != 0 zeroes its term (a = 0 gives 1).
+    With level None the weight is 0, and the first leaf in pre-order that is
+    a val of a zero carrier, or a norm power a < 0 of one, raises
+    ValOfZeroError(carrier, negative_power).  The value is a RootScaledValue
+    iff some leaf's a * v / n is not an integer at some vector, else a
+    Fraction.
     """
-    value_of = _compile(e, {c: i for i, c in enumerate(expr_carriers(e))}, ctx.p, level)
-    if level is None:
-        return lambda vals: (value_of(vals), False)
-    return lambda vals: (value_of(vals), any(v >= level for v in vals))
+    leaves = _leaves(e)
+    index = {c: i for i, c in enumerate(dict.fromkeys(leaf.carrier for leaf in leaves))}
+    norms = [(index[leaf.carrier], *_norm_power(leaf)) for leaf in leaves
+             if not isinstance(leaf, Val)]
+    roots = lcm(1, *(n for _, _, n in norms))
+    terms = [(m, c) for m, c in _terms(e, index, roots).items() if c]
+    p, scale = ctx.p, lcm(1, *(c.denominator for _, c in terms))
+    shapes = [(c.numerator * (scale // c.denominator),
+               tuple((i, l) for i, l in enumerate(m[::3]) if l),
+               tuple((i, k) for i, k in enumerate(m[1::3]) if k),
+               tuple(i for i, z in enumerate(m[2::3]) if z))
+              for m, c in terms]
+    raising = [(index[leaf.carrier], leaf.carrier, not isinstance(leaf, Val)) for leaf in leaves
+               if isinstance(leaf, Val) or _norm_power(leaf)[0] < 0]
+    radicals = {(i, d) for i, a, n in norms if (d := n // gcd(a, n)) > 1}
 
-
-def _compile(e: QExpExpr, index: dict, p: int, level: int | None) -> Callable:
-    """The value half of compile_expr's evaluator; index maps a carrier to its slot."""
-    if isinstance(e, RationalConst):
-        value = e.value
-        return lambda vals: value
-    if isinstance(e, Val):
-        i, carrier = index[e.carrier], e.carrier
-
-        def val(vals):
-            v = vals[i]
-            if v is not INF:
-                return Fraction(v)
+    def evaluate(tally: dict, shift: int = 0) -> tuple[ExactValue, int]:
+        numerators: dict[int, int] = {}  # N * exponent -> numerator over D
+        ambiguous, radical = 0, False
+        for vals, count in tally.items():
+            zero = INF in vals
             if level is None:
-                raise ValOfZeroError(carrier, False)
-            return Fraction(level)  # truncated valuation
-        return val
-    if isinstance(e, (Norm, FracNormPower)):
-        i, carrier = index[e.carrier], e.carrier
-        a, n = (1, 1) if isinstance(e, Norm) else (e.a, e.n)
-
-        def norm_power(vals):
-            v = vals[i]
-            if v is INF:
-                if a < 0 and level is None:
-                    raise ValOfZeroError(carrier, True)
-                return _ONE if a == 0 else _ZERO  # 0^0 = 1; a < 0: divergent, flagged
-            if a * v % n:
-                return RootScaledValue.monomial(p, Fraction(a * v, n))
-            return power_norm(p, -(a * v // n))
-        return norm_power
-    if isinstance(e, (Sum, Product)):
-        subs = [_compile(it, index, p, level) for it in e.items]
-        if isinstance(e, Sum):
-            return lambda vals: sum([sub(vals) for sub in subs], _ZERO)
-        return lambda vals: prod([sub(vals) for sub in subs], start=_ONE)
-    if isinstance(e, ScalarMultiple):
-        sub, scalar = _compile(e.item, index, p, level), e.scalar
-        return lambda vals: scalar * sub(vals)
-    if isinstance(e, IntegerPower):
-        sub, k = _compile(e.base, index, p, level), e.exponent
-        return lambda vals: prod([sub(vals)] * k, start=_ONE)
-    raise TypeError(f"not a DSL node: {e!r}")
+                for i, carrier, negative in raising:
+                    if vals[i] is INF:
+                        raise ValOfZeroError(carrier, negative)
+            elif vals and max(vals) >= level:
+                ambiguous += count
+            if radicals and not radical:
+                radical = any(vals[i] is not INF and vals[i] % d for i, d in radicals)
+            for s, powers, slopes, zeros in shapes:
+                if zero and any(vals[i] is INF for i in zeros):
+                    continue  # a vanishing norm power
+                weight = s * count
+                for i, l in powers:
+                    v = vals[i]
+                    weight *= (level if v is INF else v) ** l
+                x = sum([k * vals[i] for i, k in slopes])
+                numerators[x] = numerators.get(x, 0) + weight
+        top, classes = max(numerators, default=0) // roots, {}  # r -> numerator
+        for x, weight in numerators.items():
+            floor, r = divmod(x, roots)
+            classes[r] = classes.get(r, 0) + weight * p ** (top - floor)
+        exponent = top + shift  # the class r/N is p^(-exponent - r/N) * numerator / D
+        values = {r: Fraction(num, scale * p**exponent) if exponent >= 0 else
+                  Fraction(num * p**-exponent, scale) for r, num in classes.items()}
+        if not radical:
+            return values.get(0, _ZERO), ambiguous
+        return RootScaledValue(p, tuple(sorted((Fraction(r, roots), c)
+                                               for r, c in values.items() if c))), ambiguous
+    return evaluate
 
 
 def evaluate_fractional(e: QExpExpr, point: Sequence, ctx: PrimeContext) -> RootScaledValue:
@@ -542,7 +599,7 @@ def evaluate_fractional(e: QExpExpr, point: Sequence, ctx: PrimeContext) -> Root
     negative power, vanishes.
     """
     try:
-        value, _ = compile_expr(e, ctx)(carrier_valuations(e, ctx)(point))
+        value, _ = compile_expr(e, ctx)({carrier_valuations(e, ctx)(point): 1})
     except ValOfZeroError as err:  # name the point
         carrier, negative = err.args
         kind, tail = ("norm", " with negative power") if negative else ("val", "")

@@ -10,8 +10,9 @@ the count vanishes (or tolerates it).
 
 riemann_integrate never evaluates the integrand lift by lift.  Its value
 at a lift depends only on the lift's key, the tuple of exact valuations of
-the distinct norm/val carriers there, which is also the compiled evaluator's
-input: it counts lifts per key and evaluates each key's valuations once.
+the distinct norm/val carriers there: it counts lifts per key, and the
+compiled evaluator reads the whole tally {valuations: lifts} in one call,
+summing it in integers through the integrand's term form.
 The classes are refined one p-adic digit at a time (cells.refine_classes,
 shared with the certificate checks): a class r mod p^j is settled, its
 p^(n(level-j)) lifts counted at once, when the domain's membership is fixed
@@ -36,7 +37,9 @@ j <= m adds p^(n(m-j)), and a listed lower level m also adds 1 for each of
 its own leaves, the classes a walk to m keys at depth m that this walk splits
 further.  Each level's riemann_integrate then reads its own tally with its
 own compile_expr, whose zero carriers and ambiguity flag read the level, as
-does the domain's Hensel margin each key carries (ambiguous iff flagged > m).
+does the domain's Hensel margin each key carries (ambiguous iff flagged > m):
+one evaluator call per level, on the tally of that level's member
+valuations, the margins of one valuation tuple merged.
 
 _values_mod is the one enumeration of (Z/p^m)^n under a polynomial map.  It
 reads each f through the same integer view (Polynomial.cleared), with the
@@ -121,33 +124,32 @@ def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
     restricts nothing, as None does.
 
     The lifts are counted per key, the tuple of exact valuations of the
-    expression's distinct carriers, and the compiled evaluator reads each
-    key's valuations once; the value and the ambiguity flag depend only on
-    the key, so the exact sum is the same as lift by lift.  Classes are
-    refined one p-adic digit at a time and counted whole as soon as their
-    domain membership is fixed and, on a member class, every carrier's
-    valuation is constant (cells.settle_on_valuations); a carrier is valued only on
-    the classes counted or where it is 0 mod p^j.  The budget bounds the
-    p^(arity*level) classes decided, however few are visited.  Raises
-    check_budget's errors for the level, then InvalidArgumentError for an
-    arity below the expression's or the domain's.  walk is _walk's per-level
-    tally {m: {key: lifts mod p^m}} of a walk that listed the level, which
-    riemann_sums shares between its levels; by default, a walk to level.
+    expression's distinct carriers, and the member keys, their Hensel
+    margins merged, make one tally that the compiled evaluator sums in one
+    call, p^(-arity*level) folded in; the value and the ambiguity flag
+    depend only on the key, so the exact sum is the same as lift by lift.
+    Classes are refined one p-adic digit at a time and counted whole as soon
+    as their domain membership is fixed and, on a member class, every
+    carrier's valuation is constant (cells.settle_on_valuations); a carrier
+    is valued only on the classes counted or where it is 0 mod p^j.  The
+    budget bounds the p^(arity*level) classes decided, however few are
+    visited.  Raises check_budget's errors for the level, then
+    InvalidArgumentError for an arity below the expression's or the
+    domain's.  walk is _walk's per-level tally {m: {key: lifts mod p^m}} of
+    a walk that listed the level, which riemann_sums shares between its
+    levels; by default, a walk to level.
     """
     counts = (walk or _walk(e, arity, [level], ctx, domain, budget))[level]
-    p, run = ctx.p, compile_expr(e, ctx, level)
-    ambiguous, total = 0, Fraction(0)
+    tally, ambiguous = {}, 0
     for (valuations, flagged), count in counts.items():
-        if valuations is None:
-            ambiguous += count if flagged > level else 0
-            continue
-        value, amb_v = run(valuations)
-        ambiguous += count if amb_v or flagged > level else 0
-        total = total + value * count
-    value = total * Fraction(1, p ** (arity * level))
+        if valuations is not None:  # a member: one tally entry whatever its margin
+            tally[valuations] = tally.get(valuations, 0) + count
+        if flagged > level and not (valuations and max(valuations) >= level):
+            ambiguous += count  # flagged by the margin alone
+    value, flagged_by_value = compile_expr(e, ctx, level)(tally, arity * level)
     if isinstance(value, RootScaledValue) and value.is_rational():
         value = value.as_exact_rational()
-    return OracleResult(value=value, level=level, ambiguous_count=ambiguous)
+    return OracleResult(value=value, level=level, ambiguous_count=ambiguous + flagged_by_value)
 
 
 def riemann_sums(e: QExpExpr, arity: int, levels: Sequence[int], ctx: PrimeContext,
@@ -218,7 +220,7 @@ def monte_carlo_integrate(e: QExpExpr, arity: int, samples: int, seed: int,
     values = []
     for _ in range(samples):
         pt = tuple(rng.randrange(pm) for _ in range(arity))
-        v, _amb = run(valuation_key(views, pt))
+        v, _amb = run({valuation_key(views, pt): 1})
         values.append(float(v))
     mean = reduce(add, values, 0) / samples
     var = reduce(add, ((v - mean) ** 2 for v in values), 0) / (samples - 1)

@@ -1323,7 +1323,7 @@ def per_lift_riemann(e, arity, m, ctx, domain) -> tuple:
     for pt in itertools.product(range(ctx.p**m), repeat=arity):
         member, amb = fraction_membership(domain, pt, ctx, m)
         if member:
-            value, amb_v = run(valuations(pt))
+            value, amb_v = run({valuations(pt): 1})
             total, amb = total + value, amb or amb_v
         ambiguous += amb
     return total * Fraction(1, ctx.p ** (arity * m)), ambiguous

@@ -403,6 +403,17 @@ def test_a_high_degree_with_few_points_is_fast(capsys, deadline):
                                                     4 * math.sin(angle) / 5])
 
 
+def test_the_dominance_check_is_free_of_the_degree(capsys, deadline):
+    """expsum --f x1^99999999 runs its dominance check mod a large prime, with
+    modular powers, instead of on exact rationals (past 30 s before)."""
+    deadline(1)
+    assert main(["expsum", "--f", "x1^99999999", "--y", "1/5", "--prime", "5"]) == 0
+    deadline(0)
+    captured = capsys.readouterr()
+    # x^99999999 = x^3 mod 5 permutes the 4 units: E = (1 + sum of e(u/5)) / 5 = 0
+    assert json.loads(captured.out)["abs"] < 1e-12 and captured.err == ""
+
+
 @contextmanager
 def no_digit_cap():
     """Python's cap on int-str conversion digits lifted, where the interpreter has one."""

@@ -31,6 +31,7 @@ from cellint import (
     parse_poly,
 )
 from cellint.formula_dsl import (
+    _terms,
     carrier_valuations,
     compile_expr,
     expr_carriers,
@@ -702,7 +703,7 @@ def test_valuation_evaluator_matches_the_per_leaf_point_evaluator(problem):
         for pt in points:
             if lv is not None and any(Fraction(x).denominator != 1 for x in pt):
                 continue  # a level reads integer lifts
-            old, new = _result(parent, pt), _result(lambda x: run(valuations(x)), pt)
+            old, new = _result(parent, pt), _result(lambda x: run({valuations(x): 1}), pt)
             fractional = _result(lambda x: (evaluate_fractional(e, x, ctx), False), pt)
             short = [c.arity for c in carriers if c.arity > len(pt)]
             if short:
@@ -716,3 +717,135 @@ def test_valuation_evaluator_matches_the_per_leaf_point_evaluator(problem):
                 if lv is None:
                     assert fractional == (RootScaledValue, old[1] + RootScaledValue.zero(ctx.p),
                                           False)
+
+
+# -- the term-form tally evaluator against the per-key recursion ----------------------
+
+
+def _reference_compile(e, ctx, level=None):
+    """The per-key recursion compile_expr was before it read tallies: one
+    closure per node, a Fraction or RootScaledValue built at every node,
+    valuation vector -> (value, ambiguous)."""
+    p, index = ctx.p, {c: i for i, c in enumerate(expr_carriers(e))}
+
+    def build(e):
+        if isinstance(e, RationalConst):
+            return lambda vals: e.value
+        if isinstance(e, Val):
+            i = index[e.carrier]
+
+            def val(vals):
+                if vals[i] is not INF:
+                    return Fraction(vals[i])
+                if level is None:
+                    raise ValOfZeroError(e.carrier, False)
+                return Fraction(level)
+            return val
+        if isinstance(e, (Norm, FracNormPower)):
+            i = index[e.carrier]
+            a, n = (1, 1) if isinstance(e, Norm) else (e.a, e.n)
+
+            def norm_power(vals):
+                v = vals[i]
+                if v is INF:
+                    if a < 0 and level is None:
+                        raise ValOfZeroError(e.carrier, True)
+                    return Fraction(1) if a == 0 else Fraction(0)
+                if a * v % n:
+                    return RootScaledValue.monomial(p, Fraction(a * v, n))
+                return power_norm(p, -(a * v // n))
+            return norm_power
+        if isinstance(e, (Sum, Product)):
+            subs = [build(it) for it in e.items]
+            if isinstance(e, Sum):
+                return lambda vals: sum([sub(vals) for sub in subs], Fraction(0))
+            return lambda vals: reduce(mul, [sub(vals) for sub in subs], Fraction(1))
+        if isinstance(e, ScalarMultiple):
+            sub = build(e.item)
+            return lambda vals: e.scalar * sub(vals)
+        sub = build(e.base)
+        return lambda vals: reduce(mul, [sub(vals)] * e.exponent, Fraction(1))
+
+    value_of = build(e)
+    return lambda vals: (value_of(vals), level is not None and any(v >= level for v in vals))
+
+
+def _reference_tally(e, ctx, level, tally, shift):
+    """(type, value, ambiguous weight) of the per-key recursion summed over a
+    tally, or the ValOfZeroError arguments of the first key that raises."""
+    run, total, weight = _reference_compile(e, ctx, level), Fraction(0), 0
+    try:
+        for vals, count in tally.items():
+            value, amb = run(vals)
+            total, weight = total + value * count, weight + count * amb
+    except ValOfZeroError as ex:
+        return ex.args
+    total = total * power_norm(ctx.p, -shift)
+    return type(total), RootScaledValue.zero(ctx.p) + total, weight
+
+
+_CARRIER_POOL = tuple(parse_poly(text) for text in ("x1", "x2", "x1 - x2"))
+_SCALARS = tuple(Fraction(a, b) for a, b in ((1, 1), (-1, 1), (2, 1), (-1, 3), (3, 4)))
+
+
+@st.composite
+def _dsl_trees(draw, depth=3):
+    """A tree of Sum, Product, ScalarMultiple and IntegerPower (exponent 2..4),
+    built without the canonicalizing make_* helpers, over norm, norm^{a/n}
+    (a in -2..3, n in 1..4), val and rational leaves."""
+    if depth == 0 or not draw(st.integers(0, 2)):
+        carrier = draw(st.sampled_from(_CARRIER_POOL))
+        kind = draw(st.sampled_from(("norm", "frac", "frac", "val", "const")))
+        if kind == "norm":
+            return Norm(carrier)
+        if kind == "frac":
+            return FracNormPower(carrier, draw(st.integers(-2, 3)), draw(st.integers(1, 4)))
+        return Val(carrier) if kind == "val" else RationalConst(draw(st.sampled_from(_SCALARS)))
+    kind = draw(st.sampled_from(("sum", "product", "scalar", "power")))
+    if kind in ("sum", "product"):
+        items = tuple(draw(st.lists(_dsl_trees(depth - 1), min_size=2, max_size=3)))
+        return Sum(items) if kind == "sum" else Product(items)
+    if kind == "scalar":
+        return ScalarMultiple(draw(st.sampled_from(_SCALARS)), draw(_dsl_trees(depth - 1)))
+    return IntegerPower(draw(_dsl_trees(depth - 1)), draw(st.integers(2, 4)))
+
+
+@st.composite
+def _tally_problems(draw):
+    e = draw(_dsl_trees())
+    width = len(expr_carriers(e))
+    vector = st.tuples(*[st.one_of(st.just(INF), st.integers(-2, 6))] * width)
+    tally = draw(st.dictionaries(vector, st.integers(1, 40), max_size=5))
+    return (e, PrimeContext(draw(st.sampled_from((2, 3, 5, 7)))), tally,
+            draw(st.one_of(st.none(), st.integers(1, 5))), draw(st.integers(-3, 6)))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(problem=_tally_problems())
+@example(problem=(parse_expr("val(x1) - val(x1)"), C5, {(3,): 2, (INF,): 1}, None, 0))
+@example(problem=(parse_expr("norm(x1)^{1/2} - norm(x1)^{1/2}"), C5, {(1,): 1}, 2, 0))
+@example(problem=(parse_expr("norm(x1)^{1/2}*norm(x1)^{-1/2} + norm(x2)^{0/3}"),
+                  C5, {(INF, INF): 3, (2, 1): 1}, 2, 1))
+def test_term_form_tally_matches_the_per_key_recursion(problem):
+    """The term form summed over a tally in integers gives the per-key
+    recursion's sum of count * value, p^(-shift) folded in: the same value
+    after ring normalisation and the same type, the same ambiguous weight, and
+    at level None the same ValOfZeroError arguments."""
+    e, ctx, tally, level, shift = problem
+    expected = _reference_tally(e, ctx, level, tally, shift)
+    try:
+        value, weight = compile_expr(e, ctx, level)(tally, shift)
+    except ValOfZeroError as ex:
+        assert ex.args == expected
+        return
+    assert (type(value), RootScaledValue.zero(ctx.p) + value, weight) == expected, format_expr(e)
+
+
+def test_like_terms_merge_and_every_raising_leaf_is_kept():
+    """(norm(x1) + val(x2) + 1)^8 has one term per monomial norm^j * val^k,
+    j + k <= 8; val(x1) - val(x1) merges to no term and still raises."""
+    e = parse_expr("(norm(x1) + val(x2) + 1)^8")
+    assert len(_terms(e, {c: i for i, c in enumerate(expr_carriers(e))}, 1)) <= 45
+    with pytest.raises(ValOfZeroError) as raised:
+        compile_expr(parse_expr("val(x1) - val(x1)"), C5)({(INF,): 1})
+    assert raised.value.args == (parse_poly("x1"), False)

@@ -253,6 +253,50 @@ def test_dominance_warning():
     assert "cannot be dominant" in dominance_warning([X, X])
 
 
+def _rational_rank(rows):
+    """The rank of a matrix of Fractions, by Gaussian elimination over Q."""
+    rows, rank = [row[:] for row in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] / rows[rank][col]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_the_rank_mod_q_is_the_rational_rank_on_low_degree_maps():
+    """Seeded random maps of degree <= 3 in 1-3 variables, some with dependent
+    components or constant ones: at random rational points the Jacobian's
+    rank mod RANK_PRIME is its rank over Q."""
+    rng = random.Random(20)
+    ranks = Counter()
+    for _ in range(300):
+        arity, r = rng.randint(1, 3), rng.randint(1, 3)
+        fs = []
+        for _ in range(r):
+            if fs and rng.random() < 0.3:  # a combination of earlier components
+                coeffs = {}
+                for f in fs:
+                    k = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    for e, c in f.terms:
+                        coeffs[e] = coeffs.get(e, 0) + k * c
+            else:
+                coeffs = {tuple(rng.randint(0, 3) for _ in range(arity)):
+                          Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                          for _ in range(rng.randint(1, 4))}
+            fs.append(Polynomial.from_coeffs(coeffs))
+        pt = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(arity)]
+        exact = _rational_rank([[f.derivative(j).eval(pt) for j in range(arity)] for f in fs])
+        assert expsums.jacobian_rank_mod(expsums.integer_jacobian(fs, arity), pt) == exact, \
+            (fs, pt)
+        ranks[(min(r, arity), exact)] += 1
+    assert len(ranks) >= 6  # full and deficient ranks both occur
+
+
 # -- phase counts against the per-point complex sum -----------------------------------
 
 

@@ -116,7 +116,7 @@ def test_monte_carlo_is_the_carrier_valuations_loop(text, arity, level):
     values = []
     for _ in range(samples):
         pt = tuple(rng.randrange(5**level_used) for _ in range(arity))
-        values.append(float(run(valuations(pt))[0]))
+        values.append(float(run({valuations(pt): 1})[0]))
     mean = reduce(add, values, 0) / samples
     var = reduce(add, ((v - mean) ** 2 for v in values), 0) / (samples - 1)
     assert monte_carlo_integrate(e, arity, samples, seed, C5, level=level) == \
@@ -261,11 +261,11 @@ def brute_force_riemann(e, arity, level, ctx, domain=None):
                 ambiguous += 1
             if not member:
                 continue
-            value, amb_v = run(valuations(pt))
+            value, amb_v = run({valuations(pt): 1})
             if amb_v and not amb:
                 ambiguous += 1
         else:
-            value, amb_v = run(valuations(pt))
+            value, amb_v = run({valuations(pt): 1})
             if amb_v:
                 ambiguous += 1
         total = total + value
@@ -458,10 +458,12 @@ def test_oracle_levels_walk_once(monkeypatch, capsys):
     assert 0 < counts["4,5,6"] <= counts["6"]
 
 
-def test_riemann_evaluates_each_key_once_and_values_no_carrier_at_a_point(monkeypatch):
-    """The evaluator reads the kernel's keys: one call per distinct key of a
-    member class, in the order first found, and no carrier valued at a point
-    (no Polynomial.eval call)."""
+def test_riemann_evaluates_one_tally_per_level_and_values_no_carrier_at_a_point(monkeypatch):
+    """The evaluator reads the kernel's keys as one tally per level: one call,
+    whose keys are the distinct valuation tuples of the member classes in the
+    order first found, a tuple's Hensel margins merged, and whose counts sum
+    to the member lifts; no carrier is valued at a point (no Polynomial.eval
+    call)."""
     valued = []
     monkeypatch.setattr(Polynomial, "eval",
                         lambda self, point: valued.append(point))  # must not be called
@@ -470,23 +472,29 @@ def test_riemann_evaluates_each_key_once_and_values_no_carrier_at_a_point(monkey
 
     def recorded_refine(*args):
         for key, r, j, settled in refine(*args):
-            keys.append(key)
+            keys.append((key, j))
             yield key, r, j, settled
 
     def counted_compile(*args):
         run = compile_(*args)
-        return lambda valuations: calls.append(valuations) or run(valuations)
+        return lambda tally, shift: calls.append(dict(tally)) or run(tally, shift)
 
     monkeypatch.setattr(oracle, "refine_classes", recorded_refine)
     monkeypatch.setattr(oracle, "compile_expr", counted_compile)
-    unbounded = CellTower((CellLevel(Polynomial.constant(0), None, None,
-                                     CosetSpec(Fraction(1), 2)),))
+    squares, units = (CellTower((CellLevel(Polynomial.constant(0), None, None,
+                                           CosetSpec(Fraction(1), n)),)) for n in (2, 1))
+    level = 3
     for text, arity, domain in (("norm(x1^2 - 2*x2^3)^{1/2}*val(x1) + val(x1 - x2)", 2, None),
-                                ("norm(x1 - 1)*val(x1 - 4) + norm(x1 + 5)^{-1/3}", 1, unbounded)):
+                                ("norm(x1 - 1)*val(x1 - 4) + norm(x1 + 5)^{-1/3}", 1, squares),
+                                ("norm(x1 - 1)^{1/2} + val(x1 + 1)", 1, units)):
         keys.clear(), calls.clear()
-        riemann_integrate(parse_expr(text), arity, 3, C5, domain=domain)
-        member_keys = list(dict.fromkeys(key for key in keys if key[0] is not None))
-        assert len(member_keys) > 3 and calls == [valuations for valuations, _ in member_keys]
+        riemann_integrate(parse_expr(text), arity, level, C5, domain=domain)
+        members = [(key, j) for key, j in keys if key[0] is not None]
+        tuples = list(dict.fromkeys(valuations for (valuations, _), _ in members))
+        assert len(tuples) > 3 and len(calls) == 1 and list(calls[0]) == tuples
+        assert sum(calls[0].values()) == sum(5 ** (arity * (level - j)) for _, j in members)
+        if domain is units:  # v(x1) = 1 and 2 give (0, 0) under margins 2 and 3
+            assert len(set(key for key, _ in members)) > len(tuples)
     assert valued == []
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import re
 import shlex
 from pathlib import Path
@@ -27,7 +28,8 @@ def test_quick_tour_prints_its_comments():
 
 def test_command_line_block_runs(tmp_path, monkeypatch, capsys):
     """Every `cellint ...` line of the Command line block exits 0, run next to
-    the README's certificate and terms files."""
+    the README's certificate and terms files; the integrate line's closed form
+    is 5/6 and the oracle agrees with it to 1e-6."""
     text = README.read_text(encoding="utf-8")
     certificate, terms = re.findall(r"```json\n(.*?)```", text, re.S)
     (tmp_path / "cert.json").write_text(certificate, encoding="utf-8")
@@ -35,8 +37,11 @@ def test_command_line_block_runs(tmp_path, monkeypatch, capsys):
     block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [line for line in block.replace("\\\n", " ").splitlines()
              if line.startswith("cellint ")]
-    assert len(lines) >= 9
+    assert len(lines) >= 9 and any(line.startswith("cellint integrate ") for line in lines)
     monkeypatch.chdir(tmp_path)
     for line in lines:
         assert cli.main(shlex.split(line)[1:]) == 0, (line, capsys.readouterr())
-    capsys.readouterr()
+        out = capsys.readouterr().out
+        if line.startswith("cellint integrate "):  # terms and --expr describe one function
+            result = json.loads(out)
+            assert result["closed_form"] == "5/6" and result["abs_diff"] < 1e-6, line
