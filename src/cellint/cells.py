@@ -210,12 +210,14 @@ class _Carrier:
     kept reference makes unique), so every test handed one class tuple shares one
     evaluation, and values it only when asked."""
 
-    point = taylor = None
+    point = None
 
     def __init__(self, poly: Polynomial, ctx: PrimeContext):
         self.terms, self.denom = poly.cleared()
         self.vden = int(int_valuation(self.denom, ctx.p))
         self.p = ctx.p
+        self.degree = max((sum(e) for e, _ in self.terms), default=0)
+        self.taylor = [()]  # taylor[d]: the a_k with |k| = d, built up to the order read
 
     def read(self, point: Sequence[int]) -> int:
         """terms(point), the cleared integer value at an integer point."""
@@ -238,36 +240,39 @@ class _Carrier:
         it is when v = v(terms(point)) is finite and a_k(point) = 0 mod
         p^(v - j|k| + 1) for every k != 0 with j|k| <= v.  A value that is
         nonzero mod p^j (v < j) settles it with no valuation; otherwise the
-        coefficients are read in order of |k| up to the first that fails.
-        False does not prove v(terms) varies on the class."""
+        coefficients are read in order of |k| up to the first that fails, and
+        built only up to the last order read.  At j = 0 every order is read,
+        and the shift x -> x + point keeps every coefficient but the constant
+        one 0 mod p^(v + 1) if all were, so terms' own coefficients are
+        tested.  False does not prove v(terms) varies on the class."""
         p = self.p
         if self.read(point) % p**j:
             return True
         v = self.valuation(point)
         if v is INF:
             return False
-        for order, coefficient in self._taylor():
-            if j * order > v:
-                break
-            if eval_int_terms(coefficient, point) % p**(v - j * order + 1):
-                return False
+        if j == 0:
+            return not any(c % p**(v + 1) for e, c in self.terms if any(e))
+        for order in range(1, min(v // j, self.degree) + 1):
+            for coefficient in self._taylor(order):
+                if eval_int_terms(coefficient, point) % p**(v - j * order + 1):
+                    return False
         return True
 
-    def _taylor(self) -> list:
-        """[(|k|, terms of a_k)] for the multi-indices k != 0, in order of |k|:
-        a_k = sum c*prod(C(e_i, k_i))*x^(e - k) over the terms c*x^e with k <= e,
-        the integer Taylor coefficients of terms, built on first use."""
-        if self.taylor is None:
-            coefficients: dict = {}
+    def _taylor(self, order: int) -> list:
+        """The terms of each a_k with |k| = order: a_k = sum c*prod(C(e_i, k_i))*x^(e - k)
+        over the terms c*x^e with k <= e, the integer Taylor coefficients of
+        terms, built one order at a time on first use."""
+        taylor = self.taylor
+        while len(taylor) <= order:
+            d, coefficients = len(taylor), {}
             for e, c in self.terms:
-                for k in itertools.product(*(range(d + 1) for d in e)):
-                    if any(k):
-                        key = (sum(k), _strip(k))
+                for k in itertools.product(*(range(min(x, d) + 1) for x in e)):
+                    if sum(k) == d:
                         term = (tuple(map(sub, e, k)), c * prod(map(comb, e, k)))
-                        coefficients.setdefault(key, []).append(term)
-            self.taylor = [(order, tuple(terms))
-                           for (order, _), terms in sorted(coefficients.items())]
-        return self.taylor
+                        coefficients.setdefault(_strip(k), []).append(term)
+            taylor.append([tuple(terms) for terms in coefficients.values()])
+        return taylor[order]
 
 
 class _Order:

@@ -22,17 +22,13 @@ are immutable; construction canonicalizes (flattens nested sums and
 products, merges rational scalars) so that format/parse round-trips are
 structural identities.
 
-compile_expr is the one evaluator.  Every leaf is a function of its
-carrier's valuation alone, so it compiles an expression once into a merged
-sum of terms s * prod_i v_i^(l_i) * |f_i|^(e_i) over the distinct carriers
-(expr_carriers), with the same coefficient-dict helpers, and reads a tally
-{valuation vector: count}, exactly or at a level with an ambiguous weight.
-It sums the tally in integers, one numerator per exponent class, and builds
-one Fraction per class.  riemann_integrate hands it one tally per level of
-cells.valuation_key of the integer carrier views; a point is the tally
-{vector: 1}, from valuation_key in monte_carlo_integrate and from
-carrier_valuations, through Polynomial.eval, at a rational point
-(evaluate_fractional, evaluate).
+compile_expr is the one evaluator: it compiles an expression once into a
+merged sum of terms over its distinct carriers (expr_carriers), with the
+same coefficient-dict helpers, and returns evaluate(tally, level=None,
+shift=0), the sum over a tally {valuation vector: count}.  It counts no
+ambiguity; oracle.riemann_integrate decides that.  A point is the tally
+{vector: 1}, from cells.valuation_key in the oracle and from
+carrier_valuations at a rational point (evaluate_fractional, evaluate).
 """
 
 from __future__ import annotations
@@ -516,10 +512,9 @@ def _terms(e: QExpExpr, index: dict, roots: int) -> Coeffs:
 _ZERO = Fraction(0)
 
 
-def compile_expr(e: QExpExpr, ctx: PrimeContext,
-                 level: int | None = None) -> Callable[..., tuple[ExactValue, int]]:
-    """Compile an expression into an evaluator of tallies: (tally, shift=0) ->
-    (sum of count * value over the tally, times p^(-shift); ambiguous weight).
+def compile_expr(e: QExpExpr, ctx: PrimeContext) -> Callable[..., ExactValue]:
+    """Compile an expression into an evaluator of tallies: (tally, level=None,
+    shift=0) -> the sum of count * value over the tally, times p^(-shift).
 
     A tally maps valuation vectors of expr_carriers(e), INF for a zero
     carrier, to counts; a point is the tally {vector: 1}.  Every leaf depends
@@ -531,14 +526,13 @@ def compile_expr(e: QExpExpr, ctx: PrimeContext,
     the s and N the lcm of the root orders.  Each class r/N of the exponent
     then makes one Fraction, p^(-shift) folded in.
 
-    With a level, the ambiguous weight counts the vectors with some
-    valuation >= level; a zero carrier gives val the truncated valuation
-    level, and a norm leaf with a != 0 zeroes its term (a = 0 gives 1).
-    With level None the weight is 0, and the first leaf in pre-order that is
-    a val of a zero carrier, or a norm power a < 0 of one, raises
-    ValOfZeroError(carrier, negative_power).  The value is a RootScaledValue
-    iff some leaf's a * v / n is not an integer at some vector, else a
-    Fraction.
+    At a level, a zero carrier gives val the truncated valuation level, and
+    a norm leaf with a != 0 zeroes its term (a = 0 gives 1).  At level None
+    the first leaf in pre-order that is a val of a zero carrier, or a norm
+    power a < 0 of one, raises ValOfZeroError(carrier, negative_power).  The
+    evaluator counts no ambiguity: oracle.riemann_integrate decides which
+    lifts are.  The value is a RootScaledValue iff some leaf's a * v / n is
+    not an integer at some vector, else a Fraction.
     """
     leaves = _leaves(e)
     index = {c: i for i, c in enumerate(dict.fromkeys(leaf.carrier for leaf in leaves))}
@@ -556,17 +550,15 @@ def compile_expr(e: QExpExpr, ctx: PrimeContext,
                if isinstance(leaf, Val) or _norm_power(leaf)[0] < 0]
     radicals = {(i, d) for i, a, n in norms if (d := n // gcd(a, n)) > 1}
 
-    def evaluate(tally: dict, shift: int = 0) -> tuple[ExactValue, int]:
+    def evaluate(tally: dict, level: int | None = None, shift: int = 0) -> ExactValue:
         numerators: dict[int, int] = {}  # N * exponent -> numerator over D
-        ambiguous, radical = 0, False
+        radical = False
         for vals, count in tally.items():
             zero = INF in vals
-            if level is None:
+            if zero and level is None:
                 for i, carrier, negative in raising:
                     if vals[i] is INF:
                         raise ValOfZeroError(carrier, negative)
-            elif vals and max(vals) >= level:
-                ambiguous += count
             if radicals and not radical:
                 radical = any(vals[i] is not INF and vals[i] % d for i, d in radicals)
             for s, powers, slopes, zeros in shapes:
@@ -586,9 +578,9 @@ def compile_expr(e: QExpExpr, ctx: PrimeContext,
         values = {r: Fraction(num, scale * p**exponent) if exponent >= 0 else
                   Fraction(num * p**-exponent, scale) for r, num in classes.items()}
         if not radical:
-            return values.get(0, _ZERO), ambiguous
+            return values.get(0, _ZERO)
         return RootScaledValue(p, tuple(sorted((Fraction(r, roots), c)
-                                               for r, c in values.items() if c))), ambiguous
+                                               for r, c in values.items() if c)))
     return evaluate
 
 
@@ -599,7 +591,7 @@ def evaluate_fractional(e: QExpExpr, point: Sequence, ctx: PrimeContext) -> Root
     negative power, vanishes.
     """
     try:
-        value, _ = compile_expr(e, ctx)({carrier_valuations(e, ctx)(point): 1})
+        value = compile_expr(e, ctx)({carrier_valuations(e, ctx)(point): 1})
     except ValOfZeroError as err:  # name the point
         carrier, negative = err.args
         kind, tail = ("norm", " with negative power") if negative else ("val", "")

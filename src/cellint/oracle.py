@@ -2,44 +2,38 @@
 estimation, and exact solution counting modulo p^m.
 
 Residue classes are always lifted to their least nonnegative integer
-representatives, so every result is reproducible bit for bit.  Integrands
-are evaluated by formula_dsl.compile_expr at the enumeration level: points
-where a norm/val carrier is 0 mod p^m are counted as ambiguous, the lift
-decides the contribution, and the caller drives the level high enough that
-the count vanishes (or tolerates it).
+representatives, so every result is reproducible bit for bit.  The lift
+decides a class's contribution, and riemann_integrate alone decides which
+lifts mod p^m are ambiguous, by one rule (see there); the caller drives the
+level high enough that the count vanishes (or tolerates it).
 
 riemann_integrate never evaluates the integrand lift by lift.  Its value
 at a lift depends only on the lift's key, the tuple of exact valuations of
-the distinct norm/val carriers there: it counts lifts per key, and the
-compiled evaluator reads the whole tally {valuations: lifts} in one call,
-summing it in integers through the integrand's term form.
+the distinct norm/val carriers there: it counts lifts per key, and
+formula_dsl.compile_expr's evaluator reads the whole tally {valuations:
+lifts} in one call, summing it in integers through the integrand's term form.
 The classes are refined one p-adic digit at a time (cells.refine_classes,
 shared with the certificate checks): a class r mod p^j is settled, its
 p^(n(level-j)) lifts counted at once, when the domain's membership is fixed
 on it and every carrier's valuation is constant on it
-(cells.settle_on_valuations, check_norm_description's rule too).  By Taylor's
-formula f(r + p^j t) = sum_k a_k(r) p^(j|k|) t^k with integer a_k, so that
-holds where f(r) is nonzero mod p^j, and also where v = v(f(r)) is finite and
-every a_k(r) with j|k| <= v is 0 mod p^(v - j|k| + 1), as at a repeated root
-or a p-power coefficient.  Every lift then has the valuations of r, hence r's
-key.  One classify serves the box and a domain: the carriers are views of the
+(cells.settle_on_valuations, check_norm_description's rule too): where f(r)
+is nonzero mod p^j, or by Taylor's formula at a repeated root or a p-power
+coefficient (cells._Carrier.constant_on).  Every lift then has r's key.  One
+classify serves the box and a domain: the carriers are views of the
 cells.MembershipPlan that plans the domain, so a carrier that is also a
 level's t - c(x) is evaluated once per class, and a carrier is valued, or its
 Taylor coefficients read, only on the classes settled or where it is 0 mod
 p^j (or a test reads it).  The budget counts all p^(level*n) classes.
 
-A multi-level oracle walks once.  Neither the domain's split nor constant_on
-reads the level, so a class settled at depth j is settled, with the same
-key, in a walk to any level m >= j, where it holds p^(n(m-j)) classes.
-riemann_sums walks to the largest level listed and counts, as it walks, the
-lifts mod p^m of each key for every listed level m: a class settled at depth
-j <= m adds p^(n(m-j)), and a listed lower level m also adds 1 for each of
-its own leaves, the classes a walk to m keys at depth m that this walk splits
-further.  Each level's riemann_integrate then reads its own tally with its
-own compile_expr, whose zero carriers and ambiguity flag read the level, as
-does the domain's Hensel margin each key carries (ambiguous iff flagged > m):
-one evaluator call per level, on the tally of that level's member
-valuations, the margins of one valuation tuple merged.
+A multi-level oracle walks once and compiles once.  Neither the domain's
+split nor constant_on reads the level, so a class settled at depth j is
+settled, with the same key, in a walk to any level m >= j, where it holds
+p^(n(m-j)) classes.  riemann_sums walks to the largest level listed and
+counts, as it walks, the lifts mod p^m of each key for every listed level m:
+a class settled at depth j <= m adds p^(n(m-j)), and a listed lower level m
+also adds 1 for each of its own leaves, the classes a walk to m keys at
+depth m that this walk splits further.  Each level's riemann_integrate then
+sums its own tally in one call of the walk's one evaluator.
 
 _values_mod is the one enumeration of (Z/p^m)^n under a polynomial map.  It
 reads each f through the same integer view (Polynomial.cleared), with the
@@ -114,50 +108,45 @@ def _arity(fs: Sequence[Polynomial], n: int | None = None) -> int:
 
 def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
                       domain: Domain | None = None,
-                      budget: int = DEFAULT_BUDGET, *, walk: dict | None = None) -> OracleResult:
+                      budget: int = DEFAULT_BUDGET, *, walk: tuple | None = None) -> OracleResult:
     """Riemann sum over all residue classes mod p^level of Z_p^arity.
 
     Each class contributes p^(-arity*level) times the integrand value at its
     least nonnegative integer lift.  An optional domain restricts the sum:
-    with a tower, classes are included iff their lift is a member, and
-    classes the level cannot decide are counted ambiguous; a BoxDomain
-    restricts nothing, as None does.
+    with a tower, classes are included iff their lift is a member; a
+    BoxDomain restricts nothing, as None does.  The one ambiguity rule: a
+    lift is ambiguous iff its key's Hensel margin exceeds the level or some
+    carrier valuation is at least the level (INF included).
 
-    The lifts are counted per key, the tuple of exact valuations of the
-    expression's distinct carriers, and the member keys, their Hensel
-    margins merged, make one tally that the compiled evaluator sums in one
-    call, p^(-arity*level) folded in; the value and the ambiguity flag
-    depend only on the key, so the exact sum is the same as lift by lift.
-    Classes are refined one p-adic digit at a time and counted whole as soon
-    as their domain membership is fixed and, on a member class, every
-    carrier's valuation is constant (cells.settle_on_valuations); a carrier
-    is valued only on the classes counted or where it is 0 mod p^j.  The
-    budget bounds the p^(arity*level) classes decided, however few are
-    visited.  Raises check_budget's errors for the level, then
+    The member keys (valuations, margin), their margins merged, make one
+    tally that the evaluator sums in one call at the level, p^(-arity*level)
+    folded in.  The budget bounds all p^(arity*level) classes, however few
+    are visited: check_budget's errors for the level come first, then
     InvalidArgumentError for an arity below the expression's or the
-    domain's.  walk is _walk's per-level tally {m: {key: lifts mod p^m}} of
-    a walk that listed the level, which riemann_sums shares between its
+    domain's.  walk is _walk's (evaluator, {m: {key: lifts mod p^m}}) for
+    levels that include this one, which riemann_sums shares between its
     levels; by default, a walk to level.
     """
-    counts = (walk or _walk(e, arity, [level], ctx, domain, budget))[level]
+    evaluate, lifts = walk or _walk(e, arity, [level], ctx, domain, budget)
     tally, ambiguous = {}, 0
-    for (valuations, flagged), count in counts.items():
+    for (valuations, flagged), count in lifts[level].items():
         if valuations is not None:  # a member: one tally entry whatever its margin
             tally[valuations] = tally.get(valuations, 0) + count
-        if flagged > level and not (valuations and max(valuations) >= level):
-            ambiguous += count  # flagged by the margin alone
-    value, flagged_by_value = compile_expr(e, ctx, level)(tally, arity * level)
+        if flagged > level or (valuations and max(valuations) >= level):
+            ambiguous += count
+    value = evaluate(tally, level, arity * level)
     if isinstance(value, RootScaledValue) and value.is_rational():
         value = value.as_exact_rational()
-    return OracleResult(value=value, level=level, ambiguous_count=ambiguous + flagged_by_value)
+    return OracleResult(value=value, level=level, ambiguous_count=ambiguous)
 
 
 def riemann_sums(e: QExpExpr, arity: int, levels: Sequence[int], ctx: PrimeContext,
                  domain: Domain | None = None,
                  budget: int = DEFAULT_BUDGET) -> list[OracleResult]:
     """riemann_integrate at each of levels, in order and repeats included, from
-    one walk of the digit tree to the largest (_walk).  Every level is
-    admitted before the walk; an empty list is an InvalidArgumentError."""
+    one walk of the digit tree to the largest and one compiled evaluator
+    (_walk).  Every level is admitted before the walk; an empty list is an
+    InvalidArgumentError."""
     walk = _walk(e, arity, levels, ctx, domain, budget)
     sums = {m: riemann_integrate(e, arity, m, ctx, domain, budget, walk=walk)
             for m in dict.fromkeys(levels)}
@@ -165,12 +154,11 @@ def riemann_sums(e: QExpExpr, arity: int, levels: Sequence[int], ctx: PrimeConte
 
 
 def _walk(e: QExpExpr, arity: int, levels: Sequence[int], ctx: PrimeContext,
-          domain: Domain | None, budget: int) -> dict[int, dict]:
-    """One walk of refine_classes to the largest of levels, tallied for each
-    (see the module docstring): {m: {key: lifts mod p^m}} for every listed
-    level m, keys in the order found.  A class settled at depth j <= m holds
-    p^(arity*(m-j)) lifts of m, from m's size table; a leaf of a lower listed
-    level m holds one.  check_budget admits the smallest and the largest
+          domain: Domain | None, budget: int) -> tuple:
+    """The integrand compiled once and one walk of refine_classes to the
+    largest of levels, tallied for each as the module docstring says:
+    (evaluator, {m: {key: lifts mod p^m}}) for every listed level m, keys in
+    the order found.  check_budget admits the smallest and the largest
     level, then the arity is checked."""
     if not levels:
         raise InvalidArgumentError("need at least one level")
@@ -194,7 +182,7 @@ def _walk(e: QExpExpr, arity: int, levels: Sequence[int], ctx: PrimeContext,
                     tally[key] = tally.get(key, 0) + size[j]
         else:  # a leaf of the lower listed level j
             lifts[j][key] = lifts[j].get(key, 0) + 1
-    return lifts
+    return compile_expr(e, ctx), lifts
 
 
 def monte_carlo_integrate(e: QExpExpr, arity: int, samples: int, seed: int,
@@ -214,14 +202,13 @@ def monte_carlo_integrate(e: QExpExpr, arity: int, samples: int, seed: int,
     if level < 1:
         raise InvalidArgumentError("level m must be >= 1")
     rng = random.Random(seed)
-    run, plan = compile_expr(e, ctx, level), MembershipPlan(ctx)
+    run, plan = compile_expr(e, ctx), MembershipPlan(ctx)
     views = [plan.view(f) for f in expr_carriers(e)]
     pm = ctx.p**level
     values = []
     for _ in range(samples):
         pt = tuple(rng.randrange(pm) for _ in range(arity))
-        v, _amb = run({valuation_key(views, pt): 1})
-        values.append(float(v))
+        values.append(float(run({valuation_key(views, pt): 1}, level)))
     mean = reduce(add, values, 0) / samples
     var = reduce(add, ((v - mean) ** 2 for v in values), 0) / (samples - 1)
     return mean, sqrt(var / samples)

@@ -1317,14 +1317,15 @@ def test_partition_takes_one_coset_signature_per_class(p, m, count):
 
 def per_lift_riemann(e, arity, m, ctx, domain) -> tuple:
     """The per-lift Riemann sum over a tower domain, membership by the Fraction
-    oracle: (value, ambiguous lifts)."""
-    run, valuations = compile_expr(e, ctx, m), carrier_valuations(e, ctx)
+    oracle: (value, ambiguous lifts).  A lift is ambiguous by its margin or,
+    on a member, by a valuation >= m in its own carrier_valuations vector."""
+    run, valuations = compile_expr(e, ctx), carrier_valuations(e, ctx)
     total, ambiguous = Fraction(0), 0
     for pt in itertools.product(range(ctx.p**m), repeat=arity):
         member, amb = fraction_membership(domain, pt, ctx, m)
         if member:
-            value, amb_v = run({valuations(pt): 1})
-            total, amb = total + value, amb or amb_v
+            vals = valuations(pt)
+            total, amb = total + run({vals: 1}, m), amb or any(v >= m for v in vals)
         ambiguous += amb
     return total * Fraction(1, ctx.p ** (arity * m)), ambiguous
 

@@ -679,6 +679,13 @@ def _evaluator_problems(draw):
     return e, PrimeContext(p), level, points
 
 
+def _ruled(run, vals, level):
+    """The evaluator's value at one valuation vector, with the ambiguity of
+    oracle.riemann_integrate's one rule: some valuation >= level (INF
+    included), at a level."""
+    return run({vals: 1}, level), level is not None and any(v >= level for v in vals)
+
+
 def _result(fn, *args):
     try:
         value, amb = fn(*args)
@@ -699,11 +706,11 @@ def test_valuation_evaluator_matches_the_per_leaf_point_evaluator(problem):
     valuations = carrier_valuations(e, ctx)
     carriers = expr_carriers(e)
     for lv in (None, level):
-        run, parent = compile_expr(e, ctx, lv), _parent_point_evaluator(e, ctx, lv)
+        run, parent = compile_expr(e, ctx), _parent_point_evaluator(e, ctx, lv)
         for pt in points:
             if lv is not None and any(Fraction(x).denominator != 1 for x in pt):
                 continue  # a level reads integer lifts
-            old, new = _result(parent, pt), _result(lambda x: run({valuations(x): 1}), pt)
+            old, new = _result(parent, pt), _result(lambda x: _ruled(run, valuations(x), lv), pt)
             fractional = _result(lambda x: (evaluate_fractional(e, x, ctx), False), pt)
             short = [c.arity for c in carriers if c.arity > len(pt)]
             if short:
@@ -829,12 +836,16 @@ def _tally_problems(draw):
 def test_term_form_tally_matches_the_per_key_recursion(problem):
     """The term form summed over a tally in integers gives the per-key
     recursion's sum of count * value, p^(-shift) folded in: the same value
-    after ring normalisation and the same type, the same ambiguous weight, and
-    at level None the same ValOfZeroError arguments."""
+    after ring normalisation and the same type, and at level None the same
+    ValOfZeroError arguments.  The recursion's ambiguous weight is that of
+    oracle.riemann_integrate's one rule: the counts of the vectors with some
+    valuation >= level."""
     e, ctx, tally, level, shift = problem
     expected = _reference_tally(e, ctx, level, tally, shift)
+    weight = sum(count for vals, count in tally.items()
+                 if level is not None and any(v >= level for v in vals))
     try:
-        value, weight = compile_expr(e, ctx, level)(tally, shift)
+        value = compile_expr(e, ctx)(tally, level, shift)
     except ValOfZeroError as ex:
         assert ex.args == expected
         return

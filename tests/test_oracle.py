@@ -1,12 +1,13 @@
 """Residue-sum oracle, Monte-Carlo estimation, and solution counting."""
 
 import itertools
+import json
 import math
 import random
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
-from operator import add
+from operator import add, sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -112,11 +113,11 @@ def test_monte_carlo_is_the_carrier_valuations_loop(text, arity, level):
     """The integer carrier views give the samples of Polynomial.eval, bit for bit."""
     e, seed, samples = parse_expr(text), 11, 2000
     rng, level_used = random.Random(seed), DEFAULT_LEVEL if level is None else level
-    run, valuations = compile_expr(e, C5, level_used), carrier_valuations(e, C5)
+    run, valuations = compile_expr(e, C5), carrier_valuations(e, C5)
     values = []
     for _ in range(samples):
         pt = tuple(rng.randrange(5**level_used) for _ in range(arity))
-        values.append(float(run({valuations(pt): 1})[0]))
+        values.append(float(run({valuations(pt): 1}, level_used)))
     mean = reduce(add, values, 0) / samples
     var = reduce(add, ((v - mean) ** 2 for v in values), 0) / (samples - 1)
     assert monte_carlo_integrate(e, arity, samples, seed, C5, level=level) == \
@@ -244,31 +245,25 @@ def test_solution_histogram_rejects_a_level_below_one(m):
 
 def brute_force_riemann(e, arity, level, ctx, domain=None):
     """The per-point Riemann sum: every lift evaluated and added one by one.
+    A lift is ambiguous iff its Hensel margin exceeds the level or, on a
+    member, some valuation of its own carrier_valuations vector is at least
+    the level.
 
     Membership is the compiled plan, tested against the Fraction oracle in
     test_cells.py.
     """
     p = ctx.p
-    run, valuations = compile_expr(e, ctx, level), carrier_valuations(e, ctx)
+    run, valuations = compile_expr(e, ctx), carrier_valuations(e, ctx)
     total = Fraction(0)
     ambiguous = 0
     member_of = None if domain is None else MembershipPlan(ctx).member_of(domain)
     for pt in itertools.product(range(p**level), repeat=arity):
-        if domain is not None:
-            member, _, flagged = member_of(pt)
-            amb = flagged > level
-            if amb:
-                ambiguous += 1
-            if not member:
-                continue
-            value, amb_v = run({valuations(pt): 1})
-            if amb_v and not amb:
-                ambiguous += 1
-        else:
-            value, amb_v = run({valuations(pt): 1})
-            if amb_v:
-                ambiguous += 1
-        total = total + value
+        member, _, flagged = (True, 0, 0) if domain is None else member_of(pt)
+        vals = valuations(pt) if member else ()
+        if flagged > level or any(v >= level for v in vals):
+            ambiguous += 1
+        if member:
+            total = total + run({vals: 1}, level)
     weight = Fraction(1, p ** (arity * level))
     if isinstance(total, RootScaledValue):
         value = total.scale(weight)
@@ -407,6 +402,8 @@ def _level_lists(draw):
 @example(problem=(parse_expr("norm(x1)*val(x1 - 2)"), 1, [4, 2, 4, 1], PrimeContext(3), None))
 @example(problem=(parse_expr("norm(x1 - 1)^{1/2} + val(x1)"), 1, [3, 1, 3, 2], C5,
                   unit_ball_coset_cell(1, 2)))
+@example(problem=(parse_expr("norm(x1)"), 1, [3, 2], PrimeContext(2),
+                  unit_ball_coset_cell(1, 2)))  # ((0,), 5) at level 3: the margin alone
 def test_riemann_sums_are_the_walks_to_each_level(problem):
     """One walk to the largest level gives every listed level's sum, in the
     order listed: the value and ambiguous count of a walk to that level alone,
@@ -435,8 +432,15 @@ def test_riemann_sums_admit_every_level_before_the_walk(monkeypatch):
 
 def test_oracle_levels_walk_once(monkeypatch, capsys):
     """oracle --level 4,5,6 makes one walk, to level 6, and visits no more
-    classes than oracle --level 6: 173, where a walk per level visits 49 + 93 + 173."""
+    classes than oracle --level 6: 173, where a walk per level visits 49 + 93 + 173.
+    It compiles the integrand once and calls the evaluator once per level."""
     walks, visits, refine = [], [], oracle.refine_classes
+    compiles, evaluations, compile_ = [], [], oracle.compile_expr
+
+    def counting_compile(*args):
+        run = compile_(*args)
+        compiles.append(args)
+        return lambda *call: evaluations.append(call[1:]) or run(*call)
 
     def counting_refine(p, level, arity, classify, member_of=None, depths=()):
         def visit(r, j, amb, at):
@@ -448,12 +452,14 @@ def test_oracle_levels_walk_once(monkeypatch, capsys):
         return refine(p, level, arity, visit, member_of, depths)
 
     monkeypatch.setattr(oracle, "refine_classes", counting_refine)
+    monkeypatch.setattr(oracle, "compile_expr", counting_compile)
     counts = {}
     for levels in ("6", "4,5,6"):
-        walks.clear(), visits.clear()
+        walks.clear(), visits.clear(), compiles.clear(), evaluations.clear()
         assert main(["oracle", "--expr", "norm(x1^2 - x2^3)", "--arity", "2", "--level", levels,
                      "--prime", "2"]) == 0
-        assert walks == [6]
+        assert walks == [6] and len(compiles) == 1
+        assert [level for level, _ in evaluations] == [int(m) for m in levels.split(",")]
         counts[levels] = len(visits)
     assert 0 < counts["4,5,6"] <= counts["6"]
 
@@ -477,7 +483,7 @@ def test_riemann_evaluates_one_tally_per_level_and_values_no_carrier_at_a_point(
 
     def counted_compile(*args):
         run = compile_(*args)
-        return lambda tally, shift: calls.append(dict(tally)) or run(tally, shift)
+        return lambda tally, level, shift: calls.append(dict(tally)) or run(tally, level, shift)
 
     monkeypatch.setattr(oracle, "refine_classes", recorded_refine)
     monkeypatch.setattr(oracle, "compile_expr", counted_compile)
@@ -631,6 +637,80 @@ def test_constant_on_proves_a_constant_valuation(case):
             lift = [x + p**j * y for x, y in zip(r, t)]
             assert cells.int_valuation(
                 cells.eval_int_terms(carrier.terms, lift), p) == v, (f, r, t)
+
+
+def _eager_constant_on(carrier):
+    """constant_on as it was with every Taylor coefficient of the carrier built
+    up front, at every depth, and read in order of |k| up to j|k| > v: the
+    reference of the lazy orders and of the depth-0 coefficient test."""
+    p, arity, coefficients = carrier.p, max(map(len, (e for e, _ in carrier.terms)), default=0), {}
+    for e, c in carrier.terms:
+        e = e + (0,) * (arity - len(e))
+        for k in itertools.product(*(range(d + 1) for d in e)):
+            if any(k):
+                term = (tuple(map(sub, e, k)), c * math.prod(map(math.comb, e, k)))
+                coefficients.setdefault(k, []).append(term)
+    taylor = sorted((sum(k), tuple(terms)) for k, terms in coefficients.items())
+
+    def constant_on(point, j):
+        value = cells.eval_int_terms(carrier.terms, point)
+        if value % p**j:
+            return True
+        if value == 0:
+            return False
+        v = cells.int_valuation(value, p)
+        for order, terms in taylor:
+            if j * order > v:
+                break
+            if cells.eval_int_terms(terms, point) % p**(v - j * order + 1):
+                return False
+        return True
+    return constant_on
+
+
+def _seeded_carrier(rng, p, arity):
+    """p^a * g^k * h with small integer g (degree 1) and h (degree <= 2), so that
+    many points are repeated roots or p-power multiples."""
+    def factor(top):
+        coeffs = {}
+        for _ in range(rng.randint(1, 3)):
+            e = tuple(rng.randint(0, top) for _ in range(arity))
+            coeffs[e] = coeffs.get(e, 0) + rng.choice((-3, -2, -1, 1, 2, 3, p))
+        return Polynomial.from_coeffs(coeffs)
+    f = factor(1) ** rng.randint(1, 3) * factor(2)
+    return f.scale(p ** rng.randint(0, 3))
+
+
+def test_lazy_taylor_orders_match_the_eager_expansion():
+    """Seeded carriers at p in {2, 3, 5}, arity 1-3 and depths 0-3: constant_on,
+    which builds the Taylor orders lazily and tests the coefficients
+    themselves at depth 0, answers as the eager expansion does, on the class
+    representatives r mod p^j and on points past them."""
+    rng, answers = random.Random(32), set()
+    for p in (2, 3, 5):
+        for arity in (1, 2, 3):
+            for _ in range(15):
+                f = _seeded_carrier(rng, p, arity)
+                carrier = cells._Carrier(f, PrimeContext(p))
+                eager = _eager_constant_on(carrier)
+                for j in range(4):
+                    points = [tuple(rng.randrange(p ** (j + k // 25)) for _ in range(arity))
+                              for k in range(30)]  # 25 classes mod p^j, 5 points mod p^(j+1)
+                    for point in points:
+                        got = carrier.constant_on(point, j)
+                        assert got == eager(point, j), (f, p, point, j)
+                        answers.add((j == 0, got))
+    assert answers == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_high_degree_carrier_expands_only_the_orders_read(deadline, capsys):
+    """norm(x1^30000 + 5) to level 3 at p = 5 reads the Taylor coefficients of
+    order 1 only, so it returns at once (past 30 s with every order built up
+    front)."""
+    deadline(1)
+    assert main(["oracle", "--expr", "norm(x1^30000 + 5)", "--arity", "1", "--level", "3",
+                 "--prime", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "21/25"
 
 
 # -- the one modular enumeration against the per-point product loops ---------------
