@@ -24,13 +24,18 @@ one test per cell.  The domain, the described towers and f, delta and t - c
 of check_norm_description, and the domain and integrand carriers of
 oracle.riemann_integrate read the same plan's views, and
 MembershipPlan.member_of plans a single tower.  The checks walk the
-digit-tree kernel refine_classes, which settles a class r mod p^j (all its
-p^(n(m-j)) lifts at once) once every test is fixed on it (decided <= j) and
-(one rule, settle_on_valuations) every view read has a constant valuation on
-it; the Hensel margin only flags it ambiguous, as _tally counts.  Given
-listed depths below its level, the walk also yields the leaves a walk to
-each of them keys there, so one walk serves several levels
-(oracle.riemann_sums).  The budget counts all p^(m*n) classes.  The classes
+digit-tree kernel refine_classes.  Its classes are boxes r + p^J*Z_p^n with
+one depth J_k per coordinate, as a tower level constrains only x_i - c_i:
+a test returns one need per view it reads (t - c or a non-constant bound),
+fixed on a box once the view's depth, the least J_k over the variables it
+reads, reaches it, and a box is split only in the coordinates its
+undecided views read.  It settles a box (all its p^(sum(m - J_k)) lifts at
+once) once every test is fixed on it and (one rule, settle_on_valuations)
+every carrier read has a constant valuation on it; the Hensel margin only
+flags it ambiguous, as _tally counts.  Given listed depths below its level,
+the walk also yields the leaves a walk to each of them keys there, so one
+walk serves several levels (oracle.riemann_sums).  The budget counts all
+p^(m*n) classes.  The classes
 see only the domain's points, so check_partition also asks the plan which
 cells reach outside the domain (MembershipPlan.outside), in one comparison
 per level record: with Z_p over the box, with the domain's record of the
@@ -44,9 +49,9 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, gcd, prod
-from operator import ne, sub
+from operator import add, itemgetter, mul, ne, or_, sub
 from typing import Callable, Iterator, Sequence, Union
 
 from .errors import CertificateMismatchError, DivergentError, InvalidArgumentError
@@ -208,7 +213,10 @@ class _Carrier:
     """Integer-cleared polynomial carrier poly = terms/denom, with vden = v(denom).
     At integer points it keeps the last point read, matched by identity (which the
     kept reference makes unique), so every test handed one class tuple shares one
-    evaluation, and values it only when asked."""
+    evaluation, and values it only when asked.  Its support is the coordinates
+    its terms read (coords, and the bit set mask); on a box r + p^J*Z_p^n its
+    depth is the least J_k over them (depth), as terms(r + p^J*y) = terms(r)
+    mod p^depth."""
 
     point = None
 
@@ -217,7 +225,15 @@ class _Carrier:
         self.vden = int(int_valuation(self.denom, ctx.p))
         self.p = ctx.p
         self.degree = max((sum(e) for e, _ in self.terms), default=0)
-        self.taylor = [()]  # taylor[d]: the a_k with |k| = d, built up to the order read
+        self.coords = tuple(sorted({i for e, _ in self.terms for i, x in enumerate(e) if x}))
+        self.mask = sum(1 << i for i in self.coords)
+        self.taylor = [()]  # taylor[d]: (k, a_k) with |k| = d, built up to the order read
+        if len(self.coords) == 1:  # depth(depths), an itemgetter where one coordinate is read
+            self.depth = itemgetter(self.coords[0])
+
+    def depth(self, depths: Sequence[int]):
+        """The least depth over the support, INF for a constant carrier."""
+        return min([depths[k] for k in self.coords], default=INF)
 
     def read(self, point: Sequence[int]) -> int:
         """terms(point), the cleared integer value at an integer point."""
@@ -234,17 +250,43 @@ class _Carrier:
             v = self.v = INF if self.num == 0 else int_valuation(self.num, self.p)
         return v
 
-    def constant_on(self, point: Sequence[int], j: int) -> bool:
-        """Whether v(terms) is constant on the class point + p^j*Z_p^n, by the
-        Taylor expansion terms(point + p^j*t) = sum_k a_k(point)*p^(j|k|)*t^k:
-        it is when v = v(terms(point)) is finite and a_k(point) = 0 mod
-        p^(v - j|k| + 1) for every k != 0 with j|k| <= v.  A value that is
-        nonzero mod p^j (v < j) settles it with no valuation; otherwise the
-        coefficients are read in order of |k| up to the first that fails, and
-        built only up to the last order read.  At j = 0 every order is read,
-        and the shift x -> x + point keeps every coefficient but the constant
-        one 0 mod p^(v + 1) if all were, so terms' own coefficients are
-        tested.  False does not prove v(terms) varies on the class."""
+    def constant_on(self, point: Sequence[int], depths: Sequence[int]) -> bool:
+        """Whether v(terms) is constant on the box point + p^J*Z_p^n, J = depths,
+        by the Taylor expansion terms(point + p^J*t) = sum_k
+        a_k(point)*p^(J.k)*t^k: it is when v = v(terms(point)) is finite and
+        a_k(point) = 0 mod p^(v - J.k + 1) for every k != 0 with J.k <= v.
+        Where the coordinates read share one depth j, J.k = j|k|
+        (constant_at); otherwise, with j the least of their depths, the
+        orders read are those up to v // j (J.k >= j|k|), all at j = 0."""
+        coords = self.coords
+        if len(coords) < 2:
+            return self.constant_at(point, depths[coords[0]] if coords else 0)
+        js = [depths[k] for k in coords]
+        j = min(js)
+        if j == max(js):
+            return self.constant_at(point, j)
+        p = self.p
+        if self.read(point) % p**j:
+            return True
+        v = self.valuation(point)
+        if v is INF:
+            return False
+        for order in range(1, (min(v // j, self.degree) if j else self.degree) + 1):
+            for k, coefficient in self._taylor(order):
+                dot = sum(map(mul, k, depths))
+                if dot <= v and eval_int_terms(coefficient, point) % p**(v - dot + 1):
+                    return False
+        return True
+
+    def constant_at(self, point: Sequence[int], j: int) -> bool:
+        """constant_on where every coordinate read is at the depth j.  A value
+        that is nonzero mod p^j (v < j) settles it with no valuation;
+        otherwise the coefficients are read in order of |k| up to the first
+        that fails, and built only up to the last order read.  At j = 0 every
+        order is read, and the shift x -> x + point keeps every coefficient but
+        the constant one 0 mod p^(v + 1) if all were, so terms' own
+        coefficients are tested.  False does not prove v(terms) varies on the
+        box."""
         p = self.p
         if self.read(point) % p**j:
             return True
@@ -254,15 +296,16 @@ class _Carrier:
         if j == 0:
             return not any(c % p**(v + 1) for e, c in self.terms if any(e))
         for order in range(1, min(v // j, self.degree) + 1):
-            for coefficient in self._taylor(order):
+            for _, coefficient in self._taylor(order):
                 if eval_int_terms(coefficient, point) % p**(v - j * order + 1):
                     return False
         return True
 
     def _taylor(self, order: int) -> list:
-        """The terms of each a_k with |k| = order: a_k = sum c*prod(C(e_i, k_i))*x^(e - k)
-        over the terms c*x^e with k <= e, the integer Taylor coefficients of
-        terms, built one order at a time on first use."""
+        """(k, terms of a_k) for each k with |k| = order: a_k = sum
+        c*prod(C(e_i, k_i))*x^(e - k) over the terms c*x^e with k <= e, the
+        integer Taylor coefficients of terms, built one order at a time on
+        first use."""
         taylor = self.taylor
         while len(taylor) <= order:
             d, coefficients = len(taylor), {}
@@ -271,7 +314,7 @@ class _Carrier:
                     if sum(k) == d:
                         term = (tuple(map(sub, e, k)), c * prod(map(comb, e, k)))
                         coefficients.setdefault(_strip(k), []).append(term)
-            taylor.append([tuple(terms) for terms in coefficients.values()])
+            taylor.append([(k, tuple(terms)) for k, terms in coefficients.items()])
         return taylor[order]
 
 
@@ -373,7 +416,7 @@ class MembershipPlan:
         return record
 
     def _plan_level(self, index: int, level: CellLevel) -> _Level:
-        """The record of one cell level, with its test point -> (holds, decided,
+        """The record of one cell level, with its test point -> (holds, needs,
         flagged) in integers.
 
         With t - c(x) = N(x)/D cleared of denominators, v(t - c) = v(N) - v(D),
@@ -382,11 +425,17 @@ class MembershipPlan:
         plan time; a zero constant ends the fold (alpha first), and fails the
         level ambiguously.  A level whose bounds are all nonzero constants
         (explicit) and that admits some valuation also records its order, its
-        window and the unit part of lam's signature.  As N(r + p^j*y) = N(r)
-        mod p^j, decided is v(N) + 1, or v(N) + L (_Order.level) where the unit
-        part is read, and flagged v(N) + M (1 for a point), INF for a zero bound
-        in the window; both are at least bv + 1 for each non-constant bound of
-        cleared valuation bv, and INF at a zero carrier.
+        window and the unit part of lam's signature.  needs holds one (view,
+        need) per view read: holds is fixed on a box where each view's depth
+        (_Carrier.depth) is at least its need, as N(r + p^J*y) = N(r) mod
+        p^depth.  The need of t - c is v(N) + L (_Order.level) where k = v(t -
+        c) is in the constant window and k = residue mod n, so that the unit
+        part may be read whatever the non-constant bounds read, and v(N) + 1
+        elsewhere; of a non-constant bound of cleared valuation bv, bv + 1;
+        INF at a zero carrier.  Each need is a function of its view's value
+        alone, so a view fixed on a box stays fixed on every box within it.
+        flagged is v(N) + M (1 for a point), INF for a zero bound in the
+        window, and at least each bv + 1.
         """
         lam, n = level.coset.lam, level.coset.n
         diff = self.diff(index, level.center)
@@ -394,7 +443,7 @@ class MembershipPlan:
         if lam == 0:
             def point_test(point: Sequence[int]) -> tuple:
                 v = read(point)
-                return v is INF, v + 1, v + 1  # M = 1
+                return v is INF, ((diff, v + 1),), v + 1  # M = 1
             return _Level(point_test, diff, level.center, lam)
         order = self._order(diff, n)
         unit, hensel, digits = order.unit, order.hensel, order.level
@@ -417,11 +466,11 @@ class MembershipPlan:
 
         def test(point: Sequence[int]) -> tuple:
             v = read(point)
-            decided, flagged = v + 1, v + hensel
-            k_lo, k_hi = lo, hi
+            flagged, k_lo, k_hi, bounds = v + hensel, lo, hi, []
             for lower, strict, view in reads:  # the non-constant bounds, read at the class
                 bv = view.valuation(point)
-                decided, flagged = max(decided, bv + 1), max(flagged, bv + 1)
+                flagged = max(flagged, bv + 1)
+                bounds.append((view, bv + 1))
                 if bv is INF:  # the bound vanished: a malformed cell at this point
                     k_hi = -INF
                 elif lower:
@@ -429,11 +478,13 @@ class MembershipPlan:
                 else:
                     k_lo = max(k_lo, bv - view.vden + strict)
             k = v - vden
-            if not k_lo <= k <= k_hi:
-                return False, decided, flagged
-            if zero or v is INF or k % n != residue:  # past the window, a zero bound is ambiguous
-                return False, decided, INF if zero else flagged
-            return unit() == unit_key, max(decided, v + digits), flagged
+            if zero or v is INF or k % n != residue or not lo <= k <= hi:
+                holds, need = False, v + 1
+                if zero and k_lo <= k <= k_hi:  # past the window, a zero bound is ambiguous
+                    flagged = INF
+            else:  # the unit part is read wherever the bounds read may still admit k
+                holds, need = k_lo <= k <= k_hi and unit() == unit_key, v + digits
+            return holds, ((diff, need), *bounds) if bounds else ((diff, need),), flagged
         first = lo if lo == -INF else lo + (residue - lo) % n  # the least and greatest k admitted
         last = hi if hi == INF else hi - (hi - residue) % n
         if reads or zero or first > last:
@@ -444,26 +495,37 @@ class MembershipPlan:
         """The planned record of each level of a tower."""
         return [self._level(i, level) for i, level in enumerate(tower.levels)]
 
-    def member_of(self, tower: CellTower) -> Callable[[Sequence[int]], tuple]:
-        """Plan a tower on this plan: integer point -> (member, decided, flagged).
+    def member_of(self, tower: CellTower) -> Callable[[Sequence[int], Sequence[int]], tuple]:
+        """Plan a tower on this plan: (integer point, depths) -> (member,
+        undecided, flagged).
 
-        Membership is exact at the point, and fixed on the class mod p^j once
-        decided <= j.  The class mod p^m is ambiguous iff flagged > m: at some
-        level v(t - c) + M > m - (precision lost to p in the centre's
-        denominators), M the coset's Hensel level (1 for a point), or a
-        non-constant bound is 0 mod p^m once cleared, or a bound vanishes.
-        Both are the largest over the levels tested, up to the first that fails.
+        Membership is exact at the point, and fixed on the box point +
+        p^J*Z_p^n, J = depths, where undecided, the bit set of the coordinates
+        read by the views whose depth is below their need (_open), is 0.  The
+        class mod p^m is ambiguous iff flagged > m: at some level v(t - c) + M
+        > m - (precision lost to p in the centre's denominators), M the
+        coset's Hensel level (1 for a point), or a non-constant bound is 0 mod
+        p^m once cleared, or a bound vanishes; the largest over the levels up
+        to the first that fails.  The levels past a failing one that is not
+        fixed on the box are still read, for undecided alone: where it holds
+        they decide membership.
         """
-        tests = [level.test for level in self.levels_of(tower)]
+        tests, whole = [level.test for level in self.levels_of(tower)], (1 << tower.arity) - 1
 
-        def member_of(point: Sequence[int]) -> tuple:
-            decided = flagged = 0
+        def member_of(point: Sequence[int], depths: Sequence[int]) -> tuple:
+            member, undecided, flagged, lo = True, 0, 0, min(depths) if depths else 0
             for test in tests:
-                holds, d, f = test(point)
-                decided, flagged = max(decided, d), max(flagged, f)
-                if not holds:
-                    return False, decided, flagged
-            return True, decided, flagged
+                holds, needs, f = test(point)
+                open_ = 0
+                for view, need in needs:  # _open, inline
+                    if need > lo and (view.mask == whole or need > view.depth(depths)):
+                        open_ |= view.mask
+                undecided |= open_
+                if member:
+                    flagged, member = max(flagged, f), holds
+                if not (holds or open_):
+                    break
+            return member, undecided, flagged
 
         return member_of
 
@@ -472,9 +534,9 @@ class MembershipPlan:
         restrict nothing."""
         return None if domain is None or isinstance(domain, BoxDomain) else self.member_of(domain)
 
-    def owners_of(self, towers: Sequence[list]) -> Callable[[Sequence[int]], tuple]:
-        """integer point -> (indices of the towers holding it, decided, flagged),
-        for towers planned by levels_of.
+    def owners_of(self, towers: Sequence[list]) -> Callable[[Sequence[int], Sequence[int]], tuple]:
+        """(integer point, depths) -> (indices of the towers holding it,
+        undecided, flagged), for towers planned by levels_of.
 
         The towers are merged into a tree of level records, so a level shared
         by the towers' common prefix is tested once.  The explicit coset
@@ -484,11 +546,18 @@ class MembershipPlan:
         signature leaves only the windows of the levels of that coset to
         compare.  Every other level (a point, a zero or non-constant bound)
         is tested alone.  Siblings of one group share their view and Hensel
-        margin, so flagged is the largest of member_of's over the towers;
-        decided is, for a group, v + L where a unit part is read, v + 1 where
-        no level admits k mod n, INF at v = INF.
+        margin, so flagged is the largest of member_of's over the towers; the
+        need of a group's view is v + L where a unit part is read, v + 1 where
+        no level admits k mod n, INF at v = INF.  undecided is member_of's
+        over the levels read, those below a level that holds.  Unlike
+        member_of, it does not read below a failing level that is not fixed:
+        check_partition walks to one level, which stays exact whichever box
+        first reads a view, and over a domain whose levels have the cells'
+        centres the domain's member_of reads those views anyway (cells_cert's
+        partition checks visit the same classes either way).
         """
         root: tuple[dict, list] = ({}, [])
+        whole = (1 << max(map(len, towers), default=0)) - 1
         for idx, levels in enumerate(towers):
             children, owners = root
             for level in levels:
@@ -496,9 +565,9 @@ class MembershipPlan:
             owners.append(idx)
 
         def node(levels: dict) -> tuple[list, list]:
-            """([(test, node, owners)] of the levels tested alone, [(read, vden,
-            n, hensel, L, unit, {k mod n: {unit part: [(first, last, node,
-            owners)]}})] of the groups), node None for a leaf."""
+            """([(test, node, owners)] of the levels tested alone, [(view, read,
+            vden, n, hensel, L, unit, {k mod n: {unit part: [(first, last,
+            node, owners)]}})] of the groups), node None for a leaf."""
             alone, groups = [], {}
             for level, (children, owners) in levels.items():
                 branch = (node(children) if children else None, owners)
@@ -508,28 +577,32 @@ class MembershipPlan:
                 first, last, residue, _ = level.window
                 table = groups.setdefault(level.order, {}).setdefault(residue, {})
                 table.setdefault(level.unit, []).append((first, last, *branch))
-            return alone, [(order.diff.valuation, order.diff.vden, order.n, order.hensel,
-                            order.level, order.unit, table) for order, table in groups.items()]
+            return alone, [(order.diff, order.diff.valuation, order.diff.vden, order.n,
+                            order.hensel, order.level, order.unit, table)
+                           for order, table in groups.items()]
 
         tree = node(root[0])
 
-        def owners_of(point: Sequence[int]) -> tuple[tuple[int, ...], int, int]:
-            owners, decided, flagged = list(root[1]), 0, 0
+        def owners_of(point: Sequence[int], depths: Sequence[int]) -> tuple:
+            owners, undecided, flagged, lo = list(root[1]), 0, 0, min(depths) if depths else 0
             stack = [tree]
             while stack:
                 alone, groups = stack.pop()
                 for test, children, cells in alone:
-                    holds, d, f = test(point)
-                    decided, flagged = max(decided, d), max(flagged, f)
+                    holds, needs, f = test(point)
+                    undecided |= _open(needs, depths, lo, whole)
+                    flagged = max(flagged, f)
                     if holds:
                         owners += cells
                         if children:
                             stack.append(children)
-                for read, vden, n, hensel, digits, unit, table in groups:
+                for view, read, vden, n, hensel, digits, unit, table in groups:
                     v = read(point)
                     flagged, k = max(flagged, v + hensel), v - vden
                     units = None if v is INF else table.get(k % n)
-                    decided = max(decided, v + (1 if units is None else digits))
+                    need = v + (1 if units is None else digits)
+                    if need > lo and (view.mask == whole or need > view.depth(depths)):
+                        undecided |= view.mask
                     if units is None:
                         continue
                     for first, last, children, cells in units.get(unit(), ()):
@@ -537,7 +610,7 @@ class MembershipPlan:
                             owners += cells
                             if children:
                                 stack.append(children)
-            return tuple(sorted(owners)), decided, flagged
+            return tuple(sorted(owners)), undecided, flagged
 
         return owners_of
 
@@ -602,36 +675,82 @@ def _within(inner: tuple, outer: tuple) -> bool:
         and (residue - outer_residue) % outer_n == 0
 
 
-def refine_classes(p: int, level: int, arity: int, classify: Callable,
-                   member_of: Callable | None = None, depths=()) -> Iterator[tuple]:
-    """Settle the classes r mod p^j of Z_p^arity, depth first, one p-adic digit at a time.
+def _open(needs: Sequence[tuple], depths: Sequence[int], lo: int, whole: int) -> int:
+    """The bit set of the coordinates read by the views of needs, (view, need)
+    pairs, whose depth on the box of depths is below their need.  lo =
+    min(depths) is at most every view's depth, and the depth of a view that
+    reads every coordinate (the bit set whole), so one min per class spares
+    the depth of most views."""
+    undecided = 0
+    for view, need in needs:
+        if need > lo and (view.mask == whole or need > view.depth(depths)):
+            undecided |= view.mask
+    return undecided
 
-    A class whose membership member_of (a membership plan) has not decided
-    (decided > j) is split, one outside it is settled with the key (None,
-    flagged); classify(r, j, flagged, level) keys all p^(arity*(level-j))
-    lifts of the others, or returns None to split r into r + p^j*d (never at
-    j = level).  Every lift of a decided class has its flagged (0 over the
-    box): ambiguous mod p^m iff flagged > m.  Yields (key, r, j, True) for a
-    settled class, which a walk to any level m >= j settles alike.  At a
-    depth j in depths below the level, a class about to be split is first
-    yielded as (key, r, j, False), a leaf of a walk to j only, keyed as that
-    walk keys it: classify(r, j, flagged, j), or (None, flagged) outside
-    member_of.
+
+def refine_classes(p: int, level: int, arity: int, classify: Callable,
+                   member_of: Callable | None = None, lower=()) -> Iterator[tuple]:
+    """Settle the boxes r + p^J*Z_p^arity, J a depth per coordinate, depth first,
+    one p-adic digit at a time.
+
+    A box is undecided in the coordinates (a bit set) that its views still
+    able to change read.  member_of(r, J) (a membership plan's, or None for
+    the box) gives (member, undecided, flagged).  Unless the box lies outside
+    member_of for good (member False, undecided 0), classify(r, J, flagged,
+    level) gives (key, undecided), key None while a view of its own is
+    undecided below the level; it need not be asked where member_of is
+    undecided in every coordinate.  Every lift of a decided box has its
+    flagged (0 over the box): ambiguous mod p^m iff flagged > m.
+
+    Of the undecided coordinates, those at the least depth d among them are
+    split, r_k + p^d*digit, and no other.  So a coordinate passes a level
+    only after every undecided coordinate has reached it; and as a view,
+    once decided, stays decided and the tests read every view that can
+    still change, the undecided coordinates share one depth, max(J).  A box
+    with none undecided below the level is yielded as (key, r, J, True),
+    key (None, flagged) outside member_of; it holds p^(sum(m - J_k)) lifts
+    mod p^m, and a walk to any level m >= max(J) settles it alike.  At a
+    split depth d = max(J) listed in lower, the box is first yielded as
+    (key, r, J, False), a leaf of the walk to d, keyed as that walk keys it.
     """
-    digits = list(itertools.product(range(p), repeat=arity))
-    stack = [((0,) * arity, 0)]
+    stack, lower, whole = [((0,) * arity, (0,) * arity)], frozenset(lower), (1 << arity) - 1
     while stack:
-        r, j = stack.pop()
-        member, decided, flagged = (True, 0, 0) if member_of is None else member_of(r)
-        key = None if decided > j and j < level else \
-            classify(r, j, flagged, level) if member else (None, flagged)
-        if key is None:
-            if j in depths:
-                yield (classify(r, j, flagged, j) if member else (None, flagged)), r, j, False
-            pj = p**j
-            stack.extend((tuple(x + pj * d for x, d in zip(r, ds)), j + 1) for ds in digits)
+        r, J = stack.pop()
+        member, undecided, flagged = (True, 0, 0) if member_of is None else member_of(r, J)
+        key = None
+        if (member or undecided) and undecided != whole:  # classify may add coordinates
+            key, reads = classify(r, J, flagged, level)
+            undecided |= reads
+        split = undecided and _split(p, level, lower, undecided, J)
+        if split:
+            leaf, child, offsets = split
+            if leaf:
+                yield ((classify(r, J, flagged, max(J))[0] if member else (None, flagged)),
+                       r, J, False)
+            stack.extend([(tuple(map(add, r, offset)), child) for offset in offsets])
+        elif member:
+            yield key or classify(r, J, flagged, level)[0], r, J, True
         else:
-            yield key, r, j, True
+            yield (None, flagged), r, J, True
+
+
+SPLIT_CACHE_SIZE = 4096  # split plans kept, by (p, level, lower, undecided, J)
+
+
+@lru_cache(maxsize=SPLIT_CACHE_SIZE)
+def _split(p: int, level: int, lower: frozenset, undecided: int, J: tuple) -> tuple | None:
+    """How refine_classes splits a box of depths J undecided in the bit set
+    undecided: None where the least depth d of an undecided coordinate is
+    the level; else (whether the box is first a leaf of the walk to d, the
+    children's depths, their offsets from r in product order).  The
+    undecided coordinates at depth d are split, by p^d*digit."""
+    d = min([j for k, j in enumerate(J) if undecided >> k & 1])
+    if d == level:
+        return None
+    split = [undecided >> k & 1 and j == d for k, j in enumerate(J)]
+    steps = [range(0, p ** (d + 1), p**d) if s else (0,) for s in split]
+    return (d in lower, tuple(map(add, J, split)),
+            list(itertools.product(*steps)))
 
 
 def valuation_key(views: Sequence[_Carrier], point: Sequence[int]) -> tuple:
@@ -643,28 +762,42 @@ def valuation_key(views: Sequence[_Carrier], point: Sequence[int]) -> tuple:
 
 
 def settle_on_valuations(views: Sequence[_Carrier]) -> Callable:
-    """refine_classes' classify over carrier views: below the level, split a class
-    unless every view's constant_on holds; key a settled one by valuation_key."""
-    def classify(r, j, flagged, level):
-        if j < level and not all(view.constant_on(r, j) for view in views):
-            return None
-        return valuation_key(views, r), flagged
+    """refine_classes' classify over carrier views: a view whose depth on the box
+    is below the level is undecided unless its constant_on holds there (one
+    at the level is fixed on every lift, and one that reads no coordinate
+    everywhere); the key, valuation_key, is taken once none is undecided."""
+    moving = [view for view in views if view.mask]
+    read = reduce(or_, [view.mask for view in moving], 0)  # every coordinate read
+
+    def classify(r, J, flagged, level):
+        lo = min(J) if moving else level
+        if lo < level:
+            undecided, even = 0, lo == max(J)
+            for view in moving:  # at one depth lo, every view's depth is lo
+                if not (view.constant_at(r, lo) if even else
+                        view.depth(J) >= level or view.constant_on(r, J)):
+                    undecided |= view.mask
+                    if undecided == read:  # no other view can add a coordinate
+                        break
+            if undecided:
+                return None, undecided
+        return (valuation_key(views, r), flagged), 0
     return classify
 
 
 def _tally(p: int, m: int, arity: int, classify: Callable, member_of: Callable | None,
            flag: Callable) -> tuple[int, int, list]:
-    """Walk refine_classes over the member classes: (points, ambiguous points,
-    the sorted (lift, key) of every lift of a class whose key flag(key) marks)."""
-    points, ambiguous, marked = 0, 0, []
-    for (key, flagged), r, j, _ in refine_classes(p, m, arity, classify, member_of):
+    """Walk refine_classes over the member boxes: (points, ambiguous points,
+    the sorted (lift, key) of every lift of a box whose key flag(key) marks)."""
+    points, ambiguous, marked, top = 0, 0, [], arity * m
+    for (key, flagged), r, J, _ in refine_classes(p, m, arity, classify, member_of):
         if key is None:
             continue
-        size = p ** (arity * (m - j))
+        size = p ** (top - sum(J))
         points += size
         ambiguous += size if flagged > m else 0
         if flag(key):
-            lifts = itertools.product(*(range(x, p**m, p**j) for x in r))  # product order
+            lifts = itertools.product(*(range(x, p**m, p**j) for x, j in zip(r, J)))
             marked.extend((pt, key) for pt in lifts)
     return points, ambiguous, sorted(marked)
 
@@ -677,7 +810,8 @@ def membership(tower: CellTower, point: Sequence, ctx: PrimeContext,
         raise InvalidArgumentError(f"point arity {len(point)} != tower arity {tower.arity}")
     if any(Fraction(x).denominator != 1 for x in point):
         raise InvalidArgumentError("membership is decided at integer lifts")
-    member, _, flagged = MembershipPlan(ctx).member_of(tower)(tuple(int(x) for x in point))
+    member, _, flagged = MembershipPlan(ctx).member_of(tower)(tuple(int(x) for x in point),
+                                                              (level_m,) * tower.arity)
     return member, flagged > level_m
 
 
@@ -743,9 +877,9 @@ def check_partition(cert: DecompositionCertificate, m: int, ctx: PrimeContext,
     towers = [plan.levels_of(tower) for tower in cert.cells]
     owners_of = plan.owners_of(towers)
 
-    def classify(r, j, _, level):
-        owners, decided, flagged = owners_of(r)
-        return None if decided > j and j < level else (owners, flagged)
+    def classify(r, J, _, level):
+        owners, undecided, flagged = owners_of(r, J)
+        return (owners, flagged), undecided
 
     total, ambiguous_points, lifts = _tally(p, m, arity, classify, domain,
                                             lambda owners: len(owners) != 1)

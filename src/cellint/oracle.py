@@ -12,28 +12,36 @@ at a lift depends only on the lift's key, the tuple of exact valuations of
 the distinct norm/val carriers there: it counts lifts per key, and
 formula_dsl.compile_expr's evaluator reads the whole tally {valuations:
 lifts} in one call, summing it in integers through the integrand's term form.
-The classes are refined one p-adic digit at a time (cells.refine_classes,
-shared with the certificate checks): a class r mod p^j is settled, its
-p^(n(level-j)) lifts counted at once, when the domain's membership is fixed
-on it and every carrier's valuation is constant on it
+The classes are boxes r + p^J*Z_p^n, one depth J_k per coordinate, refined
+one p-adic digit at a time (cells.refine_classes, shared with the
+certificate checks): a box is split only in the coordinates that its
+undecided views (a domain level's t - c or bound, a carrier) read, and is
+settled, its p^(sum(level - J_k)) lifts counted at once, when the domain's
+membership is fixed on it and every carrier's valuation is constant on it
 (cells.settle_on_valuations, check_norm_description's rule too): where f(r)
-is nonzero mod p^j, or by Taylor's formula at a repeated root or a p-power
-coefficient (cells._Carrier.constant_on).  Every lift then has r's key.  One
-classify serves the box and a domain: the carriers are views of the
+is nonzero mod p^j, j the least J_k over the variables f reads, or by
+Taylor's formula at a repeated root or a p-power coefficient
+(cells._Carrier.constant_on).  Every lift then has r's key.  One classify
+serves the box and a domain: the carriers are views of the
 cells.MembershipPlan that plans the domain, so a carrier that is also a
 level's t - c(x) is evaluated once per class, and a carrier is valued, or its
-Taylor coefficients read, only on the classes settled or where it is 0 mod
-p^j (or a test reads it).  The budget counts all p^(level*n) classes.
+Taylor coefficients read, only on the boxes settled or where it is 0 mod
+p^j (or a test reads it).  The carriers are read where the domain's
+membership is not yet fixed too, so the box is split in their coordinates
+with the domain's.  The budget counts all p^(level*n) classes.
 
 A multi-level oracle walks once and compiles once.  Neither the domain's
-split nor constant_on reads the level, so a class settled at depth j is
-settled, with the same key, in a walk to any level m >= j, where it holds
-p^(n(m-j)) classes.  riemann_sums walks to the largest level listed and
-counts, as it walks, the lifts mod p^m of each key for every listed level m:
-a class settled at depth j <= m adds p^(n(m-j)), and a listed lower level m
-also adds 1 for each of its own leaves, the classes a walk to m keys at
-depth m that this walk splits further.  Each level's riemann_integrate then
-sums its own tally in one call of the walk's one evaluator.
+split nor constant_on reads the level, and the walk splits only the
+undecided coordinates at the least depth among them, so a coordinate
+passes a level m only after every undecided coordinate has reached m: a
+box settled at depths J is settled, with the same key, in a walk to any
+level m >= max(J), where it holds p^(sum(m - J_k)) classes.  riemann_sums
+walks to the largest level listed and counts, as it walks, the lifts mod
+p^m of each key for every listed level m: a box settled with max(J) <= m
+adds p^(sum(m - J_k)), and a listed lower level m also adds that many for
+each of its own leaves, the boxes a walk to m keys with max(J) = m that
+this walk splits further.  Each level's riemann_integrate then sums its
+own tally in one call of the walk's one evaluator.
 
 _values_mod is the one enumeration of (Z/p^m)^n under a polynomial map.  It
 reads each f through the same integer view (Polynomial.cleared), with the
@@ -156,7 +164,8 @@ def riemann_sums(e: QExpExpr, arity: int, levels: Sequence[int], ctx: PrimeConte
 def _walk(e: QExpExpr, arity: int, levels: Sequence[int], ctx: PrimeContext,
           domain: Domain | None, budget: int) -> tuple:
     """The integrand compiled once and one walk of refine_classes to the
-    largest of levels, tallied for each as the module docstring says:
+    largest of levels, tallied for each as the module docstring says
+    (a box of depths J holds p^(arity*m - sum(J)) lifts mod p^m):
     (evaluator, {m: {key: lifts mod p^m}}) for every listed level m, keys in
     the order found.  check_budget admits the smallest and the largest
     level, then the arity is checked."""
@@ -171,17 +180,15 @@ def _walk(e: QExpExpr, arity: int, levels: Sequence[int], ctx: PrimeContext,
         raise InvalidArgumentError(f"arity is {arity}, but the domain has arity {domain.arity}")
     top = max(levels)
     lifts: dict = {m: {} for m in levels}
-    sizes = [(lifts[m], [p ** (arity * (m - j)) for j in range(m + 1)]) for m in lifts]
+    sizes = [(m, lifts[m], [p ** (arity * m - s) for s in range(arity * m + 1)]) for m in lifts]
     plan = MembershipPlan(ctx)
     classify = settle_on_valuations([plan.view(f) for f in polys])
-    for key, r, j, whole in refine_classes(p, top, arity, classify, plan.domain_of(domain),
+    for key, r, J, whole in refine_classes(p, top, arity, classify, plan.domain_of(domain),
                                            lifts.keys() - {top}):
-        if whole:
-            for tally, size in sizes:
-                if j < len(size):
-                    tally[key] = tally.get(key, 0) + size[j]
-        else:  # a leaf of the lower listed level j
-            lifts[j][key] = lifts[j].get(key, 0) + 1
+        s, j = sum(J), max(J) if J else 0
+        for m, tally, size in sizes:  # a leaf of a lower listed level counts at j alone
+            if j <= m if whole else j == m:
+                tally[key] = tally.get(key, 0) + size[s]
     return compile_expr(e, ctx), lifts
 
 
@@ -343,12 +350,15 @@ def stabilization_check(values: Sequence, levels: Sequence[int],
 
     C is anchored at the first consecutive pair, C = |v1 - v0| * p^(m0);
     every later pair must satisfy |v(m+1) - v(m)| <= C * p^(-m).  A constant
-    sequence passes; sequences with non-shrinking differences fail.
+    sequence passes; sequences with non-shrinking differences fail.  The
+    levels must increase strictly.
     """
     if len(values) < 3:
         raise ValueError("need at least 3 levels")
     if len(values) != len(levels):
         raise ValueError("values and levels must align")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError("levels must increase")
     diffs = [abs(Fraction(values[i + 1]) - Fraction(values[i]))
              for i in range(len(values) - 1)]
     c = diffs[0] * Fraction(ctx.p) ** levels[0]

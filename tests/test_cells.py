@@ -57,11 +57,12 @@ from cellint import (
     zp_nonzero_cell,
 )
 import cellint.cells as cells_module
+import cellint.oracle as oracle_module
 from cellint.cells import MembershipPlan, _Carrier, _described_level, _rational, membership
 from cellint.errors import CertificateMismatchError
 from cellint.formula_dsl import Norm, carrier_valuations, compile_expr
 from cellint.padic_core import _power_test
-from cellint.polynomials import Polynomial
+from cellint.polynomials import Polynomial, format_poly
 
 C2 = PrimeContext(2)
 C5 = PrimeContext(5)
@@ -707,7 +708,7 @@ def per_lift_norm_description(functions, cert, m, ctx):
 def at_level(test, point, level: int) -> tuple:
     """A planned test's answer at the class mod p^level of an integer point:
     (holds, ambiguous), ambiguous where its flagged margin passes the level."""
-    holds, _, flagged = test(point)
+    holds, _, flagged = test(point, (level,) * len(point))
     return holds, flagged > level
 
 
@@ -1273,7 +1274,7 @@ def test_coset_lookup_matches_the_per_tower_loop(problem):
     domain = loop.domain_of(cert.domain)
     violations, ambiguous, points = [], 0, 0
     for pt in itertools.product(range(p**m), repeat=arity):
-        if domain is None or domain(pt)[0]:
+        if domain is None or domain(pt, (m,) * arity)[0]:
             owners, amb = per_tower(pt, m)
             points, ambiguous = points + 1, ambiguous + amb
             if len(owners) != 1:
@@ -1382,21 +1383,23 @@ def _tower_domain_problem(draw):
 def test_decided_classes_match_per_lift_loops_over_tower_domains(problem):
     """A class is split only until its membership is fixed, and the Hensel
     margin only flags it.  Over tower domains, with p | n among the orders:
-    every lift mod p^m of a class r mod p^j whose domain test is decided by
-    depth j gets the same (holds, decided, flagged) as r, decided <= flagged;
-    and check_partition, check_norm_description and riemann_sums at every
-    level up to m equal their per-lift loops."""
+    every lift mod p^m of a class r mod p^j whose domain test is decided at
+    depth j (undecided 0) gets the same (holds, undecided, flagged) as r, and
+    a class undecided at depth j is flagged past j; and check_partition,
+    check_norm_description and riemann_sums at every level up to m equal
+    their per-lift loops."""
     cert, functions, e, m, ctx = problem
     p, arity = ctx.p, cert.domain.arity
     member_of = MembershipPlan(ctx).member_of(cert.domain)
     for j in range(m + 1):
+        depths = (j,) * arity
         for r in itertools.product(range(p**j), repeat=arity):
-            holds, decided, flagged = answer = member_of(r)
-            assert decided <= flagged
-            if decided <= j:
+            holds, undecided, flagged = answer = member_of(r, depths)
+            assert not undecided or flagged > j
+            if not undecided:
                 for t in itertools.product(range(p ** (m - j)), repeat=arity):
                     lift = tuple(x + p**j * y for x, y in zip(r, t))
-                    assert member_of(lift) == answer, (r, j, lift)
+                    assert member_of(lift, depths) == answer, (r, j, lift)
     report = check_partition(cert, m, ctx)
     assert (report.violations, report.ambiguous_points, report.points_tested) \
         == per_lift_partition(cert, m, ctx)
@@ -1469,6 +1472,102 @@ def test_check_norm_description_matches_per_lift_loop(problem):
     assert [(pt, str(lhs), str(rhs)) for pt, lhs, rhs in report.mismatches] \
         == [(pt, str(lhs), str(rhs)) for pt, lhs, rhs in mismatches]
     assert report.mismatches == mismatches
+
+
+def _cube_refine(p, level, arity, classify, member_of=None, lower=()):
+    """refine_classes with one depth for every coordinate: a box r + p^j*Z_p^n
+    that is undecided in any coordinate is split in all of them, r + p^j*d
+    for every digit vector d.  The reference walk of the per-coordinate one:
+    same protocol, same keys, same lifts mod p^m at every level."""
+    digits = list(itertools.product(range(p), repeat=arity))
+    stack = [((0,) * arity, 0)]
+    while stack:
+        r, j = stack.pop()
+        J = (j,) * arity
+        member, undecided, flagged = (True, 0, 0) if member_of is None else member_of(r, J)
+        key = None
+        if member or undecided:
+            key, reads = classify(r, J, flagged, level)
+            undecided |= reads
+        if not member:
+            key = None, flagged
+        if undecided and j < level:
+            if j in lower:
+                yield (classify(r, J, flagged, j)[0] if member else key), r, J, False
+            stack.extend((tuple(x + p**j * d for x, d in zip(r, ds)), j + 1) for ds in digits)
+        else:
+            yield key, r, J, True
+
+
+_WALK_SIZES = [(p, n, m) for p in (2, 3, 5) for n in (1, 2, 3) for m in range(1, 8)
+               if p ** (m * n) <= 729]
+
+
+def _punctured(centers) -> CellTower:
+    """Z_p minus a constant centre at every level."""
+    return CellTower(tuple(CellLevel(Polynomial.constant(c), None, bound(1, strict=False),
+                                     CosetSpec(Fraction(1), 1)) for c in centers))
+
+
+@st.composite
+def _walk_problem(draw):
+    """(e, n, levels, ctx, cert, functions) at p in {2, 3, 5}, arity 1-3: over the
+    box, Z_p minus constant centres, or random towers (constant and polynomial
+    centres, constant, zero and non-constant bounds); an integrand of carriers
+    that read every coordinate or one; a random list of levels; random cells
+    and norm descriptions."""
+    p, n, m = draw(st.sampled_from(_WALK_SIZES))
+    ctx = PrimeContext(p)
+    centers = st.lists(st.integers(0, p), min_size=n, max_size=n)
+    domain = draw(st.one_of(st.just(BoxDomain(n)), centers.map(_punctured),
+                            _random_tower(p, n)))
+    cells = draw(st.lists(st.one_of(_random_tower(p, n), centers.map(_punctured)),
+                          min_size=1, max_size=3))
+    one = st.builds(lambda k, c: Polynomial.variable(k) - Polynomial.constant(c),
+                    st.integers(0, n - 1), st.integers(0, p))
+    f, g = draw(st.one_of(one, _poly(p, n))), draw(st.one_of(one, _poly(p, n)))
+    form = draw(st.sampled_from(("norm({})*val({})", "norm({}) + val({})", "norm({})^{{1/2}}*norm({})")))
+    e = parse_expr(form.format(format_poly(f), format_poly(g)))
+    functions = [draw(_poly(p, n))]
+    descriptions = []
+    for _ in range(draw(st.integers(0, 2))):
+        cell = draw(st.integers(0, len(cells) - 1))
+        point = cells[cell].levels[-1].coset.lam == 0
+        delta = draw(_poly(p, n - 1)) if n > 1 and draw(st.booleans()) else \
+            Polynomial.constant(draw(st.sampled_from((1, p, 2))))
+        descriptions.append(NormDescription(cell, 0, delta, 0 if point else draw(st.integers(0, 2))))
+    levels = draw(st.lists(st.integers(1, m), min_size=1, max_size=4))
+    cert = DecompositionCertificate(p, domain, tuple(cells), tuple(descriptions))
+    return e, n, levels, ctx, cert, functions
+
+
+def _walk_outputs(problem) -> tuple:
+    """The oracle's lift tallies at every listed level, and the partition and
+    norm reports at the largest, as the walk in place gives them."""
+    e, n, levels, ctx, cert, functions = problem
+    _, lifts = oracle_module._walk(e, n, levels, ctx, cert.domain, 10**6)
+    m = max(levels)
+    partition, norms = check_partition(cert, m, ctx), check_norm_description(functions, cert, m, ctx)
+    return (lifts, (partition.violations, partition.ambiguous_points, partition.points_tested),
+            (norms.mismatches, norms.ambiguous_points, norms.points_checked))
+
+
+_TWICE_PUNCTURED = _punctured((1, 1))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(problem=_walk_problem())
+@example(problem=(parse_expr("norm(x1 - 3)"), 2, [1, 3], PrimeContext(2),
+                  DecompositionCertificate(2, _TWICE_PUNCTURED, (_TWICE_PUNCTURED,)), []))
+def test_per_coordinate_walk_matches_the_cube_walk(problem):
+    """The walk that splits only the undecided coordinates at the least depth
+    among them gives the cube walk's lift tallies at every listed level (one
+    walk for several levels), and its partition and norm reports."""
+    walked = _walk_outputs(problem)
+    with patch.object(cells_module, "refine_classes", _cube_refine), \
+            patch.object(oracle_module, "refine_classes", _cube_refine):
+        cubed = _walk_outputs(problem)
+    assert walked == cubed
 
 
 _JSON = st.recursive(

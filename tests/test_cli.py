@@ -476,6 +476,17 @@ def test_oracle_argument_errors_exit_1(capsys):
         assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("levels", ["4,3,2", "3,3,3", "2,4,4", "5,6,2"])
+def test_oracle_levels_must_increase(monkeypatch, capsys, levels):
+    """A --level list that does not increase strictly is refused before any walk:
+    4,3,2 read stabilizing false for an integral that stabilizes, and 3,3,3
+    true for nothing."""
+    monkeypatch.setattr(oracle, "refine_classes", lambda *args: pytest.fail("a level ran"))
+    assert main(["oracle", "--expr", "norm(x1)", "--arity", "1", "--level", levels,
+                 "--prime", "5"]) == 1
+    assert_one_error_line(capsys, "--level", levels)
+
+
 def test_oracle_empty_level_list_exit_1(capsys):
     assert main(["oracle", "--expr", "norm(x1)", "--level", ","]) == 1
     assert_one_error_line(capsys, "--level")

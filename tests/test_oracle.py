@@ -203,6 +203,12 @@ def test_stabilization_divergent():
     assert stabilization_check(values, list(range(4, 9)), C5) is False
 
 
+@pytest.mark.parametrize("levels", [[4, 3, 2], [3, 3, 3], [2, 3, 3]])
+def test_stabilization_check_needs_increasing_levels(levels):
+    with pytest.raises(ValueError, match="levels must increase"):
+        stabilization_check([Fraction(1), Fraction(1, 5), Fraction(1, 25)], levels, C5)
+
+
 def test_riemann_box_domain_restricts_nothing():
     for text, arity, level in (("norm(x1)", 1, 3), ("norm(x1^2 - 2*x2^3)*val(x1)", 2, 2)):
         e = parse_expr(text)
@@ -258,7 +264,7 @@ def brute_force_riemann(e, arity, level, ctx, domain=None):
     ambiguous = 0
     member_of = None if domain is None else MembershipPlan(ctx).member_of(domain)
     for pt in itertools.product(range(p**level), repeat=arity):
-        member, _, flagged = (True, 0, 0) if domain is None else member_of(pt)
+        member, _, flagged = (True, 0, 0) if domain is None else member_of(pt, (level,) * arity)
         vals = valuations(pt) if member else ()
         if flagged > level or any(v >= level for v in vals):
             ambiguous += 1
@@ -477,9 +483,9 @@ def test_riemann_evaluates_one_tally_per_level_and_values_no_carrier_at_a_point(
     refine, compile_ = oracle.refine_classes, oracle.compile_expr
 
     def recorded_refine(*args):
-        for key, r, j, settled in refine(*args):
-            keys.append((key, j))
-            yield key, r, j, settled
+        for key, r, J, settled in refine(*args):
+            keys.append((key, J))
+            yield key, r, J, settled
 
     def counted_compile(*args):
         run = compile_(*args)
@@ -495,10 +501,10 @@ def test_riemann_evaluates_one_tally_per_level_and_values_no_carrier_at_a_point(
                                 ("norm(x1 - 1)^{1/2} + val(x1 + 1)", 1, units)):
         keys.clear(), calls.clear()
         riemann_integrate(parse_expr(text), arity, level, C5, domain=domain)
-        members = [(key, j) for key, j in keys if key[0] is not None]
+        members = [(key, J) for key, J in keys if key[0] is not None]
         tuples = list(dict.fromkeys(valuations for (valuations, _), _ in members))
         assert len(tuples) > 3 and len(calls) == 1 and list(calls[0]) == tuples
-        assert sum(calls[0].values()) == sum(5 ** (arity * (level - j)) for _, j in members)
+        assert sum(calls[0].values()) == sum(5 ** (arity * level - sum(J)) for _, J in members)
         if domain is units:  # v(x1) = 1 and 2 give (0, 0) under margins 2 and 3
             assert len(set(key for key, _ in members)) > len(tuples)
     assert valued == []
@@ -508,11 +514,14 @@ def test_riemann_reads_each_carrier_once_and_values_only_settled_classes(monkeyp
     """One classify: a visited class evaluates each distinct carrier's own
     terms at most once.  A carrier is valued, and its Taylor coefficients are
     evaluated, only on a class that is settled or where that carrier is 0 mod
-    p^j; a settled class values each carrier at most once, and a zero carrier
-    not at all (it is INF in the key).  The carriers of this integrand vanish
-    mod p^j on many classes, and the cusp's are split down to the level."""
+    p^depth, its depth the least J_k over the coordinates it reads; a settled
+    class values each carrier at most once, and a zero carrier not at all (it
+    is INF in the key).  The carriers of this integrand vanish mod p^depth on
+    many classes, and the cusp's are split down to the level."""
     e = parse_expr("norm(x1^2 - 2*x2^3)*val(x1)")
     own = {f.cleared()[0] for f in expr_carriers(e)}
+    reads = {terms: [i for i in range(2) if any(len(e) > i and e[i] for e, _ in terms)]
+             for terms in own}
     counts = {"evals": 0, "coefficients": 0, "valuations": 0, "visited": 0, "settled": 0}
     evaluate, value, refine = (cells.eval_int_terms, cells.int_valuation,
                                oracle.refine_classes)
@@ -526,19 +535,20 @@ def test_riemann_reads_each_carrier_once_and_values_only_settled_classes(monkeyp
         return value(n, p)
 
     def counting_refine(p, level, arity, classify, member_of=None, depths=()):
-        def visit(r, j, amb, at):
+        def visit(r, J, amb, at):
             before = dict(counts)
-            key = classify(r, j, amb, at)
+            key, undecided = classify(r, J, amb, at)
             spent = {name: counts[name] - before[name] for name in counts}
-            zero = sum(not evaluate(terms, r) % p**j for terms in own)
+            zero = sum(not evaluate(terms, r) % p**min(J[i] for i in reads[terms])
+                       for terms in own)
             counts["visited"] += 1
             assert spent["evals"] <= len(own)
-            if key is None:  # split: only carriers 0 mod p^j were valued or expanded
+            if key is None:  # split: only carriers 0 mod p^depth were valued or expanded
                 assert spent["valuations"] <= zero and (zero or not spent["coefficients"])
             else:
                 counts["settled"] += 1
                 assert spent["valuations"] <= sum(v is not INF for v in key[0])
-            return key
+            return key, undecided
 
         return refine(p, level, arity, visit, member_of, depths)
 
@@ -596,6 +606,62 @@ def test_a_punctured_domain_splits_a_class_only_until_it_is_decided(monkeypatch)
     assert (run.value, run.ambiguous_count) == (value, ambiguous)
 
 
+def _twice_punctured(p: int) -> CellTower:
+    """Z_p^2 minus the lines x1 = 1 and x2 = 1: centre 1, lam = 1, n = 1, |t - 1| <= 1."""
+    return CellTower(tuple(CellLevel(Polynomial.constant(1), None,
+                                     Bound(Polynomial.constant(1), strict=False),
+                                     CosetSpec(Fraction(1), 1)) for _ in range(2)))
+
+
+@pytest.mark.parametrize("p, level, value, ambiguous, most", [
+    (2, 4, "935/2048", 112, 41),
+    (3, 3, "1820/6561", 53, 64),
+])
+def test_a_box_splits_only_the_coordinates_its_undecided_views_read(
+        p, level, value, ambiguous, most, monkeypatch):
+    """Over Z_p^2 minus the lines x1 = 1 and x2 = 1, every view reads one
+    coordinate, so a box splits only in the coordinates still undecided: the
+    walk makes at most `most` membership tests (105 and 208 when every
+    coordinate split together), for the per-point value and ambiguous count."""
+    visited, refine = [], oracle.refine_classes
+
+    def counting_refine(p, level, arity, classify, member_of=None, depths=()):
+        return refine(p, level, arity, classify,
+                      lambda *args: visited.append(args) or member_of(*args), depths)
+
+    monkeypatch.setattr(oracle, "refine_classes", counting_refine)
+    ctx, e, domain = PrimeContext(p), parse_expr("norm(x1 - 1)*val(x2 - 1)"), _twice_punctured(p)
+    run = riemann_integrate(e, 2, level, ctx, domain=domain)
+    assert (str(run.value), run.ambiguous_count) == (value, ambiguous)
+    assert len(visited) <= most
+    assert (run.value, run.ambiguous_count) == brute_force_riemann(e, 2, level, ctx, domain=domain)
+
+
+def test_two_levels_over_a_punctured_plane_walk_once():
+    """The walk to level 3 keys level 1's leaves as a walk to level 1 does."""
+    results = oracle.riemann_sums(parse_expr("norm(x1 - 3)"), 2, [1, 3], PrimeContext(2),
+                                  domain=_twice_punctured(2))
+    assert [(str(r.value), r.ambiguous_count) for r in results] == [("1/4", 4), ("133/256", 48)]
+
+
+@pytest.mark.parametrize("text", ["norm(x1^2 - 3)", "val(x1 - 2)*norm(x1)", "norm(25*x1^3 - x1)"])
+def test_an_integrand_in_x1_alone_never_splits_x2(text, monkeypatch):
+    """At arity 2 an integrand in x1 alone leaves x2 at depth 0 in every box
+    visited, and its sum is the per-point one."""
+    depths, refine = [], oracle.refine_classes
+
+    def recording_refine(p, level, arity, classify, member_of=None, depths_=()):
+        return refine(p, level, arity,
+                      lambda r, J, *rest: depths.append(J) or classify(r, J, *rest),
+                      member_of, depths_)
+
+    monkeypatch.setattr(oracle, "refine_classes", recording_refine)
+    e = parse_expr(text)
+    run = riemann_integrate(e, 2, 4, PrimeContext(3))
+    assert len(depths) > 1 and {J[1] for J in depths} == {0}
+    assert (run.value, run.ambiguous_count) == brute_force_riemann(e, 2, 4, PrimeContext(3))
+
+
 @st.composite
 def _taylor_case(draw):
     """(f, p, j, r): f = p^a * g^k * h with small integer g, h in 1-2 variables,
@@ -624,12 +690,13 @@ def _taylor_case(draw):
 @example(case=(parse_poly("x1^2 - x1"), 2, 2, (5,)))
 @example(case=(parse_poly("125*x1"), 5, 1, (1,)))
 def test_constant_on_proves_a_constant_valuation(case):
-    """_Carrier.constant_on(r, j) is True whenever v(f(r)) < j, and when it is
-    True every lift r + p^j*t, t over (Z/p^3)^n, has the valuation v(f(r))."""
+    """_Carrier.constant_on(r, (j, ..., j)) is True whenever v(f(r)) < j, and
+    when it is True every lift r + p^j*t, t over (Z/p^3)^n, has the valuation
+    v(f(r))."""
     f, p, j, r = case
     carrier = cells._Carrier(f, PrimeContext(p))
     v = cells.int_valuation(cells.eval_int_terms(carrier.terms, r), p)
-    settled = carrier.constant_on(r, j)
+    settled = carrier.constant_on(r, (j,) * len(r))
     if v is not INF and v < j:
         assert settled
     if settled:
@@ -641,8 +708,9 @@ def test_constant_on_proves_a_constant_valuation(case):
 
 def _eager_constant_on(carrier):
     """constant_on as it was with every Taylor coefficient of the carrier built
-    up front, at every depth, and read in order of |k| up to j|k| > v: the
-    reference of the lazy orders and of the depth-0 coefficient test."""
+    up front, at every depth vector J, and read wherever J.k <= v: the
+    reference of the lazy orders, of the depth-0 coefficient test and of the
+    least depth over the coordinates read."""
     p, arity, coefficients = carrier.p, max(map(len, (e for e, _ in carrier.terms)), default=0), {}
     for e, c in carrier.terms:
         e = e + (0,) * (arity - len(e))
@@ -650,19 +718,16 @@ def _eager_constant_on(carrier):
             if any(k):
                 term = (tuple(map(sub, e, k)), c * math.prod(map(math.comb, e, k)))
                 coefficients.setdefault(k, []).append(term)
-    taylor = sorted((sum(k), tuple(terms)) for k, terms in coefficients.items())
+    taylor = sorted(coefficients.items())
 
-    def constant_on(point, j):
+    def constant_on(point, depths):
         value = cells.eval_int_terms(carrier.terms, point)
-        if value % p**j:
-            return True
         if value == 0:
             return False
         v = cells.int_valuation(value, p)
-        for order, terms in taylor:
-            if j * order > v:
-                break
-            if cells.eval_int_terms(terms, point) % p**(v - j * order + 1):
+        for k, terms in taylor:
+            dot = sum(map(math.prod, zip(k, depths)))
+            if dot <= v and cells.eval_int_terms(terms, point) % p**(v - dot + 1):
                 return False
         return True
     return constant_on
@@ -685,8 +750,10 @@ def test_lazy_taylor_orders_match_the_eager_expansion():
     """Seeded carriers at p in {2, 3, 5}, arity 1-3 and depths 0-3: constant_on,
     which builds the Taylor orders lazily and tests the coefficients
     themselves at depth 0, answers as the eager expansion does, on the class
-    representatives r mod p^j and on points past them."""
-    rng, answers = random.Random(32), set()
+    representatives r mod p^j and on points past them; and so it does at
+    depth vectors that are not uniform, a least depth 0 among them, on the
+    boxes r + p^J*Z_p^n and on points past them."""
+    rng, answers, mixed = random.Random(32), set(), set()
     for p in (2, 3, 5):
         for arity in (1, 2, 3):
             for _ in range(15):
@@ -697,10 +764,18 @@ def test_lazy_taylor_orders_match_the_eager_expansion():
                     points = [tuple(rng.randrange(p ** (j + k // 25)) for _ in range(arity))
                               for k in range(30)]  # 25 classes mod p^j, 5 points mod p^(j+1)
                     for point in points:
-                        got = carrier.constant_on(point, j)
-                        assert got == eager(point, j), (f, p, point, j)
+                        got = carrier.constant_on(point, (j,) * arity)
+                        assert got == eager(point, (j,) * arity), (f, p, point, j)
                         answers.add((j == 0, got))
+                for k in range(60 if arity > 1 else 0):
+                    depths = tuple(rng.randrange(4) for _ in range(arity))
+                    point = tuple(rng.randrange(p ** (d + k // 50)) for d in depths)
+                    got = carrier.constant_on(point, depths)
+                    assert got == eager(point, depths), (f, p, point, depths)
+                    if min(depths) < max(depths):
+                        mixed.add((min(depths) == 0, got))
     assert answers == {(True, True), (True, False), (False, True), (False, False)}
+    assert mixed == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_high_degree_carrier_expands_only_the_orders_read(deadline, capsys):

@@ -295,7 +295,7 @@ def test_compiled_coset_test_matches_enumeration(order, lam, center, den, t, ext
                                  CosetSpec(Fraction(lam), n)),))
     diff = t - c
     expected = diff != 0 and brute_is_nth_power(diff / lam, n, ctx, extra)
-    assert MembershipPlan(ctx).member_of(tower)((t,))[0] == expected
+    assert MembershipPlan(ctx).member_of(tower)((t,), (1,))[0] == expected
 
 
 def test_multiplicativity_random():
