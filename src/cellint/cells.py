@@ -228,12 +228,23 @@ class _Carrier:
         self.coords = tuple(sorted({i for e, _ in self.terms for i, x in enumerate(e) if x}))
         self.mask = sum(1 << i for i in self.coords)
         self.taylor = [()]  # taylor[d]: (k, a_k) with |k| = d, built up to the order read
-        if len(self.coords) == 1:  # depth(depths), an itemgetter where one coordinate is read
-            self.depth = itemgetter(self.coords[0])
+        # the depths of a support of two or more coordinates in one call (4x a list's speed)
+        self.support_depths = itemgetter(*self.coords) if len(self.coords) > 1 else None
 
     def depth(self, depths: Sequence[int]):
         """The least depth over the support, INF for a constant carrier."""
-        return min([depths[k] for k in self.coords], default=INF)
+        coords = self.coords
+        if len(coords) == 1:
+            return depths[coords[0]]
+        return min(self.support_depths(depths)) if coords else INF
+
+    def open_on(self, need: int, depths: Sequence[int], lo: int, whole: int) -> int:
+        """mask if this view is still open on the box of depths (its depth
+        is below need, the depth that fixes what a test read of it), else 0.
+        lo = min(depths) is at most the depth, and is the depth of a view that
+        reads every coordinate (the bit set whole), so one min per box spares
+        the depth of most views."""
+        return self.mask if need > lo and (self.mask == whole or need > self.depth(depths)) else 0
 
     def read(self, point: Sequence[int]) -> int:
         """terms(point), the cleared integer value at an integer point."""
@@ -251,53 +262,42 @@ class _Carrier:
         return v
 
     def constant_on(self, point: Sequence[int], depths: Sequence[int]) -> bool:
-        """Whether v(terms) is constant on the box point + p^J*Z_p^n, J = depths,
-        by the Taylor expansion terms(point + p^J*t) = sum_k
-        a_k(point)*p^(J.k)*t^k: it is when v = v(terms(point)) is finite and
-        a_k(point) = 0 mod p^(v - J.k + 1) for every k != 0 with J.k <= v.
-        Where the coordinates read share one depth j, J.k = j|k|
-        (constant_at); otherwise, with j the least of their depths, the
-        orders read are those up to v // j (J.k >= j|k|), all at j = 0."""
-        coords = self.coords
-        if len(coords) < 2:
-            return self.constant_at(point, depths[coords[0]] if coords else 0)
-        js = [depths[k] for k in coords]
-        j = min(js)
-        if j == max(js):
-            return self.constant_at(point, j)
-        p = self.p
-        if self.read(point) % p**j:
-            return True
-        v = self.valuation(point)
-        if v is INF:
-            return False
-        for order in range(1, (min(v // j, self.degree) if j else self.degree) + 1):
-            for k, coefficient in self._taylor(order):
-                dot = sum(map(mul, k, depths))
-                if dot <= v and eval_int_terms(coefficient, point) % p**(v - dot + 1):
-                    return False
-        return True
+        """Whether v(terms) is constant on the box point + p^J*Z_p^n, J = depths.
 
-    def constant_at(self, point: Sequence[int], j: int) -> bool:
-        """constant_on where every coordinate read is at the depth j.  A value
-        that is nonzero mod p^j (v < j) settles it with no valuation;
-        otherwise the coefficients are read in order of |k| up to the first
-        that fails, and built only up to the last order read.  At j = 0 every
-        order is read, and the shift x -> x + point keeps every coefficient but
-        the constant one 0 mod p^(v + 1) if all were, so terms' own
-        coefficients are tested.  False does not prove v(terms) varies on the
-        box."""
-        p = self.p
-        if self.read(point) % p**j:
+        A value nonzero mod p^s, s the carrier's depth (v < s), settles it
+        with no valuation.  Otherwise, with v = v(terms(point)) finite, let F
+        be the coordinates read at depth 0 and s the least positive depth of a
+        coordinate read.  The Taylor expansion in the other coordinates is
+        terms(x_F, point + p^J*t) = sum_k h_k(x_F)*p^(J.k)*t^k, h_k(x_F) =
+        a_k(x_F, point) with k zero on F; v is constant when h_0's
+        non-constant coefficients, and every coefficient of h_k for k != 0
+        with J.k <= v, are 0 mod p^(v - J.k + 1) (_vanishes), as terms is
+        then terms(point) mod p^(v + 1) on the box.  Since a polynomial's
+        coefficients vanish mod p^e iff its Taylor coefficients at an integer
+        point do, this is the Taylor test at point in every coordinate.  As
+        J.k >= s|k|, the orders read are those up to v // s, in order of |k|
+        up to the first that fails, each built on first use (_taylor); none
+        where every coordinate read is at depth 0, where h_0 is terms itself.
+        False does not prove v(terms) varies on the box."""
+        p, s, flat = self.p, self.depth(depths), ()
+        if s is INF:  # a constant
+            return self.read(point) != 0
+        if s and self.read(point) % p**s:
             return True
         v = self.valuation(point)
         if v is INF:
             return False
-        if j == 0:
-            return not any(c % p**(v + 1) for e, c in self.terms if any(e))
-        for order in range(1, min(v // j, self.degree) + 1):
-            for _, coefficient in self._taylor(order):
-                if eval_int_terms(coefficient, point) % p**(v - j * order + 1):
+        if not s:
+            flat = [k for k in self.coords if not depths[k]]
+            if not _vanishes(self.terms, point, flat, p**(v + 1), False):
+                return False
+            s = min([depths[k] for k in self.coords if depths[k]], default=INF)
+        for order in range(1, min(v // s, self.degree) + 1 if s is not INF else 1):
+            for k, coefficient in self._taylor(order):
+                if flat and any(k[i] for i in flat if i < len(k)):
+                    continue
+                dot = sum(map(mul, k, depths))
+                if dot <= v and not _vanishes(coefficient, point, flat, p**(v - dot + 1)):
                     return False
         return True
 
@@ -316,6 +316,24 @@ class _Carrier:
                         coefficients.setdefault(_strip(k), []).append(term)
             taylor.append([(k, tuple(terms)) for k, terms in coefficients.items()])
         return taylor[order]
+
+
+def _vanishes(terms: Sequence[tuple], point: Sequence[int], flat: Sequence[int],
+              modulus: int, constant: bool = True) -> bool:
+    """Whether every coefficient of terms, taken as a polynomial in the
+    coordinates flat with every other coordinate at point, is 0 mod modulus;
+    its constant coefficient is skipped unless constant.  With flat empty,
+    whether terms(point) is."""
+    if not flat:
+        return not constant or eval_int_terms(terms, point) % modulus == 0
+    coefficients: dict = {}
+    for e, c in terms:
+        key = tuple([e[i] if i < len(e) else 0 for i in flat])
+        for i, (x, d) in enumerate(zip(point, e)):
+            if d and i not in flat:
+                c *= pow(x, d, modulus)
+        coefficients[key] = (coefficients.get(key, 0) + c) % modulus
+    return not any(value for key, value in coefficients.items() if constant or any(key))
 
 
 class _Order:
@@ -516,10 +534,7 @@ class MembershipPlan:
             member, undecided, flagged, lo = True, 0, 0, min(depths) if depths else 0
             for test in tests:
                 holds, needs, f = test(point)
-                open_ = 0
-                for view, need in needs:  # _open, inline
-                    if need > lo and (view.mask == whole or need > view.depth(depths)):
-                        open_ |= view.mask
+                open_ = _open(needs, depths, lo, whole)
                 undecided |= open_
                 if member:
                     flagged, member = max(flagged, f), holds
@@ -601,8 +616,7 @@ class MembershipPlan:
                     flagged, k = max(flagged, v + hensel), v - vden
                     units = None if v is INF else table.get(k % n)
                     need = v + (1 if units is None else digits)
-                    if need > lo and (view.mask == whole or need > view.depth(depths)):
-                        undecided |= view.mask
+                    undecided |= view.open_on(need, depths, lo, whole)
                     if units is None:
                         continue
                     for first, last, children, cells in units.get(unit(), ()):
@@ -677,14 +691,10 @@ def _within(inner: tuple, outer: tuple) -> bool:
 
 def _open(needs: Sequence[tuple], depths: Sequence[int], lo: int, whole: int) -> int:
     """The bit set of the coordinates read by the views of needs, (view, need)
-    pairs, whose depth on the box of depths is below their need.  lo =
-    min(depths) is at most every view's depth, and the depth of a view that
-    reads every coordinate (the bit set whole), so one min per class spares
-    the depth of most views."""
+    pairs, that are not fixed on the box of depths (_Carrier.open_on)."""
     undecided = 0
     for view, need in needs:
-        if need > lo and (view.mask == whole or need > view.depth(depths)):
-            undecided |= view.mask
+        undecided |= view.open_on(need, depths, lo, whole)
     return undecided
 
 
@@ -762,20 +772,18 @@ def valuation_key(views: Sequence[_Carrier], point: Sequence[int]) -> tuple:
 
 
 def settle_on_valuations(views: Sequence[_Carrier]) -> Callable:
-    """refine_classes' classify over carrier views: a view whose depth on the box
-    is below the level is undecided unless its constant_on holds there (one
-    at the level is fixed on every lift, and one that reads no coordinate
+    """refine_classes' classify over carrier views: a view is undecided on a
+    box unless its constant_on holds there or its depth reaches the level
+    (then it is fixed on every lift; one that reads no coordinate is fixed
     everywhere); the key, valuation_key, is taken once none is undecided."""
     moving = [view for view in views if view.mask]
     read = reduce(or_, [view.mask for view in moving], 0)  # every coordinate read
 
     def classify(r, J, flagged, level):
-        lo = min(J) if moving else level
-        if lo < level:
-            undecided, even = 0, lo == max(J)
-            for view in moving:  # at one depth lo, every view's depth is lo
-                if not (view.constant_at(r, lo) if even else
-                        view.depth(J) >= level or view.constant_on(r, J)):
+        if moving and min(J) < level:
+            undecided = 0
+            for view in moving:
+                if not (view.constant_on(r, J) or view.depth(J) >= level):
                     undecided |= view.mask
                     if undecided == read:  # no other view can add a coordinate
                         break

@@ -150,30 +150,34 @@ def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
 
 def riemann_sums(e: QExpExpr, arity: int, levels: Sequence[int], ctx: PrimeContext,
                  domain: Domain | None = None,
-                 budget: int = DEFAULT_BUDGET) -> list[OracleResult]:
+                 budget: int = DEFAULT_BUDGET, *, strict: bool = False) -> list[OracleResult]:
     """riemann_integrate at each of levels, in order and repeats included, from
     one walk of the digit tree to the largest and one compiled evaluator
-    (_walk).  Every level is admitted before the walk; an empty list is an
-    InvalidArgumentError."""
-    walk = _walk(e, arity, levels, ctx, domain, budget)
+    (_walk).  Every level is admitted before the walk; an empty list, or with
+    strict levels that do not increase strictly, is an InvalidArgumentError."""
+    walk = _walk(e, arity, levels, ctx, domain, budget, strict)
     sums = {m: riemann_integrate(e, arity, m, ctx, domain, budget, walk=walk)
             for m in dict.fromkeys(levels)}
     return [sums[m] for m in levels]
 
 
 def _walk(e: QExpExpr, arity: int, levels: Sequence[int], ctx: PrimeContext,
-          domain: Domain | None, budget: int) -> tuple:
+          domain: Domain | None, budget: int, strict: bool = False) -> tuple:
     """The integrand compiled once and one walk of refine_classes to the
     largest of levels, tallied for each as the module docstring says
     (a box of depths J holds p^(arity*m - sum(J)) lifts mod p^m):
     (evaluator, {m: {key: lifts mod p^m}}) for every listed level m, keys in
     the order found.  check_budget admits the smallest and the largest
-    level, then the arity is checked."""
+    level, then with strict the levels must increase strictly, then the
+    arity is checked."""
     if not levels:
         raise InvalidArgumentError("need at least one level")
     p = ctx.p
     for level in (min(levels), max(levels)):
         check_budget(p, level, arity, budget)
+    if strict and any(b <= a for a, b in zip(levels, levels[1:])):
+        raise InvalidArgumentError(
+            f"levels must increase strictly, got {','.join(map(str, levels))}")
     polys = expr_carriers(e)
     _arity(polys, arity)
     if domain is not None and domain.arity > arity:

@@ -484,7 +484,7 @@ def test_oracle_levels_must_increase(monkeypatch, capsys, levels):
     monkeypatch.setattr(oracle, "refine_classes", lambda *args: pytest.fail("a level ran"))
     assert main(["oracle", "--expr", "norm(x1)", "--arity", "1", "--level", levels,
                  "--prime", "5"]) == 1
-    assert_one_error_line(capsys, "--level", levels)
+    assert_one_error_line(capsys, "levels must increase strictly", levels)
 
 
 def test_oracle_empty_level_list_exit_1(capsys):

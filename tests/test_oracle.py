@@ -434,6 +434,11 @@ def test_riemann_sums_admit_every_level_before_the_walk(monkeypatch):
         oracle.riemann_sums(e, 1, [3, 0], C5)
     with pytest.raises(BudgetExceededError):
         oracle.riemann_sums(e, 1, [3, 40], C5)
+    with pytest.raises(BudgetExceededError):  # the budget is checked before the order
+        oracle.riemann_sums(e, 1, [40, 3], C5, strict=True)
+    for levels in ([3, 3], [4, 2, 5]):
+        with pytest.raises(InvalidArgumentError, match="levels must increase strictly"):
+            oracle.riemann_sums(e, 1, levels, C5, strict=True)
 
 
 def test_oracle_levels_walk_once(monkeypatch, capsys):
@@ -786,6 +791,17 @@ def test_high_degree_carrier_expands_only_the_orders_read(deadline, capsys):
     assert main(["oracle", "--expr", "norm(x1^30000 + 5)", "--arity", "1", "--level", "3",
                  "--prime", "5"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == "21/25"
+
+
+def test_high_degree_carrier_at_mixed_depths_reads_no_order(deadline, capsys):
+    """At the root only x2 is split, norm(x2) being undecided, so the first
+    carrier is read on boxes of depths (0, j): its x1-coefficient 25 is 0 mod 5,
+    and v = 0 < 1 reads no Taylor order in x2, so it returns at once (the
+    Taylor loop over every order of x1 did not finish at ^30000)."""
+    deadline(1)
+    assert main(["oracle", "--expr", "norm(25*x1^30000 + 25*x2 + 1)*norm(x2)", "--arity", "2",
+                 "--level", "3", "--prime", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "2604/3125"
 
 
 # -- the one modular enumeration against the per-point product loops ---------------
