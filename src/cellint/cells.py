@@ -32,10 +32,9 @@ reads, reaches it, and a box is split only in the coordinates its
 undecided views read.  It settles a box (all its p^(sum(m - J_k)) lifts at
 once) once every test is fixed on it and (one rule, settle_on_valuations)
 every carrier read has a constant valuation on it; the Hensel margin only
-flags it ambiguous, as _tally counts.  Given listed depths below its level,
-the walk also yields the leaves a walk to each of them keys there, so one
-walk serves several levels (oracle.riemann_sums).  The budget counts all
-p^(m*n) classes.  The classes
+flags it ambiguous, as _tally counts.  The walk goes to one level;
+oracle.riemann_sums counts each lower listed level from the same boxes, by
+their least lifts.  The budget counts all p^(m*n) classes.  The classes
 see only the domain's points, so check_partition also asks the plan which
 cells reach outside the domain (MembershipPlan.outside), in one comparison
 per level record: with Z_p over the box, with the domain's record of the
@@ -528,10 +527,11 @@ class MembershipPlan:
         fixed on the box are still read, for undecided alone: where it holds
         they decide membership.
         """
-        tests, whole = [level.test for level in self.levels_of(tower)], (1 << tower.arity) - 1
+        tests = [level.test for level in self.levels_of(tower)]
 
         def member_of(point: Sequence[int], depths: Sequence[int]) -> tuple:
             member, undecided, flagged, lo = True, 0, 0, min(depths) if depths else 0
+            whole = (1 << len(depths)) - 1  # the walk's coordinates, maybe more than the tower's
             for test in tests:
                 holds, needs, f = test(point)
                 open_ = _open(needs, depths, lo, whole)
@@ -699,9 +699,9 @@ def _open(needs: Sequence[tuple], depths: Sequence[int], lo: int, whole: int) ->
 
 
 def refine_classes(p: int, level: int, arity: int, classify: Callable,
-                   member_of: Callable | None = None, lower=()) -> Iterator[tuple]:
+                   member_of: Callable | None = None) -> Iterator[tuple]:
     """Settle the boxes r + p^J*Z_p^arity, J a depth per coordinate, depth first,
-    one p-adic digit at a time.
+    one p-adic digit at a time, down to the level.
 
     A box is undecided in the coordinates (a bit set) that its views still
     able to change read.  member_of(r, J) (a membership plan's, or None for
@@ -713,17 +713,15 @@ def refine_classes(p: int, level: int, arity: int, classify: Callable,
     flagged (0 over the box): ambiguous mod p^m iff flagged > m.
 
     Of the undecided coordinates, those at the least depth d among them are
-    split, r_k + p^d*digit, and no other.  So a coordinate passes a level
+    split, r_k + p^d*digit, and no other.  So a coordinate passes a depth
     only after every undecided coordinate has reached it; and as a view,
     once decided, stays decided and the tests read every view that can
     still change, the undecided coordinates share one depth, max(J).  A box
-    with none undecided below the level is yielded as (key, r, J, True),
-    key (None, flagged) outside member_of; it holds p^(sum(m - J_k)) lifts
-    mod p^m, and a walk to any level m >= max(J) settles it alike.  At a
-    split depth d = max(J) listed in lower, the box is first yielded as
-    (key, r, J, False), a leaf of the walk to d, keyed as that walk keys it.
+    with none undecided below the level is yielded as (key, r, J), key
+    (None, flagged) outside member_of; it holds p^(sum(level - J_k)) lifts
+    mod p^level.
     """
-    stack, lower, whole = [((0,) * arity, (0,) * arity)], frozenset(lower), (1 << arity) - 1
+    stack, whole = [((0,) * arity, (0,) * arity)], (1 << arity) - 1
     while stack:
         r, J = stack.pop()
         member, undecided, flagged = (True, 0, 0) if member_of is None else member_of(r, J)
@@ -731,36 +729,31 @@ def refine_classes(p: int, level: int, arity: int, classify: Callable,
         if (member or undecided) and undecided != whole:  # classify may add coordinates
             key, reads = classify(r, J, flagged, level)
             undecided |= reads
-        split = undecided and _split(p, level, lower, undecided, J)
+        split = undecided and _split(p, level, undecided, J)
         if split:
-            leaf, child, offsets = split
-            if leaf:
-                yield ((classify(r, J, flagged, max(J))[0] if member else (None, flagged)),
-                       r, J, False)
+            child, offsets = split
             stack.extend([(tuple(map(add, r, offset)), child) for offset in offsets])
         elif member:
-            yield key or classify(r, J, flagged, level)[0], r, J, True
+            yield key or classify(r, J, flagged, level)[0], r, J
         else:
-            yield (None, flagged), r, J, True
+            yield (None, flagged), r, J
 
 
-SPLIT_CACHE_SIZE = 4096  # split plans kept, by (p, level, lower, undecided, J)
+SPLIT_CACHE_SIZE = 4096  # split plans kept, by (p, level, undecided, J)
 
 
 @lru_cache(maxsize=SPLIT_CACHE_SIZE)
-def _split(p: int, level: int, lower: frozenset, undecided: int, J: tuple) -> tuple | None:
+def _split(p: int, level: int, undecided: int, J: tuple) -> tuple | None:
     """How refine_classes splits a box of depths J undecided in the bit set
     undecided: None where the least depth d of an undecided coordinate is
-    the level; else (whether the box is first a leaf of the walk to d, the
-    children's depths, their offsets from r in product order).  The
-    undecided coordinates at depth d are split, by p^d*digit."""
+    the level; else (the children's depths, their offsets from r in product
+    order).  The undecided coordinates at depth d are split, by p^d*digit."""
     d = min([j for k, j in enumerate(J) if undecided >> k & 1])
     if d == level:
         return None
     split = [undecided >> k & 1 and j == d for k, j in enumerate(J)]
     steps = [range(0, p ** (d + 1), p**d) if s else (0,) for s in split]
-    return (d in lower, tuple(map(add, J, split)),
-            list(itertools.product(*steps)))
+    return tuple(map(add, J, split)), list(itertools.product(*steps))
 
 
 def valuation_key(views: Sequence[_Carrier], point: Sequence[int]) -> tuple:
@@ -798,7 +791,7 @@ def _tally(p: int, m: int, arity: int, classify: Callable, member_of: Callable |
     """Walk refine_classes over the member boxes: (points, ambiguous points,
     the sorted (lift, key) of every lift of a box whose key flag(key) marks)."""
     points, ambiguous, marked, top = 0, 0, [], arity * m
-    for (key, flagged), r, J, _ in refine_classes(p, m, arity, classify, member_of):
+    for (key, flagged), r, J in refine_classes(p, m, arity, classify, member_of):
         if key is None:
             continue
         size = p ** (top - sum(J))

@@ -259,7 +259,7 @@ def _cmd_oracle(run: RunConfig) -> int:
     level_list = _number_list(run.get("level", DEFAULT_LEVEL), int)
     if not level_list:
         raise InvalidArgumentError("--level needs at least one level")
-    results = riemann_sums(expr, arity, level_list, ctx, budget=budget, strict=True)
+    results = riemann_sums(expr, arity, level_list, ctx, budget=budget)
     rows = ["level,value,ambiguous"] + [
         f"{result.level},{result.real_value()!r},{result.ambiguous_count}" for result in results]
     result = results[-1]

@@ -30,18 +30,19 @@ p^j (or a test reads it).  The carriers are read where the domain's
 membership is not yet fixed too, so the box is split in their coordinates
 with the domain's.  The budget counts all p^(level*n) classes.
 
-A multi-level oracle walks once and compiles once.  Neither the domain's
-split nor constant_on reads the level, and the walk splits only the
-undecided coordinates at the least depth among them, so a coordinate
-passes a level m only after every undecided coordinate has reached m: a
-box settled at depths J is settled, with the same key, in a walk to any
-level m >= max(J), where it holds p^(sum(m - J_k)) classes.  riemann_sums
-walks to the largest level listed and counts, as it walks, the lifts mod
-p^m of each key for every listed level m: a box settled with max(J) <= m
-adds p^(sum(m - J_k)), and a listed lower level m also adds that many for
-each of its own leaves, the boxes a walk to m keys with max(J) = m that
-this walk splits further.  Each level's riemann_integrate then sums its
-own tally in one call of the walk's one evaluator.
+A multi-level oracle walks once and compiles once.  riemann_sums walks to
+the largest level listed and counts, as it walks, the lifts mod p^m of each
+key for every listed level m by the oracle's own rule: a class mod p^m has
+the key of its least nonnegative lift.  A settled box r + p^J*Z_p^n holds
+prod_k c_k of those least lifts, c_k = p^(m - J_k) where J_k <= m and, where
+J_k > m, 1 if r_k < p^m and 0 otherwise; with max(J) <= m that is
+p^(sum(m - J_k)).  Each such lift has the box's key.  The decided views are
+constant on the box, and the walk splits only the undecided coordinates at
+the least depth among them, so they share the depth max(J): a view still
+undecided on a box settled at the top level reads only coordinates at depth
+max(J) >= m, where every least lift mod p^m agrees with r.  Each level's
+riemann_integrate then sums its own tally in one call of the walk's one
+evaluator.
 
 _values_mod is the one enumeration of (Z/p^m)^n under a polynomial map.  It
 reads each f through the same integer view (Polynomial.cleared), with the
@@ -150,49 +151,50 @@ def riemann_integrate(e: QExpExpr, arity: int, level: int, ctx: PrimeContext,
 
 def riemann_sums(e: QExpExpr, arity: int, levels: Sequence[int], ctx: PrimeContext,
                  domain: Domain | None = None,
-                 budget: int = DEFAULT_BUDGET, *, strict: bool = False) -> list[OracleResult]:
-    """riemann_integrate at each of levels, in order and repeats included, from
-    one walk of the digit tree to the largest and one compiled evaluator
-    (_walk).  Every level is admitted before the walk; an empty list, or with
-    strict levels that do not increase strictly, is an InvalidArgumentError."""
-    walk = _walk(e, arity, levels, ctx, domain, budget, strict)
-    sums = {m: riemann_integrate(e, arity, m, ctx, domain, budget, walk=walk)
-            for m in dict.fromkeys(levels)}
-    return [sums[m] for m in levels]
+                 budget: int = DEFAULT_BUDGET) -> list[OracleResult]:
+    """riemann_integrate at each of levels, in order, from one walk of the
+    digit tree to the largest and one compiled evaluator (_walk).  Every level
+    is admitted before the walk, then the levels must increase strictly; an
+    empty list is an InvalidArgumentError."""
+    walk = _walk(e, arity, levels, ctx, domain, budget)
+    return [riemann_integrate(e, arity, m, ctx, domain, budget, walk=walk) for m in levels]
 
 
 def _walk(e: QExpExpr, arity: int, levels: Sequence[int], ctx: PrimeContext,
-          domain: Domain | None, budget: int, strict: bool = False) -> tuple:
+          domain: Domain | None, budget: int) -> tuple:
     """The integrand compiled once and one walk of refine_classes to the
-    largest of levels, tallied for each as the module docstring says
-    (a box of depths J holds p^(arity*m - sum(J)) lifts mod p^m):
-    (evaluator, {m: {key: lifts mod p^m}}) for every listed level m, keys in
-    the order found.  check_budget admits the smallest and the largest
-    level, then with strict the levels must increase strictly, then the
+    largest of levels, tallied for each by least lifts as the module
+    docstring says: (evaluator, {m: {key: lifts mod p^m}}) for every listed
+    level m, keys in the order found.  check_budget admits the smallest and
+    the largest level, then the levels must increase strictly, then the
     arity is checked."""
     if not levels:
         raise InvalidArgumentError("need at least one level")
     p = ctx.p
     for level in (min(levels), max(levels)):
         check_budget(p, level, arity, budget)
-    if strict and any(b <= a for a, b in zip(levels, levels[1:])):
+    if any(b <= a for a, b in zip(levels, levels[1:])):
         raise InvalidArgumentError(
             f"levels must increase strictly, got {','.join(map(str, levels))}")
     polys = expr_carriers(e)
     _arity(polys, arity)
     if domain is not None and domain.arity > arity:
         raise InvalidArgumentError(f"arity is {arity}, but the domain has arity {domain.arity}")
-    top = max(levels)
     lifts: dict = {m: {} for m in levels}
-    sizes = [(m, lifts[m], [p ** (arity * m - s) for s in range(arity * m + 1)]) for m in lifts]
+    sizes = [(m, p**m, lifts[m], [p ** (arity * m - s) for s in range(arity * m + 1)])
+             for m in levels]
     plan = MembershipPlan(ctx)
     classify = settle_on_valuations([plan.view(f) for f in polys])
-    for key, r, J, whole in refine_classes(p, top, arity, classify, plan.domain_of(domain),
-                                           lifts.keys() - {top}):
+    for key, r, J in refine_classes(p, levels[-1], arity, classify, plan.domain_of(domain)):
         s, j = sum(J), max(J) if J else 0
-        for m, tally, size in sizes:  # a leaf of a lower listed level counts at j alone
-            if j <= m if whole else j == m:
-                tally[key] = tally.get(key, 0) + size[s]
+        for m, pm, tally, size in sizes:
+            if j <= m:
+                t = s
+            elif max(r) < pm:  # r_k < p^(J_k) <= p^m wherever J_k <= m already
+                t = sum(min(k, m) for k in J)
+            else:
+                continue
+            tally[key] = tally.get(key, 0) + size[t]
     return compile_expr(e, ctx), lifts
 
 

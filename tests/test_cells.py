@@ -1474,7 +1474,7 @@ def test_check_norm_description_matches_per_lift_loop(problem):
     assert report.mismatches == mismatches
 
 
-def _cube_refine(p, level, arity, classify, member_of=None, lower=()):
+def _cube_refine(p, level, arity, classify, member_of=None):
     """refine_classes with one depth for every coordinate: a box r + p^j*Z_p^n
     that is undecided in any coordinate is split in all of them, r + p^j*d
     for every digit vector d.  The reference walk of the per-coordinate one:
@@ -1492,11 +1492,9 @@ def _cube_refine(p, level, arity, classify, member_of=None, lower=()):
         if not member:
             key = None, flagged
         if undecided and j < level:
-            if j in lower:
-                yield (classify(r, J, flagged, j)[0] if member else key), r, J, False
             stack.extend((tuple(x + p**j * d for x, d in zip(r, ds)), j + 1) for ds in digits)
         else:
-            yield key, r, J, True
+            yield key, r, J
 
 
 _WALK_SIZES = [(p, n, m) for p in (2, 3, 5) for n in (1, 2, 3) for m in range(1, 8)
@@ -1514,8 +1512,8 @@ def _walk_problem(draw):
     """(e, n, levels, ctx, cert, functions) at p in {2, 3, 5}, arity 1-3: over the
     box, Z_p minus constant centres, or random towers (constant and polynomial
     centres, constant, zero and non-constant bounds); an integrand of carriers
-    that read every coordinate or one; a random list of levels; random cells
-    and norm descriptions."""
+    that read every coordinate or one; a strictly increasing list of levels;
+    random cells and norm descriptions."""
     p, n, m = draw(st.sampled_from(_WALK_SIZES))
     ctx = PrimeContext(p)
     centers = st.lists(st.integers(0, p), min_size=n, max_size=n)
@@ -1536,7 +1534,7 @@ def _walk_problem(draw):
         delta = draw(_poly(p, n - 1)) if n > 1 and draw(st.booleans()) else \
             Polynomial.constant(draw(st.sampled_from((1, p, 2))))
         descriptions.append(NormDescription(cell, 0, delta, 0 if point else draw(st.integers(0, 2))))
-    levels = draw(st.lists(st.integers(1, m), min_size=1, max_size=4))
+    levels = sorted(draw(st.sets(st.integers(1, m), min_size=1, max_size=4)))
     cert = DecompositionCertificate(p, domain, tuple(cells), tuple(descriptions))
     return e, n, levels, ctx, cert, functions
 
@@ -1568,6 +1566,20 @@ def test_per_coordinate_walk_matches_the_cube_walk(problem):
             patch.object(oracle_module, "refine_classes", _cube_refine):
         cubed = _walk_outputs(problem)
     assert walked == cubed
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(problem=_walk_problem())
+@example(problem=(parse_expr("norm(x1 - 3)"), 2, [1, 3], PrimeContext(2),
+                  DecompositionCertificate(2, _TWICE_PUNCTURED, (_TWICE_PUNCTURED,)), []))
+def test_one_walk_tallies_every_level_as_a_walk_to_it_alone(problem):
+    """The walk to the largest listed level counts each lower level m by the
+    least lifts mod p^m of its settled boxes: its raw tally at m, every key
+    with its margin and lift count, is that of a walk to m alone."""
+    e, n, levels, ctx, cert, _ = problem
+    _, lifts = oracle_module._walk(e, n, levels, ctx, cert.domain, 10**6)
+    for m in levels:
+        assert lifts[m] == oracle_module._walk(e, n, [m], ctx, cert.domain, 10**6)[1][m], m
 
 
 _JSON = st.recursive(
