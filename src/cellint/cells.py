@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, gcd, prod
-from operator import add, itemgetter, mul, ne, or_, sub
+from operator import add, itemgetter, ne, or_
 from typing import Callable, Iterator, Sequence, Union
 
 from .errors import CertificateMismatchError, DivergentError, InvalidArgumentError
@@ -66,7 +66,7 @@ from .padic_core import (
     int_valuation,
     valuation,
 )
-from .polynomials import Polynomial, _strip, eval_int_terms, format_poly
+from .polynomials import Polynomial, eval_int_terms, format_poly, sparse_terms
 from .qexp_sum import CellTermSpec, fiber_valuation_range, level_integral
 
 # -- data types ----------------------------------------------------------------
@@ -209,7 +209,9 @@ def contains(tower: CellTower, point: Sequence, ctx: PrimeContext) -> bool:
 
 
 class _Carrier:
-    """Integer-cleared polynomial carrier poly = terms/denom, with vden = v(denom).
+    """Integer-cleared polynomial carrier poly = terms/denom, with vden = v(denom),
+    terms in the evaluation form (polynomials.sparse_terms), converted once
+    here, so a point is evaluated over each term's nonzero exponents only.
     At integer points it keeps the last point read, matched by identity (which the
     kept reference makes unique), so every test handed one class tuple shares one
     evaluation, and values it only when asked.  Its support is the coordinates
@@ -220,11 +222,12 @@ class _Carrier:
     point = None
 
     def __init__(self, poly: Polynomial, ctx: PrimeContext):
-        self.terms, self.denom = poly.cleared()
+        terms, self.denom = poly.cleared()
+        self.terms = sparse_terms(terms)
         self.vden = int(int_valuation(self.denom, ctx.p))
         self.p = ctx.p
-        self.degree = max((sum(e) for e, _ in self.terms), default=0)
-        self.coords = tuple(sorted({i for e, _ in self.terms for i, x in enumerate(e) if x}))
+        self.degree = max((sum(e) for e, _ in terms), default=0)
+        self.coords = tuple(sorted({i for _, factors in self.terms for i, _ in factors}))
         self.mask = sum(1 << i for i in self.coords)
         self.taylor = [()]  # taylor[d]: (k, a_k) with |k| = d, built up to the order read
         # the depths of a support of two or more coordinates in one call (4x a list's speed)
@@ -252,9 +255,11 @@ class _Carrier:
         return self.num
 
     def valuation(self, point: Sequence[int]):
-        """v(terms(point)), INF for 0, taken once per point."""
+        """v(terms(point)), INF for 0, taken once per point.  A new point is
+        evaluated here, not through read; num and v are kept for constant_on
+        and _Order.unit."""
         if point is not self.point:
-            self.read(point)
+            self.point, self.num, self.v = point, eval_int_terms(self.terms, point), None
         v = self.v
         if v is None:
             v = self.v = INF if self.num == 0 else int_valuation(self.num, self.p)
@@ -293,46 +298,52 @@ class _Carrier:
             s = min([depths[k] for k in self.coords if depths[k]], default=INF)
         for order in range(1, min(v // s, self.degree) + 1 if s is not INF else 1):
             for k, coefficient in self._taylor(order):
-                if flat and any(k[i] for i in flat if i < len(k)):
+                if flat and any(i in flat for i, _ in k):
                     continue
-                dot = sum(map(mul, k, depths))
+                dot = sum([depths[i] * j for i, j in k])
                 if dot <= v and not _vanishes(coefficient, point, flat, p**(v - dot + 1)):
                     return False
         return True
 
     def _taylor(self, order: int) -> list:
-        """(k, terms of a_k) for each k with |k| = order: a_k = sum
+        """(k, terms of a_k) for each k with |k| = order, k as its nonzero
+        entries ((i, k_i), ...) and a_k in the evaluation form: a_k = sum
         c*prod(C(e_i, k_i))*x^(e - k) over the terms c*x^e with k <= e, the
         integer Taylor coefficients of terms, built one order at a time on
         first use."""
         taylor = self.taylor
         while len(taylor) <= order:
             d, coefficients = len(taylor), {}
-            for e, c in self.terms:
-                for k in itertools.product(*(range(min(x, d) + 1) for x in e)):
+            for c, factors in self.terms:
+                for k in itertools.product(*(range(min(e, d) + 1) for _, e in factors)):
                     if sum(k) == d:
-                        term = (tuple(map(sub, e, k)), c * prod(map(comb, e, k)))
-                        coefficients.setdefault(_strip(k), []).append(term)
+                        pairs = tuple(zip(factors, k))
+                        term = (c * prod([comb(e, j) for (_, e), j in pairs]),
+                                tuple((i, e - j) for (i, e), j in pairs if e > j))
+                        key = tuple((i, j) for (i, _), j in pairs if j)
+                        coefficients.setdefault(key, []).append(term)
             taylor.append([(k, tuple(terms)) for k, terms in coefficients.items()])
         return taylor[order]
 
 
 def _vanishes(terms: Sequence[tuple], point: Sequence[int], flat: Sequence[int],
               modulus: int, constant: bool = True) -> bool:
-    """Whether every coefficient of terms, taken as a polynomial in the
-    coordinates flat with every other coordinate at point, is 0 mod modulus;
-    its constant coefficient is skipped unless constant.  With flat empty,
-    whether terms(point) is."""
+    """Whether every coefficient of terms (in the evaluation form), taken as a
+    polynomial in the coordinates flat with every other coordinate at point,
+    is 0 mod modulus; its constant coefficient is skipped unless constant.
+    Each coefficient is keyed by the term's nonzero exponents of the flat
+    coordinates, () for the constant one.  With flat empty, whether
+    terms(point) is."""
     if not flat:
         return not constant or eval_int_terms(terms, point) % modulus == 0
     coefficients: dict = {}
-    for e, c in terms:
-        key = tuple([e[i] if i < len(e) else 0 for i in flat])
-        for i, (x, d) in enumerate(zip(point, e)):
-            if d and i not in flat:
-                c *= pow(x, d, modulus)
+    for c, factors in terms:
+        for i, d in factors:
+            if i not in flat:
+                c *= pow(point[i], d, modulus)
+        key = tuple([f for f in factors if f[0] in flat])
         coefficients[key] = (coefficients.get(key, 0) + c) % modulus
-    return not any(value for key, value in coefficients.items() if constant or any(key))
+    return not any(value for key, value in coefficients.items() if constant or key)
 
 
 class _Order:

@@ -12,6 +12,11 @@ add_coeffs, mul_coeffs and pow_coeffs.  from_coeffs is the one constructor:
 Polynomial's +, * and ** combine the dicts (coeffs) and canonicalize once, and
 the DSL parser folds a whole text through the same helpers and builds one
 Polynomial at the end.
+
+Evaluation form: a tuple of terms (coefficient, ((index, exponent), ...)),
+each keeping only its nonzero exponents, in increasing index, built once per
+polynomial from a term list by sparse_terms.  eval_int_terms, the one
+evaluator, reads it; Polynomial.eval converts its own terms.
 """
 
 from __future__ import annotations
@@ -161,7 +166,7 @@ class Polynomial:
         if len(point) < self.arity:
             raise ValueError(f"point has {len(point)} coordinates, need {self.arity}")
         # Fraction coefficients sum to a Fraction; only the zero polynomial gives the int 0
-        return eval_int_terms(self.terms, [Fraction(x) for x in point]) or Fraction(0)
+        return eval_int_terms(sparse_terms(self.terms), [Fraction(x) for x in point]) or Fraction(0)
 
     def cleared(self) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
         """Integer-coefficient view: (terms, denom) with self = terms/denom."""
@@ -173,16 +178,21 @@ class Polynomial:
         return format_poly(self)
 
 
-def eval_int_terms(terms: Iterable[tuple[tuple[int, ...], int]], point: Sequence[int]) -> int:
-    """Evaluate a term list at a point: an int for integer coefficients and
-    coordinates, a Fraction when either is rational."""
+def sparse_terms(terms: Iterable[tuple[tuple[int, ...], int]]) -> tuple:
+    """The evaluation form of a term list [(exponents, coefficient)]: one
+    (coefficient, ((index, exponent), ...)) per term, zero exponents dropped."""
+    return tuple((c, tuple((i, k) for i, k in enumerate(e) if k)) for e, c in terms)
+
+
+def eval_int_terms(terms: Iterable[tuple], point: Sequence[int]) -> int:
+    """Evaluate terms in the evaluation form (sparse_terms) at a point: an int
+    for integer coefficients and coordinates, a Fraction when either is
+    rational.  IndexError if the point is shorter than a variable read."""
     total = 0
-    for e, c in terms:
-        term = c
-        for x, k in zip(point, e):
-            if k:
-                term *= x**k
-        total += term
+    for c, factors in terms:
+        for i, k in factors:
+            c *= point[i] ** k
+        total += c
     return total
 
 

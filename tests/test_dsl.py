@@ -41,7 +41,7 @@ from cellint.formula_dsl import (
     make_sum,
 )
 from cellint.padic_core import INF, power_norm, valuation
-from cellint.polynomials import Polynomial, format_poly
+from cellint.polynomials import Polynomial, eval_int_terms, format_poly, sparse_terms
 
 C5 = PrimeContext(5)
 
@@ -294,6 +294,65 @@ def test_one_constructor_examples():
     assert Polynomial.variable(2).terms == (((0, 0, 1), 1),)
     assert Polynomial.variable(2).arity == 3 and Polynomial.constant(5).arity == 0
     assert parse_poly("x1 + x2").terms == (((1,), 1), ((0, 1), 1))
+
+
+# -- one evaluator over the nonzero exponents ------------------------------------------
+
+
+def _dense_eval(terms, point):
+    """The per-coordinate reference: every exponent of every term, zeros included."""
+    total = 0
+    for e, c in terms:
+        term = c
+        for x, k in zip(point, e):
+            term *= x**k
+        total += term
+    return total
+
+
+@st.composite
+def _evaluation_case(draw):
+    """(f, point): f of arity 0-3, interior zero exponents, constants and the
+    zero polynomial among them; an integer or rational point with 0-2
+    coordinates past the arity."""
+    coeffs = draw(st.dictionaries(st.lists(st.integers(0, 3), max_size=3).map(tuple),
+                                  st.fractions(min_value=-9, max_value=9, max_denominator=4),
+                                  max_size=5))
+    f = Polynomial.from_coeffs(coeffs)
+    size = f.arity + draw(st.integers(0, 2))
+    coordinate = st.integers(-60, 60) | st.fractions(min_value=-60, max_value=60,
+                                                     max_denominator=7)
+    if draw(st.booleans()):
+        coordinate = st.integers(-60, 60)
+    return f, tuple(draw(st.lists(coordinate, min_size=size, max_size=size)))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=_evaluation_case())
+@example(case=(Polynomial(0), ()))
+@example(case=(Polynomial(0), (3, Fraction(1, 2))))
+@example(case=(Polynomial.constant(Fraction(-7, 2)), (5,)))
+@example(case=(parse_poly("3*x1*x3^2 - x3 + 1/2"), (2, 7, Fraction(-1, 3), 4)))
+@example(case=(parse_poly("x1^2 - x1*x2"), (3, 3)))
+def test_sparse_evaluation_matches_the_dense_per_term_loop(case):
+    """eval_int_terms on the evaluation form equals the dense per-term loop on
+    the cleared integer terms and on the rational ones, and Polynomial.eval
+    equals it as an exact Fraction, Fraction(0) for a zero value.  The form
+    keeps each term's nonzero exponents in increasing index, and a point
+    shorter than the highest variable read raises IndexError."""
+    f, point = case
+    cleared, denom = f.cleared()
+    for terms in (cleared, f.terms):
+        sparse = sparse_terms(terms)
+        assert [c for c, _ in sparse] == [c for _, c in terms]
+        for (e, _), (_, factors) in zip(terms, sparse):
+            assert factors == tuple((i, k) for i, k in enumerate(e) if k)
+        assert eval_int_terms(sparse, point) == _dense_eval(terms, point)
+    value = f.eval(point)
+    assert type(value) is Fraction and value == Fraction(_dense_eval(cleared, point), denom)
+    if f.arity:
+        with pytest.raises(IndexError):
+            eval_int_terms(sparse_terms(cleared), point[:f.arity - 1])
 
 
 # -- parse_poly reads each distinct text once -------------------------------------

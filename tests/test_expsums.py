@@ -36,7 +36,7 @@ from cellint.expsums import (
 )
 from cellint.oracle import solution_histogram
 from cellint.padic_core import DEFAULT_BUDGET, residue
-from cellint.polynomials import Polynomial, eval_int_terms
+from cellint.polynomials import Polynomial, eval_int_terms, sparse_terms
 
 C3 = PrimeContext(3)
 C5 = PrimeContext(5)
@@ -418,7 +418,7 @@ def per_point_exp_sum(fs, ys, m, ctx, n):
     views = []
     for f in fs:
         terms, denom = f.cleared()
-        views.append((terms, pow(denom, -1, pm)))
+        views.append((sparse_terms(terms), pow(denom, -1, pm)))
     coeffs = [residue(yi * pm, m, ctx) for yi in ys]
     table = [cmath.exp(2j * math.pi * j / pm) for j in range(pm)]
     phases, partials = Counter(), []

@@ -34,12 +34,12 @@ from cellint import (
     zp_nonzero_cell,
 )
 from cellint.cells import Bound, CellLevel, CellTower, CosetSpec, MembershipPlan
-from cellint import cells, oracle
+from cellint import cells, oracle, polynomials
 from cellint.cli import main
 from cellint.formula_dsl import carrier_valuations, compile_expr, expr_carriers
 from cellint.oracle import DEFAULT_LEVEL, _CHUNK, _modular_view, _values_mod, eval_poly_mod
 from cellint.padic_core import residue
-from cellint.polynomials import Polynomial
+from cellint.polynomials import Polynomial, sparse_terms
 from cellint.rootval import RootScaledValue
 
 C5 = PrimeContext(5)
@@ -520,8 +520,8 @@ def test_riemann_reads_each_carrier_once_and_values_only_settled_classes(monkeyp
     is INF in the key).  The carriers of this integrand vanish mod p^depth on
     many classes, and the cusp's are split down to the level."""
     e = parse_expr("norm(x1^2 - 2*x2^3)*val(x1)")
-    own = {f.cleared()[0] for f in expr_carriers(e)}
-    reads = {terms: [i for i in range(2) if any(len(e) > i and e[i] for e, _ in terms)]
+    own = {sparse_terms(f.cleared()[0]) for f in expr_carriers(e)}
+    reads = {terms: [i for i in range(2) if any(j == i for _, factors in terms for j, _ in factors)]
              for terms in own}
     counts = {"evals": 0, "coefficients": 0, "valuations": 0, "visited": 0, "settled": 0}
     evaluate, value, refine = (cells.eval_int_terms, cells.int_valuation,
@@ -561,6 +561,38 @@ def test_riemann_reads_each_carrier_once_and_values_only_settled_classes(monkeyp
     assert (run.value, run.ambiguous_count) == (expected.value, expected.ambiguous_count)
     assert counts["settled"] < counts["visited"] <= counts["evals"] <= len(own) * counts["visited"]
     assert counts["coefficients"] > 0 and counts["visited"] <= 7001
+
+
+def test_each_carrier_builds_its_evaluation_form_once(monkeypatch):
+    """The evaluation form (sparse_terms) is built once per carrier view and
+    at most once per Taylor coefficient, never per class read or valued: the
+    builds are at most the views plus the coefficients built, and far fewer
+    than the classes visited."""
+    counts, views = {"builds": 0, "visited": 0}, []
+    build, init, refine = cells.sparse_terms, cells._Carrier.__init__, oracle.refine_classes
+
+    def counted_build(terms):
+        counts["builds"] += 1
+        return build(terms)
+
+    def kept_init(self, *args):
+        views.append(self)
+        init(self, *args)
+
+    def counting_refine(p, level, arity, classify, member_of=None):
+        def visit(*args):
+            counts["visited"] += 1
+            return classify(*args)
+        return refine(p, level, arity, visit, member_of)
+
+    for module in (cells, polynomials):
+        monkeypatch.setattr(module, "sparse_terms", counted_build)
+    monkeypatch.setattr(cells._Carrier, "__init__", kept_init)
+    monkeypatch.setattr(oracle, "refine_classes", counting_refine)
+    riemann_integrate(parse_expr("norm(x1^2 - 2*x2^3)*val(x1)"), 2, 4, C5)
+    coefficients = sum(len(order) for view in views for order in view.taylor)
+    assert 0 < counts["builds"] <= len(views) + coefficients
+    assert 100 * counts["builds"] < counts["visited"]
 
 
 @pytest.mark.parametrize("text, arity, p, value, ambiguous, most", [
@@ -737,14 +769,15 @@ def _eager_constant_on(carrier):
     up front, at every depth vector J, and read wherever J.k <= v: the
     reference of the lazy orders, of the depth-0 coefficient test and of the
     least depth over the coordinates read."""
-    p, arity, coefficients = carrier.p, max(map(len, (e for e, _ in carrier.terms)), default=0), {}
-    for e, c in carrier.terms:
-        e = e + (0,) * (arity - len(e))
+    p, coefficients = carrier.p, {}
+    arity = max((i + 1 for _, factors in carrier.terms for i, _ in factors), default=0)
+    for c, factors in carrier.terms:
+        e = tuple(dict(factors).get(i, 0) for i in range(arity))
         for k in itertools.product(*(range(d + 1) for d in e)):
             if any(k):
                 term = (tuple(map(sub, e, k)), c * math.prod(map(math.comb, e, k)))
                 coefficients.setdefault(k, []).append(term)
-    taylor = sorted(coefficients.items())
+    taylor = sorted((k, sparse_terms(terms)) for k, terms in coefficients.items())
 
     def constant_on(point, depths):
         value = cells.eval_int_terms(carrier.terms, point)
