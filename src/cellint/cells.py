@@ -66,7 +66,7 @@ from .padic_core import (
     int_valuation,
     valuation,
 )
-from .polynomials import Polynomial, eval_int_terms, format_poly, sparse_terms
+from .polynomials import Polynomial, eval_int_terms, format_poly
 from .qexp_sum import CellTermSpec, fiber_valuation_range, level_integral
 
 # -- data types ----------------------------------------------------------------
@@ -210,8 +210,8 @@ def contains(tower: CellTower, point: Sequence, ctx: PrimeContext) -> bool:
 
 class _Carrier:
     """Integer-cleared polynomial carrier poly = terms/denom, with vden = v(denom),
-    terms in the evaluation form (polynomials.sparse_terms), converted once
-    here, so a point is evaluated over each term's nonzero exponents only.
+    terms as poly.cleared() gives them, each (key, c) over the term's own
+    variables only, so a point is evaluated over its nonzero exponents only.
     At integer points it keeps the last point read, matched by identity (which the
     kept reference makes unique), so every test handed one class tuple shares one
     evaluation, and values it only when asked.  Its support is the coordinates
@@ -222,12 +222,11 @@ class _Carrier:
     point = None
 
     def __init__(self, poly: Polynomial, ctx: PrimeContext):
-        terms, self.denom = poly.cleared()
-        self.terms = sparse_terms(terms)
+        self.terms, self.denom = poly.cleared()
         self.vden = int(int_valuation(self.denom, ctx.p))
         self.p = ctx.p
-        self.degree = max((sum(e) for e, _ in terms), default=0)
-        self.coords = tuple(sorted({i for _, factors in self.terms for i, _ in factors}))
+        self.degree = max((sum([k for _, k in e]) for e, _ in self.terms), default=0)
+        self.coords = tuple(sorted({i for e, _ in self.terms for i, _ in e}))
         self.mask = sum(1 << i for i in self.coords)
         self.taylor = [()]  # taylor[d]: (k, a_k) with |k| = d, built up to the order read
         # the depths of a support of two or more coordinates in one call (4x a list's speed)
@@ -306,20 +305,19 @@ class _Carrier:
         return True
 
     def _taylor(self, order: int) -> list:
-        """(k, terms of a_k) for each k with |k| = order, k as its nonzero
-        entries ((i, k_i), ...) and a_k in the evaluation form: a_k = sum
-        c*prod(C(e_i, k_i))*x^(e - k) over the terms c*x^e with k <= e, the
-        integer Taylor coefficients of terms, built one order at a time on
-        first use."""
+        """(k, terms of a_k) for each k with |k| = order, k a monomial key and
+        a_k a term list [(key, c)]: a_k = sum c*prod(C(e_i, k_i))*x^(e - k)
+        over the terms c*x^e with k <= e, the integer Taylor coefficients of
+        terms, built one order at a time on first use."""
         taylor = self.taylor
         while len(taylor) <= order:
             d, coefficients = len(taylor), {}
-            for c, factors in self.terms:
+            for factors, c in self.terms:
                 for k in itertools.product(*(range(min(e, d) + 1) for _, e in factors)):
                     if sum(k) == d:
                         pairs = tuple(zip(factors, k))
-                        term = (c * prod([comb(e, j) for (_, e), j in pairs]),
-                                tuple((i, e - j) for (i, e), j in pairs if e > j))
+                        term = (tuple((i, e - j) for (i, e), j in pairs if e > j),
+                                c * prod([comb(e, j) for (_, e), j in pairs]))
                         key = tuple((i, j) for (i, _), j in pairs if j)
                         coefficients.setdefault(key, []).append(term)
             taylor.append([(k, tuple(terms)) for k, terms in coefficients.items()])
@@ -328,16 +326,16 @@ class _Carrier:
 
 def _vanishes(terms: Sequence[tuple], point: Sequence[int], flat: Sequence[int],
               modulus: int, constant: bool = True) -> bool:
-    """Whether every coefficient of terms (in the evaluation form), taken as a
-    polynomial in the coordinates flat with every other coordinate at point,
-    is 0 mod modulus; its constant coefficient is skipped unless constant.
-    Each coefficient is keyed by the term's nonzero exponents of the flat
+    """Whether every coefficient of terms [(key, c)], taken as a polynomial
+    in the coordinates flat with every other coordinate at point, is 0 mod
+    modulus; its constant coefficient is skipped unless constant.  Each
+    coefficient is keyed by the pairs of the term's key in the flat
     coordinates, () for the constant one.  With flat empty, whether
     terms(point) is."""
     if not flat:
         return not constant or eval_int_terms(terms, point) % modulus == 0
     coefficients: dict = {}
-    for c, factors in terms:
+    for factors, c in terms:
         for i, d in factors:
             if i not in flat:
                 c *= pow(point[i], d, modulus)

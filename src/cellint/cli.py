@@ -281,7 +281,6 @@ def _cmd_expsum(run: RunConfig) -> int:
     ctx, budget, seed = run.context, run.budget, run.integer("seed", 0)
     fs = _poly_list(run.require("f"), "--f")
     grid = _grid(run.require("y"), "--y", "point")
-    warning = dominance_warning(fs, seed=seed)
     rows = ["y,re,im,abs"]
     entries = []
     for y in grid:
@@ -298,7 +297,8 @@ def _cmd_expsum(run: RunConfig) -> int:
         rows.append(f"\"{','.join(str(v) for v in y)}\",{result.value.real!r},"
                     f"{result.value.imag!r},{abs(result.value)!r}")
     payload = entries[0] if len(entries) == 1 else {"results": entries}
-    if warning:
+    # after the sums, so a run past the budget exits before this differentiates
+    if warning := dominance_warning(fs, seed=seed):
         payload["warning"] = warning
     _emit(payload, run, rows)
     return 0
@@ -364,7 +364,6 @@ def _cmd_decay(run: RunConfig) -> int:
     dir_spec = run.get("direction")
     directions = [[Fraction(1)] * len(fs)] if dir_spec is None \
         else _grid(dir_spec, "--direction", "direction")
-    warning = dominance_warning(fs, seed=seed)
     p = ctx.p
     multi = len(directions) > 1
     rows = ["direction,m,re,im,abs,logp_abs" if multi else "m,re,im,abs,logp_abs"]
@@ -388,7 +387,7 @@ def _cmd_decay(run: RunConfig) -> int:
             for d, f in fits]
     else:
         payload = _fit_payload(fits[0][1])
-    if warning:
+    if warning := dominance_warning(fs, seed=seed):
         payload["warning"] = warning
     _emit(payload, run, rows)
     return 0

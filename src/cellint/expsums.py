@@ -35,7 +35,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import repeat
 from operator import add, mul
 from typing import Sequence
 
@@ -402,7 +401,7 @@ def jacobian_rank_mod(jac: list[list[list[tuple]]], point: Sequence[Fraction]) -
     mod q."""
     q = RANK_PRIME
     xs = [x.numerator * pow(x.denominator, -1, q) % q for x in map(Fraction, point)]
-    rows = [[sum(c * math.prod(map(pow, xs, e, repeat(q))) for e, c in terms) % q
+    rows = [[sum(c * math.prod([pow(xs[i], k, q) for i, k in e]) for e, c in terms) % q
              for terms in row] for row in jac]
     rank = 0
     for col in range(len(xs)):

@@ -15,8 +15,8 @@ single other characters; whitespace only separates them), and errors carry
 the offset of the token they meet.  Expressions and polynomials share one
 sum-of-products parser, which folds terms with make_sum and make_product, or
 with the coefficient-dict helpers of polynomials: a polynomial text, or each
-norm/val carrier of an expression, is folded into one dict keyed by exponent
-vectors without trailing zeros (the key of Polynomial.terms), and
+norm/val carrier of an expression, is folded into one dict keyed by sparse
+monomial keys ((index, exponent), ...) (the key of Polynomial.terms), and
 Polynomial.from_coeffs makes it one canonical Polynomial at the end.  ASTs
 are immutable; construction canonicalizes (flattens nested sums and
 products, merges rational scalars) so that format/parse round-trips are
@@ -298,7 +298,7 @@ def _poly_factor(sc: _Scanner) -> Coeffs:
         coeffs = {(): sc.rational()}
     elif ch.isalpha():
         name, off = sc.ident()
-        coeffs = {(0,) * _variable_index(name, off) + (1,): 1}
+        coeffs = {((_variable_index(name, off), 1),): 1}
     else:
         raise ExprSyntaxError("expected polynomial term", sc.pos)
     if sc.accept("^"):
@@ -485,17 +485,19 @@ def carrier_valuations(e: QExpExpr, ctx: PrimeContext) -> Callable[[Sequence], t
 def _terms(e: QExpExpr, index: dict, roots: int) -> Coeffs:
     """e as a merged sum of terms {monomial: s}, through the coefficient-dict
     helpers of polynomials, with roots a multiple of every root order n.  A
-    monomial is an integer vector, without trailing zeros as a polynomial's
-    key is: for the carrier in slot i, the power l of v_i at 3i, roots times
-    the exponent (a sum of a/n) of |f_i| at 3i + 1, and at 3i + 2 the number
-    of its norm leaves with a != 0, which zero the term where f_i = 0."""
+    monomial is a sparse key ((slot, exponent), ...) as a polynomial's is, its
+    nonzero entries only: for the carrier in slot i, the power l of v_i at 3i,
+    roots times the exponent (a sum of a/n) of |f_i| at 3i + 1, and at 3i + 2
+    the number of its norm leaves with a != 0, which zero the term where
+    f_i = 0."""
     if isinstance(e, RationalConst):
         return {(): e.value}
     if isinstance(e, Val):
-        return {(0,) * (3 * index[e.carrier]) + (1,): 1}
+        return {((3 * index[e.carrier], 1),): 1}
     if isinstance(e, (Norm, FracNormPower)):
         a, n = _norm_power(e)
-        return {(0,) * (3 * index[e.carrier]) + (0, a * roots // n, 1) if a else (): 1}
+        i = 3 * index[e.carrier]
+        return {((i + 1, a * roots // n), (i + 2, 1)) if a else (): 1}
     if isinstance(e, Sum):
         merged = reduce(add_coeffs, (_terms(it, index, roots) for it in e.items), {})
         return {m: c for m, c in merged.items() if c}
@@ -542,9 +544,9 @@ def compile_expr(e: QExpExpr, ctx: PrimeContext) -> Callable[..., ExactValue]:
     terms = [(m, c) for m, c in _terms(e, index, roots).items() if c]
     p, scale = ctx.p, lcm(1, *(c.denominator for _, c in terms))
     shapes = [(c.numerator * (scale // c.denominator),
-               tuple((i, l) for i, l in enumerate(m[::3]) if l),
-               tuple((i, k) for i, k in enumerate(m[1::3]) if k),
-               tuple(i for i, z in enumerate(m[2::3]) if z))
+               tuple((j // 3, k) for j, k in m if j % 3 == 0),
+               tuple((j // 3, k) for j, k in m if j % 3 == 1),
+               tuple(j // 3 for j, _ in m if j % 3 == 2))
               for m, c in terms]
     raising = [(index[leaf.carrier], leaf.carrier, not isinstance(leaf, Val)) for leaf in leaves
                if isinstance(leaf, Val) or _norm_power(leaf)[0] < 0]

@@ -67,7 +67,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import prod, sqrt
+from math import sqrt
 from operator import add, mod, sub
 from typing import Iterator, Sequence
 
@@ -240,29 +240,35 @@ def _modular_view(f: Polynomial, modulus: int, p: int) -> tuple:
     m, phi = next(k for k in itertools.count() if p**k >= modulus), modulus - modulus // p
     reduced: Counter = Counter()
     for e, c in terms:
-        reduced[tuple(k if k < m + phi else m + (k - m) % phi for k in e)] += c
+        reduced[tuple((i, k if k < m + phi else m + (k - m) % phi) for i, k in e)] += c
     return tuple(reduced.items()), pow(denom, -1, modulus)
 
 
 def _degree(terms, i: int) -> int:
     """The degree of an integer view's terms in x_(i+1)."""
-    return max((e[i] for e, _ in terms if i < len(e)), default=0)
+    return max((k for e, _ in terms for j, k in e if j == i), default=0)
 
 
 def eval_poly_mod(view: tuple, prefix: tuple, block: range, modulus: int) -> list[int]:
     """f(prefix, t) mod modulus for each t in block, a range of step 1, from f's
     _modular_view.  The prefix x_1..x_(n-1) is folded into one integer
-    coefficient per power of the last variable x_n, of degree d, by powers
-    mod modulus; Horner gives the first d + 1 values, reduced at every step,
-    and the rest come from their forward differences at block[0] by d nested
-    running sums: additions and one reduction per value.  A block of at most
-    d + 1 values is returned from Horner."""
+    coefficient per power of the last variable x_n, of degree d, over each
+    term's own factors by powers mod modulus; Horner gives the first d + 1
+    values, reduced at every step, and the rest come from their forward
+    differences at block[0] by d nested running sums: additions and one
+    reduction per value.  A block of at most d + 1 values is returned from
+    Horner."""
     terms, inverse = view
     last = len(prefix)  # the index of x_n
     coeffs = [0] * (1 + _degree(terms, last))
     for e, c in terms:
-        power = prod(map(pow, prefix, e, itertools.repeat(modulus)))
-        coeffs[-1 - (e[last] if last < len(e) else 0)] += c * power
+        k = 0
+        for i, j in e:
+            if i < last:
+                c *= pow(prefix[i], j, modulus)
+            else:
+                k = j
+        coeffs[-1 - k] += c
     lead, *rest = [c * inverse % modulus for c in coeffs]
     head = block[:len(coeffs)]
     values = [lead] * len(head)

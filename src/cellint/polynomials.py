@@ -1,22 +1,20 @@
 """Multivariate polynomials over Q in the variables x1, x2, ...
 
-Canonical sparse form: a map from exponent vectors to nonzero rational
-coefficients.  The variable order x1 < x2 < ... is fixed globally.  A monomial
-has one key, its exponent vector without trailing zeros, so the constant
-term's key is () and a polynomial is constant iff its arity (the length of its
-longest key) is 0.  A stripped key sorts against another exactly as the two
-padded to a common length do.
+Canonical sparse form: a map from monomial keys to nonzero rational
+coefficients.  The variable order x1 < x2 < ... is fixed globally.  A
+monomial's one key is ((index, exponent), ...) over the variables it uses, in
+increasing index, every exponent at least 1, so the constant term's key is ()
+and a polynomial stores only the variables it uses: x100000000 costs what x1
+costs.  Its arity is its highest index + 1, 0 iff it is constant.  Terms sort
+by _order, as the dense exponent vectors padded to a common length do.
 
 The arithmetic is one set of helpers on coefficient dicts with the same keys:
 add_coeffs, mul_coeffs and pow_coeffs.  from_coeffs is the one constructor:
 Polynomial's +, * and ** combine the dicts (coeffs) and canonicalize once, and
 the DSL parser folds a whole text through the same helpers and builds one
-Polynomial at the end.
-
-Evaluation form: a tuple of terms (coefficient, ((index, exponent), ...)),
-each keeping only its nonzero exponents, in increasing index, built once per
-polynomial from a term list by sparse_terms.  eval_int_terms, the one
-evaluator, reads it; Polynomial.eval converts its own terms.
+Polynomial at the end.  A term list [(key, coefficient)], a polynomial's own
+terms or its cleared integer ones, is what eval_int_terms, the one evaluator,
+reads.
 """
 
 from __future__ import annotations
@@ -24,18 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import add
 from typing import Iterable, Sequence
 
-Coeffs = dict  # exponent vector without trailing zeros -> rational coefficient
+Coeffs = dict  # monomial key ((index, exponent), ...) -> rational coefficient
 
 
-def _strip(exps: tuple[int, ...]) -> tuple[int, ...]:
-    """exps without its trailing zeros: the one key of a monomial."""
-    k = len(exps)
-    while k and not exps[k - 1]:
-        k -= 1
-    return exps[:k]
+def _order(term: tuple) -> tuple:
+    """The sort key of a term (key, coefficient): its monomial key sorts, in
+    reverse, as its exponent vector padded to any common length does."""
+    return tuple([(-i, k) for i, k in term[0]])
 
 
 def add_coeffs(a: Coeffs, b: Coeffs) -> Coeffs:
@@ -46,11 +41,15 @@ def add_coeffs(a: Coeffs, b: Coeffs) -> Coeffs:
     return out
 
 
-def _mul_exps(e1: tuple[int, ...], e2: tuple[int, ...]) -> tuple[int, ...]:
-    """The exponent vector of a product: positionwise sums, the longer tail kept."""
-    if len(e1) < len(e2):
-        e1, e2 = e2, e1
-    return tuple(map(add, e1, e2)) + e1[len(e2):]
+def _mul_exps(e1: tuple, e2: tuple) -> tuple:
+    """The key of a product: the two keys merged, the exponents of a shared
+    index summed and a pair whose sum is 0 dropped."""
+    if not e1 or not e2:
+        return e1 or e2
+    powers = dict(e1)
+    for i, k in e2:
+        powers[i] = powers.get(i, 0) + k
+    return tuple(sorted((i, k) for i, k in powers.items() if k))
 
 
 def mul_coeffs(a: Coeffs, b: Coeffs) -> Coeffs:
@@ -80,19 +79,15 @@ def pow_coeffs(a: Coeffs, k: int) -> Coeffs:
 @dataclass(frozen=True)
 class Polynomial:
     arity: int
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...] = field(default=())
+    terms: tuple[tuple[tuple, Fraction], ...] = field(default=())
 
     @staticmethod
     def from_coeffs(coeffs: Coeffs) -> "Polynomial":
-        """The canonical Polynomial of a coefficient dict: each key stripped of
-        its trailing zeros, the keys that become equal summed, zero
-        coefficients dropped, the terms sorted, the arity the longest key."""
-        acc: Coeffs = {}
-        for e, c in coeffs.items():
-            e = _strip(e)
-            acc[e] = acc.get(e, 0) + c
-        terms = tuple(sorted(((e, Fraction(c)) for e, c in acc.items() if c), reverse=True))
-        return Polynomial(max((len(e) for e, _ in terms), default=0), terms)
+        """The canonical Polynomial of a coefficient dict: zero coefficients
+        dropped, the terms sorted by _order, the arity the highest index + 1."""
+        terms = tuple(sorted(((e, Fraction(c)) for e, c in coeffs.items() if c),
+                             key=_order, reverse=True))
+        return Polynomial(max((e[-1][0] + 1 for e, _ in terms if e), default=0), terms)
 
     def __hash__(self) -> int:  # computed once and kept; equality stays field by field
         if "_hash" not in self.__dict__:
@@ -110,7 +105,7 @@ class Polynomial:
     @classmethod
     def variable(cls, index: int) -> "Polynomial":
         """The variable x{index+1}."""
-        return cls.from_coeffs({(0,) * index + (1,): 1})
+        return cls.from_coeffs({((index, 1),): 1})
 
     @classmethod
     def variable_minus(cls, index: int, poly: "Polynomial") -> "Polynomial":
@@ -118,8 +113,8 @@ class Polynomial:
         built in canonical form without the general arithmetic."""
         if poly.arity > index:
             raise ValueError(f"poly uses x{poly.arity}, not only x1..x{index}")
-        terms = [((0,) * index + (1,), Fraction(1))] + [(e, -c) for e, c in poly.terms]
-        return cls(index + 1, tuple(sorted(terms, reverse=True)))
+        terms = [(((index, 1),), Fraction(1))] + [(e, -c) for e, c in poly.terms]
+        return cls(index + 1, tuple(sorted(terms, key=_order, reverse=True)))
 
     # -- algebra -----------------------------------------------------------
 
@@ -145,11 +140,11 @@ class Polynomial:
         return Polynomial(self.arity, tuple((e, c * q) for e, c in self.terms))
 
     def derivative(self, index: int) -> "Polynomial":
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: Coeffs = {}
         for e, c in self.terms:
-            if index < len(e) and e[index] > 0:
-                de = tuple(v - 1 if i == index else v for i, v in enumerate(e))
-                acc[de] = acc.get(de, Fraction(0)) + c * e[index]
+            k = dict(e).get(index)
+            if k:  # distinct keys keep distinct derivative keys
+                acc[tuple((i, j - (i == index)) for i, j in e if i != index or j > 1)] = c * k
         return Polynomial.from_coeffs(acc)
 
     # -- queries -----------------------------------------------------------
@@ -166,9 +161,9 @@ class Polynomial:
         if len(point) < self.arity:
             raise ValueError(f"point has {len(point)} coordinates, need {self.arity}")
         # Fraction coefficients sum to a Fraction; only the zero polynomial gives the int 0
-        return eval_int_terms(sparse_terms(self.terms), [Fraction(x) for x in point]) or Fraction(0)
+        return eval_int_terms(self.terms, [Fraction(x) for x in point]) or Fraction(0)
 
-    def cleared(self) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
+    def cleared(self) -> tuple[tuple[tuple[tuple, int], ...], int]:
         """Integer-coefficient view: (terms, denom) with self = terms/denom."""
         denom = lcm(1, *(c.denominator for _, c in self.terms))
         items = tuple((e, int(c * denom)) for e, c in self.terms)
@@ -178,19 +173,13 @@ class Polynomial:
         return format_poly(self)
 
 
-def sparse_terms(terms: Iterable[tuple[tuple[int, ...], int]]) -> tuple:
-    """The evaluation form of a term list [(exponents, coefficient)]: one
-    (coefficient, ((index, exponent), ...)) per term, zero exponents dropped."""
-    return tuple((c, tuple((i, k) for i, k in enumerate(e) if k)) for e, c in terms)
-
-
 def eval_int_terms(terms: Iterable[tuple], point: Sequence[int]) -> int:
-    """Evaluate terms in the evaluation form (sparse_terms) at a point: an int
-    for integer coefficients and coordinates, a Fraction when either is
-    rational.  IndexError if the point is shorter than a variable read."""
+    """Evaluate a term list [(key, coefficient)] at a point: an int for integer
+    coefficients and coordinates, a Fraction when either is rational.
+    IndexError if the point is shorter than a variable read."""
     total = 0
-    for c, factors in terms:
-        for i, k in factors:
+    for key, c in terms:
+        for i, k in key:
             c *= point[i] ** k
         total += c
     return total
@@ -202,7 +191,7 @@ def format_poly(poly: Polynomial) -> str:
         return "0"
     parts: list[str] = []
     for e, c in poly.terms:
-        factors = [f"x{i + 1}" + (f"^{k}" if k > 1 else "") for i, k in enumerate(e) if k]
+        factors = [f"x{i + 1}" + (f"^{k}" if k > 1 else "") for i, k in e]
         mag = abs(c)
         if not factors:
             body = str(mag)

@@ -292,8 +292,8 @@ def _random_poly(rng, max_arity=2):
     arity = rng.randint(1, max_arity)
     coeffs = {}
     for _ in range(rng.randint(1, 3)):
-        exps = tuple(rng.randint(0, 2) for _ in range(arity))
-        coeffs[exps] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        key = tuple((i, k) for i in range(arity) if (k := rng.randint(0, 2)))
+        coeffs[key] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     poly = Polynomial.from_coeffs(coeffs)
     return poly if poly.terms else Polynomial.constant(1)
 

@@ -62,7 +62,7 @@ from cellint.cells import MembershipPlan, _Carrier, _described_level, _rational,
 from cellint.errors import CertificateMismatchError
 from cellint.formula_dsl import Norm, carrier_valuations, compile_expr
 from cellint.padic_core import _power_test
-from cellint.polynomials import Polynomial, format_poly, sparse_terms
+from cellint.polynomials import Polynomial, format_poly
 
 C2 = PrimeContext(2)
 C5 = PrimeContext(5)
@@ -1153,7 +1153,7 @@ def _counting(carriers):
     (one membership test, or one classify call without a domain, per class).
     An evaluation of some carrier's own cleared terms counts as "evals", any
     other (a Taylor coefficient _Carrier.constant_on reads) as "coefficients"."""
-    own = {sparse_terms(poly.cleared()[0]) for poly in carriers}
+    own = {poly.cleared()[0] for poly in carriers}
     counts = {"evals": 0, "coefficients": 0, "visited": 0}
     evaluate, refine = cells_module.eval_int_terms, cells_module.refine_classes
 

@@ -390,6 +390,39 @@ def test_largest_level_is_refused_before_any_work(tmp_path, capsys, deadline, ar
         f"budget exceeded: {size} residue points exceed the budget of 100000000"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["expsum", "--f", "x200000", "--y", "1/5", "--prime", "5"],
+    ["decay", "--f", "x200000", "--m-min", "1", "--m-max", "2", "--prime", "5"],
+])
+def test_the_budget_is_checked_before_the_dominance_warning(monkeypatch, capsys, argv):
+    """expsum and decay past the budget exit 4 before the dominance warning,
+    whose Jacobian has one column per variable up to the highest (1.6 s and
+    54 MB for x200000 when the warning came first)."""
+    monkeypatch.setattr(cli, "dominance_warning", lambda *args, **kwargs: pytest.fail("warned"))
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("budget exceeded: ")
+
+
+def test_a_high_variable_index_parses_as_a_low_one_does(capsys, deadline):
+    """A polynomial stores only the variables it uses, so x100000000 parses and
+    prints at once (about 1.5 GB when a monomial was a dense exponent vector)."""
+    deadline(2)
+    assert main(["parse", "norm(x100000000)"]) == 0
+    deadline(0)
+    assert capsys.readouterr().out == "norm(x100000000)\n"
+
+
+def test_a_variable_index_past_the_arity_is_one_error_line(capsys):
+    """An index too large for a machine-sized int is compared with --arity, not
+    allocated (an OverflowError traceback when it was)."""
+    assert main(["oracle", "--expr", "norm(x99999999999999999999)", "--level", "1",
+                 "--prime", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "error: arity is 1, but the expression needs at least 99999999999999999999"]
+
+
 def test_a_high_degree_with_few_points_is_fast(capsys, deadline):
     """expsum --f x1^100000 --y 1/5 enumerates 5 points: Horner reduces mod 5 at
     every step, so the value no longer grows to 100 000 digits (2.8 s before)."""

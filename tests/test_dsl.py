@@ -1,6 +1,7 @@
 """Parser/printer round trips, evaluation, and the algebra property suites."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul
@@ -41,7 +42,7 @@ from cellint.formula_dsl import (
     make_sum,
 )
 from cellint.padic_core import INF, power_norm, valuation
-from cellint.polynomials import Polynomial, eval_int_terms, format_poly, sparse_terms
+from cellint.polynomials import Polynomial, eval_int_terms, format_poly, mul_coeffs
 
 C5 = PrimeContext(5)
 
@@ -151,8 +152,8 @@ def _random_poly(rng, max_arity=2):
     arity = rng.randint(1, max_arity)
     coeffs = {}
     for _ in range(rng.randint(1, 3)):
-        exps = tuple(rng.randint(0, 2) for _ in range(arity))
-        coeffs[exps] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        key = tuple((i, k) for i in range(arity) if (k := rng.randint(0, 2)))
+        coeffs[key] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     poly = Polynomial.from_coeffs(coeffs)
     return poly if poly.terms else Polynomial.constant(1)
 
@@ -253,47 +254,122 @@ def test_poly_parse_round_trip():
         assert parse_poly(str(p)) == p
 
 
-# -- one canonical form: one key per monomial, one constructor ---------------------
+# -- one canonical form: one sparse key per monomial, one constructor -----------------
+#
+# The reference is the dense form the sparse keys replaced: an exponent vector
+# per monomial, padded with zeros, sorted as tuples and printed position by
+# position.
 
 
-def _stripped(e):
-    while e and not e[-1]:
-        e = e[:-1]
-    return e
+def _key(e):
+    """The monomial key of the exponent vector e: its nonzero entries (index, exponent)."""
+    return tuple((i, k) for i, k in enumerate(e) if k)
 
 
-# exponent vectors padded with zeros to random lengths: one monomial, several keys
-_padded_coeffs = st.dictionaries(
-    st.builds(lambda e, pad: tuple(e) + (0,) * pad,
-              st.lists(st.integers(0, 2), max_size=3), st.integers(0, 2)),
-    st.fractions(min_value=-4, max_value=4, max_denominator=3), max_size=5)
+def _dense(key, width):
+    """The exponent vector of a monomial key, padded with zeros to width."""
+    e = [0] * width
+    for i, k in key:
+        e[i] = k
+    return tuple(e)
+
+
+def _dense_arity(keys, width):
+    """The arity of the dense form: the length of its longest vector without trailing zeros."""
+    return max((j + 1 for key in keys for j, k in enumerate(_dense(key, width)) if k), default=0)
+
+
+def _dense_format(terms, width):
+    """format_poly as the dense form printed it, term by term in the dense order."""
+    parts = []
+    for e, c in sorted(((_dense(key, width), c) for key, c in terms), reverse=True):
+        factors = [f"x{i + 1}" + (f"^{k}" if k > 1 else "") for i, k in enumerate(e) if k]
+        mag = abs(c)
+        body = str(mag) if not factors else "*".join(factors if mag == 1 else [str(mag)] + factors)
+        parts.append((body if c > 0 else f"-{body}") if not parts else
+                     (f"+ {body}" if c > 0 else f"- {body}"))
+    return " ".join(parts) or "0"
+
+
+def _is_key(key):
+    """Whether key is a canonical monomial key: indices increasing, exponents >= 1."""
+    return all(k >= 1 for _, k in key) and all(a[0] < b[0] for a, b in zip(key, key[1:]))
+
+
+# sparse keys over x1..x4 with exponents 1-2: one key per monomial
+_keys = st.dictionaries(st.integers(0, 3), st.integers(1, 2), max_size=3).map(
+    lambda powers: tuple(sorted(powers.items())))
+_sparse_coeffs = st.dictionaries(
+    _keys, st.fractions(min_value=-4, max_value=4, max_denominator=3), max_size=5)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(coeffs=_padded_coeffs, other=_padded_coeffs, k=st.integers(0, 3),
+@given(coeffs=_sparse_coeffs, other=_sparse_coeffs, k=st.integers(0, 3),
        index=st.integers(0, 3))
-@example(coeffs={(1, 0): 1, (1,): 2}, other={}, k=1, index=0)
+@example(coeffs={((0, 1),): 1, ((0, 1), (1, 1)): 2}, other={((1, 1),): -1}, k=1, index=0)
 def test_from_coeffs_is_the_one_canonical_form(coeffs, other, k, index):
-    summed = {}
-    for e, c in coeffs.items():
-        e = _stripped(e)
-        summed[e] = summed.get(e, 0) + c
+    """Sums, products, powers and derivatives keep canonical keys, sorted and
+    with the arity and printing of the dense reference, and every product
+    term equals the dense reference's positionwise sum of exponents."""
     f, g = Polynomial.from_coeffs(coeffs), Polynomial.from_coeffs(other)
-    assert f.coeffs() == {e: c for e, c in summed.items() if c}
+    assert f.coeffs() == {e: c for e, c in coeffs.items() if c}
+    product = {}
+    for e1, c1 in coeffs.items():
+        for e2, c2 in other.items():
+            e = tuple(map(sum, zip(_dense(e1, 4), _dense(e2, 4))))
+            product[e] = product.get(e, 0) + c1 * c2
+    assert {_dense(e, 4): c for e, c in (f * g).terms} == {e: c for e, c in product.items() if c}
     for h in (f, f + g, f * g, f**k, f.derivative(index)):
-        assert all(e[-1] for e, _ in h.terms if e)
-        assert list(h.terms) == sorted(h.terms, reverse=True)
-        assert h.arity == max((len(e) for e, _ in h.terms), default=0)
-        assert h.is_constant() == (h.arity == 0) == all(not any(e) for e, _ in h.terms)
+        keys = [e for e, _ in h.terms]
+        assert all(_is_key(e) for e in keys)
+        width = max(h.arity, 1)
+        assert [_dense(e, width) for e in keys] == sorted((_dense(e, width) for e in keys),
+                                                          reverse=True)
+        assert h.arity == _dense_arity(keys, width)
+        assert h.is_constant() == (h.arity == 0) == all(not e for e in keys)
+        assert format_poly(h) == _dense_format(h.terms, width)
         assert parse_poly(format_poly(h)) == h
 
 
+def test_sparse_order_arity_and_printing_match_the_dense_reference():
+    """On random key sets over up to 12 variables, some far apart, the order of
+    from_coeffs, its arity and format_poly equal the dense form's."""
+    rng = random.Random(36)
+    for _ in range(500):
+        indices = rng.sample(range(12), rng.randint(0, 5))
+        keys = {tuple(sorted((i, rng.randint(1, 3)) for i in rng.sample(indices, rng.randint(
+            0, len(indices))))) for _ in range(rng.randint(0, 6))}
+        coeffs = {key: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 3))
+                  for key in keys}
+        f, width = Polynomial.from_coeffs(coeffs), 12
+        assert [_dense(e, width) for e, _ in f.terms] == sorted(
+            (_dense(e, width) for e in keys), reverse=True)
+        assert f.arity == _dense_arity(keys, width)
+        assert format_poly(f) == _dense_format(coeffs.items(), width)
+
+
 def test_one_constructor_examples():
-    assert Polynomial.from_coeffs({(1, 0): 1, (1,): 2}) == parse_poly("3*x1")
-    assert Polynomial.from_coeffs({(0, 0): 2, (0, 1): 0}) == Polynomial.constant(2)
-    assert Polynomial.variable(2).terms == (((0, 0, 1), 1),)
+    assert Polynomial.from_coeffs({((0, 1),): 3, ((0, 1), (1, 1)): 0}) == parse_poly("3*x1")
+    assert Polynomial.from_coeffs({(): 2, ((1, 1),): 0}) == Polynomial.constant(2)
+    assert Polynomial.variable(2).terms == ((((2, 1),), 1),)
     assert Polynomial.variable(2).arity == 3 and Polynomial.constant(5).arity == 0
-    assert parse_poly("x1 + x2").terms == (((1,), 1), ((0, 1), 1))
+    assert parse_poly("x1 + x2").terms == ((((0, 1),), 1), (((1, 1),), 1))
+    assert parse_poly("x1000000^2 + 3*x1000000").terms == ((((999999, 2),), 1),
+                                                            (((999999, 1),), 3))
+    # a product whose exponents sum to 0 drops the pair, as the DSL's norm powers need
+    assert mul_coeffs({((1, 2), (2, 1)): 1}, {((1, -2), (2, 1)): 1}) == {((2, 2),): 1}
+
+
+def test_a_high_variable_index_costs_what_a_low_one_does():
+    """A polynomial stores only the variables it uses: parsing x1000000 peaks
+    far below the megabytes one dense exponent vector of that length takes."""
+    tracemalloc.start()
+    try:
+        f = parse_poly("x1000000^2 + 3*x1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.arity == 1000000 and peak < 1 << 20, peak
 
 
 # -- one evaluator over the nonzero exponents ------------------------------------------
@@ -302,9 +378,9 @@ def test_one_constructor_examples():
 def _dense_eval(terms, point):
     """The per-coordinate reference: every exponent of every term, zeros included."""
     total = 0
-    for e, c in terms:
+    for key, c in terms:
         term = c
-        for x, k in zip(point, e):
+        for x, k in zip(point, _dense(key, len(point))):
             term *= x**k
         total += term
     return total
@@ -312,10 +388,10 @@ def _dense_eval(terms, point):
 
 @st.composite
 def _evaluation_case(draw):
-    """(f, point): f of arity 0-3, interior zero exponents, constants and the
-    zero polynomial among them; an integer or rational point with 0-2
-    coordinates past the arity."""
-    coeffs = draw(st.dictionaries(st.lists(st.integers(0, 3), max_size=3).map(tuple),
+    """(f, point): f of arity 0-3, with gaps between the variables its terms
+    read, constants and the zero polynomial among them; an integer or
+    rational point with 0-2 coordinates past the arity."""
+    coeffs = draw(st.dictionaries(st.lists(st.integers(0, 3), max_size=3).map(_key),
                                   st.fractions(min_value=-9, max_value=9, max_denominator=4),
                                   max_size=5))
     f = Polynomial.from_coeffs(coeffs)
@@ -335,24 +411,24 @@ def _evaluation_case(draw):
 @example(case=(parse_poly("3*x1*x3^2 - x3 + 1/2"), (2, 7, Fraction(-1, 3), 4)))
 @example(case=(parse_poly("x1^2 - x1*x2"), (3, 3)))
 def test_sparse_evaluation_matches_the_dense_per_term_loop(case):
-    """eval_int_terms on the evaluation form equals the dense per-term loop on
-    the cleared integer terms and on the rational ones, and Polynomial.eval
-    equals it as an exact Fraction, Fraction(0) for a zero value.  The form
-    keeps each term's nonzero exponents in increasing index, and a point
-    shorter than the highest variable read raises IndexError."""
+    """eval_int_terms equals the dense per-term loop on the cleared integer
+    terms and on the rational ones, and Polynomial.eval equals it as an exact
+    Fraction, Fraction(0) for a zero value.  Both term lists keep each term's
+    nonzero exponents in increasing index, the cleared one the same keys in
+    the same order, and a point shorter than the highest variable read
+    raises IndexError."""
     f, point = case
     cleared, denom = f.cleared()
+    assert [e for e, _ in cleared] == [e for e, _ in f.terms]
+    assert [c for _, c in cleared] == [c * denom for _, c in f.terms]
     for terms in (cleared, f.terms):
-        sparse = sparse_terms(terms)
-        assert [c for c, _ in sparse] == [c for _, c in terms]
-        for (e, _), (_, factors) in zip(terms, sparse):
-            assert factors == tuple((i, k) for i, k in enumerate(e) if k)
-        assert eval_int_terms(sparse, point) == _dense_eval(terms, point)
+        assert all(_is_key(e) for e, _ in terms)
+        assert eval_int_terms(terms, point) == _dense_eval(terms, point)
     value = f.eval(point)
     assert type(value) is Fraction and value == Fraction(_dense_eval(cleared, point), denom)
     if f.arity:
         with pytest.raises(IndexError):
-            eval_int_terms(sparse_terms(cleared), point[:f.arity - 1])
+            eval_int_terms(cleared, point[:f.arity - 1])
 
 
 # -- parse_poly reads each distinct text once -------------------------------------
@@ -363,7 +439,7 @@ def _poly_texts(draw):
     """format_poly of a random polynomial, as printed or respaced or parenthesized."""
     arity = draw(st.integers(1, 3))
     coeffs = draw(st.dictionaries(
-        st.tuples(*[st.integers(0, 3)] * arity),
+        st.tuples(*[st.integers(0, 3)] * arity).map(_key),
         st.fractions(min_value=-9, max_value=9, max_denominator=6), max_size=4))
     text = format_poly(Polynomial.from_coeffs(coeffs))
     variant = draw(st.sampled_from(("printed", "spaced", "packed", "parenthesized")))
@@ -711,8 +787,8 @@ def _carrier_texts(draw, p, level):
         return draw(st.sampled_from(special))
     monomial = st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(-4, 4),
                          st.sampled_from((1, 1, 2, p)))
-    coeffs = {(i, j): Fraction(c, d) for i, j, c, d in draw(st.lists(monomial, min_size=1,
-                                                                        max_size=3))}
+    coeffs = {_key((i, j)): Fraction(c, d) for i, j, c, d in draw(st.lists(monomial, min_size=1,
+                                                                              max_size=3))}
     return format_poly(Polynomial.from_coeffs(coeffs))
 
 

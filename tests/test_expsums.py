@@ -36,7 +36,7 @@ from cellint.expsums import (
 )
 from cellint.oracle import solution_histogram
 from cellint.padic_core import DEFAULT_BUDGET, residue
-from cellint.polynomials import Polynomial, eval_int_terms, sparse_terms
+from cellint.polynomials import Polynomial, eval_int_terms
 
 C3 = PrimeContext(3)
 C5 = PrimeContext(5)
@@ -285,7 +285,7 @@ def test_the_rank_mod_q_is_the_rational_rank_on_low_degree_maps():
                     for e, c in f.terms:
                         coeffs[e] = coeffs.get(e, 0) + k * c
             else:
-                coeffs = {tuple(rng.randint(0, 3) for _ in range(arity)):
+                coeffs = {tuple((i, k) for i in range(arity) if (k := rng.randint(0, 3))):
                           Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                           for _ in range(rng.randint(1, 4))}
             fs.append(Polynomial.from_coeffs(coeffs))
@@ -346,7 +346,8 @@ def _p_integral_poly(draw, p, n):
     """At most four terms in x1..xn, degrees up to 3, denominators prime to p."""
     dens = [d for d in range(1, 10) if d % p]
     terms = draw(st.dictionaries(
-        st.tuples(*[st.integers(0, 3)] * n),
+        st.tuples(*[st.integers(0, 3)] * n).map(
+            lambda e: tuple((i, k) for i, k in enumerate(e) if k)),
         st.builds(Fraction, st.integers(-9, 9), st.sampled_from(dens)),
         min_size=1, max_size=4))
     return Polynomial.from_coeffs(terms)
@@ -418,7 +419,7 @@ def per_point_exp_sum(fs, ys, m, ctx, n):
     views = []
     for f in fs:
         terms, denom = f.cleared()
-        views.append((sparse_terms(terms), pow(denom, -1, pm)))
+        views.append((terms, pow(denom, -1, pm)))
     coeffs = [residue(yi * pm, m, ctx) for yi in ys]
     table = [cmath.exp(2j * math.pi * j / pm) for j in range(pm)]
     phases, partials = Counter(), []

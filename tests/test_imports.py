@@ -33,7 +33,8 @@ def test_sources_are_found():
 def test_the_expression_language_imports_no_private_name_of_the_package():
     """formula_dsl is the language alone (AST, parser, printer, compile_expr):
     it reads the package through public names only, so the integer walk's
-    machinery (views, Taylor coefficients, _strip) stays in cells."""
+    machinery (views, Taylor coefficients) stays in cells and the monomial
+    order (_order) in polynomials."""
     source = next(path for path in SOURCES if path.name == "formula_dsl.py")
     tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
     private = [alias.name for node in ast.walk(tree)

@@ -34,16 +34,21 @@ from cellint import (
     zp_nonzero_cell,
 )
 from cellint.cells import Bound, CellLevel, CellTower, CosetSpec, MembershipPlan
-from cellint import cells, oracle, polynomials
+from cellint import cells, oracle
 from cellint.cli import main
 from cellint.formula_dsl import carrier_valuations, compile_expr, expr_carriers
 from cellint.oracle import DEFAULT_LEVEL, _CHUNK, _modular_view, _values_mod, eval_poly_mod
 from cellint.padic_core import residue
-from cellint.polynomials import Polynomial, sparse_terms
+from cellint.polynomials import Polynomial
 from cellint.rootval import RootScaledValue
 
 C5 = PrimeContext(5)
 C7 = PrimeContext(7)
+
+
+def _key(e):
+    """The monomial key of the exponent vector e: its nonzero entries (index, exponent)."""
+    return tuple((i, k) for i, k in enumerate(e) if k)
 
 
 def test_riemann_constant():
@@ -520,8 +525,8 @@ def test_riemann_reads_each_carrier_once_and_values_only_settled_classes(monkeyp
     is INF in the key).  The carriers of this integrand vanish mod p^depth on
     many classes, and the cusp's are split down to the level."""
     e = parse_expr("norm(x1^2 - 2*x2^3)*val(x1)")
-    own = {sparse_terms(f.cleared()[0]) for f in expr_carriers(e)}
-    reads = {terms: [i for i in range(2) if any(j == i for _, factors in terms for j, _ in factors)]
+    own = {f.cleared()[0] for f in expr_carriers(e)}
+    reads = {terms: [i for i in range(2) if any(j == i for key, _ in terms for j, _ in key)]
              for terms in own}
     counts = {"evals": 0, "coefficients": 0, "valuations": 0, "visited": 0, "settled": 0}
     evaluate, value, refine = (cells.eval_int_terms, cells.int_valuation,
@@ -563,17 +568,16 @@ def test_riemann_reads_each_carrier_once_and_values_only_settled_classes(monkeyp
     assert counts["coefficients"] > 0 and counts["visited"] <= 7001
 
 
-def test_each_carrier_builds_its_evaluation_form_once(monkeypatch):
-    """The evaluation form (sparse_terms) is built once per carrier view and
-    at most once per Taylor coefficient, never per class read or valued: the
-    builds are at most the views plus the coefficients built, and far fewer
-    than the classes visited."""
+def test_each_carrier_clears_its_terms_once(monkeypatch):
+    """A carrier view reads its polynomial's cleared terms (Polynomial.cleared)
+    once, never per class read or valued: the clearings are at most the views,
+    and far fewer than the classes visited."""
     counts, views = {"builds": 0, "visited": 0}, []
-    build, init, refine = cells.sparse_terms, cells._Carrier.__init__, oracle.refine_classes
+    build, init, refine = Polynomial.cleared, cells._Carrier.__init__, oracle.refine_classes
 
-    def counted_build(terms):
+    def counted_build(poly):
         counts["builds"] += 1
-        return build(terms)
+        return build(poly)
 
     def kept_init(self, *args):
         views.append(self)
@@ -585,13 +589,11 @@ def test_each_carrier_builds_its_evaluation_form_once(monkeypatch):
             return classify(*args)
         return refine(p, level, arity, visit, member_of)
 
-    for module in (cells, polynomials):
-        monkeypatch.setattr(module, "sparse_terms", counted_build)
+    monkeypatch.setattr(Polynomial, "cleared", counted_build)
     monkeypatch.setattr(cells._Carrier, "__init__", kept_init)
     monkeypatch.setattr(oracle, "refine_classes", counting_refine)
     riemann_integrate(parse_expr("norm(x1^2 - 2*x2^3)*val(x1)"), 2, 4, C5)
-    coefficients = sum(len(order) for view in views for order in view.taylor)
-    assert 0 < counts["builds"] <= len(views) + coefficients
+    assert 0 < counts["builds"] <= len(views)
     assert 100 * counts["builds"] < counts["visited"]
 
 
@@ -729,7 +731,7 @@ def _taylor_case(draw):
     def factor(max_exp):
         coeffs: dict = {}
         for c, e in draw(st.lists(st.tuples(st.integers(-6, 6).filter(bool),
-                                            st.tuples(*[st.integers(0, max_exp)] * n)),
+                                            st.tuples(*[st.integers(0, max_exp)] * n).map(_key)),
                                   min_size=1, max_size=3)):
             coeffs[e] = coeffs.get(e, 0) + c
         return Polynomial.from_coeffs(coeffs)
@@ -770,14 +772,14 @@ def _eager_constant_on(carrier):
     reference of the lazy orders, of the depth-0 coefficient test and of the
     least depth over the coordinates read."""
     p, coefficients = carrier.p, {}
-    arity = max((i + 1 for _, factors in carrier.terms for i, _ in factors), default=0)
-    for c, factors in carrier.terms:
-        e = tuple(dict(factors).get(i, 0) for i in range(arity))
+    arity = max((i + 1 for key, _ in carrier.terms for i, _ in key), default=0)
+    for key, c in carrier.terms:
+        e = tuple(dict(key).get(i, 0) for i in range(arity))
         for k in itertools.product(*(range(d + 1) for d in e)):
             if any(k):
-                term = (tuple(map(sub, e, k)), c * math.prod(map(math.comb, e, k)))
+                term = (_key(map(sub, e, k)), c * math.prod(map(math.comb, e, k)))
                 coefficients.setdefault(k, []).append(term)
-    taylor = sorted((k, sparse_terms(terms)) for k, terms in coefficients.items())
+    taylor = sorted(coefficients.items())
 
     def constant_on(point, depths):
         value = cells.eval_int_terms(carrier.terms, point)
@@ -798,7 +800,7 @@ def _seeded_carrier(rng, p, arity):
     def factor(top):
         coeffs = {}
         for _ in range(rng.randint(1, 3)):
-            e = tuple(rng.randint(0, top) for _ in range(arity))
+            e = tuple((i, k) for i in range(arity) if (k := rng.randint(0, top)))
             coeffs[e] = coeffs.get(e, 0) + rng.choice((-3, -2, -1, 1, 2, 3, p))
         return Polynomial.from_coeffs(coeffs)
     f = factor(1) ** rng.randint(1, 3) * factor(2)
@@ -864,21 +866,20 @@ def test_high_degree_carrier_at_mixed_depths_reads_no_order(deadline, capsys):
 def _modular_terms(poly, modulus, p):
     """Coefficients reduced mod modulus; p-integrality enforced."""
     out = []
-    for exps, coeff in poly.terms:
+    for key, coeff in poly.terms:
         if coeff.denominator % p == 0:
             raise NonIntegralCoefficientsError(
                 f"coefficient {coeff} is not p-integral at p = {p}")
-        out.append((exps, coeff.numerator * pow(coeff.denominator, -1, modulus) % modulus))
+        out.append((key, coeff.numerator * pow(coeff.denominator, -1, modulus) % modulus))
     return out
 
 
 def _eval_poly_mod(terms, point, modulus):
     total = 0
-    for exps, c in terms:
+    for key, c in terms:
         term = c
-        for x, k in zip(point, exps):
-            if k:
-                term = term * pow(x, k, modulus) % modulus
+        for i, k in key:
+            term = term * pow(point[i], k, modulus) % modulus
         total = (total + term) % modulus
     return total
 
@@ -907,7 +908,7 @@ def p_integral_poly(draw, p: int, n: int) -> Polynomial:
     """At most four terms in x1..xn, degrees up to 3, denominators prime to p."""
     dens = [d for d in range(1, 10) if d % p]
     terms = draw(st.dictionaries(
-        st.tuples(*[st.integers(0, 3)] * n),
+        st.tuples(*[st.integers(0, 3)] * n).map(_key),
         st.builds(Fraction, st.integers(-9, 9), st.sampled_from(dens)),
         min_size=1, max_size=4))
     return Polynomial.from_coeffs(terms)
@@ -982,7 +983,7 @@ def high_degree_problem(draw):
         lambda k, q: m + k + q * phi, st.integers(0, 3), st.integers(1, 10**6))
     dens = [d for d in range(1, 10) if d % p]
     fs = [Polynomial.from_coeffs(draw(st.dictionaries(
-        st.tuples(*[exponent] * n), st.builds(Fraction, st.integers(-9, 9), st.sampled_from(dens)),
+        st.tuples(*[exponent] * n).map(_key), st.builds(Fraction, st.integers(-9, 9), st.sampled_from(dens)),
         min_size=1, max_size=4))) for _ in range(draw(st.integers(1, 2)))]
     return fs, m, PrimeContext(p), n
 
