@@ -32,9 +32,10 @@ reads, reaches it, and a box is split only in the coordinates its
 undecided views read.  It settles a box (all its p^(sum(m - J_k)) lifts at
 once) once every test is fixed on it and (one rule, settle_on_valuations)
 every carrier read has a constant valuation on it; the Hensel margin only
-flags it ambiguous, as _tally counts.  The walk goes to one level;
-oracle.riemann_sums counts each lower listed level from the same boxes, by
-their least lifts.  The budget counts all p^(m*n) classes.  The classes
+flags it ambiguous.  The walk goes to one level, and tally, the one ledger
+of its boxes for the checks and oracle.riemann_sums alike, counts the lifts
+of each key at every listed level by the key of each class's least lift.
+The budget counts all p^(m*n) classes.  The classes
 see only the domain's points, so check_partition also asks the plan which
 cells reach outside the domain (MembershipPlan.outside), in one comparison
 per level record: with Z_p over the box, with the domain's record of the
@@ -51,7 +52,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, gcd, prod
 from operator import add, itemgetter, ne, or_
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import CertificateMismatchError, DivergentError, InvalidArgumentError
 from .formula_dsl import parse_poly
@@ -795,21 +796,38 @@ def settle_on_valuations(views: Sequence[_Carrier]) -> Callable:
     return classify
 
 
-def _tally(p: int, m: int, arity: int, classify: Callable, member_of: Callable | None,
-           flag: Callable) -> tuple[int, int, list]:
-    """Walk refine_classes over the member boxes: (points, ambiguous points,
-    the sorted (lift, key) of every lift of a box whose key flag(key) marks)."""
-    points, ambiguous, marked, top = 0, 0, [], arity * m
-    for (key, flagged), r, J in refine_classes(p, m, arity, classify, member_of):
-        if key is None:
-            continue
-        size = p ** (top - sum(J))
-        points += size
-        ambiguous += size if flagged > m else 0
-        if flag(key):
-            lifts = itertools.product(*(range(x, p**m, p**j) for x, j in zip(r, J)))
-            marked.extend((pt, key) for pt in lifts)
-    return points, ambiguous, sorted(marked)
+def tally(boxes: Iterable[tuple], p: int, levels: Sequence[int], arity: int,
+          flag: Callable | None = None) -> tuple[dict, list]:
+    """The ledger of the boxes ((key, flagged), r, J) of one refine_classes
+    walk to levels[-1], key None outside member_of: {m: {(key, flagged):
+    lifts mod p^m}} for every listed level m, keys in the order found, and
+    the sorted (lift, key) of every lift of a member box whose key flag marks.
+
+    A class mod p^m has the key of its least nonnegative lift.  A box r +
+    p^J*Z_p^n holds prod_k c_k of those, c_k = p^(m - J_k) where J_k <= m
+    and, where J_k > m, 1 if r_k < p^m and 0 otherwise.  Each has the box's
+    key: the walk splits only the undecided coordinates, at the least depth
+    among them, so they share the depth max(J), and a view still undecided
+    on a box settled at the top level reads only coordinates at depth
+    max(J) >= m, where every least lift mod p^m agrees with r."""
+    counts: dict = {m: {} for m in levels}
+    sizes = [(m, p**m, counts[m], [p ** (arity * m - s) for s in range(arity * m + 1)])
+             for m in levels]
+    marked, last, top = [], levels[-1], p ** levels[-1]
+    for key, r, J in boxes:
+        s = sum(J)
+        for m, pm, level, size in sizes:
+            if m == last or max(J, default=0) <= m:  # every J_k <= levels[-1]
+                t = s
+            elif max(r) < pm:  # r_k < p^(J_k) <= p^m wherever J_k <= m already
+                t = sum(min(k, m) for k in J)
+            else:
+                continue
+            level[key] = level.get(key, 0) + size[t]
+        if flag and key[0] is not None and flag(key[0]):
+            lifts = itertools.product(*(range(x, top, p**k) for x, k in zip(r, J)))
+            marked.extend((pt, key[0]) for pt in lifts)
+    return counts, sorted(marked)
 
 
 def membership(tower: CellTower, point: Sequence, ctx: PrimeContext,
@@ -891,13 +909,14 @@ def check_partition(cert: DecompositionCertificate, m: int, ctx: PrimeContext,
         owners, undecided, flagged = owners_of(r, J)
         return (owners, flagged), undecided
 
-    total, ambiguous_points, lifts = _tally(p, m, arity, classify, domain,
-                                            lambda owners: len(owners) != 1)
+    counts, lifts = tally(refine_classes(p, m, arity, classify, domain), p, [m], arity,
+                          lambda owners: len(owners) != 1)
     violations = [(pt, list(owners)) for pt, owners in lifts]
     outside = plan.outside(cert.domain, towers)
+    members = [(c, flagged > m) for (key, flagged), c in counts[m].items() if key is not None]
     return PartitionReport(ok=not violations and not outside, violations=violations,
-                           ambiguous_points=ambiguous_points, points_tested=total,
-                           outside=outside)
+                           ambiguous_points=sum(c for c, a in members if a),
+                           points_tested=sum(c for c, _ in members), outside=outside)
 
 
 def _described_level(desc: NormDescription, functions: Sequence[Polynomial],
@@ -938,11 +957,6 @@ class NormCheckReport:
     ambiguous_points: int
     points_checked: int
 
-    def summary(self) -> str:
-        status = "ok" if self.ok else f"{len(self.mismatches)} mismatch(es)"
-        return (f"norm description check: {status}, {self.points_checked} points, "
-                f"{self.ambiguous_points} ambiguous")
-
 
 def check_norm_description(functions: Sequence[Polynomial],
                            cert: DecompositionCertificate, m: int,
@@ -981,9 +995,12 @@ def check_norm_description(functions: Sequence[Polynomial],
                 return lhs, INF
             return lhs, Fraction(vd) + Fraction(desc.a * (k - vlam), level.coset.n)
 
-        points, amb_points, lifts = _tally(p, m, tower.arity, settle_on_valuations(views),
-                                           plan.member_of(tower), lambda key: ne(*sides(*key)))
-        checked, ambiguous = checked + points, ambiguous + amb_points
+        boxes = refine_classes(p, m, tower.arity, settle_on_valuations(views),
+                               plan.member_of(tower))
+        counts, lifts = tally(boxes, p, [m], tower.arity, lambda key: ne(*sides(*key)))
+        members = [(c, flagged > m) for (key, flagged), c in counts[m].items() if key is not None]
+        checked += sum(c for c, _ in members)
+        ambiguous += sum(c for c, a in members if a)
         mismatches.extend((pt, *sides(*key)) for pt, key in lifts)
     return NormCheckReport(ok=not mismatches, mismatches=mismatches,
                            ambiguous_points=ambiguous, points_checked=checked)

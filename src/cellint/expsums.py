@@ -372,7 +372,7 @@ def dominance_warning(fs: Sequence[Polynomial], seed: int = 0) -> str | None:
     if r > arity:
         return f"map has {r} components in {arity} variables; cannot be dominant"
     rng = random.Random(seed)
-    jac = integer_jacobian(fs, arity)
+    jac = integer_jacobian(fs)
     best = 0
     for _ in range(8):
         pt = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(arity)]
@@ -383,28 +383,27 @@ def dominance_warning(fs: Sequence[Polynomial], seed: int = 0) -> str | None:
             "the map may not be dominant")
 
 
-def integer_jacobian(fs: Sequence[Polynomial], arity: int) -> list[list[list[tuple]]]:
-    """The Jacobian of fs in x_1..x_arity as integer term lists, row i that of
-    f_i's cleared integer view (f_i times its denominator, the same rank)."""
-    rows = []
-    for f in fs:
-        denom = f.cleared()[1]
-        rows.append([[(e, int(c * denom)) for e, c in f.derivative(j).terms]
-                     for j in range(arity)])
-    return rows
+def integer_jacobian(fs: Sequence[Polynomial]) -> tuple[list[int], list[list[list[tuple]]]]:
+    """(the variables some f_i uses, increasing; the Jacobian of fs in those
+    variables as integer term lists, row i that of f_i's cleared integer view,
+    f_i times its denominator).  The column of an unused variable is zero, so
+    neither it nor the denominators change the rank."""
+    used = sorted({i for f in fs for e, _ in f.terms for i, _ in e})
+    return used, [[[(e, int(c * denom)) for e, c in f.derivative(j).terms] for j in used]
+                  for f, denom in [(f, f.cleared()[1]) for f in fs]]
 
 
-def jacobian_rank_mod(jac: list[list[list[tuple]]], point: Sequence[Fraction]) -> int:
+def jacobian_rank_mod(jac: tuple, point: Sequence[Fraction]) -> int:
     """The rank mod the prime q = RANK_PRIME of an integer_jacobian at a
     rational point whose denominators q does not divide: each entry evaluated
-    with pow(x, e, q) at the point reduced mod q, then Gaussian elimination
-    mod q."""
-    q = RANK_PRIME
-    xs = [x.numerator * pow(x.denominator, -1, q) % q for x in map(Fraction, point)]
+    with pow(x, e, q) at the point's used coordinates reduced mod q, then
+    Gaussian elimination mod q."""
+    q, (used, jac) = RANK_PRIME, jac
+    xs = {i: (x := Fraction(point[i])).numerator * pow(x.denominator, -1, q) % q for i in used}
     rows = [[sum(c * math.prod([pow(xs[i], k, q) for i, k in e]) for e, c in terms) % q
              for terms in row] for row in jac]
     rank = 0
-    for col in range(len(xs)):
+    for col in range(len(used)):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue

@@ -31,16 +31,9 @@ membership is not yet fixed too, so the box is split in their coordinates
 with the domain's.  The budget counts all p^(level*n) classes.
 
 A multi-level oracle walks once and compiles once.  riemann_sums walks to
-the largest level listed and counts, as it walks, the lifts mod p^m of each
-key for every listed level m by the oracle's own rule: a class mod p^m has
-the key of its least nonnegative lift.  A settled box r + p^J*Z_p^n holds
-prod_k c_k of those least lifts, c_k = p^(m - J_k) where J_k <= m and, where
-J_k > m, 1 if r_k < p^m and 0 otherwise; with max(J) <= m that is
-p^(sum(m - J_k)).  Each such lift has the box's key.  The decided views are
-constant on the box, and the walk splits only the undecided coordinates at
-the least depth among them, so they share the depth max(J): a view still
-undecided on a box settled at the top level reads only coordinates at depth
-max(J) >= m, where every least lift mod p^m agrees with r.  Each level's
+the largest level listed, and cells.tally counts from its boxes the lifts
+mod p^m of each key for every listed level m, by the oracle's own rule: a
+class mod p^m has the key of its least nonnegative lift.  Each level's
 riemann_integrate then sums its own tally in one call of the walk's one
 evaluator.
 
@@ -71,7 +64,8 @@ from math import sqrt
 from operator import add, mod, sub
 from typing import Iterator, Sequence
 
-from .cells import Domain, MembershipPlan, refine_classes, settle_on_valuations, valuation_key
+from .cells import (Domain, MembershipPlan, refine_classes, settle_on_valuations, tally,
+                    valuation_key)
 from .errors import FloatOverflowError, InvalidArgumentError, NonIntegralCoefficientsError
 from .formula_dsl import ExactValue, QExpExpr, compile_expr, expr_carriers
 from .padic_core import (
@@ -163,11 +157,10 @@ def riemann_sums(e: QExpExpr, arity: int, levels: Sequence[int], ctx: PrimeConte
 def _walk(e: QExpExpr, arity: int, levels: Sequence[int], ctx: PrimeContext,
           domain: Domain | None, budget: int) -> tuple:
     """The integrand compiled once and one walk of refine_classes to the
-    largest of levels, tallied for each by least lifts as the module
-    docstring says: (evaluator, {m: {key: lifts mod p^m}}) for every listed
-    level m, keys in the order found.  check_budget admits the smallest and
-    the largest level, then the levels must increase strictly, then the
-    arity is checked."""
+    largest of levels, tallied by cells.tally: (evaluator, {m: {key: lifts
+    mod p^m}}) for every listed level m, keys in the order found.
+    check_budget admits the smallest and the largest level, then the levels
+    must increase strictly, then the arity is checked."""
     if not levels:
         raise InvalidArgumentError("need at least one level")
     p = ctx.p
@@ -180,22 +173,11 @@ def _walk(e: QExpExpr, arity: int, levels: Sequence[int], ctx: PrimeContext,
     _arity(polys, arity)
     if domain is not None and domain.arity > arity:
         raise InvalidArgumentError(f"arity is {arity}, but the domain has arity {domain.arity}")
-    lifts: dict = {m: {} for m in levels}
-    sizes = [(m, p**m, lifts[m], [p ** (arity * m - s) for s in range(arity * m + 1)])
-             for m in levels]
     plan = MembershipPlan(ctx)
     classify = settle_on_valuations([plan.view(f) for f in polys])
-    for key, r, J in refine_classes(p, levels[-1], arity, classify, plan.domain_of(domain)):
-        s, j = sum(J), max(J) if J else 0
-        for m, pm, tally, size in sizes:
-            if j <= m:
-                t = s
-            elif max(r) < pm:  # r_k < p^(J_k) <= p^m wherever J_k <= m already
-                t = sum(min(k, m) for k in J)
-            else:
-                continue
-            tally[key] = tally.get(key, 0) + size[t]
-    return compile_expr(e, ctx), lifts
+    counts, _ = tally(refine_classes(p, levels[-1], arity, classify, plan.domain_of(domain)),
+                      p, levels, arity)
+    return compile_expr(e, ctx), counts
 
 
 def monte_carlo_integrate(e: QExpExpr, arity: int, samples: int, seed: int,

@@ -66,6 +66,20 @@ def test_riemann_norm():
     assert r.value == expected
 
 
+def test_a_rational_root_scaled_value_is_returned_as_a_fraction():
+    """norm(x1)^{1/2} squared compiles to a RootScaledValue, but its sums are
+    rational: riemann_integrate and riemann_sums return them as the Fractions
+    of norm(x1)."""
+    e, plain = parse_expr("norm(x1)^{1/2}*norm(x1)^{1/2}"), parse_expr("norm(x1)")
+    assert isinstance(compile_expr(e, C5)({(1,): 1}), RootScaledValue)
+    expected = [(Fraction(104, 125), 1), (Fraction(2604, 3125), 1), (Fraction(65104, 78125), 1)]
+    for results in ([riemann_integrate(e, 1, m, C5) for m in (2, 3, 4)],
+                    oracle.riemann_sums(e, 1, [2, 3, 4], C5),
+                    oracle.riemann_sums(plain, 1, [2, 3, 4], C5)):
+        assert [(r.value, r.ambiguous_count) for r in results] == expected
+        assert all(type(r.value) is Fraction for r in results)
+
+
 def test_riemann_valuation():
     r = riemann_integrate(parse_expr("val(x1)"), 1, 6, C5)
     assert r.ambiguous_count == 1
@@ -415,6 +429,7 @@ def _level_lists(draw):
                   unit_ball_coset_cell(1, 2)))
 @example(problem=(parse_expr("norm(x1)"), 1, [2, 3], PrimeContext(2),
                   unit_ball_coset_cell(1, 2)))  # ((0,), 5) at level 3: the margin alone
+@example(problem=(parse_expr("1/3 + val(10)"), 0, [1, 2, 3], C5, None))  # arity 0: J = ()
 def test_riemann_sums_are_the_walks_to_each_level(problem):
     """One walk to the largest level gives every listed level's sum, in the
     order listed: the value and ambiguous count of a walk to that level alone,
