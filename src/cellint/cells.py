@@ -25,21 +25,24 @@ of check_norm_description, and the domain and integrand carriers of
 oracle.riemann_integrate read the same plan's views, and
 MembershipPlan.member_of plans a single tower.  The checks walk the
 digit-tree kernel refine_classes.  Its classes are boxes r + p^J*Z_p^n with
-one depth J_k per coordinate, as a tower level constrains only x_i - c_i:
-a test returns one need per view it reads (t - c or a non-constant bound),
-fixed on a box once the view's depth, the least J_k over the variables it
-reads, reaches it, and a box is split only in the coordinates its
-undecided views read.  It settles a box (all its p^(sum(m - J_k)) lifts at
-once) once every test is fixed on it and (one rule, settle_on_valuations)
-every carrier read has a constant valuation on it; the Hensel margin only
-flags it ambiguous.  The walk goes to one level, and tally, the one ledger
-of its boxes for the checks and oracle.riemann_sums alike, counts the lifts
-of each key at every listed level by the key of each class's least lift.
-The budget counts all p^(m*n) classes.  The classes
-see only the domain's points, so check_partition also asks the plan which
-cells reach outside the domain (MembershipPlan.outside), in one comparison
-per level record: with Z_p over the box, with the domain's record of the
-same view of t - c over a tower.
+one depth J_k per coordinate, as a tower level constrains only x_i - c_i.
+Every per-box callback of the walk (a level test, member_of, owners_of, a
+classify) reads only the box and returns its undecided coordinates, a bit
+set: those read by a view (t - c, a non-constant bound, a carrier) still
+able to change there, whose depth, the least J_k over the coordinates it
+reads, is below the depth that fixes what was read of it
+(_Carrier.open_on).  A box is split only in those coordinates.  It is
+settled (all its p^(sum(m - J_k)) lifts at once) once every test is fixed
+on it and (one rule, settle_on_valuations) every carrier read has a
+constant valuation on it; the Hensel margin only flags it ambiguous, and
+the walk alone pairs a classify's payload with member_of's flag.  The walk
+goes to one level, and tally, the one ledger of its boxes for the checks
+and oracle.riemann_sums alike, counts the lifts of each key at every listed
+level by the key of each class's least lift.  The budget counts all
+p^(m*n) classes.  The classes see only the domain's points, so
+check_partition also asks the plan which cells reach outside the domain
+(MembershipPlan.outside), in one comparison per level record: with Z_p over
+the box, with the domain's record of the same view of t - c over a tower.
 """
 
 from __future__ import annotations
@@ -240,13 +243,10 @@ class _Carrier:
             return depths[coords[0]]
         return min(self.support_depths(depths)) if coords else INF
 
-    def open_on(self, need: int, depths: Sequence[int], lo: int, whole: int) -> int:
+    def open_on(self, need: int, depths: Sequence[int]) -> int:
         """mask if this view is still open on the box of depths (its depth
-        is below need, the depth that fixes what a test read of it), else 0.
-        lo = min(depths) is at most the depth, and is the depth of a view that
-        reads every coordinate (the bit set whole), so one min per box spares
-        the depth of most views."""
-        return self.mask if need > lo and (self.mask == whole or need > self.depth(depths)) else 0
+        is below need, the depth that fixes what a test read of it), else 0."""
+        return self.mask if need > self.depth(depths) else 0
 
     def read(self, point: Sequence[int]) -> int:
         """terms(point), the cleared integer value at an integer point."""
@@ -443,8 +443,8 @@ class MembershipPlan:
         return record
 
     def _plan_level(self, index: int, level: CellLevel) -> _Level:
-        """The record of one cell level, with its test point -> (holds, needs,
-        flagged) in integers.
+        """The record of one cell level, with its test (point, depths) ->
+        (holds, undecided, flagged) in integers.
 
         With t - c(x) = N(x)/D cleared of denominators, v(t - c) = v(N) - v(D),
         and t - c is in lam*P_n iff its coset signature equals lam's (_Order).
@@ -452,25 +452,26 @@ class MembershipPlan:
         plan time; a zero constant ends the fold (alpha first), and fails the
         level ambiguously.  A level whose bounds are all nonzero constants
         (explicit) and that admits some valuation also records its order, its
-        window and the unit part of lam's signature.  needs holds one (view,
-        need) per view read: holds is fixed on a box where each view's depth
-        (_Carrier.depth) is at least its need, as N(r + p^J*y) = N(r) mod
-        p^depth.  The need of t - c is v(N) + L (_Order.level) where k = v(t -
-        c) is in the constant window and k = residue mod n, so that the unit
-        part may be read whatever the non-constant bounds read, and v(N) + 1
-        elsewhere; of a non-constant bound of cleared valuation bv, bv + 1;
-        INF at a zero carrier.  Each need is a function of its view's value
-        alone, so a view fixed on a box stays fixed on every box within it.
-        flagged is v(N) + M (1 for a point), INF for a zero bound in the
-        window, and at least each bv + 1.
+        window and the unit part of lam's signature.  holds is fixed on the
+        box point + p^J*Z_p^n, J = depths, where each view read has a depth
+        (_Carrier.depth) of at least its need, as N(r + p^J*y) = N(r) mod
+        p^depth; undecided is the bit set of the coordinates read by the
+        views below their need (_Carrier.open_on).  The need of t - c is
+        v(N) + L (_Order.level) where k = v(t - c) is in the constant window
+        and k = residue mod n, so that the unit part may be read whatever the
+        non-constant bounds read, and v(N) + 1 elsewhere; of a non-constant
+        bound of cleared valuation bv, bv + 1; INF at a zero carrier.  Each
+        need is a function of its view's value alone, so a view fixed on a
+        box stays fixed on every box within it.  flagged is v(N) + M (1 for a
+        point), INF for a zero bound in the window, and at least each bv + 1.
         """
         lam, n = level.coset.lam, level.coset.n
         diff = self.diff(index, level.center)
         read, vden = diff.valuation, diff.vden
         if lam == 0:
-            def point_test(point: Sequence[int]) -> tuple:
+            def point_test(point: Sequence[int], depths: Sequence[int]) -> tuple:
                 v = read(point)
-                return v is INF, ((diff, v + 1),), v + 1  # M = 1
+                return v is INF, diff.open_on(v + 1, depths), v + 1  # M = 1
             return _Level(point_test, diff, level.center, lam)
         order = self._order(diff, n)
         unit, hensel, digits = order.unit, order.hensel, order.level
@@ -491,13 +492,13 @@ class MembershipPlan:
             else:  # |t - c| < |beta|: k > v(beta)
                 lo = max(lo, value + bound.strict)
 
-        def test(point: Sequence[int]) -> tuple:
+        def test(point: Sequence[int], depths: Sequence[int]) -> tuple:
             v = read(point)
-            flagged, k_lo, k_hi, bounds = v + hensel, lo, hi, []
+            flagged, k_lo, k_hi, undecided = v + hensel, lo, hi, 0
             for lower, strict, view in reads:  # the non-constant bounds, read at the class
                 bv = view.valuation(point)
                 flagged = max(flagged, bv + 1)
-                bounds.append((view, bv + 1))
+                undecided |= view.open_on(bv + 1, depths)
                 if bv is INF:  # the bound vanished: a malformed cell at this point
                     k_hi = -INF
                 elif lower:
@@ -511,7 +512,7 @@ class MembershipPlan:
                     flagged = INF
             else:  # the unit part is read wherever the bounds read may still admit k
                 holds, need = k_lo <= k <= k_hi and unit() == unit_key, v + digits
-            return holds, ((diff, need), *bounds) if bounds else ((diff, need),), flagged
+            return holds, undecided | diff.open_on(need, depths), flagged
         first = lo if lo == -INF else lo + (residue - lo) % n  # the least and greatest k admitted
         last = hi if hi == INF else hi - (hi - residue) % n
         if reads or zero or first > last:
@@ -527,24 +528,22 @@ class MembershipPlan:
         undecided, flagged).
 
         Membership is exact at the point, and fixed on the box point +
-        p^J*Z_p^n, J = depths, where undecided, the bit set of the coordinates
-        read by the views whose depth is below their need (_open), is 0.  The
-        class mod p^m is ambiguous iff flagged > m: at some level v(t - c) + M
-        > m - (precision lost to p in the centre's denominators), M the
-        coset's Hensel level (1 for a point), or a non-constant bound is 0 mod
-        p^m once cleared, or a bound vanishes; the largest over the levels up
-        to the first that fails.  The levels past a failing one that is not
+        p^J*Z_p^n, J = depths, where undecided, the or of the undecided bit
+        sets its level tests return (_plan_level), is 0.  The class mod p^m
+        is ambiguous iff flagged > m: at some level v(t - c) + M > m -
+        (precision lost to p in the centre's denominators), M the coset's
+        Hensel level (1 for a point), or a non-constant bound is 0 mod p^m
+        once cleared, or a bound vanishes; the largest over the levels up to
+        the first that fails.  The levels past a failing one that is not
         fixed on the box are still read, for undecided alone: where it holds
         they decide membership.
         """
         tests = [level.test for level in self.levels_of(tower)]
 
         def member_of(point: Sequence[int], depths: Sequence[int]) -> tuple:
-            member, undecided, flagged, lo = True, 0, 0, min(depths) if depths else 0
-            whole = (1 << len(depths)) - 1  # the walk's coordinates, maybe more than the tower's
+            member, undecided, flagged = True, 0, 0
             for test in tests:
-                holds, needs, f = test(point)
-                open_ = _open(needs, depths, lo, whole)
+                holds, open_, f = test(point, depths)
                 undecided |= open_
                 if member:
                     flagged, member = max(flagged, f), holds
@@ -573,16 +572,15 @@ class MembershipPlan:
         is tested alone.  Siblings of one group share their view and Hensel
         margin, so flagged is the largest of member_of's over the towers; the
         need of a group's view is v + L where a unit part is read, v + 1 where
-        no level admits k mod n, INF at v = INF.  undecided is member_of's
-        over the levels read, those below a level that holds.  Unlike
-        member_of, it does not read below a failing level that is not fixed:
-        check_partition walks to one level, which stays exact whichever box
-        first reads a view, and over a domain whose levels have the cells'
-        centres the domain's member_of reads those views anyway (cells_cert's
-        partition checks visit the same classes either way).
+        no level admits k mod n, INF at v = INF.  undecided is the or of the
+        undecided bit sets of the levels read, those below a level that
+        holds.  Unlike member_of, it does not read below a failing level that
+        is not fixed: check_partition walks to one level, which stays exact
+        whichever box first reads a view, and over a domain whose levels have
+        the cells' centres the domain's member_of reads those views anyway
+        (cells_cert's partition checks visit the same classes either way).
         """
         root: tuple[dict, list] = ({}, [])
-        whole = (1 << max(map(len, towers), default=0)) - 1
         for idx, levels in enumerate(towers):
             children, owners = root
             for level in levels:
@@ -609,13 +607,13 @@ class MembershipPlan:
         tree = node(root[0])
 
         def owners_of(point: Sequence[int], depths: Sequence[int]) -> tuple:
-            owners, undecided, flagged, lo = list(root[1]), 0, 0, min(depths) if depths else 0
+            owners, undecided, flagged = list(root[1]), 0, 0
             stack = [tree]
             while stack:
                 alone, groups = stack.pop()
                 for test, children, cells in alone:
-                    holds, needs, f = test(point)
-                    undecided |= _open(needs, depths, lo, whole)
+                    holds, open_, f = test(point, depths)
+                    undecided |= open_
                     flagged = max(flagged, f)
                     if holds:
                         owners += cells
@@ -626,7 +624,7 @@ class MembershipPlan:
                     flagged, k = max(flagged, v + hensel), v - vden
                     units = None if v is INF else table.get(k % n)
                     need = v + (1 if units is None else digits)
-                    undecided |= view.open_on(need, depths, lo, whole)
+                    undecided |= view.open_on(need, depths)
                     if units is None:
                         continue
                     for first, last, children, cells in units.get(unit(), ()):
@@ -699,54 +697,46 @@ def _within(inner: tuple, outer: tuple) -> bool:
         and (residue - outer_residue) % outer_n == 0
 
 
-def _open(needs: Sequence[tuple], depths: Sequence[int], lo: int, whole: int) -> int:
-    """The bit set of the coordinates read by the views of needs, (view, need)
-    pairs, that are not fixed on the box of depths (_Carrier.open_on)."""
-    undecided = 0
-    for view, need in needs:
-        undecided |= view.open_on(need, depths, lo, whole)
-    return undecided
-
-
 def refine_classes(p: int, level: int, arity: int, classify: Callable,
                    member_of: Callable | None = None) -> Iterator[tuple]:
     """Settle the boxes r + p^J*Z_p^arity, J a depth per coordinate, depth first,
     one p-adic digit at a time, down to the level.
 
-    A box is undecided in the coordinates (a bit set) that its views still
-    able to change read.  member_of(r, J) (a membership plan's, or None for
-    the box) gives (member, undecided, flagged).  Unless the box lies outside
-    member_of for good (member False, undecided 0), classify(r, J, flagged,
-    level) gives (key, undecided), key None while a view of its own is
-    undecided below the level; it need not be asked where member_of is
-    undecided in every coordinate.  Every lift of a decided box has its
-    flagged (0 over the box): ambiguous mod p^m iff flagged > m.
+    Both callbacks read only the box and return its undecided coordinates (a
+    bit set), those that its views still able to change read.  member_of(r,
+    J) (a membership plan's, or None for the box) gives (member, undecided,
+    flagged).  Unless the box lies outside member_of for good (member False,
+    undecided 0), classify(r, J) gives (payload, undecided), payload None
+    while a view of its own is undecided below the level; it need not be
+    asked where member_of is undecided in every coordinate.  The walk pairs
+    each payload with member_of's flagged (0 over the box): every lift of a
+    decided box is ambiguous mod p^m iff flagged > m.
 
     Of the undecided coordinates, those at the least depth d among them are
     split, r_k + p^d*digit, and no other.  So a coordinate passes a depth
     only after every undecided coordinate has reached it; and as a view,
     once decided, stays decided and the tests read every view that can
     still change, the undecided coordinates share one depth, max(J).  A box
-    with none undecided below the level is yielded as (key, r, J), key
-    (None, flagged) outside member_of; it holds p^(sum(level - J_k)) lifts
+    with none undecided below the level is yielded as ((payload, flagged), r,
+    J), payload None outside member_of; it holds p^(sum(level - J_k)) lifts
     mod p^level.
     """
     stack, whole = [((0,) * arity, (0,) * arity)], (1 << arity) - 1
     while stack:
         r, J = stack.pop()
         member, undecided, flagged = (True, 0, 0) if member_of is None else member_of(r, J)
-        key = None
+        payload = None
         if (member or undecided) and undecided != whole:  # classify may add coordinates
-            key, reads = classify(r, J, flagged, level)
+            payload, reads = classify(r, J)
             undecided |= reads
         split = undecided and _split(p, level, undecided, J)
         if split:
             child, offsets = split
             stack.extend([(tuple(map(add, r, offset)), child) for offset in offsets])
-        elif member:
-            yield key or classify(r, J, flagged, level)[0], r, J
-        else:
+        elif not member:
             yield (None, flagged), r, J
+        else:
+            yield (classify(r, J)[0] if payload is None else payload, flagged), r, J
 
 
 SPLIT_CACHE_SIZE = 4096  # split plans kept, by (p, level, undecided, J)
@@ -774,15 +764,16 @@ def valuation_key(views: Sequence[_Carrier], point: Sequence[int]) -> tuple:
                   for view in views])
 
 
-def settle_on_valuations(views: Sequence[_Carrier]) -> Callable:
-    """refine_classes' classify over carrier views: a view is undecided on a
-    box unless its constant_on holds there or its depth reaches the level
-    (then it is fixed on every lift; one that reads no coordinate is fixed
-    everywhere); the key, valuation_key, is taken once none is undecided."""
+def settle_on_valuations(views: Sequence[_Carrier], level: int) -> Callable:
+    """refine_classes' classify (r, J) -> (payload, undecided) over carrier
+    views, for a walk to level: a view is undecided on a box unless its
+    constant_on holds there or its depth reaches the level (then it is fixed
+    on every lift; one that reads no coordinate is fixed everywhere); the
+    payload, valuation_key, is taken once none is undecided."""
     moving = [view for view in views if view.mask]
     read = reduce(or_, [view.mask for view in moving], 0)  # every coordinate read
 
-    def classify(r, J, flagged, level):
+    def classify(r, J):
         if moving and min(J) < level:
             undecided = 0
             for view in moving:
@@ -792,7 +783,7 @@ def settle_on_valuations(views: Sequence[_Carrier]) -> Callable:
                         break
             if undecided:
                 return None, undecided
-        return (valuation_key(views, r), flagged), 0
+        return valuation_key(views, r), 0
     return classify
 
 
@@ -905,15 +896,15 @@ def check_partition(cert: DecompositionCertificate, m: int, ctx: PrimeContext,
     towers = [plan.levels_of(tower) for tower in cert.cells]
     owners_of = plan.owners_of(towers)
 
-    def classify(r, J, _, level):
+    def classify(r, J):
         owners, undecided, flagged = owners_of(r, J)
         return (owners, flagged), undecided
 
     counts, lifts = tally(refine_classes(p, m, arity, classify, domain), p, [m], arity,
-                          lambda owners: len(owners) != 1)
-    violations = [(pt, list(owners)) for pt, owners in lifts]
+                          lambda key: len(key[0]) != 1)
+    violations = [(pt, list(owners)) for pt, (owners, _) in lifts]
     outside = plan.outside(cert.domain, towers)
-    members = [(c, flagged > m) for (key, flagged), c in counts[m].items() if key is not None]
+    members = [(c, key[1] > m) for (key, _), c in counts[m].items() if key is not None]
     return PartitionReport(ok=not violations and not outside, violations=violations,
                            ambiguous_points=sum(c for c, a in members if a),
                            points_tested=sum(c for c, _ in members), outside=outside)
@@ -995,7 +986,7 @@ def check_norm_description(functions: Sequence[Polynomial],
                 return lhs, INF
             return lhs, Fraction(vd) + Fraction(desc.a * (k - vlam), level.coset.n)
 
-        boxes = refine_classes(p, m, tower.arity, settle_on_valuations(views),
+        boxes = refine_classes(p, m, tower.arity, settle_on_valuations(views, m),
                                plan.member_of(tower))
         counts, lifts = tally(boxes, p, [m], tower.arity, lambda key: ne(*sides(*key)))
         members = [(c, flagged > m) for (key, flagged), c in counts[m].items() if key is not None]

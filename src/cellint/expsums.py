@@ -374,9 +374,9 @@ def dominance_warning(fs: Sequence[Polynomial], seed: int = 0) -> str | None:
     rng = random.Random(seed)
     jac = integer_jacobian(fs)
     best = 0
-    for _ in range(8):
-        pt = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(arity)]
-        best = max(best, jacobian_rank_mod(jac, pt))
+    for _ in range(8):  # a pair per coordinate keeps the sampled stream; only used ones are read
+        draws = [(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(arity)]
+        best = max(best, jacobian_rank_mod(jac, {i: Fraction(*draws[i]) for i in jac[0]}))
         if best >= r:
             return None
     return (f"Jacobian rank stayed at {best} < {r} on sampled points; "
@@ -393,11 +393,12 @@ def integer_jacobian(fs: Sequence[Polynomial]) -> tuple[list[int], list[list[lis
                   for f, denom in [(f, f.cleared()[1]) for f in fs]]
 
 
-def jacobian_rank_mod(jac: tuple, point: Sequence[Fraction]) -> int:
+def jacobian_rank_mod(jac: tuple, point) -> int:
     """The rank mod the prime q = RANK_PRIME of an integer_jacobian at a
     rational point whose denominators q does not divide: each entry evaluated
     with pow(x, e, q) at the point's used coordinates reduced mod q, then
-    Gaussian elimination mod q."""
+    Gaussian elimination mod q.  point is indexed by coordinate (a sequence,
+    or a mapping that holds the used coordinates only)."""
     q, (used, jac) = RANK_PRIME, jac
     xs = {i: (x := Fraction(point[i])).numerator * pow(x.denominator, -1, q) % q for i in used}
     rows = [[sum(c * math.prod([pow(xs[i], k, q) for i, k in e]) for e, c in terms) % q

@@ -174,7 +174,7 @@ def _walk(e: QExpExpr, arity: int, levels: Sequence[int], ctx: PrimeContext,
     if domain is not None and domain.arity > arity:
         raise InvalidArgumentError(f"arity is {arity}, but the domain has arity {domain.arity}")
     plan = MembershipPlan(ctx)
-    classify = settle_on_valuations([plan.view(f) for f in polys])
+    classify = settle_on_valuations([plan.view(f) for f in polys], levels[-1])
     counts, _ = tally(refine_classes(p, levels[-1], arity, classify, plan.domain_of(domain)),
                       p, levels, arity)
     return compile_expr(e, ctx), counts

@@ -1485,16 +1485,14 @@ def _cube_refine(p, level, arity, classify, member_of=None):
         r, j = stack.pop()
         J = (j,) * arity
         member, undecided, flagged = (True, 0, 0) if member_of is None else member_of(r, J)
-        key = None
+        payload = None
         if member or undecided:
-            key, reads = classify(r, J, flagged, level)
+            payload, reads = classify(r, J)
             undecided |= reads
-        if not member:
-            key = None, flagged
         if undecided and j < level:
             stack.extend((tuple(x + p**j * d for x, d in zip(r, ds)), j + 1) for ds in digits)
         else:
-            yield key, r, J
+            yield (payload if member else None, flagged), r, J
 
 
 _WALK_SIZES = [(p, n, m) for p in (2, 3, 5) for n in (1, 2, 3) for m in range(1, 8)

@@ -266,6 +266,24 @@ def test_dominance_warning_differentiates_only_in_the_variables_used(monkeypatch
     assert calls[1:] == [2, 6, 2, 6]
 
 
+def test_dominance_warning_builds_rationals_only_at_the_variables_used(monkeypatch):
+    """A sampled point still draws two integers per coordinate, in order, but
+    makes a Fraction only at the coordinates some f_i uses: one for x200000
+    (and one more as jacobian_rank_mod reads it), not one per index.  The
+    points read at those coordinates are those of the full draw."""
+    built, points, rank = [], [], expsums.jacobian_rank_mod
+    monkeypatch.setattr(expsums, "Fraction", lambda *args: built.append(args) or Fraction(*args))
+    assert dominance_warning([parse_poly("x200000")]) is None
+    assert len(built) == 2
+    monkeypatch.setattr(expsums, "jacobian_rank_mod",
+                        lambda jac, pt: points.append(pt) or rank(jac, pt))
+    assert "rank stayed at 1" in dominance_warning([parse_poly("x3 + x7"),
+                                                    parse_poly("2*x3 + 2*x7")])
+    rng = random.Random(0)
+    drawn = [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(7)] for _ in range(8)]
+    assert [[pt[i] for i in (2, 6)] for pt in points] == [[pt[i] for i in (2, 6)] for pt in drawn]
+
+
 def _rational_rank(rows):
     """The rank of a matrix of Fractions, by Gaussian elimination over Q."""
     rows, rank = [row[:] for row in rows], 0

@@ -203,6 +203,14 @@ def test_histogram_matches_counts():
     assert (2,) not in hist
 
 
+def test_a_map_with_no_polynomials_counts_every_point_at_the_empty_value():
+    """With no f, every x mod p^m maps to the empty tuple: one histogram entry
+    of p^(m*n) points (n at least 1 by default), and z = () is hit by all."""
+    assert solution_histogram([], 2, C5) == {(): 25}
+    assert solution_histogram([], 2, C5, n=2) == {(): 625}
+    assert count_solutions([], [], 2, C5) == 25
+
+
 def test_stabilization_constant():
     assert stabilization_check([Fraction(1)] * 4, [3, 4, 5, 6], C5) is True
 
@@ -556,9 +564,9 @@ def test_riemann_reads_each_carrier_once_and_values_only_settled_classes(monkeyp
         return value(n, p)
 
     def counting_refine(p, level, arity, classify, member_of=None):
-        def visit(r, J, amb, at):
+        def visit(r, J):
             before = dict(counts)
-            key, undecided = classify(r, J, amb, at)
+            key, undecided = classify(r, J)
             spent = {name: counts[name] - before[name] for name in counts}
             zero = sum(not evaluate(terms, r) % p**min(J[i] for i in reads[terms])
                        for terms in own)
@@ -568,7 +576,7 @@ def test_riemann_reads_each_carrier_once_and_values_only_settled_classes(monkeyp
                 assert spent["valuations"] <= zero and (zero or not spent["coefficients"])
             else:
                 counts["settled"] += 1
-                assert spent["valuations"] <= sum(v is not INF for v in key[0])
+                assert spent["valuations"] <= sum(v is not INF for v in key)
             return key, undecided
 
         return refine(p, level, arity, visit, member_of)

@@ -45,3 +45,19 @@ def test_command_line_block_runs(tmp_path, monkeypatch, capsys):
         if line.startswith("cellint integrate "):  # terms and --expr describe one function
             result = json.loads(out)
             assert result["closed_form"] == "5/6" and result["abs_diff"] < 1e-6, line
+
+
+def test_a_failing_norm_description_exits_3_with_its_mismatches(tmp_path, monkeypatch, capsys):
+    """The README's certificate describes |x1|, so checked against f = x1^2 its
+    norm descriptions fail on the classes where |x1^2| < |x1|: cells-check exits
+    3 and lists each mismatching lift with its two exponents, while the
+    partition still checks out."""
+    certificate, _ = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    (tmp_path / "cert.json").write_text(certificate, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    argv = ["cells-check", "--certificate", "cert.json", "--level", "3", "--functions", "x1^2"]
+    assert cli.main(argv) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["norms_ok"] is False and out["norm_points_checked"] == 52
+    assert out["norm_mismatches"] == [[[25], "4", "2"], [[100], "4", "2"]]
+    assert out["partition_ok"] is True and out["points_tested"] == 124
