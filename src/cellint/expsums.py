@@ -13,17 +13,18 @@ Vanishing is decided on the counts, not on a float: sum_j c_j zeta^j = 0
 iff c is constant on every coset j + p^(m-1) Z/p^m, because the cyclotomic
 polynomial Phi_(p^m) is the minimal polynomial of zeta.  The complex value
 adds the p^(nm) characters in enumeration order, pairwise within each chunk
-of oracle._CHUNK points and then over the chunk sums, so it is fixed bit for bit.
-decay_fit adds its floats left to right, as sum() did before Python 3.12.
+of oracle._CHUNK points (one itemgetter gathers a chunk's characters) and
+then over the chunk sums, so it is fixed bit for bit.  decay_fit adds its
+floats left to right, as sum() did before Python 3.12.
 
 Each level is enumerated at most once per call.  _exp_sums keys the ys of one
 level by their phase coefficients divided by the first unit among them, and
 evaluates each key from one enumeration: the ys of a key are unit multiples rho
 of one another (every direction of a one-polynomial decay_fits), and the
 relabelled table j -> table[rho j] over the same column gives the floats of a
-separate enumeration bit for bit.  fourier_check with one polynomial
-reads the value histogram off the left side's phase counts, and
-singular_values reads every z off one solution_histogram.
+separate enumeration bit for bit.  fourier_check with one polynomial reads its
+fibres off the left side's phase counts, in z order, and singular_values reads
+every z off one solution_histogram.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Sequence
 
 from .errors import AllVanishedError, InvalidArgumentError
@@ -105,11 +106,16 @@ def _character_table(pm: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * math.pi * j / pm) for j in range(pm))
 
 
-def _pairwise_sum(values: list[complex]) -> complex:
-    """The sum of values, which is never empty."""
+def _pairwise_sum(values: Sequence[complex]) -> complex:
+    """The sum of values, a list or tuple that is never empty."""
     while len(values) > 1:  # neighbours pairwise, an odd last value carried up
-        values = list(map(add, values[0::2], values[1::2])) + values[len(values) & ~1:]
+        values = [*map(add, values[0::2], values[1::2]), *values[len(values) & ~1:]]
     return values[0]
+
+
+def _gather(column: list[int]):
+    """table -> (table[j] for j in column) as a tuple in one C-level call, one j too."""
+    return itemgetter(*column) if len(column) > 1 else lambda table, j=column[0]: (table[j],)
 
 
 def _phase_coefficients(ys: Sequence[Fraction], m: int, ctx: PrimeContext) -> list[int]:
@@ -185,8 +191,8 @@ def _exp_sums(fs: Sequence[Polynomial], yss: Sequence[Sequence[Fraction]], m: in
         partials: list[list[complex]] = [[] for _ in members]
         for (column,) in _values_mod([phase], m, arity, p):
             phases.update(column)
-            for relabelled, sums in zip(tables, partials):
-                sums.append(_pairwise_sum(list(map(relabelled.__getitem__, column))))
+            for sums, values in zip(partials, map(_gather(column), tables)):
+                sums.append(_pairwise_sum(values))
         for (k, rho), sums in zip(members, partials):
             counts = dict(phases) if rho == 1 else {rho * j % pm: c for j, c in phases.items()}
             results[k] = ExpSumResult(tuple(yss[k]), m, _pairwise_sum(sums) / pm**arity,
@@ -244,27 +250,23 @@ def fourier_check(fs: Sequence[Polynomial], y: Sequence, ctx: PrimeContext,
 
     The left side sums point by point, the right side fibre by fibre: the
     two regroup the same finite sum, so the reported difference is pure
-    floating-point roundoff.  With one polynomial the fibre sizes are the
-    left side's phase counts, relabelled; with several, solution_histogram
-    enumerates them.
+    floating-point roundoff.  With one polynomial the fibres are the left
+    side's phase counts read in z order, the phase j being c z for the unit
+    c = y p^m; with several, solution_histogram enumerates them.
     """
-    ys = tuple(Fraction(v) for v in y)
-    required = _required_level(ys, ctx)
-    left = exp_sum(fs, ys, ctx, budget=budget)
-    lhs = left.value
-    if required == 0:
+    left = exp_sum(fs, y, ctx, budget=budget)  # at the required level m
+    lhs, m = left.value, left.level
+    if m == 0:
         return lhs, complex(1.0, 0.0), abs(lhs - 1.0)
-    pm = ctx.p**required
-    coeffs = _phase_coefficients(ys, required, ctx)
-    if len(fs) == 1:  # c = y p^m is a unit, so f(x) = c^(-1) j where the phase is j
-        inverse = pow(coeffs[0], -1, pm)
-        hist = {(inverse * j % pm,): count for j, count in left.phases.items()}
-    else:
-        hist = solution_histogram(fs, required, ctx, budget=budget)
+    pm = ctx.p**m
+    coeffs = _phase_coefficients(left.y, m, ctx)
     table = _character_table(pm)
-    terms = []
-    for z, count in sorted(hist.items()):
-        terms.append(count * table[sum(map(mul, coeffs, z)) % pm])
+    if len(fs) == 1:  # c = y p^m is a unit: the fibre z = c^(-1) j has phase c z = j
+        inverse, phases = pow(coeffs[0], -1, pm), left.phases
+        terms = [phases[j] * table[j] for j in sorted(phases, key=lambda j: inverse * j % pm)]
+    else:
+        hist = solution_histogram(fs, m, ctx, budget=budget)
+        terms = [count * table[sum(map(mul, coeffs, z)) % pm] for z, count in sorted(hist.items())]
     rhs = _pairwise_sum(terms) / pm**left.n
     return lhs, rhs, abs(lhs - rhs)
 
@@ -374,9 +376,9 @@ def dominance_warning(fs: Sequence[Polynomial], seed: int = 0) -> str | None:
     rng = random.Random(seed)
     jac = integer_jacobian(fs)
     best = 0
-    for _ in range(8):  # a pair per coordinate keeps the sampled stream; only used ones are read
-        draws = [(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(arity)]
-        best = max(best, jacobian_rank_mod(jac, {i: Fraction(*draws[i]) for i in jac[0]}))
+    for _ in range(8):  # a (num, den) pair per used coordinate, in index order
+        point = {i: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for i in jac[0]}
+        best = max(best, jacobian_rank_mod(jac, point))
         if best >= r:
             return None
     return (f"Jacobian rank stayed at {best} < {r} on sampled points; "

@@ -243,7 +243,7 @@ class _Scanner:
         self.i += 1
         return -int(text) if negative else int(text)
 
-    def rational(self) -> Fraction:
+    def rational(self) -> int | Fraction:
         num = self.integer()
         if self.accept("/"):
             offset = self.end
@@ -251,7 +251,7 @@ class _Scanner:
             if den == 0:
                 raise ZeroDenominatorError("denominator is zero", offset)
             return Fraction(num, den)
-        return Fraction(num)
+        return num  # an int: polynomial coefficients fold as ints until from_coeffs
 
     def ident(self) -> tuple[str, int]:
         """The next run of word characters, or "" when the next token is none."""
@@ -352,7 +352,7 @@ def _parse_atom(sc: _Scanner) -> QExpExpr:
 
 def _parse_factor(sc: _Scanner) -> QExpExpr:
     if sc.peek().isdecimal():
-        return RationalConst(sc.rational())
+        return RationalConst(Fraction(sc.rational()))
     e = _parse_atom(sc)
     if sc.accept("^"):
         if sc.peek() == "{":

@@ -315,11 +315,11 @@ def solution_histogram(fs: Sequence[Polynomial], m: int, ctx: PrimeContext,
     check_budget(p, m, n, budget)
     if not fs:
         return {(): p ** (m * n)}
-    views = [_modular_view(f, p**m, p) for f in fs]
+    views, one = [_modular_view(f, p**m, p) for f in fs], len(fs) == 1
     hist: Counter = Counter()
-    for columns in _values_mod(views, m, n, p):
-        hist.update(zip(*columns))
-    return dict(hist)
+    for columns in _values_mod(views, m, n, p):  # one f: count its ints, key them at the end
+        hist.update(columns[0] if one else zip(*columns))
+    return {(v,): count for v, count in hist.items()} if one else dict(hist)
 
 
 def count_solutions(fs: Sequence[Polynomial], z: Sequence, m: int,

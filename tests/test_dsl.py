@@ -148,6 +148,53 @@ def test_evaluate_fractional_examples():
         evaluate_fractional(parse_expr("norm(x1)^{-1/2}"), [0], C5)
 
 
+def _random_poly_text(rng, depth=0):
+    """(a polynomial text with integer and n/d literals, the Polynomial it denotes,
+    built by Polynomial arithmetic from Fraction constants)."""
+    text, value = "", Polynomial.constant(Fraction(0))
+    for _ in range(rng.randint(1, 3)):
+        num, den = rng.randint(0, 12), rng.choice([1, 1, 2, 3, 4])
+        factors = [f"{num}/{den}" if den > 1 or rng.random() < 0.2 else str(num)]
+        term = Polynomial.constant(Fraction(num, den))
+        for _ in range(rng.randint(0, 2)):
+            i, k = rng.randint(1, 3), rng.randint(1, 3)
+            factors.append(f"x{i}^{k}")
+            term = term * Polynomial.variable(i - 1) ** k
+        if depth == 0 and rng.random() < 0.3:
+            inner, inner_value = _random_poly_text(rng, depth + 1)
+            k = rng.randint(0, 2)
+            factors.append(f"({inner})^{k}")
+            term = term * inner_value**k
+        rng.shuffle(factors)
+        sign = rng.choice("+-")
+        text += (" - " if sign == "-" else " + " if text else "") + "*".join(factors)
+        value = value - term if sign == "-" else value + term
+    return text, value
+
+
+def test_integer_literals_parse_to_the_polynomials_of_their_fractions():
+    """The parser folds integer literals as ints; every parsed Polynomial is still
+    equal to, and prints as, the one built from Fractions, with Fraction coefficients."""
+    rng = random.Random(39)
+    for _ in range(300):
+        text, expected = _random_poly_text(rng)
+        parsed = parse_poly.__wrapped__(text)
+        assert parsed == expected, text
+        assert str(parsed) == str(expected), text
+        assert all(type(c) is Fraction for _, c in parsed.terms), text
+    assert type(parse_expr("3*norm(x1)").scalar) is Fraction
+
+
+@pytest.mark.parametrize("text, error, offset", [
+    ("2*x1 + 3/0", ZeroDenominatorError, 9), ("7/0*x1", ZeroDenominatorError, 2),
+    ("4/ 0", ZeroDenominatorError, 2), ("2*x1 + 3/", ExprSyntaxError, 9),
+    ("x1^", ExprSyntaxError, 3)])
+def test_literal_errors_keep_their_offsets(text, error, offset):
+    with pytest.raises(error) as exc:
+        parse_poly(text)
+    assert exc.value.offset == offset
+
+
 def _random_poly(rng, max_arity=2):
     arity = rng.randint(1, max_arity)
     coeffs = {}

@@ -267,10 +267,9 @@ def test_dominance_warning_differentiates_only_in_the_variables_used(monkeypatch
 
 
 def test_dominance_warning_builds_rationals_only_at_the_variables_used(monkeypatch):
-    """A sampled point still draws two integers per coordinate, in order, but
-    makes a Fraction only at the coordinates some f_i uses: one for x200000
-    (and one more as jacobian_rank_mod reads it), not one per index.  The
-    points read at those coordinates are those of the full draw."""
+    """A sampled point draws a (num, den) pair and makes a Fraction only at the
+    coordinates some f_i uses, in index order: one for x200000 (and one more
+    as jacobian_rank_mod reads it), not one per index."""
     built, points, rank = [], [], expsums.jacobian_rank_mod
     monkeypatch.setattr(expsums, "Fraction", lambda *args: built.append(args) or Fraction(*args))
     assert dominance_warning([parse_poly("x200000")]) is None
@@ -280,8 +279,22 @@ def test_dominance_warning_builds_rationals_only_at_the_variables_used(monkeypat
     assert "rank stayed at 1" in dominance_warning([parse_poly("x3 + x7"),
                                                     parse_poly("2*x3 + 2*x7")])
     rng = random.Random(0)
-    drawn = [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(7)] for _ in range(8)]
-    assert [[pt[i] for i in (2, 6)] for pt in points] == [[pt[i] for i in (2, 6)] for pt in drawn]
+    drawn = [{i: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for i in (2, 6)} for _ in range(8)]
+    assert points == drawn
+
+
+def test_dominance_warning_draws_only_for_the_variables_used(monkeypatch):
+    """Two randint calls per used coordinate and sampled point: at most
+    8 * 2 for x200000, not 8 * 2 * 200000."""
+    calls, randint = [], random.Random.randint
+    monkeypatch.setattr(random.Random, "randint",
+                        lambda rng, a, b: calls.append((a, b)) or randint(rng, a, b))
+    assert dominance_warning([parse_poly("x200000")]) is None
+    assert 0 < len(calls) <= 16
+    calls.clear()
+    assert "rank stayed at 1" in dominance_warning([parse_poly("x3 + x7"),
+                                                    parse_poly("2*x3 + 2*x7")])
+    assert calls == [(-9, 9), (1, 7)] * 2 * 8
 
 
 def _rational_rank(rows):
@@ -499,6 +512,24 @@ def test_exp_sum_is_the_per_point_loop_bit_for_bit(problem):
     assert res.phases == phases
 
 
+def test_the_gather_reads_a_one_point_column_as_a_one_tuple():
+    """itemgetter of one index returns the item itself; the gather returns a 1-tuple,
+    which _pairwise_sum reads as the item."""
+    table = _character_table(7)
+    assert expsums._gather([3])(table) == (table[3],)
+    assert expsums._gather([3, 0, 3])(table) == (table[3], table[0], table[3])
+    assert expsums._pairwise_sum(expsums._gather([5])(table)) == table[5]
+
+
+def test_a_one_point_last_chunk_is_the_per_point_loop_bit_for_bit():
+    """p = 12289 = 3 * 4096 + 1: the enumeration of x1 mod p ends in a one-point chunk."""
+    fs, ys, ctx = [parse_poly("x1^2 + 3*x1")], [Fraction(5, 12289)], PrimeContext(12289)
+    res = exp_sum(fs, ys, ctx)
+    value, phases = per_point_exp_sum(fs, ys, 1, ctx, 1)
+    assert (res.value.real.hex(), res.value.imag.hex()) == (value.real.hex(), value.imag.hex())
+    assert res.phases == phases
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(size=st.sampled_from([(p, m) for p in (2, 3, 5, 7) for m in (1, 2, 3)
                              if p**m <= 125]),
@@ -545,6 +576,8 @@ def _decay_problem(draw):
                   C3, 2, 4))  # 3^8 points: past one chunk
 @example(problem=([X2, parse_poly("x2^2")], [[1, 2], [2, 4], [1, 1]], C3, 2, 3))  # r = 2
 @example(problem=([X], [[1], [3]], C5, 1, 2))  # every sample vanishes
+@example(problem=([parse_poly("x1^3 + x2^2 - x1*x2")], [[1], [3], [Fraction(2, 3)]],
+                  C5, 2, 3))  # 5^6 points: rho = 3 past one chunk
 def test_decay_fits_are_one_decay_fit_per_direction(problem):
     fs, directions, ctx, _, m2 = problem
     try:
@@ -590,6 +623,8 @@ def _grouping_problem(draw):
                                               [Fraction(0), Fraction(4, 3)],
                                               [Fraction(1, 3), Fraction(0)],
                                               [Fraction(1, 3), Fraction(0)]], C3, 2, 2))
+@example(problem=([parse_poly("x1^3 + x1*x2^2 + 1")], [[Fraction(1, 81)], [Fraction(2, 81)],
+                                                       [Fraction(4, 27)]], C3, 2, 4))  # 3^8 points
 def test_grouped_exp_sums_are_one_exp_sum_per_y(problem):
     """_exp_sums over many ys of one level equals one exp_sum per y, field by
     field, with the value's float bits and the phase counts."""
@@ -641,6 +676,9 @@ def two_enumeration_fourier(fs, ys, ctx, n):
 @example(problem=([parse_poly("x1^2 + x2"), parse_poly("x1^3")],
                   [Fraction(1, 3), Fraction(2, 27)], C3, 2, 3))
 @example(problem=([parse_poly("1/2*x1^2 + x2")], [Fraction(3, 7)], C7, 2, 1))
+@example(problem=([parse_poly("x1^6")], [Fraction(1, 343)], C7, 1, 3))  # few phases hit
+@example(problem=([parse_poly("x1^2 + x2"), parse_poly("x1*x2 + 3")],
+                  [Fraction(1, 7), Fraction(3, 49)], C7, 2, 2))
 def test_fourier_check_is_the_two_enumeration_computation(problem):
     fs, ys, ctx, n, _ = problem
     assert fourier_check(fs, ys, ctx) == two_enumeration_fourier(fs, ys, ctx, n)

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from operator import add, sub
@@ -993,6 +994,22 @@ def test_histogram_is_the_per_point_loop_past_one_chunk(problem):
     fs, m, ctx, n = problem
     hist = solution_histogram(fs, m, ctx, n=n)
     assert list(hist.items()) == list(brute_force_histogram(fs, m, ctx.p, n).items())
+
+
+@pytest.mark.parametrize("fs, m, ctx, n", [
+    ([parse_poly("x1^2 + 2*x2^3 + 1")], 2, C5, 2),
+    ([parse_poly("x1^6")], 3, C7, 1),
+    ([parse_poly("x1^2 + x2"), parse_poly("x1*x2 - 1/2")], 2, PrimeContext(3), 2),
+    ([parse_poly("x1^3"), parse_poly("x1")], 2, C7, 1)])
+def test_histogram_of_one_and_of_two_polynomials_is_a_per_point_counter(fs, m, ctx, n):
+    """One polynomial's values are counted as ints and keyed (v,) at the end: for one
+    and for two polynomials the histogram is the per-point Counter of value tuples,
+    key for key in the same order."""
+    expected = Counter(tuple(residue(f.eval(x), m, ctx) for f in fs)
+                       for x in itertools.product(range(ctx.p**m), repeat=n))
+    hist = solution_histogram(fs, m, ctx, n=n)
+    assert list(hist.items()) == list(expected.items())
+    assert all(type(key) is tuple and len(key) == len(fs) for key in hist)
 
 
 @st.composite
